@@ -211,15 +211,17 @@ let run_population ?(users = 80) ?(trees = 100) ?(epochs = 15) ?(max_per_site = 
     (Array.length train_traces + Array.length test_traces)
     (Array.length train_traces) (Array.length test_traces) summary.Population.flows;
   say "dl: training k-FP on packed features...";
+  (* Pool.map keeps input order, so the rows are the same at any --jobs. *)
+  let featurize =
+    Stob_par.Pool.map (Option.value pool ~default:Stob_par.Pool.sequential) Features.extract_packed
+  in
   let kfp =
-    let feats = Array.map Features.extract_packed train_traces in
     Attack.train
       ~forest:{ Stob_ml.Random_forest.default_params with n_trees = trees; seed }
-      ?pool ~n_classes:monitored_sites ~features:feats ~labels:train_labels ()
+      ?pool ~n_classes:monitored_sites ~features:(featurize train_traces) ~labels:train_labels ()
   in
   let kfp_acc =
-    Attack.evaluate kfp ~mode:Attack.Forest_vote
-      ~features:(Array.map Features.extract_packed test_traces)
+    Attack.evaluate kfp ~mode:Attack.Forest_vote ~features:(featurize test_traces)
       ~labels:test_labels
   in
   say "dl: training DF-lite on packed directions (%d epochs)..." epochs;

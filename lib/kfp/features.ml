@@ -1,384 +1,249 @@
-module Trace = Stob_net.Trace
-module Packet = Stob_net.Packet
+(* The k-FP featurizer: one kernel over the packed lanes.
+
+   [extract] converts a record trace with [Packed_trace.of_trace] and runs
+   the same kernel as [extract_packed], so the two entry points cannot
+   drift apart.  The kernel counts directions in one pass, fills every
+   per-direction array, counter and running sum in a second, then writes
+   the statistics straight into the result, taking each array's order
+   statistics from one sorted copy (none at all for time offsets that are
+   already in order).
+
+   Every value comes from the same float operations, in the same order, as
+   the seed featurizer kept in test/kfp_reference.ml; the kfp.packed
+   battery holds the two to bit identity.  HACKING.md "Classifier hot
+   path" lists the rules that keep that true. *)
+
+module P = Stob_net.Packed_trace
 module Stats = Stob_util.Stats
+module BA1 = Bigarray.Array1
 
 let chunk_size = 20
 
-(* Evenly-spaced subsample of an arbitrary-length series, padded with 0. *)
-let sampled n series =
-  let len = Array.length series in
-  Array.init n (fun i ->
-      if len = 0 then 0.0
-      else
-        let idx = i * len / n in
-        series.(min idx (len - 1)))
+(* Entries in each evenly-spaced subsample (conc, pps, cumul). *)
+let samples = 20
 
-(* Size bands (wire bytes) counted per direction. *)
+(* Width of a packets-per-interval bucket, seconds. *)
+let pps_bucket = 0.25
+
+(* Size bands (wire bytes) counted per direction; the last band also takes
+   everything larger. *)
 let size_bands = [| 100; 300; 600; 900; 1200; 1500 |]
 
-let band_counts sizes =
-  let counts = Array.make (Array.length size_bands) 0.0 in
-  Array.iter
-    (fun s ->
-      let rec place i =
-        if i >= Array.length size_bands - 1 then counts.(Array.length size_bands - 1) <- counts.(Array.length size_bands - 1) +. 1.0
-        else if s <= float_of_int size_bands.(i) then counts.(i) <- counts.(i) +. 1.0
-        else place (i + 1)
-      in
-      place 0)
-    sizes;
-  Array.to_list counts
+let n_bands = Array.length size_bands
 
-(* Burst lengths: maximal runs of consecutive same-direction packets. *)
-let burst_lengths trace dir =
-  let bursts = ref [] and current = ref 0 in
-  Array.iter
-    (fun e ->
-      if e.Trace.dir = dir then incr current
-      else if !current > 0 then begin
-        bursts := float_of_int !current :: !bursts;
-        current := 0
-      end)
-    trace;
-  if !current > 0 then bursts := float_of_int !current :: !bursts;
-  Array.of_list (List.rev !bursts)
+let band_of size =
+  let rec go i = if i >= n_bands - 1 || size <= size_bands.(i) then i else go (i + 1) in
+  go 0
 
-(* Counting fold — the seed materialized the matching elements through an
-   [Array.to_list -> List.filter -> Array.of_list] round-trip just to take
-   a length. *)
-let count_ge bursts threshold =
-  Array.fold_left (fun acc b -> if b >= threshold then acc +. 1.0 else acc) 0.0 bursts
-
-let concentration trace =
-  let n = Trace.length trace in
-  let n_chunks = (n + chunk_size - 1) / chunk_size in
-  Array.init n_chunks (fun c ->
-      let lo = c * chunk_size and hi = min n ((c + 1) * chunk_size) in
-      let count = ref 0 in
-      for i = lo to hi - 1 do
-        if trace.(i).Trace.dir = Packet.Outgoing then incr count
-      done;
-      float_of_int !count)
-
-let packets_per_bucket trace ~bucket =
-  let n = Trace.length trace in
-  if n = 0 then [||]
-  else begin
-    let duration = Trace.duration trace in
-    let buckets = max 1 (1 + int_of_float (duration /. bucket)) in
-    let counts = Array.make buckets 0.0 in
-    let t0 = trace.(0).Trace.time in
-    Array.iter
-      (fun e ->
-        let b = min (buckets - 1) (int_of_float ((e.Trace.time -. t0) /. bucket)) in
-        counts.(b) <- counts.(b) +. 1.0)
-      trace;
-    counts
-  end
-
-let time_percentiles times = List.map (Stats.percentile times) [ 25.0; 50.0; 75.0; 100.0 ]
-
-let interarrival_block gaps =
-  [ Stats.max_ gaps; Stats.mean gaps; Stats.std gaps; Stats.percentile gaps 75.0 ]
-
-(* Positions (indices) of packets of one direction within the trace. *)
-let positions trace dir =
-  let pos = ref [] in
-  Array.iteri (fun i e -> if e.Trace.dir = dir then pos := float_of_int i :: !pos) trace;
-  Array.of_list (List.rev !pos)
-
-let safe_frac num den = if den = 0.0 then 0.0 else num /. den
-
-(* Everything [assemble] needs, precomputed from either representation.
-   The two view builders below must compute each field with the same
-   formulas — the kfp.packed parity test holds them to bit-identical
-   feature vectors. *)
-type view = {
-  n : float;
-  n_in : float;
-  n_out : float;
-  bytes_total : float;
-  bytes_in : float;
-  bytes_out : float;
-  sizes_in : float array;
-  sizes_out : float array;
-  gaps : float array;
-  gaps_in : float array;
-  gaps_out : float array;
-  rel_times : float array;
-  rel_times_in : float array;
-  rel_times_out : float array;
-  pos_out : float array;
-  pos_in : float array;
-  conc : float array;
-  pps : float array;
-  first30_in : float;
-  first30_out : float;
-  last30_in : float;
-  last30_out : float;
-  bursts_out : float array;
-  bursts_in : float array;
-  cumul : float array;
-  duration : float;
-}
-
-let view_of_trace trace =
-  let rel_times_dir dir =
-    let ts = Trace.times ~dir trace in
-    let all = Trace.times trace in
-    if Array.length all = 0 then [||] else Array.map (fun t -> t -. all.(0)) ts
-  in
-  let first30 = Trace.prefix trace 30 in
-  let last30 =
-    let len = Trace.length trace in
-    if len <= 30 then Array.copy trace else Array.sub trace (len - 30) 30
-  in
-  {
-    n = float_of_int (Trace.length trace);
-    n_in = float_of_int (Trace.count ~dir:Packet.Incoming trace);
-    n_out = float_of_int (Trace.count ~dir:Packet.Outgoing trace);
-    bytes_total = float_of_int (Trace.bytes trace);
-    bytes_in = float_of_int (Trace.bytes ~dir:Packet.Incoming trace);
-    bytes_out = float_of_int (Trace.bytes ~dir:Packet.Outgoing trace);
-    sizes_in = Trace.sizes ~dir:Packet.Incoming trace;
-    sizes_out = Trace.sizes ~dir:Packet.Outgoing trace;
-    gaps = Trace.interarrivals trace;
-    gaps_in = Trace.interarrivals ~dir:Packet.Incoming trace;
-    gaps_out = Trace.interarrivals ~dir:Packet.Outgoing trace;
-    rel_times =
-      (let ts = Trace.times trace in
-       if Array.length ts = 0 then [||] else Array.map (fun t -> t -. ts.(0)) ts);
-    rel_times_in = rel_times_dir Packet.Incoming;
-    rel_times_out = rel_times_dir Packet.Outgoing;
-    pos_out = positions trace Packet.Outgoing;
-    pos_in = positions trace Packet.Incoming;
-    conc = concentration trace;
-    pps = packets_per_bucket trace ~bucket:0.25;
-    first30_in = float_of_int (Trace.count ~dir:Packet.Incoming first30);
-    first30_out = float_of_int (Trace.count ~dir:Packet.Outgoing first30);
-    last30_in = float_of_int (Trace.count ~dir:Packet.Incoming last30);
-    last30_out = float_of_int (Trace.count ~dir:Packet.Outgoing last30);
-    bursts_out = burst_lengths trace Packet.Outgoing;
-    bursts_in = burst_lengths trace Packet.Incoming;
-    cumul = Stats.cumulative (Trace.signed_sizes trace);
-    duration = Trace.duration trace;
-  }
-
-let assemble v =
-  let n = v.n
-  and n_in = v.n_in
-  and n_out = v.n_out
-  and bytes_total = v.bytes_total
-  and bytes_in = v.bytes_in
-  and bytes_out = v.bytes_out
-  and sizes_in = v.sizes_in
-  and sizes_out = v.sizes_out
-  and gaps = v.gaps
-  and gaps_in = v.gaps_in
-  and gaps_out = v.gaps_out
-  and rel_times = v.rel_times
-  and pos_out = v.pos_out
-  and pos_in = v.pos_in
-  and conc = v.conc
-  and pps = v.pps
-  and bursts_out = v.bursts_out
-  and bursts_in = v.bursts_in
-  and cumul = v.cumul in
-  let block name values = List.map (fun (suffix, v) -> (name ^ "." ^ suffix, v)) values in
-  let stats_named prefix a =
-    block prefix
-      [ ("mean", Stats.mean a); ("std", Stats.std a); ("median", Stats.median a);
-        ("min", Stats.min_ a); ("max", Stats.max_ a) ]
-  in
-  let indexed prefix values =
-    List.mapi (fun i v -> (Printf.sprintf "%s.%02d" prefix i, v)) (Array.to_list values)
-  in
-  List.concat
-    [
-      (* 1. counts *)
-      [
-        ("count.total", n);
-        ("count.in", n_in);
-        ("count.out", n_out);
-        ("count.frac_in", safe_frac n_in n);
-        ("count.frac_out", safe_frac n_out n);
-      ];
-      (* 2. bytes and size stats *)
-      [
-        ("bytes.total", bytes_total);
-        ("bytes.in", bytes_in);
-        ("bytes.out", bytes_out);
-        ("bytes.frac_in", safe_frac bytes_in bytes_total);
-      ];
-      stats_named "size.in" sizes_in;
-      stats_named "size.out" sizes_out;
-      (* 3. inter-arrival stats *)
-      block "iat.total"
-        (List.map2 (fun k v -> (k, v)) [ "max"; "mean"; "std"; "p75" ] (interarrival_block gaps));
-      block "iat.in"
-        (List.map2 (fun k v -> (k, v)) [ "max"; "mean"; "std"; "p75" ] (interarrival_block gaps_in));
-      block "iat.out"
-        (List.map2 (fun k v -> (k, v)) [ "max"; "mean"; "std"; "p75" ] (interarrival_block gaps_out));
-      (* 4. transmission-time percentiles *)
-      block "time.total"
-        (List.map2 (fun k v -> (k, v)) [ "p25"; "p50"; "p75"; "p100" ] (time_percentiles rel_times));
-      block "time.in"
-        (List.map2
-           (fun k v -> (k, v))
-           [ "p25"; "p50"; "p75"; "p100" ]
-           (time_percentiles v.rel_times_in));
-      block "time.out"
-        (List.map2
-           (fun k v -> (k, v))
-           [ "p25"; "p50"; "p75"; "p100" ]
-           (time_percentiles v.rel_times_out));
-      (* 5. ordering *)
-      [
-        ("order.out.mean", Stats.mean pos_out);
-        ("order.out.std", Stats.std pos_out);
-        ("order.in.mean", Stats.mean pos_in);
-        ("order.in.std", Stats.std pos_in);
-      ];
-      (* 6. concentration of outgoing packets (20-packet chunks) *)
-      stats_named "conc" conc;
-      [ ("conc.sum", Stats.sum conc) ];
-      indexed "conc.sample" (sampled 20 conc);
-      (* 7. packets per 0.25 s *)
-      stats_named "pps" pps;
-      indexed "pps.sample" (sampled 20 pps);
-      (* 8. first/last 30 packets *)
-      [
-        ("first30.in", v.first30_in);
-        ("first30.out", v.first30_out);
-        ("last30.in", v.last30_in);
-        ("last30.out", v.last30_out);
-      ];
-      (* 9. bursts *)
-      [
-        ("burst.out.count", float_of_int (Array.length bursts_out));
-        ("burst.out.mean", Stats.mean bursts_out);
-        ("burst.out.max", Stats.max_ bursts_out);
-        ("burst.out.ge5", count_ge bursts_out 5.0);
-        ("burst.out.ge10", count_ge bursts_out 10.0);
-        ("burst.in.count", float_of_int (Array.length bursts_in));
-        ("burst.in.mean", Stats.mean bursts_in);
-        ("burst.in.max", Stats.max_ bursts_in);
-        ("burst.in.ge5", count_ge bursts_in 5.0);
-        ("burst.in.ge10", count_ge bursts_in 10.0);
-      ];
-      (* 10. size bands *)
-      List.mapi
-        (fun i v -> (Printf.sprintf "band.in.%02d" i, v))
-        (band_counts sizes_in);
-      List.mapi
-        (fun i v -> (Printf.sprintf "band.out.%02d" i, v))
-        (band_counts sizes_out);
-      (* 11. duration *)
-      [ ("duration", v.duration) ];
-      (* 12. CUMUL-style sampled cumulative signed size *)
-      indexed "cumul" (sampled 20 cumul);
-    ]
-
-let named_features trace = assemble (view_of_trace trace)
-
-(* --- packed-trace path: same features, no event-record materialization --- *)
-
-module P = Stob_net.Packed_trace
-
-let burst_lengths_packed pt d =
-  let bursts = ref [] and current = ref 0 in
-  for i = 0 to P.length pt - 1 do
-    if P.dir pt i = d then incr current
-    else if !current > 0 then begin
-      bursts := float_of_int !current :: !bursts;
-      current := 0
-    end
-  done;
-  if !current > 0 then bursts := float_of_int !current :: !bursts;
-  Array.of_list (List.rev !bursts)
-
-let concentration_packed pt =
-  let n = P.length pt in
-  let n_chunks = (n + chunk_size - 1) / chunk_size in
-  Array.init n_chunks (fun c ->
-      let lo = c * chunk_size and hi = min n ((c + 1) * chunk_size) in
-      let count = ref 0 in
-      for i = lo to hi - 1 do
-        if P.dir pt i = Packet.Outgoing then incr count
-      done;
-      float_of_int !count)
-
-let packets_per_bucket_packed pt ~bucket =
-  let n = P.length pt in
-  if n = 0 then [||]
-  else begin
-    let duration = P.duration pt in
-    let buckets = max 1 (1 + int_of_float (duration /. bucket)) in
-    let counts = Array.make buckets 0.0 in
-    let t0 = P.time pt 0 in
-    for i = 0 to n - 1 do
-      let b = min (buckets - 1) (int_of_float ((P.time pt i -. t0) /. bucket)) in
-      counts.(b) <- counts.(b) +. 1.0
-    done;
-    counts
-  end
-
-let positions_packed pt d =
-  let pos = ref [] in
-  for i = 0 to P.length pt - 1 do
-    if P.dir pt i = d then pos := float_of_int i :: !pos
-  done;
-  Array.of_list (List.rev !pos)
-
-let view_of_packed pt =
-  let rel_times_dir dir =
-    let ts = P.times ~dir pt in
-    let all = P.times pt in
-    if Array.length all = 0 then [||] else Array.map (fun t -> t -. all.(0)) ts
-  in
-  (* Zero-copy views, not copies: prefix/sub share the bigarray lanes. *)
-  let first30 = P.prefix pt 30 in
-  let last30 =
-    let len = P.length pt in
-    if len <= 30 then pt else P.sub pt (len - 30) 30
-  in
-  {
-    n = float_of_int (P.length pt);
-    n_in = float_of_int (P.count ~dir:Packet.Incoming pt);
-    n_out = float_of_int (P.count ~dir:Packet.Outgoing pt);
-    bytes_total = float_of_int (P.bytes pt);
-    bytes_in = float_of_int (P.bytes ~dir:Packet.Incoming pt);
-    bytes_out = float_of_int (P.bytes ~dir:Packet.Outgoing pt);
-    sizes_in = P.sizes ~dir:Packet.Incoming pt;
-    sizes_out = P.sizes ~dir:Packet.Outgoing pt;
-    gaps = P.interarrivals pt;
-    gaps_in = P.interarrivals ~dir:Packet.Incoming pt;
-    gaps_out = P.interarrivals ~dir:Packet.Outgoing pt;
-    rel_times =
-      (let ts = P.times pt in
-       if Array.length ts = 0 then [||] else Array.map (fun t -> t -. ts.(0)) ts);
-    rel_times_in = rel_times_dir Packet.Incoming;
-    rel_times_out = rel_times_dir Packet.Outgoing;
-    pos_out = positions_packed pt Packet.Outgoing;
-    pos_in = positions_packed pt Packet.Incoming;
-    conc = concentration_packed pt;
-    pps = packets_per_bucket_packed pt ~bucket:0.25;
-    first30_in = float_of_int (P.count ~dir:Packet.Incoming first30);
-    first30_out = float_of_int (P.count ~dir:Packet.Outgoing first30);
-    last30_in = float_of_int (P.count ~dir:Packet.Incoming last30);
-    last30_out = float_of_int (P.count ~dir:Packet.Outgoing last30);
-    bursts_out = burst_lengths_packed pt Packet.Outgoing;
-    bursts_in = burst_lengths_packed pt Packet.Incoming;
-    cumul = Stats.cumulative (P.signed_sizes pt);
-    duration = P.duration pt;
-  }
-
-let named_features_packed pt = assemble (view_of_packed pt)
-
-(* The names are fixed; compute them once from an empty trace. *)
-let names = Array.of_list (List.map fst (named_features Trace.empty))
+let names =
+  let block prefix suffixes = List.map (fun s -> prefix ^ "." ^ s) suffixes in
+  let indexed prefix n = List.init n (Printf.sprintf "%s.%02d" prefix) in
+  let stat = [ "mean"; "std"; "median"; "min"; "max" ] in
+  let iat = [ "max"; "mean"; "std"; "p75" ] in
+  let time = [ "p25"; "p50"; "p75"; "p100" ] in
+  let burst = [ "count"; "mean"; "max"; "ge5"; "ge10" ] in
+  Array.of_list
+    (List.concat
+       [
+         [ "count.total"; "count.in"; "count.out"; "count.frac_in"; "count.frac_out" ];
+         [ "bytes.total"; "bytes.in"; "bytes.out"; "bytes.frac_in" ];
+         block "size.in" stat;
+         block "size.out" stat;
+         block "iat.total" iat;
+         block "iat.in" iat;
+         block "iat.out" iat;
+         block "time.total" time;
+         block "time.in" time;
+         block "time.out" time;
+         [ "order.out.mean"; "order.out.std"; "order.in.mean"; "order.in.std" ];
+         block "conc" stat;
+         [ "conc.sum" ];
+         indexed "conc.sample" samples;
+         block "pps" stat;
+         indexed "pps.sample" samples;
+         [ "first30.in"; "first30.out"; "last30.in"; "last30.out" ];
+         block "burst.out" burst;
+         block "burst.in" burst;
+         indexed "band.in" n_bands;
+         indexed "band.out" n_bands;
+         [ "duration" ];
+         indexed "cumul" samples;
+       ])
 
 let dimension = Array.length names
 
-let extract trace = Array.of_list (List.map snd (named_features trace))
-let extract_packed pt = Array.of_list (List.map snd (named_features_packed pt))
+let safe_frac num den = if den = 0.0 then 0.0 else num /. den
+
+(* Maximal same-direction runs of one direction, tallied as they close.
+   Run lengths are small integers, so every float sum over them is exact
+   in any order: their mean is the direction's packet count over [count]. *)
+type bursts = { mutable count : int; mutable longest : int; mutable ge5 : int; mutable ge10 : int }
+
+let close_run b len =
+  b.count <- b.count + 1;
+  if len > b.longest then b.longest <- len;
+  if len >= 5 then b.ge5 <- b.ge5 + 1;
+  if len >= 10 then b.ge10 <- b.ge10 + 1
+
+let extract_packed pt =
+  let times = P.raw_times pt and meta = P.raw_meta pt in
+  let n = P.length pt in
+  let n_out = ref 0 in
+  for i = 0 to n - 1 do
+    n_out := !n_out + (Int32.to_int (BA1.unsafe_get meta i) land 1)
+  done;
+  let n_out = !n_out in
+  let n_in = n - n_out in
+  let t0 = if n = 0 then 0.0 else BA1.unsafe_get times 0 in
+  let duration = if n < 2 then 0.0 else BA1.unsafe_get times (n - 1) -. t0 in
+  let sizes_in = Array.create_float n_in and sizes_out = Array.create_float n_out in
+  let rel = Array.create_float n in
+  let rel_in = Array.create_float n_in and rel_out = Array.create_float n_out in
+  let pos_in = Array.create_float n_in and pos_out = Array.create_float n_out in
+  let gaps = Array.create_float (max 0 (n - 1)) in
+  let gaps_in = Array.create_float (max 0 (n_in - 1)) in
+  let gaps_out = Array.create_float (max 0 (n_out - 1)) in
+  let conc = Array.make ((n + chunk_size - 1) / chunk_size) 0.0 in
+  let pps =
+    if n = 0 then [||] else Array.make (max 1 (1 + int_of_float (duration /. pps_bucket))) 0.0
+  in
+  let buckets = Array.length pps in
+  let band_in = Array.make n_bands 0.0 and band_out = Array.make n_bands 0.0 in
+  let cumul = Array.make samples 0.0 in
+  let b_in = { count = 0; longest = 0; ge5 = 0; ge10 = 0 } in
+  let b_out = { count = 0; longest = 0; ge5 = 0; ge10 = 0 } in
+  let k_in = ref 0 and k_out = ref 0 in
+  let last_in = ref 0.0 and last_out = ref 0.0 in
+  let bytes_in = ref 0 and bytes_out = ref 0 in
+  let first30_in = ref 0 and first30_out = ref 0 in
+  let last30_in = ref 0 and last30_out = ref 0 in
+  let run = ref 0 in
+  let acc = ref 0.0 and next_sample = ref 0 in
+  for i = 0 to n - 1 do
+    let m = Int32.to_int (BA1.unsafe_get meta i) in
+    let t = BA1.unsafe_get times i in
+    let size = m lsr 1 in
+    let r = t -. t0 in
+    let band = band_of size in
+    rel.(i) <- r;
+    if i > 0 then gaps.(i - 1) <- t -. BA1.unsafe_get times (i - 1);
+    (* Bounds-checked on purpose: on an unsorted trace a timestamp more than
+       a bucket before the first raises, exactly as the seed featurizer. *)
+    let b = min (buckets - 1) (int_of_float (r /. pps_bucket)) in
+    pps.(b) <- pps.(b) +. 1.0;
+    if i > 0 && m land 1 <> Int32.to_int (BA1.unsafe_get meta (i - 1)) land 1 then begin
+      close_run (if m land 1 = 1 then b_in else b_out) !run;
+      run := 0
+    end;
+    incr run;
+    if m land 1 = 1 then begin
+      let k = !k_out in
+      sizes_out.(k) <- float_of_int size;
+      rel_out.(k) <- r;
+      pos_out.(k) <- float_of_int i;
+      if k > 0 then gaps_out.(k - 1) <- t -. !last_out;
+      last_out := t;
+      k_out := k + 1;
+      bytes_out := !bytes_out + size;
+      band_out.(band) <- band_out.(band) +. 1.0;
+      conc.(i / chunk_size) <- conc.(i / chunk_size) +. 1.0;
+      if i < 30 then incr first30_out;
+      if i >= n - 30 then incr last30_out;
+      acc := !acc +. float_of_int size
+    end
+    else begin
+      let k = !k_in in
+      sizes_in.(k) <- float_of_int size;
+      rel_in.(k) <- r;
+      pos_in.(k) <- float_of_int i;
+      if k > 0 then gaps_in.(k - 1) <- t -. !last_in;
+      last_in := t;
+      k_in := k + 1;
+      bytes_in := !bytes_in + size;
+      band_in.(band) <- band_in.(band) +. 1.0;
+      if i < 30 then incr first30_in;
+      if i >= n - 30 then incr last30_in;
+      acc := !acc +. float_of_int (-size)
+    end;
+    while !next_sample < samples && !next_sample * n / samples <= i do
+      cumul.(!next_sample) <- !acc;
+      incr next_sample
+    done
+  done;
+  if n > 0 then
+    close_run (if Int32.to_int (BA1.unsafe_get meta (n - 1)) land 1 = 1 then b_out else b_in) !run;
+  let v = Array.make dimension 0.0 in
+  let k = ref 0 in
+  let put x =
+    v.(!k) <- x;
+    incr k
+  in
+  let stats a =
+    put (Stats.mean a);
+    put (Stats.std a);
+    put (Stats.median a);
+    put (Stats.min_ a);
+    put (Stats.max_ a)
+  in
+  let iat a =
+    put (Stats.max_ a);
+    put (Stats.mean a);
+    put (Stats.std a);
+    put (Stats.percentile a 75.0)
+  in
+  let time_percentiles a = List.iter put (Stats.quantiles a [ 25.0; 50.0; 75.0; 100.0 ]) in
+  let sampled a =
+    let len = Array.length a in
+    for i = 0 to samples - 1 do
+      put (if len = 0 then 0.0 else a.(min (i * len / samples) (len - 1)))
+    done
+  in
+  let burst b n_dir =
+    put (float_of_int b.count);
+    put (if b.count = 0 then 0.0 else float_of_int n_dir /. float_of_int b.count);
+    put (float_of_int b.longest);
+    put (float_of_int b.ge5);
+    put (float_of_int b.ge10)
+  in
+  let nf = float_of_int n and nf_in = float_of_int n_in and nf_out = float_of_int n_out in
+  let bytes_total = float_of_int (!bytes_in + !bytes_out) and bytes_in = float_of_int !bytes_in in
+  put nf;
+  put nf_in;
+  put nf_out;
+  put (safe_frac nf_in nf);
+  put (safe_frac nf_out nf);
+  put bytes_total;
+  put bytes_in;
+  put (float_of_int !bytes_out);
+  put (safe_frac bytes_in bytes_total);
+  stats sizes_in;
+  stats sizes_out;
+  iat gaps;
+  iat gaps_in;
+  iat gaps_out;
+  time_percentiles rel;
+  time_percentiles rel_in;
+  time_percentiles rel_out;
+  put (Stats.mean pos_out);
+  put (Stats.std pos_out);
+  put (Stats.mean pos_in);
+  put (Stats.std pos_in);
+  stats conc;
+  put (Stats.sum conc);
+  sampled conc;
+  stats pps;
+  sampled pps;
+  put (float_of_int !first30_in);
+  put (float_of_int !first30_out);
+  put (float_of_int !last30_in);
+  put (float_of_int !last30_out);
+  burst b_out n_out;
+  burst b_in n_in;
+  Array.iter put band_in;
+  Array.iter put band_out;
+  put duration;
+  Array.iter put cumul;
+  assert (!k = dimension);
+  v
+
+let extract trace = extract_packed (P.of_trace trace)

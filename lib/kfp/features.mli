@@ -18,14 +18,16 @@ val dimension : int
 (** Length of the feature vector ([Array.length names]). *)
 
 val extract : Stob_net.Trace.t -> float array
-(** Featurize one trace.  The result always has {!dimension} entries. *)
+(** Featurize one trace: {!extract_packed} after
+    {!Stob_net.Packed_trace.of_trace}, so it raises [Invalid_argument] on
+    an event size outside [[0, Arena.max_size]].  The result always has
+    {!dimension} entries. *)
 
 val extract_packed : Stob_net.Packed_trace.t -> float array
 (** [extract] over the packed representation, reading the bigarray lanes
-    directly (prefix/suffix windows are zero-copy views) — no event
-    records are materialized.  Bit-identical to
-    [extract (Packed_trace.to_trace pt)]; the kfp.packed parity test is
-    the gate. *)
+    directly — no event records are materialized.  Bit-identical to the
+    seed featurizer kept in test/kfp_reference.ml; the kfp.packed battery
+    is the gate. *)
 
 val chunk_size : int
 (** Packets per concentration chunk (20, as in the original attack). *)

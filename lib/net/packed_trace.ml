@@ -64,23 +64,35 @@ let is_sorted t =
   done;
   !ok
 
-let sort t =
+(* Trace.in_order over the time lane: a trace that passes is its own
+   stable sort, and values are immutable, so it is returned as is. *)
+let in_order t =
   let n = length t in
-  (* Same comparator as Trace.sort: by time, original index breaking ties,
-     so equal timestamps keep their relative order. *)
-  let idx = Array.init n (fun i -> i) in
-  Array.sort
-    (fun i j ->
-      let ti = BA1.unsafe_get t.times i and tj = BA1.unsafe_get t.times j in
-      if ti <> tj then compare ti tj else compare i j)
-    idx;
-  let p = alloc n in
-  Array.iteri
-    (fun k i ->
-      BA1.unsafe_set p.times k (BA1.unsafe_get t.times i);
-      BA1.unsafe_set p.meta k (BA1.unsafe_get t.meta i))
-    idx;
-  p
+  let rec go i =
+    i >= n || (BA1.unsafe_get t.times (i - 1) <= BA1.unsafe_get t.times i && go (i + 1))
+  in
+  go 1
+
+let sort t =
+  if in_order t then t
+  else begin
+    let n = length t in
+    (* Same comparator as Trace.sort: by time, original index breaking
+       ties, so equal timestamps keep their relative order. *)
+    let idx = Array.init n (fun i -> i) in
+    Array.sort
+      (fun i j ->
+        let ti = BA1.unsafe_get t.times i and tj = BA1.unsafe_get t.times j in
+        if ti <> tj then compare ti tj else compare i j)
+      idx;
+    let p = alloc n in
+    Array.iteri
+      (fun k i ->
+        BA1.unsafe_set p.times k (BA1.unsafe_get t.times i);
+        BA1.unsafe_set p.meta k (BA1.unsafe_get t.meta i))
+      idx;
+    p
+  end
 
 let prefix t n = if n >= length t then t else sub t 0 (max n 0)
 

@@ -12,13 +12,22 @@ let is_sorted t =
   done;
   !ok
 
+(* Non-decreasing under [<=].  Unlike [is_sorted]'s [<], this fails across
+   a NaN timestamp, so a trace that passes is its own stable sort.  Captures
+   and the emulated defenses hand [sort] such traces almost always. *)
+let in_order t =
+  let rec go i = i >= Array.length t || (t.(i - 1).time <= t.(i).time && go (i + 1)) in
+  go 1
+
 let sort t =
-  let copy = Array.copy t in
-  (* Array.sort is not stable; sort (time, original index) pairs instead so
-     equal timestamps keep their relative order. *)
-  let indexed = Array.mapi (fun i e -> (e.time, i, e)) copy in
-  Array.sort (fun (t1, i1, _) (t2, i2, _) -> if t1 <> t2 then compare t1 t2 else compare i1 i2) indexed;
-  Array.map (fun (_, _, e) -> e) indexed
+  if in_order t then Array.copy t
+  else begin
+    (* Array.sort is not stable; sort (time, original index) pairs instead
+       so equal timestamps keep their relative order. *)
+    let indexed = Array.mapi (fun i e -> (e.time, i, e)) t in
+    Array.sort (fun (t1, i1, _) (t2, i2, _) -> if t1 <> t2 then compare t1 t2 else compare i1 i2) indexed;
+    Array.map (fun (_, _, e) -> e) indexed
+  end
 
 let prefix t n = if n >= Array.length t then Array.copy t else Array.sub t 0 (max n 0)
 

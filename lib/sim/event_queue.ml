@@ -11,16 +11,17 @@ type impl = Heap | Wheel
 
 type 'a t = H of 'a Heap_queue.t | W of 'a Timing_wheel.t
 
+(* Read once at module initialisation, not lazily: two domains forcing a
+   [lazy] for the first time at once raise [CamlinternalLazy.Undefined].
+   A bad value is kept as an error so that only [default_impl] raises. *)
 let env_impl =
-  lazy
-    (match Sys.getenv_opt "STOB_EVENT_QUEUE" with
-    | None | Some "" | Some "wheel" -> Wheel
-    | Some "heap" -> Heap
-    | Some other ->
-        invalid_arg
-          (Printf.sprintf "STOB_EVENT_QUEUE=%S: expected \"wheel\" or \"heap\"" other))
+  match Sys.getenv_opt "STOB_EVENT_QUEUE" with
+  | None | Some "" | Some "wheel" -> Ok Wheel
+  | Some "heap" -> Ok Heap
+  | Some other ->
+      Error (Printf.sprintf "STOB_EVENT_QUEUE=%S: expected \"wheel\" or \"heap\"" other)
 
-let default_impl () = Lazy.force env_impl
+let default_impl () = match env_impl with Ok impl -> impl | Error msg -> invalid_arg msg
 
 let create_impl = function Heap -> H (Heap_queue.create ()) | Wheel -> W (Timing_wheel.create ())
 let create () = create_impl (default_impl ())

@@ -18,8 +18,9 @@ type 'a t
 type impl = Heap | Wheel
 
 val default_impl : unit -> impl
-(** [Wheel], unless [STOB_EVENT_QUEUE=heap].  Raises [Invalid_argument] on
-    an unrecognized value of the variable. *)
+(** [Wheel], unless [STOB_EVENT_QUEUE=heap].  The variable is read once,
+    when the program starts.  Raises [Invalid_argument] on an unrecognized
+    value of the variable. *)
 
 val create : unit -> 'a t
 (** A queue of the {!default_impl}. *)

@@ -24,6 +24,11 @@ val min_ : float array -> float
 val max_ : float array -> float
 (** Maximum; [0.] on empty input. *)
 
+val sorted_copy : float array -> float array
+(** A fresh ascending copy, bit-identical to [Array.sort compare] on a copy.
+    Input that is already non-decreasing is copied without sorting; other
+    input free of NaN and [-0.0] goes through a monomorphic float sort. *)
+
 val median : float array -> float
 (** Median (average of middle two for even length); [0.] on empty input. *)
 

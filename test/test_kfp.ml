@@ -5,6 +5,7 @@ module Trace = Stob_net.Trace
 module Packet = Stob_net.Packet
 module Features = Stob_kfp.Features
 module Attack = Stob_kfp.Attack
+module Packed = Stob_net.Packed_trace
 
 let ev time dir size = { Trace.time; dir; size }
 let out = Packet.Outgoing
@@ -194,17 +195,64 @@ let arbitrary_sorted_trace =
            bool (int_range 0 1500))
       |> map (fun evs -> Trace.sort (Array.of_list evs)))
 
+(* Bitwise, not [=]: [=] equates -0.0 with 0.0 and never matches NaN. *)
+let bits v = Array.map Int64.bits_of_float v
+
 let prop_extract_packed_parity =
   QCheck.Test.make ~name:"extract_packed is bit-identical to extract" ~count:200
     arbitrary_sorted_trace (fun t ->
-      Features.extract_packed (Stob_net.Packed_trace.of_trace t) = Features.extract t)
+      bits (Features.extract_packed (Packed.of_trace t)) = bits (Features.extract t))
 
 let test_extract_packed_degenerate () =
   List.iter
     (fun t ->
       Alcotest.(check bool) "parity on degenerate trace" true
-        (Features.extract_packed (Stob_net.Packed_trace.of_trace t) = Features.extract t))
+        (bits (Features.extract_packed (Packed.of_trace t)) = bits (Features.extract t)))
     [ [||]; [| ev 0.0 out 52 |]; [| ev 1.0 inc 0; ev 1.0 inc 0 |]; sample_trace () ]
+
+(* --- Bitwise oracle: the seed featurizer kept in Kfp_reference --- *)
+
+(* An exception counts as an output: on a trace whose timestamps run back
+   more than one packets-per-second bucket, both featurizers must raise. *)
+let outcome f t = match f t with v -> Ok (bits v) | exception e -> Error (Printexc.to_string e)
+
+let oracle_trace =
+  let open QCheck.Gen in
+  let size = oneof [ int_range 0 1500; oneofl [ 0; 100; 101; 1500; 1501 ]; int_range 1501 9000 ] in
+  let any_dir = map (fun b -> if b then out else inc) bool in
+  let shaped ~sort time dir =
+    list_size (int_range 0 120)
+      (map3 (fun time dir size -> { Trace.time; dir; size }) time dir size)
+    |> map (fun evs -> if sort then Trace.sort (Array.of_list evs) else Array.of_list evs)
+  in
+  QCheck.make ~print:Trace.to_csv
+    (oneof
+       [
+         shaped ~sort:true (float_range 0.0 10.0) any_dir;
+         (* unsorted, but never more than one bucket before the first packet *)
+         shaped ~sort:false (float_range 0.0 0.2) any_dir;
+         (* unsorted and wide: may raise *)
+         shaped ~sort:false (float_range (-2.0) 10.0) any_dir;
+         shaped ~sort:true (oneofl [ 0.0; 0.5; 1.5 ]) any_dir;
+         shaped ~sort:false (oneofl [ -0.0; 0.0 ]) any_dir;
+         shaped ~sort:true (float_range 0.0 10.0) (return out);
+         shaped ~sort:true (float_range 0.0 10.0) (return inc);
+         return Trace.empty;
+       ])
+
+let prop_extract_matches_reference =
+  QCheck.Test.make ~name:"extract and extract_packed match the seed featurizer bitwise"
+    ~count:500 oracle_trace (fun t ->
+      let p = Packed.of_trace t in
+      List.for_all
+        (fun k ->
+          let want = outcome Kfp_reference.extract (Trace.prefix t k) in
+          want = outcome Features.extract (Trace.prefix t k)
+          && want = outcome Features.extract_packed (Packed.prefix p k))
+        [ max_int; 15; 30; 45 ])
+
+let test_names_match_reference () =
+  Alcotest.(check (array string)) "names" Kfp_reference.names Features.names
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in
@@ -213,6 +261,8 @@ let suite =
       [
         Alcotest.test_case "degenerate traces" `Quick test_extract_packed_degenerate;
         q prop_extract_packed_parity;
+        Alcotest.test_case "names match the seed featurizer" `Quick test_names_match_reference;
+        q prop_extract_matches_reference;
       ] );
     ( "kfp.features",
       [

@@ -227,6 +227,40 @@ let prop_packed_sort_concat_agree =
       Packed.to_trace (Packed.sort pa) = Trace.sort a
       && Packed.to_trace (Packed.concat_sorted [ pa; pb ]) = Trace.concat_sorted [ a; b ])
 
+(* The sorted-input fast path of [sort] against the stable sort it skips:
+   tied timestamps (signed zeros included) must keep their input order, and
+   a NaN timestamp must send the trace down the sorting path. *)
+let stable_sort_oracle (t : Trace.t) =
+  let indexed = Array.mapi (fun i e -> (e.Trace.time, i, e)) t in
+  Array.sort (fun (t1, i1, _) (t2, i2, _) -> if t1 <> t2 then compare t1 t2 else compare i1 i2) indexed;
+  Array.map (fun (_, _, e) -> e) indexed
+
+let event_bits (t : Trace.t) =
+  Array.map (fun e -> (Int64.bits_of_float e.Trace.time, e.Trace.dir, e.Trace.size)) t
+
+let arbitrary_tied_trace =
+  QCheck.make
+    ~print:(fun t -> Trace.to_csv t)
+    QCheck.Gen.(
+      pair bool
+        (list_size (int_range 0 80)
+           (map3
+              (fun t d s -> { Trace.time = t; dir = (if d then out else inc); size = s })
+              (oneofl [ -0.0; 0.0; 0.5; 1.5; 2.0; Float.nan ])
+              bool (int_range 0 1500)))
+      |> map (fun (in_order, evs) ->
+             let t = Array.of_list evs in
+             if in_order then stable_sort_oracle t else t))
+
+let prop_sort_fast_path =
+  QCheck.Test.make ~name:"sort fast path equals the stable sort on tied timestamps" ~count:500
+    arbitrary_tied_trace (fun t ->
+      let want = event_bits (stable_sort_oracle t) in
+      let s = Trace.sort t in
+      event_bits s = want
+      && (Array.length t = 0 || s != t)
+      && event_bits (Packed.to_trace (Packed.sort (Packed.of_trace t))) = want)
+
 let prop_packed_bytes_roundtrip =
   QCheck.Test.make ~name:"packed binary codec round-trips bit-exactly" ~count:300
     arbitrary_messy_trace (fun t ->
@@ -324,6 +358,7 @@ let suite =
         q prop_packed_csv_parity;
         q prop_packed_observers_agree;
         q prop_packed_sort_concat_agree;
+        q prop_sort_fast_path;
         q prop_packed_bytes_roundtrip;
       ] );
   ]

@@ -288,6 +288,63 @@ let prop_mean_between_min_max =
       let a = Array.of_list xs in
       Stats.mean a >= Stats.min_ a -. 1e-6 && Stats.mean a <= Stats.max_ a +. 1e-6)
 
+(* --- Stats fast paths vs the seed's [Array.sort compare] and folds --- *)
+
+(* The seed's statistics, kept verbatim beside the seed featurizer. *)
+module Seed = Kfp_reference.Stats
+
+let bits a = Array.map Int64.bits_of_float a
+let bit_list l = List.map Int64.bits_of_float l
+
+(* Random, sorted, reversed and heavily duplicated arrays, plus the two
+   inputs that leave the fast paths: NaN and signed zeros. *)
+let stats_input =
+  let open QCheck.Gen in
+  let floats g = array_size (int_range 0 200) g in
+  let wide = float_range (-1000.0) 1000.0 and dups = map float_of_int (int_range 0 3) in
+  let sorted a =
+    let b = Array.copy a in
+    Array.sort compare b;
+    b
+  in
+  let reversed a =
+    let b = sorted a in
+    Array.init (Array.length b) (fun i -> b.(Array.length b - 1 - i))
+  in
+  QCheck.make ~print:QCheck.Print.(array float)
+    (oneof
+       [
+         floats wide;
+         map sorted (floats wide);
+         map reversed (floats wide);
+         floats dups;
+         map sorted (floats dups);
+         floats (frequency [ (4, wide); (1, return Float.nan) ]);
+         floats (oneofl [ -0.0; 0.0; 1.0 ]);
+       ])
+
+let percentiles = [ 0.0; 10.0; 25.0; 37.5; 50.0; 75.0; 99.0; 100.0 ]
+
+let prop_sort_paths_match_oracle =
+  QCheck.Test.make ~name:"sorted_copy, percentile, quantiles match Array.sort compare bitwise"
+    ~count:500 stats_input (fun a ->
+      let before = bits a in
+      let s = Stats.sorted_copy a in
+      let want = List.map (Seed.percentile a) percentiles in
+      bits s = bits (Seed.sorted_copy a)
+      && (Array.length a = 0 || s != a)
+      && bit_list (List.map (Stats.percentile a) percentiles) = bit_list want
+      && bit_list (Stats.quantiles a percentiles) = bit_list want
+      && bit_list [ Stats.median a ] = bit_list [ Seed.median a ]
+      (* Read-only: the sorted fast path must not hand out or reorder [a]. *)
+      && bits a = before)
+
+let prop_moments_match_seed =
+  QCheck.Test.make ~name:"sum, mean, std, min, max match the seed folds bitwise" ~count:500
+    stats_input (fun a ->
+      bit_list [ Stats.sum a; Stats.mean a; Stats.variance a; Stats.std a; Stats.min_ a; Stats.max_ a ]
+      = bit_list [ Seed.sum a; Seed.mean a; Seed.variance a; Seed.std a; Seed.min_ a; Seed.max_ a ])
+
 let prop_histogram_total =
   QCheck.Test.make ~name:"histogram accounts for every sample" ~count:200
     QCheck.(list (float_range (-50.0) 150.0))
@@ -340,6 +397,8 @@ let suite =
         Alcotest.test_case "mad" `Quick test_stats_mad;
         q prop_percentile_monotone;
         q prop_mean_between_min_max;
+        q prop_sort_paths_match_oracle;
+        q prop_moments_match_seed;
       ] );
     ( "util.histogram",
       [
