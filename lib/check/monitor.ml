@@ -284,6 +284,17 @@ let check_quic_inspection (i : Quic.inspection) =
       ( "quic-inflight-accounting",
         Printf.sprintf "inflight ledger %d B != %d B across %d unacked packets" i.inflight
           i.unacked_bytes i.unacked_packets )
+  else if i.active_streams <> i.pending_streams then
+    let ids l = String.concat "," (List.map string_of_int l) in
+    Some
+      ( "quic-sender-index",
+        Printf.sprintf "active-stream index [%s] != streams with data to send [%s]"
+          (ids i.active_streams) (ids i.pending_streams) )
+  else if i.low_water > i.lowest_unacked then
+    Some
+      ( "quic-sender-index",
+        Printf.sprintf "low-water mark %d above outstanding packet %d" i.low_water
+          i.lowest_unacked )
   else if i.amp_credit < 0 then
     Some
       ( "quic-amplification",

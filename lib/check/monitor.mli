@@ -56,6 +56,9 @@
     - [quic-inflight-accounting] — the endpoint's incremental inflight
       ledger equals the sum over its unacked sent packets, and is never
       negative.
+    - [quic-sender-index] — the sender's active-stream index holds exactly
+      the streams with data to send, and its low-water mark is at most
+      every outstanding packet number.
     - [quic-quiesce] — a closed QUIC endpoint holds no armed idle timer
       (the close-time quiesce actually ran).
     - [quic-cwnd-bounds] — cwnd at least one byte.

@@ -33,15 +33,10 @@ let persistent_congestion_threshold = 3.0
 
 type role = Client | Server
 
-type sent_packet = {
-  pn : int;
-  payload : int;
-  frames : Frame.t list;
-  sent_at : float;
-  ack_eliciting : bool;
-  mutable acked : bool;
-  mutable lost : bool;
-}
+module Int_set = Set.Make (Int)
+
+(* An ack-eliciting datagram still in flight. *)
+type sent_packet = { pn : int; payload : int; frames : Frame.t list; sent_at : float }
 
 type stream_out = {
   id : int;
@@ -79,10 +74,12 @@ type t = {
   mutable flight_sent : bool;
   (* --- sender --- *)
   mutable pn_next : int;
-  sent : (int, sent_packet) Hashtbl.t;
+  sent : (int, sent_packet) Hashtbl.t;  (* exactly the outstanding ack-eliciting packets *)
+  mutable low_water : int;  (* lower bound on every packet number in [sent] *)
   mutable largest_acked : int;
   mutable inflight : int;
   streams_out : (int, stream_out) Hashtbl.t;
+  mutable active : Int_set.t;  (* exactly the ids of streams with [pending] data *)
   mutable send_timer : Engine.event_id option;
   mutable pto_timer : Engine.event_id option;
   mutable loss_timer : Engine.event_id option;  (* time-threshold reordering timer *)
@@ -152,9 +149,11 @@ let create ~engine ~config ~cc ~flow ~dir ~wire ?cpu ?(hooks = Hooks.default) ~t
     flight_sent = false;
     pn_next = 0;
     sent = Hashtbl.create 256;
+    low_water = 0;
     largest_acked = -1;
     inflight = 0;
     streams_out = Hashtbl.create 16;
+    active = Int_set.empty;
     send_timer = None;
     pto_timer = None;
     loss_timer = None;
@@ -223,6 +222,22 @@ let stream_out t id =
       let s = { id; next_offset = 0; queued = 0; fin_pending = false; fin_sent = false; rtx = [] } in
       Hashtbl.add t.streams_out id s;
       s
+
+(* Something to send: retransmission chunks, queued bytes or an unsent
+   FIN.  [send_stream], [next_chunk] and [mark_lost] are the only writers
+   of this state, and each keeps [t.active] in step with it. *)
+let pending s = s.rtx <> [] || s.queued > 0 || s.fin_pending
+
+let has_data t = not (Int_set.is_empty t.active)
+
+(* The lowest outstanding packet number, or [pn_next] when nothing is
+   outstanding.  The low-water mark only moves up, past numbers no longer
+   in [sent], so the walk costs amortised O(1) per packet. *)
+let lowest_outstanding t =
+  while t.low_water < t.pn_next && not (Hashtbl.mem t.sent t.low_water) do
+    t.low_water <- t.low_water + 1
+  done;
+  t.low_water
 
 let stream_in t id =
   match Hashtbl.find_opt t.streams_in id with
@@ -293,9 +308,7 @@ let make_datagram t ?(rtx = false) frames =
   let ack_eliciting = List.exists Frame.is_ack_eliciting frames in
   Hashtbl.replace t.wire (t.dir, pn) frames;
   if ack_eliciting then begin
-    Hashtbl.replace t.sent
-      pn
-      { pn; payload; frames; sent_at = now t; ack_eliciting; acked = false; lost = false };
+    Hashtbl.replace t.sent pn { pn; payload; frames; sent_at = now t };
     t.inflight <- t.inflight + payload;
     if not t.ae_sent_since_rx then begin
       t.ae_sent_since_rx <- true;
@@ -344,68 +357,53 @@ let send_ack_now t =
     end
   end
 
-(* Pull the next stream chunk that fits in [space] payload bytes; rtx
-   chunks first, then new data, streams in id order.  Returns the chunk
-   and whether it is a retransmission. *)
+(* Pull the next stream chunk that fits in [space] payload bytes from the
+   lowest-id stream with pending data: its rtx chunks first, then new
+   data, then a bare FIN.  Returns the chunk and whether it is a
+   retransmission. *)
 let next_chunk t ~space =
-  if space <= 8 then None
+  if space <= 8 || Int_set.is_empty t.active then None
   else begin
-    let ids = List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) t.streams_out []) in
-    let rec try_streams = function
-      | [] -> None
-      | id :: rest -> (
-          let s = Hashtbl.find t.streams_out id in
-          match s.rtx with
-          | chunk :: more ->
-              t.rtx_chunks <- t.rtx_chunks + 1;
-              if chunk.Frame.length + 8 <= space then begin
-                s.rtx <- more;
-                Some (chunk, true)
-              end
-              else begin
-                (* Split the retransmission to fit the datagram. *)
-                let take = space - 8 in
-                let head = { chunk with Frame.length = take; fin = false } in
-                let tail =
-                  {
-                    chunk with
-                    Frame.offset = chunk.Frame.offset + take;
-                    length = chunk.Frame.length - take;
-                  }
-                in
-                s.rtx <- tail :: more;
-                Some (head, true)
-              end
-          | [] ->
-              if s.queued > 0 then begin
-                let take = min s.queued (space - 8) in
-                let fin = s.fin_pending && take = s.queued in
-                let chunk =
-                  { Frame.stream = id; offset = s.next_offset; length = take; fin }
-                in
-                s.next_offset <- s.next_offset + take;
-                s.queued <- s.queued - take;
-                if fin then begin
-                  s.fin_sent <- true;
-                  s.fin_pending <- false
-                end;
-                Some (chunk, false)
-              end
-              else if s.fin_pending && not s.fin_sent then begin
-                (* Bare FIN. *)
-                s.fin_sent <- true;
-                s.fin_pending <- false;
-                Some ({ Frame.stream = id; offset = s.next_offset; length = 0; fin = true }, false)
-              end
-              else try_streams rest)
+    let id = Int_set.min_elt t.active in
+    let s = Hashtbl.find t.streams_out id in
+    let next =
+      match s.rtx with
+      | chunk :: more ->
+          t.rtx_chunks <- t.rtx_chunks + 1;
+          if chunk.Frame.length + 8 <= space then begin
+            s.rtx <- more;
+            (chunk, true)
+          end
+          else begin
+            (* Split the retransmission to fit the datagram. *)
+            let take = space - 8 in
+            let head = { chunk with Frame.length = take; fin = false } in
+            let tail =
+              {
+                chunk with
+                Frame.offset = chunk.Frame.offset + take;
+                length = chunk.Frame.length - take;
+              }
+            in
+            s.rtx <- tail :: more;
+            (head, true)
+          end
+      | [] ->
+          (* New data, or a bare FIN once the queue is empty. *)
+          let take = min s.queued (space - 8) in
+          let fin = s.fin_pending && take = s.queued in
+          let chunk = { Frame.stream = id; offset = s.next_offset; length = take; fin } in
+          s.next_offset <- s.next_offset + take;
+          s.queued <- s.queued - take;
+          if fin then begin
+            s.fin_sent <- true;
+            s.fin_pending <- false
+          end;
+          (chunk, false)
     in
-    try_streams ids
+    if not (pending s) then t.active <- Int_set.remove id t.active;
+    Some next
   end
-
-let has_data t =
-  Hashtbl.fold
-    (fun _ s acc -> acc || s.queued > 0 || s.rtx <> [] || (s.fin_pending && not s.fin_sent))
-    t.streams_out false
 
 (* RFC 9002 §6.2: PTO = srtt + max(4*rttvar, granularity) + max_ack_delay,
    scaled by the backoff multiplier and capped by [Config.pto_max]. *)
@@ -482,14 +480,7 @@ and handle_pto t =
     t.pto_backoff <- t.pto_backoff *. 2.0;
     (* Probe timeout: declare the oldest unacked datagram lost and resend
        its stream data. *)
-    let oldest =
-      Hashtbl.fold
-        (fun _ p acc ->
-          if p.acked || p.lost then acc
-          else match acc with None -> Some p | Some q -> if p.pn < q.pn then Some p else acc)
-        t.sent None
-    in
-    match oldest with
+    match Hashtbl.find_opt t.sent (lowest_outstanding t) with
     | None ->
         (* RFC 9002 §6.2.2.1 anti-deadlock probe: until the handshake is
            confirmed a client keeps probing even with nothing ack-eliciting
@@ -528,24 +519,21 @@ and handle_pto t =
         t.rate_limited_mark <- max t.rate_limited_mark (t.pn_next - 1)
   end
 
+(* [p] must be outstanding (in [sent]). *)
 and mark_lost t p =
-  if not (p.lost || p.acked) then begin
-    p.lost <- true;
-    t.inflight <- max 0 (t.inflight - p.payload);
-    if p.ack_eliciting then begin
-      t.pc_oldest <- Float.min t.pc_oldest p.sent_at;
-      t.pc_newest <- Float.max t.pc_newest p.sent_at
-    end;
-    List.iter
-      (fun frame ->
-        match frame with
-        | Frame.Stream chunk when chunk.Frame.length > 0 || chunk.Frame.fin ->
-            let s = stream_out t chunk.Frame.stream in
-            s.rtx <- chunk :: s.rtx
-        | Frame.Stream _ | Frame.Ack _ | Frame.Padding _ | Frame.Ping -> ())
-      p.frames;
-    Hashtbl.remove t.sent p.pn
-  end
+  t.inflight <- max 0 (t.inflight - p.payload);
+  t.pc_oldest <- Float.min t.pc_oldest p.sent_at;
+  t.pc_newest <- Float.max t.pc_newest p.sent_at;
+  List.iter
+    (fun frame ->
+      match frame with
+      | Frame.Stream chunk when chunk.Frame.length > 0 || chunk.Frame.fin ->
+          let s = stream_out t chunk.Frame.stream in
+          s.rtx <- chunk :: s.rtx;
+          t.active <- Int_set.add chunk.Frame.stream t.active
+      | Frame.Stream _ | Frame.Ack _ | Frame.Padding _ | Frame.Ping -> ())
+    p.frames;
+  Hashtbl.remove t.sent p.pn
 
 (* RFC 9002 §6.1: declare losses by packet threshold (3 newer packets
    acknowledged) or time threshold (sent at least 9/8 RTT before the
@@ -553,10 +541,15 @@ and mark_lost t p =
    lost immediately; younger unacked packets below [largest_acked] arm the
    loss timer for the moment their time threshold expires, so a hole that
    only one or two later packets cover (where the packet threshold never
-   fires) is still repaired in about an RTT instead of a full PTO. *)
+   fires) is still repaired in about an RTT instead of a full PTO.
+
+   The scan runs only when an outstanding packet lies below
+   [largest_acked]; otherwise it would find nothing.  It keeps the
+   [Hashtbl.iter] order of [sent]: that order decides how lost chunks
+   enter each stream's retransmission queue. *)
 and detect_losses t =
   t.loss_timer <- cancel_timer t t.loss_timer;
-  if t.largest_acked >= 0 && not t.closed then begin
+  if t.largest_acked >= 0 && (not t.closed) && lowest_outstanding t < t.largest_acked then begin
     let threshold =
       match Rtt.srtt t.rtt with
       | None -> None
@@ -569,7 +562,7 @@ and detect_losses t =
     let lost = ref [] and next_fire = ref infinity in
     Hashtbl.iter
       (fun _ p ->
-        if (not p.acked) && (not p.lost) && p.pn < t.largest_acked then
+        if p.pn < t.largest_acked then
           if p.pn <= t.largest_acked - loss_threshold then lost := p :: !lost
           else
             match threshold with
@@ -733,6 +726,7 @@ let send_stream t ~stream ?(fin = false) n =
     if s.fin_sent || s.fin_pending then invalid_arg "Quic.Endpoint.send_stream: stream closed";
     s.queued <- s.queued + n;
     if fin then s.fin_pending <- true;
+    if pending s then t.active <- Int_set.add stream t.active;
     try_send t
   end
 
@@ -834,52 +828,44 @@ let process_stream_chunk t (chunk : Frame.stream_chunk) =
   if chunk.Frame.fin then s.fin_offset <- Some (chunk.Frame.offset + chunk.Frame.length);
   deliver_stream t chunk.Frame.stream
 
+(* Every outstanding packet is in [sent] at or above the low-water mark, so
+   each range is walked over [lowest outstanding, pn_next) only. *)
 let process_ack t ranges =
-  let in_ranges pn = List.exists (fun (lo, hi) -> pn >= lo && pn <= hi) ranges in
-  let newly =
-    Hashtbl.fold
-      (fun _ p acc -> if (not p.acked) && in_ranges p.pn then p :: acc else acc)
-      t.sent []
+  let low = lowest_outstanding t and top = t.pn_next - 1 in
+  let rec walk pn hi acc =
+    if pn > hi then acc
+    else
+      match Hashtbl.find_opt t.sent pn with
+      | Some p ->
+          Hashtbl.remove t.sent pn;
+          Hashtbl.remove t.wire (t.dir, pn);
+          walk (pn + 1) hi (p :: acc)
+      | None -> walk (pn + 1) hi acc
   in
-  if newly <> [] then begin
-    let largest = List.fold_left (fun acc p -> max acc p.pn) (-1) newly in
-    let total = List.fold_left (fun acc p -> acc + p.payload) 0 newly in
-    List.iter
-      (fun p ->
-        p.acked <- true;
-        t.inflight <- max 0 (t.inflight - p.payload);
-        Hashtbl.remove t.sent p.pn;
-        Hashtbl.remove t.wire (t.dir, p.pn))
-      newly;
-    t.largest_acked <- max t.largest_acked largest;
-    (* Forward progress: reset the PTO backoff and the persistent-congestion
-       span (RFC 9002 §6.2.1, §7.6.2). *)
-    t.pto_backoff <- 1.0;
-    t.pc_oldest <- infinity;
-    t.pc_newest <- neg_infinity;
-    (* RTT sample from the largest newly-acked packet. *)
-    let sample =
-      List.fold_left
-        (fun acc p -> if p.pn = largest then Some (now t -. p.sent_at) else acc)
-        None newly
-    in
-    (match sample with
-    | Some s ->
-        t.latest_rtt <- s;
-        Rtt.observe t.rtt s
-    | None -> ());
-    let rtt_for_cc =
-      match sample with Some s -> s | None -> Option.value ~default:0.1 (Rtt.srtt t.rtt)
-    in
-    t.cc.Cc.on_ack ~now:(now t) ~acked:total ~rtt:rtt_for_cc ~inflight:t.inflight
-      ~limited:(largest <= t.rate_limited_mark);
-    detect_losses t;
-    (* Keep the PTO armed on a pre-confirmation client even with nothing in
-       flight (the §6.2.2.1 anti-deadlock probe above needs a timer). *)
-    if t.inflight > 0 || (t.role = Client && not t.established) then arm_pto t
-    else t.pto_timer <- cancel_timer t t.pto_timer;
-    try_send t
-  end
+  match List.fold_left (fun acc (lo, hi) -> walk (max lo low) (min hi top) acc) [] ranges with
+  | [] -> ()
+  | first :: _ as newly ->
+      let largest = List.fold_left (fun acc p -> if p.pn > acc.pn then p else acc) first newly in
+      let total = List.fold_left (fun acc p -> acc + p.payload) 0 newly in
+      t.inflight <- max 0 (t.inflight - total);
+      t.largest_acked <- max t.largest_acked largest.pn;
+      (* Forward progress: reset the PTO backoff and the persistent-congestion
+         span (RFC 9002 §6.2.1, §7.6.2). *)
+      t.pto_backoff <- 1.0;
+      t.pc_oldest <- infinity;
+      t.pc_newest <- neg_infinity;
+      (* RTT sample from the largest newly-acked packet. *)
+      let sample = now t -. largest.sent_at in
+      t.latest_rtt <- sample;
+      Rtt.observe t.rtt sample;
+      t.cc.Cc.on_ack ~now:(now t) ~acked:total ~rtt:sample ~inflight:t.inflight
+        ~limited:(largest.pn <= t.rate_limited_mark);
+      detect_losses t;
+      (* Keep the PTO armed on a pre-confirmation client even with nothing in
+         flight (the §6.2.2.1 anti-deadlock probe above needs a timer). *)
+      if t.inflight > 0 || (t.role = Client && not t.established) then arm_pto t
+      else t.pto_timer <- cancel_timer t t.pto_timer;
+      try_send t
 
 let receive t (p : Packet.t) =
   if not t.closed then begin
@@ -903,6 +889,9 @@ let receive t (p : Packet.t) =
             | Frame.Ack { ranges } -> process_ack t ranges
             | Frame.Padding _ | Frame.Ping -> ())
           frames;
+        (* Nobody acknowledges an ACK-only datagram, so nothing else would
+           drop its entry; a duplicate finds none and is ignored. *)
+        if not ack_eliciting then Hashtbl.remove t.wire (p.Packet.dir, p.Packet.seq);
         if ack_eliciting && not t.closed then begin
           t.pkts_since_ack <- t.pkts_since_ack + 1;
           if t.pkts_since_ack >= t.config.Config.ack_every then
@@ -945,6 +934,10 @@ type inspection = {
   inflight : int;
   unacked_bytes : int;  (* recomputed from the sent table, for cross-checks *)
   unacked_packets : int;
+  active_streams : int list;  (* the active-stream index, ascending *)
+  pending_streams : int list;  (* recomputed from every stream, ascending *)
+  low_water : int;
+  lowest_unacked : int;  (* recomputed from the sent table; [pn_next] when empty *)
   cwnd : int;
   pto_count : int;
   pto_backoff : float;
@@ -962,10 +955,13 @@ type inspection = {
 }
 
 let inspect (t : t) : inspection =
-  let unacked_bytes, unacked_packets =
+  let unacked_bytes, unacked_packets, lowest_unacked =
     Hashtbl.fold
-      (fun _ p (b, n) -> if p.acked || p.lost then (b, n) else (b + p.payload, n + 1))
-      t.sent (0, 0)
+      (fun _ p (b, n, lo) -> (b + p.payload, n + 1, min lo p.pn))
+      t.sent (0, 0, t.pn_next)
+  in
+  let pending_streams =
+    Hashtbl.fold (fun id s acc -> if pending s then id :: acc else acc) t.streams_out []
   in
   {
     pn_next = t.pn_next;
@@ -973,6 +969,10 @@ let inspect (t : t) : inspection =
     inflight = t.inflight;
     unacked_bytes;
     unacked_packets;
+    active_streams = Int_set.elements t.active;
+    pending_streams = List.sort compare pending_streams;
+    low_water = t.low_water;
+    lowest_unacked;
     cwnd = t.cc.Cc.cwnd ();
     pto_count = t.pto_count;
     pto_backoff = t.pto_backoff;

@@ -129,6 +129,18 @@ type inspection = {
       (** Recomputed sum over the sent-packet table; must equal [inflight]
           (the quic-inflight-accounting invariant). *)
   unacked_packets : int;
+  active_streams : int list;
+      (** The sender's index of streams with data to send, ascending. *)
+  pending_streams : int list;
+      (** Recomputed by scanning every stream for retransmission chunks,
+          queued bytes or an unsent FIN; must equal [active_streams] (the
+          quic-sender-index invariant). *)
+  low_water : int;
+      (** The sender's lower bound on outstanding packet numbers. *)
+  lowest_unacked : int;
+      (** Recomputed lowest packet number in the sent-packet table
+          ([pn_next] when it is empty); [low_water] must not exceed it
+          (the quic-sender-index invariant). *)
   cwnd : int;
   pto_count : int;
   pto_backoff : float;

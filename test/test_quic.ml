@@ -392,6 +392,44 @@ let test_rtx_oracle_agreement () =
     ~drops:(Path.drops w.path) ~drained:true;
   Alcotest.(check int) "oracle agrees" 0 (List.length (Monitor.violations monitor))
 
+(* The shared frame table holds one entry per datagram the receiver has
+   yet to read.  An ACK-only datagram is never acknowledged, so the
+   receiver must drop its entry once processed; pre-fix every client ACK
+   of the response stayed behind (751 entries on this transfer). *)
+let test_wire_table_drains () =
+  let engine = Engine.create () in
+  let wire = Hashtbl.create 64 in
+  let tx dst pkts =
+    Array.iter
+      (fun p ->
+        ignore
+          (Engine.schedule engine ~delay:0.01 (fun () ->
+               Option.iter (fun e -> Endpoint.receive e p) !dst)))
+      pkts
+  in
+  let config = Endpoint.default_config in
+  let client_ref = ref None and server_ref = ref None in
+  let make dir dst =
+    Endpoint.create ~engine ~config ~cc:(Stob_tcp.Cubic.make config) ~flow:1 ~dir ~wire
+      ~tx:(tx dst) ()
+  in
+  let client = make Packet.Outgoing server_ref and server = make Packet.Incoming client_ref in
+  client_ref := Some client;
+  server_ref := Some server;
+  let received = ref 0 in
+  Endpoint.set_on_stream client (fun ~stream:_ n -> received := !received + n);
+  Endpoint.set_on_established client (fun () ->
+      Endpoint.send_stream client ~stream:4 ~fin:true 400);
+  Endpoint.set_on_stream_fin server (fun ~stream:_ ->
+      Endpoint.send_stream server ~stream:4 ~fin:true 2_000_000);
+  Endpoint.listen server ~flight_bytes:3_000;
+  Endpoint.connect client ~flight_bytes:3_000 ();
+  Engine.run ~until:10.0 engine;
+  Alcotest.(check int) "response delivered" 2_000_000 !received;
+  Alcotest.(check bool) "both ends still open" false
+    (Endpoint.closed client || Endpoint.closed server);
+  Alcotest.(check int) "no frame entry left behind" 0 (Hashtbl.length wire)
+
 (* The mixed TCP+QUIC smoke battery is jobs-invariant, shard for shard. *)
 let test_mixed_soak_jobs_parity () =
   let config = { Soak.smoke_config with Soak.transport = `Mixed } in
@@ -458,6 +496,153 @@ let prop_quic_delivery_under_netem =
       Engine.run ~until:90.0 w.engine;
       got w.server_rx 4 = 600 && got w.client_rx 4 = response)
 
+(* --- Golden trace pins --- *)
+
+(* Whole QUIC page loads pinned to the byte: three sites, every CCA, four
+   paths (netem on both directions, one seed each) and two policies.  Each
+   pin is the MD5 of the packed trace plus the completion flag.  The lossy
+   cells pin the order in which lost packets are declared, which decides
+   how chunks enter each stream's retransmission queue; a bookkeeping
+   change to the endpoint must leave every digest where it is. *)
+let golden_sites = [ "bing.com"; "whatsapp.net"; "wikipedia.org" ]
+
+let golden_paths =
+  [
+    ("clean", None);
+    ("iid", Some { Netem.default with Netem.loss = Netem.Iid 0.02 });
+    ( "burst",
+      Some
+        {
+          Netem.default with
+          Netem.loss =
+            Netem.Gilbert_elliott { p_gb = 0.01; p_bg = 0.25; loss_good = 0.0; loss_bad = 0.8 };
+        } );
+    ( "reorder",
+      Some
+        {
+          Netem.default with
+          Netem.loss = Netem.Iid 0.01;
+          reorder_prob = 0.05;
+          reorder_depth = 3;
+          reorder_hold = 0.05;
+          duplicate_prob = 0.03;
+        } );
+  ]
+
+let golden_policies =
+  [ ("plain", fun () -> None); ("stob", fun () -> Some (Stob_core.Strategies.stack_combined ())) ]
+
+(* (cell name, pin) in matrix order; a cell's index seeds its load and
+   its two netem directions. *)
+let golden_pins () =
+  let cells =
+    List.concat_map
+      (fun site ->
+        List.concat_map
+          (fun cca ->
+            List.concat_map
+              (fun path -> List.map (fun policy -> (site, cca, path, policy)) golden_policies)
+              golden_paths)
+          cca_cases)
+      golden_sites
+  in
+  List.mapi
+    (fun i (site, (cca, cc), (path, impair), (policy, make_policy)) ->
+      let netem seed = Option.map (fun c -> Netem.spec { c with Netem.seed }) impair in
+      let r =
+        Stob_web.Browser_quic.load ?policy:(make_policy ()) ~cc
+          ?client_netem:(netem (7_001 + (2 * i)))
+          ?server_netem:(netem (7_002 + (2 * i)))
+          ~rng:(Rng.create (500 + i))
+          (Stob_web.Sites.find site)
+      in
+      let bytes =
+        Stob_net.Packed_trace.to_bytes (Stob_net.Packed_trace.of_trace r.Stob_web.Browser.trace)
+      in
+      ( String.concat "/" [ site; cca; path; policy ],
+        (Digest.to_hex (Digest.string bytes), r.Stob_web.Browser.completed) ))
+    cells
+
+let golden_expected =
+  [
+    ("bing.com/reno/clean/plain", ("db5d8a643220dc064f78c8451b3aa1c8", true));
+    ("bing.com/reno/clean/stob", ("2b3dada5ee77918135aa81fda673d0b4", true));
+    ("bing.com/reno/iid/plain", ("2ec0e67efa56b5a69242d6328f0c16ba", true));
+    ("bing.com/reno/iid/stob", ("af6af7a91b044035a8a4a06d4c1db3f8", true));
+    ("bing.com/reno/burst/plain", ("78fa43dbcf8fc7a8a830575eec12e425", true));
+    ("bing.com/reno/burst/stob", ("24c253f4c213927a3aa6ad6b6cd87243", true));
+    ("bing.com/reno/reorder/plain", ("b979f41a8f772ca5318a6632c5421fa5", true));
+    ("bing.com/reno/reorder/stob", ("557b381082825007917092177d62e9c4", true));
+    ("bing.com/cubic/clean/plain", ("82a1dbb8eac375bae5267f7a6b2d04d4", true));
+    ("bing.com/cubic/clean/stob", ("21cb7b379add0bcf4bbc5db7971a049b", true));
+    ("bing.com/cubic/iid/plain", ("ca8e9bec9d862239908b317540f71226", true));
+    ("bing.com/cubic/iid/stob", ("370882869f1a6ebabd44302ee1cfabf0", true));
+    ("bing.com/cubic/burst/plain", ("5f370e01bac4e5efa7565eda1858be38", true));
+    ("bing.com/cubic/burst/stob", ("800b9a153b37c3ff3fcec87ab71dbfe5", true));
+    ("bing.com/cubic/reorder/plain", ("13da04dcd612396a6d0d230ab3bb9eba", true));
+    ("bing.com/cubic/reorder/stob", ("1db51323fc2bdaa1c74b05cf615db1d9", true));
+    ("bing.com/bbr/clean/plain", ("768db75e9f65e530d15f0908e54584b8", true));
+    ("bing.com/bbr/clean/stob", ("55bf102be62e25998366c74d18cf4cf9", true));
+    ("bing.com/bbr/iid/plain", ("6612eb2e92765164f9b946787c1cf2b3", true));
+    ("bing.com/bbr/iid/stob", ("05e8e05bca6edc3610ebebd4caa4dbb4", true));
+    ("bing.com/bbr/burst/plain", ("4e238c43a6d976a7fe4d38cd5a583a54", true));
+    ("bing.com/bbr/burst/stob", ("b368b8f35c7bb26080a62c899ec5585c", true));
+    ("bing.com/bbr/reorder/plain", ("337b46114a41c73ca152cb3e2e989f2c", true));
+    ("bing.com/bbr/reorder/stob", ("18cbef5a1c88fe124733fec9be062a17", true));
+    ("whatsapp.net/reno/clean/plain", ("e4faf86b5489a45dc998d4385fe4ee62", true));
+    ("whatsapp.net/reno/clean/stob", ("1fcda33ed0c008d3b394588af4814234", true));
+    ("whatsapp.net/reno/iid/plain", ("a16fa7d303827bed14eae61d5797904a", true));
+    ("whatsapp.net/reno/iid/stob", ("7d7475b078c9a4e975efc1d0aeada8dc", true));
+    ("whatsapp.net/reno/burst/plain", ("a951829a78c6cc04dc7e922ff5548b1b", true));
+    ("whatsapp.net/reno/burst/stob", ("275b5dc3d805ca38c13d9ff3806fcc1c", true));
+    ("whatsapp.net/reno/reorder/plain", ("b2dbdd6e0cc024e06a7a5f2d8a7f2c9f", true));
+    ("whatsapp.net/reno/reorder/stob", ("f24b63e02621451e64ab1fb2977b95bb", true));
+    ("whatsapp.net/cubic/clean/plain", ("6de664dc3877733722510765c9b7c959", true));
+    ("whatsapp.net/cubic/clean/stob", ("2356248c9c5ac3afce37c46f3dfa9e48", true));
+    ("whatsapp.net/cubic/iid/plain", ("b645ae2a22321e2176103fee0fc281e2", true));
+    ("whatsapp.net/cubic/iid/stob", ("b70b6004a91ac7e261f4d20e253758c6", true));
+    ("whatsapp.net/cubic/burst/plain", ("3af08b75c004f2faa7da80c23db23d09", true));
+    ("whatsapp.net/cubic/burst/stob", ("e68c758d2d892835173ddae1d89176ae", true));
+    ("whatsapp.net/cubic/reorder/plain", ("00067fe7337253dab441cddc0efafd58", true));
+    ("whatsapp.net/cubic/reorder/stob", ("a3051263461febe214fea6791a8abbf3", true));
+    ("whatsapp.net/bbr/clean/plain", ("008818f77f4599eb8ed5b52e916affec", true));
+    ("whatsapp.net/bbr/clean/stob", ("1a8b6168c4f668446d11a8dac42b683b", true));
+    ("whatsapp.net/bbr/iid/plain", ("f5a9f8e116ae5142ebc16f4f4cb11d65", true));
+    ("whatsapp.net/bbr/iid/stob", ("884492a66d4f680ea29018ccd33f451d", true));
+    ("whatsapp.net/bbr/burst/plain", ("5f28c63c82a8e4c0e93d68efd23a3514", true));
+    ("whatsapp.net/bbr/burst/stob", ("5223e909a9884591ff7540b077bbd53b", true));
+    ("whatsapp.net/bbr/reorder/plain", ("65201753b7b3f84bc831ae7fb77ec23f", true));
+    ("whatsapp.net/bbr/reorder/stob", ("57527cad8650b79ecbb8a1e0493b5aae", true));
+    ("wikipedia.org/reno/clean/plain", ("10f21668c5ce19cf60f789191001573d", true));
+    ("wikipedia.org/reno/clean/stob", ("8e7c8d708cdc7b20b4ff6e71ecb15b78", true));
+    ("wikipedia.org/reno/iid/plain", ("2429cbd98e1e2c7ee88474ba97a41aaf", true));
+    ("wikipedia.org/reno/iid/stob", ("75372f9d148e4801aed414d0b53a69c8", true));
+    ("wikipedia.org/reno/burst/plain", ("55c78df3db4f1b571415b5ee4071fe1f", true));
+    ("wikipedia.org/reno/burst/stob", ("ec2f94d2737798197cf2f8e9cf93cb16", true));
+    ("wikipedia.org/reno/reorder/plain", ("b77dc91cd5717bc96da2093b405d3590", true));
+    ("wikipedia.org/reno/reorder/stob", ("04dd234ea4833c60e0c0c71f41a36792", true));
+    ("wikipedia.org/cubic/clean/plain", ("abd538051d85ca1d753b041a40492e22", true));
+    ("wikipedia.org/cubic/clean/stob", ("8b5659a276b7d6e21e35376b17e4998f", true));
+    ("wikipedia.org/cubic/iid/plain", ("85e34680cb3adafe2122ebc4e1b32a81", true));
+    ("wikipedia.org/cubic/iid/stob", ("e3a27a2f17ce5951aa9771fb496ab680", true));
+    ("wikipedia.org/cubic/burst/plain", ("7742ce010c7a34722db9e152fee01fd8", true));
+    ("wikipedia.org/cubic/burst/stob", ("ff6ddeb95f38137071011486e93d5601", true));
+    ("wikipedia.org/cubic/reorder/plain", ("a5aa72909fc47f5ad8296bf11115e710", true));
+    ("wikipedia.org/cubic/reorder/stob", ("6b92b4accfbc79ab012d9c924f056ac7", true));
+    ("wikipedia.org/bbr/clean/plain", ("50742ae5bf43b2ae549b882736764776", true));
+    ("wikipedia.org/bbr/clean/stob", ("1163057b7104cb3c51ed6ee52da87e05", true));
+    ("wikipedia.org/bbr/iid/plain", ("0c453a80469bbb939f2898ce543d7b54", true));
+    ("wikipedia.org/bbr/iid/stob", ("632daff93caced539cb9e691257201d8", true));
+    ("wikipedia.org/bbr/burst/plain", ("4561b5d0f3e0098c5e9f9ffc109a7a28", true));
+    ("wikipedia.org/bbr/burst/stob", ("1bd8543788225882ddc842b9bcc39ae5", true));
+    ("wikipedia.org/bbr/reorder/plain", ("6df16b9b115b01b6347c7be1283d2de2", true));
+    ("wikipedia.org/bbr/reorder/stob", ("cd1f6bf82848b1cc87ae5eec30e5a02c", true));
+  ]
+
+let test_golden_traces () =
+  Alcotest.(check (list (pair string (pair string bool))))
+    "trace digests" golden_expected (golden_pins ())
+
 let suite =
   [
     ( "quic.frame",
@@ -491,7 +676,9 @@ let suite =
           test_persistent_congestion_blackhole;
         Alcotest.test_case "bbr starvation rate taint" `Quick test_bbr_starvation_rate_taint;
         Alcotest.test_case "rtx oracle agreement" `Quick test_rtx_oracle_agreement;
+        Alcotest.test_case "wire table drains" `Quick test_wire_table_drains;
         Alcotest.test_case "mixed soak jobs parity" `Quick test_mixed_soak_jobs_parity;
         QCheck_alcotest.to_alcotest prop_quic_delivery_under_netem;
       ] );
+    ("quic.golden", [ Alcotest.test_case "trace pins" `Quick test_golden_traces ]);
   ]
