@@ -744,33 +744,75 @@ let simperf_hold impl ~queue_size ~ops ~increments =
   done;
   Unix.gettimeofday () -. start
 
-(* Pop-sequence parity on a randomized mixed push/pop schedule: the wheel
-   must replay the heap exactly, (time, insertion order) both. *)
+(* Pop-sequence parity on a randomized mixed push/pop/cancel schedule: the
+   wheel must replay the heap exactly, (time, insertion order) both.  A
+   cancel picks a random earlier push; if it still waits, the wheel removes
+   it, while the heap keeps it and the run skips it on pop, as the engine
+   does.  Every other cancel re-arms at the same instant, like a TCP timer.
+   A cancelled element popping off the wheel fails the parity.  The wheel
+   runs twice: at the default tick, and at a 0.1 s tick that gathers
+   many elements in the ready heap, so that cancels also remove from
+   inside it. *)
 let simperf_parity ~steps ~seed =
-  let run impl =
+  let run q =
     let rng = Stob_util.Rng.create seed in
-    let q = Eq.create_impl impl in
+    let removes = Eq.impl q = Eq.Wheel in
+    let times = Array.make steps 0.0 and handles = Array.make steps 0 in
+    let waiting = Array.make steps false and cancelled = Array.make steps false in
+    let pushed = ref 0 and leaked = ref false in
+    let push t =
+      let i = !pushed in
+      incr pushed;
+      times.(i) <- t;
+      handles.(i) <- Eq.add q ~time:t i;
+      waiting.(i) <- true
+    in
     let popped = ref [] in
+    (* [false] once the queue is empty. *)
+    let rec pop () =
+      let p = Eq.pop q in
+      match p with
+      | Some (_, i) when cancelled.(i) ->
+          if removes then leaked := true;
+          pop ()
+      | Some (_, i) ->
+          waiting.(i) <- false;
+          popped := p :: !popped;
+          true
+      | None ->
+          popped := p :: !popped;
+          false
+    in
     let time = ref 0.0 in
     for i = 0 to steps - 1 do
-      if Stob_util.Rng.bool rng then begin
+      let r = Stob_util.Rng.float rng 1.0 in
+      if r < 0.4 then begin
         time := !time +. Stob_util.Rng.float rng 0.002;
         (* Same-instant bursts: every third push duplicates its timestamp. *)
-        let t = if i mod 3 = 0 then !time else !time +. Stob_util.Rng.float rng 1.0 in
-        Eq.push q ~time:t i
+        push (if i mod 3 = 0 then !time else !time +. Stob_util.Rng.float rng 1.0)
       end
-      else popped := Eq.pop q :: !popped
+      else if r < 0.8 then ignore (pop ())
+      else begin
+        let j = Stob_util.Rng.int rng (max 1 !pushed) in
+        if waiting.(j) then begin
+          Eq.remove q handles.(j);
+          waiting.(j) <- false;
+          cancelled.(j) <- true;
+          if i mod 2 = 0 then push times.(j)
+        end
+      end
     done;
-    let rec drain () =
-      match Eq.pop q with
-      | Some _ as p ->
-          popped := p :: !popped;
-          drain ()
-      | None -> List.rev !popped
-    in
-    drain ()
+    while pop () do
+      ()
+    done;
+    (List.rev !popped, !leaked)
   in
-  run Eq.Heap = run Eq.Wheel
+  let heap, _ = run (Eq.create_impl Eq.Heap) in
+  List.for_all
+    (fun wheel ->
+      let pops, leaked = run wheel in
+      pops = heap && not leaked)
+    [ Eq.create_impl Eq.Wheel; Eq.create_wheel ~granularity:0.1 () ]
 
 let run_simperf ~smoke () =
   hr (if smoke then "Simulator benchmark (smoke)" else "Simulator benchmark");

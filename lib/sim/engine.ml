@@ -1,4 +1,10 @@
-type event = { callback : unit -> unit; mutable cancelled : bool }
+(* [node] is the event's queue handle while it waits, [inert] once it has
+   fired or been cancelled.  A fired event's node may already hold another
+   event, so an inert event never reaches [Event_queue.remove].  [time] is
+   kept boxed here so that firing sets the clock without allocating. *)
+type event = { callback : unit -> unit; time : float; mutable node : int }
+
+let inert = -1
 
 type event_id = event
 
@@ -51,8 +57,8 @@ let clear_probe t = t.probe <- None
 
 let schedule_at t ~time f =
   let time = if time < t.clock then t.clock else time in
-  let ev = { callback = f; cancelled = false } in
-  Event_queue.push t.queue ~time ev;
+  let ev = { callback = f; time; node = inert } in
+  ev.node <- Event_queue.add t.queue ~time ev;
   t.live <- t.live + 1;
   ev
 
@@ -61,35 +67,43 @@ let schedule t ~delay f =
   schedule_at t ~time:(t.clock +. delay) f
 
 let cancel t ev =
-  if not ev.cancelled then begin
-    ev.cancelled <- true;
+  if ev.node <> inert then begin
+    Event_queue.remove t.queue ev.node;
+    ev.node <- inert;
     t.live <- t.live - 1
   end
 
+(* Run [ev], just taken off the queue as its earliest live event. *)
+let fire t ev =
+  ev.node <- inert;
+  let time = ev.time in
+  (* Same-instant budget: a callback that keeps rescheduling itself with
+     zero delay would otherwise spin the engine forever without ever
+     advancing the clock. *)
+  if t.processed > 0 && time <= t.clock then begin
+    t.same_instant <- t.same_instant + 1;
+    if t.same_instant > t.same_instant_budget then
+      raise (Livelock { time; events = t.same_instant })
+  end
+  else t.same_instant <- 0;
+  t.clock <- time;
+  t.live <- t.live - 1;
+  t.processed <- t.processed + 1;
+  ev.callback ();
+  match t.probe with None -> () | Some f -> f ~now:time
+
 let rec step t =
-  match Event_queue.pop t.queue with
-  | None -> false
-  | Some (time, ev) ->
-      (* Cancelled events stay in the heap until popped; skip through them so
-         that [step] reports whether real work happened. *)
-      if ev.cancelled then step t
-      else begin
-        (* Same-instant budget: a callback that keeps rescheduling itself
-           with zero delay would otherwise spin the engine forever without
-           ever advancing the clock. *)
-        if t.processed > 0 && time <= t.clock then begin
-          t.same_instant <- t.same_instant + 1;
-          if t.same_instant > t.same_instant_budget then
-            raise (Livelock { time; events = t.same_instant })
-        end
-        else t.same_instant <- 0;
-        t.clock <- time;
-        t.live <- t.live - 1;
-        t.processed <- t.processed + 1;
-        ev.callback ();
-        (match t.probe with None -> () | Some f -> f ~now:time);
-        true
-      end
+  if Event_queue.is_empty t.queue then false
+  else begin
+    let ev = Event_queue.take t.queue in
+    (* Only the heap oracle still holds cancelled events; skip through them
+       so that [step] reports whether real work happened. *)
+    if ev.node = inert then step t
+    else begin
+      fire t ev;
+      true
+    end
+  end
 
 let run ?until t =
   match until with
@@ -97,12 +111,13 @@ let run ?until t =
   | Some limit ->
       let continue = ref true in
       while !continue do
-        match Event_queue.peek t.queue with
-        | None -> continue := false
-        | Some (time, ev) ->
-            if ev.cancelled then ignore (Event_queue.pop t.queue)
-            else if time > limit then continue := false
-            else ignore (step t)
+        if Event_queue.is_empty t.queue then continue := false
+        else begin
+          let ev = Event_queue.top t.queue in
+          if ev.node = inert then ignore (Event_queue.take t.queue)
+          else if ev.time > limit then continue := false
+          else fire t (Event_queue.take t.queue)
+        end
       done;
       if t.clock < limit then t.clock <- limit
 

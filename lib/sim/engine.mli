@@ -37,8 +37,9 @@ val schedule_at : t -> time:float -> (unit -> unit) -> event_id
 (** Absolute-time variant.  Times before [now] are clamped to [now]. *)
 
 val cancel : t -> event_id -> unit
-(** Disarm an event; cancelling an already-fired or cancelled event is a
-    no-op. *)
+(** Disarm an event: it leaves the queue at once (on the heap oracle it
+    is skipped when it pops).  An event that has fired or been cancelled
+    is inert: cancelling it again is a no-op. *)
 
 val run : ?until:float -> t -> unit
 (** Drain the event queue.  With [~until], stops once the next event lies
@@ -48,7 +49,8 @@ val step : t -> bool
 (** Run exactly one event; [false] when the queue was empty. *)
 
 val pending : t -> int
-(** Number of scheduled (non-cancelled) events. *)
+(** Number of scheduled events that have neither fired nor been
+    cancelled. *)
 
 val events_processed : t -> int
 (** Total callbacks executed so far (for engine-level sanity checks). *)

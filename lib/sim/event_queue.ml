@@ -32,7 +32,25 @@ let impl = function H _ -> Heap | W _ -> Wheel
 let push t ~time value =
   match t with H q -> Heap_queue.push q ~time value | W q -> Timing_wheel.push q ~time value
 
+let add t ~time value =
+  match t with
+  | H q ->
+      Heap_queue.push q ~time value;
+      0
+  | W q -> Timing_wheel.add q ~time value
+
+let remove t handle = match t with H _ -> () | W q -> Timing_wheel.remove q handle
+
+let empty name = invalid_arg ("Event_queue." ^ name ^ ": empty queue")
+
+let top = function
+  | H q -> ( match Heap_queue.peek q with Some (_, v) -> v | None -> empty "top")
+  | W q -> Timing_wheel.top q
+
+let take = function
+  | H q -> ( match Heap_queue.pop q with Some (_, v) -> v | None -> empty "take")
+  | W q -> Timing_wheel.take q
+
 let pop = function H q -> Heap_queue.pop q | W q -> Timing_wheel.pop q
-let peek = function H q -> Heap_queue.peek q | W q -> Timing_wheel.peek q
 let size = function H q -> Heap_queue.size q | W q -> Timing_wheel.size q
 let is_empty = function H q -> Heap_queue.is_empty q | W q -> Timing_wheel.is_empty q

@@ -36,11 +36,28 @@ val impl : 'a t -> impl
 val push : 'a t -> time:float -> 'a -> unit
 (** Insert an element with priority [time]. *)
 
+val add : 'a t -> time:float -> 'a -> int
+(** {!push} that returns a handle for {!remove}: the wheel's node id,
+    valid until the element is popped or removed (the pool then recycles
+    it).  Always [0] on the heap. *)
+
+val remove : 'a t -> int -> unit
+(** Take a queued element out of the wheel ({!Timing_wheel.remove}).  The
+    heap oracle cannot remove, so on it this is a no-op and the element
+    still pops: a caller that removes marks the element itself and skips
+    it on pop, as {!Engine} does.  {!size} counts such elements until they
+    pop. *)
+
+val top : 'a t -> 'a
+(** Earliest element without removing it; allocation-free on the wheel.
+    Raises [Invalid_argument] when empty. *)
+
+val take : 'a t -> 'a
+(** Remove and return the earliest element; allocation-free on the
+    wheel.  Raises [Invalid_argument] when empty. *)
+
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the earliest element, or [None] when empty. *)
-
-val peek : 'a t -> (float * 'a) option
-(** Earliest element without removing it. *)
 
 val size : 'a t -> int
 val is_empty : 'a t -> bool

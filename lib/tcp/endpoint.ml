@@ -4,9 +4,56 @@ module Cpu = Stob_sim.Cpu
 
 type conn_state = Closed | Syn_sent | Syn_rcvd | Established_s
 
-(* Sent-segment log entries used for RTT sampling (Karn's rule applied via
-   [karn_floor]). *)
-type sent_record = { end_seq : int; sent_at : float }
+(* Sent-segment log used for RTT sampling (Karn's rule applied via
+   [karn_floor]): a FIFO ring of (end_seq, sent_at) records in send order,
+   [len] of them from [head].  End sequence numbers strictly increase in
+   send order, so an ACK retires a prefix of the ring and the newest acked
+   record is the last one retired. *)
+type sent_log = {
+  mutable ends : int array;
+  mutable sent_at : float array;  (* capacity a power of two, as [ends] *)
+  mutable head : int;
+  mutable len : int;
+}
+
+let log_create () = { ends = Array.make 16 0; sent_at = Array.make 16 0.0; head = 0; len = 0 }
+
+let log_clear log =
+  log.head <- 0;
+  log.len <- 0
+
+let log_push log ~end_seq ~sent_at =
+  let cap = Array.length log.ends in
+  if log.len = cap then begin
+    (* Grow by unrolling the ring into the front of arrays twice the size. *)
+    let ends = Array.make (2 * cap) 0 and times = Array.make (2 * cap) 0.0 in
+    for i = 0 to cap - 1 do
+      let j = (log.head + i) land (cap - 1) in
+      ends.(i) <- log.ends.(j);
+      times.(i) <- log.sent_at.(j)
+    done;
+    log.ends <- ends;
+    log.sent_at <- times;
+    log.head <- 0
+  end;
+  let i = (log.head + log.len) land (Array.length log.ends - 1) in
+  log.ends.(i) <- end_seq;
+  log.sent_at.(i) <- sent_at;
+  log.len <- log.len + 1
+
+(* The newest record's slot; the log must not be empty. *)
+let log_newest log = (log.head + log.len - 1) land (Array.length log.ends - 1)
+
+(* Retire the records acked by [una]; the slot of the newest one retired,
+   or -1.  The slot keeps its contents until the next push. *)
+let log_retire log ~una =
+  let last = ref (-1) in
+  while log.len > 0 && log.ends.(log.head) <= una do
+    last := log.head;
+    log.head <- (log.head + 1) land (Array.length log.ends - 1);
+    log.len <- log.len - 1
+  done;
+  !last
 
 type t = {
   engine : Engine.t;
@@ -41,7 +88,7 @@ type t = {
   mutable rto_recovery : bool;  (* current episode was opened by a timeout *)
   mutable recover_point : int;  (* snd_nxt when recovery began *)
   mutable rtx_next : int;  (* next hole position to retransmit *)
-  mutable sent_log : sent_record list;  (* newest first *)
+  sent_log : sent_log;
   mutable rto_timer : Engine.event_id option;
   mutable send_timer : Engine.event_id option;
   mutable persist_timer : Engine.event_id option;
@@ -110,7 +157,7 @@ let create ~engine ~config ~cc ~flow ~dir ?cpu ?(hooks = Hooks.default) ~tx () =
     rto_recovery = false;
     recover_point = 0;
     rtx_next = 0;
-    sent_log = [];
+    sent_log = log_create ();
     rto_timer = None;
     send_timer = None;
     persist_timer = None;
@@ -577,7 +624,7 @@ let rec try_send t =
             t.snd_nxt <- t.snd_nxt + payload + (if fin_here then 1 else 0);
             if fin_here then t.fin_sent <- true;
             Pacer.commit t.pacer ~departure:release ~rate_bps:pacing_rate ~bytes:payload;
-            t.sent_log <- { end_seq = t.snd_nxt; sent_at = release } :: t.sent_log;
+            log_push t.sent_log ~end_seq:t.snd_nxt ~sent_at:release;
             if t.rto_timer = None then arm_rto t;
             commit_segment t ~departure:release packets;
             try_send t
@@ -621,7 +668,8 @@ let send_dummy t n =
 let connect t =
   if t.state <> Closed then invalid_arg "Endpoint.connect: not closed";
   t.state <- Syn_sent;
-  t.sent_log <- [ { end_seq = 1; sent_at = now t } ];
+  log_clear t.sent_log;
+  log_push t.sent_log ~end_seq:1 ~sent_at:(now t);
   send_syn t ~rtx:false;
   arm_rto t
 
@@ -732,22 +780,14 @@ let process_ack t (p : Packet.t) =
       if t.fin_sent && t.snd_una >= t.snd_nxt then t.fin_acked <- true;
       (* RTT sample from the newest fully-acked, never-retransmitted
          segment. *)
-      let sample = ref None in
-      t.sent_log <-
-        List.filter
-          (fun r ->
-            if r.end_seq <= t.snd_una then begin
-              if r.end_seq > t.karn_floor && !sample = None then
-                sample := Some (now t -. r.sent_at);
-              false
-            end
-            else true)
-          t.sent_log;
-      (match !sample with Some s -> Rtt.observe t.rtt s | None -> ());
+      let newest = log_retire t.sent_log ~una:t.snd_una in
       let rtt_for_cc =
-        match !sample with
-        | Some s -> s
-        | None -> Option.value ~default:0.1 (Rtt.srtt t.rtt)
+        if newest >= 0 && t.sent_log.ends.(newest) > t.karn_floor then begin
+          let sample = now t -. t.sent_log.sent_at.(newest) in
+          Rtt.observe t.rtt sample;
+          sample
+        end
+        else Option.value ~default:0.1 (Rtt.srtt t.rtt)
       in
       t.cc.Cc.on_ack ~now:(now t) ~acked ~rtt:rtt_for_cc ~inflight:(inflight t)
         ~limited:(t.snd_una <= t.rate_limited_mark);
@@ -830,6 +870,16 @@ let quiesce t =
       t.send_timer <- None
   | None -> ()
 
+(* The handshake's RTT sample, from the SYN (or SYN|ACK) record, which the
+   handshake then retires. *)
+let handshake_sample t =
+  let log = t.sent_log in
+  if log.len > 0 && t.karn_floor < 1 then begin
+    let i = log_newest log in
+    if log.ends.(i) = 1 then Rtt.observe t.rtt (now t -. log.sent_at.(i))
+  end;
+  log_clear log
+
 let rec receive t (p : Packet.t) =
   if p.Packet.dummy then ( (* padding: observe and discard; never acknowledged *) )
   else begin
@@ -840,7 +890,8 @@ let rec receive t (p : Packet.t) =
         t.rcv_nxt <- 1;
         apply_syn_options t p;
         t.peer_rwnd <- p.Packet.rwnd;
-        t.sent_log <- [ { end_seq = 1; sent_at = now t } ];
+        log_clear t.sent_log;
+        log_push t.sent_log ~end_seq:1 ~sent_at:(now t);
         send_synack t ~rtx:false;
         arm_rto t
     | Syn_sent, true, true ->
@@ -850,11 +901,7 @@ let rec receive t (p : Packet.t) =
         t.rcv_nxt <- 1;
         t.snd_una <- 1;
         t.snd_nxt <- max t.snd_nxt 1;
-        (match t.sent_log with
-        | { end_seq = 1; sent_at } :: _ when t.karn_floor < 1 ->
-            Rtt.observe t.rtt (now t -. sent_at)
-        | _ -> ());
-        t.sent_log <- [];
+        handshake_sample t;
         apply_syn_options t p;
         t.peer_rwnd <- p.Packet.rwnd;
         cancel_rto t;
@@ -867,11 +914,7 @@ let rec receive t (p : Packet.t) =
            makes this sample ambiguous. *)
         t.snd_una <- max t.snd_una 1;
         t.snd_nxt <- max t.snd_nxt 1;
-        (match t.sent_log with
-        | { end_seq = 1; sent_at } :: _ when t.karn_floor < 1 ->
-            Rtt.observe t.rtt (now t -. sent_at)
-        | _ -> ());
-        t.sent_log <- [];
+        handshake_sample t;
         t.peer_rwnd <- p.Packet.rwnd lsl t.snd_wscale;
         cancel_rto t;
         t.state <- Established_s;

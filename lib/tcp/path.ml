@@ -3,12 +3,32 @@ module Capture = Stob_net.Capture
 module Link = Stob_sim.Link
 module Netem = Stob_sim.Netem
 
+(* Per-flow callback tables, one per direction: the flow id alone is the
+   key, so a lookup hashes an int instead of a (flow, dir) tuple. *)
+module Flows = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash flow = flow
+end)
+
+type callbacks = { incoming : (Packet.t -> unit) Flows.t; outgoing : (Packet.t -> unit) Flows.t }
+
+let callbacks () = { incoming = Flows.create 16; outgoing = Flows.create 16 }
+
+let for_dir tables = function
+  | Packet.Incoming -> tables.incoming
+  | Packet.Outgoing -> tables.outgoing
+
+let notify tables dir (p : Packet.t) =
+  match Flows.find_opt (for_dir tables dir) p.Packet.flow with Some f -> f p | None -> ()
+
 type t = {
   to_server : Packet.t Link.t;  (* carries Outgoing packets *)
   to_client : Packet.t Link.t;  (* carries Incoming packets *)
   capture : Capture.t;
-  rx : (int * Packet.direction, Packet.t -> unit) Hashtbl.t;
-  serialized : (int * Packet.direction, Packet.t -> unit) Hashtbl.t;
+  rx : callbacks;
+  serialized : callbacks;
   server_qdisc : Packet.t array Qdisc.t option;
   client_netem : Packet.t Netem.t option;  (* impairs deliveries to the client *)
   server_netem : Packet.t Netem.t option;  (* impairs deliveries to the server *)
@@ -18,13 +38,10 @@ let burst_wire_bytes packets = Array.fold_left (fun acc p -> acc + Packet.wire_s
 
 let create ~engine ~rate_bps ~delay ?queue_capacity ?(server_fq = false) ?client_netem
     ?server_netem () =
-  let rx = Hashtbl.create 16 in
-  let serialized = Hashtbl.create 16 in
-  let deliver dir p =
-    match Hashtbl.find_opt rx (p.Packet.flow, dir) with
-    | Some f -> f p
-    | None -> ()  (* unregistered flow: packet silently sinks *)
-  in
+  let rx = callbacks () in
+  let serialized = callbacks () in
+  (* An unregistered flow's packets silently sink. *)
+  let deliver = notify rx in
   (* The impairment stage sits between a link's receive end and the
      endpoint demux: packets experience serialization and propagation
      first, then loss/reordering/duplication/jitter. *)
@@ -49,9 +66,7 @@ let create ~engine ~rate_bps ~delay ?queue_capacity ?(server_fq = false) ?client
   let tap link =
     Link.set_tap link (fun ~time p ->
         Capture.record capture ~time p;
-        match Hashtbl.find_opt serialized (p.Packet.flow, p.Packet.dir) with
-        | Some f -> f p
-        | None -> ())
+        notify serialized p.Packet.dir p)
   in
   tap to_server;
   tap to_client;
@@ -74,10 +89,10 @@ let create ~engine ~rate_bps ~delay ?queue_capacity ?(server_fq = false) ?client
   t
 
 let register t ~flow ~client ~server =
-  Hashtbl.replace t.rx (flow, Packet.Incoming) client;
-  Hashtbl.replace t.rx (flow, Packet.Outgoing) server
+  Flows.replace t.rx.incoming flow client;
+  Flows.replace t.rx.outgoing flow server
 
-let set_serialized_callback t ~flow ~dir f = Hashtbl.replace t.serialized (flow, dir) f
+let set_serialized_callback t ~flow ~dir f = Flows.replace (for_dir t.serialized dir) flow f
 
 let send t packets =
   if Array.length packets > 0 then begin

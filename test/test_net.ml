@@ -132,6 +132,106 @@ let test_capture_clear () =
   Capture.clear c;
   Alcotest.(check int) "cleared" 0 (Capture.count c)
 
+(* Capture as it was built before its columns: a list of boxed events,
+   newest first, reversed and stably sorted on [trace].  The reference for
+   the column store. *)
+module List_capture = struct
+  type t = { mutable events : Trace.event list; mutable n : int; mutable rtx : int }
+
+  let create () = { events = []; n = 0; rtx = 0 }
+
+  let observe t ~dir ~time (p : Packet.t) =
+    t.events <- { Trace.time; dir; size = Packet.wire_size p } :: t.events;
+    t.n <- t.n + 1;
+    if p.rtx then t.rtx <- t.rtx + 1
+
+  let record t ~time (p : Packet.t) = observe t ~dir:p.dir ~time p
+  let trace t = Trace.sort (Array.of_list (List.rev t.events))
+
+  let clear t =
+    t.events <- [];
+    t.n <- 0;
+    t.rtx <- 0
+end
+
+type capture_op =
+  | Record of float * Packet.t
+  | Observe of Packet.direction * float * Packet.t
+  | Clear
+
+(* Times step forward, repeat or step back; sizes include zero-payload
+   packets; both directions, rtx marks, and clears followed by reuse. *)
+let arbitrary_capture_script =
+  let open QCheck.Gen in
+  let dir = oneofl [ out; inc ] in
+  let packet =
+    map4
+      (fun dir payload header rtx ->
+        Packet.data ~flow:1 ~dir ~seq:0 ~ack:0 ~payload ~header ~rtx ~rwnd:1 ())
+      dir (int_range 0 1500) (int_range 20 60) bool
+  in
+  let step = frequency [ (4, float_range 0.0 0.01); (2, return 0.0); (1, float_range (-0.02) 0.0) ] in
+  let op =
+    frequency
+      [
+        (6, map2 (fun dt p -> `Record (dt, p)) step packet);
+        (3, map3 (fun d dt p -> `Observe (d, dt, p)) dir step packet);
+        (1, return `Clear);
+      ]
+  in
+  let concretize script =
+    let now = ref 1.0 in
+    List.map
+      (function
+        | `Record (dt, p) ->
+            now := !now +. dt;
+            Record (!now, p)
+        | `Observe (d, dt, p) ->
+            now := !now +. dt;
+            Observe (d, !now, p)
+        | `Clear -> Clear)
+      script
+  in
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat " "
+        (List.map
+           (function
+             | Record (t, p) -> Printf.sprintf "record(%h,%d%s)" t (Packet.wire_size p) (if p.rtx then ",rtx" else "")
+             | Observe (d, t, p) ->
+                 Printf.sprintf "observe(%c,%h,%d%s)" (if d = out then '+' else '-') t
+                   (Packet.wire_size p) (if p.rtx then ",rtx" else "")
+             | Clear -> "clear")
+           ops))
+    (map concretize (list_size (int_range 0 600) op))
+
+let prop_capture_matches_list =
+  QCheck.Test.make ~name:"capture columns == list-based reference" ~count:200
+    arbitrary_capture_script (fun ops ->
+      let c = Capture.create () and r = List_capture.create () in
+      let same () =
+        Capture.trace c = List_capture.trace r
+        && Capture.count c = r.List_capture.n
+        && Capture.rtx_count c = r.List_capture.rtx
+      in
+      List.for_all
+        (function
+          | Record (time, p) ->
+              Capture.record c ~time p;
+              List_capture.record r ~time p;
+              true
+          | Observe (dir, time, p) ->
+              Capture.observe c ~dir ~time p;
+              List_capture.observe r ~dir ~time p;
+              true
+          | Clear ->
+              let ok = same () in
+              Capture.clear c;
+              List_capture.clear r;
+              ok && same ())
+        ops
+      && same ())
+
 (* --- qcheck --- *)
 
 let arbitrary_trace =
@@ -348,6 +448,7 @@ let suite =
       [
         Alcotest.test_case "records" `Quick test_capture_records;
         Alcotest.test_case "clear" `Quick test_capture_clear;
+        q prop_capture_matches_list;
       ] );
     ( "net.packed",
       [

@@ -81,6 +81,35 @@ let test_engine_cancel () =
   Alcotest.(check bool) "cancelled event did not fire" false !fired;
   Alcotest.(check int) "no pending" 0 (Engine.pending engine)
 
+(* Cancelling an event that already ran is a no-op: [pending] must keep
+   counting the event still queued. *)
+let test_engine_cancel_fired queue () =
+  let engine = Engine.create ~queue () in
+  let fired = ref 0 in
+  let first = Engine.schedule_at engine ~time:1.0 (fun () -> incr fired) in
+  ignore (Engine.schedule_at engine ~time:5.0 (fun () -> incr fired));
+  Engine.run ~until:2.0 engine;
+  Alcotest.(check int) "one pending after the first fired" 1 (Engine.pending engine);
+  Engine.cancel engine first;
+  Alcotest.(check int) "cancelling a fired event is a no-op" 1 (Engine.pending engine);
+  Engine.run engine;
+  Alcotest.(check int) "both fired" 2 !fired;
+  Alcotest.(check int) "drained" 0 (Engine.pending engine)
+
+(* A fired event's queue node goes back to the pool and the next schedule
+   takes it; the stale handle must not disarm the new event. *)
+let test_engine_stale_handle queue () =
+  let engine = Engine.create ~queue () in
+  let log = ref [] in
+  let first = Engine.schedule_at engine ~time:1.0 (fun () -> log := "first" :: !log) in
+  Engine.run ~until:2.0 engine;
+  ignore (Engine.schedule_at engine ~time:3.0 (fun () -> log := "second" :: !log));
+  Engine.cancel engine first;
+  Engine.cancel engine first;
+  Alcotest.(check int) "still pending" 1 (Engine.pending engine);
+  Engine.run engine;
+  Alcotest.(check (list string)) "the new event fired" [ "first"; "second" ] (List.rev !log)
+
 let test_engine_run_until () =
   let engine = Engine.create () in
   let count = ref 0 in
@@ -500,33 +529,80 @@ let test_fault_arm_schedules () =
 
 (* Scripts are interpreted identically against both implementations; any
    divergence in the full pop sequence (values, times, or the empty tail)
-   fails the differential check. *)
-type wheel_op = WPush of float | WPushAtLastPop | WPop
+   fails the differential check.
 
+   The wheel removes a cancelled element; the heap oracle cannot, so the
+   interpreter marks it and skips it on pop — the engine's rule.  Cancels
+   address pushes by index, so they land wherever the element sits at
+   that moment (ready heap, any wheel level, overflow) or on an element
+   already popped or cancelled, which, like a fired engine event, must not
+   reach [remove]. *)
+type wheel_op = WPush of float | WPushAtLastPop | WPop | WCancel of int | WRearm of int
+
+(* The live pop sequence, and whether the wheel's own accounting held
+   throughout: [size] equals the live count after every op, and a removed
+   element never pops. *)
 let run_script ops q =
-  let out = ref [] in
-  let id = ref 0 in
-  let last_pop = ref 0.0 in
+  let removes = Event_queue.impl q = Event_queue.Wheel in
+  let times = ref [||] and handles = ref [||] and state = ref [||] in
+  let pushed = ref 0 and live = ref 0 and last_pop = ref 0.0 and out = ref [] and ok = ref true in
   let push time =
-    Event_queue.push q ~time !id;
-    incr id
+    let id = !pushed in
+    if id = Array.length !times then begin
+      let grow a fill = Array.append a (Array.make (max 8 id) fill) in
+      times := grow !times 0.0;
+      handles := grow !handles 0;
+      state := grow !state `Queued
+    end;
+    !times.(id) <- time;
+    !handles.(id) <- Event_queue.add q ~time id;
+    incr pushed;
+    incr live
   in
-  let pop () =
-    let r = Event_queue.pop q in
-    (match r with Some (t, _) -> last_pop := t | None -> ());
-    out := r :: !out
+  let rec pop () =
+    match Event_queue.pop q with
+    | None -> out := None :: !out
+    | Some (_, id) when !state.(id) = `Cancelled ->
+        if removes then ok := false;
+        pop ()
+    | Some (time, id) as r ->
+        !state.(id) <- `Popped;
+        decr live;
+        last_pop := time;
+        out := r :: !out
+  in
+  (* The index of the cancelled push, or -1 when it was no longer queued. *)
+  let cancel k =
+    if !pushed = 0 then -1
+    else begin
+      let id = k mod !pushed in
+      if !state.(id) <> `Queued then -1
+      else begin
+        Event_queue.remove q !handles.(id);
+        !state.(id) <- `Cancelled;
+        decr live;
+        id
+      end
+    end
   in
   List.iter
-    (function
+    (fun op ->
+      (match op with
       | WPush time -> push time
       | WPushAtLastPop -> push !last_pop (* same-tick push right after a pop *)
-      | WPop -> pop ())
+      | WPop -> pop ()
+      | WCancel k -> ignore (cancel k)
+      | WRearm k ->
+          (* Disarm and re-arm at the same instant, like a TCP timer. *)
+          let id = cancel k in
+          if id >= 0 then push !times.(id));
+      if removes && Event_queue.size q <> !live then ok := false)
     ops;
-  while not (Event_queue.is_empty q) do
+  while !live > 0 do
     pop ()
   done;
-  out := Event_queue.pop q :: !out;
-  List.rev !out
+  pop ();
+  (List.rev !out, !ok)
 
 let wheel_matches_heap ?granularity ops =
   let wheel =
@@ -534,7 +610,9 @@ let wheel_matches_heap ?granularity ops =
     | None -> Event_queue.create_impl Event_queue.Wheel
     | Some g -> Event_queue.create_wheel ~granularity:g ()
   in
-  run_script ops (Event_queue.create_impl Event_queue.Heap) = run_script ops wheel
+  let heap_pops, _ = run_script ops (Event_queue.create_impl Event_queue.Heap) in
+  let wheel_pops, ok = run_script ops wheel in
+  ok && heap_pops = wheel_pops
 
 (* Regression pin: same-instant pushes pop in insertion order on the wheel
    itself — the invariant endpoint.ml's ACK/timer interleaving relies on,
@@ -572,9 +650,9 @@ let test_wheel_push_during_pop () =
   Alcotest.(check bool) "push-during-pop differential" true (wheel_matches_heap ops)
 
 let test_wheel_far_future () =
-  (* 5e3 s at the default 1 µs granularity is beyond the 2^32-tick wheel
-     horizon: exercises the overflow list and the cursor rebase, with
-     near-term pushes interleaved after the far-future ones. *)
+  (* 1e7 s and 1e11 s at the default 256 µs granularity are beyond the
+     2^32-tick wheel horizon: exercises the overflow list and the cursor
+     rebase, with near-term pushes interleaved after the far-future ones. *)
   let ops =
     [
       WPush 0.1; WPush 4.0e3; WPop; WPush 5.0e3; WPush 1.0e7; WPush 2.5; WPop; WPush 1.0e11;
@@ -583,18 +661,20 @@ let test_wheel_far_future () =
   in
   Alcotest.(check bool) "far-future differential" true (wheel_matches_heap ops)
 
-let arbitrary_schedule =
+let arbitrary_schedule ?(cancels = false) () =
   let op =
     QCheck.Gen.(
       frequency
-        [
-          (5, map (fun t -> `Push (t *. 10.0)) (float_range 0.0 1.0));
-          (2, return `Dup); (* same-instant burst: repeat the previous push time *)
-          (1, map (fun t -> `Push (1e3 +. (t *. 1e12))) (float_range 0.0 1.0)); (* far future *)
-          (1, map (fun t -> `Push (-.t)) (float_range 0.0 2.0)); (* behind the cursor *)
-          (1, return `PushAtLastPop);
-          (4, return `Pop);
-        ])
+        ([
+           (5, map (fun t -> `Push (t *. 10.0)) (float_range 0.0 1.0));
+           (2, return `Dup); (* same-instant burst: repeat the previous push time *)
+           (1, map (fun t -> `Push (1e3 +. (t *. 1e12))) (float_range 0.0 1.0)); (* far future *)
+           (1, map (fun t -> `Push (-.t)) (float_range 0.0 2.0)); (* behind the cursor *)
+           (1, return `PushAtLastPop);
+           (4, return `Pop);
+         ]
+        @ if cancels then [ (3, map (fun k -> `Cancel k) nat); (2, map (fun k -> `Rearm k) nat) ]
+          else []))
   in
   let concretize script =
     let last = ref 1.0 in
@@ -605,7 +685,9 @@ let arbitrary_schedule =
             WPush t
         | `Dup -> WPush !last
         | `PushAtLastPop -> WPushAtLastPop
-        | `Pop -> WPop)
+        | `Pop -> WPop
+        | `Cancel k -> WCancel k
+        | `Rearm k -> WRearm k)
       script
   in
   QCheck.make
@@ -615,27 +697,85 @@ let arbitrary_schedule =
            (function
              | WPush t -> Printf.sprintf "push(%h)" t
              | WPushAtLastPop -> "push@last-pop"
-             | WPop -> "pop")
+             | WPop -> "pop"
+             | WCancel k -> Printf.sprintf "cancel(%d)" k
+             | WRearm k -> Printf.sprintf "rearm(%d)" k)
            ops))
     QCheck.Gen.(map concretize (list_size (int_range 0 200) op))
 
 let prop_wheel_differential =
   QCheck.Test.make ~name:"wheel pop sequence == heap oracle (default granularity)" ~count:300
-    arbitrary_schedule wheel_matches_heap
+    (arbitrary_schedule ()) wheel_matches_heap
 
 let prop_wheel_differential_coarse =
   (* A 0.5 s tick collapses nearly every push into a handful of ticks, so
      ordering rides almost entirely on the exact-order ready heap. *)
   QCheck.Test.make ~name:"wheel pop sequence == heap oracle (coarse 0.5 s ticks)" ~count:300
-    arbitrary_schedule
+    (arbitrary_schedule ())
     (fun ops -> wheel_matches_heap ~granularity:0.5 ops)
 
 let prop_wheel_differential_fine =
   (* A 1 ns tick pushes mid-range times into high wheel levels and the
      far-future pushes deep into overflow. *)
   QCheck.Test.make ~name:"wheel pop sequence == heap oracle (fine 1 ns ticks)" ~count:300
-    arbitrary_schedule
+    (arbitrary_schedule ())
     (fun ops -> wheel_matches_heap ~granularity:1e-9 ops)
+
+(* At the default 256 µs tick, with the cursor at 0, these times sit in
+   the ready heap, levels 0 to 3 and the overflow list. *)
+let placement_times = [ 0.0001; 0.01; 1.0; 100.0; 1e5; 1e7 ]
+
+let test_wheel_cancel_everywhere () =
+  let n = List.length placement_times in
+  let pushes = List.concat_map (fun t -> [ WPush t; WPush t; WPush (t *. 1.5) ]) placement_times in
+  (* Cancel the first push at every location, re-arm the second, pop once
+     so that everything cascades, then cancel what remains and popped
+     elements alike. *)
+  let ops =
+    pushes
+    @ List.init n (fun i -> WCancel (3 * i))
+    @ List.init n (fun i -> WRearm ((3 * i) + 1))
+    @ [ WPop; WCancel 0; WCancel 2; WPop; WCancel 5; WRearm 8; WPop ]
+    @ List.init (4 * n) (fun i -> WCancel i)
+  in
+  Alcotest.(check bool) "removal differential at every location" true
+    (wheel_matches_heap ops)
+
+let prop_wheel_removal =
+  QCheck.Test.make ~name:"wheel removal == heap oracle with skips (default granularity)"
+    ~count:300 (arbitrary_schedule ~cancels:true ()) wheel_matches_heap
+
+let prop_wheel_removal_coarse =
+  QCheck.Test.make ~name:"wheel removal == heap oracle with skips (coarse 0.5 s ticks)"
+    ~count:300 (arbitrary_schedule ~cancels:true ())
+    (fun ops -> wheel_matches_heap ~granularity:0.5 ops)
+
+let prop_wheel_removal_fine =
+  QCheck.Test.make ~name:"wheel removal == heap oracle with skips (fine 1 ns ticks)"
+    ~count:300 (arbitrary_schedule ~cancels:true ())
+    (fun ops -> wheel_matches_heap ~granularity:1e-9 ops)
+
+(* The pool must not keep a popped or removed value reachable. *)
+let test_wheel_releases_values () =
+  let q = Event_queue.create_impl Event_queue.Wheel in
+  let n = List.length placement_times in
+  let alive = Weak.create n in
+  let handles =
+    List.mapi
+      (fun i time ->
+        let v = ref i in
+        Weak.set alive i (Some v);
+        Event_queue.add q ~time v)
+      placement_times
+  in
+  ignore (Event_queue.pop q);
+  (* Remove from level 0, level 2 and the overflow list; keep the rest. *)
+  List.iteri (fun i h -> if i = 1 || i = 3 || i = 5 then Event_queue.remove q h) handles;
+  Gc.full_major ();
+  let reachable = List.init n (Weak.check alive) in
+  Alcotest.(check (list bool)) "only queued values survive a full major GC"
+    [ false; false; true; false; true; false ] reachable;
+  Alcotest.(check int) "two queued" 2 (Event_queue.size q)
 
 (* Cancel/re-arm differential at the engine level: the exact scenario —
    timers disarmed by earlier events, re-armed, re-cancelled, zero-delay
@@ -700,12 +840,26 @@ let suite =
         q prop_wheel_differential;
         q prop_wheel_differential_coarse;
         q prop_wheel_differential_fine;
+        Alcotest.test_case "cancel at every location" `Quick test_wheel_cancel_everywhere;
+        q prop_wheel_removal;
+        q prop_wheel_removal_coarse;
+        q prop_wheel_removal_fine;
+        Alcotest.test_case "popped and removed values are released" `Quick
+          test_wheel_releases_values;
       ] );
     ( "sim.engine",
       [
         Alcotest.test_case "runs in order" `Quick test_engine_runs_in_order;
         Alcotest.test_case "nested scheduling" `Quick test_engine_nested_scheduling;
         Alcotest.test_case "cancel" `Quick test_engine_cancel;
+        Alcotest.test_case "cancel after fire (wheel)" `Quick
+          (test_engine_cancel_fired Event_queue.Wheel);
+        Alcotest.test_case "cancel after fire (heap)" `Quick
+          (test_engine_cancel_fired Event_queue.Heap);
+        Alcotest.test_case "stale handle after fire (wheel)" `Quick
+          (test_engine_stale_handle Event_queue.Wheel);
+        Alcotest.test_case "stale handle after fire (heap)" `Quick
+          (test_engine_stale_handle Event_queue.Heap);
         Alcotest.test_case "run until" `Quick test_engine_run_until;
         Alcotest.test_case "negative delay clamped" `Quick test_engine_negative_delay_clamped;
         Alcotest.test_case "same-time fifo" `Quick test_engine_same_time_fifo;
