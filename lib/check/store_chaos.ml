@@ -45,11 +45,21 @@ let fresh_dir ctx =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
+(* Scrub, and cross-check the frame walker's three faces on the same
+   (possibly torn) file: [read] must replay exactly [verify]'s frame count,
+   and the payloads [iter] lends must equal [read]'s. *)
 let scrub ctx path =
   match Journal.verify path with
   | s ->
       ctx.frames <- ctx.frames + s.Journal.scrub_frames;
-      if s.Journal.torn_bytes > 0 then ctx.torn <- ctx.torn + 1
+      if s.Journal.torn_bytes > 0 then ctx.torn <- ctx.torn + 1;
+      let read = Journal.read path in
+      let lent = ref [] in
+      Journal.iter path (fun buf len -> lent := Bytes.sub_string buf 0 len :: !lent);
+      if List.length read <> s.Journal.scrub_frames then
+        fail ctx "%s: read replays %d frames, verify counts %d" path (List.length read)
+          s.Journal.scrub_frames
+      else if List.rev !lent <> read then fail ctx "%s: iter lends other payloads than read" path
   | exception Journal.Corrupt msg -> fail ctx "scrub refused a journal we wrote: %s" msg
 
 (* --- the synthetic sweep ------------------------------------------------- *)

@@ -168,14 +168,21 @@ let run_population ?(users = 80) ?(trees = 100) ?(epochs = 15) ?(max_per_site = 
   let by_class = Array.make monitored_sites [] in
   for shard = 0 to config.Population.shards - 1 do
     let plan = Population.plan_shard config ~shard in
+    let file = Population.shard_file ~state_dir shard in
     let i = ref 0 in
     Population.iter_shard_traces ~state_dir ~shard (fun trace ->
         if !i >= Array.length plan then
-          failwith "dl: population journal holds more traces than its plan";
+          failwith ("dl: population journal " ^ file ^ " holds more traces than its plan");
         let v = plan.(!i) in
         incr i;
         if v.Population.site < monitored_sites then
-          by_class.(v.Population.site) <- trace :: by_class.(v.Population.site))
+          by_class.(v.Population.site) <- trace :: by_class.(v.Population.site));
+    (* The replay stops at the first damaged frame; a journal damaged in
+       place keeps its size, so generation served it as cached. *)
+    if !i < Array.length plan then
+      failwith
+        (Printf.sprintf "dl: population journal %s holds fewer traces than its plan (%d of %d)"
+           file !i (Array.length plan))
   done;
   (* Per-class shuffled cap + 70/30 split, one pre-split generator per
      class in rank order. *)

@@ -74,6 +74,8 @@ val run_population :
     at [max_per_site] samples per site (70/30 split).  Defaults: 80 users,
     100 trees, 15 epochs, 60 samples/site cap.  [?pool] parallelizes
     generation, forest training and the DF minibatch shards; results are
-    identical at any domain count. *)
+    identical at any domain count.  Raises [Failure], naming the shard
+    file, when a shard journal replays more or fewer traces than its plan
+    (damage in place, which generation cannot see). *)
 
 val print_population : population_result -> unit

@@ -300,6 +300,14 @@ let compute_shard c ~universe ~state_dir i =
     site_visits;
   }
 
+(* A shard's stats record vouches for its journal only while the file has
+   exactly the size the record implies — one stat, no read.  A truncated or
+   deleted journal is recomputed; damage that keeps the size is caught by
+   readers that count what they replay against the plan. *)
+let journal_intact ~state_dir (s : shard_stats) =
+  Stob_store.Vfs.unix.file_size (shard_file ~state_dir s.shard)
+  = Some (Journal.size_of ~frames:s.flows ~payload_bytes:s.payload_bytes)
+
 let generate ?(pool = Pool.sequential) ?on_shard c ~state_dir =
   validate c;
   let universe = universe c in
@@ -309,7 +317,9 @@ let generate ?(pool = Pool.sequential) ?on_shard c ~state_dir =
   let cached =
     Array.init c.shards (fun i ->
         match Store.find store (shard_key c i) with
-        | Some (Store.Done payload) -> Some (Marshal.from_string payload 0 : shard_stats)
+        | Some (Store.Done payload) ->
+            let stats : shard_stats = Marshal.from_string payload 0 in
+            if journal_intact ~state_dir stats then Some stats else None
         | Some (Store.Poisoned _) | None -> None)
   in
   let results =
@@ -347,7 +357,7 @@ let generate ?(pool = Pool.sequential) ?on_shard c ~state_dir =
   }
 
 let iter_shard_traces ~state_dir ~shard f =
-  List.iter (fun payload -> f (Packed.of_bytes payload)) (Journal.read (shard_file ~state_dir shard))
+  Journal.iter (shard_file ~state_dir shard) (fun buf len -> f (Packed.of_slice buf len))
 
 let site_visit_table summary =
   let names =

@@ -111,12 +111,16 @@ val generate :
   summary
 (** Generate (or resume) the corpus under [state_dir].  [on_shard] fires
     once per shard in strictly increasing shard order (cached or fresh),
-    after the shard's stats are durably recorded.  Raises [Failure] if the
-    directory belongs to a different run. *)
+    after the shard's stats are durably recorded.  A shard counts as cached
+    only when its stats record exists and its journal has the size that
+    record implies; a truncated or missing journal is recomputed.  Raises
+    [Failure] if the directory belongs to a different run. *)
 
 val iter_shard_traces : state_dir:string -> shard:int -> (Stob_net.Packed_trace.t -> unit) -> unit
-(** Stream one shard's journaled traces, oldest first — O(shard) memory.
-    A missing shard file iterates nothing. *)
+(** Stream one shard's journaled traces, oldest first, each decoded
+    straight from the journal walker's buffer ({!Stob_store.Journal.iter}):
+    O(largest trace) memory beyond what [f] keeps.  A missing shard file
+    iterates nothing, and a damaged one stops at the damage. *)
 
 val site_visit_table : summary -> (string * int) array
 (** Aggregate visits per site name, rank order. *)

@@ -234,20 +234,28 @@ let to_bytes t =
   done;
   Bytes.unsafe_to_string b
 
-let of_bytes s =
-  let fail why = failwith ("Packed_trace.of_bytes: " ^ why) in
+(* [fn] names the public entry point in framing failures. *)
+let decode ~fn b len =
+  let fail why = failwith ("Packed_trace." ^ fn ^ ": " ^ why) in
   let mlen = String.length magic in
-  if String.length s < mlen + 4 || String.sub s 0 mlen <> magic then fail "bad magic";
-  let n = Int32.to_int (String.get_int32_le s mlen) in
-  if n < 0 || String.length s <> mlen + 4 + (n * 12) then fail "bad length";
+  if len < mlen + 4 || Bytes.sub_string b 0 mlen <> magic then fail "bad magic";
+  let n = Int32.to_int (Bytes.get_int32_le b mlen) in
+  if n < 0 || len <> mlen + 4 + (n * 12) then fail "bad length";
   let p = alloc n in
   let off_t = mlen + 4 in
   let off_m = off_t + (n * 8) in
   for i = 0 to n - 1 do
-    BA1.unsafe_set p.times i (Int64.float_of_bits (String.get_int64_le s (off_t + (i * 8))));
-    BA1.unsafe_set p.meta i (String.get_int32_le s (off_m + (i * 4)))
+    BA1.unsafe_set p.times i (Int64.float_of_bits (Bytes.get_int64_le b (off_t + (i * 8))));
+    BA1.unsafe_set p.meta i (Bytes.get_int32_le b (off_m + (i * 4)))
   done;
   p
+
+let of_slice b len =
+  if len < 0 || len > Bytes.length b then invalid_arg "Packed_trace.of_slice";
+  decode ~fn:"of_slice" b len
+
+(* [decode] only reads, so viewing the string as bytes is safe. *)
+let of_bytes s = decode ~fn:"of_bytes" (Bytes.unsafe_of_string s) (String.length s)
 
 let pp_summary fmt t =
   Format.fprintf fmt "%d pkts (%d out / %d in), %d B out, %d B in, %.3f s" (length t)

@@ -75,6 +75,13 @@ val to_bytes : t -> string
 val of_bytes : string -> t
 (** Inverse of {!to_bytes}.  Raises [Failure] on framing errors. *)
 
+val of_slice : bytes -> int -> t
+(** [of_slice buf len] decodes the first [len] bytes of [buf], exactly as
+    {!of_bytes} decodes [Bytes.sub_string buf 0 len] — for payloads lent by
+    [Stob_store.Journal.iter].  The result does not share [buf].  Raises
+    [Invalid_argument] if [len] is outside [[0, Bytes.length buf]] and
+    [Failure] on framing errors. *)
+
 val pp_summary : Format.formatter -> t -> unit
 
 (** {1 Zero-copy bulk access (the k-FP featurizer path)} *)

@@ -1,6 +1,7 @@
 exception Corrupt of string
 
 let magic = "STOBJRNL1\n"
+let size_of ~frames ~payload_bytes = String.length magic + (8 * frames) + payload_bytes
 
 (* A frame length beyond this is treated as a torn/garbage tail rather
    than an instruction to allocate gigabytes. *)
@@ -55,25 +56,30 @@ let write_bytes vfs retry count fd b =
     pos := !pos + n
   done
 
+(* One buffer, one copy: the header, then one blit of the payload.  The
+   frame still leaves in a single [write], so the syscall boundaries a
+   fault plane counts are the same as ever. *)
 let frame payload =
   let len = String.length payload in
-  let b = Buffer.create (len + 8) in
-  let hdr = Bytes.create 8 in
-  Bytes.set_int32_be hdr 0 (Int32.of_int len);
-  Bytes.set_int32_be hdr 4 (Crc32.string payload);
-  Buffer.add_bytes b hdr;
-  Buffer.add_string b payload;
-  Buffer.contents b
+  let b = Bytes.create (8 + len) in
+  Bytes.set_int32_be b 0 (Int32.of_int len);
+  Bytes.set_int32_be b 4 (Crc32.string payload);
+  Bytes.blit_string payload 0 b 8 len;
+  b
 
 type cut = Clean | Torn | Crc_mismatch
 
-type scan = { payloads : string list; valid : int option; size : int; cut : cut }
+type walk = { frames : int; valid : int; size : int; cut : cut }
 
-(* Longest valid prefix of [path], with the cut classified: the replayed
-   payloads plus the byte offset where validity ends ([valid = None] when
-   the file does not exist). *)
-let scan path =
-  if not (Sys.file_exists path) then { payloads = []; valid = None; size = 0; cut = Clean }
+(* The one frame walker behind [open_], [read], [verify] and [iter]: the
+   longest valid prefix of [path], each valid payload lent to [f] as
+   [f buf len], plus the byte offset where validity ends and how the tail
+   was cut ([None] when the file does not exist).  Headers and payloads are
+   read with [really_input] into a buffer owned by this call and grown to
+   the largest frame so far, so a walk allocates per size step, not per
+   frame — and two domains walking at once share nothing. *)
+let walk path f =
+  if not (Sys.file_exists path) then None
   else begin
     let ic = open_in_bin path in
     Fun.protect
@@ -83,37 +89,49 @@ let scan path =
         let ml = String.length magic in
         if size < ml then
           (* torn header: recover to empty *)
-          { payloads = []; valid = Some 0; size; cut = Torn }
+          Some { frames = 0; valid = 0; size; cut = Torn }
         else if really_input_string ic ml <> magic then
           raise (Corrupt (path ^ ": not a stob journal (bad magic)"))
         else begin
-          let records = ref [] in
-          let pos = ref ml in
-          let cut = ref Clean in
-          (try
-             while !pos + 8 <= size do
-               let hdr = Bytes.of_string (really_input_string ic 8) in
-               let len = Int32.to_int (Bytes.get_int32_be hdr 0) in
-               let crc = Bytes.get_int32_be hdr 4 in
-               if len < 0 || len > max_record || !pos + 8 + len > size then begin
-                 cut := Torn;
-                 raise Exit
-               end;
-               let payload = really_input_string ic len in
-               if Crc32.string payload <> crc then begin
-                 cut := Crc_mismatch;
-                 raise Exit
-               end;
-               records := payload :: !records;
-               pos := !pos + 8 + len
-             done;
-             if !pos < size then cut := Torn (* trailing sub-header bytes *)
-           with Exit -> ());
-          { payloads = List.rev !records; valid = Some !pos; size; cut = !cut }
+          let hdr = Bytes.create 8 in
+          let buf = ref Bytes.empty in
+          let frames = ref 0 and pos = ref ml and cut = ref Clean and stop = ref false in
+          while (not !stop) && !pos + 8 <= size do
+            really_input ic hdr 0 8;
+            let len = Int32.to_int (Bytes.get_int32_be hdr 0) in
+            if len < 0 || len > max_record || !pos + 8 + len > size then begin
+              cut := Torn;
+              stop := true
+            end
+            else begin
+              if len > Bytes.length !buf then buf := Bytes.create len;
+              really_input ic !buf 0 len;
+              if not (Int32.equal (Crc32.slice !buf ~pos:0 ~len) (Bytes.get_int32_be hdr 4))
+              then begin
+                cut := Crc_mismatch;
+                stop := true
+              end
+              else begin
+                f !buf len;
+                incr frames;
+                pos := !pos + 8 + len
+              end
+            end
+          done;
+          (* Trailing sub-header bytes. *)
+          if (not !stop) && !pos < size then cut := Torn;
+          Some { frames = !frames; valid = !pos; size; cut = !cut }
         end)
   end
 
-let read path = (scan path).payloads
+(* Replay with the payloads copied out of the walker's buffer. *)
+let replay path =
+  let payloads = ref [] in
+  let w = walk path (fun b len -> payloads := Bytes.sub_string b 0 len :: !payloads) in
+  (w, List.rev !payloads)
+
+let read path = snd (replay path)
+let iter path f = ignore (walk path f)
 
 type scrub = {
   exists : bool;
@@ -125,30 +143,30 @@ type scrub = {
 }
 
 let verify path =
-  let s = scan path in
-  match s.valid with
+  match walk path (fun _ _ -> ()) with
   | None ->
       { exists = false; scrub_frames = 0; scrub_bytes = 0; valid_bytes = 0; torn_bytes = 0;
         crc_mismatch = false }
-  | Some v ->
-      { exists = true; scrub_frames = List.length s.payloads; scrub_bytes = s.size;
-        valid_bytes = v; torn_bytes = s.size - v; crc_mismatch = s.cut = Crc_mismatch }
+  | Some w ->
+      { exists = true; scrub_frames = w.frames; scrub_bytes = w.size; valid_bytes = w.valid;
+        torn_bytes = w.size - w.valid; crc_mismatch = w.cut = Crc_mismatch }
 
 let open_ ?(vfs = Vfs.unix) ?(retry = default_retry) path =
-  let s = scan path in
+  let w, payloads = replay path in
   let count = ref 0 in
-  (match s.valid with
-  | Some v when v < s.size -> with_retry retry count (fun () -> vfs.Vfs.truncate path v)
+  (match w with
+  | Some w when w.valid < w.size ->
+      with_retry retry count (fun () -> vfs.Vfs.truncate path w.valid)
   | Some _ | None -> ());
   let fd = with_retry retry count (fun () -> vfs.Vfs.open_append path) in
-  (match s.valid with
-  | None | Some 0 ->
+  (match w with
+  | None | Some { valid = 0; _ } ->
       write_bytes vfs retry count fd (Bytes.of_string magic);
       with_retry retry count (fun () -> vfs.Vfs.flush fd)
   | Some _ -> ());
-  ( { path; vfs; retry; fd = Some fd; mu = Mutex.create (); frames = List.length s.payloads;
+  ( { path; vfs; retry; fd = Some fd; mu = Mutex.create (); frames = List.length payloads;
       retried = !count },
-    s.payloads )
+    payloads )
 
 let append t payload =
   Mutex.protect t.mu (fun () ->
@@ -159,7 +177,7 @@ let append t payload =
           Fun.protect
             ~finally:(fun () -> t.retried <- t.retried + !count)
             (fun () ->
-              write_bytes t.vfs t.retry count fd (Bytes.of_string (frame payload));
+              write_bytes t.vfs t.retry count fd (frame payload);
               with_retry t.retry count (fun () -> t.vfs.Vfs.flush fd);
               t.frames <- t.frames + 1))
 
@@ -185,7 +203,7 @@ let rewrite ?(vfs = Vfs.unix) ?(retry = default_retry) path payloads =
   let fd = with_retry retry count (fun () -> vfs.Vfs.open_trunc tmp) in
   (try
      write_bytes vfs retry count fd (Bytes.of_string magic);
-     List.iter (fun p -> write_bytes vfs retry count fd (Bytes.of_string (frame p))) payloads;
+     List.iter (fun p -> write_bytes vfs retry count fd (frame p)) payloads;
      with_retry retry count (fun () -> vfs.Vfs.flush fd);
      vfs.Vfs.close fd
    with e ->

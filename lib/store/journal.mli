@@ -15,6 +15,10 @@
     but does not start with the magic is refused ({!Corrupt}) rather than
     clobbered.
 
+    One frame walker sits behind {!open_}, {!read}, {!verify} and
+    {!iter}: it reads each frame into a buffer owned by the call, checks
+    the CRC on that slice ({!Crc32.slice}) and hands the valid frames on.
+
     All writes go through a {!Vfs.t} syscall shim (default {!Vfs.unix})
     with short-write loops and a bounded {!retry} envelope around each
     syscall, so the journal behaves identically under the {!Io_fault}
@@ -67,10 +71,22 @@ val magic : string
 (** The fixed file header.  Exposed so kill/resume tests can compute frame
     offsets and craft torn tails byte-accurately. *)
 
+val size_of : frames:int -> payload_bytes:int -> int
+(** Size of a clean journal holding [frames] records whose payloads total
+    [payload_bytes] bytes: the magic plus an 8-byte header per frame. *)
+
 val read : string -> string list
 (** Read-only replay of the valid record prefix — same recovery rule as
     {!open_} but never truncates or creates the file (what a concurrent
     observer, e.g. a progress poller, must use).  Missing file = []. *)
+
+val iter : string -> (bytes -> int -> unit) -> unit
+(** [iter path f] walks the same valid prefix as {!read}, oldest first, and
+    calls [f buf len] for each record without copying it: the payload is
+    the first [len] bytes of [buf].  [buf] is the walk's own reusable
+    buffer, so it is valid only during that call of [f] — decode it there,
+    or copy it out.  Read-only, like {!read}; an exception from [f] ends
+    the walk and propagates.  Missing file = no calls. *)
 
 type scrub = {
   exists : bool;

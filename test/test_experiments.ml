@@ -293,6 +293,64 @@ let test_population_jobs_parity () =
           done;
           Alcotest.(check int) "streamed corpus complete" seq.Population.flows !streamed))
 
+(* A small corpus under Dl.run_population's own config, so the same state
+   directory serves both generation and the attack replay. *)
+let damage_config = { Population.default_config with Population.users = 40; seed = 7; shards = 4 }
+
+let damage_shard0 dir how =
+  let file = Population.shard_file ~state_dir:dir 0 in
+  match how with
+  | `Truncate -> Unix.truncate file (((Unix.stat file).Unix.st_size / 2) + 3)
+  | `Delete -> Sys.remove file
+
+(* A cached shard whose journal was cut short or deleted is recomputed
+   whole; before, generation trusted the stats record and the corpus
+   silently lost traces. *)
+let test_population_damaged_shard_recomputed () =
+  List.iter
+    (fun (what, how) ->
+      with_pop_dir (fun dir ->
+          let fresh = Population.generate damage_config ~state_dir:dir in
+          let shard_bytes =
+            List.init damage_config.Population.shards (fun i ->
+                read_file (Population.shard_file ~state_dir:dir i))
+          in
+          damage_shard0 dir how;
+          let resumed = Population.generate damage_config ~state_dir:dir in
+          Alcotest.(check int) (what ^ ": only the damaged shard recomputed")
+            (damage_config.Population.shards - 1)
+            resumed.Population.cached_shards;
+          Alcotest.(check string) (what ^ ": corpus digest as fresh") fresh.Population.corpus_digest
+            resumed.Population.corpus_digest;
+          List.iteri
+            (fun i want ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: shard %d bytes as fresh" what i)
+                true
+                (read_file (Population.shard_file ~state_dir:dir i) = want))
+            shard_bytes))
+    [ ("truncated", `Truncate); ("deleted", `Delete) ]
+
+(* Damage in place keeps the journal's size, so generation serves it as
+   cached; the attack replay must refuse the short corpus. *)
+let test_population_flipped_byte_refused () =
+  with_pop_dir (fun dir ->
+      ignore (Population.generate damage_config ~state_dir:dir);
+      let file = Population.shard_file ~state_dir:dir 0 in
+      let bytes = Bytes.of_string (read_file file) in
+      let at = String.length Stob_store.Journal.magic + 8 + 10 in
+      Bytes.set bytes at (Char.chr (Char.code (Bytes.get bytes at) lxor 0xff));
+      Out_channel.with_open_bin file (fun oc -> Out_channel.output_bytes oc bytes);
+      match
+        Dl.run_population ~users:damage_config.Population.users ~seed:damage_config.Population.seed
+          ~trees:2 ~epochs:1 ~quiet:true ~state_dir:dir ()
+      with
+      | _ -> Alcotest.fail "run_population trained on a damaged shard journal"
+      | exception Failure msg ->
+          let mentions sub = Re.execp (Re.compile (Re.str sub)) msg in
+          Alcotest.(check bool) ("failure names the shard file: " ^ msg) true (mentions file);
+          Alcotest.(check bool) "failure says fewer traces" true (mentions "fewer traces"))
+
 let suite =
   [
     ( "experiments",
@@ -314,5 +372,9 @@ let suite =
           test_population_plan_deterministic;
         Alcotest.test_case "jobs parity, resume, and streaming" `Slow
           test_population_jobs_parity;
+        Alcotest.test_case "truncated or deleted shard recomputed" `Quick
+          test_population_damaged_shard_recomputed;
+        Alcotest.test_case "shard damaged in place refused" `Quick
+          test_population_flipped_byte_refused;
       ] );
   ]

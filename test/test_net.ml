@@ -367,6 +367,43 @@ let prop_packed_bytes_roundtrip =
       let p = Packed.of_trace t in
       Packed.to_trace (Packed.of_bytes (Packed.to_bytes p)) = t)
 
+(* The journal replay decodes from the walker's reusable buffer, which is
+   longer than the payload and holds stale bytes past it. *)
+let prop_packed_slice_decode =
+  QCheck.Test.make ~name:"slice decode equals of_bytes" ~count:300
+    QCheck.(pair arbitrary_messy_trace (int_range 0 64))
+    (fun (t, extra) ->
+      let s = Packed.to_bytes (Packed.of_trace t) in
+      let len = String.length s in
+      let buf = Bytes.make (len + extra) '\xa5' in
+      Bytes.blit_string s 0 buf 0 len;
+      Packed.to_trace (Packed.of_slice buf len) = Packed.to_trace (Packed.of_bytes s))
+
+let test_packed_slice_rejects () =
+  let good = Packed.to_bytes (Packed.of_trace (Trace.sort (sample_trace ()))) in
+  (* Each entry point names itself in the failure. *)
+  let fails fn f =
+    match f () with
+    | _ -> false
+    | exception Failure msg -> String.starts_with ~prefix:("Packed_trace." ^ fn ^ ": ") msg
+  in
+  let on_slice s = Packed.of_slice (Bytes.of_string (s ^ "trailing")) (String.length s) in
+  let bad_magic = "X" ^ String.sub good 1 (String.length good - 1) in
+  let short = String.sub good 0 (String.length good - 1) in
+  let long = good ^ "\x00" in
+  List.iter
+    (fun (what, s) ->
+      Alcotest.(check bool) (what ^ ": of_bytes rejects") true
+        (fails "of_bytes" (fun () -> Packed.of_bytes s));
+      Alcotest.(check bool) (what ^ ": of_slice rejects") true
+        (fails "of_slice" (fun () -> on_slice s)))
+    [ ("bad magic", bad_magic); ("too short for its count", short);
+      ("too long for its count", long); ("shorter than the header", "SPKT1") ];
+  Alcotest.check_raises "slice past the buffer" (Invalid_argument "Packed_trace.of_slice")
+    (fun () -> ignore (Packed.of_slice (Bytes.of_string good) (String.length good + 1)));
+  Alcotest.check_raises "negative slice" (Invalid_argument "Packed_trace.of_slice") (fun () ->
+      ignore (Packed.of_slice (Bytes.of_string good) (-1)))
+
 let test_packed_save_load_parity () =
   let t = Trace.sort (sample_trace ()) in
   let p = Packed.of_trace t in
@@ -461,5 +498,7 @@ let suite =
         q prop_packed_sort_concat_agree;
         q prop_sort_fast_path;
         q prop_packed_bytes_roundtrip;
+        q prop_packed_slice_decode;
+        Alcotest.test_case "slice decoder rejects bad framing" `Quick test_packed_slice_rejects;
       ] );
   ]

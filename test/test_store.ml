@@ -216,6 +216,153 @@ let test_journal_verify () =
   Alcotest.(check bool) "flip: CRC mismatch flagged" true s.Journal.crc_mismatch;
   Alcotest.(check int) "flip: no frame survives" 0 s.Journal.scrub_frames
 
+(* --- CRC-32 and the frame walker ----------------------------------------- *)
+
+module Crc32 = Stob_store.Crc32
+
+let test_crc_vectors () =
+  let check what want s =
+    Alcotest.(check int32) what want (Crc32.string s);
+    (* The same bytes as a slice in the middle of a larger buffer. *)
+    let b = Bytes.of_string ("<<" ^ s ^ ">>>") in
+    Alcotest.(check int32) (what ^ " (slice)") want (Crc32.slice b ~pos:2 ~len:(String.length s))
+  in
+  check "empty" 0l "";
+  check "check value" 0xCBF43926l "123456789";
+  check "fox" 0x414FA339l "The quick brown fox jumps over the lazy dog";
+  let b = Bytes.create 10 in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "slice pos %d len %d out of range" pos len)
+        (Invalid_argument "Crc32.slice")
+        (fun () -> ignore (Crc32.slice b ~pos ~len)))
+    [ (-1, 2); (0, -1); (0, 11); (5, 6); (11, 0); (max_int, 1) ]
+
+(* Random strings, every slice length 0..16 (so each tail length after the
+   8-byte blocks occurs) plus one random slice, all against the seed
+   bytewise CRC. *)
+let prop_crc_oracle =
+  QCheck.Test.make ~name:"sliced CRC equals the bytewise Int32 original" ~count:300
+    QCheck.(triple (string_of_size Gen.(0 -- 600)) small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let bytes = Bytes.of_string s in
+      let agrees pos len =
+        Crc32.slice bytes ~pos ~len = Crc32_reference.string (String.sub s pos len)
+      in
+      let pos = a mod (n + 1) in
+      let len = b mod (n - pos + 1) in
+      Crc32.string s = Crc32_reference.string s
+      && agrees pos len
+      && List.for_all (fun l -> pos + l > n || agrees pos l) (List.init 17 Fun.id))
+
+let test_crc_allocation () =
+  let mib = 1 lsl 20 in
+  let s = String.init mib (fun i -> Char.chr ((i * 7919) land 0xff)) in
+  let b = Bytes.of_string s in
+  let words f =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. before
+  in
+  let w_string = words (fun () -> Crc32.string s) in
+  let w_slice = words (fun () -> Crc32.slice b ~pos:1 ~len:(mib - 1)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "Crc32.string over 1 MiB: %.0f minor words < 64" w_string)
+    true (w_string < 64.);
+  Alcotest.(check bool)
+    (Printf.sprintf "Crc32.slice over 1 MiB: %.0f minor words < 64" w_slice)
+    true (w_slice < 64.)
+
+(* Walker property: a journal of random payloads (empty ones, and ones past
+   4 KiB so the walk buffer must grow) takes one damage; [read], the
+   payloads [iter] lends, [verify] and [open_] must all agree with the
+   undamaged prefix worked out from the frame offsets. *)
+let gen_payload =
+  QCheck.Gen.(
+    map2
+      (fun len seed -> String.init len (fun j -> Char.chr ((seed + (j * 31)) land 0xff)))
+      (frequency [ (1, return 0); (4, int_range 1 200); (2, int_range 4097 9000) ])
+      (int_bound 255))
+
+let gen_damage = QCheck.Gen.(quad (int_bound 3) nat nat (int_range 1 7))
+
+let arbitrary_walk =
+  QCheck.make
+    ~print:(fun (ps, (kind, a, b, g)) ->
+      Printf.sprintf "payload lengths [%s], damage (%d, %d, %d, %d)"
+        (String.concat "; " (List.map (fun p -> string_of_int (String.length p)) ps))
+        kind a b g)
+    QCheck.Gen.(pair (list_size (int_bound 8) gen_payload) gen_damage)
+
+let prop_walker_agrees =
+  let dir = lazy (fresh_dir ()) in
+  let case = ref 0 in
+  QCheck.Test.make ~name:"read, iter, verify and open_ agree on one damaged journal" ~count:200
+    arbitrary_walk (fun (payloads, (kind, a, b, g)) ->
+      incr case;
+      let path = Filename.concat (Lazy.force dir) (Printf.sprintf "w%03d.stob" !case) in
+      let j, _ = Journal.open_ path in
+      List.iter (Journal.append j) payloads;
+      Journal.close j;
+      let ml = String.length Journal.magic in
+      let lens = Array.of_list (List.map String.length payloads) in
+      let n = Array.length lens in
+      (* offsets.(k): where frame k starts; offsets.(n): the clean size. *)
+      let offsets = Array.make (n + 1) ml in
+      Array.iteri (fun k len -> offsets.(k + 1) <- offsets.(k) + 8 + len) lens;
+      let size = offsets.(n) in
+      let with_payload = List.filter (fun k -> lens.(k) > 0) (List.init n Fun.id) in
+      let flip at =
+        let bytes = Bytes.of_string (read_file path) in
+        Bytes.set bytes at (Char.chr (Char.code (Bytes.get bytes at) lxor 0x5a));
+        write_file path (Bytes.to_string bytes)
+      in
+      (* Damage the file; expect (frames kept, valid bytes, CRC mismatch). *)
+      let kept, valid, mismatch =
+        match kind with
+        | 1 when n > 0 ->
+            let k = a mod n in
+            flip (offsets.(k) + 4 + (b mod 4));
+            (k, offsets.(k), true)
+        | 2 when with_payload <> [] ->
+            let k = List.nth with_payload (a mod List.length with_payload) in
+            flip (offsets.(k) + 8 + (b mod lens.(k)));
+            (k, offsets.(k), true)
+        | 3 ->
+            append_bytes path (String.make g '\x07');
+            (n, size, false)
+        | _ ->
+            let t = a mod (size + 1) in
+            Unix.truncate path t;
+            if t < ml then (0, 0, false)
+            else
+              let k = ref 0 in
+              while !k < n && offsets.(!k + 1) <= t do
+                incr k
+              done;
+              (!k, offsets.(!k), false)
+      in
+      let want = List.filteri (fun i _ -> i < kept) payloads in
+      let damaged_size = (Unix.stat path).Unix.st_size in
+      let read = Journal.read path in
+      let lent = ref [] in
+      Journal.iter path (fun buf len -> lent := Bytes.sub_string buf 0 len :: !lent);
+      let s = Journal.verify path in
+      let j, replayed = Journal.open_ path in
+      Journal.close j;
+      read = want
+      && List.rev !lent = want
+      && s.Journal.exists
+      && s.Journal.scrub_frames = kept
+      && s.Journal.valid_bytes = valid
+      && s.Journal.scrub_bytes = damaged_size
+      && s.Journal.torn_bytes = damaged_size - valid
+      && s.Journal.crc_mismatch = mismatch
+      && replayed = want
+      && (Unix.stat path).Unix.st_size = (if valid = 0 then ml else valid))
+
 (* --- fault plane: short writes, retries, crash, degradation ------------- *)
 
 let no_backoff attempts = { Journal.attempts; backoff_s = 0. }
@@ -746,6 +893,13 @@ let suite =
         Alcotest.test_case "open recovery edge cases" `Quick test_journal_open_edges;
         Alcotest.test_case "no resync past a tear" `Quick test_journal_no_resync_past_tear;
         Alcotest.test_case "verify scrub walk" `Quick test_journal_verify;
+        QCheck_alcotest.to_alcotest prop_walker_agrees;
+      ] );
+    ( "store.crc32",
+      [
+        Alcotest.test_case "standard vectors and slice bounds" `Quick test_crc_vectors;
+        QCheck_alcotest.to_alcotest prop_crc_oracle;
+        Alcotest.test_case "no allocation per byte" `Quick test_crc_allocation;
       ] );
     ( "store.fault",
       [
