@@ -1,9 +1,11 @@
 (* stobctl: command-line interface to the Stob reproduction.
 
    Subcommands cover the whole pipeline: dataset generation, the k-FP
-   attack, defenses and overheads, the throughput experiments, the chaos
-   battery, and the architecture renderings.  `stobctl <cmd> --help`
-   documents each.
+   attack, every table and figure of the paper and the extensions (each
+   with a reduced --quick size, and `all` for the lot), the crash-safe
+   sweep tools, the pass/fail batteries (chaos, soak, store-chaos,
+   population-soak, netem) and the kernel gates (`perf`).
+   `stobctl <cmd> --help` documents each.
 
    Argument validation lives entirely in Cmdliner converters: a bad value
    is a parse error (exit code 124, documented under EXIT STATUS) rather
@@ -23,9 +25,9 @@ module Sv = Stob_store.Supervisor
 let exits =
   Cmd.Exit.info 1
     ~doc:
-      "on a failed evaluation gate: a netem cell failed to converge, or a chaos cell crashed, \
-       livelocked, left its page load incomplete, or (no-fault cells) reported an invariant \
-       violation.  Also: a sweep run with $(b,--strict) that recorded poisoned cells, \
+      "on a failed evaluation gate: a gate of a battery ($(b,chaos), $(b,soak), \
+       $(b,store-chaos), $(b,population-soak), $(b,netem)) or of a kernel ($(b,perf)) failed.  \
+       Also: a sweep run with $(b,--strict) that recorded poisoned cells, \
        $(b,gen-dataset) refusing to overwrite an existing export, \
        $(b,resume)/$(b,status)/$(b,scrub)/$(b,compact) on a state directory that is missing, \
        empty, or not a stob sweep (foreign journal magic), and $(b,scrub) without \
@@ -87,7 +89,7 @@ let with_jobs jobs f =
   else Stob_par.Pool.with_pool ~domains:jobs (fun pool -> f (Some pool))
 
 (* Crash-safe sweep options, shared by every supervised experiment
-   (table2, fig3, openworld, pareto, resume). *)
+   (table2, fig3, openworld, pareto, dl, resume). *)
 
 let state_dir_arg =
   let doc =
@@ -109,6 +111,15 @@ let strict_arg =
      complete)."
   in
   Arg.(value & flag & info [ "strict" ] ~doc)
+
+type sweep = { state_dir : string option; retries : int; strict : bool }
+
+let no_sweep = { state_dir = None; retries = 0; strict = false }
+
+let sweep_arg =
+  Term.(
+    const (fun state_dir retries strict -> { state_dir; retries; strict })
+    $ state_dir_arg $ retries_arg $ strict_arg)
 
 let with_store state_dir f =
   match state_dir with
@@ -135,6 +146,14 @@ let finish_sweep ~strict = function
       Format.eprintf "@[sweep: %a@]@." Sv.pp_report r;
       if strict && r.Sv.poisoned <> [] then exit 1
 
+(* [run store on_report] under the sweep options: journaled under
+   --state-dir, tallied, and failed on poison under --strict. *)
+let supervised sw run =
+  with_store sw.state_dir (fun store ->
+      let report = ref None in
+      run store (fun r -> report := Some r);
+      finish_sweep ~strict:sw.strict !report)
+
 let samples =
   let doc = "Page-load samples to generate per site." in
   Arg.(value & opt (pos_int_conv ~docv:"N") 100 & info [ "samples" ] ~docv:"N" ~doc)
@@ -146,6 +165,33 @@ let folds =
 let trees =
   let doc = "Random-forest size." in
   Arg.(value & opt (pos_int_conv ~docv:"N") 100 & info [ "trees" ] ~docv:"N" ~doc)
+
+(* Artifact sizes.  An artifact's full size is its library default, passed
+   on only when a flag sets it; its reduced size is written once, in its
+   command, and selected by --quick.  An explicit size flag overrides
+   either. *)
+
+let quick =
+  Arg.(
+    value & flag
+    & info [ "quick" ]
+        ~doc:
+          "Run the reduced size (CI-sized); an explicit size flag, where the command has one, \
+           still takes precedence.")
+
+(* A flag that, unset, leaves the callee's default in place. *)
+let opt_flag c names ~docv ~doc = Arg.(value & opt (some c) None & info names ~docv ~doc)
+
+let size names ~docv ~doc = opt_flag (pos_int_conv ~docv) names ~docv ~doc
+
+let samples_size = size [ "samples" ] ~docv:"N" ~doc:"Page-load samples per site."
+let trees_size = size [ "trees" ] ~docv:"N" ~doc:"Random-forest size."
+let folds_size = size [ "folds" ] ~docv:"K" ~doc:"Cross-validation folds."
+let sized ~quick reduced v = match v with Some _ -> v | None -> if quick then Some reduced else None
+
+let artifact_seed =
+  opt_flag Arg.int [ "seed" ] ~docv:"SEED"
+    ~doc:"Seed for all pseudo-randomness; unset, the experiment's own default seed applies."
 
 (* Resolves to (name, profile) at parse time: an unknown site is a usage
    error, not a mid-run crash. *)
@@ -196,14 +242,6 @@ let policy_arg =
 
 (* --- gen-dataset ------------------------------------------------------ *)
 
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | true ->
-      Array.iter (fun entry -> rm_rf (Filename.concat path entry)) (Sys.readdir path);
-      Unix.rmdir path
-  | false -> Sys.remove path
-  | exception Sys_error _ -> ()
-
 let gen_dataset out samples seed policy jobs =
   (* The export appears atomically: traces and labels.csv are staged in a
      temp directory that is renamed into place only when complete, so a
@@ -241,7 +279,7 @@ let gen_dataset out samples seed policy jobs =
      close_out labels;
      Sys.rename tmp out
    with e ->
-     rm_rf tmp;
+     Tmp.rm_rf tmp;
      raise e);
   Printf.printf "wrote %d sanitized traces (+labels.csv) to %s/\n"
     (Array.length clean.Stob_web.Dataset.samples)
@@ -322,7 +360,11 @@ let policies_cmd =
   Cmd.v (cmd_info "policies" ~doc:"List the built-in obfuscation policies")
     Term.(const policies $ const ())
 
-(* --- experiment wrappers ---------------------------------------------- *)
+(* --- artifacts ------------------------------------------------------------ *)
+
+(* One function per artifact: [~quick] picks the reduced size written here,
+   and a size the caller sets overrides it.  [all] runs them in order with
+   a banner each. *)
 
 let table1 () = Table1.print (Table1.run ())
 
@@ -330,31 +372,41 @@ let table1_cmd =
   Cmd.v (cmd_info "table1" ~doc:"Reproduce Table 1 (defense taxonomy + measured overheads)")
     Term.(const table1 $ const ())
 
-let table2 samples folds trees seed jobs state_dir retries strict =
-  let config = { Table2.default_config with samples_per_site = samples; folds; forest_trees = trees; seed } in
-  with_jobs jobs (fun pool ->
-      with_store state_dir (fun store ->
-          let report = ref None in
-          Table2.print
-            (Table2.run ~config ?pool ?store ~retries ~on_report:(fun r -> report := Some r) ());
-          finish_sweep ~strict !report))
+let table2 ?samples ?folds ?trees ?seed ?(sweep = no_sweep) ~quick pool =
+  let d = Table2.default_config in
+  let v reduced x full = Option.value (sized ~quick reduced x) ~default:full in
+  let config =
+    {
+      d with
+      Table2.samples_per_site = v 20 samples d.Table2.samples_per_site;
+      folds = v 3 folds d.Table2.folds;
+      forest_trees = v 40 trees d.Table2.forest_trees;
+      seed = Option.value seed ~default:d.Table2.seed;
+    }
+  in
+  supervised sweep (fun store on_report ->
+      Table2.print (Table2.run ~config ?pool ?store ~retries:sweep.retries ~on_report ()))
 
 let table2_cmd =
   Cmd.v (cmd_info "table2" ~doc:"Reproduce Table 2 (k-FP accuracy under countermeasures)")
     Term.(
-      const table2 $ samples $ folds $ trees $ seed $ jobs $ state_dir_arg $ retries_arg
-      $ strict_arg)
+      const (fun quick samples folds trees seed jobs sweep ->
+          with_jobs jobs (table2 ?samples ?folds ?trees ?seed ~sweep ~quick))
+      $ quick $ samples_size $ folds_size $ trees_size $ artifact_seed $ jobs $ sweep_arg)
 
-let fig3 jobs state_dir retries strict =
-  with_jobs jobs (fun pool ->
-      with_store state_dir (fun store ->
-          let report = ref None in
-          Fig3.print (Fig3.run ?pool ?store ~retries ~on_report:(fun r -> report := Some r) ());
-          finish_sweep ~strict !report))
+let fig3 ?(sweep = no_sweep) ~quick pool =
+  let config =
+    if quick then { Fig3.default_config with Fig3.alphas = [ 0; 8; 16; 24; 32; 40 ] }
+    else Fig3.default_config
+  in
+  supervised sweep (fun store on_report ->
+      Fig3.print (Fig3.run ~config ?pool ?store ~retries:sweep.retries ~on_report ()))
 
 let fig3_cmd =
   Cmd.v (cmd_info "fig3" ~doc:"Reproduce Figure 3 (throughput under packet/TSO adjustment)")
-    Term.(const fig3 $ jobs $ state_dir_arg $ retries_arg $ strict_arg)
+    Term.(
+      const (fun quick jobs sweep -> with_jobs jobs (fig3 ~sweep ~quick))
+      $ quick $ jobs $ sweep_arg)
 
 let arch () =
   Arch.print_figure1 ();
@@ -365,125 +417,180 @@ let arch_cmd =
   Cmd.v (cmd_info "arch" ~doc:"Render Figures 1 and 2 (stack model and Stob architecture)")
     Term.(const arch $ const ())
 
-let ablation_stack samples trees =
-  Ablation.print_fidelity (Ablation.run_fidelity ~samples_per_site:samples ~trees ())
+let ablation_stack ?samples ?trees ~quick () =
+  Ablation.print_fidelity
+    (Ablation.run_fidelity ?samples_per_site:(sized ~quick 15 samples)
+       ?trees:(sized ~quick 40 trees) ())
 
 let ablation_stack_cmd =
-  let samples =
-    Arg.(value & opt int 40 & info [ "samples" ] ~docv:"N" ~doc:"Samples per site.")
-  in
   Cmd.v (cmd_info "ablation-stack" ~doc:"E6: emulated vs. in-stack enforcement")
-    Term.(const ablation_stack $ samples $ trees)
+    Term.(
+      const (fun quick samples trees -> ablation_stack ?samples ?trees ~quick ())
+      $ quick $ samples_size $ trees_size)
 
 let ablation_cca () = Ablation.print_cca (Ablation.run_cca ())
-
-let ablation_quic samples trees =
-  Ablation.print_transport (Ablation.run_transport ~samples_per_site:samples ~trees ())
-
-let ablation_quic_cmd =
-  let samples =
-    Arg.(value & opt int 40 & info [ "samples" ] ~docv:"N" ~doc:"Samples per site.")
-  in
-  Cmd.v (cmd_info "ablation-quic" ~doc:"E8b: TCP vs QUIC fingerprintability")
-    Term.(const ablation_quic $ samples $ trees)
 
 let ablation_cca_cmd =
   Cmd.v (cmd_info "ablation-cca" ~doc:"E7: CCA interplay and the safety audit")
     Term.(const ablation_cca $ const ())
 
-let openworld samples trees seed jobs state_dir retries strict =
-  with_jobs jobs (fun pool ->
-      with_store state_dir (fun store ->
-          let report = ref None in
-          Openworld.print
-            (Openworld.run ~samples_per_site:samples ~trees ~seed ?pool ?store ~retries
-               ~on_report:(fun r -> report := Some r)
-               ());
-          finish_sweep ~strict !report))
+let ablation_quic ?samples ?trees ~quick () =
+  Ablation.print_transport
+    (Ablation.run_transport ?samples_per_site:(sized ~quick 15 samples)
+       ?trees:(sized ~quick 40 trees) ())
+
+let ablation_quic_cmd =
+  Cmd.v (cmd_info "ablation-quic" ~doc:"E8b: TCP vs QUIC fingerprintability")
+    Term.(
+      const (fun quick samples trees -> ablation_quic ?samples ?trees ~quick ())
+      $ quick $ samples_size $ trees_size)
+
+let openworld ?samples ?trees ?seed ?(sweep = no_sweep) ~quick pool =
+  supervised sweep (fun store on_report ->
+      Openworld.print
+        (Openworld.run ?samples_per_site:(sized ~quick 12 samples) ?trees:(sized ~quick 40 trees)
+           ?seed ?pool ?store ~retries:sweep.retries ~on_report ()))
 
 let openworld_cmd =
-  let samples =
-    Arg.(value & opt int 30 & info [ "samples" ] ~docv:"N" ~doc:"Samples per monitored site.")
-  in
   Cmd.v
     (cmd_info "openworld" ~doc:"Open-world k-FP evaluation against unseen background sites")
     Term.(
-      const openworld $ samples $ trees $ seed $ jobs $ state_dir_arg $ retries_arg $ strict_arg)
+      const (fun quick samples trees seed jobs sweep ->
+          with_jobs jobs (openworld ?samples ?trees ?seed ~sweep ~quick))
+      $ quick $ samples_size $ trees_size $ artifact_seed $ jobs $ sweep_arg)
 
-let pareto samples trees folds seed jobs state_dir retries strict =
-  with_jobs jobs (fun pool ->
-      with_store state_dir (fun store ->
-          let report = ref None in
-          Pareto.print
-            (Pareto.run ~samples_per_site:samples ~trees ~folds ~seed ?pool ?store ~retries
-               ~on_report:(fun r -> report := Some r)
-               ());
-          finish_sweep ~strict !report))
+let pareto ?samples ?trees ?folds ?seed ?(sweep = no_sweep) ~quick pool =
+  supervised sweep (fun store on_report ->
+      Pareto.print
+        (Pareto.run ?samples_per_site:(sized ~quick 12 samples) ?trees:(sized ~quick 40 trees)
+           ?folds ?seed ?pool ?store ~retries:sweep.retries ~on_report ()))
 
 let pareto_cmd =
-  let samples =
-    Arg.(value & opt int 30 & info [ "samples" ] ~docv:"N" ~doc:"Samples per site.")
-  in
-  let folds =
-    Arg.(value & opt (pos_int_conv ~docv:"K") 3 & info [ "folds" ] ~docv:"K" ~doc:"Cross-validation folds.")
-  in
   Cmd.v
     (cmd_info "pareto"
        ~doc:"Sweep Stob policies and report the protection-vs-overhead Pareto frontier")
-    Term.(const pareto $ samples $ trees $ folds $ seed $ jobs $ state_dir_arg $ retries_arg $ strict_arg)
+    Term.(
+      const (fun quick samples trees folds seed jobs sweep ->
+          with_jobs jobs (pareto ?samples ?trees ?folds ?seed ~sweep ~quick))
+      $ quick $ samples_size $ trees_size $ folds_size $ artifact_seed $ jobs $ sweep_arg)
 
-let dl samples trees epochs seed population users jobs state_dir retries strict =
-  with_jobs jobs (fun pool ->
-      if population then begin
-        let dir =
-          match state_dir with
-          | Some d -> d
-          | None ->
-              Printf.eprintf
-                "stobctl dl: --population needs --state-dir (the corpus is generated, and \
-                 resumed, there)\n";
-              exit 1
-        in
-        Dl.print_population (Dl.run_population ~users ~trees ~epochs ~seed ?pool ~state_dir:dir ())
-      end
-      else
-        with_store state_dir (fun store ->
-            let report = ref None in
-            Dl.print
-              (Dl.run ~samples_per_site:samples ~trees ~epochs ~seed ?pool ?store ~retries
-                 ~on_report:(fun r -> report := Some r)
-                 ());
-            finish_sweep ~strict !report))
+(* The population variant generates (or resumes) its packed corpus under
+   --state-dir; without it the corpus is scratch, in a fresh temporary
+   directory removed however the run ends. *)
+let dl ?samples ?trees ?epochs ?seed ?(population = false) ?users ?(sweep = no_sweep) ~quick pool =
+  let trees = sized ~quick 40 trees in
+  if population then begin
+    let run state_dir =
+      Dl.print_population
+        (Dl.run_population ?users:(sized ~quick 40 users) ?trees ?epochs:(sized ~quick 8 epochs)
+           ?seed ?pool ~state_dir ())
+    in
+    match sweep.state_dir with Some dir -> run dir | None -> Tmp.with_dir "stob-dl-pop." run
+  end
+  else
+    supervised sweep (fun store on_report ->
+        Dl.print
+          (Dl.run ?samples_per_site:(sized ~quick 15 samples) ?trees
+             ?epochs:(sized ~quick 10 epochs) ?seed ?pool ?store ~retries:sweep.retries ~on_report
+             ()))
 
 let dl_cmd =
-  let samples =
-    Arg.(value & opt (pos_int_conv ~docv:"N") 60 & info [ "samples" ] ~docv:"N" ~doc:"Samples per site.")
-  in
-  let epochs =
-    Arg.(value & opt (pos_int_conv ~docv:"N") 30 & info [ "epochs" ] ~docv:"N" ~doc:"DF-net training epochs.")
-  in
+  let epochs = size [ "epochs" ] ~docv:"N" ~doc:"DF-net training epochs." in
   let population =
     Arg.(
       value & flag
       & info [ "population" ]
           ~doc:
-            "Evaluate on the population-scale packed corpus (generated crash-safely under \
-             --state-dir) instead of the standard per-site corpus.")
+            "Evaluate on the population-scale packed corpus instead of the standard per-site \
+             corpus.  The corpus is generated crash-safely under --state-dir, or in a temporary \
+             directory removed at exit.")
   in
-  let users =
-    Arg.(
-      value
-      & opt (pos_int_conv ~docv:"N") 80
-      & info [ "users" ] ~docv:"N" ~doc:"Population size for --population.")
-  in
+  let users = size [ "users" ] ~docv:"N" ~doc:"Population size for --population." in
   Cmd.v
     (cmd_info "dl"
        ~doc:
          "Deep-learning (DF-lite CNN) vs feature-engineered (k-FP) attacks, undefended and \
           under the combined defense")
     Term.(
-      const dl $ samples $ trees $ epochs $ seed $ population $ users $ jobs $ state_dir_arg
-      $ retries_arg $ strict_arg)
+      const (fun quick samples trees epochs seed population users jobs sweep ->
+          with_jobs jobs (dl ?samples ?trees ?epochs ?seed ~population ?users ~sweep ~quick))
+      $ quick $ samples_size $ trees_size $ epochs $ artifact_seed $ population $ users $ jobs $ sweep_arg)
+
+let cca_id ?flows ?trees ~quick () =
+  Cca_id.print (Cca_id.run ?flows_per_cca:(sized ~quick 15 flows) ?trees:(sized ~quick 50 trees) ())
+
+let cca_id_cmd =
+  let flows = size [ "flows" ] ~docv:"N" ~doc:"Flows per CCA." in
+  Cmd.v (cmd_info "cca-id" ~doc:"Passive CCA identification and Stob hiding (Section 5.2)")
+    Term.(
+      const (fun quick flows trees -> cca_id ?flows ?trees ~quick ()) $ quick $ flows $ trees_size)
+
+let httpos ?samples ?trees ~quick () =
+  Httpos.print
+    (Httpos.run ?samples_per_site:(sized ~quick 12 samples) ?trees:(sized ~quick 40 trees) ())
+
+let httpos_cmd =
+  Cmd.v
+    (cmd_info "httpos" ~doc:"HTTPOS-style client-side defense: protection vs load-time cost")
+    Term.(
+      const (fun quick samples trees -> httpos ?samples ?trees ~quick ())
+      $ quick $ samples_size $ trees_size)
+
+let importance ?samples ?trees ~quick () =
+  Importance.print
+    (Importance.run ?samples_per_site:(sized ~quick 12 samples) ?trees:(sized ~quick 40 trees) ())
+
+let importance_cmd =
+  Cmd.v (cmd_info "importance" ~doc:"Feature importance before/after defense")
+    Term.(
+      const (fun quick samples trees -> importance ?samples ?trees ~quick ())
+      $ quick $ samples_size $ trees_size)
+
+let early_curve ~quick () =
+  Earlycurve.print
+    (if quick then Earlycurve.run ~samples_per_site:15 ~trees:40 () else Earlycurve.run ())
+
+let early_curve_cmd =
+  Cmd.v
+    (cmd_info "early-curve"
+       ~doc:"Early-detection curve: k-FP accuracy on the first N packets (censorship setting)")
+    Term.(const (fun quick -> early_curve ~quick ()) $ quick)
+
+(* Every table and figure, in the paper's order, each under a banner. *)
+let all quick jobs =
+  let rule = String.make 60 '=' in
+  with_jobs jobs @@ fun pool ->
+  List.iter
+    (fun (title, run) ->
+      Printf.printf "\n%s\n%s\n%s\n" rule title rule;
+      run ())
+    [
+      ("Figure 1 (E4): the stack model", Arch.print_figure1);
+      ("Figure 2 (E5): the Stob architecture", Arch.print_figure2);
+      ("Table 1 (E3/E8): defense taxonomy with measured overheads", table1);
+      ("Figure 3 (E2): throughput under packet/TSO size adjustment", fun () -> fig3 ~quick pool);
+      ("Ablation E7: CCA interplay and safety audit", ablation_cca);
+      ("Table 2 (E1): k-FP accuracy under emulated countermeasures", fun () -> table2 ~quick pool);
+      ("Ablation E6: emulated vs. in-stack enforcement", fun () -> ablation_stack ~quick ());
+      ("Ablation E8b: TCP vs QUIC fingerprintability", fun () -> ablation_quic ~quick ());
+      ("Extension: open-world evaluation (k-FP's native setting)", fun () -> openworld ~quick pool);
+      ("Extension: CCA identification (Section 5.2)", fun () -> cca_id ~quick ());
+      ( "Extension: HTTPOS-style client-side defense and its cost (Section 2.3)",
+        fun () -> httpos ~quick () );
+      ("Extension: feature importance under defense", fun () -> importance ~quick ());
+      ("Extension: early-detection curve (censorship setting)", fun () -> early_curve ~quick ());
+      ("Extension: deep-learning vs feature-engineered attacks", fun () -> dl ~quick pool);
+      ( "Extension: Stob policy sweep (protection vs overhead frontier)",
+        fun () -> pareto ~quick pool );
+    ]
+
+let all_cmd =
+  Cmd.v
+    (cmd_info "all"
+       ~doc:
+         "Regenerate every table and figure of the paper and the extensions, in order, each \
+          under a banner")
+    Term.(const all $ quick $ jobs)
 
 (* --- resume / status --------------------------------------------------- *)
 
@@ -741,54 +848,50 @@ let compact_cmd =
           unchanged, only superseded frames are dropped.")
     Term.(const compact $ state_dir)
 
-let cca_id flows trees =
-  Cca_id.print (Cca_id.run ~flows_per_cca:flows ~trees ())
-
-let cca_id_cmd =
-  let flows = Arg.(value & opt int 40 & info [ "flows" ] ~docv:"N" ~doc:"Flows per CCA.") in
-  Cmd.v (cmd_info "cca-id" ~doc:"Passive CCA identification and Stob hiding (Section 5.2)")
-    Term.(const cca_id $ flows $ trees)
-
-let httpos samples trees =
-  Httpos.print (Httpos.run ~samples_per_site:samples ~trees ())
-
-let httpos_cmd =
-  let samples =
-    Arg.(value & opt int 30 & info [ "samples" ] ~docv:"N" ~doc:"Samples per site.")
-  in
-  Cmd.v
-    (cmd_info "httpos" ~doc:"HTTPOS-style client-side defense: protection vs load-time cost")
-    Term.(const httpos $ samples $ trees)
-
 (* --- netem ------------------------------------------------------------ *)
 
+(* The acceptance matrix, narrowed by --loss, --reorder and --cca; an
+   off-grid --loss runs every selected CCA at that loss instead.  Cells are
+   seeded by their place in the full grid, so a narrowed run prints the
+   full matrix's rows. *)
 let netem loss reorder dup jitter netem_seed ccas rate delay bytes jobs =
   let module NE = Stob_tcp.Netem_eval in
-  let cells = List.map (fun cca -> { NE.cca; loss; reorder }) ccas in
-  Printf.printf
-    "netem: loss=%g reorder=%b dup=%g jitter=%g s  path %.0f Mb/s / %.0f ms  response %d B  seed \
-     %d\n\n"
-    loss reorder dup jitter (rate /. 1e6) (delay *. 1e3) bytes netem_seed;
+  let grid =
+    List.filter
+      (fun c ->
+        List.mem c.NE.cca ccas
+        && ((not reorder) || c.NE.reorder)
+        && match loss with None -> true | Some l -> c.NE.loss = l)
+      (NE.default_cells ())
+  in
+  let cells =
+    match loss with
+    | Some loss when grid = [] ->
+        Printf.eprintf
+          "stobctl netem: --loss %g is not in the acceptance matrix {0, 0.005, 0.02};\n\
+           running a custom single-loss sweep instead.\n"
+          loss;
+        List.concat_map
+          (fun cca ->
+            List.map
+              (fun reorder -> { NE.cca; loss; reorder })
+              (if reorder then [ true ] else [ false; true ]))
+          ccas
+    | _ -> grid
+  in
   let results =
     with_jobs jobs (fun pool ->
-        let rng = Stob_util.Rng.create netem_seed in
-        let seeded = List.map (fun c -> (c, Stob_util.Rng.int rng max_int)) cells in
-        let run (c, s) =
-          NE.run_cell ~rate_bps:rate ~delay ~response:bytes ~duplicate:dup ~jitter ~seed:s c
-        in
-        match pool with
-        | None -> List.map run seeded
-        | Some pool -> Stob_par.Pool.map_list pool run seeded)
+        NE.run_matrix ?pool ?rate_bps:rate ?delay ?response:bytes ?duplicate:dup ?jitter
+          ~seed:netem_seed cells)
   in
-  List.iter (fun r -> Format.printf "%a@." NE.pp_result r) results;
-  let bad = List.filter (fun r -> not (NE.converged r)) results in
-  if bad <> [] then begin
-    Printf.printf "\n%d cell(s) failed to converge\n" (List.length bad);
-    exit 1
-  end;
-  Printf.printf "\nall %d cells converged\n" (List.length results)
+  NE.print_matrix results;
+  match List.filter (fun r -> not (NE.converged r)) results with
+  | [] -> Printf.printf "\nall %d cells converged (seed %d)\n" (List.length results) netem_seed
+  | bad ->
+      Printf.printf "\n%d cell(s) FAILED to converge\n" (List.length bad);
+      exit 1
 
-(* "all" or one validated CCA name, resolved to the list of cells to run. *)
+(* "all" or one validated CCA name, resolved to the list of CCAs to run. *)
 let cca_conv =
   let parse = function
     | "all" -> Ok [ "reno"; "cubic"; "bbr" ]
@@ -806,18 +909,21 @@ let cca_conv =
 
 let netem_cmd =
   let loss =
-    Arg.(value & opt prob_conv 0.01
-         & info [ "loss" ] ~docv:"P" ~doc:"I.i.d. per-packet loss probability, both directions.")
+    opt_flag prob_conv [ "loss" ] ~docv:"P"
+      ~doc:
+        "Keep only the matrix cells at this i.i.d. per-packet loss (both directions); a value \
+         off the grid {0, 0.005, 0.02} runs each selected CCA at it instead."
   in
   let reorder =
-    Arg.(value & flag & info [ "reorder" ] ~doc:"Also hold ~5% of packets back a few slots.")
+    Arg.(
+      value & flag
+      & info [ "reorder" ]
+          ~doc:"Keep only the cells that hold ~5% of packets back a few slots.")
   in
-  let dup =
-    Arg.(value & opt prob_conv 0.0 & info [ "dup" ] ~docv:"P" ~doc:"Duplication probability.")
-  in
+  let dup = opt_flag prob_conv [ "dup" ] ~docv:"P" ~doc:"Duplication probability." in
   let jitter =
-    Arg.(value & opt (nonneg_float_conv ~docv:"SEC") 0.0
-         & info [ "jitter" ] ~docv:"SEC" ~doc:"Uniform extra delay bound.")
+    opt_flag (nonneg_float_conv ~docv:"SEC") [ "jitter" ] ~docv:"SEC"
+      ~doc:"Uniform extra delay bound."
   in
   let netem_seed =
     Arg.(value & opt int 4242
@@ -828,68 +934,104 @@ let netem_cmd =
          & info [ "cca" ] ~docv:"CCA" ~doc:"Congestion control: reno, cubic, bbr or all.")
   in
   let rate =
-    Arg.(value & opt (pos_float_conv ~docv:"BPS") 20e6
-         & info [ "rate" ] ~docv:"BPS" ~doc:"Bottleneck rate, bits/s.")
+    opt_flag (pos_float_conv ~docv:"BPS") [ "rate" ] ~docv:"BPS" ~doc:"Bottleneck rate, bits/s."
   in
   let delay =
-    Arg.(value & opt (pos_float_conv ~docv:"SEC") 0.015
-         & info [ "delay" ] ~docv:"SEC" ~doc:"One-way propagation delay.")
+    opt_flag (pos_float_conv ~docv:"SEC") [ "delay" ] ~docv:"SEC" ~doc:"One-way propagation delay."
   in
   let bytes =
-    Arg.(value & opt (pos_int_conv ~docv:"N") 150_000
-         & info [ "bytes" ] ~docv:"N" ~doc:"Response size to transfer.")
+    opt_flag (pos_int_conv ~docv:"N") [ "bytes" ] ~docv:"N" ~doc:"Response size to transfer."
   in
   Cmd.v
     (cmd_info "netem"
        ~doc:
-         "Drive one request/response/close connection per CCA through seeded netem-style \
-          impairment (loss, reordering, duplication, jitter) and report recovery counters")
+         "Run the impairment matrix (loss x reorder x CCA): one request/response/close \
+          connection per cell through seeded netem-style impairment, with recovery counters.  \
+          Gate: every cell converges.")
     Term.(
       const netem $ loss $ reorder $ dup $ jitter $ netem_seed $ cca $ rate $ delay $ bytes $ jobs)
 
 (* --- chaos ------------------------------------------------------------ *)
+
+(* Store canary: journal a tiny Fig 3 sweep, recompute it fresh, and let the
+   monitor compare a sample of journal payloads byte for byte — a silently
+   poisoned result cache fails the battery. *)
+let store_canary ~seed fail =
+  let config =
+    { Fig3.default_config with Fig3.alphas = [ 0; 16; 32 ]; warmup = 0.02; measure = 0.04 }
+  in
+  let journaled () =
+    Tmp.with_dir "stob-chaos-canary." (fun dir ->
+        let store = Store.open_ dir in
+        ignore (Fig3.run ~config ~store ());
+        Store.close store;
+        List.filter_map
+          (fun (_, label, status) ->
+            match status with Store.Done p -> Some (label, p) | Store.Poisoned _ -> None)
+          (snd (Store.peek dir)))
+  in
+  let entries = journaled () in
+  let recomputed = journaled () in
+  let monitor = Stob_check.Monitor.create (Stob_sim.Engine.create ()) in
+  Stob_check.Monitor.check_store_canary monitor ~sample:2 ~seed ~entries
+    ~recompute:(fun label -> List.assoc_opt label recomputed);
+  match Stob_check.Monitor.violations monitor with
+  | [] ->
+      Printf.printf "chaos: store canary clean (%d journal records, 2 sampled)\n%!"
+        (List.length entries)
+  | vs -> List.iter (fun v -> fail ("store canary: " ^ Stob_check.Violation.to_string v)) vs
 
 let chaos smoke chaos_seed shrink jobs =
   let module C = Stob_check.Chaos in
   let scenarios = if smoke then C.smoke_scenarios () else C.default_scenarios () in
   let reports = with_jobs jobs (fun pool -> C.run_sweep ?pool ~seed:chaos_seed scenarios) in
   C.print_sweep reports;
-  (* Same two gates as `bench/main.exe chaos`: every cell survives its page
-     load, and cells with no fault injected are violation-free. *)
-  let gate (r : C.report) =
-    C.survived r && (r.C.scenario.C.fault <> None || C.clean r)
-  in
-  let failing = List.filter (fun r -> not (gate r)) reports in
-  match failing with
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+  let gate (r : C.report) = C.survived r && (r.C.scenario.C.fault <> None || C.clean r) in
+  List.iter
+    (fun (r : C.report) ->
+      let name = Printf.sprintf "%s (cell seed %d)" (C.scenario_name r.C.scenario) r.C.seed in
+      if not (C.survived r) then fail "%s: did not survive (crash/livelock/incomplete)" name;
+      if r.C.scenario.C.fault = None && not (C.clean r) then
+        fail "%s: no-fault cell reported %d violation(s)" name r.C.total_violations)
+    reports;
+  if smoke then
+    Stob_par.Pool.with_pool ~domains:3 (fun p ->
+        if C.run_sweep ~pool:p ~seed:chaos_seed scenarios <> reports then
+          fail "jobs parity: parallel chaos sweep differs from sequential");
+  store_canary ~seed:chaos_seed (fail "%s");
+  match List.rev !failures with
   | [] ->
       Printf.printf "\nchaos: all gates passed (%d cells, seed %d)\n" (List.length reports)
         chaos_seed
   | fs ->
-      List.iter
-        (fun (r : C.report) ->
-          Printf.printf "\nchaos FAILURE: %s (cell seed %d)\n" (C.scenario_name r.C.scenario)
-            r.C.seed;
-          if shrink then
-            match C.shrink ~failed:(fun r' -> not (gate r')) ~seed:r.C.seed r.C.scenario with
-            | None ->
-                Printf.printf "  not reproducible from the fault plan alone (full replay passes)\n"
-            | Some (k, prefix, _) ->
-                Printf.printf "  minimal failing fault prefix: %d event(s)\n" k;
-                List.iter (fun ev -> Format.printf "    %a@." Stob_sim.Fault.pp_event ev) prefix)
-        fs;
+      List.iter (fun f -> Printf.printf "chaos FAILURE: %s\n" f) fs;
+      if shrink then
+        List.iter
+          (fun (r : C.report) ->
+            if not (gate r) then begin
+              Printf.printf "\nshrinking %s\n" (C.scenario_name r.C.scenario);
+              match C.shrink ~failed:(fun r' -> not (gate r')) ~seed:r.C.seed r.C.scenario with
+              | None ->
+                  Printf.printf "  not reproducible from the fault plan alone (full replay passes)\n"
+              | Some (k, prefix, _) ->
+                  Printf.printf "  minimal failing fault prefix: %d event(s)\n" k;
+                  List.iter (fun ev -> Format.printf "    %a@." Stob_sim.Fault.pp_event ev) prefix
+            end)
+          reports;
       exit 1
 
+let smoke_flag ~doc = Arg.(value & flag & info [ "smoke" ] ~doc)
+
+let chaos_seed =
+  Arg.(value & opt int 1337
+       & info [ "chaos-seed" ] ~docv:"SEED"
+           ~doc:"Master seed for the battery; per-cell seeds are pre-split from it, so reports \
+                 are identical at every $(b,--jobs) level.")
+
 let chaos_cmd =
-  let smoke =
-    Arg.(value & flag
-         & info [ "smoke" ] ~doc:"Run the bounded smoke sweep instead of the full battery.")
-  in
-  let chaos_seed =
-    Arg.(value & opt int 1337
-         & info [ "chaos-seed" ] ~docv:"SEED"
-             ~doc:"Master seed for the sweep; per-cell seeds are pre-split from it, so reports \
-                   are identical at every $(b,--jobs) level.")
-  in
+  let smoke = smoke_flag ~doc:"Run the bounded smoke sweep instead of the full battery." in
   let shrink =
     Arg.(value & flag
          & info [ "shrink" ]
@@ -901,18 +1043,10 @@ let chaos_cmd =
        ~doc:
          "Run the chaos battery: seeded fault injection against monitored, \
           degradation-enabled page loads.  Gates: every cell survives (completes without \
-          crash or livelock) and no-fault cells report zero invariant violations.")
+          crash or livelock), no-fault cells report zero invariant violations, the store \
+          canary finds the result journal clean and, with $(b,--smoke), the sweep is identical \
+          on 3 domains.")
     Term.(const chaos $ smoke $ chaos_seed $ shrink $ jobs)
-
-let importance samples trees =
-  Importance.print (Importance.run ~samples_per_site:samples ~trees ())
-
-let importance_cmd =
-  let samples =
-    Arg.(value & opt int 30 & info [ "samples" ] ~docv:"N" ~doc:"Samples per site.")
-  in
-  Cmd.v (cmd_info "importance" ~doc:"Feature importance before/after defense")
-    Term.(const importance $ samples $ trees)
 
 (* --- population ------------------------------------------------------- *)
 
@@ -1011,53 +1145,106 @@ let population_cmd =
 let soak smoke transport users shards fault_period horizon soak_seed state_dir retries jobs =
   let module Soak = Stob_check.Soak in
   let base = if smoke then Soak.smoke_config else Soak.default_config in
-  let population =
+  let p = base.Soak.population in
+  let config =
     {
-      base.Soak.population with
-      Population.users = Option.value users ~default:base.Soak.population.Population.users;
-      shards = Option.value shards ~default:base.Soak.population.Population.shards;
-      seed = soak_seed;
+      Soak.population =
+        {
+          p with
+          Population.users = Option.value users ~default:p.Population.users;
+          shards = Option.value shards ~default:p.Population.shards;
+          seed = Option.value soak_seed ~default:p.Population.seed;
+        };
+      flow_horizon = Option.value horizon ~default:base.Soak.flow_horizon;
+      fault_period = Option.value fault_period ~default:base.Soak.fault_period;
+      transport;
     }
   in
-  let config = { Soak.population; flow_horizon = horizon; fault_period; transport } in
+  with_jobs jobs @@ fun pool ->
+  let start = Unix.gettimeofday () in
   let summary =
-    with_jobs jobs (fun pool ->
-        Soak.run ?pool ?state_dir ~retries
-          ~on_shard:(fun r ->
-            Printf.eprintf "soak: shard %02d%s %d/%d flows, %d probes, %d violations\n%!"
-              r.Soak.shard
-              (if r.Soak.faulted then " (faulted)" else "")
-              r.Soak.completed r.Soak.flows r.Soak.persist_probes r.Soak.total_violations)
-          config)
+    Soak.run ?pool ?state_dir ~retries
+      ~on_shard:(fun r ->
+        Printf.printf
+          "  shard %02d%s: %6d flows (%5d quic), %6d completed, rtx %6d, probes %4d, ptos %4d, \
+           violations %d\n\
+           %!"
+          r.Soak.shard
+          (if r.Soak.faulted then Printf.sprintf " (faults %3d)" r.Soak.faults else "")
+          r.Soak.flows r.Soak.quic_flows r.Soak.completed r.Soak.retransmissions
+          r.Soak.persist_probes r.Soak.pto_events r.Soak.total_violations)
+      config
   in
   Format.printf "%a@." Soak.pp_summary summary;
-  if summary.Soak.completed < summary.Soak.flows then begin
-    Printf.eprintf "soak: %d flows incomplete\n"
-      (summary.Soak.flows - summary.Soak.completed);
-    exit 1
+  Printf.printf "wall: %.1f s (--jobs %d)\n%!" (Unix.gettimeofday () -. start) jobs;
+  let failed = ref false in
+  let fail fmt =
+    Printf.ksprintf
+      (fun s ->
+        Printf.printf "soak FAILURE: %s\n" s;
+        failed := true)
+      fmt
+  in
+  if (not smoke) && users = None && summary.Soak.flows < 1_000_000 then
+    fail "only %d flows driven (the full soak must sustain >= 1M)" summary.Soak.flows;
+  if summary.Soak.completed < summary.Soak.flows then
+    fail "%d of %d flows did not complete within their horizon"
+      (summary.Soak.flows - summary.Soak.completed)
+      summary.Soak.flows;
+  if summary.Soak.fault_free_violations > 0 then
+    fail "%d invariant violations on fault-free shards: %s" summary.Soak.fault_free_violations
+      (String.concat ", "
+         (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) summary.Soak.violations));
+  (* The mix must actually exercise the machinery: the TCP gates apply
+     whenever the population carries TCP flows, the QUIC gates likewise. *)
+  let tcp_flows = summary.Soak.flows - summary.Soak.quic_flows in
+  (match transport with
+  | `Quic -> if tcp_flows > 0 then fail "quic soak drove %d tcp flows" tcp_flows
+  | `Tcp | `Mixed -> if tcp_flows = 0 then fail "no tcp flows in the mix");
+  if tcp_flows > 0 then begin
+    if summary.Soak.persist_probes = 0 then fail "no persist probes fired";
+    if summary.Soak.zero_window_flows = 0 then fail "no flow ever closed the window";
+    if summary.Soak.slow_reader_flows = 0 then fail "no slow-reader flows in the mix";
+    if summary.Soak.sack_off_flows = 0 then fail "no SACK-refusing flows in the mix";
+    if summary.Soak.wscale_off_flows = 0 then fail "no wscale-refusing flows in the mix"
   end;
-  if summary.Soak.fault_free_violations > 0 then begin
-    Printf.eprintf "soak: %d invariant violations on fault-free shards\n"
-      summary.Soak.fault_free_violations;
-    exit 1
-  end
+  (match transport with
+  | `Tcp -> if summary.Soak.quic_flows > 0 then fail "tcp soak drove quic flows"
+  | `Quic | `Mixed ->
+      if summary.Soak.quic_flows = 0 then fail "no quic flows in the mix";
+      if summary.Soak.pto_events = 0 then fail "no QUIC probe timeout ever fired";
+      if summary.Soak.time_loss_detections = 0 then
+        fail "time-threshold loss detection never triggered";
+      if summary.Soak.idle_closed = 0 then fail "no QUIC endpoint ever idle-closed");
+  if config.Soak.fault_period > 0 && summary.Soak.faults = 0 then
+    fail "chaos dimension never armed";
+  let allowed_growth_bytes = 64 * 1024 * 1024 * jobs in
+  if summary.Soak.peak_heap_growth_words * 8 > allowed_growth_bytes then
+    fail "live heap grew %d MiB (bound %d MiB): flows are accumulating instead of being reaped"
+      (summary.Soak.peak_heap_growth_words * 8 / 1048576)
+      (allowed_growth_bytes / 1048576);
+  (* Jobs parity on the smoke; the full run's follows from the same
+     pre-split-seed construction. *)
+  if smoke && state_dir = None then begin
+    let par = Stob_par.Pool.with_pool ~domains:4 (fun p -> Soak.run ~pool:p config) in
+    if par.Soak.reports <> summary.Soak.reports then
+      fail "smoke soak differs between --jobs 1 and --jobs 4"
+  end;
+  if !failed then exit 1;
+  Printf.printf "soak: all gates passed\n"
 
 let soak_cmd =
   let smoke =
-    Arg.(value & flag
-         & info [ "smoke" ]
-             ~doc:"Run the CI-sized soak (a few thousand flows) instead of the full >= 1M-flow \
-                   battery.")
+    smoke_flag
+      ~doc:"Run the CI-sized soak (a few thousand flows) instead of the full >= 1M-flow battery."
   in
   let users =
-    Arg.(value & opt (some (nonneg_int_conv ~docv:"N")) None
-         & info [ "users" ] ~docv:"N"
-             ~doc:"Override the population size (expected flows = users x sessions x visits).")
+    opt_flag (nonneg_int_conv ~docv:"N") [ "users" ] ~docv:"N"
+      ~doc:"Override the population size (expected flows = users x sessions x visits)."
   in
   let shards =
-    Arg.(value & opt (some (pos_int_conv ~docv:"N")) None
-         & info [ "shards" ] ~docv:"N"
-             ~doc:"Fixed shard count (independent of $(b,--jobs); reports are jobs-invariant).")
+    opt_flag (pos_int_conv ~docv:"N") [ "shards" ] ~docv:"N"
+      ~doc:"Fixed shard count (independent of $(b,--jobs); reports are jobs-invariant)."
   in
   let transport_conv =
     Arg.conv
@@ -1074,21 +1261,20 @@ let soak_cmd =
                    per flow).")
   in
   let fault_period =
-    Arg.(value & opt (nonneg_int_conv ~docv:"N") 4
-         & info [ "fault-period" ] ~docv:"N"
-             ~doc:"Arm the chaos dimension (TCP pacer-clock jumps, QUIC datagram blackholes) \
-                   on every $(docv)th shard; 0 disables faults.")
+    opt_flag (nonneg_int_conv ~docv:"N") [ "fault-period" ] ~docv:"N"
+      ~doc:
+        "Arm the chaos dimension (TCP pacer-clock jumps, QUIC datagram blackholes) on every \
+         $(docv)th shard; 0 disables faults."
   in
   let horizon =
-    Arg.(value & opt (pos_float_conv ~docv:"SECONDS") 120.0
-         & info [ "flow-horizon" ] ~docv:"SECONDS"
-             ~doc:"Per-flow lifetime before the reaper harvests it.")
+    opt_flag (pos_float_conv ~docv:"SECONDS") [ "flow-horizon" ] ~docv:"SECONDS"
+      ~doc:"Per-flow lifetime before the reaper harvests it."
   in
   let soak_seed =
-    Arg.(value & opt int 271
-         & info [ "seed" ] ~docv:"SEED"
-             ~doc:"Population seed; per-flow seeds are pre-split from the visit plan, so \
-                   reports are identical at every $(b,--jobs) level.")
+    opt_flag Arg.int [ "seed" ] ~docv:"SEED"
+      ~doc:
+        "Population seed; per-flow seeds are pre-split from the visit plan, so reports are \
+         identical at every $(b,--jobs) level."
   in
   Cmd.v
     (cmd_info "soak"
@@ -1097,21 +1283,205 @@ let soak_cmd =
           (slow readers, zero windows, refused SACK/wscale, reduced MSS, lossy links, chaos \
           pacer faults), QUIC (idle-timeout closes, anti-amplification, PTO recovery, \
           datagram-blackhole faults), or a mixed population — with every endpoint under the \
-          invariant monitor.  Gates: every flow completes and fault-free shards are \
-          violation-free.  With $(b,--state-dir) the soak is crash-safe and resumable.")
+          invariant monitor.  Gates: every flow completes, fault-free shards are \
+          violation-free, the full run drives >= 1M flows, the mix exercises every mechanism \
+          it carries (persist probes, zero windows, slow readers, refused SACK and wscale; PTOs, \
+          time-threshold losses, idle closes; armed faults), live heap growth stays bounded, \
+          and the smoke is identical on 4 domains.  With $(b,--state-dir) the soak is \
+          crash-safe and resumable.")
     Term.(
       const soak $ smoke $ transport $ users $ shards $ fault_period $ horizon $ soak_seed
       $ state_dir_arg $ retries_arg $ jobs)
+
+(* --- store-chaos ------------------------------------------------------- *)
+
+let store_chaos smoke chaos_seed =
+  let module Sc = Stob_check.Store_chaos in
+  let r = Sc.run ~smoke ~seed:chaos_seed () in
+  Sc.print_report r;
+  if not smoke then
+    Perf.write_bench "BENCH_store.json" ~jobs:1
+      ([
+         ("boundaries_fuzzed.sweep", "boundaries", Perf.Int r.Sc.sweep_boundaries);
+         ("boundaries_fuzzed.checkpoint", "boundaries", Perf.Int r.Sc.ckpt_boundaries);
+         ("crash_points_passed.sweep", "boundaries", Perf.Int r.Sc.sweep_crashes_passed);
+         ("crash_points_passed.checkpoint", "boundaries", Perf.Int r.Sc.ckpt_crashes_passed);
+         ("frames_scrubbed", "frames", Perf.Int r.Sc.frames_scrubbed);
+         ("torn_tails_seen", "count", Perf.Int r.Sc.torn_tails_seen);
+         ("orphans_reclaimed", "files", Perf.Int r.Sc.orphans_reclaimed);
+         ("short_writes.runs", "runs", Perf.Int r.Sc.short_write_runs);
+         ("short_writes.splits", "writes", Perf.Int r.Sc.short_writes_injected);
+         ("transient.runs", "runs", Perf.Int r.Sc.transient_runs);
+         ("transient.retried", "writes", Perf.Int r.Sc.transient_retried);
+         ("enospc.degraded", "bool", Perf.Bool r.Sc.enospc_degraded);
+         ("enospc.dropped", "records", Perf.Int r.Sc.enospc_dropped);
+         ("enospc.monitor_edge", "bool", Perf.Bool r.Sc.degraded_edge_fired);
+       ]
+      @ (match r.Sc.compaction with
+        | None -> []
+        | Some c ->
+            [
+              ("compaction.frames_before", "frames", Perf.Int c.Store.frames_before);
+              ("compaction.frames_after", "frames", Perf.Int c.Store.frames_after);
+              ("compaction.bytes_before", "bytes", Perf.Int c.Store.bytes_before);
+              ("compaction.bytes_after", "bytes", Perf.Int c.Store.bytes_after);
+              ( "compaction.ratio",
+                "ratio",
+                Perf.Float
+                  (float_of_int c.Store.bytes_after /. float_of_int (max 1 c.Store.bytes_before)) );
+            ])
+      @ [ ("failures", "count", Perf.Int (List.length r.Sc.failures)) ]);
+  if
+    r.Sc.failures <> []
+    || r.Sc.sweep_crashes_passed < r.Sc.sweep_boundaries
+    || r.Sc.ckpt_crashes_passed < r.Sc.ckpt_boundaries
+  then begin
+    Printf.printf "storechaos: FAILED (%d failures)\n" (List.length r.Sc.failures);
+    exit 1
+  end;
+  Printf.printf "storechaos: all %d sweep + %d checkpoint crash points resumed bit-identically\n"
+    r.Sc.sweep_boundaries r.Sc.ckpt_boundaries
+
+let store_chaos_cmd =
+  let smoke =
+    smoke_flag
+      ~doc:
+        "Run the CI-sized battery instead of the full one (more cells and seeds, plus a \
+         crash-enumerated real Fig 3 sweep, recorded in BENCH_store.json)."
+  in
+  Cmd.v
+    (cmd_info "store-chaos"
+       ~doc:
+         "Crash the durable store at every syscall boundary of a small sweep and resume.  \
+          Gates: results and journal bytes match an uninterrupted run at every crash point; \
+          short writes, transient-EIO retries, persistent-ENOSPC degradation, compaction \
+          replay-digest agreement and orphan-tmp reclamation ride along.")
+    Term.(const store_chaos $ smoke $ chaos_seed)
+
+(* --- population-soak --------------------------------------------------- *)
+
+(* A ~100k-flow corpus generated with the invariant monitor armed and a
+   heap-growth watchdog on the trace factory's O(shard) memory contract:
+   resident growth must stay far below the packed corpus size, which is
+   what it would reach if shards were held instead of streamed. *)
+let population_soak jobs =
+  let flows_target = 100_000 and cap = 60 in
+  (* E[flows] = users * mean_sessions * mean_session_visits. *)
+  let config =
+    {
+      Population.default_config with
+      Population.users = flows_target / 10;
+      shards = 25;
+      mean_sessions = 2.5;
+      mean_session_visits = 4.0;
+      max_trace_events = cap;
+    }
+  in
+  let allowed_growth_bytes = max (32 * 1024 * 1024) (flows_target * cap * 12 / 4) in
+  let monitor = Stob_check.Monitor.create (Stob_sim.Engine.create ()) in
+  Gc.full_major ();
+  let baseline_words = (Gc.stat ()).Gc.live_words in
+  let growth_words = ref 0 and worst_words = ref 0 and shards_done = ref 0 in
+  Stob_check.Monitor.register monitor ~name:"population-heap-growth" (fun ~now:_ ->
+      if !growth_words * 8 > allowed_growth_bytes then
+        Some
+          (Printf.sprintf "live heap grew %d MiB after shard %d (O(shard) bound: %d MiB)"
+             (!growth_words * 8 / 1048576) !shards_done
+             (allowed_growth_bytes / 1048576))
+      else None);
+  let on_shard (_ : Population.shard_stats) =
+    incr shards_done;
+    Gc.full_major ();
+    growth_words := max 0 ((Gc.stat ()).Gc.live_words - baseline_words);
+    worst_words := max !worst_words !growth_words;
+    Stob_check.Monitor.check_now monitor ~now:(float_of_int !shards_done)
+  in
+  let start = Unix.gettimeofday () in
+  let summary =
+    with_jobs jobs (fun pool ->
+        Tmp.with_dir "stob-popsoak." (fun dir ->
+            Population.generate ?pool ~on_shard config ~state_dir:dir))
+  in
+  Printf.printf
+    "soak: %d flows (%d events, %.1f MiB packed) across %d shards in %.1f s\n\
+     peak live-heap growth: %d MiB (bound %d MiB, corpus %d MiB)\n\
+     %!"
+    summary.Population.flows summary.Population.events
+    (float_of_int summary.Population.bytes /. 1048576.0)
+    config.Population.shards
+    (Unix.gettimeofday () -. start)
+    (!worst_words * 8 / 1048576)
+    (allowed_growth_bytes / 1048576)
+    (summary.Population.bytes / 1048576);
+  let failed = ref false in
+  let fail fmt =
+    Printf.ksprintf
+      (fun s ->
+        Printf.printf "soak FAILURE: %s\n" s;
+        failed := true)
+      fmt
+  in
+  let min_flows = flows_target * 9 / 10 in
+  if summary.Population.flows < min_flows then
+    fail "only %d flows generated (target %d, floor %d)" summary.Population.flows flows_target
+      min_flows;
+  (match Stob_check.Monitor.violations monitor with
+  | [] -> Printf.printf "soak: monitor clean (%d shards checked)\n" !shards_done
+  | vs -> List.iter (fun v -> fail "%s" (Stob_check.Violation.to_string v)) vs);
+  if !failed then exit 1;
+  Printf.printf "soak: all gates passed\n"
+
+let population_soak_cmd =
+  Cmd.v
+    (cmd_info "population-soak"
+       ~doc:
+         "Generate a ~100k-flow population corpus under the invariant monitor.  Gates: at least \
+          90% of the target flows, and live heap growth within the trace factory's O(shard) \
+          streaming-memory bound.")
+    Term.(const population_soak $ jobs)
+
+(* --- perf ------------------------------------------------------------- *)
+
+let perf_cmd =
+  let smoke =
+    smoke_flag
+      ~doc:
+        "Run the small workload, gated by a loose speedup floor, instead of the full one, which \
+         gates >= 3x and writes BENCH_<name>.json."
+  in
+  let kernel name ~doc term = Cmd.v (cmd_info name ~doc) term in
+  Cmd.group
+    (cmd_info "perf"
+       ~doc:
+         "Kernel gates: time an optimised kernel against the oracle it replaced and gate \
+          parity and the speedup")
+    [
+      kernel "forest"
+        ~doc:
+          "Presorted forest trainer vs the naive CART oracle: bit-identical trees; speedup >= \
+           1.5x (smoke) or 3x"
+        Term.(const (fun smoke -> Perf.forest ~smoke) $ smoke);
+      kernel "dfnet"
+        ~doc:
+          "Batched DF-net engine vs the per-sample oracle: logits within 1e-5, identical \
+           predictions, --jobs-invariant training; speedup >= 1.5x (smoke) or 3x"
+        Term.(const (fun smoke jobs -> with_jobs jobs (Perf.dfnet ~smoke)) $ smoke $ jobs);
+      kernel "simperf"
+        ~doc:
+          "Timing wheel vs the heap oracle on a hold model: identical pop sequences; speedup >= \
+           1.2x (smoke) or 3x"
+        Term.(const (fun smoke -> Perf.simperf ~smoke) $ smoke);
+    ]
 
 let main_cmd =
   let doc = "stack-level traffic obfuscation (Stob) reproduction toolkit" in
   Cmd.group (Cmd.info "stobctl" ~version:"1.0.0" ~doc ~exits)
     [
-      gen_dataset_cmd; attack_cmd; load_cmd; policies_cmd; table1_cmd; table2_cmd; fig3_cmd;
-      arch_cmd; ablation_stack_cmd; ablation_cca_cmd; ablation_quic_cmd; openworld_cmd;
-      pareto_cmd; dl_cmd; resume_cmd; status_cmd; scrub_cmd; compact_cmd; cca_id_cmd;
-      httpos_cmd; importance_cmd;
-      netem_cmd; chaos_cmd; population_cmd; soak_cmd;
+      gen_dataset_cmd; attack_cmd; load_cmd; policies_cmd; all_cmd; table1_cmd; table2_cmd;
+      fig3_cmd; arch_cmd; ablation_stack_cmd; ablation_cca_cmd; ablation_quic_cmd; openworld_cmd;
+      pareto_cmd; dl_cmd; cca_id_cmd; httpos_cmd; importance_cmd; early_curve_cmd; resume_cmd;
+      status_cmd; scrub_cmd; compact_cmd; netem_cmd; chaos_cmd; soak_cmd; store_chaos_cmd;
+      population_soak_cmd; population_cmd; perf_cmd;
     ]
 
 let () = exit (Cmd.eval main_cmd)

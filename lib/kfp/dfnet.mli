@@ -21,7 +21,7 @@
     GPU). *)
 
 type t = Stob_nn.Network.t
-(** Transparent so the bench/parity harnesses can reach the engine's
+(** Transparent so the kernel gate and parity tests can reach the engine's
     [logits_m]/[weights_digest] hooks directly. *)
 
 val input_length : int

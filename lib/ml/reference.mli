@@ -8,7 +8,7 @@
     - the parity oracle in [test/test_ml.ml] — the presorted column-major
       trainer must reproduce its trees bit-for-bit (structure, thresholds,
       leaf ids and distributions, feature gains) on any input;
-    - the "before" baseline of [bench/main.exe forest], which records the
+    - the "before" baseline of [stobctl perf forest], which records the
       naive-vs-presorted wall-clock ratio in [BENCH_forest.json].
 
     The node type is exposed concretely so tests can compare tree shapes

@@ -16,7 +16,7 @@
     are stored float32, but every kernel accumulates in float64 (gradient
     reduction and the momentum recurrence run entirely in float64), so a
     net built from the same seed tracks the float64 oracle within the
-    tolerance gated by [bench/main.exe dfnet]. *)
+    tolerance gated by [stobctl perf dfnet]. *)
 
 type t
 

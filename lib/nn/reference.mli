@@ -5,7 +5,7 @@
     the batched float32 engine ({!Tensor}, the new {!Layer}/{!Network})
     replaced it on the hot path — the same pattern as
     [Stob_ml.Reference] for the forest trainer.  The [nn.parity] battery
-    and [bench/main.exe dfnet] check the batched engine against it; it is
+    and [stobctl perf dfnet] check the batched engine against it; it is
     also the baseline the BENCH_dfnet speedup gate is measured against.
 
     One deliberate divergence: [Layer.maxpool1d] here allocates its argmax

@@ -7,7 +7,7 @@
     operation instead of O(log n), which is what makes population-scale
     simulation affordable.  Unlike the oracle it can also {!remove} a
     queued element.  The [sim.wheel] differential battery and the
-    [simperf] bench gate both properties.
+    [stobctl perf simperf] kernel gate check both properties.
 
     Structure: {!levels} levels of 2^{!bits} slots each bucket events by
     tick ([trunc (time / granularity)]); events whose tick is at or before

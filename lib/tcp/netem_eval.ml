@@ -108,16 +108,21 @@ let run_cell ?(rate_bps = Units.mbps 20.0) ?(delay = 0.015) ?(queue_capacity = 2
     pending_events = Engine.pending engine;
   }
 
-let run_matrix ?(pool = Stob_par.Pool.sequential) ?rate_bps ?delay ?request ?response
-    ?client_config ?server_config ~seed cells =
-  (* Pre-split-RNG rule: derive one seed per cell, in cell order, before
-     handing the tasks to the pool. *)
+let run_matrix ?(pool = Stob_par.Pool.sequential) ?rate_bps ?delay ?request ?response ?duplicate
+    ?jitter ?client_config ?server_config ~seed cells =
+  (* Pre-split-RNG rule, keyed by the acceptance grid: a grid cell takes
+     the seed of its index in [default_cells ()], so any subset re-runs
+     its rows of the full matrix; off-grid cells draw after the grid, in
+     list order.  All seeds are drawn before the pool sees a task. *)
   let master = Rng.create seed in
-  let tasks = Array.of_list (List.map (fun c -> (c, Rng.int master max_int)) cells) in
+  let grid = List.map (fun c -> (c, Rng.int master max_int)) (default_cells ()) in
+  let seed_of c = match List.assoc_opt c grid with Some s -> s | None -> Rng.int master max_int in
+  let tasks = Array.of_list (List.map (fun c -> (c, seed_of c)) cells) in
   Array.to_list
     (Stob_par.Pool.map pool
        (fun (c, s) ->
-         run_cell ?rate_bps ?delay ?request ?response ?client_config ?server_config ~seed:s c)
+         run_cell ?rate_bps ?delay ?request ?response ?duplicate ?jitter ?client_config
+           ?server_config ~seed:s c)
        tasks)
 
 let converged ?max_rtx r =

@@ -1,15 +1,13 @@
 (** Impairment stress harness: one full request/response/close connection
     per cell of a loss x reorder x CCA matrix.
 
-    Shared by the test battery ([test/test_tcp.ml]), the CI smoke
-    ([bench/main.exe smoke]), the [bench/main.exe netem] artifact and
-    [stobctl netem], so all of them agree on what a "cell" runs and what
-    convergence means.
+    Shared by the test battery ([test/test_tcp.ml]) and [stobctl netem],
+    so both agree on what a "cell" runs and what convergence means.
 
     Determinism: a cell is a pure function of its parameters and [seed].
-    {!run_matrix} pre-splits one seed per cell from the master seed in
-    cell order (the pre-split-RNG rule), so results are identical for any
-    [?pool] — [--jobs 1] and [--jobs N] must agree bit for bit. *)
+    {!run_matrix} pre-splits the cell seeds from the master seed (the
+    pre-split-RNG rule), so results are identical for any [?pool] —
+    [--jobs 1] and [--jobs N] must agree bit for bit. *)
 
 type cell = { cca : string; loss : float; reorder : bool }
 (** [cca] is ["reno"], ["cubic"] or ["bbr"]; [loss] an i.i.d. per-packet
@@ -75,14 +73,19 @@ val run_matrix :
   ?delay:float ->
   ?request:int ->
   ?response:int ->
+  ?duplicate:float ->
+  ?jitter:float ->
   ?client_config:Config.t ->
   ?server_config:Config.t ->
   seed:int ->
   cell list ->
   result list
 (** Run every cell (in parallel over [pool] when given) with per-cell
-    seeds pre-split from [seed].  Result order follows the input order
-    and is independent of the pool. *)
+    seeds pre-split from [seed].  A cell of {!default_cells} always gets
+    the seed of its index in that grid, so a subset of the grid
+    reproduces its rows of the full matrix; other cells draw after the
+    grid, in list order.  Result order follows the input order and is
+    independent of the pool. *)
 
 val converged : ?max_rtx:int -> result -> bool
 (** All bytes delivered exactly once in both directions, both endpoints

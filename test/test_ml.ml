@@ -337,7 +337,28 @@ let test_forest_matches_reference () =
         (Random_forest.predict forest x);
       Alcotest.(check bool) "fingerprint" true
         (Reference.forest_fingerprint oracle x = Random_forest.leaf_fingerprint forest x))
-    test_f
+    test_f;
+  (* The Table 2 shape: 9 classes at the k-FP feature count, half the
+     columns quantized — duplicate-heavy, like packet counts. *)
+  let labels = Array.init 90 (fun i -> i mod 9) in
+  let features =
+    Array.map
+      (fun l ->
+        Array.init Stob_kfp.Features.dimension (fun f ->
+            let v = float_of_int (10 * l) +. Rng.normal rng ~mu:0.0 ~sigma:25.0 in
+            if f mod 2 = 0 then Float.round v else v))
+      labels
+  in
+  let params = { Random_forest.default_params with n_trees = 4; seed = 11 } in
+  let oracle = Reference.train_forest ~params ~n_classes:9 ~features ~labels () in
+  let trees = Random_forest.trees (Random_forest.train ~params ~n_classes:9 ~features ~labels ()) in
+  Array.iteri
+    (fun i (rt : Reference.tree) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "k-FP shape: tree %d structure" i)
+        true
+        (compare (shape_of_tree trees.(i)) rt.Reference.root = 0))
+    oracle.Reference.trees
 
 let test_forest_pool_invariant () =
   let rng = Rng.create 41 in

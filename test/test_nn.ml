@@ -376,6 +376,16 @@ let paired_conv ~seed ~length ~outputs =
   in
   (batched, reference)
 
+(* [n] rows of signed packet directions (0 = padding) at DF input length. *)
+let direction_rows rng n =
+  let xs = Tensor.create n Dfnet.input_length in
+  for i = 0 to n - 1 do
+    for j = 0 to Dfnet.input_length - 1 do
+      Tensor.set xs i j (float_of_int (Rng.int rng 3 - 1))
+    done
+  done;
+  xs
+
 let logits_dev batched reference xs =
   let lg = Network.logits_m batched xs in
   let dev = ref 0.0 in
@@ -401,7 +411,19 @@ let test_parity_randomized_shapes () =
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: max logit dev %.2e <= 1e-5" seed dev)
       true (dev <= 1e-5)
-  done
+  done;
+  (* The DF-lite network itself at seed-paired weights: same bound, and
+     identical predictions. *)
+  let batched = Dfnet.build ~rng:(Rng.create 7) ~n_classes:9 in
+  let reference = Dfnet.build_reference ~rng:(Rng.create 7) ~n_classes:9 in
+  let xs = direction_rows rng 12 in
+  let dev = logits_dev batched reference xs in
+  Alcotest.(check bool) (Printf.sprintf "DF-lite: max logit dev %.2e <= 1e-5" dev) true (dev <= 1e-5);
+  Array.iteri
+    (fun i p ->
+      Alcotest.(check int) (Printf.sprintf "DF-lite prediction %d" i)
+        (RN.predict reference (Tensor.row xs i)) p)
+    (Network.predict_m batched xs)
 
 let test_parity_after_training () =
   (* One epoch of paired training: the engines share shuffle order and
@@ -447,7 +469,18 @@ let test_fit_jobs_invariant () =
   in
   let d1 = train None in
   let d4 = Stob_par.Pool.with_pool ~domains:4 (fun pool -> train (Some pool)) in
-  Alcotest.(check string) "digest at --jobs 1 = --jobs 4" d1 d4
+  Alcotest.(check string) "digest at --jobs 1 = --jobs 4" d1 d4;
+  (* The DF-lite stack (conv, pool, dense) at DF input length. *)
+  let xs = direction_rows rng 72 in
+  let labels = Array.init 72 (fun i -> i mod 9) in
+  let train pool =
+    let r = Rng.create 2024 in
+    let net = Dfnet.build ~rng:r ~n_classes:9 in
+    Network.fit net ~rng:r ~xs ~labels ~epochs:1 ?pool ();
+    Network.weights_digest net
+  in
+  Alcotest.(check string) "DF-lite digest at --jobs 1 = --jobs 2" (train None)
+    (Stob_par.Pool.with_pool ~domains:2 (fun pool -> train (Some pool)))
 
 (* --- DF-lite ----------------------------------------------------------- *)
 

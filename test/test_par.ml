@@ -2,7 +2,8 @@
    domain count, bit for bit.  Unit tests cover the pool mechanics
    (ordering, exceptions, reuse), a qcheck property sweeps arbitrary
    inputs across 1-8 domains, and regression tests pin the promise for
-   the real evaluation hot paths (forest training, CV, Table 2). *)
+   the real evaluation hot paths (forest training, CV, Table 2, the Fig 3
+   sweep). *)
 
 module Pool = Stob_par.Pool
 module Rng = Stob_util.Rng
@@ -132,6 +133,14 @@ let test_table2_deterministic () =
       let par = Table2.run_on ~config ~pool dataset in
       Alcotest.(check bool) "all 16 cells and per-site counts identical" true (seq = par))
 
+let test_fig3_deterministic () =
+  let config =
+    { Fig3.default_config with Fig3.alphas = [ 0; 20; 40 ]; warmup = 0.02; measure = 0.04 }
+  in
+  Pool.with_pool ~domains:3 (fun pool ->
+      Alcotest.(check bool) "every sweep point identical" true
+        (Fig3.run ~config () = Fig3.run ~config ~pool ()))
+
 let suite =
   [
     ( "par",
@@ -147,5 +156,6 @@ let suite =
         Alcotest.test_case "forest training deterministic" `Slow test_forest_deterministic;
         Alcotest.test_case "accuracy_cv deterministic" `Slow test_accuracy_cv_deterministic;
         Alcotest.test_case "table2 deterministic" `Slow test_table2_deterministic;
+        Alcotest.test_case "fig3 deterministic" `Slow test_fig3_deterministic;
       ] );
   ]

@@ -1,6 +1,7 @@
 (* Tests for the crash-safe experiment store: journal framing and torn-tail
    recovery, digest stability, atomic file writes, supervisor
-   cache/retry/poison semantics, jobs-invariant journal bytes, and the
+   cache/retry/poison semantics (also end to end on a journaled Fig 3
+   sweep, torn mid-journal and resumed), jobs-invariant journal bytes, and the
    kill-and-resume integration test (a forked Table 2 sweep SIGKILLed
    mid-journal must resume bit-identically). *)
 
@@ -725,6 +726,93 @@ let test_manifest_guard () =
   | None -> Alcotest.fail "manifest lost on reopen");
   Store.close store
 
+(* --- the journaled Fig 3 sweep end to end --------------------------------- *)
+
+module Fig3 = Stob_experiments.Fig3
+
+let run_fig3 ?pool ?retries ?inject ?store () =
+  let config =
+    { Fig3.default_config with Fig3.alphas = [ 0; 12; 24; 36 ]; warmup = 0.02; measure = 0.04 }
+  in
+  let report = ref None in
+  let points =
+    Fig3.run ~config ?pool ?retries ?inject ?store ~on_report:(fun r -> report := Some r) ()
+  in
+  (points, Option.get !report)
+
+let fig3_reference = lazy (fst (run_fig3 ()))
+
+let with_store dir f =
+  let store = Store.open_ dir in
+  Fun.protect ~finally:(fun () -> Store.close store) (fun () -> f store)
+
+(* End offset of every complete frame in a journal image, in order. *)
+let frame_ends bytes =
+  let n = String.length bytes in
+  let rec go off acc =
+    if off + 8 > n then List.rev acc
+    else
+      let next = off + 8 + Int32.to_int (String.get_int32_be bytes off) in
+      if next > n then List.rev acc else go next (next :: acc)
+  in
+  go (String.length Journal.magic) []
+
+let test_fig3_resume () =
+  let reference = Lazy.force fig3_reference in
+  let dir = fresh_dir () in
+  let cold, rep = with_store dir (fun store -> run_fig3 ~store ()) in
+  Alcotest.(check bool) "journaled run matches plain run" true (cold = reference);
+  Alcotest.(check bool) "cold run computes every cell" true
+    (rep.Sv.cached = 0 && rep.Sv.computed = rep.Sv.total);
+  let warm, rep = with_store dir (fun store -> run_fig3 ~store ()) in
+  Alcotest.(check bool) "warm rerun matches" true (warm = reference);
+  Alcotest.(check bool) "warm rerun is fully cached" true (rep.Sv.cached = rep.Sv.total);
+  (* Cut a copy of the journal after the manifest and the first cell, add
+     half a frame header as a torn tail, and resume on one and on four
+     domains: both must recover the tear, reuse the surviving cell and
+     produce bit-identical points. *)
+  let journal = read_file (Store.journal_file dir) in
+  let ends = frame_ends journal in
+  Alcotest.(check int) "one frame per cell + manifest" (rep.Sv.total + 1) (List.length ends);
+  let keep = List.nth ends 1 in
+  List.iter
+    (fun jobs ->
+      let dir' = fresh_dir () in
+      write_file (Store.journal_file dir') (String.sub journal 0 keep ^ String.sub journal keep 5);
+      let resumed, rep =
+        with_store dir' (fun store ->
+            if jobs = 1 then run_fig3 ~store ()
+            else Pool.with_pool ~domains:jobs (fun pool -> run_fig3 ~pool ~store ()))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "torn resume matches (--jobs %d)" jobs)
+        true (resumed = reference);
+      Alcotest.(check bool)
+        (Printf.sprintf "torn resume reuses the journal (--jobs %d)" jobs)
+        true
+        (rep.Sv.cached >= 1 && rep.Sv.computed = rep.Sv.total - rep.Sv.cached))
+    [ 1; 4 ]
+
+(* An always-raising cell is poisoned, and the sweep still completes with
+   the point rendered nan; a first-attempt-only fault heals under one
+   retry. *)
+let test_fig3_poison_and_heal () =
+  let reference = Lazy.force fig3_reference in
+  let inject ~label ~attempt =
+    if label = "fig3/alpha=24" && attempt = 0 then failwith "injected fault"
+  in
+  let poisoned, rep = run_fig3 ~inject () in
+  Alcotest.(check bool) "poisoned sweep completes with a nan point" true
+    (List.length poisoned = List.length reference
+    && Float.is_nan (List.nth poisoned 2).Fig3.packet_gbps);
+  Alcotest.(check (list (pair string string)))
+    "poisoned cell reported"
+    [ ("fig3/alpha=24", "Failure(\"injected fault\")") ]
+    rep.Sv.poisoned;
+  let healed, rep = run_fig3 ~inject ~retries:1 () in
+  Alcotest.(check bool) "one retry heals a transient fault" true
+    (healed = reference && rep.Sv.retried = 1 && rep.Sv.poisoned = [])
+
 (* --- jobs-invariant completion order ------------------------------------ *)
 
 (* Later-indexed tasks finish first (reverse sleeps), yet on_done must fire
@@ -925,6 +1013,9 @@ let suite =
         Alcotest.test_case "inject hook, duplicate digests" `Quick
           test_supervisor_inject_and_duplicates;
         Alcotest.test_case "manifest guard" `Quick test_manifest_guard;
+        Alcotest.test_case "fig3 journal: cold, warm, torn-tail resume at 1 and 4 domains" `Quick
+          test_fig3_resume;
+        Alcotest.test_case "fig3 poisoned point, one-retry heal" `Quick test_fig3_poison_and_heal;
       ] );
     ( "store.parallel",
       [

@@ -1249,6 +1249,20 @@ let test_netem_matrix_battery () =
   Alcotest.(check bool) "matrix induced reordering" true
     (List.exists (fun r -> r.Netem_eval.netem_reordered > 0) seq)
 
+(* A cell re-run alone (the way a failing cell is reproduced) must print
+   its row of the full matrix: grid cells are seeded by grid index, not by
+   their position in the list handed over. *)
+let test_netem_cell_alone () =
+  let cells = Netem_eval.default_cells () in
+  let full = Netem_eval.run_matrix ~seed:4242 cells in
+  List.iter2
+    (fun c row ->
+      Alcotest.(check bool)
+        (Format.asprintf "alone == matrix row: %a" Netem_eval.pp_result row)
+        true
+        (Netem_eval.run_matrix ~seed:4242 [ c ] = [ row ]))
+    cells full
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -1368,5 +1382,6 @@ let suite =
         Alcotest.test_case "drop pure ack -> harmless" `Quick test_drop_pure_ack_harmless;
         Alcotest.test_case "capture counts rtx" `Quick test_capture_counts_retransmissions;
         Alcotest.test_case "loss x reorder x cca matrix" `Slow test_netem_matrix_battery;
+        Alcotest.test_case "matrix cell re-run alone == its row" `Quick test_netem_cell_alone;
       ] );
   ]
