@@ -1,6 +1,5 @@
 module Rng = Stob_util.Rng
 module Engine = Stob_sim.Engine
-module Cpu = Stob_sim.Cpu
 module Units = Stob_util.Units
 module Dataset = Stob_web.Dataset
 module Endpoint = Stob_tcp.Endpoint
@@ -98,9 +97,8 @@ let audited_throughput ~cc ~policy =
   let engine = Engine.create () in
   let path =
     Path.create ~engine ~rate_bps:(Units.gbps 2.0) ~delay:0.01
-      ~queue_capacity:(2 * 1024 * 1024) ()
+      ~queue_capacity:(2 * 1024 * 1024) ~capture:false ()
   in
-  ignore (Cpu.create engine);
   let hooks = Stob_core.Controller.hooks (Stob_core.Controller.create policy) in
   let hooks, report = Stob_core.Safety.audit hooks in
   let conn = Connection.create ~engine ~path ~flow:1 ~cc ~server_hooks:hooks () in

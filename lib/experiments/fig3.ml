@@ -37,7 +37,8 @@ let default_config =
 let throughput_with_policy ~config ~policy =
   let engine = Engine.create () in
   let path =
-    Path.create ~engine ~rate_bps:(Units.gbps config.link_gbps) ~delay:(config.rtt /. 2.0) ()
+    Path.create ~engine ~rate_bps:(Units.gbps config.link_gbps) ~delay:(config.rtt /. 2.0)
+      ~capture:false ()
   in
   let cpu = Cpu.create engine in
   let hooks = Stob_core.Controller.hooks (Stob_core.Controller.create policy) in
@@ -62,16 +63,12 @@ let throughput_with_policy ~config ~policy =
   let bytes = Path.server_link_bytes path - !mark in
   Units.throughput_bps ~bytes ~seconds:config.measure
 
-(* A cell result: either the alpha-independent baseline control or one
-   alpha's three series.  Keeping them in one sweep lets the baseline be
-   checkpointed, retried, and resumed like every other cell. *)
-type measurement =
-  | Baseline of float  (** bits/s, unmodified stack *)
-  | Point of { packet : float; tso : float; combined : float }  (** Gb/s *)
-
 let run ?(config = default_config) ?pool ?retries ?inject ?store ?on_report () =
-  (* Each cell simulates on its own engine and draws no randomness, so the
-     alpha sweep is embarrassingly parallel and trivially deterministic. *)
+  (* One cell per simulation: the baseline, then each distinct nonzero
+     alpha's three series.  Every cell simulates on its own engine and
+     draws no randomness, so the sweep is embarrassingly parallel and
+     trivially deterministic, and cells of one simulation each keep the
+     domains evenly loaded. *)
   let shared_fields =
     [ ("link_gbps", Printf.sprintf "%.17g" config.link_gbps);
       ("rtt", Printf.sprintf "%.17g" config.rtt);
@@ -85,74 +82,60 @@ let run ?(config = default_config) ?pool ?retries ?inject ?store ?on_report () =
       Stob_store.Store.set_manifest s ~experiment:"fig3"
         ~fields:
           (("alphas", String.concat "," (List.map string_of_int config.alphas)) :: shared_fields)
-        ~total:(1 + List.length sweep_alphas))
+        ~total:(1 + (3 * List.length sweep_alphas)))
     store;
-  let baseline_cell =
+  (* The [series] field keeps every digest apart from the cells of earlier
+     builds, whose payloads were not one float: such a journal entry is
+     recomputed, never decoded. *)
+  let cell ~label ~point ~series policy =
     {
-      Stob_store.Supervisor.label = "fig3/baseline";
-      config = ("point", "baseline") :: shared_fields;
+      Stob_store.Supervisor.label;
+      config = ("point", point) :: ("series", series) :: shared_fields;
       seed = 0;
       run =
         (fun ~attempt:_ ->
-          Baseline (throughput_with_policy ~config ~policy:Stob_core.Policy.unmodified));
+          Units.to_gbps ~bits_per_sec:(throughput_with_policy ~config ~policy));
     }
   in
-  let alpha_cell alpha =
-    {
-      Stob_store.Supervisor.label = Printf.sprintf "fig3/alpha=%d" alpha;
-      config = ("point", string_of_int alpha) :: shared_fields;
-      seed = 0;
-      run =
-        (fun ~attempt:_ ->
-          let measure policy =
-            Units.to_gbps ~bits_per_sec:(throughput_with_policy ~config ~policy)
-          in
-          Point
-            {
-              packet = measure (Stob_core.Strategies.incremental_packet_reduction ~alpha);
-              tso = measure (Stob_core.Strategies.incremental_tso_reduction ~alpha);
-              combined = measure (Stob_core.Strategies.incremental_combined ~alpha);
-            });
-    }
+  let series =
+    [ ("packet", Stob_core.Strategies.incremental_packet_reduction);
+      ("tso", Stob_core.Strategies.incremental_tso_reduction);
+      ("combined", Stob_core.Strategies.incremental_combined) ]
   in
-  let cells = baseline_cell :: List.map alpha_cell sweep_alphas in
+  let cells =
+    cell ~label:"fig3/baseline" ~point:"baseline" ~series:"baseline"
+      Stob_core.Policy.unmodified
+    :: List.concat_map
+         (fun alpha ->
+           List.map
+             (fun (name, strategy) ->
+               cell
+                 ~label:(Printf.sprintf "fig3/alpha=%d/%s" alpha name)
+                 ~point:(string_of_int alpha) ~series:name (strategy ~alpha))
+             series)
+         sweep_alphas
+  in
   let results, report =
     Evalcommon.run_cells ?pool ?retries ?inject ?store ~experiment:"fig3" cells
   in
   Option.iter (fun f -> f report) on_report;
-  let baseline_gbps =
-    match List.hd results with
-    | Ok (Baseline bps) -> Units.to_gbps ~bits_per_sec:bps
-    | Ok (Point _) -> assert false
-    | Error _ -> Float.nan
+  (* A poisoned cell renders its one series as nan. *)
+  let gbps = List.map (function Ok v -> v | Error _ -> Float.nan) results in
+  let baseline_gbps = List.hd gbps in
+  let rec by_alpha alphas gbps =
+    match (alphas, gbps) with
+    | alpha :: alphas, packet :: tso :: combined :: gbps ->
+        (alpha, (packet, tso, combined)) :: by_alpha alphas gbps
+    | _ -> []
   in
-  let by_alpha = Hashtbl.create 16 in
-  List.iter2
-    (fun alpha r -> Hashtbl.replace by_alpha alpha r)
-    sweep_alphas (List.tl results);
+  let by_alpha = by_alpha sweep_alphas (List.tl gbps) in
   List.map
     (fun alpha ->
-      if alpha = 0 then
-        {
-          alpha;
-          baseline_gbps;
-          packet_gbps = baseline_gbps;
-          tso_gbps = baseline_gbps;
-          combined_gbps = baseline_gbps;
-        }
-      else
-        match Hashtbl.find by_alpha alpha with
-        | Ok (Point { packet; tso; combined }) ->
-            { alpha; baseline_gbps; packet_gbps = packet; tso_gbps = tso; combined_gbps = combined }
-        | Ok (Baseline _) -> assert false
-        | Error _ ->
-            {
-              alpha;
-              baseline_gbps;
-              packet_gbps = Float.nan;
-              tso_gbps = Float.nan;
-              combined_gbps = Float.nan;
-            })
+      let packet_gbps, tso_gbps, combined_gbps =
+        Option.value (List.assoc_opt alpha by_alpha)
+          ~default:(baseline_gbps, baseline_gbps, baseline_gbps)
+      in
+      { alpha; baseline_gbps; packet_gbps; tso_gbps; combined_gbps })
     config.alphas
 
 let print points =

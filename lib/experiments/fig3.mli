@@ -34,7 +34,8 @@ val default_config : config
 
 val throughput_with_policy : config:config -> policy:Stob_core.Policy.t -> float
 (** Measured steady-state goodput (bits/s) of one bulk transfer under the
-    given server-side policy. *)
+    given server-side policy.  It reads only the link's byte counter, so
+    its path records no capture ({!Stob_tcp.Path.create}[ ~capture:false]). *)
 
 val run :
   ?config:config ->
@@ -45,12 +46,15 @@ val run :
   ?on_report:(Stob_store.Supervisor.report -> unit) ->
   unit ->
   point list
-(** [?pool] parallelizes the alpha sweep (one supervised cell per distinct
-    nonzero alpha, plus one baseline cell); points are identical for any
-    domain count.  With a [?store], finished cells are journaled and a rerun
-    resumes from the cache; a poisoned cell's series render as [nan]
-    (["poisoned"] in {!print}).  See {!Stob_store.Supervisor} for
-    [?retries]/[?inject]/[?on_report]. *)
+(** [?pool] parallelizes the sweep, one supervised cell per simulation:
+    ["fig3/baseline"], then ["fig3/alpha=A/packet"], ["fig3/alpha=A/tso"]
+    and ["fig3/alpha=A/combined"] for each distinct nonzero alpha [A] — one
+    cell plus three per such alpha, each cell's result one Gb/s float.
+    Points are identical for any domain count.  With a [?store], finished
+    cells are journaled and a rerun resumes from the cache; a poisoned
+    cell renders its one series as [nan] (["poisoned"] in {!print}) and
+    leaves the alpha's other series intact.  See {!Stob_store.Supervisor}
+    for [?retries]/[?inject]/[?on_report]. *)
 
 val print : point list -> unit
 (** Render the two (plus combined) series as aligned columns — the data

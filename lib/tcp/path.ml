@@ -26,7 +26,7 @@ let notify tables dir (p : Packet.t) =
 type t = {
   to_server : Packet.t Link.t;  (* carries Outgoing packets *)
   to_client : Packet.t Link.t;  (* carries Incoming packets *)
-  capture : Capture.t;
+  capture : Capture.t option;  (* [None] when created with [~capture:false] *)
   rx : callbacks;
   serialized : callbacks;
   server_qdisc : Packet.t array Qdisc.t option;
@@ -36,8 +36,8 @@ type t = {
 
 let burst_wire_bytes packets = Array.fold_left (fun acc p -> acc + Packet.wire_size p) 0 packets
 
-let create ~engine ~rate_bps ~delay ?queue_capacity ?(server_fq = false) ?client_netem
-    ?server_netem () =
+let create ~engine ~rate_bps ~delay ?queue_capacity ?(server_fq = false) ?(capture = true)
+    ?client_netem ?server_netem () =
   let rx = callbacks () in
   let serialized = callbacks () in
   (* An unregistered flow's packets silently sink. *)
@@ -62,14 +62,19 @@ let create ~engine ~rate_bps ~delay ?queue_capacity ?(server_fq = false) ?client
     Link.create engine ~rate_bps ~delay ?queue_capacity ~size:Packet.wire_size
       ~deliver:deliver_to_client ()
   in
-  let capture = Capture.create () in
-  let tap link =
-    Link.set_tap link (fun ~time p ->
-        Capture.record capture ~time p;
-        notify serialized p.Packet.dir p)
+  let capture = if capture then Some (Capture.create ()) else None in
+  (* TSQ needs the serialization notification either way.  The closure is
+     chosen once here, so no frame pays for the choice. *)
+  let tap =
+    match capture with
+    | Some c ->
+        fun ~time p ->
+          Capture.record c ~time p;
+          notify serialized p.Packet.dir p
+    | None -> fun ~time:_ p -> notify serialized p.Packet.dir p
   in
-  tap to_server;
-  tap to_client;
+  Link.set_tap to_server tap;
+  Link.set_tap to_client tap;
   let server_qdisc =
     if server_fq then
       Some (Qdisc.fq ~limit_bytes:(64 * 1024 * 1024) ~size:burst_wire_bytes ())
@@ -108,7 +113,10 @@ let send t packets =
     | Packet.Outgoing, _ -> Array.iter (fun p -> ignore (Link.send t.to_server p)) packets
   end
 
-let capture t = t.capture
+let capture t =
+  match t.capture with
+  | Some c -> c
+  | None -> invalid_arg "Path.capture: this path was created with ~capture:false"
 let server_qdisc t = t.server_qdisc
 let server_link_bytes t = Link.bytes_sent t.to_client
 let client_link_bytes t = Link.bytes_sent t.to_server

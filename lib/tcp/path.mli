@@ -23,6 +23,7 @@ val create :
   delay:float ->
   ?queue_capacity:int ->
   ?server_fq:bool ->
+  ?capture:bool ->
   ?client_netem:Stob_net.Packet.t Stob_sim.Netem.spec ->
   ?server_netem:Stob_net.Packet.t Stob_sim.Netem.spec ->
   unit ->
@@ -30,7 +31,11 @@ val create :
 (** [delay] is one-way propagation (RTT is twice that plus serialization).
     [queue_capacity] bounds each link's bottleneck queue in bytes.
     [server_fq] interposes a DRR fair-queueing qdisc on the server->client
-    direction.  [client_netem] impairs packets the {e client receives}
+    direction.  [capture] (default [true]) records every frame on both
+    links into {!capture}; a probe that reads only byte counters (a bulk
+    throughput measurement) passes [false] and keeps no trace — the
+    simulation, TSQ's serialization notifications included, is otherwise
+    identical.  [client_netem] impairs packets the {e client receives}
     (the download direction); [server_netem] impairs packets the server
     receives.  Give the two specs distinct seeds. *)
 
@@ -52,7 +57,9 @@ val send : t -> Stob_net.Packet.t array -> unit
 (** Inject a burst; each packet is routed by its direction field. *)
 
 val capture : t -> Stob_net.Capture.t
-(** The combined two-direction capture. *)
+(** The combined two-direction capture.  Raises [Invalid_argument] on a
+    path created with [~capture:false]: it never hands out a silently
+    empty trace. *)
 
 val server_qdisc : t -> Stob_net.Packet.t array Qdisc.t option
 (** The server-egress fair-queueing qdisc, when [server_fq] was requested.

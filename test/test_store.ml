@@ -730,10 +730,11 @@ let test_manifest_guard () =
 
 module Fig3 = Stob_experiments.Fig3
 
-let run_fig3 ?pool ?retries ?inject ?store () =
-  let config =
-    { Fig3.default_config with Fig3.alphas = [ 0; 12; 24; 36 ]; warmup = 0.02; measure = 0.04 }
-  in
+let fig3_config alphas =
+  { Fig3.default_config with Fig3.alphas; warmup = 0.02; measure = 0.04 }
+
+let run_fig3 ?pool ?retries ?inject ?store ?(alphas = [ 0; 12; 24; 36 ]) () =
+  let config = fig3_config alphas in
   let report = ref None in
   let points =
     Fig3.run ~config ?pool ?retries ?inject ?store ~on_report:(fun r -> report := Some r) ()
@@ -794,24 +795,122 @@ let test_fig3_resume () =
     [ 1; 4 ]
 
 (* An always-raising cell is poisoned, and the sweep still completes with
-   the point rendered nan; a first-attempt-only fault heals under one
-   retry. *)
+   that one series rendered nan and every other value the reference's to
+   the bit; a first-attempt-only fault heals under one retry. *)
 let test_fig3_poison_and_heal () =
   let reference = Lazy.force fig3_reference in
   let inject ~label ~attempt =
-    if label = "fig3/alpha=24" && attempt = 0 then failwith "injected fault"
+    if label = "fig3/alpha=24/tso" && attempt = 0 then failwith "injected fault"
   in
   let poisoned, rep = run_fig3 ~inject () in
-  Alcotest.(check bool) "poisoned sweep completes with a nan point" true
-    (List.length poisoned = List.length reference
-    && Float.is_nan (List.nth poisoned 2).Fig3.packet_gbps);
+  Alcotest.(check int) "poisoned sweep completes" (List.length reference) (List.length poisoned);
+  List.iter2
+    (fun (p : Fig3.point) (r : Fig3.point) ->
+      List.iter
+        (fun (series, v, expected) ->
+          let what = Printf.sprintf "alpha=%d %s" p.Fig3.alpha series in
+          if p.Fig3.alpha = 24 && series = "tso" then
+            Alcotest.(check bool) (what ^ " is nan") true (Float.is_nan v)
+          else
+            Alcotest.(check int64) (what ^ " bitwise") (Int64.bits_of_float expected)
+              (Int64.bits_of_float v))
+        [ ("baseline", p.Fig3.baseline_gbps, r.Fig3.baseline_gbps);
+          ("packet", p.Fig3.packet_gbps, r.Fig3.packet_gbps);
+          ("tso", p.Fig3.tso_gbps, r.Fig3.tso_gbps);
+          ("combined", p.Fig3.combined_gbps, r.Fig3.combined_gbps) ])
+    poisoned reference;
   Alcotest.(check (list (pair string string)))
     "poisoned cell reported"
-    [ ("fig3/alpha=24", "Failure(\"injected fault\")") ]
+    [ ("fig3/alpha=24/tso", "Failure(\"injected fault\")") ]
     rep.Sv.poisoned;
   let healed, rep = run_fig3 ~inject ~retries:1 () in
   Alcotest.(check bool) "one retry heals a transient fault" true
     (healed = reference && rep.Sv.retried = 1 && rep.Sv.poisoned = [])
+
+(* One cell per simulation: the journal of alphas {0,12,24,36} holds the
+   manifest plus ten cell frames (the baseline, then three series per
+   nonzero alpha), byte for byte the same at 1 and 3 domains. *)
+let test_fig3_cell_layout () =
+  let journal_at jobs =
+    let dir = fresh_dir () in
+    let _, rep =
+      with_store dir (fun store ->
+          if jobs = 1 then run_fig3 ~store ()
+          else Pool.with_pool ~domains:jobs (fun pool -> run_fig3 ~pool ~store ()))
+    in
+    Alcotest.(check int) (Printf.sprintf "ten cells (--jobs %d)" jobs) 10 rep.Sv.total;
+    (read_file (Store.journal_file dir), List.map (fun (_, label, _) -> label) (snd (Store.peek dir)))
+  in
+  let journal, labels = journal_at 1 in
+  Alcotest.(check int) "manifest + ten cell frames" 11 (List.length (frame_ends journal));
+  Alcotest.(check (list string))
+    "one cell per simulation, in sweep order"
+    ("fig3/baseline"
+    :: List.concat_map
+         (fun a ->
+           List.map (Printf.sprintf "fig3/alpha=%d/%s" a) [ "packet"; "tso"; "combined" ])
+         [ 12; 24; 36 ])
+    labels;
+  Alcotest.(check bool) "journal bytes identical at 1 and 3 domains" true
+    (journal = fst (journal_at 3))
+
+(* A state dir written when Fig 3 had one cell per alpha, holding its
+   three series in one record beside a bits/s baseline record. *)
+type old_fig3_result =
+  | Baseline of float
+  | Point of { packet : float; tso : float; combined : float }
+
+let old_fig3_state_dir alphas records =
+  let config = fig3_config alphas in
+  let shared =
+    [ ("link_gbps", Printf.sprintf "%.17g" config.Fig3.link_gbps);
+      ("rtt", Printf.sprintf "%.17g" config.Fig3.rtt);
+      ("warmup", Printf.sprintf "%.17g" config.Fig3.warmup);
+      ("measure", Printf.sprintf "%.17g" config.Fig3.measure);
+      ("cc", config.Fig3.cc_name) ]
+  in
+  let dir = fresh_dir () in
+  with_store dir (fun store ->
+      Store.set_manifest store ~experiment:"fig3"
+        ~fields:(("alphas", String.concat "," (List.map string_of_int alphas)) :: shared)
+        ~total:(List.length records);
+      List.iter
+        (fun (point, label, result) ->
+          Store.record store
+            ~key:(Cell.digest ~experiment:"fig3" ~config:(("point", point) :: shared) ~seed:0)
+            ~label
+            (Store.Done (Marshal.to_string result [])))
+        records);
+  dir
+
+(* At alphas = {0} the old manifest equals today's (one cell either way),
+   so the guard lets it through: the old baseline record must be
+   recomputed, never decoded as a float.  Any other alpha set is refused by
+   the guard (4 cells then, 10 now). *)
+let test_fig3_old_state_dir () =
+  let reference = Lazy.force fig3_reference in
+  let baseline = (List.hd reference).Fig3.baseline_gbps in
+  let dir =
+    old_fig3_state_dir [ 0 ] [ ("baseline", "fig3/baseline", Baseline (baseline *. 1e9)) ]
+  in
+  let points, rep = with_store dir (fun store -> run_fig3 ~alphas:[ 0 ] ~store ()) in
+  Alcotest.(check int) "old baseline record recomputed, not cached" 0 rep.Sv.cached;
+  Alcotest.(check int64) "recomputed baseline equals the reference"
+    (Int64.bits_of_float baseline)
+    (Int64.bits_of_float (List.hd points).Fig3.baseline_gbps);
+  let dir =
+    old_fig3_state_dir [ 0; 12; 24; 36 ]
+      (("baseline", "fig3/baseline", Baseline (baseline *. 1e9))
+      :: List.map
+           (fun a ->
+             ( string_of_int a,
+               Printf.sprintf "fig3/alpha=%d" a,
+               Point { packet = 1.0; tso = 1.0; combined = 1.0 } ))
+           [ 12; 24; 36 ])
+  in
+  match with_store dir (fun store -> run_fig3 ~store ()) with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "a four-cell Fig 3 state dir must be refused by the manifest guard"
 
 (* --- jobs-invariant completion order ------------------------------------ *)
 
@@ -1016,6 +1115,10 @@ let suite =
         Alcotest.test_case "fig3 journal: cold, warm, torn-tail resume at 1 and 4 domains" `Quick
           test_fig3_resume;
         Alcotest.test_case "fig3 poisoned point, one-retry heal" `Quick test_fig3_poison_and_heal;
+        Alcotest.test_case "fig3 journal: one cell per simulation, jobs-invariant bytes" `Quick
+          test_fig3_cell_layout;
+        Alcotest.test_case "fig3 state dir from per-alpha cells: recomputed or refused" `Quick
+          test_fig3_old_state_dir;
       ] );
     ( "store.parallel",
       [

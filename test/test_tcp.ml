@@ -453,6 +453,58 @@ let test_cpu_bound_throughput () =
     true
     (costly < free *. 0.8)
 
+(* A Fig 3-shaped bulk transfer (100 Gb/s, 50 us RTT, server CPU model,
+   Stob's combined reduction) on a path that records no capture: the tap
+   still drives TSQ, so the simulation is the capturing path's to the bit.
+   Such a path refuses to hand out a capture rather than an empty one. *)
+let test_no_capture_same_simulation () =
+  let run capture =
+    let engine = Engine.create () in
+    let path =
+      Path.create ~engine ~rate_bps:(Units.gbps 100.0) ~delay:(Units.usec 25.0) ~capture ()
+    in
+    let cpu = Cpu.create engine in
+    let hooks =
+      Stob_core.Controller.hooks
+        (Stob_core.Controller.create (Stob_core.Strategies.incremental_combined ~alpha:24))
+    in
+    let conn =
+      Connection.create ~engine ~path ~flow:1 ~cc:Cubic.make
+        ~server_cpu:(cpu, Cpu_costs.default_server) ~server_hooks:hooks ()
+    in
+    let server = Connection.server conn in
+    let rec refill () =
+      if Endpoint.established server && Endpoint.unsent server < 16_000_000 then
+        Endpoint.write server 64_000_000;
+      ignore (Engine.schedule engine ~delay:0.002 refill)
+    in
+    ignore (Engine.schedule engine ~delay:0.0 refill);
+    Connection.on_established conn (fun () -> Endpoint.write (Connection.client conn) 64);
+    Connection.open_ conn;
+    let warmup = 0.005 and measure = 0.01 in
+    let mark = ref 0 in
+    ignore (Engine.schedule engine ~delay:warmup (fun () -> mark := Path.server_link_bytes path));
+    Engine.run ~until:(warmup +. measure) engine;
+    let bps =
+      Units.throughput_bps ~bytes:(Path.server_link_bytes path - !mark) ~seconds:measure
+    in
+    ( path,
+      Int64.bits_of_float bps,
+      [ ("server_link_bytes", Path.server_link_bytes path);
+        ("events processed", Engine.events_processed engine);
+        ("packets sent", Endpoint.packets_sent server);
+        ("retransmissions", Endpoint.retransmissions server) ] )
+  in
+  let captured, bps, counters = run true in
+  let bare, bps', counters' = run false in
+  Alcotest.(check int64) "throughput, bitwise" bps bps';
+  Alcotest.(check (list (pair string int))) "same simulation" counters counters';
+  Alcotest.(check bool) "the capturing path recorded frames" true
+    (Capture.count (Path.capture captured) > 0);
+  match Path.capture bare with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "Path.capture on a path without a capture must raise"
+
 let test_pacing_spreads_departures () =
   (* With pacing on a fat link, data departures should not all be line-rate
      back-to-back: gaps appear between TSO bursts. *)
@@ -1316,6 +1368,8 @@ let suite =
         Alcotest.test_case "rtt converges" `Quick test_rtt_estimate_converges;
         Alcotest.test_case "fin closes both" `Quick test_fin_closes_both;
         Alcotest.test_case "capture both directions" `Quick test_capture_sees_both_directions;
+        Alcotest.test_case "path without a capture, same simulation" `Quick
+          test_no_capture_same_simulation;
         Alcotest.test_case "packets respect mss" `Quick test_packets_respect_mss;
         Alcotest.test_case "pacing spreads departures" `Quick test_pacing_spreads_departures;
         Alcotest.test_case "small rwnd throttles" `Quick test_small_rwnd_limits_inflight;
