@@ -441,6 +441,115 @@ let prop_front_superset =
       let f = Front.apply ~rng:(Rng.create seed) t in
       Trace.length f >= Trace.length t && Trace.bytes f >= Trace.bytes t)
 
+(* --- Golden output pins --- *)
+
+(* Every implemented defense, and the Section 3 emulations at a 15-packet
+   prefix and over the whole trace, applied to three captured page loads.
+   Each pin is the MD5 of the defended trace's packed bytes plus one
+   [Rng.bits64] drawn after the call, so a change to either the output or
+   the random draws a defense consumes moves a pin. *)
+let golden_traces =
+  lazy
+    (List.map
+       (fun (site, seed) ->
+         let r = Stob_web.Browser.load ~rng:(Rng.create seed) (Stob_web.Sites.find site) in
+         (site, r.Stob_web.Browser.trace))
+       [ ("bing.com", 31); ("youtube.com", 32); ("wikipedia.org", 33) ])
+
+let golden_defenses =
+  List.filter_map
+    (fun (e : Registry.entry) -> Option.map (fun f -> (e.Registry.name, f)) e.Registry.apply)
+    Registry.all
+  @ List.concat_map
+      (fun (label, first_n) ->
+        [
+          ("split/" ^ label, fun ~rng:_ t -> Emulate.split ?first_n t);
+          ("delay/" ^ label, fun ~rng t -> Emulate.delay ?first_n ~rng t);
+          ("combined/" ^ label, fun ~rng t -> Emulate.combined ?first_n ~rng t);
+        ])
+      [ ("N=15", Some 15); ("all", None) ]
+
+let golden_pins () =
+  List.concat
+    (List.mapi
+       (fun i (site, trace) ->
+         List.mapi
+           (fun j (name, apply) ->
+             let rng = Rng.create (900 + (100 * i) + j) in
+             let defended = apply ~rng trace in
+             let bytes =
+               Stob_net.Packed_trace.to_bytes (Stob_net.Packed_trace.of_trace defended)
+             in
+             ( name ^ " on " ^ site,
+               (Digest.to_hex (Digest.string bytes), Printf.sprintf "%016Lx" (Rng.bits64 rng)) ))
+           golden_defenses)
+       (Lazy.force golden_traces))
+
+let golden_expected =
+  [
+    ("ALPaCA on bing.com", ("db7e3ca04d7767d10ff86c9b52226430", "00963fc14e068606"));
+    ("BuFLO on bing.com", ("0230a47260457c39d11ff3cb5708bcb6", "ab56c96e4b71b2e6"));
+    ("RegulaTor on bing.com", ("6767e032f2e5b488598afa87f51ac4e8", "db657bf4ea84fd9c"));
+    ("Tamaraw on bing.com", ("2d5103d34e5e6cfe763e2a03153586c6", "f498553a48353b90"));
+    ("Surakav on bing.com", ("c5c3ae693b26c4fe90b3a1587c889a6a", "e6ec0cd5d6f8e8de"));
+    ("WTF-PAD on bing.com", ("648633a7d2979513d2519687dc1815d8", "c1911a826a81ca29"));
+    ("FRONT on bing.com", ("a171c8d70e5fb0002e027b8365adb3fb", "4ba264c90c4ed610"));
+    ("Morphing on bing.com", ("22bb5b8fc5e5219dd6a0b46ec41d8b2f", "b385d143221c8be2"));
+    ("Cactus on bing.com", ("9134260a09685f96f6d7f00f2de0fd5b", "80d929df62f3795b"));
+    ("NetShaper on bing.com", ("9be48d355a2694a7095d71584a10b86c", "d7dedbbd07a6295b"));
+    ("Stob-split on bing.com", ("692bfbfa40e248ae8330c625a38537b8", "01357c056c3669e9"));
+    ("Stob-delay on bing.com", ("842de0833c1f059db5ddbc9f329c8bc9", "730b9ccbf62a68aa"));
+    ("Stob-combined on bing.com", ("eb3842a77eff8ddb4eb0c92b2ba1f7c8", "fd6a7cbdddd62626"));
+    ("split/N=15 on bing.com", ("c40c416bb54df1bc47c97d24ad6e3c33", "49d0296154c29615"));
+    ("delay/N=15 on bing.com", ("b70b1e652b80b2f8b8d8af0e7dd02dbb", "7eb83269f1fb8309"));
+    ("combined/N=15 on bing.com", ("0b02160340fe82757cb5159f31dedbdc", "2e8a53b253e7b9f6"));
+    ("split/all on bing.com", ("692bfbfa40e248ae8330c625a38537b8", "5c89377645559e56"));
+    ("delay/all on bing.com", ("0244bff2712b2fa414586907af0bb7bb", "8c9c99278fec076c"));
+    ("combined/all on bing.com", ("fb15751007b8c8056afcad1c0dff626b", "ce3ae8145a77e9b7"));
+    ("ALPaCA on youtube.com", ("59aad5f8166d4f20a2a8eabf30c198b1", "c6d7ffb7827ee1d1"));
+    ("BuFLO on youtube.com", ("7ac31b6133f76c73acec44800d65861c", "586f70befa22bca2"));
+    ("RegulaTor on youtube.com", ("fb5e21126072e9c6ef99d0623d2191d3", "f58b6a20da17e50b"));
+    ("Tamaraw on youtube.com", ("1fccb953228f36319bb5091388d4e996", "cd96a69fa5d00b5a"));
+    ("Surakav on youtube.com", ("ffdae61689a0cad1fbbe489a648d46ee", "d215d622550e520d"));
+    ("WTF-PAD on youtube.com", ("30b45f431b4633c06d6ea0abd6405729", "b00f99bad70b3497"));
+    ("FRONT on youtube.com", ("eabf2ff901560f46b6d4045d8b5400c0", "08a7fda768b6a713"));
+    ("Morphing on youtube.com", ("796e6b3203e3f3fb96d583f39b12416c", "db6a6e35dd42c7c3"));
+    ("Cactus on youtube.com", ("af5b2d4f9fd1fb43da2acdcc5e096370", "3cf52d3668aec4c0"));
+    ("NetShaper on youtube.com", ("3f78cfd18c484da34c48c7c3b1e45c43", "86837f83180b331d"));
+    ("Stob-split on youtube.com", ("0e6a15b9c968c0eecec772cf03b80185", "957c75d2fdf36952"));
+    ("Stob-delay on youtube.com", ("f42c64bfa8285748d851846de6fac1e6", "1943c1c3fa62de5b"));
+    ("Stob-combined on youtube.com", ("45d1988123a2a458fa730147cc84f309", "26a449ecee2fea04"));
+    ("split/N=15 on youtube.com", ("9751157b13a4d56802cdb48e020518e0", "f54fbd155de5a7f1"));
+    ("delay/N=15 on youtube.com", ("f78be2e62a5556a1ee5bbf1ec7cf8e3d", "9b93ae858237ac5b"));
+    ("combined/N=15 on youtube.com", ("2035d58ae6c25a29bbdc21144e923d63", "6eada392e909ec5a"));
+    ("split/all on youtube.com", ("0e6a15b9c968c0eecec772cf03b80185", "ec34088980474e68"));
+    ("delay/all on youtube.com", ("bde32b56382d46b67aa9557a193b0095", "24b95d10f9e4a4bc"));
+    ("combined/all on youtube.com", ("fb2fe4fe0114a923430ce8e4c3c117bf", "e3ee9b268a9d1d5b"));
+    ("ALPaCA on wikipedia.org", ("c581a9ba6cda5f4df5e255519ba9aacc", "c8e8d080dcd34edf"));
+    ("BuFLO on wikipedia.org", ("0230a47260457c39d11ff3cb5708bcb6", "891a7666bbac55e8"));
+    ("RegulaTor on wikipedia.org", ("95e09fdd48fb7cf8f9f9866ef32b32b2", "02decb16ce08d09a"));
+    ("Tamaraw on wikipedia.org", ("c07d8c34f3e58c0ff6c0b25885c78e5b", "55a49cd8ecc6304b"));
+    ("Surakav on wikipedia.org", ("8719f9e8a024336d9a14c98e82c0af41", "9bd3be33389356ae"));
+    ("WTF-PAD on wikipedia.org", ("16db1223c8beefd8bf29f8021aba1f02", "a23768e004c88153"));
+    ("FRONT on wikipedia.org", ("3b3504efc08db5a2b1e5258c5ef6cdfe", "fb4e86a5415cfaab"));
+    ("Morphing on wikipedia.org", ("a50ed35d1384a2756c4c87c5902a1096", "09cd6a351dde1f3d"));
+    ("Cactus on wikipedia.org", ("f8bc7a0e7e22cec442a96bd36c5e84bc", "7d1191771bb66323"));
+    ("NetShaper on wikipedia.org", ("4fa69f08235b5f7a05bd31cdc35a79d1", "3c4c535100d3baa4"));
+    ("Stob-split on wikipedia.org", ("ba03f575e3feaeba4c6271fc89b0a44c", "3eaa96ff243a3138"));
+    ("Stob-delay on wikipedia.org", ("2c3cfcc9d723cbba53cd7d4cc25189d4", "5a0aa136736afab9"));
+    ("Stob-combined on wikipedia.org", ("213d1f029c97a82d8b58ed7d282355d8", "26de5fb65459d6b3"));
+    ("split/N=15 on wikipedia.org", ("fc939846010aceba736f60f6f417b182", "5a4ff6773e7535b9"));
+    ("delay/N=15 on wikipedia.org", ("48af78fd278d338028a132c8083c12cf", "754b3c603a9502b9"));
+    ("combined/N=15 on wikipedia.org", ("5b6206c764c040a9a8a7a8efc93e1e4b", "f3e669226fbdb0d8"));
+    ("split/all on wikipedia.org", ("ba03f575e3feaeba4c6271fc89b0a44c", "d4706fb5218119d0"));
+    ("delay/all on wikipedia.org", ("4ee4babc1bfb1ec6a8f106c5c6a3ab9f", "36ff7708b2ba9d0d"));
+    ("combined/all on wikipedia.org", ("cc9277eacc090d77f63adc29a89c7570", "ec1790192d96868d"));
+  ]
+
+let test_golden_outputs () =
+  Alcotest.(check (list (pair string (pair string string))))
+    "defense digests" golden_expected (golden_pins ())
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -533,4 +642,5 @@ let suite =
         Alcotest.test_case "implemented apply" `Quick test_registry_implemented_apply;
         Alcotest.test_case "find" `Quick test_registry_find;
       ] );
+    ("defense.golden", [ Alcotest.test_case "output pins" `Quick test_golden_outputs ]);
   ]

@@ -43,6 +43,30 @@ let test_fig3_shape () =
   Alcotest.(check bool) "floor stays high (paper: >= ~20 Gb/s)" true
     (p40.Fig3.combined_gbps > 15.0)
 
+(* [test_table2_reduced]'s cells as [Int64.bits_of_float] of (mean, std),
+   and its per-site counts after sanitization. *)
+let table2_reduced_cells =
+  [
+    ("N=15 Original", ("3fee38e38e38e38e", "3fb41cfe93ff519c"));
+    ("N=15 Split", ("3ff0000000000000", "0000000000000000"));
+    ("N=15 Delayed", ("3fee38e38e38e38e", "3fb41cfe93ff519c"));
+    ("N=15 Combined", ("3ff0000000000000", "0000000000000000"));
+    ("N=30 Original", ("3ff0000000000000", "0000000000000000"));
+    ("N=30 Split", ("3ff0000000000000", "0000000000000000"));
+    ("N=30 Delayed", ("3ff0000000000000", "0000000000000000"));
+    ("N=30 Combined", ("3ff0000000000000", "0000000000000000"));
+    ("N=45 Original", ("3ff0000000000000", "0000000000000000"));
+    ("N=45 Split", ("3ff0000000000000", "0000000000000000"));
+    ("N=45 Delayed", ("3ff0000000000000", "0000000000000000"));
+    ("N=45 Combined", ("3ff0000000000000", "0000000000000000"));
+    ("N=All Original", ("3feeaaaaaaaaaaaa", "3fae2b7dddfefa6a"));
+    ("N=All Split", ("3feeaaaaaaaaaaaa", "3fae2b7dddfefa6a"));
+    ("N=All Delayed", ("3feeaaaaaaaaaaaa", "3fae2b7dddfefa6a"));
+    ("N=All Combined", ("3feeaaaaaaaaaaaa", "3fae2b7dddfefa6a"));
+  ]
+
+let table2_reduced_per_site = [ ("bing.com", 7); ("youtube.com", 7); ("whatsapp.net", 7) ]
+
 let test_table2_reduced () =
   let config =
     { Table2.default_config with Table2.samples_per_site = 8; folds = 2; forest_trees = 15; quiet = true }
@@ -66,7 +90,24 @@ let test_table2_reduced () =
   Alcotest.(check bool)
     (Printf.sprintf "beats chance (%.2f > 0.5)" all_row.Table2.original.Table2.mean)
     true
-    (all_row.Table2.original.Table2.mean > 0.5)
+    (all_row.Table2.original.Table2.mean > 0.5);
+  (* Every cell pinned to the bit, with the per-site counts: the corpus,
+     the emulated defenses and the featurizer must reproduce the table
+     exactly, not merely plausibly. *)
+  let bits x = Printf.sprintf "%016Lx" (Int64.bits_of_float x) in
+  let cells =
+    List.concat_map
+      (fun r ->
+        List.map
+          (fun (v, (c : Table2.cell)) ->
+            (Printf.sprintf "N=%s %s" r.Table2.n_label v, (bits c.Table2.mean, bits c.Table2.std)))
+          [ ("Original", r.Table2.original); ("Split", r.Table2.split);
+            ("Delayed", r.Table2.delayed); ("Combined", r.Table2.combined) ])
+      result.Table2.rows
+  in
+  Alcotest.(check (list (pair string (pair string string)))) "cell bits" table2_reduced_cells cells;
+  Alcotest.(check (list (pair string int))) "per-site counts" table2_reduced_per_site
+    result.Table2.per_site
 
 let test_arch_renderings () =
   let f1 = Arch.figure1 () and f2 = Arch.figure2 () in

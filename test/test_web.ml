@@ -292,6 +292,77 @@ let test_dataset_map_traces () =
         s.Dataset.total_in_bytes)
     halved.Dataset.samples
 
+(* --- Golden trace pins --- *)
+
+(* Whole TCP page loads pinned to the byte: every site, with and without
+   the Stob policy, two seeds each.  Each pin is the MD5 of the packed
+   trace plus the completion flag, the form quic.golden uses; a change to
+   the capture path or the trace representation must leave every digest
+   where it is. *)
+let golden_policies =
+  [ ("plain", fun () -> None); ("stob", fun () -> Some (Stob_core.Strategies.stack_combined ())) ]
+
+let golden_pins () =
+  List.concat_map
+    (fun (profile : Profile.t) ->
+      List.concat_map
+        (fun (policy, make_policy) ->
+          List.map
+            (fun seed ->
+              let r = Browser.load ?policy:(make_policy ()) ~rng:(Rng.create seed) profile in
+              let bytes =
+                Stob_net.Packed_trace.to_bytes (Stob_net.Packed_trace.of_trace r.Browser.trace)
+              in
+              ( String.concat "/" [ profile.Profile.name; policy; string_of_int seed ],
+                (Digest.to_hex (Digest.string bytes), r.Browser.completed) ))
+            [ 1; 2 ])
+        golden_policies)
+    Sites.all
+
+let golden_expected =
+  [
+    ("bing.com/plain/1", ("5b961ce775af95dc100cac6f615e0985", true));
+    ("bing.com/plain/2", ("0956faa20e4b5057434555803965d4a7", true));
+    ("bing.com/stob/1", ("f028df04f280d493bad4bdcdceefc67d", true));
+    ("bing.com/stob/2", ("7da43e493de9742c04b09cd139be993c", true));
+    ("github.com/plain/1", ("074dd52d995e88ecc3a3587bec632486", true));
+    ("github.com/plain/2", ("2900e05a149034ec1729bc1a14b01fbb", true));
+    ("github.com/stob/1", ("77861ef5196ba2ca6a0262bad577ce8e", true));
+    ("github.com/stob/2", ("1c4ff1bfc7d5f7122b1ff55a59a2d2a3", true));
+    ("instagram.com/plain/1", ("635eec5f6797f4c5cfda40674b078e0a", true));
+    ("instagram.com/plain/2", ("90cb6200afeff439c4c652cb04f99e39", true));
+    ("instagram.com/stob/1", ("6d9d57afb24d43b6c8f42689d058eb5d", true));
+    ("instagram.com/stob/2", ("54c175bbd02be5894a95d5ff8df1be43", true));
+    ("netflix.com/plain/1", ("8ca810468b97c15725cfe07bf558bcb4", true));
+    ("netflix.com/plain/2", ("ef564ef545dd843b09ce1d84d90aca4f", true));
+    ("netflix.com/stob/1", ("ee9a1b38d72f8a9bae76dee424d39d52", true));
+    ("netflix.com/stob/2", ("3a4d86b3685b680ae36c1b790caa2f17", true));
+    ("office.com/plain/1", ("34fef9aa74f0ecd5cb7c345d004e2789", true));
+    ("office.com/plain/2", ("034c97573a94adcd0a47f217d036999b", true));
+    ("office.com/stob/1", ("192629820b35555d075d7499f8b51e9a", true));
+    ("office.com/stob/2", ("65a07217bef7eb000f8cf70765006d45", true));
+    ("spotify.com/plain/1", ("48c9c6cf07efd360987aea9649d040eb", true));
+    ("spotify.com/plain/2", ("bb6fa084992cd2c876054b0247e6d8d9", true));
+    ("spotify.com/stob/1", ("820a7c4ca717d91614d4e742e2efdf1e", true));
+    ("spotify.com/stob/2", ("f661c671f1bd57fe45df736046784361", true));
+    ("whatsapp.net/plain/1", ("45e041c5cc3cf4edde25d117328cb80f", true));
+    ("whatsapp.net/plain/2", ("c0796f5868fc22a40b8b50227c25c00a", true));
+    ("whatsapp.net/stob/1", ("d12197fcbd44a78c9a771bf7ac72ae96", true));
+    ("whatsapp.net/stob/2", ("952fcc17bef5c27eac8f867ca80d86eb", true));
+    ("wikipedia.org/plain/1", ("f647e7559a33c2bd0c4955a7d663ae47", true));
+    ("wikipedia.org/plain/2", ("5831d7fbcb07febc3befd9bc6a7f0a86", true));
+    ("wikipedia.org/stob/1", ("eb4f8621fb2618e50c8dfedd43cda6ba", true));
+    ("wikipedia.org/stob/2", ("9093bb4a3998ebb1c246ff41a7403001", true));
+    ("youtube.com/plain/1", ("95c0499fdeced89fd5ad09a9c2635fc7", true));
+    ("youtube.com/plain/2", ("30f13f2d6853d9883e4f5eb1de987250", true));
+    ("youtube.com/stob/1", ("03bccc1705eb73351e3a20910f37c38d", true));
+    ("youtube.com/stob/2", ("c0509688ff37ba0f3e5407293d3b4297", true));
+  ]
+
+let test_golden_traces () =
+  Alcotest.(check (list (pair string (pair string bool))))
+    "trace digests" golden_expected (golden_pins ())
+
 let suite =
   [
     ( "tls.record",
@@ -334,4 +405,5 @@ let suite =
         Alcotest.test_case "folds" `Slow test_dataset_folds;
         Alcotest.test_case "map traces" `Slow test_dataset_map_traces;
       ] );
+    ("web.golden", [ Alcotest.test_case "trace pins" `Quick test_golden_traces ]);
   ]
