@@ -320,13 +320,12 @@ let sparkline trace dir ~buckets =
   let glyphs = [| ' '; '.'; ':'; '-'; '='; '+'; '*'; '#' |] in
   let duration = Float.max 1e-9 (Trace.duration trace) in
   let acc = Array.make buckets 0.0 in
-  Array.iter
-    (fun e ->
-      if e.Trace.dir = dir then begin
-        let b = min (buckets - 1) (int_of_float (e.Trace.time /. duration *. float_of_int buckets)) in
-        acc.(b) <- acc.(b) +. float_of_int e.Trace.size
-      end)
-    trace;
+  for i = 0 to Trace.length trace - 1 do
+    if Trace.dir trace i = dir then begin
+      let b = min (buckets - 1) (int_of_float (Trace.time trace i /. duration *. float_of_int buckets)) in
+      acc.(b) <- acc.(b) +. float_of_int (Trace.size trace i)
+    end
+  done;
   let peak = Array.fold_left Float.max 1.0 acc in
   String.init buckets (fun i ->
       let level = int_of_float (acc.(i) /. peak *. 7.0) in

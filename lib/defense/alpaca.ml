@@ -7,7 +7,8 @@ let default_params = { lambda = 8 * 1024; burst_gap = 0.025; dummy_size = 1500 }
 
 (* Group the incoming packets into bursts separated by > burst_gap. *)
 let bursts params trace =
-  let incoming = List.filter (fun e -> e.Trace.dir = Packet.Incoming) (Array.to_list trace) in
+  let events = List.init (Trace.length trace) (Trace.get trace) in
+  let incoming = List.filter (fun e -> e.Trace.dir = Packet.Incoming) events in
   let rec go acc current last_time = function
     | [] -> List.rev (if current = [] then acc else List.rev current :: acc)
     | (e : Trace.event) :: rest ->
@@ -36,4 +37,4 @@ let apply ?(params = default_params) trace =
             }))
       (bursts params trace)
   in
-  Trace.concat_sorted [ trace; Array.of_list padding ]
+  Trace.concat_sorted [ trace; Trace.of_events (Array.of_list padding) ]

@@ -11,8 +11,9 @@ let stream params dir bytes =
   let needed = (bytes + params.packet_size - 1) / params.packet_size in
   let minimum = int_of_float (params.tau /. params.interval) in
   let n = max needed minimum in
-  Array.init n (fun i ->
-      { Trace.time = float_of_int i *. params.interval; dir; size = params.packet_size })
+  Trace.of_events
+    (Array.init n (fun i ->
+         { Trace.time = float_of_int i *. params.interval; dir; size = params.packet_size }))
 
 let apply ?(params = default_params) trace =
   let out = stream params Packet.Outgoing (Trace.bytes ~dir:Packet.Outgoing trace) in

@@ -9,24 +9,24 @@ let default_params = { window = 0.025; cell_size = 1200 }
 let apply ?(params = default_params) ~rng trace =
   if Trace.length trace = 0 then Trace.empty
   else begin
-    let t0 = trace.(0).Trace.time in
+    let t0 = Trace.time trace 0 in
     (* Per-window byte totals per direction. *)
     let windows : (int, int ref * int ref) Hashtbl.t = Hashtbl.create 64 in
-    Array.iter
-      (fun (e : Trace.event) ->
-        let w = int_of_float ((e.Trace.time -. t0) /. params.window) in
-        let out_bytes, in_bytes =
-          match Hashtbl.find_opt windows w with
-          | Some pair -> pair
-          | None ->
-              let pair = (ref 0, ref 0) in
-              Hashtbl.add windows w pair;
-              pair
-        in
-        (match e.Trace.dir with
-        | Packet.Outgoing -> out_bytes := !out_bytes + e.Trace.size
-        | Packet.Incoming -> in_bytes := !in_bytes + e.Trace.size))
-      trace;
+    for i = 0 to Trace.length trace - 1 do
+      let e = Trace.get trace i in
+      let w = int_of_float ((e.Trace.time -. t0) /. params.window) in
+      let out_bytes, in_bytes =
+        match Hashtbl.find_opt windows w with
+        | Some pair -> pair
+        | None ->
+            let pair = (ref 0, ref 0) in
+            Hashtbl.add windows w pair;
+            pair
+      in
+      match e.Trace.dir with
+      | Packet.Outgoing -> out_bytes := !out_bytes + e.Trace.size
+      | Packet.Incoming -> in_bytes := !in_bytes + e.Trace.size
+    done;
     let out = ref [] in
     Hashtbl.iter
       (fun w (out_bytes, in_bytes) ->
@@ -46,5 +46,5 @@ let apply ?(params = default_params) ~rng trace =
               :: !out)
           dirs)
       windows;
-    Trace.sort (Array.of_list !out)
+    Trace.sort (Trace.of_events (Array.of_list !out))
   end

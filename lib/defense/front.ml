@@ -23,7 +23,7 @@ let rayleigh rng ~sigma =
 let inject params rng trace dir n_max =
   let n = 1 + Rng.int rng (max 1 n_max) in
   let w = Rng.uniform rng params.w_min params.w_max in
-  let t0 = if Trace.length trace = 0 then 0.0 else trace.(0).Trace.time in
+  let t0 = if Trace.length trace = 0 then 0.0 else Trace.time trace 0 in
   let horizon = t0 +. Trace.duration trace in
   List.init n (fun _ ->
       let t = t0 +. rayleigh rng ~sigma:(w /. 2.0) in
@@ -34,4 +34,5 @@ let inject params rng trace dir n_max =
 let apply ?(params = default_params) ~rng trace =
   let client = inject params rng trace Packet.Outgoing params.n_client_max in
   let server = inject params rng trace Packet.Incoming params.n_server_max in
-  Trace.concat_sorted [ trace; Array.of_list client; Array.of_list server ]
+  Trace.concat_sorted
+    [ trace; Trace.of_events (Array.of_list client); Trace.of_events (Array.of_list server) ]

@@ -14,21 +14,21 @@ let default_params =
 
 let apply ?(params = default_params) ~rng trace =
   let out = ref [] in
-  Array.iter
-    (fun (e : Trace.event) ->
-      if e.Trace.dir <> Packet.Incoming then out := e :: !out
-      else begin
-        (* Cover the real bytes with draws from the target distribution;
-           the final draw's excess is padding. *)
-        let remaining = ref e.Trace.size in
-        let k = ref 0 in
-        while !remaining > 0 do
-          let size = max 80 (int_of_float (Histogram.sample params.target rng)) in
-          out :=
-            { e with Trace.size; time = e.Trace.time +. (float_of_int !k *. 5e-5) } :: !out;
-          remaining := !remaining - size;
-          incr k
-        done
-      end)
-    trace;
-  Trace.concat_sorted [ Array.of_list (List.rev !out) ]
+  for i = 0 to Trace.length trace - 1 do
+    let e = Trace.get trace i in
+    if e.Trace.dir <> Packet.Incoming then out := e :: !out
+    else begin
+      (* Cover the real bytes with draws from the target distribution;
+         the final draw's excess is padding. *)
+      let remaining = ref e.Trace.size in
+      let k = ref 0 in
+      while !remaining > 0 do
+        let size = max 80 (int_of_float (Histogram.sample params.target rng)) in
+        out :=
+          { e with Trace.size; time = e.Trace.time +. (float_of_int !k *. 5e-5) } :: !out;
+        remaining := !remaining - size;
+        incr k
+      done
+    end
+  done;
+  Trace.concat_sorted [ Trace.of_events (Array.of_list (List.rev !out)) ]

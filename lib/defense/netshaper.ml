@@ -12,12 +12,13 @@ let laplace rng ~scale =
   -.scale *. Float.copy_sign (log (1.0 -. (2.0 *. Float.abs u))) u
 
 let apply ?(params = default_params) ~rng trace =
-  let incoming = List.filter (fun e -> e.Trace.dir = Packet.Incoming) (Array.to_list trace) in
+  let events = List.init (Trace.length trace) (Trace.get trace) in
+  let incoming = List.filter (fun e -> e.Trace.dir = Packet.Incoming) events in
   let outgoing =
-    Array.of_list (List.filter (fun e -> e.Trace.dir = Packet.Outgoing) (Array.to_list trace))
+    Trace.of_events (Array.of_list (List.filter (fun e -> e.Trace.dir = Packet.Outgoing) events))
   in
   match incoming with
-  | [] -> Trace.sort (Array.copy trace)
+  | [] -> Trace.sort trace
   | first :: _ ->
       let t0 = first.Trace.time in
       let last = List.fold_left (fun acc e -> Float.max acc e.Trace.time) t0 incoming in
@@ -61,4 +62,4 @@ let apply ?(params = default_params) ~rng trace =
         incr w;
         if !pending = [] && !queue = 0 && w_start > last then continue := false
       done;
-      Trace.concat_sorted [ outgoing; Array.of_list (List.rev !out) ]
+      Trace.concat_sorted [ outgoing; Trace.of_events (Array.of_list (List.rev !out)) ]

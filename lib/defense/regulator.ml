@@ -17,7 +17,7 @@ let apply ?(params = default_params) trace =
     Array.to_list (Trace.times ~dir:Packet.Incoming trace)
   in
   match arrivals with
-  | [] -> Trace.sort (Array.copy trace)
+  | [] -> Trace.sort trace
   | first :: _ ->
       let out = ref [] in
       let emitted = ref 0 in
@@ -52,4 +52,4 @@ let apply ?(params = default_params) trace =
         t := !t +. gap;
         if !pending = [] && !queued = 0 then continue := false
       done;
-      Trace.sort (Array.of_list (List.rev !out))
+      Trace.sort (Trace.of_events (Array.of_list (List.rev !out)))

@@ -39,4 +39,4 @@ let apply ?(params = default_params) ~rng trace =
     done;
     t := !t +. Rng.exponential rng ~rate:(1.0 /. params.burst_gap_mean)
   done;
-  Trace.sort (Array.of_list (List.rev !out))
+  Trace.sort (Trace.of_events (Array.of_list (List.rev !out)))

@@ -15,7 +15,8 @@ let stream params dir ~interval bytes =
   let needed = (bytes + params.packet_size - 1) / params.packet_size in
   let l = max 1 params.pad_multiple in
   let n = max l ((needed + l - 1) / l * l) in
-  Array.init n (fun i -> { Trace.time = float_of_int i *. interval; dir; size = params.packet_size })
+  Trace.of_events
+    (Array.init n (fun i -> { Trace.time = float_of_int i *. interval; dir; size = params.packet_size }))
 
 let apply ?(params = default_params) trace =
   let out =

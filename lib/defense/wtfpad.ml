@@ -22,22 +22,18 @@ let apply ?(params = default_params) ~rng trace =
     else Histogram.of_samples ~lo:0.0 ~hi:params.gap_threshold ~bins:16 typical
   in
   let dummies = ref [] in
-  Array.iteri
-    (fun i (e : Trace.event) ->
-      if i > 0 then begin
-        let prev = trace.(i - 1) in
-        let gap = e.Trace.time -. prev.Trace.time in
-        if gap > params.gap_threshold then begin
-          (* Fill the silence with dummies in the direction that went
-             quiet. *)
-          let t = ref (prev.Trace.time +. Histogram.sample hist rng) in
-          let count = ref 0 in
-          while !t < e.Trace.time && !count < params.max_dummies_per_gap do
-            dummies := { Trace.time = !t; dir = prev.Trace.dir; size = params.dummy_size } :: !dummies;
-            incr count;
-            t := !t +. Histogram.sample hist rng
-          done
-        end
-      end)
-    trace;
-  Trace.concat_sorted [ trace; Array.of_list !dummies ]
+  for i = 1 to Trace.length trace - 1 do
+    let e = Trace.get trace i and prev = Trace.get trace (i - 1) in
+    let gap = e.Trace.time -. prev.Trace.time in
+    if gap > params.gap_threshold then begin
+      (* Fill the silence with dummies in the direction that went quiet. *)
+      let t = ref (prev.Trace.time +. Histogram.sample hist rng) in
+      let count = ref 0 in
+      while !t < e.Trace.time && !count < params.max_dummies_per_gap do
+        dummies := { Trace.time = !t; dir = prev.Trace.dir; size = params.dummy_size } :: !dummies;
+        incr count;
+        t := !t +. Histogram.sample hist rng
+      done
+    end
+  done;
+  Trace.concat_sorted [ trace; Trace.of_events (Array.of_list !dummies) ]

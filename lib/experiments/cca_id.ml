@@ -51,21 +51,20 @@ let dynamics_features trace =
   let module Stats = Stob_util.Stats in
   let bucket = 0.1 in
   let tput =
-    let events =
-      Array.of_list
-        (List.filter (fun e -> e.Trace.dir = Stob_net.Packet.Incoming) (Array.to_list trace))
-    in
-    if Array.length events = 0 then [||]
+    let times = Trace.times ~dir:Stob_net.Packet.Incoming trace in
+    let sizes = Trace.sizes ~dir:Stob_net.Packet.Incoming trace in
+    let n = Array.length times in
+    if n = 0 then [||]
     else begin
-      let t0 = events.(0).Trace.time in
-      let duration = events.(Array.length events - 1).Trace.time -. t0 in
+      let t0 = times.(0) in
+      let duration = times.(n - 1) -. t0 in
       let buckets = max 1 (1 + int_of_float (duration /. bucket)) in
       let acc = Array.make buckets 0.0 in
-      Array.iter
-        (fun e ->
-          let b = min (buckets - 1) (int_of_float ((e.Trace.time -. t0) /. bucket)) in
-          acc.(b) <- acc.(b) +. float_of_int e.Trace.size)
-        events;
+      Array.iteri
+        (fun i time ->
+          let b = min (buckets - 1) (int_of_float ((time -. t0) /. bucket)) in
+          acc.(b) <- acc.(b) +. sizes.(i))
+        times;
       acc
     end
   in

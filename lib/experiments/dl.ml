@@ -4,7 +4,6 @@ module Features = Stob_kfp.Features
 module Attack = Stob_kfp.Attack
 module Dfnet = Stob_kfp.Dfnet
 module Tensor = Stob_nn.Tensor
-module Packed_trace = Stob_net.Packed_trace
 
 type row = { attack : string; original : float; defended : float }
 
@@ -140,8 +139,8 @@ let print rows =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* Population-scale corpus: both attack families on the packed traces of
-   the PR 6 factory, end to end without materializing a Trace.t. *)
+(* Population-scale corpus: both attack families on the population
+   factory's traces, end to end without a record per event. *)
 
 type population_result = {
   users : int;
@@ -220,7 +219,7 @@ let run_population ?(users = 80) ?(trees = 100) ?(epochs = 15) ?(max_per_site = 
   say "dl: training k-FP on packed features...";
   (* Pool.map keeps input order, so the rows are the same at any --jobs. *)
   let featurize =
-    Stob_par.Pool.map (Option.value pool ~default:Stob_par.Pool.sequential) Features.extract_packed
+    Stob_par.Pool.map (Option.value pool ~default:Stob_par.Pool.sequential) Features.extract
   in
   let kfp =
     Attack.train
@@ -234,14 +233,14 @@ let run_population ?(users = 80) ?(trees = 100) ?(epochs = 15) ?(max_per_site = 
   say "dl: training DF-lite on packed directions (%d epochs)..." epochs;
   let net =
     Dfnet.train ~epochs ~seed ?pool ~n_classes:monitored_sites
-      ~xs:(Dfnet.encode_packed train_traces) ~labels:train_labels
+      ~xs:(Dfnet.encode_batch train_traces) ~labels:train_labels
       ~on_epoch:(fun (pr : Stob_nn.Network.progress) ->
         if (not quiet) && pr.epoch mod 5 = 0 then
           Printf.eprintf "dl:   epoch %d, loss %.3f\n%!" pr.epoch pr.mean_loss)
       ()
   in
   let df_acc =
-    Dfnet.accuracy_m ?pool net ~xs:(Dfnet.encode_packed test_traces) ~labels:test_labels
+    Dfnet.accuracy_m ?pool net ~xs:(Dfnet.encode_batch test_traces) ~labels:test_labels
   in
   {
     users;

@@ -70,7 +70,7 @@ val run_population :
     population corpus under [state_dir], recover site labels by re-running
     the pure visit planner against the shard journals, and evaluate k-FP
     (zero-copy packed featurization) vs DF-lite (zero-copy
-    {!Stob_kfp.Dfnet.encode_packed}) on the monitored-site visits, capped
+    {!Stob_kfp.Dfnet.encode_batch}) on the monitored-site visits, capped
     at [max_per_site] samples per site (70/30 split).  Defaults: 80 users,
     100 trees, 15 epochs, 60 samples/site cap.  [?pool] parallelizes
     generation, forest training and the DF minibatch shards; results are

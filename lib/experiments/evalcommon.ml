@@ -24,9 +24,29 @@ let run_cells ?pool ?retries ?inject ?store ~experiment cells =
    different dataset (other sites, other generator) can never be replayed
    into this sweep.  Hashes the full samples + site names, not just the
    generation parameters — [run_on]-style entry points accept arbitrary
-   pre-generated corpora. *)
+   pre-generated corpora.  The hash is over explicit bytes (each string
+   length-prefixed, each trace in its binary codec), so it does not depend
+   on how the heap lays a sample out. *)
 let dataset_fingerprint (d : Dataset.t) =
-  Digest.to_hex (Digest.string (Marshal.to_string (d.Dataset.samples, d.Dataset.site_names) []))
+  let buf = Buffer.create 4096 in
+  let add_string s =
+    Buffer.add_string buf (string_of_int (String.length s));
+    Buffer.add_char buf ':';
+    Buffer.add_string buf s
+  in
+  let add_int i = add_string (string_of_int i) in
+  add_int (Array.length d.Dataset.site_names);
+  Array.iter add_string d.Dataset.site_names;
+  add_int (Array.length d.Dataset.samples);
+  Array.iter
+    (fun (s : Dataset.sample) ->
+      add_string s.Dataset.site;
+      add_int s.Dataset.label;
+      add_string (string_of_bool s.Dataset.completed);
+      add_int s.Dataset.total_in_bytes;
+      add_string (Stob_net.Trace.to_bytes s.Dataset.trace))
+    d.Dataset.samples;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let accuracy_cv ?(folds = 5) ?(trees = 100) ?(seed = 42) ?(pool = Stob_par.Pool.sequential)
     dataset =

@@ -14,9 +14,11 @@ val run_cells :
     Results in cell order; [Error] is a poisoned cell's exception text. *)
 
 val dataset_fingerprint : Stob_web.Dataset.t -> string
-(** Content hash of a corpus (samples + site names), used as a cell config
-    field so cached results can never be replayed against a different
-    dataset. *)
+(** Content hash of a corpus, used as a cell config field so cached
+    results can never be replayed against a different dataset.  It is the
+    MD5 of explicit bytes: the site names, then per sample its site, label,
+    completion flag, [total_in_bytes] and {!Stob_net.Trace.to_bytes} of
+    its trace (strings and numbers length-prefixed). *)
 
 val accuracy_cv :
   ?folds:int -> ?trees:int -> ?seed:int -> ?pool:Stob_par.Pool.t -> Stob_web.Dataset.t ->

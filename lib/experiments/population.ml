@@ -11,7 +11,7 @@ module Rng = Stob_util.Rng
 module Pool = Stob_par.Pool
 module Profile = Stob_web.Profile
 module Sites = Stob_web.Sites
-module Packed = Stob_net.Packed_trace
+module Trace = Stob_net.Trace
 module Arena = Stob_net.Arena
 module Store = Stob_store.Store
 module Journal = Stob_store.Journal
@@ -224,7 +224,7 @@ let synthesize_statistical c ~profile rng =
         deliver bytes
       end)
     page_objects;
-  Packed.of_arena arena
+  Trace.of_arena arena
 
 let synthesize c ~universe v =
   let profile = universe.(v.site) in
@@ -233,8 +233,7 @@ let synthesize c ~universe v =
   | Synthetic -> synthesize_statistical c ~profile rng
   | Browser ->
       let r = Stob_web.Browser.load ~rng profile in
-      let pt = Packed.of_trace r.Stob_web.Browser.trace in
-      Packed.prefix pt c.max_trace_events
+      Trace.prefix r.Stob_web.Browser.trace c.max_trace_events
 
 (* --- sharded generation ------------------------------------------------ *)
 
@@ -284,10 +283,10 @@ let compute_shard c ~universe ~state_dir i =
   Array.iter
     (fun v ->
       let pt = synthesize c ~universe v in
-      let payload = Packed.to_bytes pt in
+      let payload = Trace.to_bytes pt in
       Journal.append journal payload;
       site_visits.(v.site) <- site_visits.(v.site) + 1;
-      events := !events + Packed.length pt;
+      events := !events + Trace.length pt;
       bytes := !bytes + String.length payload;
       Buffer.add_string crcs (crc_hex payload))
     visits;
@@ -357,7 +356,7 @@ let generate ?(pool = Pool.sequential) ?on_shard c ~state_dir =
   }
 
 let iter_shard_traces ~state_dir ~shard f =
-  Journal.iter (shard_file ~state_dir shard) (fun buf len -> f (Packed.of_slice buf len))
+  Journal.iter (shard_file ~state_dir shard) (fun buf len -> f (Trace.of_slice buf len))
 
 let site_visit_table summary =
   let names =

@@ -3,7 +3,7 @@
     Models a whole user population browsing the monitored + background web
     for one simulated day — zipf-distributed site popularity, per-user
     session counts, diurnal load — and turns every visit into a packed
-    trace ({!Stob_net.Packed_trace}).  The corpus is generated in a fixed
+    trace ({!Stob_net.Trace}).  The corpus is generated in a fixed
     number of {e shards} (independent of [--jobs], so the output is
     jobs-invariant by construction), each shard streaming its traces into
     its own {!Stob_store.Journal} file as they are produced: resident
@@ -73,7 +73,7 @@ val plan_shard : config -> shard:int -> visit array
     [(config, shard)]; a user's plan does not depend on the shard count —
     each user draws from an own pre-split generator. *)
 
-val synthesize : config -> universe:Stob_web.Profile.t array -> visit -> Stob_net.Packed_trace.t
+val synthesize : config -> universe:Stob_web.Profile.t array -> visit -> Stob_net.Trace.t
 (** One visit's packed trace, deterministic in the visit's [trace_seed].
     Sorted, time-zeroed, at most [max_trace_events] events. *)
 
@@ -116,7 +116,7 @@ val generate :
     record implies; a truncated or missing journal is recomputed.  Raises
     [Failure] if the directory belongs to a different run. *)
 
-val iter_shard_traces : state_dir:string -> shard:int -> (Stob_net.Packed_trace.t -> unit) -> unit
+val iter_shard_traces : state_dir:string -> shard:int -> (Stob_net.Trace.t -> unit) -> unit
 (** Stream one shard's journaled traces, oldest first, each decoded
     straight from the journal walker's buffer ({!Stob_store.Journal.iter}):
     O(largest trace) memory beyond what [f] keeps.  A missing shard file

@@ -1,6 +1,5 @@
 module Trace = Stob_net.Trace
 module Packet = Stob_net.Packet
-module Packed_trace = Stob_net.Packed_trace
 module Layer = Stob_nn.Layer
 module Network = Stob_nn.Network
 module Reference = Stob_nn.Reference
@@ -9,39 +8,26 @@ module Rng = Stob_util.Rng
 
 let input_length = 600
 
-let encode trace =
-  Array.init input_length (fun i ->
-      if i < Trace.length trace then float_of_int (Packet.direction_sign trace.(i).Trace.dir)
-      else 0.0)
+(* Straight off the word lane (bit 0 is the direction), no per-event
+   record materialized. *)
+let encode_into (t : Tensor.t) row trace =
+  let meta = Trace.raw_meta trace in
+  for p = 0 to min (Trace.length trace) input_length - 1 do
+    let dir_bit = Int32.to_int (Bigarray.Array1.unsafe_get meta p) land 1 in
+    Tensor.set t row p (if dir_bit = 1 then 1.0 else -1.0)
+  done
 
 let encode_batch traces =
-  let n = Array.length traces in
-  let t = Tensor.create n input_length in
-  Array.iteri
-    (fun i trace ->
-      let len = min (Trace.length trace) input_length in
-      for p = 0 to len - 1 do
-        Tensor.set t i p (float_of_int (Packet.direction_sign trace.(p).Trace.dir))
-      done)
-    traces;
+  let t = Tensor.create (Array.length traces) input_length in
+  Array.iteri (encode_into t) traces;
   t
 
-(* Straight off the packed meta lane (bit 0 is the direction), no
-   per-event record or Trace.t materialized — the zero-copy path for the
-   population corpus. *)
-let encode_packed traces =
-  let n = Array.length traces in
-  let t = Tensor.create n input_length in
-  Array.iteri
-    (fun i packed ->
-      let meta = Packed_trace.raw_meta packed in
-      let len = min (Packed_trace.length packed) input_length in
-      for p = 0 to len - 1 do
-        let dir_bit = Int32.to_int (Bigarray.Array1.unsafe_get meta p) land 1 in
-        Tensor.set t i p (if dir_bit = 1 then 1.0 else -1.0)
-      done)
-    traces;
-  t
+let encode trace =
+  Array.init input_length (fun i ->
+      if i < Trace.length trace then float_of_int (Packet.direction_sign (Trace.dir trace i))
+      else 0.0)
+
+let encode_packed = encode_batch
 
 type t = Network.t
 

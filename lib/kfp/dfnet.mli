@@ -31,12 +31,11 @@ val encode : Stob_net.Trace.t -> float array
 (** Signed-direction encoding, zero-padded/truncated to {!input_length}. *)
 
 val encode_batch : Stob_net.Trace.t array -> Stob_nn.Tensor.t
-(** One {!encode}d row per trace. *)
+(** One {!encode}d row per trace, read straight off the word lane. *)
 
-val encode_packed : Stob_net.Packed_trace.t array -> Stob_nn.Tensor.t
-(** {!encode_batch} for packed traces, reading direction bits straight off
-    the raw meta lane — no per-event records, no [Trace.t] round trip.
-    Row [i] equals [encode (Packed_trace.to_trace traces.(i))] exactly. *)
+val encode_packed : Stob_net.Trace.t array -> Stob_nn.Tensor.t
+(** {!encode_batch} under its former name, kept for the benchmark harness;
+    the next benchmark refresh deletes it. *)
 
 val build : rng:Stob_util.Rng.t -> n_classes:int -> t
 (** The DF architecture on the batched engine. *)

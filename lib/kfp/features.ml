@@ -1,8 +1,6 @@
-(* The k-FP featurizer: one kernel over the packed lanes.
+(* The k-FP featurizer: one kernel over the trace's lanes.
 
-   [extract] converts a record trace with [Packed_trace.of_trace] and runs
-   the same kernel as [extract_packed], so the two entry points cannot
-   drift apart.  The kernel counts directions in one pass, fills every
+   The kernel counts directions in one pass, fills every
    per-direction array, counter and running sum in a second, then writes
    the statistics straight into the result, taking each array's order
    statistics from one sorted copy (none at all for time offsets that are
@@ -13,7 +11,7 @@
    battery holds the two to bit identity.  HACKING.md "Classifier hot
    path" lists the rules that keep that true. *)
 
-module P = Stob_net.Packed_trace
+module Trace = Stob_net.Trace
 module Stats = Stob_util.Stats
 module BA1 = Bigarray.Array1
 
@@ -85,9 +83,9 @@ let close_run b len =
   if len >= 5 then b.ge5 <- b.ge5 + 1;
   if len >= 10 then b.ge10 <- b.ge10 + 1
 
-let extract_packed pt =
-  let times = P.raw_times pt and meta = P.raw_meta pt in
-  let n = P.length pt in
+let extract trace =
+  let times = Trace.raw_times trace and meta = Trace.raw_meta trace in
+  let n = Trace.length trace in
   let n_out = ref 0 in
   for i = 0 to n - 1 do
     n_out := !n_out + (Int32.to_int (BA1.unsafe_get meta i) land 1)
@@ -246,4 +244,4 @@ let extract_packed pt =
   assert (!k = dimension);
   v
 
-let extract trace = extract_packed (P.of_trace trace)
+let extract_packed = extract

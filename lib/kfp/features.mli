@@ -18,16 +18,14 @@ val dimension : int
 (** Length of the feature vector ([Array.length names]). *)
 
 val extract : Stob_net.Trace.t -> float array
-(** Featurize one trace: {!extract_packed} after
-    {!Stob_net.Packed_trace.of_trace}, so it raises [Invalid_argument] on
-    an event size outside [[0, Arena.max_size]].  The result always has
-    {!dimension} entries. *)
+(** Featurize one trace, reading its lanes directly: no event record is
+    materialized.  Bit-identical to the seed featurizer kept in
+    test/kfp_reference.ml; the kfp.packed battery is the gate.  The result
+    always has {!dimension} entries. *)
 
-val extract_packed : Stob_net.Packed_trace.t -> float array
-(** [extract] over the packed representation, reading the bigarray lanes
-    directly — no event records are materialized.  Bit-identical to the
-    seed featurizer kept in test/kfp_reference.ml; the kfp.packed battery
-    is the gate. *)
+val extract_packed : Stob_net.Trace.t -> float array
+(** {!extract} under its former name, kept for the benchmark harness; the
+    next benchmark refresh deletes it. *)
 
 val chunk_size : int
 (** Packets per concentration chunk (20, as in the original attack). *)

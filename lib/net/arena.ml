@@ -1,14 +1,11 @@
 (* Bump allocator for in-flight packet metadata.
 
-   Trace builders (the capture path of a simulated visit, the synthetic
-   population generator) produce events one at a time without knowing the
-   final count.  Materializing each event as a [Trace.event] record costs
-   three boxed words plus a boxed float; at population scale that is the
-   allocation hot path.  The arena instead bumps events into fixed-size
-   bigarray chunks — one float64 lane for timestamps, one int32 lane for
-   the packed direction+size word — and hands the whole run to
-   {!Packed_trace.of_arena} with two blits per chunk.  [reset] recycles
-   the chunks, so a per-shard worker reuses one arena for every trace it
+   Trace builders (the synthetic population generator) produce events one
+   at a time without knowing the final count.  The arena bumps events into
+   fixed-size bigarray chunks -- one float64 lane for timestamps, one int32
+   lane for the packed direction+size word -- and hands the whole run to
+   {!Trace.of_arena} with two blits per chunk.  [reset] recycles the
+   chunks, so a per-shard worker reuses one arena for every trace it
    builds. *)
 
 module BA1 = Bigarray.Array1
@@ -35,13 +32,10 @@ let default_chunk_events = 4096
    encoding could not). *)
 let max_size = (1 lsl 30) - 1
 
-let encode ~dir ~size =
+let word ~dir ~size =
   if size < 0 || size > max_size then
-    invalid_arg (Printf.sprintf "Arena.add: size %d outside [0, %d]" size max_size);
-  Int32.of_int ((size lsl 1) lor (match dir with Packet.Outgoing -> 1 | Packet.Incoming -> 0))
-
-let decode_size m = Int32.to_int m lsr 1
-let decode_dir m = if Int32.to_int m land 1 = 1 then Packet.Outgoing else Packet.Incoming
+    invalid_arg (Printf.sprintf "Stob_net: wire size %d outside [0, %d]" size max_size);
+  (size lsl 1) lor (match dir with Packet.Outgoing -> 1 | Packet.Incoming -> 0)
 
 let alloc_chunk n =
   (BA1.create Bigarray.float64 Bigarray.c_layout n, BA1.create Bigarray.int32 Bigarray.c_layout n)
@@ -61,7 +55,12 @@ let create ?(chunk_events = default_chunk_events) () =
 
 let length t = t.full_len + t.cur_len
 
+(* The word is stored straight into the int32 lane, so it is never boxed:
+   an event costs no heap words here.  (A caller that computes a fresh
+   float to pass as [time] boxes it; population synthesis passes its
+   clock's already-boxed value.) *)
 let add t ~time ~dir ~size =
+  let w = word ~dir ~size in
   if t.cur_len = t.chunk_events then begin
     t.full <- (t.cur_times, t.cur_meta) :: t.full;
     t.full_len <- t.full_len + t.chunk_events;
@@ -77,7 +76,7 @@ let add t ~time ~dir ~size =
     t.cur_len <- 0
   end;
   BA1.unsafe_set t.cur_times t.cur_len time;
-  BA1.unsafe_set t.cur_meta t.cur_len (encode ~dir ~size);
+  BA1.unsafe_set t.cur_meta t.cur_len (Int32.of_int w);
   t.cur_len <- t.cur_len + 1
 
 let reset t =

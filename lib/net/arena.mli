@@ -2,7 +2,7 @@
 
     A growable, chunked store of (timestamp, direction, wire size) cells in
     bigarray lanes — no per-event boxing.  Trace builders [add] events as
-    they occur and hand the arena to {!Packed_trace.of_arena}; [reset]
+    they occur and hand the arena to {!Trace.of_arena}; [reset]
     recycles the chunks so one arena serves every trace a worker builds.
 
     The packed word is [size lsl 1 lor dir_bit] in an int32; sizes must lie
@@ -24,12 +24,13 @@ val length : t -> int
 
 val add : t -> time:float -> dir:Packet.direction -> size:int -> unit
 (** Append one event.  Raises [Invalid_argument] when [size] is outside
-    [[0, {!max_size}]]. *)
+    [[0, {!max_size}]].  Allocates no heap words per event (a chunk
+    rollover allocates a constant few). *)
 
 val reset : t -> unit
 (** Forget the contents, keeping the allocated chunks for reuse. *)
 
-(** {1 Consumption (used by {!Packed_trace})} *)
+(** {1 Consumption (used by {!Trace})} *)
 
 val blit :
   t ->
@@ -39,8 +40,8 @@ val blit :
 (** Copy the events, in insertion order, into the destination lanes (whose
     length must equal [length t]). *)
 
-(** {1 Packed-word codec (shared with {!Packed_trace})} *)
+(** {1 Packed word (shared with {!Trace})} *)
 
-val encode : dir:Packet.direction -> size:int -> int32
-val decode_size : int32 -> int
-val decode_dir : int32 -> Packet.direction
+val word : dir:Packet.direction -> size:int -> int
+(** [size lsl 1 lor dir_bit], [dir_bit] 1 for {!Packet.Outgoing}.  Raises
+    [Invalid_argument] when [size] is outside [[0, {!max_size}]]. *)

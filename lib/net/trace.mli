@@ -4,23 +4,80 @@
     triples for one page load, exactly the metadata the paper's tcpdump
     collection extracts.  Traces are the interchange format between the
     workload generator, the defenses (which transform them, Section 3) and
-    the k-FP attack (which featurizes them). *)
+    the k-FP attack (which featurizes them).
+
+    {b Representation.}  A trace is two bigarray lanes of equal length: a
+    float64 lane of timestamps and an int32 lane of words
+    [size lsl 1 lor dir_bit] ([dir_bit] is 1 for {!Packet.Outgoing}), 12
+    bytes per event outside the OCaml heap.  No record is stored per
+    event; {!event} is only the value {!get} returns and {!of_events}
+    takes.  The binary codec ({!to_bytes}) writes the two lanes as they
+    are.
+
+    {b Sizes} lie in [[0, 2^30)] ({!max_size} is [2^30 - 1]); every builder
+    raises [Invalid_argument] on a size outside that range.
+
+    {b Immutability.}  A trace is never written after it is built, so
+    values share storage freely: {!prefix} and {!sub} are zero-copy views,
+    {!shift_to_zero} shares the word lane, and {!sort} returns an input
+    that is already in order as it is, without a copy. *)
 
 type event = { time : float; dir : Packet.direction; size : int }
 
-type t = event array
-(** Invariant for well-formed traces: timestamps are non-decreasing.  Use
-    {!sort} after a transformation that may reorder events. *)
+type t
+
+type times_lane = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+type meta_lane = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+val max_size : int
+(** Largest representable wire size, [2^30 - 1]. *)
 
 val empty : t
 val length : t -> int
+
+(** {1 Per-event access} *)
+
+val time : t -> int -> float
+val dir : t -> int -> Packet.direction
+val size : t -> int -> int
+val get : t -> int -> event
+
+(** {1 Builders} *)
+
+val of_events : event array -> t
+(** The events in array order (not sorted).  Raises [Invalid_argument] on
+    a size outside [[0, {!max_size}]]. *)
+
+val of_arena : Arena.t -> t
+(** The arena's events in insertion order (not sorted). *)
+
+val of_lanes : times:times_lane -> meta:meta_lane -> t
+(** Wrap two lanes of equal length without copying; raises
+    [Invalid_argument] if the lengths differ.  The trace takes the lanes
+    over: the caller must not write to them afterwards.  Each meta word
+    must be [size lsl 1 lor dir_bit] with a size in [[0, {!max_size}]].
+    This is how a transformation that computes its output lanes directly
+    (a capture, an emulated defense) builds a trace without a record per
+    event. *)
+
+(** {1 Observers} *)
+
 val is_sorted : t -> bool
+(** No timestamp is smaller than its predecessor's. *)
 
 val sort : t -> t
-(** Stable sort by timestamp (preserves relative order of equal times). *)
+(** Stable sort by timestamp (equal times keep their relative order).  An
+    input whose timestamps are non-decreasing under [<=] is its own stable
+    sort and is returned as it is; a NaN timestamp fails that test, and the
+    sort then orders by [compare] (NaN first). *)
 
 val prefix : t -> int -> t
-(** First [n] events (all of them if the trace is shorter). *)
+(** First [n] events (all of them if the trace is shorter), a zero-copy
+    view. *)
+
+val sub : t -> int -> int -> t
+(** [sub t pos len]: the events [pos .. pos + len - 1], a zero-copy view.
+    Raises [Invalid_argument] when the slice is out of bounds. *)
 
 val duration : t -> float
 (** Last timestamp minus first; [0.] for traces shorter than 2. *)
@@ -43,18 +100,45 @@ val signed_sizes : t -> float array
 val shift_to_zero : t -> t
 (** Rebase timestamps so the first event is at time 0. *)
 
+val concat : t list -> t
+(** Concatenation in list order, no re-sorting. *)
+
 val concat_sorted : t list -> t
 (** Merge several traces into one time-ordered trace (e.g., the per-
     connection captures of one page load). *)
+
+(** {1 Codecs} *)
 
 val to_csv : t -> string
 (** "time,dir,size" lines; dir is [+1]/[-1]. *)
 
 val of_csv : string -> t
-(** Inverse of {!to_csv}.  Raises [Failure] on malformed input. *)
+(** Inverse of {!to_csv}.  Raises [Failure] on malformed input and
+    [Invalid_argument] on a size outside [[0, {!max_size}]]. *)
 
 val save : string -> t -> unit
 val load : string -> t
 
+val to_bytes : t -> string
+(** Raw binary framing for journal payloads: the magic ["SPKT1\x00"], a
+    little-endian u32 count, the float64 times, then the int32 words.
+    About half the size of the CSV, and bit-exact. *)
+
+val of_bytes : string -> t
+(** Inverse of {!to_bytes}.  Raises [Failure] on framing errors. *)
+
+val of_slice : bytes -> int -> t
+(** [of_slice buf len] decodes the first [len] bytes of [buf], exactly as
+    {!of_bytes} decodes [Bytes.sub_string buf 0 len]: for payloads lent by
+    [Stob_store.Journal.iter].  The result does not share [buf].  Raises
+    [Invalid_argument] if [len] is outside [[0, Bytes.length buf]] and
+    [Failure] on framing errors. *)
+
 val pp_summary : Format.formatter -> t -> unit
 (** One-line summary: counts, bytes and duration per direction. *)
+
+(** {1 Zero-copy lane access (the featurizer path)} *)
+
+val raw_times : t -> times_lane
+val raw_meta : t -> meta_lane
+(** The lanes themselves, to read only. *)

@@ -129,11 +129,27 @@ let set_manifest t ~experiment ~fields ~total =
       match t.manifest with
       | Some m' when m' = m -> ()
       | Some m' ->
+          let differ =
+            List.concat
+              [
+                (if m'.experiment <> experiment then [ "experiment" ] else []);
+                (if m'.total <> total then [ "total" ] else []);
+                List.sort_uniq compare
+                  (List.filter_map
+                     (fun (k, v) ->
+                       if List.assoc_opt k m.fields = Some v && List.assoc_opt k m'.fields = Some v
+                       then None
+                       else Some k)
+                     (m.fields @ m'.fields));
+              ]
+          in
           failwith
             (Printf.sprintf
                "Stob_store: state dir %s belongs to run %s (%d cells), refusing to reuse it for \
-                %s (%d cells) — use a fresh --state-dir per sweep"
-               t.dir m'.experiment m'.total experiment total)
+                %s (%d cells): %s %s — use a fresh --state-dir per sweep"
+               t.dir m'.experiment m'.total experiment total
+               (if List.length differ = 1 then "field differs:" else "fields differ:")
+               (String.concat ", " differ))
       | None ->
           t.manifest <- Some m;
           journal_append_locked t ~what:"manifest write" (Marshal.to_string (Manifest m) []))

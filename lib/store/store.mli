@@ -54,7 +54,8 @@ val set_manifest : t -> experiment:string -> fields:(string * string) list -> to
 (** Record the run identity.  Idempotent when it matches the replayed
     manifest; raises [Failure] when the directory already belongs to a
     different run — resuming with changed parameters must not silently mix
-    two sweeps' cells. *)
+    two sweeps' cells.  The message names what differs: [experiment],
+    [total], or the keys of the fields whose values differ. *)
 
 val find : t -> string -> status option
 (** Cached status of a cell digest, if any. *)

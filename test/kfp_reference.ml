@@ -1,13 +1,13 @@
 (* The seed k-FP featurizer, preserved as-is for the kfp.packed oracle.  Do
    not "improve" this file: its whole value is being the unoptimized
-   original whose output Features.extract and Features.extract_packed must
-   reproduce bit for bit.
+   original whose output Features.extract must reproduce bit for bit.  It
+   featurizes the record-array traces of Trace_reference.
 
    It carries its own copy of the seed's statistics (a fold per moment, a
    polymorphic [Array.sort compare] per order statistic), so a change to
    Stob_util.Stats cannot move the oracle along with the code under test. *)
 
-module Trace = Stob_net.Trace
+module Trace = Trace_reference
 module Packet = Stob_net.Packet
 
 module Stats = struct

@@ -7,16 +7,20 @@ module Packet = Stob_net.Packet
 open Stob_defense
 
 let ev time dir size = { Trace.time; dir; size }
+
+(* The events of a trace, to iterate over in checks. *)
+let events t = Array.init (Trace.length t) (Trace.get t)
 let out = Packet.Outgoing
 let inc = Packet.Incoming
 
 let web_like_trace () =
   (* Handshake-ish small packets, then big downloads with some out acks. *)
-  Array.init 100 (fun i ->
-      if i < 4 then ev (float_of_int i *. 0.02) (if i mod 2 = 0 then out else inc) 300
-      else
-        let dir = if i mod 6 = 0 then out else inc in
-        ev (0.08 +. (float_of_int i *. 0.01)) dir (if dir = out then 92 else 1452))
+  Trace.of_events
+    (Array.init 100 (fun i ->
+         if i < 4 then ev (float_of_int i *. 0.02) (if i mod 2 = 0 then out else inc) 300
+         else
+           let dir = if i mod 6 = 0 then out else inc in
+           ev (0.08 +. (float_of_int i *. 0.01)) dir (if dir = out then 92 else 1452)))
 
 (* --- Emulate.split --- *)
 
@@ -31,28 +35,28 @@ let test_split_caps_sizes () =
   Array.iter
     (fun e ->
       if e.Trace.dir = inc then Alcotest.(check bool) "capped" true (e.Trace.size <= 1200))
-    s
+    (events s)
 
 let test_split_only_incoming () =
-  let t = [| ev 0.0 out 1500; ev 0.1 inc 1500 |] in
+  let t = Trace.of_events [| ev 0.0 out 1500; ev 0.1 inc 1500 |] in
   let s = Emulate.split t in
   Alcotest.(check int) "one outgoing still" 1 (Trace.count ~dir:out s);
   Alcotest.(check int) "incoming split in two" 2 (Trace.count ~dir:inc s);
   (* The outgoing packet keeps its size: the defense is server-side. *)
   Array.iter
     (fun e -> if e.Trace.dir = out then Alcotest.(check int) "unsplit" 1500 e.Trace.size)
-    s
+    (events s)
 
 let test_split_first_n_only () =
-  let t = Array.init 20 (fun i -> ev (float_of_int i) inc 1500) in
+  let t = Trace.of_events (Array.init 20 (fun i -> ev (float_of_int i) inc 1500)) in
   let s = Emulate.split ~first_n:5 t in
   (* 5 split packets -> 10, remaining 15 untouched. *)
   Alcotest.(check int) "length" 25 (Trace.length s);
-  let big = Array.to_list s |> List.filter (fun e -> e.Trace.size > 1200) in
+  let big = Array.to_list (events s) |> List.filter (fun e -> e.Trace.size > 1200) in
   Alcotest.(check int) "15 still large" 15 (List.length big)
 
 let test_split_threshold_boundary () =
-  let t = [| ev 0.0 inc 1200; ev 0.1 inc 1201 |] in
+  let t = Trace.of_events [| ev 0.0 inc 1200; ev 0.1 inc 1201 |] in
   let s = Emulate.split t in
   Alcotest.(check int) "only above threshold splits" 3 (Trace.length s)
 
@@ -67,13 +71,13 @@ let test_delay_never_earlier () =
   let d = Emulate.delay ~rng:(Rng.create 1) t in
   Alcotest.(check int) "same packet count" (Trace.length t) (Trace.length d);
   Array.iteri
-    (fun i e -> Alcotest.(check bool) "time moved forward" true (e.Trace.time >= t.(i).Trace.time))
-    d
+    (fun i e -> Alcotest.(check bool) "time moved forward" true (e.Trace.time >= Trace.time t i))
+    (events d)
 
 let test_delay_preserves_sizes () =
   let t = web_like_trace () in
   let d = Emulate.delay ~rng:(Rng.create 2) t in
-  Array.iteri (fun i e -> Alcotest.(check int) "size" t.(i).Trace.size e.Trace.size) d
+  Array.iteri (fun i e -> Alcotest.(check int) "size" (Trace.size t i) e.Trace.size) (events d)
 
 let test_delay_stretches_duration () =
   let t = web_like_trace () in
@@ -84,7 +88,7 @@ let test_delay_stretches_duration () =
   Alcotest.(check bool) "bounded" true (Trace.duration d < Trace.duration t *. 1.5)
 
 let test_delay_first_n_constant_tail_shift () =
-  let t = Array.init 30 (fun i -> ev (float_of_int i *. 0.1) inc 1000) in
+  let t = Trace.of_events (Array.init 30 (fun i -> ev (float_of_int i *. 0.1) inc 1000)) in
   let d = Emulate.delay ~first_n:10 ~rng:(Rng.create 4) t in
   (* After the prefix, all gaps revert to the original 0.1. *)
   let gaps = Trace.interarrivals d in
@@ -112,10 +116,10 @@ let test_front_zero_latency () =
   let t = web_like_trace () in
   let f = Front.apply ~rng:(Rng.create 7) t in
   (* Real packets keep their timestamps: FRONT is zero-delay. *)
-  let originals = Array.to_list t in
+  let originals = Array.to_list (events t) in
   List.iter
     (fun (e : Trace.event) ->
-      Alcotest.(check bool) "original event present" true (Array.exists (fun e' -> e' = e) f))
+      Alcotest.(check bool) "original event present" true (Array.exists (fun e' -> e' = e) (events f)))
     originals;
   Alcotest.(check bool) "duration not extended" true
     (Trace.duration f <= Trace.duration t +. 1e-9)
@@ -140,10 +144,10 @@ let test_buflo_constant_rate () =
   Array.iter
     (fun g -> Alcotest.(check (float 1e-9)) "constant interval" 0.004 g)
     gaps_in;
-  Array.iter (fun e -> Alcotest.(check int) "fixed size" 1500 e.Trace.size) b
+  Array.iter (fun e -> Alcotest.(check int) "fixed size" 1500 e.Trace.size) (events b)
 
 let test_buflo_minimum_duration () =
-  let tiny = [| ev 0.0 out 100; ev 0.01 inc 2000 |] in
+  let tiny = Trace.of_events [| ev 0.0 out 100; ev 0.01 inc 2000 |] in
   let b = Buflo.apply tiny in
   Alcotest.(check bool) "padded to tau" true (Trace.duration b >= 9.9)
 
@@ -156,8 +160,8 @@ let test_buflo_carries_real_bytes () =
 let test_buflo_uniform_output () =
   (* Two very different traces yield the same stream when volumes fit under
      the tau-floor: regularization. *)
-  let small1 = [| ev 0.0 inc 5000; ev 0.1 out 300 |] in
-  let small2 = [| ev 0.0 inc 9000; ev 0.3 out 800; ev 0.5 inc 100 |] in
+  let small1 = Trace.of_events [| ev 0.0 inc 5000; ev 0.1 out 300 |] in
+  let small2 = Trace.of_events [| ev 0.0 inc 9000; ev 0.3 out 800; ev 0.5 inc 100 |] in
   let b1 = Buflo.apply small1 and b2 = Buflo.apply small2 in
   Alcotest.(check int) "same length" (Trace.length b1) (Trace.length b2);
   Alcotest.(check (float 1e-9)) "same duration" (Trace.duration b1) (Trace.duration b2)
@@ -168,7 +172,7 @@ let test_regulator_reshapes_downloads () =
   let t = web_like_trace () in
   let r = Regulator.apply t in
   Alcotest.(check bool) "nonempty" true (Trace.length r > 0);
-  Array.iter (fun e -> Alcotest.(check int) "uniform size" 1500 e.Trace.size) r;
+  Array.iter (fun e -> Alcotest.(check int) "uniform size" 1500 e.Trace.size) (events r);
   Alcotest.(check bool) "sorted" true (Trace.is_sorted r)
 
 let test_regulator_carries_volume () =
@@ -179,7 +183,7 @@ let test_regulator_carries_volume () =
 
 let test_regulator_decaying_rate () =
   (* A single burst at t=0: output gaps grow (rate decays). *)
-  let t = Array.init 50 (fun i -> ev (float_of_int i *. 1e-4) inc 1500) in
+  let t = Trace.of_events (Array.init 50 (fun i -> ev (float_of_int i *. 1e-4) inc 1500)) in
   let r = Regulator.apply t in
   let gaps = Trace.interarrivals ~dir:inc r in
   Alcotest.(check bool) "later gaps longer" true
@@ -205,8 +209,8 @@ let test_tamaraw_constant_intervals () =
 
 let test_tamaraw_quantizes_lengths () =
   (* Two traces with similar volume map to identical defended lengths. *)
-  let t1 = [| ev 0.0 inc 40_000; ev 0.1 out 2_000 |] in
-  let t2 = [| ev 0.0 inc 55_000; ev 0.2 out 3_000; ev 0.3 inc 10_000 |] in
+  let t1 = Trace.of_events [| ev 0.0 inc 40_000; ev 0.1 out 2_000 |] in
+  let t2 = Trace.of_events [| ev 0.0 inc 55_000; ev 0.2 out 3_000; ev 0.3 inc 10_000 |] in
   Alcotest.(check int) "same bucket"
     (Trace.length (Tamaraw.apply t1))
     (Trace.length (Tamaraw.apply t2))
@@ -215,11 +219,12 @@ let test_tamaraw_quantizes_lengths () =
 
 let test_wtfpad_fills_gaps () =
   let t =
-    Array.concat
-      [
-        Array.init 20 (fun i -> ev (float_of_int i *. 0.001) inc 1400);
-        [| ev 1.0 inc 1400 |];  (* a 0.98 s silence before this *)
-      ]
+    Trace.of_events
+      (Array.concat
+         [
+           Array.init 20 (fun i -> ev (float_of_int i *. 0.001) inc 1400);
+           [| ev 1.0 inc 1400 |];  (* a 0.98 s silence before this *)
+         ])
   in
   let w = Wtfpad.apply ~rng:(Rng.create 9) t in
   Alcotest.(check bool) "dummies added" true (Trace.length w > Trace.length t);
@@ -227,7 +232,7 @@ let test_wtfpad_fills_gaps () =
      flow's typical gaps) and are MTU-sized, unlike the real 1400 B
      packets. *)
   Alcotest.(check bool) "silence filled" true
-    (Array.exists (fun e -> e.Trace.time > 0.0191 && e.Trace.time < 1.0 && e.Trace.size = 1500) w);
+    (Array.exists (fun e -> e.Trace.time > 0.0191 && e.Trace.time < 1.0 && e.Trace.size = 1500) (events w));
   Alcotest.(check bool) "bounded per gap" true
     (Trace.length w <= Trace.length t + 6)
 
@@ -255,10 +260,10 @@ let test_alpaca_outgoing_untouched () =
 
 let test_alpaca_separate_bursts () =
   (* Two bursts separated by a long gap are padded independently. *)
-  let t = [| ev 0.0 inc 5000; ev 0.001 inc 5000; ev 1.0 inc 3000 |] in
+  let t = Trace.of_events [| ev 0.0 inc 5000; ev 0.001 inc 5000; ev 1.0 inc 3000 |] in
   let d = Alpaca.apply t in
-  let early = Array.to_list d |> List.filter (fun e -> e.Trace.time < 0.5) in
-  let late = Array.to_list d |> List.filter (fun e -> e.Trace.time >= 0.5) in
+  let early = Array.to_list (events d) |> List.filter (fun e -> e.Trace.time < 0.5) in
+  let late = Array.to_list (events d) |> List.filter (fun e -> e.Trace.time >= 0.5) in
   let bytes l = List.fold_left (fun acc e -> acc + e.Trace.size) 0 l in
   Alcotest.(check int) "burst 1 quantized" 0 (bytes early mod 8192);
   Alcotest.(check int) "burst 2 quantized" 0 (bytes late mod 8192)
@@ -272,7 +277,7 @@ let test_morphing_wears_target_sizes () =
     (fun e ->
       if e.Trace.dir = inc then
         Alcotest.(check bool) "size from target domain" true (e.Trace.size >= 80 && e.Trace.size <= 1000))
-    d;
+    (events d);
   (* Real bytes are covered (padding allowed, loss not). *)
   Alcotest.(check bool) "covers real bytes" true
     (Trace.bytes ~dir:inc d >= Trace.bytes ~dir:inc t)
@@ -289,11 +294,11 @@ let test_surakav_covers_payload () =
   let d = Surakav.apply ~rng:(Rng.create 18) t in
   Alcotest.(check bool) "reference schedule covers real bytes" true
     (Trace.bytes ~dir:inc d >= Trace.bytes ~dir:inc t);
-  Array.iter (fun e -> Alcotest.(check int) "uniform size" 1500 e.Trace.size) d
+  Array.iter (fun e -> Alcotest.(check int) "uniform size" 1500 e.Trace.size) (events d)
 
 let test_surakav_content_independent_schedule () =
   (* Same rng seed, different contents of similar size: identical shape. *)
-  let t1 = [| ev 0.0 inc 100_000 |] and t2 = [| ev 0.0 inc 100_500; ev 0.1 inc 1000 |] in
+  let t1 = Trace.of_events [| ev 0.0 inc 100_000 |] and t2 = Trace.of_events [| ev 0.0 inc 100_500; ev 0.1 inc 1000 |] in
   let d1 = Surakav.apply ~rng:(Rng.create 19) t1 in
   let d2 = Surakav.apply ~rng:(Rng.create 19) t2 in
   (* The schedules come from the same draws; lengths differ by at most one
@@ -306,7 +311,7 @@ let test_surakav_content_independent_schedule () =
 let test_cactus_quantizes_time_and_size () =
   let t = web_like_trace () in
   let d = Cactus.apply ~rng:(Rng.create 20) t in
-  Array.iter (fun e -> Alcotest.(check int) "cell size" 1200 e.Trace.size) d;
+  Array.iter (fun e -> Alcotest.(check int) "cell size" 1200 e.Trace.size) (events d);
   Alcotest.(check bool) "volume covered" true (Trace.bytes d >= Trace.bytes t);
   Alcotest.(check bool) "sorted" true (Trace.is_sorted d)
 
@@ -325,7 +330,7 @@ let test_netshaper_fixed_sizes () =
   Array.iter
     (fun e ->
       if e.Trace.dir = inc then Alcotest.(check int) "uniform size" 1500 e.Trace.size)
-    d;
+    (events d);
   Alcotest.(check bool) "sorted" true (Trace.is_sorted d)
 
 let test_netshaper_carries_volume () =
@@ -336,11 +341,11 @@ let test_netshaper_carries_volume () =
 
 let test_netshaper_pads_idle_windows () =
   (* A single small burst still produces at least the per-window floor. *)
-  let t = [| ev 0.0 inc 3000; ev 0.3 inc 2000 |] in
+  let t = Trace.of_events [| ev 0.0 inc 3000; ev 0.3 inc 2000 |] in
   let d = Netshaper.apply ~rng:(Rng.create 14) t in
   (* Between the two bursts (0.05..0.3 s) the floor keeps packets flowing. *)
   Alcotest.(check bool) "idle window padded" true
-    (Array.exists (fun e -> e.Trace.time > 0.1 && e.Trace.time < 0.28) d)
+    (Array.exists (fun e -> e.Trace.time > 0.1 && e.Trace.time < 0.28) (events d))
 
 let test_netshaper_outgoing_untouched () =
   let t = web_like_trace () in
@@ -358,8 +363,8 @@ let test_overhead_zero_on_identity () =
   Alcotest.(check (float 1e-9)) "pkt" 0.0 s.Overhead.packets
 
 let test_overhead_values () =
-  let original = [| ev 0.0 inc 1000; ev 1.0 inc 1000 |] in
-  let defended = [| ev 0.0 inc 1000; ev 2.0 inc 2000 |] in
+  let original = Trace.of_events [| ev 0.0 inc 1000; ev 1.0 inc 1000 |] in
+  let defended = Trace.of_events [| ev 0.0 inc 1000; ev 2.0 inc 2000 |] in
   Alcotest.(check (float 1e-9)) "bw +50%" 0.5
     (Overhead.bandwidth_overhead ~original ~defended);
   Alcotest.(check (float 1e-9)) "lat +100%" 1.0 (Overhead.latency_overhead ~original ~defended)
@@ -415,7 +420,7 @@ let arbitrary_trace =
         (map3
            (fun t d s -> ev t (if d then out else inc) (40 + s))
            (float_range 0.0 5.0) bool (int_range 0 1460))
-      |> map (fun evs -> Trace.sort (Array.of_list evs)))
+      |> map (fun evs -> Trace.sort (Trace.of_events (Array.of_list evs))))
 
 let prop_split_conserves =
   QCheck.Test.make ~name:"split conserves per-direction bytes" ~count:200 arbitrary_trace
@@ -550,6 +555,55 @@ let test_golden_outputs () =
   Alcotest.(check (list (pair string (pair string string))))
     "defense digests" golden_expected (golden_pins ())
 
+(* --- the record-array oracle --- *)
+
+module Ref = Trace_reference
+
+(* Traces for the oracle, sorted or not: tied, signed-zero and NaN
+   timestamps, sizes on both sides of the split threshold, and a prefix
+   bound that may be absent, negative or past the end. *)
+let arbitrary_emulate_case =
+  let open QCheck.Gen in
+  let event =
+    map3
+      (fun t d s -> ev t (if d then out else inc) s)
+      (oneof [ float_range 0.0 5.0; oneofl [ -0.0; 0.0; 1.0; Float.nan ] ])
+      bool
+      (oneof [ int_range 0 1500; oneofl [ 0; 1200; 1201 ] ])
+  in
+  let trace =
+    map2
+      (fun sorted evs -> if sorted then Ref.sort (Array.of_list evs) else Array.of_list evs)
+      bool
+      (list_size (int_range 0 80) event)
+  in
+  QCheck.make
+    ~print:(fun (t, first_n, seed) ->
+      Printf.sprintf "first_n=%s seed=%d\n%s"
+        (Option.fold ~none:"none" ~some:string_of_int first_n)
+        seed (Ref.to_csv t))
+    (triple trace (opt (int_range (-2) 90)) small_nat)
+
+let event_bits (t : Ref.t) =
+  Array.map (fun e -> (Int64.bits_of_float e.Trace.time, e.Trace.dir, e.Trace.size)) t
+
+let prop_emulate_matches_reference =
+  QCheck.Test.make ~name:"lane emulation equals the record reference, draws included" ~count:300
+    arbitrary_emulate_case (fun (t, first_n, seed) ->
+      let p = Trace.of_events t in
+      List.for_all
+        (fun (lanes, reference) ->
+          let r1 = Rng.create seed and r2 = Rng.create seed in
+          event_bits (Ref.of_lanes (lanes r1 p)) = event_bits (reference r2 t)
+          && Rng.bits64 r1 = Rng.bits64 r2)
+        [
+          ((fun _ p -> Emulate.split ?first_n p), fun _ t -> Ref.Emulate.split ?first_n t);
+          ( (fun rng p -> Emulate.delay ?first_n ~rng p),
+            fun rng t -> Ref.Emulate.delay ?first_n ~rng t );
+          ( (fun rng p -> Emulate.combined ?first_n ~rng p),
+            fun rng t -> Ref.Emulate.combined ?first_n ~rng t );
+        ])
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -568,6 +622,7 @@ let suite =
         Alcotest.test_case "combined" `Quick test_combined_splits_and_delays;
         q prop_split_conserves;
         q prop_delay_monotone;
+        q prop_emulate_matches_reference;
       ] );
     ( "defense.front",
       [

@@ -5,16 +5,18 @@ module Trace = Stob_net.Trace
 module Packet = Stob_net.Packet
 module Features = Stob_kfp.Features
 module Attack = Stob_kfp.Attack
-module Packed = Stob_net.Packed_trace
+module Ref = Trace_reference
 
 let ev time dir size = { Trace.time; dir; size }
 let out = Packet.Outgoing
 let inc = Packet.Incoming
 
-let sample_trace () =
+let sample_events () =
   Array.init 120 (fun i ->
       let dir = if i mod 5 = 0 then out else inc in
       ev (float_of_int i *. 0.01) dir (if dir = out then 80 else 1200 + (i mod 3 * 100)))
+
+let sample_trace () = Trace.of_events (sample_events ())
 
 (* --- Features --- *)
 
@@ -34,8 +36,8 @@ let test_extract_length_invariant () =
         (Array.length (Features.extract trace)))
     [
       Trace.empty;
-      [| ev 0.0 out 60 |];
-      [| ev 0.0 inc 1500 |];
+      Trace.of_events [| ev 0.0 out 60 |];
+      Trace.of_events [| ev 0.0 inc 1500 |];
       sample_trace ();
       Trace.prefix (sample_trace ()) 3;
     ]
@@ -52,7 +54,7 @@ let test_extract_all_finite () =
           if not (Float.is_finite v) then
             Alcotest.fail (Printf.sprintf "feature %s not finite" Features.names.(i)))
         (Features.extract trace))
-    [ Trace.empty; [| ev 0.0 out 60 |]; sample_trace () ]
+    [ Trace.empty; Trace.of_events [| ev 0.0 out 60 |]; sample_trace () ]
 
 let feature_value trace name =
   let features = Features.extract trace in
@@ -73,7 +75,10 @@ let test_first30_features () =
 
 let test_burst_features () =
   (* out out in in in out -> out bursts [2;1], in bursts [3]. *)
-  let t = [| ev 0.0 out 1; ev 0.1 out 1; ev 0.2 inc 1; ev 0.3 inc 1; ev 0.4 inc 1; ev 0.5 out 1 |] in
+  let t =
+    Trace.of_events
+      [| ev 0.0 out 1; ev 0.1 out 1; ev 0.2 inc 1; ev 0.3 inc 1; ev 0.4 inc 1; ev 0.5 out 1 |]
+  in
   Alcotest.(check (float 0.0)) "out burst count" 2.0 (feature_value t "burst.out.count");
   Alcotest.(check (float 0.0)) "out burst max" 2.0 (feature_value t "burst.out.max");
   Alcotest.(check (float 0.0)) "in burst count" 1.0 (feature_value t "burst.in.count");
@@ -97,12 +102,13 @@ let synthetic_dataset rng n_per_class =
         let base_size = if label = 0 then 1400 else 700 in
         let n = 40 + Rng.int rng 20 in
         let trace =
-          Array.init n (fun i ->
-              let dir = if i mod 4 = 0 then out else inc in
-              ev
-                (float_of_int i *. (0.005 +. Rng.float rng 0.002))
-                dir
-                (if dir = out then 80 else base_size + Rng.int rng 100))
+          Trace.of_events
+            (Array.init n (fun i ->
+                 let dir = if i mod 4 = 0 then out else inc in
+                 ev
+                   (float_of_int i *. (0.005 +. Rng.float rng 0.002))
+                   dir
+                   (if dir = out then 80 else base_size + Rng.int rng 100)))
         in
         (Features.extract trace, label))
   in
@@ -175,7 +181,7 @@ let prop_features_finite_on_random_traces =
           (map3
              (fun t d s -> ev t (if d then out else inc) (40 + s))
              (float_range 0.0 5.0) bool (int_range 0 1460))
-        |> map (fun evs -> Trace.sort (Array.of_list evs)))
+        |> map (fun evs -> Trace.sort (Trace.of_events (Array.of_list evs))))
   in
   QCheck.Test.make ~name:"features are finite and fixed-length on any trace" ~count:200
     arbitrary_trace (fun t ->
@@ -184,31 +190,36 @@ let prop_features_finite_on_random_traces =
 
 (* --- Packed featurizer parity --- *)
 
+(* Reference traces: the lanes are built from them with [Trace.of_events]. *)
 let arbitrary_sorted_trace =
   QCheck.make
-    ~print:(fun t -> Trace.to_csv t)
+    ~print:(fun t -> Ref.to_csv t)
     QCheck.Gen.(
       list_size (int_range 0 80)
         (map3
            (fun t d s -> { Trace.time = t; dir = (if d then out else inc); size = s })
            (oneof [ float_range 0.0 10.0; return 1.5 ])
            bool (int_range 0 1500))
-      |> map (fun evs -> Trace.sort (Array.of_list evs)))
+      |> map (fun evs -> Ref.sort (Array.of_list evs)))
 
 (* Bitwise, not [=]: [=] equates -0.0 with 0.0 and never matches NaN. *)
 let bits v = Array.map Int64.bits_of_float v
 
+(* Both entry points, on the lanes, against the seed featurizer on the
+   reference trace. *)
+let parity t =
+  let p = Trace.of_events t in
+  let want = bits (Kfp_reference.extract t) in
+  bits (Features.extract p) = want && bits (Features.extract_packed p) = want
+
 let prop_extract_packed_parity =
   QCheck.Test.make ~name:"extract_packed is bit-identical to extract" ~count:200
-    arbitrary_sorted_trace (fun t ->
-      bits (Features.extract_packed (Packed.of_trace t)) = bits (Features.extract t))
+    arbitrary_sorted_trace parity
 
 let test_extract_packed_degenerate () =
   List.iter
-    (fun t ->
-      Alcotest.(check bool) "parity on degenerate trace" true
-        (bits (Features.extract_packed (Packed.of_trace t)) = bits (Features.extract t)))
-    [ [||]; [| ev 0.0 out 52 |]; [| ev 1.0 inc 0; ev 1.0 inc 0 |]; sample_trace () ]
+    (fun t -> Alcotest.(check bool) "parity on degenerate trace" true (parity t))
+    [ [||]; [| ev 0.0 out 52 |]; [| ev 1.0 inc 0; ev 1.0 inc 0 |]; sample_events () ]
 
 (* --- Bitwise oracle: the seed featurizer kept in Kfp_reference --- *)
 
@@ -223,9 +234,9 @@ let oracle_trace =
   let shaped ~sort time dir =
     list_size (int_range 0 120)
       (map3 (fun time dir size -> { Trace.time; dir; size }) time dir size)
-    |> map (fun evs -> if sort then Trace.sort (Array.of_list evs) else Array.of_list evs)
+    |> map (fun evs -> if sort then Ref.sort (Array.of_list evs) else Array.of_list evs)
   in
-  QCheck.make ~print:Trace.to_csv
+  QCheck.make ~print:Ref.to_csv
     (oneof
        [
          shaped ~sort:true (float_range 0.0 10.0) any_dir;
@@ -237,18 +248,18 @@ let oracle_trace =
          shaped ~sort:false (oneofl [ -0.0; 0.0 ]) any_dir;
          shaped ~sort:true (float_range 0.0 10.0) (return out);
          shaped ~sort:true (float_range 0.0 10.0) (return inc);
-         return Trace.empty;
+         return Ref.empty;
        ])
 
 let prop_extract_matches_reference =
   QCheck.Test.make ~name:"extract and extract_packed match the seed featurizer bitwise"
     ~count:500 oracle_trace (fun t ->
-      let p = Packed.of_trace t in
+      let p = Trace.of_events t in
       List.for_all
         (fun k ->
-          let want = outcome Kfp_reference.extract (Trace.prefix t k) in
-          want = outcome Features.extract (Trace.prefix t k)
-          && want = outcome Features.extract_packed (Packed.prefix p k))
+          let want = outcome Kfp_reference.extract (Ref.prefix t k) in
+          want = outcome Features.extract (Trace.prefix p k)
+          && want = outcome Features.extract_packed (Trace.prefix p k))
         [ max_int; 15; 30; 45 ])
 
 let test_names_match_reference () =

@@ -486,10 +486,11 @@ let test_fit_jobs_invariant () =
 
 let test_dfnet_encode () =
   let trace =
-    [|
-      { Stob_net.Trace.time = 0.0; dir = Stob_net.Packet.Outgoing; size = 100 };
-      { Stob_net.Trace.time = 0.1; dir = Stob_net.Packet.Incoming; size = 1500 };
-    |]
+    Stob_net.Trace.of_events
+      [|
+        { Stob_net.Trace.time = 0.0; dir = Stob_net.Packet.Outgoing; size = 100 };
+        { Stob_net.Trace.time = 0.1; dir = Stob_net.Packet.Incoming; size = 1500 };
+      |]
   in
   let x = Dfnet.encode trace in
   Alcotest.(check int) "length" Dfnet.input_length (Array.length x);
@@ -503,16 +504,17 @@ let test_dfnet_encode_batch_packed_agree () =
   let rng = Rng.create 41 in
   let traces =
     Array.init 5 (fun _ ->
-        Array.init
-          (50 + Rng.int rng 700)
-          (fun i ->
-            {
-              Stob_net.Trace.time = 0.001 *. float_of_int i;
-              dir =
-                (if Rng.float rng 1.0 < 0.4 then Stob_net.Packet.Outgoing
-                 else Stob_net.Packet.Incoming);
-              size = 100 + Rng.int rng 1000;
-            }))
+        Stob_net.Trace.of_events
+          (Array.init
+             (50 + Rng.int rng 700)
+             (fun i ->
+               {
+                 Stob_net.Trace.time = 0.001 *. float_of_int i;
+                 dir =
+                   (if Rng.float rng 1.0 < 0.4 then Stob_net.Packet.Outgoing
+                    else Stob_net.Packet.Incoming);
+                 size = 100 + Rng.int rng 1000;
+               })))
   in
   let batch = Dfnet.encode_batch traces in
   let packed = Dfnet.encode_packed (Array.map Stob_net.Packed_trace.of_trace traces) in
