@@ -1,36 +1,32 @@
 (* Columns, not a list of records: a capture sees every packet of a run, so
-   each packet costs one slot of a float64 lane and one of an int32 lane
-   holding the trace word [size lsl 1 lor dir_bit].  [trace] copies the
-   used prefix of both lanes into a fresh trace, two blits and no record
-   per packet. *)
+   each packet costs one slot of a float array and one of an int array
+   holding the trace word [size lsl 1 lor dir_bit].  [trace] fills a fresh
+   trace's lanes straight from the used prefix of the columns, with no
+   record per packet. *)
 
 module BA1 = Bigarray.Array1
 
 type t = {
-  mutable times : Trace.times_lane;
-  mutable meta : Trace.meta_lane;
+  mutable times : float array;
+  mutable meta : int array;
   mutable n : int;
   mutable rtx : int;
 }
 
-let lanes n =
-  (BA1.create Bigarray.float64 Bigarray.c_layout n, BA1.create Bigarray.int32 Bigarray.c_layout n)
-
-let create () =
-  let times, meta = lanes 0 in
-  { times; meta; n = 0; rtx = 0 }
+let create () = { times = [||]; meta = [||]; n = 0; rtx = 0 }
 
 let add t ~dir ~time (p : Packet.t) =
   let n = t.n in
-  if n = BA1.dim t.times then begin
-    let times, meta = lanes (if n = 0 then 256 else 2 * n) in
-    BA1.blit t.times (BA1.sub times 0 n);
-    BA1.blit t.meta (BA1.sub meta 0 n);
+  if n = Array.length t.times then begin
+    let cap = if n = 0 then 256 else 2 * n in
+    let times = Array.make cap 0.0 and meta = Array.make cap 0 in
+    Array.blit t.times 0 times 0 n;
+    Array.blit t.meta 0 meta 0 n;
     t.times <- times;
     t.meta <- meta
   end;
-  BA1.unsafe_set t.times n time;
-  BA1.unsafe_set t.meta n (Int32.of_int (Arena.word ~dir ~size:(Packet.wire_size p)));
+  t.times.(n) <- time;
+  t.meta.(n) <- Arena.word ~dir ~size:(Packet.wire_size p);
   t.n <- n + 1;
   if p.rtx then t.rtx <- t.rtx + 1
 
@@ -38,9 +34,12 @@ let record t ~time (p : Packet.t) = add t ~dir:p.dir ~time p
 let observe t ~dir ~time p = add t ~dir ~time p
 
 let trace t =
-  let times, meta = lanes t.n in
-  BA1.blit (BA1.sub t.times 0 t.n) times;
-  BA1.blit (BA1.sub t.meta 0 t.n) meta;
+  let times = BA1.create Bigarray.float64 Bigarray.c_layout t.n in
+  let meta = BA1.create Bigarray.int32 Bigarray.c_layout t.n in
+  for i = 0 to t.n - 1 do
+    BA1.unsafe_set times i (Array.unsafe_get t.times i);
+    BA1.unsafe_set meta i (Int32.of_int (Array.unsafe_get t.meta i))
+  done;
   Trace.sort (Trace.of_lanes ~times ~meta)
 
 let clear t =
