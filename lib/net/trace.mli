@@ -14,8 +14,11 @@
     takes.  The binary codec ({!to_bytes}) writes the two lanes as they
     are.
 
-    {b Sizes} lie in [[0, 2^30)] ({!max_size} is [2^30 - 1]); every builder
-    raises [Invalid_argument] on a size outside that range.
+    {b Sizes} lie in [[0, 2^30)] ({!max_size} is [2^30 - 1]).  {!of_events},
+    {!of_csv}, {!Arena.add} and {!Capture} raise [Invalid_argument] on a
+    size outside that range (the record-array trace this type replaced
+    accepted any int); {!of_lanes} and the binary codec take the words as
+    given.
 
     {b Immutability.}  A trace is never written after it is built, so
     values share storage freely: {!prefix} and {!sub} are zero-copy views,
@@ -99,9 +102,6 @@ val signed_sizes : t -> float array
 
 val shift_to_zero : t -> t
 (** Rebase timestamps so the first event is at time 0. *)
-
-val concat : t list -> t
-(** Concatenation in list order, no re-sorting. *)
 
 val concat_sorted : t list -> t
 (** Merge several traces into one time-ordered trace (e.g., the per-

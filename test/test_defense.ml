@@ -9,7 +9,7 @@ open Stob_defense
 let ev time dir size = { Trace.time; dir; size }
 
 (* The events of a trace, to iterate over in checks. *)
-let events t = Array.init (Trace.length t) (Trace.get t)
+let events = Trace_reference.of_lanes
 let out = Packet.Outgoing
 let inc = Packet.Incoming
 
@@ -298,7 +298,8 @@ let test_surakav_covers_payload () =
 
 let test_surakav_content_independent_schedule () =
   (* Same rng seed, different contents of similar size: identical shape. *)
-  let t1 = Trace.of_events [| ev 0.0 inc 100_000 |] and t2 = Trace.of_events [| ev 0.0 inc 100_500; ev 0.1 inc 1000 |] in
+  let t1 = Trace.of_events [| ev 0.0 inc 100_000 |]
+  and t2 = Trace.of_events [| ev 0.0 inc 100_500; ev 0.1 inc 1000 |] in
   let d1 = Surakav.apply ~rng:(Rng.create 19) t1 in
   let d2 = Surakav.apply ~rng:(Rng.create 19) t2 in
   (* The schedules come from the same draws; lengths differ by at most one

@@ -717,6 +717,17 @@ let test_manifest_guard () =
   (match Store.set_manifest store ~experiment:"fig3" ~fields:[] ~total:2 with
   | exception Failure _ -> ()
   | () -> Alcotest.fail "expected a manifest mismatch to be refused");
+  (* Same experiment and total, one field changed (a corpus fingerprint
+     computed another way): the refusal names the field. *)
+  (match
+     Store.set_manifest store ~experiment:"table2"
+       ~fields:[ ("seed", "1"); ("dataset", "0123") ]
+       ~total:4
+   with
+  | exception Failure msg ->
+      Alcotest.(check bool) (Printf.sprintf "message names the field: %s" msg) true
+        (Re.execp (Re.compile (Re.str "differs: dataset")) msg)
+  | () -> Alcotest.fail "expected a changed dataset field to be refused");
   Store.close store;
   let store = Store.open_ dir in
   (match Store.manifest store with

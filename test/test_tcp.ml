@@ -13,7 +13,7 @@ module Soak = Stob_check.Soak
 open Stob_tcp
 
 (* The events of a trace, to iterate over in checks. *)
-let events t = Array.init (Trace.length t) (Trace.get t)
+let events = Trace_reference.of_lanes
 
 let check_float margin = Alcotest.(check (float margin))
 

@@ -9,7 +9,7 @@ module Session = Stob_tls.Session
 open Stob_web
 
 (* The events of a trace, to iterate over in checks. *)
-let events t = Array.init (Trace.length t) (Trace.get t)
+let events = Trace_reference.of_lanes
 
 (* --- TLS record framing --- *)
 

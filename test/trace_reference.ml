@@ -6,8 +6,8 @@
    defense.emulate batteries are the gates, kfp_reference featurizes it).
 
    [event] is [Stob_net.Trace.event], so one event value moves between the
-   two representations unchanged; [of_lanes]/[to_lanes] are the only
-   additions. *)
+   two representations unchanged; [of_lanes] (the events of a lane trace)
+   is the only addition. *)
 
 module Packet = Stob_net.Packet
 
@@ -118,7 +118,6 @@ let pp_summary fmt t =
     (bytes ~dir:Packet.Incoming t) (duration t)
 
 let of_lanes lanes = Array.init (Stob_net.Trace.length lanes) (Stob_net.Trace.get lanes)
-let to_lanes t = Stob_net.Trace.of_events t
 
 module Emulate = struct
   module Trace = struct
