@@ -29,6 +29,19 @@ let git_rev () =
   ignore (Unix.close_process_in ic);
   rev
 
+(* The first "model name" of /proc/cpuinfo: wall times only compare
+   between runs on the same CPU. *)
+let cpu_model () =
+  let model line =
+    match String.index_opt line ':' with
+    | Some i when String.starts_with ~prefix:"model name" line ->
+        Some (String.trim (String.sub line (i + 1) (String.length line - i - 1)))
+    | _ -> None
+  in
+  match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all with
+  | text -> Option.value ~default:"unknown" (List.find_map model (String.split_on_char '\n' text))
+  | exception Sys_error _ -> "unknown"
+
 (* Atomically write [file] in the layout of `benchmark/run.exe --out`: a
    provenance block, and [metrics] (name, unit, value) as
    {name: {value, unit}}. *)
@@ -48,6 +61,7 @@ let write_bench file ~jobs metrics =
         ("nproc", json (Int (Domain.recommended_domain_count ())));
         ("jobs", json (Int jobs));
         ("ocaml_version", json (Text Sys.ocaml_version));
+        ("cpu_model", json (Text (cpu_model ())));
       ]
   in
   let metric (name, unit, v) = field (name, obj [ ("value", json v); ("unit", json (Text unit)) ]) in

@@ -295,6 +295,11 @@ let check_quic_inspection (i : Quic.inspection) =
       ( "quic-sender-index",
         Printf.sprintf "low-water mark %d above outstanding packet %d" i.low_water
           i.lowest_unacked )
+  else if i.unindexed_holes <> [] then
+    Some
+      ( "quic-sender-index",
+        Printf.sprintf "outstanding packets [%s] below the hole-index edge missing from the index"
+          (String.concat "," (List.map string_of_int i.unindexed_holes)) )
   else if i.amp_credit < 0 then
     Some
       ( "quic-amplification",

@@ -252,7 +252,7 @@ let add_quic_flow ~engine ~monitor ~id ~start ~on_done spec =
     (Engine.schedule_at engine ~time:start (fun () ->
          let rng = Rng.create spec.seed in
          let client_ref = ref None and server_ref = ref None in
-         let wire = Hashtbl.create 64 in
+         let wire = Quic.create_wire 64 in
          let bh =
            Option.map (fun (after, dur) -> (start +. after, start +. after +. dur)) spec.blackhole
          in

@@ -5,7 +5,7 @@ type t = { client : Endpoint.t; server : Endpoint.t; flow : int; flight_bytes : 
 
 let create ~engine ~path ~flow ?(config = Endpoint.default_config) ?(cc = Stob_tcp.Cubic.make)
     ?server_cpu ?server_hooks ~flight_bytes () =
-  let wire = Hashtbl.create 1024 in
+  let wire = Endpoint.create_wire 1024 in
   let tx packets = Path.send path packets in
   let client =
     Endpoint.create ~engine ~config ~cc:(cc config) ~flow ~dir:Packet.Outgoing ~wire ~tx ()

@@ -9,7 +9,8 @@ module Qendpoint = Stob_quic.Endpoint
 (* HTTP/3 frame overhead per message (HEADERS/DATA frame headers, QPACK). *)
 let h3_overhead = 24
 
-let load ?policy ?cc ?client_netem ?server_netem ?(max_time = 60.0) ~rng profile =
+let load ?policy ?cc ?client_netem ?server_netem ?(max_time = 60.0) ?(on_connection = ignore) ~rng
+    profile =
   let engine = Engine.create () in
   let rate_bps, delay = Profile.sample_network profile rng in
   let queue_capacity = max 65536 (int_of_float (rate_bps *. 0.05 /. 8.0)) in
@@ -23,6 +24,7 @@ let load ?policy ?cc ?client_netem ?server_netem ?(max_time = 60.0) ~rng profile
       policy
   in
   let conn = Qconn.create ~engine ~path ~flow:1 ?cc ?server_hooks ~flight_bytes:flight () in
+  on_connection conn;
   let client = Qconn.client conn and server = Qconn.server conn in
 
   (* --- server application: one job per stream ----------------------- *)

@@ -18,6 +18,7 @@ val load :
   ?client_netem:Stob_net.Packet.t Stob_sim.Netem.spec ->
   ?server_netem:Stob_net.Packet.t Stob_sim.Netem.spec ->
   ?max_time:float ->
+  ?on_connection:(Stob_quic.Connection.t -> unit) ->
   rng:Stob_util.Rng.t ->
   Profile.t ->
   Browser.result
@@ -27,4 +28,6 @@ val load :
     [client_netem]/[server_netem] impair the respective receive directions
     exactly as in {!Browser.load}; the result's [netem_stats] reports what
     the stages did, and the hardened endpoint's loss detection and PTO
-    machinery recover the visit. *)
+    machinery recover the visit.  [on_connection] receives the visit's
+    connection before it opens, to read its endpoints' counters once the
+    load returns. *)

@@ -401,7 +401,7 @@ let test_rtx_oracle_agreement () =
    of the response stayed behind (751 entries on this transfer). *)
 let test_wire_table_drains () =
   let engine = Engine.create () in
-  let wire = Hashtbl.create 64 in
+  let wire = Endpoint.create_wire 64 in
   let tx dst pkts =
     Array.iter
       (fun p ->
@@ -431,7 +431,7 @@ let test_wire_table_drains () =
   Alcotest.(check int) "response delivered" 2_000_000 !received;
   Alcotest.(check bool) "both ends still open" false
     (Endpoint.closed client || Endpoint.closed server);
-  Alcotest.(check int) "no frame entry left behind" 0 (Hashtbl.length wire)
+  Alcotest.(check int) "no frame entry left behind" 0 (Endpoint.wire_length wire)
 
 (* The mixed TCP+QUIC smoke battery is jobs-invariant, shard for shard. *)
 let test_mixed_soak_jobs_parity () =
@@ -498,6 +498,157 @@ let prop_quic_delivery_under_netem =
       Connection.open_ w.conn;
       Engine.run ~until:90.0 w.engine;
       got w.server_rx 4 = 600 && got w.client_rx 4 = response)
+
+(* --- Loss detection: the hole index against the scan --- *)
+
+(* One step of a sender's life, as the loss detector sees it. *)
+type loss_op =
+  | Send of int * int  (* count; every [k]th is not ack-eliciting (0: all are) *)
+  | Ack of (int * int) list  (* ranges: (depth below the newest number, length) *)
+  | Advance of float
+  | Detect of float option  (* time threshold; [None] before an RTT sample *)
+
+let pp_loss_op = function
+  | Send (n, k) -> Printf.sprintf "send %d/%d" n k
+  | Ack ranges ->
+      "ack " ^ String.concat "," (List.map (fun (d, l) -> Printf.sprintf "%d+%d" d l) ranges)
+  | Advance dt -> Printf.sprintf "advance %h" dt
+  | Detect None -> "detect"
+  | Detect (Some th) -> Printf.sprintf "detect %h" th
+
+(* A schedule opens with 0, 600 or 1,200 packets outstanding, so the
+   bucket count of the declaration order doubles once or twice. *)
+let arb_loss_schedule =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun n k -> Send (n, k)) (int_range 1 300) (int_range 0 4));
+          ( 4,
+            map
+              (fun ranges -> Ack ranges)
+              (list_size (int_range 1 3) (pair (int_range 0 600) (int_range 0 40))) );
+          (2, map (fun dt -> Advance dt) (float_range 0.0 0.2));
+          (4, map (fun th -> Detect th) (opt (float_range 0.001 0.3)));
+        ])
+  in
+  QCheck.make
+    ~print:(fun (prefill, ops) ->
+      Printf.sprintf "prefill %d: %s" prefill (String.concat "; " (List.map pp_loss_op ops)))
+    QCheck.Gen.(pair (oneofl [ 0; 600; 1_200 ]) (list_size (int_range 1 60) op))
+
+(* Operate a [Sent.t] and the scan's [Hashtbl.create 256] identically,
+   as the endpoint does: the check runs only when something outstanding
+   lies below the largest acknowledgement, and the declared packets then
+   leave both tables.  Every check must declare the same packets in the
+   same order, with the same timer deadline bits and the same count of
+   time-threshold losses, and leave no hole unindexed. *)
+let loss_schedule_agrees (prefill, ops) =
+  let sent = Sent.create () and reference = Hashtbl.create 256 in
+  let pn_next = ref 0 and largest_acked = ref (-1) and clock = ref 0.0 and agrees = ref true in
+  let send ~ack_eliciting =
+    let p = { Sent.pn = !pn_next; payload = 1_200; frames = []; sent_at = !clock } in
+    incr pn_next;
+    if ack_eliciting then begin
+      Sent.add sent p;
+      Hashtbl.replace reference p.Sent.pn p
+    end
+  in
+  for _ = 1 to prefill do
+    send ~ack_eliciting:true;
+    clock := !clock +. 1e-4
+  done;
+  let step = function
+    | Send (n, k) -> for i = 1 to n do send ~ack_eliciting:(k = 0 || i mod k <> 0) done
+    | Ack ranges ->
+        List.iter
+          (fun (depth, length) ->
+            let hi = !pn_next - 1 - depth in
+            for pn = max 0 (hi - length) to hi do
+              if Sent.find_opt sent pn <> None then begin
+                Sent.remove sent pn;
+                Hashtbl.remove reference pn;
+                largest_acked := max !largest_acked pn
+              end
+            done)
+          ranges
+    | Advance dt -> clock := !clock +. dt
+    | Detect threshold ->
+        let ((lost, _, _) as expected) =
+          Quic_reference.detect_losses reference ~largest_acked:!largest_acked ~threshold
+            ~now:!clock
+        in
+        let got =
+          if !largest_acked >= 0 && Sent.lowest sent ~pn_next:!pn_next < !largest_acked then
+            Sent.detect_losses sent ~largest_acked:!largest_acked ~packet_threshold:3
+              ~time_threshold:threshold ~now:!clock
+          else ([], infinity, 0)
+        in
+        let key (lost, next_fire, time_losses) =
+          (List.map (fun p -> p.Sent.pn) lost, Int64.bits_of_float next_fire, time_losses)
+        in
+        List.iter
+          (fun p ->
+            Sent.remove sent p.Sent.pn;
+            Hashtbl.remove reference p.Sent.pn)
+          lost;
+        if key got <> key expected || Sent.unindexed sent <> [] then agrees := false
+  in
+  List.iter step ops;
+  !agrees
+
+let prop_hole_index_matches_scan =
+  QCheck.Test.make ~name:"hole index declares what the scan declared, in its order" ~count:300
+    arb_loss_schedule loss_schedule_agrees
+
+(* The monitor's quic-sender-index check over a lossy, reordering,
+   duplicating transfer: every hook decision, and a sweep each simulated
+   millisecond, re-derives the holes below the index edge and finds none
+   missing.  The sweep catches a hole that a late ACK covers before the
+   sender's next decision. *)
+let test_sender_index_monitored () =
+  let impair seed =
+    Netem.spec
+      {
+        Netem.default with
+        Netem.loss = Netem.Iid 0.03;
+        reorder_prob = 0.05;
+        reorder_depth = 3;
+        reorder_hold = 0.05;
+        duplicate_prob = 0.02;
+        seed;
+      }
+  in
+  let w =
+    make_world ~queue_capacity:10_000_000 ~client_netem:(impair 21) ~server_netem:(impair 22) ()
+  in
+  let client = Connection.client w.conn and server = Connection.server w.conn in
+  let monitor = Monitor.create ~mode:Monitor.Collect w.engine in
+  let endpoints = [ ("client", client); ("server", server) ] in
+  List.iter (fun (name, ep) -> Monitor.observe_quic monitor ~name ep) endpoints;
+  let rec sweep () =
+    List.iter
+      (fun (name, ep) ->
+        match Monitor.check_quic_inspection (Endpoint.inspect ep) with
+        | Some (invariant, detail) ->
+            Monitor.record monitor
+              (Stob_check.Violation.make ~invariant ~time:(Engine.now w.engine) (name ^ ": " ^ detail))
+        | None -> ())
+      endpoints;
+    if got w.client_rx 4 < 600_000 then ignore (Engine.schedule w.engine ~delay:0.001 sweep)
+  in
+  sweep ();
+  Connection.on_established w.conn (fun () -> Endpoint.send_stream client ~stream:4 ~fin:true 600);
+  Endpoint.set_on_stream_fin server (fun ~stream ->
+      if stream = 4 then Endpoint.send_stream server ~stream:4 ~fin:true 600_000);
+  Connection.open_ w.conn;
+  Engine.run ~until:120.0 w.engine;
+  Alcotest.(check int) "full delivery" 600_000 (got w.client_rx 4);
+  Alcotest.(check bool) "holes were indexed and checked" true
+    ((Endpoint.inspect server).Endpoint.loss_visits > 0);
+  Alcotest.(check (list string))
+    "no violation" []
+    (List.map Stob_check.Violation.to_string (Monitor.violations monitor))
 
 (* --- Golden trace pins --- *)
 
@@ -682,6 +833,11 @@ let suite =
         Alcotest.test_case "wire table drains" `Quick test_wire_table_drains;
         Alcotest.test_case "mixed soak jobs parity" `Quick test_mixed_soak_jobs_parity;
         QCheck_alcotest.to_alcotest prop_quic_delivery_under_netem;
+      ] );
+    ( "quic.loss",
+      [
+        QCheck_alcotest.to_alcotest prop_hole_index_matches_scan;
+        Alcotest.test_case "sender index monitored" `Quick test_sender_index_monitored;
       ] );
     ("quic.golden", [ Alcotest.test_case "trace pins" `Quick test_golden_traces ]);
   ]
