@@ -483,9 +483,7 @@ let golden_pins () =
            (fun j (name, apply) ->
              let rng = Rng.create (900 + (100 * i) + j) in
              let defended = apply ~rng trace in
-             let bytes =
-               Stob_net.Packed_trace.to_bytes (Stob_net.Packed_trace.of_trace defended)
-             in
+             let bytes = Stob_net.Trace.to_bytes defended in
              ( name ^ " on " ^ site,
                (Digest.to_hex (Digest.string bytes), Printf.sprintf "%016Lx" (Rng.bits64 rng)) ))
            golden_defenses)

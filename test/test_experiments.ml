@@ -330,7 +330,7 @@ let test_population_jobs_parity () =
             Population.iter_shard_traces ~state_dir:dir1 ~shard (fun pt ->
                 incr streamed;
                 Alcotest.(check bool) "trace within event cap" true
-                  (Stob_net.Packed_trace.length pt <= pop_config.Population.max_trace_events))
+                  (Stob_net.Trace.length pt <= pop_config.Population.max_trace_events))
           done;
           Alcotest.(check int) "streamed corpus complete" seq.Population.flows !streamed))
 

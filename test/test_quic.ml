@@ -710,9 +710,7 @@ let golden_pins () =
           ~rng:(Rng.create (500 + i))
           (Stob_web.Sites.find site)
       in
-      let bytes =
-        Stob_net.Packed_trace.to_bytes (Stob_net.Packed_trace.of_trace r.Stob_web.Browser.trace)
-      in
+      let bytes = Stob_net.Trace.to_bytes r.Stob_web.Browser.trace in
       ( String.concat "/" [ site; cca; path; policy ],
         (Digest.to_hex (Digest.string bytes), r.Stob_web.Browser.completed) ))
     cells

@@ -196,9 +196,9 @@ type world = {
   last_rx : float ref;  (* time of the most recent client delivery *)
 }
 
-let make_world ?(rate_bps = Units.mbps 100.0) ?(delay = 0.01) ?queue_capacity ?cc ?server_cpu
-    ?server_hooks ?client_config ?server_config ?client_netem ?server_netem () =
-  let engine = Engine.create () in
+let make_world ?queue ?(rate_bps = Units.mbps 100.0) ?(delay = 0.01) ?queue_capacity ?cc
+    ?server_cpu ?server_hooks ?client_config ?server_config ?client_netem ?server_netem () =
+  let engine = Engine.create ?queue () in
   let path =
     Path.create ~engine ~rate_bps ~delay ?queue_capacity ?client_netem ?server_netem ()
   in
@@ -507,6 +507,75 @@ let test_no_capture_same_simulation () =
   match Path.capture bare with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "Path.capture on a path without a capture must raise"
+
+(* The same simulations on the heap oracle and on the timing wheel: a
+   Fig 3-shaped bulk transfer (100 Gb/s, 50 us RTT, server CPU model,
+   Stob's combined reduction) and a lossy, reordering request/response
+   over netem.  Byte counts, event counts and captured traces agree. *)
+let queue_parity_fig3 queue =
+  let engine = Engine.create ~queue () in
+  let path = Path.create ~engine ~rate_bps:(Units.gbps 100.0) ~delay:(Units.usec 25.0) () in
+  let cpu = Cpu.create engine in
+  let hooks =
+    Stob_core.Controller.hooks
+      (Stob_core.Controller.create (Stob_core.Strategies.incremental_combined ~alpha:24))
+  in
+  let conn =
+    Connection.create ~engine ~path ~flow:1 ~cc:Cubic.make
+      ~server_cpu:(cpu, Cpu_costs.default_server) ~server_hooks:hooks ()
+  in
+  let server = Connection.server conn in
+  let rec refill () =
+    if Endpoint.established server && Endpoint.unsent server < 16_000_000 then
+      Endpoint.write server 64_000_000;
+    ignore (Engine.schedule engine ~delay:0.002 refill)
+  in
+  ignore (Engine.schedule engine ~delay:0.0 refill);
+  Connection.on_established conn (fun () -> Endpoint.write (Connection.client conn) 64);
+  Connection.open_ conn;
+  Engine.run ~until:0.008 engine;
+  ( [ ("server_link_bytes", Path.server_link_bytes path);
+      ("events processed", Engine.events_processed engine);
+      ("pending", Engine.pending engine);
+      ("packets sent", Endpoint.packets_sent server) ],
+    Digest.to_hex (Digest.string (Trace.to_bytes (Capture.trace (Path.capture path)))) )
+
+let queue_parity_lossy queue =
+  let impair seed =
+    Netem.spec
+      { Netem.default with
+        Netem.loss = Netem.Iid 0.03;
+        reorder_prob = 0.05;
+        reorder_depth = 3;
+        reorder_hold = 0.05;
+        seed }
+  in
+  let w =
+    make_world ~queue ~rate_bps:(Units.mbps 50.0) ~delay:0.01 ~client_netem:(impair 11)
+      ~server_netem:(impair 12) ()
+  in
+  request_response w ~request:2_000 ~response:400_000;
+  let server = Connection.server w.conn in
+  ( [ ("client received", !(w.received));
+      ("server received", !(w.server_received));
+      ("events processed", Engine.events_processed w.engine);
+      ("retransmissions", Endpoint.retransmissions server);
+      ("netem lost", Path.netem_lost w.path) ],
+    Digest.to_hex (Digest.string (Trace.to_bytes (Capture.trace (Path.capture w.path)))) )
+
+let test_queue_parity () =
+  List.iter
+    (fun (name, scenario) ->
+      let heap_counts, heap_trace = scenario Stob_sim.Event_queue.Heap in
+      let wheel_counts, wheel_trace = scenario Stob_sim.Event_queue.Wheel in
+      Alcotest.(check (list (pair string int))) (name ^ ": counts") heap_counts wheel_counts;
+      Alcotest.(check string) (name ^ ": trace") heap_trace wheel_trace)
+    [ ("fig3-shaped", queue_parity_fig3); ("lossy", queue_parity_lossy) ];
+  (* The lossy scenario exercised what it claims to. *)
+  let counts, _ = queue_parity_lossy Stob_sim.Event_queue.Wheel in
+  Alcotest.(check int) "response delivered" 400_000 (List.assoc "client received" counts);
+  Alcotest.(check bool) "netem dropped frames" true (List.assoc "netem lost" counts > 0);
+  Alcotest.(check bool) "the sender retransmitted" true (List.assoc "retransmissions" counts > 0)
 
 let test_pacing_spreads_departures () =
   (* With pacing on a fat link, data departures should not all be line-rate
@@ -1373,6 +1442,7 @@ let suite =
         Alcotest.test_case "capture both directions" `Quick test_capture_sees_both_directions;
         Alcotest.test_case "path without a capture, same simulation" `Quick
           test_no_capture_same_simulation;
+        Alcotest.test_case "heap and wheel run the same pipelines" `Quick test_queue_parity;
         Alcotest.test_case "packets respect mss" `Quick test_packets_respect_mss;
         Alcotest.test_case "pacing spreads departures" `Quick test_pacing_spreads_departures;
         Alcotest.test_case "small rwnd throttles" `Quick test_small_rwnd_limits_inflight;
