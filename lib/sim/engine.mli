@@ -31,10 +31,36 @@ val now : t -> float
 val schedule : t -> delay:float -> (unit -> unit) -> event_id
 (** [schedule t ~delay f] runs [f] at [now t +. delay].  A negative delay is
     clamped to zero (fires "immediately", after already-queued events for the
-    current instant). *)
+    current instant).  Raises [Invalid_argument] on a NaN delay. *)
 
 val schedule_at : t -> time:float -> (unit -> unit) -> event_id
-(** Absolute-time variant.  Times before [now] are clamped to [now]. *)
+(** Absolute-time variant.  Times before [now] are clamped to [now].
+    Raises [Invalid_argument] on a NaN time. *)
+
+(** {1 Constant-delay lines} *)
+
+type 'a line
+(** A FIFO of values each delivered a fixed delay after its push — a
+    link's propagation, say.  Only the earliest waiting value is in the
+    event queue, so a line with thousands of values in flight costs the
+    queue one entry. *)
+
+val line : t -> delay:float -> ('a -> unit) -> 'a line
+(** [line t ~delay deliver] creates an empty line.  Raises
+    [Invalid_argument] on a negative or NaN delay. *)
+
+val push : 'a line -> 'a -> unit
+(** [push l v] calls [deliver v] at [now +. delay], exactly where
+    [schedule ~delay (fun () -> deliver v)] called at this moment would
+    run it: the push takes the sequence number that schedule would have
+    taken, so same-instant ties break as they would for that event.  Each
+    delivery is one fired event for {!events_processed}, the probe and the
+    same-instant budget, and a value counts in {!pending} until delivered.
+    On the timing wheel a push allocates nothing once the line's ring has
+    grown to its peak occupancy; queueing a new head costs one event, as
+    {!schedule} does.  On the heap oracle, which cannot queue under a
+    reserved number, a push {e is} that {!schedule}, so
+    [STOB_EVENT_QUEUE=heap] checks the line independently. *)
 
 val cancel : t -> event_id -> unit
 (** Disarm an event: it leaves the queue at once (on the heap oracle it
@@ -50,7 +76,7 @@ val step : t -> bool
 
 val pending : t -> int
 (** Number of scheduled events that have neither fired nor been
-    cancelled. *)
+    cancelled, plus the values waiting in lines. *)
 
 val events_processed : t -> int
 (** Total callbacks executed so far (for engine-level sanity checks). *)

@@ -39,6 +39,15 @@ let add t ~time value =
       0
   | W q -> Timing_wheel.add q ~time value
 
+let reserve = function
+  | H _ -> invalid_arg "Event_queue.reserve: the heap cannot queue under a reserved number"
+  | W q -> Timing_wheel.reserve q
+
+let add_reserved t ~time ~seq value =
+  match t with
+  | H _ -> invalid_arg "Event_queue.add_reserved: the heap cannot queue under a reserved number"
+  | W q -> Timing_wheel.add_reserved q ~time ~seq value
+
 let remove t handle = match t with H _ -> () | W q -> Timing_wheel.remove q handle
 
 let empty name = invalid_arg ("Event_queue." ^ name ^ ": empty queue")

@@ -41,6 +41,14 @@ val add : 'a t -> time:float -> 'a -> int
     valid until the element is popped or removed (the pool then recycles
     it).  Always [0] on the heap. *)
 
+val reserve : 'a t -> int
+(** The wheel's {!Timing_wheel.reserve}.  The heap oracle, kept verbatim,
+    has no such operation: raises [Invalid_argument] on it. *)
+
+val add_reserved : 'a t -> time:float -> seq:int -> 'a -> int
+(** The wheel's {!Timing_wheel.add_reserved}; raises [Invalid_argument]
+    on the heap. *)
+
 val remove : 'a t -> int -> unit
 (** Take a queued element out of the wheel ({!Timing_wheel.remove}).  The
     heap oracle cannot remove, so on it this is a no-op and the element

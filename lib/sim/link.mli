@@ -9,7 +9,15 @@
     packets, ACKs, or abstract records; only a [size] function is needed.
     Duplex paths are two links.  A tap point (see {!set_tap}) observes every
     frame at the moment it enters the wire — that is where tcpdump sits in
-    the paper's data collection. *)
+    the paper's data collection.
+
+    Event cost: one serialization event per frame, and propagation through
+    one {!Engine.line} per link, so the frames in flight occupy one event
+    queue entry between them.  A frame is pushed onto the line when its
+    serialization ends, after {!frames_sent} and {!bytes_sent} count it
+    and before the next waiting frame starts (and its tap runs): a
+    delivery therefore wins a same-instant tie against any event that tap
+    schedules, exactly as when each delivery was scheduled on its own. *)
 
 type 'a t
 
@@ -46,9 +54,6 @@ val bytes_sent : 'a t -> int
 
 val drops : 'a t -> int
 (** Frames dropped at the queue. *)
-
-val queue_bytes : 'a t -> int
-(** Bytes currently waiting (excluding the frame being serialized). *)
 
 val busy : 'a t -> bool
 (** Whether a frame is currently being serialized. *)

@@ -303,17 +303,22 @@ let place t n =
     end
   end
 
-let add t ~time value =
+let reserve t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+let add_reserved t ~time ~seq value =
   let n = alloc_node t in
   t.times.(n) <- time;
-  t.seqs.(n) <- t.next_seq;
+  t.seqs.(n) <- seq;
   t.ticks.(n) <- tick t time;
   t.values.(n) <- value;
-  t.next_seq <- t.next_seq + 1;
   t.len <- t.len + 1;
   place t n;
   n
 
+let add t ~time value = add_reserved t ~time ~seq:(reserve t) value
 let push t ~time value = ignore (add t ~time value)
 
 let remove t n =

@@ -46,6 +46,15 @@ val add : 'a t -> time:float -> 'a -> int
     The id is valid until the element is popped or removed; after that
     the pool may hand it to another element. *)
 
+val reserve : 'a t -> int
+(** Take the sequence number the next {!add} would have given, without
+    queueing anything. *)
+
+val add_reserved : 'a t -> time:float -> seq:int -> 'a -> int
+(** {!add} under a sequence number taken earlier by {!reserve}: the
+    element pops exactly where an element added at the moment of the
+    reservation would have.  Each reserved number may be used once. *)
+
 val remove : 'a t -> int -> unit
 (** Take a queued element out: O(1) from a wheel slot or the overflow
     list, O(log n) from the ready heap.  The remaining elements pop
