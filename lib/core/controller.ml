@@ -33,28 +33,28 @@ let create ?(seed = 0) policy =
 let apply_size t ~stack_payload =
   match t.policy.Policy.size with
   | Policy.Default_size -> stack_payload
-  | Policy.Fixed_payload n -> min n stack_payload
+  | Policy.Fixed_payload n -> Int.min n stack_payload
   | Policy.Split_above threshold ->
       let wire = stack_payload + Stob_net.Packet.default_header_bytes in
       if wire > threshold then (stack_payload + 1) / 2 else stack_payload
   | Policy.Cycle_reduction { step; max_steps } ->
       let k = t.size_step in
       t.size_step <- (if k >= max_steps then 0 else k + 1);
-      max 1 (stack_payload - (step * k))
+      Int.max 1 (stack_payload - (step * k))
   | Policy.Sampled_size h ->
-      min stack_payload (max 1 (int_of_float (Stob_util.Histogram.sample h t.rng)))
+      Int.min stack_payload (Int.max 1 (int_of_float (Stob_util.Histogram.sample h t.rng)))
 
 let apply_tso t ~stack_tso ~payload =
-  let stack_packets = max 1 (stack_tso / max 1 payload) in
+  let stack_packets = Int.max 1 (stack_tso / Int.max 1 payload) in
   match t.policy.Policy.tso with
   | Policy.Default_tso -> stack_tso
-  | Policy.Fixed_tso_packets n -> min stack_tso (max 1 (min n stack_packets) * payload)
-  | Policy.Single_packet_tso -> min stack_tso payload
+  | Policy.Fixed_tso_packets n -> Int.min stack_tso (Int.max 1 (Int.min n stack_packets) * payload)
+  | Policy.Single_packet_tso -> Int.min stack_tso payload
   | Policy.Cycle_tso_reduction { step; max_steps } ->
       let k = t.tso_step in
       t.tso_step <- (if k >= max_steps then 0 else k + 1);
-      let packets = max 1 (stack_packets - (step * k)) in
-      min stack_tso (packets * payload)
+      let packets = Int.max 1 (stack_packets - (step * k)) in
+      Int.min stack_tso (packets * payload)
 
 let apply_timing t ~now ~bytes ~stack_departure =
   ignore bytes;
@@ -87,7 +87,7 @@ let hooks t =
     Hooks.on_segment =
       (fun ~now ~flow:_ ~phase (d : Hooks.decision) ->
         t.segments <- t.segments + 1;
-        if List.mem phase t.policy.Policy.exempt_phases then begin
+        if List.memq phase t.policy.Policy.exempt_phases then begin
           t.stood_down <- t.stood_down + 1;
           t.last_release <-
             Some
@@ -105,7 +105,13 @@ let hooks t =
           let result =
             { Hooks.tso_bytes = tso; packet_payload = payload; earliest_departure = departure }
           in
-          if result <> d then t.modified <- t.modified + 1;
+          (* Field by field; the float at type float, where IEEE [<>]
+             agrees with the polymorphic compare on NaN and on -0.0. *)
+          if
+            tso <> d.Hooks.tso_bytes
+            || payload <> d.Hooks.packet_payload
+            || departure <> d.Hooks.earliest_departure
+          then t.modified <- t.modified + 1;
           t.added_delay <- t.added_delay +. Float.max 0.0 (departure -. d.Hooks.earliest_departure);
           t.last_release <- Some (Float.max departure d.Hooks.earliest_departure);
           result

@@ -7,14 +7,14 @@ let incremental_packet_reduction ~alpha =
 let incremental_tso_reduction ~alpha =
   Policy.make
     ~name:(Printf.sprintf "incr-tso(a=%d)" alpha)
-    ~tso:(Policy.Cycle_tso_reduction { step = max 1 (alpha / 4); max_steps = 8 })
+    ~tso:(Policy.Cycle_tso_reduction { step = Int.max 1 (alpha / 4); max_steps = 8 })
     ()
 
 let incremental_combined ~alpha =
   Policy.make
     ~name:(Printf.sprintf "incr-both(a=%d)" alpha)
     ~size:(Policy.Cycle_reduction { step = alpha; max_steps = 10 })
-    ~tso:(Policy.Cycle_tso_reduction { step = max 1 (alpha / 4); max_steps = 8 })
+    ~tso:(Policy.Cycle_tso_reduction { step = Int.max 1 (alpha / 4); max_steps = 8 })
     ()
 
 let stack_split ?(threshold = 1200) () =

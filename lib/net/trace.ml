@@ -93,7 +93,7 @@ let sort t =
   end
 
 let sub t pos len = { times = BA1.sub t.times pos len; meta = BA1.sub t.meta pos len }
-let prefix t n = if n >= length t then t else sub t 0 (max n 0)
+let prefix t n = if n >= length t then t else sub t 0 (Int.max n 0)
 
 let duration t =
   let n = length t in

@@ -396,7 +396,7 @@ let next_chunk t ~space =
           end
       | [] ->
           (* New data, or a bare FIN once the queue is empty. *)
-          let take = min s.queued (space - 8) in
+          let take = Int.min s.queued (space - 8) in
           let fin = s.fin_pending && take = s.queued in
           let chunk = { Frame.stream = id; offset = s.next_offset; length = take; fin } in
           s.next_offset <- s.next_offset + take;
@@ -470,7 +470,7 @@ let send_probe t =
     let pkt = make_datagram t ~rtx:!any_rtx (List.rev !frames) in
     transmit_burst t ~release:(now t) [| pkt |];
     (* Sent past a starved window: taint through the probe. *)
-    t.rate_limited_mark <- max t.rate_limited_mark (t.pn_next - 1)
+    t.rate_limited_mark <- Int.max t.rate_limited_mark (t.pn_next - 1)
   end
 
 let rec arm_pto t =
@@ -501,7 +501,7 @@ and handle_pto t =
           in
           let pkt = make_datagram t probe in
           transmit_burst t ~release:(now t) [| pkt |];
-          t.rate_limited_mark <- max t.rate_limited_mark (t.pn_next - 1);
+          t.rate_limited_mark <- Int.max t.rate_limited_mark (t.pn_next - 1);
           arm_pto t
         end
     | Some p ->
@@ -522,12 +522,12 @@ and handle_pto t =
            reads as a few hundred bits per second; admitted, it collapses
            BBR's pacing rate and the recovery burst is committed with more
            pacing debt than the idle timeout allows. *)
-        t.rate_limited_mark <- max t.rate_limited_mark (t.pn_next - 1)
+        t.rate_limited_mark <- Int.max t.rate_limited_mark (t.pn_next - 1)
   end
 
 (* [p] must be outstanding (in [sent]). *)
 and mark_lost t p =
-  t.inflight <- max 0 (t.inflight - p.payload);
+  t.inflight <- Int.max 0 (t.inflight - p.payload);
   t.pc_oldest <- Float.min t.pc_oldest p.sent_at;
   t.pc_newest <- Float.max t.pc_newest p.sent_at;
   List.iter
@@ -595,13 +595,13 @@ and try_send t =
      sender: everything outstanding will be acked under starvation and must
      not be read as a path-bandwidth measurement. *)
   if (not t.closed) && window > 0 && not (has_data t) then
-    t.rate_limited_mark <- max t.rate_limited_mark (t.pn_next - 1);
+    t.rate_limited_mark <- Int.max t.rate_limited_mark (t.pn_next - 1);
   if (not t.closed) && has_data t && window > 0 then begin
     let credit = amp_credit t in
     if credit <= t.config.Config.header_bytes + 9 then begin
       t.amp_blocked <- true;
       (* Credit-starved: acks arriving across the stall are not a rate. *)
-      t.rate_limited_mark <- max t.rate_limited_mark (t.pn_next - 1)
+      t.rate_limited_mark <- Int.max t.rate_limited_mark (t.pn_next - 1)
     end
     else begin
       let departure = Pacer.next_departure t.pacer ~now:(now t) in
@@ -616,10 +616,10 @@ and try_send t =
       else begin
         let pacing_rate = t.cc.Cc.pacing_rate () in
         let stack_gso = Config.tso_autosize t.config ~pacing_rate_bps:pacing_rate in
-        let budget = min stack_gso window in
+        let budget = Int.min stack_gso window in
         let stack_decision =
           {
-            Hooks.tso_bytes = max 1 budget;
+            Hooks.tso_bytes = Int.max 1 budget;
             packet_payload = t.config.Config.mss;
             earliest_departure = departure;
           }
@@ -636,14 +636,14 @@ and try_send t =
         let continue = ref true in
         while !continue do
           let space =
-            min decision.Hooks.packet_payload (decision.Hooks.tso_bytes - !burst_payload)
+            Int.min decision.Hooks.packet_payload (decision.Hooks.tso_bytes - !burst_payload)
           in
           (* Amplification credit counts wire bytes, headers included. *)
-          let space = min space (credit - !burst_wire - t.config.Config.header_bytes) in
+          let space = Int.min space (credit - !burst_wire - t.config.Config.header_bytes) in
           if space <= 8 then begin
             if !packets = [] && credit - !burst_wire <= t.config.Config.header_bytes + 9 then begin
               t.amp_blocked <- true;
-              t.rate_limited_mark <- max t.rate_limited_mark (t.pn_next - 1)
+              t.rate_limited_mark <- Int.max t.rate_limited_mark (t.pn_next - 1)
             end;
             continue := false
           end
@@ -725,7 +725,7 @@ let send_stream t ~stream ?(fin = false) n =
 let send_padding_datagram t n =
   if n <= 0 then invalid_arg "Quic.Endpoint.send_padding_datagram: byte count must be positive";
   if not t.closed then begin
-    let pkt = make_datagram t [ Frame.Padding (min n t.config.Config.mss) ] in
+    let pkt = make_datagram t [ Frame.Padding (Int.min n t.config.Config.mss) ] in
     transmit_burst t ~release:(now t) [| pkt |]
   end
 
@@ -749,18 +749,19 @@ let insert_range ranges pn =
   let rec go acc = function
     | [] -> List.rev ((pn, pn) :: acc)
     | (lo, hi) :: rest ->
-        if pn >= lo - 1 && pn <= hi + 1 then List.rev_append acc ((min lo pn, max hi pn) :: rest)
+        if pn >= lo - 1 && pn <= hi + 1 then
+          List.rev_append acc ((Int.min lo pn, Int.max hi pn) :: rest)
         else if pn > hi then List.rev_append acc ((pn, pn) :: (lo, hi) :: rest)
         else go ((lo, hi) :: acc) rest
   in
   go [] ranges
 
-let insert_interval intervals lo hi =
+let insert_interval intervals (lo : int) hi =
   let rec go acc lo hi = function
     | [] -> List.rev ((lo, hi) :: acc)
     | (l, h) :: rest when h < lo -> go ((l, h) :: acc) lo hi rest
     | (l, h) :: rest when l > hi -> List.rev_append acc ((lo, hi) :: (l, h) :: rest)
-    | (l, h) :: rest -> go acc (min l lo) (max h hi) rest
+    | (l, h) :: rest -> go acc (Int.min l lo) (Int.max h hi) rest
   in
   go [] lo hi intervals
 
@@ -770,7 +771,7 @@ let handshake_progress t ~stream =
       (* Client Initial complete: answer with our flight. *)
       if not t.flight_sent then begin
         t.flight_sent <- true;
-        send_stream t ~stream:crypto_stream ~fin:true (max 1 t.flight_bytes)
+        send_stream t ~stream:crypto_stream ~fin:true (Int.max 1 t.flight_bytes)
       end
   | Client, s when s = crypto_stream ->
       (* Server flight complete: handshake confirmed; send finished. *)
@@ -797,9 +798,9 @@ let deliver_stream t id =
   let rec drain () =
     match s.intervals with
     | (lo, hi) :: rest when lo <= s.delivered ->
-        let fresh = max 0 (hi - s.delivered) in
+        let fresh = Int.max 0 (hi - s.delivered) in
         s.intervals <- rest;
-        s.delivered <- max s.delivered hi;
+        s.delivered <- Int.max s.delivered hi;
         if fresh > 0 && id > finished_stream then t.on_stream ~stream:id fresh;
         drain ()
     | _ -> ()
@@ -834,13 +835,15 @@ let process_ack t ranges =
           walk (pn + 1) hi (p :: acc)
       | None -> walk (pn + 1) hi acc
   in
-  match List.fold_left (fun acc (lo, hi) -> walk (max lo low) (min hi top) acc) [] ranges with
+  match
+    List.fold_left (fun acc (lo, hi) -> walk (Int.max lo low) (Int.min hi top) acc) [] ranges
+  with
   | [] -> ()
   | first :: _ as newly ->
       let largest = List.fold_left (fun acc p -> if p.pn > acc.pn then p else acc) first newly in
       let total = List.fold_left (fun acc p -> acc + p.payload) 0 newly in
-      t.inflight <- max 0 (t.inflight - total);
-      t.largest_acked <- max t.largest_acked largest.pn;
+      t.inflight <- Int.max 0 (t.inflight - total);
+      t.largest_acked <- Int.max t.largest_acked largest.pn;
       (* Forward progress: reset the PTO backoff and the persistent-congestion
          span (RFC 9002 §6.2.1, §7.6.2). *)
       t.pto_backoff <- 1.0;
@@ -952,7 +955,7 @@ type inspection = {
 let inspect (t : t) : inspection =
   let unacked_bytes, unacked_packets, lowest_unacked =
     Sent.fold
-      (fun p (b, n, lo) -> (b + p.payload, n + 1, min lo p.pn))
+      (fun p (b, n, lo) -> (b + p.payload, n + 1, Int.min lo p.pn))
       t.sent (0, 0, t.pn_next)
   in
   let pending_streams =

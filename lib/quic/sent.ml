@@ -43,14 +43,14 @@ let lowest t ~pn_next =
    or are known not to be outstanding.  A check leaves at most two holes
    behind, so the append copies little. *)
 let extend t ~largest_acked =
-  let from = max t.edge t.low_water in
+  let from = Int.max t.edge t.low_water in
   let fresh = ref [] in
   for pn = largest_acked - 1 downto from do
     if Hashtbl.mem t.table pn then fresh := pn :: !fresh
   done;
-  t.visits <- t.visits + max 0 (largest_acked - from);
+  t.visits <- t.visits + Int.max 0 (largest_acked - from);
   t.holes <- t.holes @ !fresh;
-  t.edge <- max t.edge largest_acked
+  t.edge <- Int.max t.edge largest_acked
 
 let bucket t pn = Hashtbl.hash pn land (t.buckets - 1)
 
@@ -97,5 +97,5 @@ let loss_visits t = t.visits
 let unindexed t =
   List.sort Int.compare
     (Hashtbl.fold
-       (fun pn _ acc -> if pn < t.edge && not (List.mem pn t.holes) then pn :: acc else acc)
+       (fun pn _ acc -> if pn < t.edge && not (List.memq pn t.holes) then pn :: acc else acc)
        t.table [])

@@ -113,7 +113,7 @@ let plan cfg =
     List.concat_map
       (fun kind ->
         let rng = Rng.split master in
-        if List.mem kind cfg.kinds then
+        if List.memq kind cfg.kinds then
           List.init cfg.events_per_kind (fun _ -> draw_event rng ~kind ~horizon:cfg.horizon)
         else [])
       all_kinds

@@ -156,7 +156,7 @@ let release t h =
   end
 
 let hold t frame =
-  let h = { frame; remaining = max 1 t.cfg.reorder_depth; released = false; flush_ev = None } in
+  let h = { frame; remaining = Int.max 1 t.cfg.reorder_depth; released = false; flush_ev = None } in
   t.held_frames <- t.held_frames @ [ h ];
   h.flush_ev <-
     Some
@@ -195,7 +195,7 @@ let feed t frame =
     t.drop_filter frame
     && begin
          t.matched <- t.matched + 1;
-         List.mem t.matched t.cfg.drop_list
+         List.memq t.matched t.cfg.drop_list
        end
   in
   if listed || loss_draw t then t.lost <- t.lost + 1

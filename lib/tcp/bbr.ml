@@ -119,7 +119,9 @@ let make (config : Config.t) : Cc.t =
         end
     | _ -> ());
     let gain = match s.phase with Cc.Startup -> startup_gain | _ -> 2.0 in
-    s.cwnd <- max (4 * s.config.mss) (min s.config.snd_buf (int_of_float (gain *. float_of_int (bdp_bytes ()))))
+    s.cwnd <-
+      Int.max (4 * s.config.mss)
+        (Int.min s.config.snd_buf (int_of_float (gain *. float_of_int (bdp_bytes ()))))
   in
   let on_loss ~now:_ = () in
   let on_rto ~now:_ = s.cwnd <- s.config.mss in

@@ -60,6 +60,6 @@ let tso_autosize t ~pacing_rate_bps =
     if pacing_rate_bps = infinity || pacing_rate_bps <= 0.0 then t.tso_max_bytes
     else int_of_float (pacing_rate_bps *. t.pacing_segment_interval /. 8.0)
   in
-  let clamped = max t.tso_min_bytes (min t.tso_max_bytes target_bytes) in
-  let segments = max 1 (clamped / t.mss) in
+  let clamped = Int.max t.tso_min_bytes (Int.min t.tso_max_bytes target_bytes) in
+  let segments = Int.max 1 (clamped / t.mss) in
   segments * t.mss

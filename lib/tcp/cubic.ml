@@ -52,7 +52,7 @@ let make (config : Config.t) : Cc.t =
     if target > cwnd_segs then begin
       (* Approach the target over one RTT's worth of ACKs. *)
       let incr = (target -. cwnd_segs) /. cwnd_segs *. segs acked in
-      s.cwnd <- min s.config.snd_buf (s.cwnd + bytes incr)
+      s.cwnd <- Int.min s.config.snd_buf (s.cwnd + bytes incr)
     end
   in
   let on_ack ~now ~acked ~rtt ~inflight:_ ~limited:_ =
@@ -65,7 +65,7 @@ let make (config : Config.t) : Cc.t =
     | _ -> ());
     match s.phase with
     | Cc.Slow_start ->
-        s.cwnd <- min s.config.snd_buf (s.cwnd + acked);
+        s.cwnd <- Int.min s.config.snd_buf (s.cwnd + acked);
         if s.cwnd >= s.ssthresh then begin
           s.cwnd <- s.ssthresh;
           s.phase <- Cc.Congestion_avoidance
@@ -76,7 +76,7 @@ let make (config : Config.t) : Cc.t =
   let reduce () =
     s.w_max <- segs s.cwnd;
     s.epoch_start <- None;
-    s.ssthresh <- max (2 * config.mss) (int_of_float (beta *. float_of_int s.cwnd));
+    s.ssthresh <- Int.max (2 * config.mss) (int_of_float (beta *. float_of_int s.cwnd));
     s.cwnd <- s.ssthresh
   in
   let on_loss ~now:_ =

@@ -220,7 +220,7 @@ let ooo_bytes t = List.fold_left (fun acc (lo, hi) -> acc + (hi - lo)) 0 t.ooo
 (* Free receive-buffer space beyond rcv_nxt: capacity minus what is sitting
    in the reassembly queue and what was delivered in order but not yet read
    by the application. *)
-let rcv_window t = max 0 (t.config.Config.rcv_wnd - t.rcv_buffered - ooo_bytes t)
+let rcv_window t = Int.max 0 (t.config.Config.rcv_wnd - t.rcv_buffered - ooo_bytes t)
 
 (* Encode the window for the wire (RFC 7323: right-shifted by our shift
    count, saturating the 16-bit field) and remember the right edge the peer
@@ -233,18 +233,18 @@ let rcv_window t = max 0 (t.config.Config.rcv_wnd - t.rcv_buffered - ooo_bytes t
    windows, which disqualifies them as duplicates (RFC 5681) and silently
    kills fast retransmit. *)
 let advertise_window t =
-  let w = max (rcv_window t) (t.rcv_adv_edge - t.rcv_nxt) in
-  let enc = min 0xFFFF (w lsr t.rcv_wscale) in
-  t.rcv_adv_edge <- max t.rcv_adv_edge (t.rcv_nxt + (enc lsl t.rcv_wscale));
+  let w = Int.max (rcv_window t) (t.rcv_adv_edge - t.rcv_nxt) in
+  let enc = Int.min 0xFFFF (w lsr t.rcv_wscale) in
+  t.rcv_adv_edge <- Int.max t.rcv_adv_edge (t.rcv_nxt + (enc lsl t.rcv_wscale));
   enc
 
 (* The window field of a SYN or SYN|ACK is never scaled. *)
 let syn_window t =
-  let w = min 0xFFFF (rcv_window t) in
-  t.rcv_adv_edge <- max t.rcv_adv_edge (t.rcv_nxt + w);
+  let w = Int.min 0xFFFF (rcv_window t) in
+  t.rcv_adv_edge <- Int.max t.rcv_adv_edge (t.rcv_nxt + w);
   w
 
-let advertised_window t = max 0 (t.rcv_adv_edge - t.rcv_nxt)
+let advertised_window t = Int.max 0 (t.rcv_adv_edge - t.rcv_nxt)
 let rcv_buffered t = t.rcv_buffered
 let set_auto_read t b = t.auto_read <- b
 
@@ -297,12 +297,12 @@ let send_pure_ack t =
 
 (* Insert [lo, hi) into a sorted disjoint interval list, coalescing
    overlapping and adjacent intervals. *)
-let insert_interval intervals lo hi =
+let insert_interval intervals (lo : int) hi =
   let rec go acc lo hi = function
     | [] -> List.rev ((lo, hi) :: acc)
     | (l, h) :: rest when h < lo -> go ((l, h) :: acc) lo hi rest
     | (l, h) :: rest when l > hi -> List.rev_append acc ((lo, hi) :: (l, h) :: rest)
-    | (l, h) :: rest -> go acc (min l lo) (max h hi) rest
+    | (l, h) :: rest -> go acc (Int.min l lo) (Int.max h hi) rest
   in
   go [] lo hi intervals
 
@@ -315,7 +315,7 @@ let merge_sack t blocks =
   (* Drop ranges cumulative ACKs have overtaken. *)
   t.sacked <-
     List.filter_map
-      (fun (lo, hi) -> if hi <= t.snd_una then None else Some (max lo t.snd_una, hi))
+      (fun (lo, hi) -> if hi <= t.snd_una then None else Some (Int.max lo t.snd_una, hi))
       t.sacked
 
 let sacked_bytes t = List.fold_left (fun acc (lo, hi) -> acc + (hi - lo)) 0 t.sacked
@@ -325,10 +325,10 @@ let sacked_bytes t = List.fold_left (fun acc (lo, hi) -> acc + (hi - lo)) 0 t.sa
    not SACKed are treated as lost (they have left the pipe); what remains in
    flight is essentially everything above the highest SACK block. *)
 let rtx_budget t =
-  let top = List.fold_left (fun acc (_, hi) -> max acc hi) t.snd_una t.sacked in
-  let pipe = max 0 (t.snd_nxt - top) in
-  let budget = (t.cc.Cc.cwnd () - pipe) / max 1 t.snd_mss in
-  min 45 (max 1 budget)
+  let top = List.fold_left (fun acc (_, hi) -> Int.max acc hi) t.snd_una t.sacked in
+  let pipe = Int.max 0 (t.snd_nxt - top) in
+  let budget = (t.cc.Cc.cwnd () - pipe) / Int.max 1 t.snd_mss in
+  Int.min 45 (Int.max 1 budget)
 
 (* Retransmit up to [limit] MSS-sized chunks of un-SACKed holes, resuming
    where the previous call stopped.
@@ -350,24 +350,24 @@ let retransmit_holes ?(presume_lost = false) t ~limit =
   let scan_end =
     if presume_lost then t.recover_point
     else
-      let top_sack = List.fold_left (fun acc (_, hi) -> max acc hi) t.snd_una t.sacked in
-      if top_sack > t.snd_una then min t.recover_point top_sack
+      let top_sack = List.fold_left (fun acc (_, hi) -> Int.max acc hi) t.snd_una t.sacked in
+      if top_sack > t.snd_una then Int.min t.recover_point top_sack
       else
         (* No SACK information — a non-SACK peer, or pure duplicate ACKs
            without blocks.  RFC 6675 degenerates to nothing here; fall back
            to NewReno and presume exactly the head segment lost, or fast
            retransmit would send nothing at all. *)
-        min t.recover_point (t.snd_una + t.snd_mss)
+        Int.min t.recover_point (t.snd_una + t.snd_mss)
   in
   let fin_slot = if t.fin_sent then t.snd_nxt - 1 else max_int in
   let rec go pos sacked remaining =
     if remaining > 0 && pos < scan_end then
       match sacked with
-      | (lo, hi) :: rest when pos >= lo -> go (max pos hi) rest remaining
+      | (lo, hi) :: rest when pos >= lo -> go (Int.max pos hi) rest remaining
       | _ ->
-          let cap = match sacked with (lo, _) :: _ -> min lo scan_end | [] -> scan_end in
+          let cap = match sacked with (lo, _) :: _ -> Int.min lo scan_end | [] -> scan_end in
           if cap > pos then begin
-            let payload = min t.snd_mss (max 0 (min cap fin_slot - pos)) in
+            let payload = Int.min t.snd_mss (Int.max 0 (Int.min cap fin_slot - pos)) in
             let fin_here = t.fin_sent && pos + payload = fin_slot && cap > fin_slot in
             t.retransmissions <- t.retransmissions + 1;
             t.karn_floor <- t.snd_nxt;
@@ -376,12 +376,12 @@ let retransmit_holes ?(presume_lost = false) t ~limit =
                 ~rtx:true ~rwnd:(advertise_window t) ()
             in
             transmit_segment t [| pkt |];
-            let advance = max 1 (payload + if fin_here then 1 else 0) in
+            let advance = Int.max 1 (payload + if fin_here then 1 else 0) in
             t.rtx_next <- pos + advance;
             go (pos + advance) sacked (remaining - 1)
           end
   in
-  go (max t.rtx_next t.snd_una) t.sacked limit
+  go (Int.max t.rtx_next t.snd_una) t.sacked limit
 
 (* ------------------------------------------------------------------ *)
 (* RTO timer                                                            *)
@@ -447,7 +447,7 @@ and handle_rto t =
    inflated sample. *)
 and retransmit_head t =
   t.retransmissions <- t.retransmissions + 1;
-  t.karn_floor <- max 1 t.snd_nxt;
+  t.karn_floor <- Int.max 1 t.snd_nxt;
   match t.state with
   | Syn_sent -> send_syn t ~rtx:true
   | Syn_rcvd -> send_synack t ~rtx:true
@@ -458,7 +458,7 @@ and retransmit_head t =
            not a payload byte: stop the rebuilt payload short of its slot
            and carry the flag when the segment reaches it. *)
         let fin_slot = if t.fin_sent then t.snd_nxt - 1 else max_int in
-        let payload = min t.snd_mss (min outstanding (max 0 (fin_slot - t.snd_una))) in
+        let payload = Int.min t.snd_mss (Int.min outstanding (Int.max 0 (fin_slot - t.snd_una))) in
         let fin_here = t.fin_sent && t.snd_una + payload = fin_slot in
         let pkt =
           Packet.data ~flow:t.flow ~dir:t.dir ~seq:t.snd_una ~ack:t.rcv_nxt ~payload
@@ -496,7 +496,7 @@ and persist_fire t =
     t.persist_backoff <- Float.min t.config.Config.persist_max (t.persist_backoff *. 2.0);
     (* The probe itself is sent under starvation: its eventual ack must be
        flagged rwnd-limited, so taint everything up to and including it. *)
-    t.rate_limited_mark <- max t.rate_limited_mark (t.snd_nxt + 1);
+    t.rate_limited_mark <- Int.max t.rate_limited_mark (t.snd_nxt + 1);
     if inflight t > 0 then
       (* An earlier probe (or the FIN) is still unacknowledged: probe by
          resending the byte below the window, BSD-style. *)
@@ -536,7 +536,7 @@ let build_segment t ~payload ~packet_payload ~fin =
   let rec chunks acc seq remaining =
     if remaining <= 0 then List.rev acc
     else
-      let take = min packet_payload remaining in
+      let take = Int.min packet_payload remaining in
       let last = remaining - take <= 0 in
       let pkt =
         Packet.data ~flow:t.flow ~dir:t.dir ~seq ~ack:t.rcv_nxt ~payload:take
@@ -553,7 +553,7 @@ let build_segment t ~payload ~packet_payload ~fin =
 
 let rec try_send t =
   if t.state = Established_s then begin
-    let window = min (t.cc.Cc.cwnd ()) t.peer_rwnd in
+    let window = Int.min (t.cc.Cc.cwnd ()) t.peer_rwnd in
     let inflight_now = inflight t in
     let available_window = window - inflight_now in
     let want_fin = t.fin_pending && not t.fin_sent in
@@ -564,7 +564,7 @@ let rec try_send t =
     if
       ((t.app_queue > 0 || want_fin) && t.peer_rwnd = 0)
       || (t.app_queue = 0 && (not want_fin) && available_window > 0)
-    then t.rate_limited_mark <- max t.rate_limited_mark t.snd_nxt;
+    then t.rate_limited_mark <- Int.max t.rate_limited_mark t.snd_nxt;
     if (t.app_queue > 0 || want_fin) && t.peer_rwnd = 0 && inflight_now = 0 then begin
       (* Zero window and nothing in flight: no ACK will ever clock another
          send.  Start persist probing from the current RTO estimate. *)
@@ -580,7 +580,7 @@ let rec try_send t =
     then begin
       let pacing_rate = t.cc.Cc.pacing_rate () in
       let stack_tso = Config.tso_autosize t.config ~pacing_rate_bps:pacing_rate in
-      let payload_budget = min stack_tso (min available_window t.app_queue) in
+      let payload_budget = Int.min stack_tso (Int.min available_window t.app_queue) in
       (* Sender-side silly-window avoidance: with data outstanding, wait for
          ACKs rather than dribbling sub-MSS segments. *)
       let sws_blocked =
@@ -604,7 +604,7 @@ let rec try_send t =
           else begin
             let stack_decision =
               {
-                Hooks.tso_bytes = max 1 payload_budget;
+                Hooks.tso_bytes = Int.max 1 payload_budget;
                 packet_payload = t.snd_mss;
                 earliest_departure = departure;
               }
@@ -614,7 +614,7 @@ let rec try_send t =
                 stack_decision
             in
             let decision = Hooks.clamp ~stack:stack_decision proposed in
-            let payload = min decision.Hooks.tso_bytes payload_budget in
+            let payload = Int.min decision.Hooks.tso_bytes payload_budget in
             let fin_here = fin_now && payload = t.app_queue in
             let packets =
               build_segment t ~payload ~packet_payload:decision.Hooks.packet_payload ~fin:fin_here
@@ -656,7 +656,7 @@ let send_dummy t n =
   else begin
     let pkt =
       Packet.data ~flow:t.flow ~dir:t.dir ~seq:t.snd_nxt ~ack:t.rcv_nxt
-        ~payload:(min n t.snd_mss) ~dummy:true ~rwnd:(advertise_window t) ()
+        ~payload:(Int.min n t.snd_mss) ~dummy:true ~rwnd:(advertise_window t) ()
     in
     (* Dummies respect pacing budget so padding cannot out-run the CCA. *)
     let rate = t.cc.Cc.pacing_rate () in
@@ -677,7 +677,7 @@ let connect t =
    were charged to the TSQ budget; pure ACKs and SYNs were not. *)
 let notify_serialized t (p : Packet.t) =
   if (p.Packet.payload > 0 || p.Packet.fin || p.Packet.dummy) && t.in_stack > 0 then begin
-    t.in_stack <- max 0 (t.in_stack - Packet.wire_size p);
+    t.in_stack <- Int.max 0 (t.in_stack - Packet.wire_size p);
     try_send t
   end
 
@@ -714,10 +714,10 @@ let deliver_in_order t seq_end payload_delivered =
   let rec drain () =
     match t.ooo with
     | (lo, hi) :: rest when lo <= t.rcv_nxt ->
-        let data_hi = match t.fin_seq with Some s -> min hi s | None -> hi in
-        let new_bytes = max 0 (data_hi - t.rcv_nxt) in
+        let data_hi = match t.fin_seq with Some s -> Int.min hi s | None -> hi in
+        let new_bytes = Int.max 0 (data_hi - t.rcv_nxt) in
         t.ooo <- rest;
-        t.rcv_nxt <- max t.rcv_nxt hi;
+        t.rcv_nxt <- Int.max t.rcv_nxt hi;
         deliver_payload t new_bytes;
         drain ()
     | _ -> ()
@@ -738,12 +738,12 @@ let deliver_in_order t seq_end payload_delivered =
    ACK. *)
 let read t n =
   if n < 0 then invalid_arg "Endpoint.read: negative byte count";
-  let consumed = min n t.rcv_buffered in
+  let consumed = Int.min n t.rcv_buffered in
   t.rcv_buffered <- t.rcv_buffered - consumed;
   if consumed > 0 && t.state = Established_s && not t.fin_rcvd then begin
-    let announced = max 0 (t.rcv_adv_edge - t.rcv_nxt) in
+    let announced = Int.max 0 (t.rcv_adv_edge - t.rcv_nxt) in
     let grown = rcv_window t - announced in
-    if grown >= min t.config.Config.mss (t.config.Config.rcv_wnd / 2) then send_pure_ack t
+    if grown >= Int.min t.config.Config.mss (t.config.Config.rcv_wnd / 2) then send_pure_ack t
   end;
   consumed
 
@@ -844,13 +844,13 @@ let process_ack t (p : Packet.t) =
    negotiates nothing — SACK off, windows unscaled. *)
 let apply_syn_options t (p : Packet.t) =
   (match p.Packet.mss_opt with
-  | Some m -> t.snd_mss <- max 1 (min t.config.Config.mss m)
+  | Some m -> t.snd_mss <- Int.max 1 (Int.min t.config.Config.mss m)
   | None -> ());
   t.sack_ok <- t.config.Config.sack && p.Packet.sack_permitted;
   match p.Packet.wscale_opt with
   | Some s when t.config.Config.wscale ->
       t.wscale_on <- true;
-      t.snd_wscale <- min 14 (max 0 s);
+      t.snd_wscale <- Int.min 14 (Int.max 0 s);
       t.rcv_wscale <- Config.wscale_shift t.config
   | _ ->
       t.wscale_on <- false;
@@ -900,7 +900,7 @@ let rec receive t (p : Packet.t) =
            SYN|ACK may answer either copy — no RTT sample. *)
         t.rcv_nxt <- 1;
         t.snd_una <- 1;
-        t.snd_nxt <- max t.snd_nxt 1;
+        t.snd_nxt <- Int.max t.snd_nxt 1;
         handshake_sample t;
         apply_syn_options t p;
         t.peer_rwnd <- p.Packet.rwnd;
@@ -912,8 +912,8 @@ let rec receive t (p : Packet.t) =
     | Syn_rcvd, false, true when p.Packet.ack >= 1 ->
         (* Final handshake ACK.  Same Karn guard: a retransmitted SYN|ACK
            makes this sample ambiguous. *)
-        t.snd_una <- max t.snd_una 1;
-        t.snd_nxt <- max t.snd_nxt 1;
+        t.snd_una <- Int.max t.snd_una 1;
+        t.snd_nxt <- Int.max t.snd_nxt 1;
         handshake_sample t;
         t.peer_rwnd <- p.Packet.rwnd lsl t.snd_wscale;
         cancel_rto t;
@@ -926,7 +926,7 @@ let rec receive t (p : Packet.t) =
            sent twice, so the eventual handshake ACK is ambiguous for RTT
            sampling (Karn). *)
         t.retransmissions <- t.retransmissions + 1;
-        t.karn_floor <- max 1 t.karn_floor;
+        t.karn_floor <- Int.max 1 t.karn_floor;
         send_synack t ~rtx:true
     | _ ->
         process_ack t p;
@@ -964,7 +964,7 @@ and process_data t (p : Packet.t) =
          Only the sequence range beyond rcv_nxt is new, and the FIN's
          sequence-space slot is not a payload byte. *)
       let data_end = seq_end - if p.Packet.fin then 1 else 0 in
-      let fin_now = deliver_in_order t seq_end (max 0 (data_end - t.rcv_nxt)) in
+      let fin_now = deliver_in_order t seq_end (Int.max 0 (data_end - t.rcv_nxt)) in
       if fin_now then send_pure_ack t else schedule_ack t
     end
     else
@@ -1026,7 +1026,7 @@ let inspect (t : t) : inspection =
     retransmissions = t.retransmissions;
     pacer_next_free = Pacer.next_free t.pacer;
     peer_rwnd = t.peer_rwnd;
-    adv_wnd = max 0 (t.rcv_adv_edge - t.rcv_nxt);
+    adv_wnd = Int.max 0 (t.rcv_adv_edge - t.rcv_nxt);
     rcv_buffered = t.rcv_buffered;
     rcv_capacity = t.config.Config.rcv_wnd;
     snd_mss = t.snd_mss;

@@ -6,7 +6,7 @@ let default = { on_segment = (fun ~now:_ ~flow:_ ~phase:_ d -> d) }
 
 let clamp ~stack proposed =
   {
-    tso_bytes = max 1 (min stack.tso_bytes proposed.tso_bytes);
-    packet_payload = max 1 (min stack.packet_payload proposed.packet_payload);
+    tso_bytes = Int.max 1 (Int.min stack.tso_bytes proposed.tso_bytes);
+    packet_payload = Int.max 1 (Int.min stack.packet_payload proposed.packet_payload);
     earliest_departure = Float.max stack.earliest_departure proposed.earliest_departure;
   }

@@ -116,7 +116,12 @@ let run_matrix ?(pool = Stob_par.Pool.sequential) ?rate_bps ?delay ?request ?res
      list order.  All seeds are drawn before the pool sees a task. *)
   let master = Rng.create seed in
   let grid = List.map (fun c -> (c, Rng.int master max_int)) (default_cells ()) in
-  let seed_of c = match List.assoc_opt c grid with Some s -> s | None -> Rng.int master max_int in
+  let same a b = String.equal a.cca b.cca && a.loss = b.loss && Bool.equal a.reorder b.reorder in
+  let seed_of c =
+    match List.find_opt (fun (g, _) -> same g c) grid with
+    | Some (_, s) -> s
+    | None -> Rng.int master max_int
+  in
   let tasks = Array.of_list (List.map (fun c -> (c, seed_of c)) cells) in
   Array.to_list
     (Stob_par.Pool.map pool

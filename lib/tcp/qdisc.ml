@@ -18,7 +18,7 @@ let fifo ~limit_bytes ~size =
 
 let fq ?(quantum = 2 * 1514) ~limit_bytes ~size () =
   (* A zero quantum would starve the round-robin loop. *)
-  let quantum = max 1 quantum in
+  let quantum = Int.max 1 quantum in
   {
     scheme = Fq { flows = Hashtbl.create 16; active = Queue.create (); quantum };
     limit_bytes;

@@ -39,21 +39,21 @@ let make (config : Config.t) : Cc.t =
         end
     | Cc.Congestion_avoidance ->
         (* cwnd += mss * (acked bytes / cwnd): one MSS per window per RTT. *)
-        let incr = s.config.mss * acked / max 1 s.cwnd in
-        s.cwnd <- s.cwnd + max 0 incr
+        let incr = s.config.mss * acked / Int.max 1 s.cwnd in
+        s.cwnd <- s.cwnd + Int.max 0 incr
     | Cc.Recovery | Cc.Startup | Cc.Drain | Cc.Probe_bw -> ());
-    s.cwnd <- min s.cwnd s.config.snd_buf
+    s.cwnd <- Int.min s.cwnd s.config.snd_buf
   in
   let on_loss ~now:_ =
     if s.phase <> Cc.Recovery then begin
-      s.ssthresh <- max (2 * s.config.mss) (s.cwnd / 2);
+      s.ssthresh <- Int.max (2 * s.config.mss) (s.cwnd / 2);
       s.cwnd <- s.ssthresh;
       s.recovery_acks <- 0;
       s.phase <- Cc.Recovery
     end
   in
   let on_rto ~now:_ =
-    s.ssthresh <- max (2 * s.config.mss) (s.cwnd / 2);
+    s.ssthresh <- Int.max (2 * s.config.mss) (s.cwnd / 2);
     s.cwnd <- s.config.mss;
     s.phase <- Cc.Slow_start
   in
