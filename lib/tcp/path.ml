@@ -119,14 +119,11 @@ let capture t =
   | None -> invalid_arg "Path.capture: this path was created with ~capture:false"
 let server_qdisc t = t.server_qdisc
 let server_link_bytes t = Link.bytes_sent t.to_client
-let client_link_bytes t = Link.bytes_sent t.to_server
 let drops t =
   Link.drops t.to_client + Link.drops t.to_server
   + match t.server_qdisc with None -> 0 | Some q -> Qdisc.drops q
 
 let netem_stats_of = function None -> Netem.zero_stats | Some n -> Netem.stats n
-let client_netem_stats t = Option.map Netem.stats t.client_netem
-let server_netem_stats t = Option.map Netem.stats t.server_netem
 
 let netem_stats t =
   Netem.add_stats (netem_stats_of t.client_netem) (netem_stats_of t.server_netem)

@@ -70,19 +70,12 @@ val server_qdisc : t -> Stob_net.Packet.t array Qdisc.t option
 val server_link_bytes : t -> int
 (** Bytes serialized so far on the server->client link (throughput probes). *)
 
-val client_link_bytes : t -> int
 val drops : t -> int
 (** Total packets dropped at either bottleneck queue. *)
 
 val netem_stats : t -> Stob_sim.Netem.stats
 (** Combined impairment counters over both directions (all zero when no
     netem is configured). *)
-
-val client_netem_stats : t -> Stob_sim.Netem.stats option
-(** Counters of the client-side (download) impairment stage, if any. *)
-
-val server_netem_stats : t -> Stob_sim.Netem.stats option
-(** Counters of the server-side (upload) impairment stage, if any. *)
 
 val netem_lost : t -> int
 (** Packets deliberately lost by the impairment stages — next to {!drops},
