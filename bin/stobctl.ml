@@ -408,9 +408,9 @@ let fig3_cmd =
       $ quick $ jobs $ sweep_arg)
 
 let arch () =
-  Arch.print_figure1 ();
+  print_string (Arch.figure1 ());
   print_newline ();
-  Arch.print_figure2 ()
+  print_string (Arch.figure2 ())
 
 let arch_cmd =
   Cmd.v (cmd_info "arch" ~doc:"Render Figures 1 and 2 (stack model and Stob architecture)")
@@ -564,8 +564,8 @@ let all quick jobs =
       Printf.printf "\n%s\n%s\n%s\n" rule title rule;
       run ())
     [
-      ("Figure 1 (E4): the stack model", Arch.print_figure1);
-      ("Figure 2 (E5): the Stob architecture", Arch.print_figure2);
+      ("Figure 1 (E4): the stack model", fun () -> print_string (Arch.figure1 ()));
+      ("Figure 2 (E5): the Stob architecture", fun () -> print_string (Arch.figure2 ()));
       ("Table 1 (E3/E8): defense taxonomy with measured overheads", table1);
       ("Figure 3 (E2): throughput under packet/TSO size adjustment", fun () -> fig3 ~quick pool);
       ("Ablation E7: CCA interplay and safety audit", ablation_cca);

@@ -31,8 +31,6 @@ type workload =
   | Fanout of int  (** [n] connections opening 300 ms apart, sharing the
                        server CPU and fq qdisc. *)
 
-val workload_name : workload -> string
-
 type scenario = {
   cca : string;  (** ["reno"], ["cubic"] or ["bbr"]. *)
   fault : Stob_sim.Fault.kind option;  (** [None] = control cell. *)
@@ -89,7 +87,8 @@ val run_cell :
     [plan] overrides the drawn fault plan (used by {!shrink}).  The cell
     never raises: escaped exceptions land in [crashed], and
     {!Stob_sim.Engine.Livelock} is translated into an [engine-livelock]
-    violation. *)
+    violation.  Test seam: the sweep runs its cells through this; tests
+    replay one. *)
 
 val default_scenarios : unit -> scenario list
 (** \{reno, cubic, bbr\} x \{no-fault + every fault kind\}, fanout-3,
@@ -141,5 +140,4 @@ val shrink :
     length, the prefix itself, and the report of the minimal replay.
     Deterministic: the same seed always shrinks to the same prefix. *)
 
-val pp_report : Format.formatter -> report -> unit
 val print_sweep : report list -> unit

@@ -42,7 +42,6 @@ let create ?(mode = Collect) ?(max_stored = 200) engine =
     attached = false;
   }
 
-let mode t = t.mode
 let total t = t.total
 
 let record t v =

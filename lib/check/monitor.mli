@@ -85,8 +85,6 @@ val create : ?mode:mode -> ?max_stored:int -> Stob_sim.Engine.t -> t
     {!total} keeps counting past the cap.  Raises [Invalid_argument] when
     [max_stored < 1]. *)
 
-val mode : t -> mode
-
 val record : t -> Violation.t -> unit
 (** Count (and in [Raise] mode, raise) a violation detected externally —
     the chaos harness feeds {!Stob_sim.Engine.Livelock} through this. *)
@@ -189,7 +187,8 @@ val check_quic_rtx_oracle :
 (** QUIC variant of {!check_rtx_oracle}: compares the endpoints'
     {!Stob_quic.Endpoint.rtx_datagrams} against the capture's marked-packet
     count.  The capture taps before netem impairment, so netem loss does
-    not disqualify the check — only bottleneck-queue [drops] do. *)
+    not disqualify the check — only bottleneck-queue [drops] do.  Test
+    seam: no battery captures QUIC flows yet. *)
 
 val check_store_canary :
   t ->

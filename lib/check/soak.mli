@@ -98,41 +98,16 @@ val spec_of_rng :
     of QUIC flows a datagram-blackhole window).  All draws come from [rng]
     in a fixed order; [`Mixed] splits QUIC/TCP 50/50 with a leading draw,
     and QUIC-only draws (flight size, blackhole) trail, so a [`Tcp]
-    (default) stream is identical to the pre-QUIC battery. *)
-
-val add_flow :
-  engine:Stob_sim.Engine.t ->
-  monitor:Monitor.t ->
-  id:int ->
-  start:float ->
-  on_done:(flow_result -> unit) ->
-  flow_spec ->
-  unit
-(** Schedule one TCP flow on a shared engine: it starts at [start]
-    (absolute virtual time) and is reaped — result handed to [on_done],
-    references dropped — exactly [horizon] later. *)
-
-val add_quic_flow :
-  engine:Stob_sim.Engine.t ->
-  monitor:Monitor.t ->
-  id:int ->
-  start:float ->
-  on_done:(flow_result -> unit) ->
-  flow_spec ->
-  unit
-(** QUIC counterpart of {!add_flow}: request on stream 4 at handshake
-    confirmation, response at the request FIN, client closes shortly after
-    the response FIN, and the {e server} is left to close via the idle
-    timeout — so every clean flow also exercises idle-close + quiesce.
-    Both endpoints run under {!Monitor.observe_quic}, with a reap-time
-    {!Monitor.check_quic_inspection} sweep for flows that wedged without
-    sending. *)
+    (default) stream is identical to the pre-QUIC battery.  Test seam: the
+    battery draws its flows through this; the property tests draw theirs
+    the same way. *)
 
 val run_flow : flow_spec -> flow_result * (string * int) list
 (** Run one flow (TCP or QUIC, per [spec.transport]) on a private engine
     under a private monitor; returns the reaped result and the monitor's
-    violation counts.  This is the unit the randomized
-    window-advertisement property battery drives. *)
+    violation counts.  Test seam: the unit the randomized
+    window-advertisement property battery drives and the regression tests
+    replay. *)
 
 (** {1 Shards and full runs} *)
 
@@ -175,10 +150,6 @@ type shard_report = {
   total_violations : int;
   sim_seconds : float;
 }
-
-val fault_shard : config -> int -> bool
-val run_shard : config -> int -> shard_report
-(** Pure in [(config, shard)] — the jobs-parity and resume contracts. *)
 
 type summary = {
   shards : int;
@@ -227,5 +198,4 @@ val transport_name : [ `Tcp | `Quic | `Mixed ] -> string
 val transport_of_name : string -> [ `Tcp | `Quic | `Mixed ]
 (** Raises [Invalid_argument] on an unknown name. *)
 
-val config_fields : config -> (string * string) list
 val pp_summary : Format.formatter -> summary -> unit

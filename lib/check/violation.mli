@@ -19,5 +19,4 @@ exception Violated of t
 
 val make : invariant:string -> time:float -> ?flow:int -> string -> t
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -278,16 +278,3 @@ let guard ?(breaker = default_breaker) ?latency hooks =
     }
   in
   ({ Hooks.on_segment }, report)
-
-let pp_degradation_report ppf r =
-  Format.fprintf ppf
-    "@[<v>rung: %s@,decisions: %d (full %d / clamp %d / passthrough %d)@,\
-     failures: %d exceptions, %d injected, %d stalls, %d unsafe proposals@,\
-     fallback decisions: %d@,trips: %a@]"
-    (rung_name r.rung) r.decisions r.full_policy_decisions r.clamp_only_decisions
-    r.passthrough_decisions r.hook_exceptions r.injected_faults r.stalls r.unsafe_proposals
-    r.fallbacks
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-       (fun ppf (t, rung) -> Format.fprintf ppf "%.4fs->%s" t (rung_name rung)))
-    r.trips

@@ -59,9 +59,6 @@ type breaker = {
           beyond it the consultation is killed and counted as a failure. *)
 }
 
-val default_breaker : breaker
-(** 3 failures within 1 s; 50 ms stall budget. *)
-
 type degradation_report = {
   rung : rung;  (** Final rung when the report was read. *)
   decisions : int;
@@ -82,11 +79,10 @@ val guard :
   ?latency:(now:float -> float) ->
   Stob_tcp.Hooks.t ->
   Stob_tcp.Hooks.t * (unit -> degradation_report)
-(** [guard hooks] is the guarded hook plus a report thunk.  [latency] is an
-    oracle for the hook's compute time at a given consultation (the chaos
+(** [guard hooks] is the guarded hook plus a report thunk.  [breaker]
+    defaults to 3 failures within 1 s and a 50 ms stall budget.  [latency]
+    is an oracle for the hook's compute time at a given consultation (the chaos
     harness's {!Stob_sim.Fault.Hook_stall} surface); omitted means free.
     Raises [Invalid_argument] on a non-positive [trip_failures] or [window]
     or a negative [stall_budget].  Install the wrapped hook; read the
     report after the run. *)
-
-val pp_degradation_report : Format.formatter -> degradation_report -> unit

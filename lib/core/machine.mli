@@ -37,6 +37,8 @@ val create : ?seed:int -> t -> controller
 val hooks : controller -> Stob_tcp.Hooks.t
 
 val current_state : controller -> string
+(** Test seam: the state the machine is in. *)
+
 val segments_in_state : controller -> (string * int) list
 (** How many segment decisions each state handled. *)
 

@@ -3,7 +3,7 @@
     Section 4.1: policies "could be maintained in the shared memory between
     the application and stack" and "shared between flows in some cases
     (e.g., same destination)".  This table is that shared object: the
-    application (or an administrator) installs policies keyed by flow, by
+    application (or an administrator) installs policies keyed by
     destination, or globally; the stack resolves the most specific match
     when a flow starts and instantiates a per-flow {!Controller}. *)
 
@@ -13,19 +13,12 @@ val create : unit -> t
 
 val set_global : t -> Policy.t -> unit
 val set_for_destination : t -> string -> Policy.t -> unit
-val set_for_flow : t -> int -> Policy.t -> unit
-
-val remove_flow : t -> int -> unit
-val remove_destination : t -> string -> unit
-val clear_global : t -> unit
-
-val lookup : t -> ?destination:string -> int -> Policy.t
-(** Resolution order: flow-specific, then destination, then global, then
-    {!Policy.unmodified}. *)
 
 val attach : t -> ?destination:string -> ?seed:int -> int -> Controller.t
-(** Resolve and instantiate a controller for a new flow.  [seed] defaults to
-    the flow id so different flows draw different random streams. *)
+(** Resolve the flow's policy and instantiate a controller for it.
+    Resolution order: destination, then global, then {!Policy.unmodified}.
+    [seed] defaults to the flow id so different flows draw different random
+    streams. *)
 
 val installed : t -> (string * Policy.t) list
 (** Human-readable dump of every installed entry (for the `stobctl` CLI). *)

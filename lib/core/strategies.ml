@@ -39,14 +39,11 @@ let stack_combined ?(threshold = 1200) ?(lo = 0.1) ?(hi = 0.3) () =
     ~timing:(Policy.Stretch_gap (lo, hi))
     ()
 
-let histogram_sizes h = Policy.make ~name:"histogram-sizes" ~size:(Policy.Sampled_size h) ()
-
 let rate_floor ~rate_bps =
   Policy.make
     ~name:(Printf.sprintf "pace@%.0fMb/s" (rate_bps /. 1e6))
     ~timing:(Policy.Pace_at rate_bps)
     ()
-let histogram_gaps h = Policy.make ~name:"histogram-gaps" ~timing:(Policy.Sampled_gap h) ()
 
 let bbr_respecting p =
   {

@@ -28,13 +28,6 @@ val stack_delay : ?lo:float -> ?hi:float -> unit -> Policy.t
 val stack_combined : ?threshold:int -> ?lo:float -> ?hi:float -> unit -> Policy.t
 (** Split and delay together (Section 3's "Combined"). *)
 
-val histogram_sizes : Stob_util.Histogram.t -> Policy.t
-(** Draw packet payloads from an application-supplied size distribution
-    (the Section 4.1 histogram-policy use case). *)
-
-val histogram_gaps : Stob_util.Histogram.t -> Policy.t
-(** Enforce minimum inter-departure gaps drawn from a histogram. *)
-
 val rate_floor : rate_bps:float -> Policy.t
 (** Constant-rate shaping by delay alone ({!Policy.Pace_at}): below the
     CCA's own rate the wire shows a constant-rate stream — hiding CCA

@@ -14,7 +14,5 @@ type params = {
   dummy_size : int;
 }
 
-val default_params : params
-(** lambda = 8 KiB, 25 ms burst separation, MTU dummies. *)
-
 val apply : ?params:params -> Stob_net.Trace.t -> Stob_net.Trace.t
+(** [params] defaults to lambda = 8 KiB, 25 ms burst separation, MTU dummies. *)

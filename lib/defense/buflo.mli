@@ -13,9 +13,7 @@ type params = {
   tau : float;  (** Minimum defended duration, seconds. *)
 }
 
-val default_params : params
-(** 1500 B every 4 ms (3 Mb/s per direction), tau = 10 s. *)
-
 val apply : ?params:params -> Stob_net.Trace.t -> Stob_net.Trace.t
 (** Deterministic (no RNG): the output depends only on each direction's
-    byte volume and the parameters. *)
+    byte volume and the parameters.  [params] defaults to 1500 B every
+    4 ms (3 Mb/s per direction), tau = 10 s. *)

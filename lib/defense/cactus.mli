@@ -11,7 +11,5 @@ type params = {
   cell_size : int;  (** Uniform re-packetization size, bytes. *)
 }
 
-val default_params : params
-(** 25 ms windows, 1200 B cells. *)
-
 val apply : ?params:params -> rng:Stob_util.Rng.t -> Stob_net.Trace.t -> Stob_net.Trace.t
+(** [params] defaults to 25 ms windows, 1200 B cells. *)

@@ -15,8 +15,7 @@ type params = {
   dummy_size : int;  (** Wire size of a dummy packet. *)
 }
 
-val default_params : params
-(** The paper's FT-1-ish setting scaled to short HTTPS traces:
-    up to 600/1400 dummies, windows 1-8 s, MTU-sized dummies. *)
-
 val apply : ?params:params -> rng:Stob_util.Rng.t -> Stob_net.Trace.t -> Stob_net.Trace.t
+(** [params] defaults to the paper's FT-1-ish setting scaled to short
+    HTTPS traces: up to 600/1400 dummies, windows 1-8 s, MTU-sized
+    dummies. *)

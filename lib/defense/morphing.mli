@@ -12,8 +12,7 @@ type params = {
   target : Stob_util.Histogram.t;  (** Target incoming packet-size distribution. *)
 }
 
-val default_params : params
-(** A small-packet-heavy target (interactive-traffic-like), maximally
-    unlike bulk web download sizes. *)
-
 val apply : ?params:params -> rng:Stob_util.Rng.t -> Stob_net.Trace.t -> Stob_net.Trace.t
+(** [params] defaults to a small-packet-heavy target
+    (interactive-traffic-like), maximally unlike bulk web download
+    sizes. *)

@@ -19,9 +19,8 @@ type params = {
   packet_size : int;
 }
 
-val default_params : params
-(** 50 ms windows, 20 KiB noise scale, 8 KiB floor, MTU packets. *)
-
 val apply : ?params:params -> rng:Stob_util.Rng.t -> Stob_net.Trace.t -> Stob_net.Trace.t
 (** Shapes the incoming (server-to-client) direction; outgoing packets pass
-    through (the client-side shaper is symmetric in the real system). *)
+    through (the client-side shaper is symmetric in the real system).
+    [params] defaults to 50 ms windows, 20 KiB noise scale, 8 KiB floor,
+    MTU packets. *)

@@ -30,7 +30,3 @@ let mean_summary summaries =
     latency = sum (fun s -> s.latency) /. n;
     packets = sum (fun s -> s.packets) /. n;
   }
-
-let pp fmt s =
-  Format.fprintf fmt "bandwidth %+.1f%%, latency %+.1f%%, packets %+.1f%%" (s.bandwidth *. 100.0)
-    (s.latency *. 100.0) (s.packets *. 100.0)

@@ -6,22 +6,15 @@
     modification costs only extra headers.  These metrics make that
     comparison measurable for any trace transformation. *)
 
-val bandwidth_overhead : original:Stob_net.Trace.t -> defended:Stob_net.Trace.t -> float
-(** Extra wire bytes relative to the original: (defended - original) /
-    original.  0.8 means "+80 %". *)
-
-val latency_overhead : original:Stob_net.Trace.t -> defended:Stob_net.Trace.t -> float
-(** Extra trace duration relative to the original. *)
-
-val packet_overhead : original:Stob_net.Trace.t -> defended:Stob_net.Trace.t -> float
-(** Extra packets relative to the original (header-cost proxy for size
-    modification). *)
-
-type summary = { bandwidth : float; latency : float; packets : float }
+type summary = {
+  bandwidth : float;
+      (** Extra wire bytes relative to the original: (defended - original) /
+          original.  0.8 means "+80 %". *)
+  latency : float;  (** Extra trace duration relative to the original. *)
+  packets : float;  (** Extra packets relative to the original. *)
+}
 
 val summarize : original:Stob_net.Trace.t -> defended:Stob_net.Trace.t -> summary
 
 val mean_summary : summary list -> summary
 (** Component-wise mean over a corpus. *)
-
-val pp : Format.formatter -> summary -> unit

@@ -135,7 +135,3 @@ let all =
       apply = Some (fun ~rng trace -> Emulate.combined ~rng trace);
     };
   ]
-
-let implemented = List.filter (fun e -> e.apply <> None) all
-
-let find name = List.find (fun e -> e.name = name) all

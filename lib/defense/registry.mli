@@ -29,7 +29,3 @@ type entry = {
 
 val all : entry list
 (** Table 1's rows, plus this repository's Stob trace-level equivalents. *)
-
-val implemented : entry list
-val find : string -> entry
-(** Raises [Not_found]. *)

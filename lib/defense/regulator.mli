@@ -16,6 +16,4 @@ type params = {
   packet_size : int;
 }
 
-val default_params : params
-
 val apply : ?params:params -> Stob_net.Trace.t -> Stob_net.Trace.t

@@ -16,6 +16,4 @@ type params = {
   upload_every : int;  (** One upload packet per this many downloads. *)
 }
 
-val default_params : params
-
 val apply : ?params:params -> rng:Stob_util.Rng.t -> Stob_net.Trace.t -> Stob_net.Trace.t

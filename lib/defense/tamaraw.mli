@@ -14,7 +14,5 @@ type params = {
   pad_multiple : int;  (** L: pad each direction's count to a multiple. *)
 }
 
-val default_params : params
-(** 1500 B, uploads every 40 ms, downloads every 12 ms, L = 100. *)
-
 val apply : ?params:params -> Stob_net.Trace.t -> Stob_net.Trace.t
+(** [params] defaults to 1500 B, uploads every 40 ms, downloads every 12 ms, L = 100. *)

@@ -13,7 +13,5 @@ type params = {
   dummy_size : int;
 }
 
-val default_params : params
-(** 50 ms threshold, at most 6 dummies per silence, MTU dummies. *)
-
 val apply : ?params:params -> rng:Stob_util.Rng.t -> Stob_net.Trace.t -> Stob_net.Trace.t
+(** [params] defaults to 50 ms threshold, at most 6 dummies per silence, MTU dummies. *)

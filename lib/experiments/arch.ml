@@ -82,6 +82,3 @@ let figure2 () =
     \  built-in policies:\n%s\n"
     (String.concat ", " hook_decision_fields)
     policies
-
-let print_figure1 () = print_string (figure1 ())
-let print_figure2 () = print_string (figure2 ())

@@ -14,6 +14,3 @@ val figure1 : unit -> string
 val figure2 : unit -> string
 (** The Stob architecture: policy table, controller, and the three
     intercepted decisions. *)
-
-val print_figure1 : unit -> unit
-val print_figure2 : unit -> unit

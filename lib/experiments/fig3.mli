@@ -32,11 +32,6 @@ val default_config : config
 (** alphas 0..40 step 4, 100 Gb/s, 50 us RTT, 50 ms warm-up, 150 ms
     measurement, CUBIC. *)
 
-val throughput_with_policy : config:config -> policy:Stob_core.Policy.t -> float
-(** Measured steady-state goodput (bits/s) of one bulk transfer under the
-    given server-side policy.  It reads only the link's byte counter, so
-    its path records no capture ({!Stob_tcp.Path.create}[ ~capture:false]). *)
-
 val run :
   ?config:config ->
   ?pool:Stob_par.Pool.t ->

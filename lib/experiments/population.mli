@@ -122,7 +122,4 @@ val iter_shard_traces : state_dir:string -> shard:int -> (Stob_net.Trace.t -> un
     O(largest trace) memory beyond what [f] keeps.  A missing shard file
     iterates nothing, and a damaged one stops at the damage. *)
 
-val site_visit_table : summary -> (string * int) array
-(** Aggregate visits per site name, rank order. *)
-
 val pp_summary : Format.formatter -> summary -> unit

@@ -56,8 +56,8 @@ val run_on :
   ?on_report:(Stob_store.Supervisor.report -> unit) ->
   Stob_web.Dataset.t ->
   result
-(** Same evaluation on a pre-generated (unsanitized) dataset — lets callers
-    reuse one corpus across experiments. *)
+(** Same evaluation on a pre-generated (unsanitized) dataset.  Test seam:
+    the only way to run the sweep over a corpus of a few sites. *)
 
 val print : result -> unit
 (** Render the table in the paper's layout. *)

@@ -16,11 +16,6 @@ let train_m ?(forest = Rf.default_params) ?pool ~n_classes ~matrix ~labels () =
 let train ?forest ?pool ~n_classes ~features ~labels () =
   train_m ?forest ?pool ~n_classes ~matrix:(Matrix.of_rows features) ~labels ()
 
-let predict t ~mode x =
-  match mode with
-  | Forest_vote -> Rf.predict t.forest x
-  | Leaf_knn k -> Knn.classify t.knn ~k (Rf.leaf_fingerprint t.forest x)
-
 let predict_all_m t ~mode m =
   match mode with
   | Forest_vote -> Rf.predict_all t.forest m
@@ -39,9 +34,6 @@ let evaluate t ~mode ~features ~labels =
 let open_world_of_nearest = function
   | [] -> None
   | (first, _) :: rest -> if List.for_all (fun (l, _) -> l = first) rest then Some first else None
-
-let predict_open_world t ~k x =
-  open_world_of_nearest (Knn.nearest t.knn ~k (Rf.leaf_fingerprint t.forest x))
 
 let predict_open_world_all t ~k m =
   Array.init (Matrix.n_rows m) (fun row ->

@@ -39,26 +39,19 @@ val train_m :
     {!Stob_ml.Random_forest.train_m}).  Training fingerprints are computed
     in one batch over the same matrix. *)
 
-val predict : t -> mode:mode -> float array -> int
-
 val predict_all : t -> mode:mode -> float array array -> int array
-
-val predict_all_m : t -> mode:mode -> Stob_ml.Matrix.t -> int array
-(** Batch prediction straight off a feature matrix. *)
 
 val evaluate : t -> mode:mode -> features:float array array -> labels:int array -> float
 (** Accuracy on a labelled test set. *)
 
 val evaluate_m : t -> mode:mode -> matrix:Stob_ml.Matrix.t -> labels:int array -> float
 
-val predict_open_world : t -> k:int -> float array -> int option
-(** The original k-FP open-world rule: classify as monitored site [s] only
-    when {e all} [k] nearest training fingerprints (Hamming distance over
-    forest leaves) carry label [s]; any disagreement means "unmonitored"
-    ([None]).  Train the attack on monitored sites plus background traffic
-    collapsed into one extra class. *)
-
 val predict_open_world_all : t -> k:int -> Stob_ml.Matrix.t -> int option array
-(** Batch {!predict_open_world} over every row of a test matrix. *)
+(** The original k-FP open-world rule, for every row of a test matrix:
+    classify as monitored site [s] only when {e all} [k] nearest training
+    fingerprints (Hamming distance over forest leaves) carry label [s]; any
+    disagreement means "unmonitored" ([None]).  Train the attack on
+    monitored sites plus background traffic collapsed into one extra
+    class. *)
 
 val forest : t -> Stob_ml.Random_forest.t

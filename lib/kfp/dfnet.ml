@@ -22,11 +22,6 @@ let encode_batch traces =
   Array.iteri (encode_into t) traces;
   t
 
-let encode trace =
-  Array.init input_length (fun i ->
-      if i < Trace.length trace then float_of_int (Packet.direction_sign (Trace.dir trace i))
-      else 0.0)
-
 let encode_packed = encode_batch
 
 type t = Network.t
@@ -81,5 +76,4 @@ let train ?(epochs = 30) ?(seed = 0) ?pool ?on_epoch ~n_classes ~xs ~labels () =
   Network.fit net ~rng ~xs ~labels ~epochs ?pool ?on_epoch ();
   net
 
-let predict_m = Network.predict_m
 let accuracy_m = Network.accuracy_m

@@ -27,11 +27,10 @@ type t = Stob_nn.Network.t
 val input_length : int
 (** Number of leading packet directions consumed (600). *)
 
-val encode : Stob_net.Trace.t -> float array
-(** Signed-direction encoding, zero-padded/truncated to {!input_length}. *)
-
 val encode_batch : Stob_net.Trace.t array -> Stob_nn.Tensor.t
-(** One {!encode}d row per trace, read straight off the word lane. *)
+(** One row per trace: the signed-direction encoding (+1 out, -1 in),
+    zero-padded/truncated to {!input_length}, read straight off the word
+    lane. *)
 
 val encode_packed : Stob_net.Trace.t array -> Stob_nn.Tensor.t
 (** {!encode_batch} under its former name, kept for the benchmark harness;
@@ -58,5 +57,4 @@ val train :
     [?pool] parallelizes minibatch shards; the trained weights are
     bit-identical at any pool size ({!Stob_nn.Network.fit}'s contract). *)
 
-val predict_m : ?pool:Stob_par.Pool.t -> t -> Stob_nn.Tensor.t -> int array
 val accuracy_m : ?pool:Stob_par.Pool.t -> t -> xs:Stob_nn.Tensor.t -> labels:int array -> float

@@ -26,6 +26,3 @@ val extract : Stob_net.Trace.t -> float array
 val extract_packed : Stob_net.Trace.t -> float array
 (** {!extract} under its former name, kept for the benchmark harness; the
     next benchmark refresh deletes it. *)
-
-val chunk_size : int
-(** Packets per concentration chunk (20, as in the original attack). *)

@@ -388,24 +388,11 @@ let train_presorted ?(params = default_params) ~rng ~n_classes ~matrix ~labels ~
   let root = grow 0 n 0 in
   { root; n_leaves = !next_leaf; depth = !max_depth_seen; gains }
 
-let train ?(params = default_params) ~rng ~n_classes ~features ~labels () =
-  if Array.length features = 0 then invalid_arg "Decision_tree.train: no samples";
-  if Array.length features <> Array.length labels then
-    invalid_arg "Decision_tree.train: features/labels length mismatch";
-  let matrix = Matrix.of_rows features in
-  let orders = Matrix.presorted matrix in
-  let sample = Array.init (Array.length features) (fun i -> i) in
-  train_presorted ~params ~rng ~n_classes ~matrix ~labels ~sample ~orders ()
-
 let rec descend node x =
   match node with
   | Leaf l -> l
   | Split { feature; threshold; left; right } ->
       if x.(feature) <= threshold then descend left x else descend right x
-
-let predict t x = (descend t.root x).label
-let predict_dist t x = Array.copy (descend t.root x).dist
-let leaf_id t x = (descend t.root x).id
 
 let add_dist t x ~into =
   let dist = (descend t.root x).dist in

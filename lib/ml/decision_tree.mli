@@ -28,19 +28,6 @@ val default_params : params
 
 type t
 
-val train :
-  ?params:params ->
-  rng:Stob_util.Rng.t ->
-  n_classes:int ->
-  features:float array array ->
-  labels:int array ->
-  unit ->
-  t
-(** [features] is row-major: one float array per sample.  All rows must
-    share a length; labels must lie in [\[0, n_classes)].  Convenience
-    wrapper: builds the column matrix and presort, then calls
-    {!train_presorted} on the identity sample. *)
-
 val train_presorted :
   ?params:params ->
   rng:Stob_util.Rng.t ->
@@ -54,28 +41,28 @@ val train_presorted :
 (** The forest hot path.  [matrix] and [orders = Matrix.presorted matrix]
     are immutable and shared across trees and domains; [sample] maps each
     bootstrap position to a matrix row (duplicates welcome); [labels] is
-    indexed by matrix row.  Only per-tree scratch is allocated. *)
-
-val predict : t -> float array -> int
-val predict_dist : t -> float array -> float array
-(** Class distribution at the reached leaf (fresh copy). *)
+    indexed by matrix row; labels must lie in [\[0, n_classes)].  Only
+    per-tree scratch is allocated.  Raises [Invalid_argument] on an empty
+    sample or on labels, orders and matrix of different sizes. *)
 
 val add_dist : t -> float array -> into:float array -> unit
 (** Accumulate the reached leaf's distribution into [into] without
     copying — the forest [predict_proba] hot path.  [into] must have at
     least [n_classes] slots. *)
 
-val leaf_id : t -> float array -> int
-(** Identifier of the leaf a sample lands in (k-FP's fingerprint element).
-    Leaves are numbered consecutively from 0 in construction order. *)
-
 val predict_m : t -> Matrix.t -> int -> int
-(** [predict_m t m row]: {!predict} reading row [row] of a column matrix
-    directly — batch inference without materializing rows. *)
+(** [predict_m t m row]: the label of the leaf row [row] of a column
+    matrix lands in, read directly — batch inference without
+    materializing rows. *)
 
 val leaf_id_m : t -> Matrix.t -> int -> int
+(** Identifier of the leaf row [row] lands in (k-FP's fingerprint
+    element).  Leaves are numbered consecutively from 0 in construction
+    order. *)
 
 val n_leaves : t -> int
+(** Test seam, with {!depth}: observes the tree's shape. *)
+
 val depth : t -> int
 
 val feature_gains : t -> float array

@@ -22,14 +22,3 @@ let per_class_recall m =
 let mean_std values =
   let a = Array.of_list values in
   (Stob_util.Stats.mean a, Stob_util.Stats.sample_std a)
-
-let pp_confusion ~names fmt m =
-  Format.fprintf fmt "%-16s" "";
-  Array.iter (fun n -> Format.fprintf fmt "%8s" (String.sub n 0 (min 7 (String.length n)))) names;
-  Format.pp_print_newline fmt ();
-  Array.iteri
-    (fun i row ->
-      Format.fprintf fmt "%-16s" names.(i);
-      Array.iter (fun c -> Format.fprintf fmt "%8d" c) row;
-      Format.pp_print_newline fmt ())
-    m

@@ -14,5 +14,3 @@ val per_class_recall : int array array -> float array
 
 val mean_std : float list -> float * float
 (** Mean and sample standard deviation across folds. *)
-
-val pp_confusion : names:string array -> Format.formatter -> int array array -> unit

@@ -13,9 +13,6 @@
     and is pinned against by a regression test.)  Selection is a bounded
     top-k pass, not a full sort of the distance array. *)
 
-val hamming : int array -> int array -> int
-(** Number of differing positions.  Raises on length mismatch. *)
-
 type t
 
 val create : fingerprints:int array array -> labels:int array -> n_classes:int -> t
@@ -26,4 +23,6 @@ val classify : t -> k:int -> int array -> int
 
 val nearest : t -> k:int -> int array -> (int * int) list
 (** The [k] nearest as [(label, distance)] pairs, closest first, ordered
-    by [(distance, training index)]. *)
+    by [(distance, training index)].  The distance is the number of
+    differing positions; raises [Invalid_argument] when a fingerprint's
+    length differs from the query's. *)

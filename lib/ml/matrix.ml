@@ -29,10 +29,6 @@ let get m r c =
 
 let col m c = m.cols.(c)
 
-let row m r =
-  if r < 0 || r >= m.n_rows then invalid_arg "Matrix.row: out of bounds";
-  Array.init m.n_cols (fun c -> Float.Array.get m.cols.(c) r)
-
 let presorted m =
   Array.init m.n_cols (fun c ->
       let col = m.cols.(c) in

@@ -28,9 +28,6 @@ val get : t -> int -> int -> float
 val col : t -> int -> floatarray
 (** The raw column — {b do not mutate}.  For read-only hot loops. *)
 
-val row : t -> int -> float array
-(** Materialize one row (fresh array); for interop with row-based APIs. *)
-
 val presorted : t -> int array array
 (** [presorted m] is one array per column holding the row indices of [m]
     sorted by that column's value under [Float.compare] (total order,

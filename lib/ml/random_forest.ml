@@ -70,15 +70,6 @@ let vote_argmax votes =
   Array.iteri (fun c v -> if v > votes.(!best) then best := c) votes;
   !best
 
-let predict t x =
-  let votes = Array.make t.n_classes 0 in
-  Array.iter
-    (fun tree ->
-      let c = Decision_tree.predict tree x in
-      votes.(c) <- votes.(c) + 1)
-    t.trees;
-  vote_argmax votes
-
 let predict_all t m =
   let votes = Array.make t.n_classes 0 in
   Array.init (Matrix.n_rows m) (fun row ->
@@ -90,15 +81,10 @@ let predict_all t m =
         t.trees;
       vote_argmax votes)
 
-let leaf_fingerprint t x = Array.map (fun tree -> Decision_tree.leaf_id tree x) t.trees
-
 let leaf_fingerprint_m t m row =
   Array.map (fun tree -> Decision_tree.leaf_id_m tree m row) t.trees
 
 let leaf_fingerprints t m = Array.init (Matrix.n_rows m) (fun row -> leaf_fingerprint_m t m row)
-
-let n_trees t = Array.length t.trees
-let n_classes t = t.n_classes
 
 let trees t = Array.copy t.trees
 

@@ -49,22 +49,17 @@ val train_m :
     for any domain count (and to the historical sequential behavior).
     Build the matrix once per fold and share it — it is read-only. *)
 
-val predict : t -> float array -> int
-(** Majority vote over the trees (ties break toward the lower label). *)
-
 val predict_all : t -> Matrix.t -> int array
-(** Batch {!predict} over every row of a test matrix (one reusable vote
-    buffer, no row materialization). *)
+(** Majority vote over the trees (ties break toward the lower label) for
+    every row of a test matrix: one reusable vote buffer, no row
+    materialization. *)
 
 val predict_proba : t -> float array -> float array
 (** Mean leaf class distribution over trees (accumulated in place — no
     per-tree copies). *)
 
-val leaf_fingerprint : t -> float array -> int array
-(** One leaf id per tree. *)
-
 val leaf_fingerprint_m : t -> Matrix.t -> int -> int array
-(** [leaf_fingerprint] for one row of a column matrix. *)
+(** One leaf id per tree for one row of a column matrix. *)
 
 val leaf_fingerprints : t -> Matrix.t -> int array array
 (** Batch fingerprints for every row of a matrix. *)
@@ -72,9 +67,6 @@ val leaf_fingerprints : t -> Matrix.t -> int array array
 val feature_importance : t -> float array
 (** Mean Gini importance over the trees, normalized to sum to 1 (all zeros
     for a forest of stumps that never split). *)
-
-val n_trees : t -> int
-val n_classes : t -> int
 
 val trees : t -> Decision_tree.t array
 (** The individual trees, in training order (fresh array, shared trees) —

@@ -2,8 +2,9 @@
 
     This is {e not} a production path: it re-sorts sample indices per
     feature per node with polymorphic [compare] and partitions children
-    through list round-trips, exactly as the original
-    {!Decision_tree.train} did.  It exists for two jobs only:
+    through list round-trips, exactly as the original row-major trainer
+    did.  It exists for two jobs only, and every value here is an entry
+    point for one of them:
 
     - the parity oracle in [test/test_ml.ml] — the presorted column-major
       trainer must reproduce its trees bit-for-bit (structure, thresholds,
@@ -31,9 +32,6 @@ val train_tree :
 (** Byte-for-byte the seed [Decision_tree.train]: per-node per-feature
     re-sorts, midpoint thresholds, [<=] partitioning, first-strictly-better
     tie-breaking in feature order. *)
-
-val tree_predict : tree -> float array -> int
-val tree_leaf_id : tree -> float array -> int
 
 type forest = { trees : tree array; n_classes : int }
 

@@ -2,33 +2,28 @@
 
     A growable, chunked store of (timestamp, direction, wire size) cells in
     bigarray lanes — no per-event boxing.  Trace builders [add] events as
-    they occur and hand the arena to {!Trace.of_arena}; [reset]
-    recycles the chunks so one arena serves every trace a worker builds.
+    they occur and hand the arena to {!Trace.of_arena}.
 
     The packed word is [size lsl 1 lor dir_bit] in an int32; sizes must lie
     in [[0, 2^30)] (any real wire size does). *)
 
 type t
 
-val default_chunk_events : int
-(** 4096 events (48 KiB) per chunk. *)
-
-val max_size : int
-(** Largest representable wire size, [2^30 - 1]. *)
-
 val create : ?chunk_events:int -> unit -> t
-(** Raises [Invalid_argument] when [chunk_events < 1]. *)
+(** [chunk_events] defaults to 4096 events (48 KiB) per chunk.  Raises
+    [Invalid_argument] when [chunk_events < 1]. *)
 
 val length : t -> int
 (** Events added since the last [reset]. *)
 
 val add : t -> time:float -> dir:Packet.direction -> size:int -> unit
 (** Append one event.  Raises [Invalid_argument] when [size] is outside
-    [[0, {!max_size}]].  Allocates no heap words per event (a chunk
-    rollover allocates a constant few). *)
+    [[0, 2^30 - 1]].  Allocates no heap words per event (a chunk rollover
+    allocates a constant few). *)
 
 val reset : t -> unit
-(** Forget the contents, keeping the allocated chunks for reuse. *)
+(** Forget the contents, keeping the allocated chunks for reuse.  Test
+    seam: the allocation gate measures {!add} on warm chunks. *)
 
 (** {1 Consumption (used by {!Trace})} *)
 
@@ -44,4 +39,4 @@ val blit :
 
 val word : dir:Packet.direction -> size:int -> int
 (** [size lsl 1 lor dir_bit], [dir_bit] 1 for {!Packet.Outgoing}.  Raises
-    [Invalid_argument] when [size] is outside [[0, {!max_size}]]. *)
+    [Invalid_argument] when [size] is outside [[0, 2^30 - 1]]. *)

@@ -31,7 +31,6 @@ let add t ~dir ~time (p : Packet.t) =
   if p.rtx then t.rtx <- t.rtx + 1
 
 let record t ~time (p : Packet.t) = add t ~dir:p.dir ~time p
-let observe t ~dir ~time p = add t ~dir ~time p
 
 let trace t =
   let times = BA1.create Bigarray.float64 Bigarray.c_layout t.n in

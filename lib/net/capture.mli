@@ -13,15 +13,13 @@ val record : t -> time:float -> Packet.t -> unit
 (** Record one packet.  Pure ACKs and dummies are recorded like any other
     packet: they are visible on the wire. *)
 
-val observe : t -> dir:Packet.direction -> time:float -> Packet.t -> unit
-(** Like {!record} but overrides the direction label — used when tapping a
-    unidirectional link whose orientation is known. *)
-
 val trace : t -> Trace.t
 (** Snapshot of everything recorded so far, time-ordered. *)
 
 val clear : t -> unit
+
 val count : t -> int
+(** Packets recorded so far.  Test seam. *)
 
 val rtx_count : t -> int
 (** Packets recorded so far that carried the simulation's retransmission

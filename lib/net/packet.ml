@@ -1,11 +1,6 @@
 type direction = Outgoing | Incoming
 
-let opposite = function Outgoing -> Incoming | Incoming -> Outgoing
 let direction_sign = function Outgoing -> 1 | Incoming -> -1
-
-let pp_direction fmt = function
-  | Outgoing -> Format.pp_print_string fmt "out"
-  | Incoming -> Format.pp_print_string fmt "in"
 
 type t = {
   flow : int;
@@ -107,12 +102,3 @@ let syn ~flow ~dir ~seq ?(ack = None) ?(rtx = false) ?mss ?wscale ?(sack_permitt
 let seq_end t =
   let ctrl = (if t.syn then 1 else 0) + if t.fin then 1 else 0 in
   t.seq + (if t.dummy then 0 else t.payload) + ctrl
-
-let pp fmt t =
-  Format.fprintf fmt "[flow %d %a seq=%d ack=%d len=%d%s%s%s%s%s]" t.flow pp_direction t.dir t.seq
-    t.ack t.payload
-    (if t.syn then " SYN" else "")
-    (if t.fin then " FIN" else "")
-    (if t.is_ack then " ACK" else "")
-    (if t.dummy then " DUMMY" else "")
-    (if t.rtx then " RTX" else "")

@@ -8,12 +8,9 @@
 type direction = Outgoing | Incoming
 (** From the client's point of view: [Outgoing] flows client -> server. *)
 
-val opposite : direction -> direction
 val direction_sign : direction -> int
 (** [+1] for [Outgoing], [-1] for [Incoming] — the signed representation WF
     literature uses. *)
-
-val pp_direction : Format.formatter -> direction -> unit
 
 type t = {
   flow : int;  (** Connection identifier (demux key on a shared path). *)
@@ -95,5 +92,3 @@ val syn :
 val seq_end : t -> int
 (** Sequence number just past this packet's payload (SYN/FIN occupy one
     sequence number each, per TCP). *)
-
-val pp : Format.formatter -> t -> unit

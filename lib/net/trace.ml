@@ -11,8 +11,6 @@ type times_lane = (float, Bigarray.float64_elt, Bigarray.c_layout) BA1.t
 type meta_lane = (int32, Bigarray.int32_elt, Bigarray.c_layout) BA1.t
 type t = { times : times_lane; meta : meta_lane }
 
-let max_size = Arena.max_size
-
 let alloc n =
   { times = BA1.create Bigarray.float64 Bigarray.c_layout n;
     meta = BA1.create Bigarray.int32 Bigarray.c_layout n }
@@ -243,9 +241,9 @@ let to_bytes t =
   done;
   Bytes.unsafe_to_string b
 
-(* [fn] names the public entry point in framing failures. *)
-let decode ~fn b len =
-  let fail why = failwith ("Trace." ^ fn ^ ": " ^ why) in
+let of_slice b len =
+  if len < 0 || len > Bytes.length b then invalid_arg "Trace.of_slice";
+  let fail why = failwith ("Trace.of_slice: " ^ why) in
   let mlen = String.length magic in
   if len < mlen + 4 || Bytes.sub_string b 0 mlen <> magic then fail "bad magic";
   let n = Int32.to_int (Bytes.get_int32_le b mlen) in
@@ -258,13 +256,6 @@ let decode ~fn b len =
     BA1.unsafe_set p.meta i (Bytes.get_int32_le b (off_m + (i * 4)))
   done;
   p
-
-let of_slice b len =
-  if len < 0 || len > Bytes.length b then invalid_arg "Trace.of_slice";
-  decode ~fn:"of_slice" b len
-
-(* [decode] only reads, so viewing the string as bytes is safe. *)
-let of_bytes s = decode ~fn:"of_bytes" (Bytes.unsafe_of_string s) (String.length s)
 
 let pp_summary fmt t =
   Format.fprintf fmt "%d pkts (%d out / %d in), %d B out, %d B in, %.3f s" (length t)

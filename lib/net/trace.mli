@@ -14,14 +14,14 @@
     takes.  The binary codec ({!to_bytes}) writes the two lanes as they
     are.
 
-    {b Sizes} lie in [[0, 2^30)] ({!max_size} is [2^30 - 1]).  {!of_events},
-    {!of_csv}, {!Arena.add} and {!Capture} raise [Invalid_argument] on a
-    size outside that range (the record-array trace this type replaced
-    accepted any int); {!of_lanes} and the binary codec take the words as
-    given.
+    {b Sizes} lie in [[0, 2^30)] (the largest is [2^30 - 1]).
+    {!of_events}, {!load}, {!Arena.add} and {!Capture} raise
+    [Invalid_argument] on a size outside that range (the record-array trace
+    this type replaced accepted any int); {!of_lanes} and the binary codec
+    take the words as given.
 
     {b Immutability.}  A trace is never written after it is built, so
-    values share storage freely: {!prefix} and {!sub} are zero-copy views,
+    values share storage freely: {!prefix} is a zero-copy view,
     {!shift_to_zero} shares the word lane, and {!sort} returns an input
     that is already in order as it is, without a copy. *)
 
@@ -31,9 +31,6 @@ type t
 
 type times_lane = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type meta_lane = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-val max_size : int
-(** Largest representable wire size, [2^30 - 1]. *)
 
 val empty : t
 val length : t -> int
@@ -49,7 +46,7 @@ val get : t -> int -> event
 
 val of_events : event array -> t
 (** The events in array order (not sorted).  Raises [Invalid_argument] on
-    a size outside [[0, {!max_size}]]. *)
+    a size outside [[0, 2^30 - 1]]. *)
 
 val of_arena : Arena.t -> t
 (** The arena's events in insertion order (not sorted). *)
@@ -58,7 +55,8 @@ val of_lanes : times:times_lane -> meta:meta_lane -> t
 (** Wrap two lanes of equal length without copying; raises
     [Invalid_argument] if the lengths differ.  The trace takes the lanes
     over: the caller must not write to them afterwards.  Each meta word
-    must be [size lsl 1 lor dir_bit] with a size in [[0, {!max_size}]].
+    must be [size lsl 1 lor dir_bit] with a size in
+    [[0, 2^30 - 1]].
     This is how a transformation that computes its output lanes directly
     (a capture, an emulated defense) builds a trace without a record per
     event. *)
@@ -78,15 +76,8 @@ val prefix : t -> int -> t
 (** First [n] events (all of them if the trace is shorter), a zero-copy
     view. *)
 
-val sub : t -> int -> int -> t
-(** [sub t pos len]: the events [pos .. pos + len - 1], a zero-copy view.
-    Raises [Invalid_argument] when the slice is out of bounds. *)
-
 val duration : t -> float
 (** Last timestamp minus first; [0.] for traces shorter than 2. *)
-
-val count : ?dir:Packet.direction -> t -> int
-(** Number of events, optionally restricted to one direction. *)
 
 val bytes : ?dir:Packet.direction -> t -> int
 (** Total wire bytes, optionally restricted to one direction. *)
@@ -109,28 +100,25 @@ val concat_sorted : t list -> t
 
 (** {1 Codecs} *)
 
-val to_csv : t -> string
-(** "time,dir,size" lines; dir is [+1]/[-1]. *)
-
-val of_csv : string -> t
-(** Inverse of {!to_csv}.  Raises [Failure] on malformed input and
-    [Invalid_argument] on a size outside [[0, {!max_size}]]. *)
-
 val save : string -> t -> unit
+(** Write the trace as "time,dir,size" text lines (dir is [+1]/[-1]),
+    atomically. *)
+
 val load : string -> t
+(** Inverse of {!save}.  Raises [Failure] on malformed input and
+    [Invalid_argument] on a size outside [[0, 2^30 - 1]].  Only
+    tests call it today; it stays as the reader of what [stobctl
+    gen-dataset] writes. *)
 
 val to_bytes : t -> string
 (** Raw binary framing for journal payloads: the magic ["SPKT1\x00"], a
     little-endian u32 count, the float64 times, then the int32 words.
     About half the size of the CSV, and bit-exact. *)
 
-val of_bytes : string -> t
-(** Inverse of {!to_bytes}.  Raises [Failure] on framing errors. *)
-
 val of_slice : bytes -> int -> t
-(** [of_slice buf len] decodes the first [len] bytes of [buf], exactly as
-    {!of_bytes} decodes [Bytes.sub_string buf 0 len]: for payloads lent by
-    [Stob_store.Journal.iter].  The result does not share [buf].  Raises
+(** [of_slice buf len] decodes the first [len] bytes of [buf], the inverse
+    of {!to_bytes}: for payloads lent by [Stob_store.Journal.iter].  The
+    result does not share [buf].  Raises
     [Invalid_argument] if [len] is outside [[0, Bytes.length buf]] and
     [Failure] on framing errors. *)
 

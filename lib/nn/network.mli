@@ -23,11 +23,6 @@ type t
 val create : Layer.t list -> t
 (** Raises [Invalid_argument] on an empty layer list. *)
 
-val n_classes : t -> int
-(** Output width of the last layer. *)
-
-val layers : t -> Layer.t list
-
 type progress = { epoch : int; mean_loss : float }
 
 val fit :
@@ -58,6 +53,10 @@ val predict_m : ?pool:Stob_par.Pool.t -> t -> Tensor.t -> int array
 val accuracy_m : ?pool:Stob_par.Pool.t -> t -> xs:Tensor.t -> labels:int array -> float
 
 (** {1 Test hooks} *)
+
+val layers : t -> Layer.t list
+(** The layers, in order; the finite-difference tests read their
+    parameters. *)
 
 val loss : t -> xs:Tensor.t -> labels:int array -> float
 (** Summed softmax cross-entropy over all rows (sequential).  Exposed for

@@ -7,6 +7,7 @@
     [Stob_ml.Reference] for the forest trainer.  The [nn.parity] battery
     and [stobctl perf dfnet] check the batched engine against it; it is
     also the baseline the BENCH_dfnet speedup gate is measured against.
+    Every value here is an entry point for those checks.
 
     One deliberate divergence: [Layer.maxpool1d] here allocates its argmax
     buffer {e per forward call}.  The original shared one mutable buffer
@@ -59,9 +60,7 @@ module Network : sig
 
   val train_sample : t -> x:float array -> label:int -> float
   (** Forward + backward for one sample; returns its cross-entropy loss.
-      Gradients accumulate until {!apply_update}. *)
-
-  val apply_update : t -> lr:float -> unit
+      Gradients accumulate until the next update. *)
 
   type progress = { epoch : int; mean_loss : float }
 

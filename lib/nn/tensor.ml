@@ -22,8 +22,6 @@ let set t i j v =
   if i < 0 || i >= t.rows || j < 0 || j >= t.cols then invalid_arg "Tensor.set: out of bounds";
   A1.unsafe_set t.data ((i * t.cols) + j) v
 
-let fill t v = A1.fill t.data v
-
 let of_rows rows =
   let n = Array.length rows in
   if n = 0 then create 0 0
@@ -41,21 +39,9 @@ let of_rows rows =
     t
   end
 
-let row t i =
-  if i < 0 || i >= t.rows then invalid_arg "Tensor.row: out of bounds";
-  let base = i * t.cols in
-  Array.init t.cols (fun j -> A1.unsafe_get t.data (base + j))
-
-let to_rows t = Array.init t.rows (row t)
-
 let blit ~src ~dst =
   if src.rows <> dst.rows || src.cols <> dst.cols then invalid_arg "Tensor.blit: shape mismatch";
   A1.blit src.data dst.data
-
-let copy t =
-  let c = create t.rows t.cols in
-  A1.blit t.data c.data;
-  c
 
 let sub_rows t ~off ~len =
   if off < 0 || len < 0 || off + len > t.rows then invalid_arg "Tensor.sub_rows: out of bounds";

@@ -34,18 +34,9 @@ val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
 (** Bounds-checked element write; the value is rounded to float32. *)
 
-val fill : t -> float -> unit
-
 val of_rows : float array array -> t
 (** Pack row vectors (all the same length) into a fresh tensor, rounding
     to float32.  An empty array yields a [0 x 0] tensor. *)
-
-val to_rows : t -> float array array
-
-val row : t -> int -> float array
-(** Copy of row [i]. *)
-
-val copy : t -> t
 
 val blit : src:t -> dst:t -> unit
 (** Copy [src] into [dst]; dimensions must match exactly. *)

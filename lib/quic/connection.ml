@@ -1,7 +1,7 @@
 module Packet = Stob_net.Packet
 module Path = Stob_tcp.Path
 
-type t = { client : Endpoint.t; server : Endpoint.t; flow : int; flight_bytes : int }
+type t = { client : Endpoint.t; server : Endpoint.t; flight_bytes : int }
 
 let create ~engine ~path ~flow ?(config = Endpoint.default_config) ?(cc = Stob_tcp.Cubic.make)
     ?server_cpu ?server_hooks ~flight_bytes () =
@@ -18,10 +18,9 @@ let create ~engine ~path ~flow ?(config = Endpoint.default_config) ?(cc = Stob_t
   Path.register path ~flow
     ~client:(fun p -> Endpoint.receive client p)
     ~server:(fun p -> Endpoint.receive server p);
-  { client; server; flow; flight_bytes }
+  { client; server; flight_bytes }
 
 let client t = t.client
 let server t = t.server
-let flow t = t.flow
 let open_ t = Endpoint.connect t.client ~flight_bytes:t.flight_bytes ()
 let on_established t f = Endpoint.set_on_established t.client f

@@ -24,7 +24,6 @@ val create :
 
 val client : t -> Endpoint.t
 val server : t -> Endpoint.t
-val flow : t -> int
 
 val open_ : t -> unit
 (** Client sends its Initial. *)

@@ -206,17 +206,12 @@ let set_on_stream t f = t.on_stream <- f
 let set_on_stream_fin t f = t.on_stream_fin <- f
 let set_hooks t h = t.hooks <- h
 let hooks t = t.hooks
-let cc t = t.cc
-let config t = t.config
-let inflight t = t.inflight
-let packets_sent t = t.packets_sent
 let datagrams_sent t = t.datagrams_sent
 let retransmitted_chunks t = t.rtx_chunks
 let rtx_datagrams t = t.rtx_datagrams
 let pto_events t = t.pto_count
 let time_loss_detections t = t.time_loss_detections
 let persistent_congestions t = t.persistent_congestions
-let srtt t = Rtt.srtt t.rtt
 let now t = Engine.now t.engine
 
 (* Anti-amplification credit: until the handshake is confirmed, a server

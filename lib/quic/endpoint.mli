@@ -42,7 +42,7 @@ val create_wire : int -> wire
 (** An empty table sized for about that many entries. *)
 
 val wire_length : wire -> int
-(** Entries held: datagrams whose frames may still be read. *)
+(** Entries held: datagrams whose frames may still be read.  Test seam. *)
 
 val default_config : Stob_tcp.Config.t
 (** TCP's config record reused with QUIC framing: 1350-byte datagram
@@ -73,6 +73,8 @@ val listen : t -> flight_bytes:int -> unit
     chain — the site-characteristic bytes). *)
 
 val established : t -> bool
+(** Test seam: the handshake has completed. *)
+
 val set_on_established : t -> (unit -> unit) -> unit
 
 val close : t -> unit
@@ -101,21 +103,20 @@ val set_on_stream_fin : t -> (stream:int -> unit) -> unit
 
 val send_padding_datagram : t -> int -> unit
 (** Emit a PADDING-only datagram (defense dummy traffic); not
-    acknowledged. *)
+    acknowledged.  No program calls it yet: it is the padding action of a
+    [Stob_core.Machine]-driven defense placed in the stack (ROADMAP.md,
+    "One defense representation"). *)
 
 (** {1 Stob / path interface} *)
 
 val set_hooks : t -> Stob_tcp.Hooks.t -> unit
 val hooks : t -> Stob_tcp.Hooks.t
-val cc : t -> Stob_tcp.Cc.t
-val config : t -> Stob_tcp.Config.t
 val receive : t -> Stob_net.Packet.t -> unit
 
 (** {1 Introspection} *)
 
-val inflight : t -> int
-val packets_sent : t -> int
 val datagrams_sent : t -> int
+(** Test seam, as is {!retransmitted_chunks}. *)
 
 val retransmitted_chunks : t -> int
 (** Stream chunks pulled from a retransmission queue (a resent chunk split
@@ -139,8 +140,6 @@ val persistent_congestions : t -> int
 (** Persistent-congestion declarations (RFC 9002 §7.6): lost-packet span
     exceeded 3 PTOs with no forward progress, collapsing the congestion
     window. *)
-
-val srtt : t -> float option
 
 (** {1 Invariant-monitor surface} *)
 

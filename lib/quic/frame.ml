@@ -10,13 +10,3 @@ let wire_bytes = function
   | Ping -> 1
 
 let is_ack_eliciting = function Ack _ -> false | Stream _ | Padding _ | Ping -> true
-
-let pp fmt = function
-  | Stream c ->
-      Format.fprintf fmt "STREAM(%d off=%d len=%d%s)" c.stream c.offset c.length
-        (if c.fin then " FIN" else "")
-  | Ack { ranges } ->
-      Format.fprintf fmt "ACK(%s)"
-        (String.concat "," (List.map (fun (lo, hi) -> Printf.sprintf "%d-%d" lo hi) ranges))
-  | Padding n -> Format.fprintf fmt "PADDING(%d)" n
-  | Ping -> Format.pp_print_string fmt "PING"

@@ -26,5 +26,3 @@ val wire_bytes : t -> int
 
 val is_ack_eliciting : t -> bool
 (** Frames that require acknowledgement (everything but ACK). *)
-
-val pp : Format.formatter -> t -> unit

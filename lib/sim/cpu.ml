@@ -12,8 +12,6 @@ let set_overload t factor =
   if not (factor > 0.0) then invalid_arg "Cpu.set_overload: factor must be positive";
   t.overload <- factor
 
-let overload t = t.overload
-
 let submit t ~cost f =
   let cost = if cost < 0.0 then 0.0 else cost *. t.overload in
   let now = Engine.now t.engine in

@@ -28,7 +28,7 @@ val busy_time : t -> float
 (** Cumulative seconds of work executed (for utilization reporting). *)
 
 val utilization : t -> float
-(** [busy_time /. now]; [0.] at time zero. *)
+(** [busy_time /. now]; [0.] at time zero.  Test seam. *)
 
 val queue_depth : t -> int
 (** Work items submitted but not yet completed. *)
@@ -39,6 +39,3 @@ val set_overload : t -> float -> unit
     nominal costs; already-queued work is unaffected.  Raises
     [Invalid_argument] on a non-positive factor.  Used by the fault
     injector ({!Fault}). *)
-
-val overload : t -> float
-(** Current cost multiplier (1.0 when nominal). *)

@@ -80,6 +80,9 @@ let cancel t ev =
 (* Run [ev], just taken off the queue as its earliest live event. *)
 let fire t ev =
   ev.node <- inert;
+  (* Uncounted before the budget check: a [Livelock] leaves [pending]
+     agreeing with the queue it leaves behind. *)
+  t.live <- t.live - 1;
   let time = ev.time in
   (* Same-instant budget: a callback that keeps rescheduling itself with
      zero delay would otherwise spin the engine forever without ever
@@ -91,7 +94,6 @@ let fire t ev =
   end
   else t.same_instant <- 0;
   t.clock <- time;
-  t.live <- t.live - 1;
   t.processed <- t.processed + 1;
   ev.callback ();
   match t.probe with None -> () | Some f -> f ~now:time

@@ -21,9 +21,8 @@ exception Livelock of { time : float; events : int }
 
 val create : ?queue:Event_queue.impl -> unit -> t
 (** [queue] pins the event-queue implementation (the differential tests
-    run identical scenarios on both); defaults to
-    {!Event_queue.default_impl} — the timing wheel, unless the
-    [STOB_EVENT_QUEUE] environment variable says otherwise. *)
+    run identical scenarios on both); defaults to the timing wheel, unless
+    the [STOB_EVENT_QUEUE] environment variable says otherwise. *)
 
 val now : t -> float
 (** Current virtual time in seconds. *)
@@ -72,7 +71,8 @@ val run : ?until:float -> t -> unit
     strictly beyond [until] and sets the clock to [until]. *)
 
 val step : t -> bool
-(** Run exactly one event; [false] when the queue was empty. *)
+(** Run exactly one event; [false] when the queue was empty.  Test seam:
+    lets a test observe the engine between events. *)
 
 val pending : t -> int
 (** Number of scheduled events that have neither fired nor been
@@ -91,9 +91,10 @@ val set_same_instant_budget : t -> int -> unit
     quickly.  Raises [Invalid_argument] on a non-positive budget. *)
 
 val same_instant_budget : t -> int
+(** Test seam: reads the budget back. *)
 
 val default_same_instant_budget : int
-(** 1_000_000. *)
+(** 1_000_000.  Test seam: the budget a fresh engine starts with. *)
 
 val set_probe : t -> (now:float -> unit) -> unit
 (** [set_probe t f] installs an observe-only probe called after every

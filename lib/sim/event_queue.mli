@@ -17,13 +17,9 @@ type 'a t
 
 type impl = Heap | Wheel
 
-val default_impl : unit -> impl
-(** [Wheel], unless [STOB_EVENT_QUEUE=heap].  The variable is read once,
-    when the program starts.  Raises [Invalid_argument] on an unrecognized
-    value of the variable. *)
-
 val create : unit -> 'a t
-(** A queue of the {!default_impl}. *)
+(** A queue of the implementation [STOB_EVENT_QUEUE] names, the wheel by
+    default.  Raises [Invalid_argument] on any other value. *)
 
 val create_impl : impl -> 'a t
 (** Explicit implementation choice (the differential tests drive both). *)
@@ -68,4 +64,6 @@ val pop : 'a t -> (float * 'a) option
 (** Remove and return the earliest element, or [None] when empty. *)
 
 val size : 'a t -> int
+(** Test seam: the number of queued elements. *)
+
 val is_empty : 'a t -> bool

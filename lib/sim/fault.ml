@@ -54,8 +54,6 @@ type event = { kind : kind; at : float; duration : float; magnitude : float }
 
 type config = { kinds : kind list; events_per_kind : int; horizon : float; seed : int }
 
-let default_config = { kinds = []; events_per_kind = 2; horizon = 10.0; seed = 0 }
-
 let validate cfg =
   if cfg.events_per_kind < 0 then invalid_arg "Fault: events_per_kind must be non-negative";
   if cfg.horizon <= 0.0 then invalid_arg "Fault: horizon must be positive"

@@ -56,9 +56,6 @@ type event = { kind : kind; at : float; duration : float; magnitude : float }
 
 type config = { kinds : kind list; events_per_kind : int; horizon : float; seed : int }
 
-val default_config : config
-(** No kinds enabled, 2 events per kind, 10 s horizon, seed 0. *)
-
 val plan : config -> event list
 (** Deterministic plan, sorted by activation time.  Equal seeds give equal
     plans; a kind's draws do not depend on which other kinds are enabled.

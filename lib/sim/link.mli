@@ -47,7 +47,7 @@ val set_on_idle : 'a t -> (unit -> unit) -> unit
     this to feed the next scheduled frame. *)
 
 val frames_sent : 'a t -> int
-(** Frames fully serialized onto the wire. *)
+(** Frames fully serialized onto the wire.  Test seam. *)
 
 val bytes_sent : 'a t -> int
 (** Bytes fully serialized onto the wire. *)

@@ -71,10 +71,6 @@ let add_stats a b =
     delivered = a.delivered + b.delivered;
   }
 
-let pp_stats fmt s =
-  Format.fprintf fmt "offered=%d lost=%d dup=%d reordered=%d delivered=%d" s.offered s.lost
-    s.duplicated s.reordered s.delivered
-
 type 'a held_frame = {
   frame : 'a;
   mutable remaining : int;

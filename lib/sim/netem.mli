@@ -48,10 +48,6 @@ val default : config
     drop list, seed 0.  Feeding through [default] is the identity (modulo
     the counters). *)
 
-val validate : config -> unit
-(** Raises [Invalid_argument] on out-of-range probabilities, negative
-    depth/hold/jitter, or non-positive drop-list ordinals. *)
-
 type stats = {
   offered : int;  (** Frames fed in. *)
   lost : int;  (** Frames dropped (random loss + drop list). *)
@@ -62,7 +58,6 @@ type stats = {
 
 val zero_stats : stats
 val add_stats : stats -> stats -> stats
-val pp_stats : Format.formatter -> stats -> unit
 
 type 'a t
 
@@ -72,13 +67,12 @@ type 'a spec
 
 val spec : ?drop_filter:('a -> bool) -> config -> 'a spec
 (** [drop_filter] selects which frames count toward [drop_list] ordinals;
-    default accepts every frame.  Validates the config. *)
-
-val create :
-  engine:Engine.t -> ?drop_filter:('a -> bool) -> deliver:('a -> unit) -> config -> 'a t
-(** Build an impairment stage feeding [deliver].  Validates the config. *)
+    default accepts every frame.  Raises [Invalid_argument] on
+    out-of-range probabilities, negative depth/hold/jitter, or non-positive
+    drop-list ordinals. *)
 
 val of_spec : engine:Engine.t -> deliver:('a -> unit) -> 'a spec -> 'a t
+(** Build an impairment stage feeding [deliver]. *)
 
 val feed : 'a t -> 'a -> unit
 (** Push one frame through the pipeline.  Order of operations: drop list,
@@ -90,4 +84,4 @@ val feed : 'a t -> 'a -> unit
 val stats : 'a t -> stats
 
 val held : 'a t -> int
-(** Frames currently parked in the reorder buffer. *)
+(** Frames currently parked in the reorder buffer.  Test seam. *)

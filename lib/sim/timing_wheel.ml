@@ -65,7 +65,6 @@ let list_loc l = -2 - l
 let vacant () : 'a = Obj.magic 0
 
 type 'a t = {
-  granularity : float;
   inv_granularity : float;
   mutable next_seq : int;
   mutable len : int; (* live nodes: ready heap + wheel + overflow *)
@@ -99,7 +98,6 @@ let create ?(granularity = default_granularity) () =
   if not (granularity > 0.0) then
     invalid_arg "Timing_wheel.create: granularity must be positive";
   {
-    granularity;
     inv_granularity = 1.0 /. granularity;
     next_seq = 0;
     len = 0;
@@ -122,7 +120,6 @@ let create ?(granularity = default_granularity) () =
     cursor = 0;
   }
 
-let granularity t = t.granularity
 let size t = t.len
 let is_empty t = t.len = 0
 

@@ -9,12 +9,12 @@
     queued element.  The [sim.wheel] differential battery and the
     [stobctl perf simperf] kernel gate check both properties.
 
-    Structure: {!levels} levels of 2^{!bits} slots each bucket events by
+    Structure: 4 levels of 2^8 slots each bucket events by
     tick ([trunc (time / granularity)]); events whose tick is at or before
     the cursor sit in a small exact-order binary heap, so tick
     quantization never leaks into pop order.  Events beyond the
-    [2^(levels*bits)]-tick horizon (about twelve days of simulated time at
-    the default granularity) wait in an overflow list and are re-placed
+    [2^32]-tick horizon (about twelve days of simulated time at the default
+    granularity) wait in an overflow list and are re-placed
     when the wheel drains past them.
 
     Elements live in a recycled node pool: {!add}, {!remove}, {!top} and
@@ -25,17 +25,12 @@
 type 'a t
 
 val create : ?granularity:float -> unit -> 'a t
-(** [granularity] is the tick width in seconds, {!default_granularity}
-    unless given.  Ordering is exact for {e any} positive granularity;
+(** [granularity] is the tick width in seconds, 256e-6 unless given:
+    coarse enough that a microsecond-RTT flow's events mostly go straight
+    to the ready heap, and that twelve days of simulated time fit inside
+    the wheel horizon.  Ordering is exact for {e any} positive granularity;
     granularity only tunes bucketing efficiency.  Raises
     [Invalid_argument] on a non-positive granularity. *)
-
-val default_granularity : float
-(** 256e-6 s: coarse enough that a microsecond-RTT flow's events mostly
-    go straight to the ready heap, and that twelve days of simulated time
-    fit inside the wheel horizon. *)
-
-val granularity : 'a t -> float
 
 val push : 'a t -> time:float -> 'a -> unit
 (** Insert an element with priority [time].  Same-instant inserts pop in
@@ -76,8 +71,3 @@ val size : 'a t -> int
 (** Queued elements; removed ones are not counted. *)
 
 val is_empty : 'a t -> bool
-
-val bits : int
-val levels : int
-(** Wheel geometry: [levels] levels of [2^bits] slots (documented for the
-    HACKING.md hot-path notes; not tunable at runtime). *)

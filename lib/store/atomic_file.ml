@@ -3,12 +3,12 @@
    pid keeps concurrent processes apart. *)
 let counter = Atomic.make 0
 
-let with_tmp vfs path emit =
+let write ?(vfs = Vfs.unix) path contents =
   let tmp =
     Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ()) (Atomic.fetch_and_add counter 1)
   in
   let fd = vfs.Vfs.open_trunc tmp in
-  (match emit (fun s -> Vfs.write_all vfs fd (Bytes.of_string s)) with
+  (match Vfs.write_all vfs fd (Bytes.of_string contents) with
   | () ->
       vfs.Vfs.flush fd;
       vfs.Vfs.close fd
@@ -20,11 +20,3 @@ let with_tmp vfs path emit =
       (try vfs.Vfs.remove tmp with Unix.Unix_error _ | Sys_error _ -> ());
       raise e);
   vfs.Vfs.rename tmp path
-
-let write ?(vfs = Vfs.unix) path contents = with_tmp vfs path (fun put -> put contents)
-
-let write_lines ?(vfs = Vfs.unix) path emit =
-  with_tmp vfs path (fun put ->
-      let b = Buffer.create 256 in
-      emit b;
-      put (Buffer.contents b))

@@ -10,8 +10,3 @@
 val write : ?vfs:Vfs.t -> string -> string -> unit
 (** [write path contents] atomically replaces [path] with [contents].
     On any error the temporary file is removed and [path] is untouched. *)
-
-val write_lines : ?vfs:Vfs.t -> string -> (Buffer.t -> unit) -> unit
-(** [write_lines path emit] is {!write} for producers that build the body
-    incrementally: [emit] fills a buffer, then the whole buffer is
-    written and renamed into place. *)

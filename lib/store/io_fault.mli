@@ -60,7 +60,7 @@ val ops : t -> int
 (** Syscall boundaries seen so far. *)
 
 val crashed : t -> bool
-(** The plane has simulated death (a {!Crash} was raised). *)
+(** The plane has simulated death (a {!Crash} was raised).  Test seam. *)
 
 val injected : t -> int
 (** Faults injected so far: short splits, raised errors, the crash. *)

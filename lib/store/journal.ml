@@ -13,7 +13,6 @@ let default_retry = { attempts = 4; backoff_s = 0.002 }
 let no_retry = { attempts = 1; backoff_s = 0. }
 
 type t = {
-  path : string;
   vfs : Vfs.t;
   retry : retry;
   mutable fd : Vfs.file option;
@@ -164,7 +163,7 @@ let open_ ?(vfs = Vfs.unix) ?(retry = default_retry) path =
       write_bytes vfs retry count fd (Bytes.of_string magic);
       with_retry retry count (fun () -> vfs.Vfs.flush fd)
   | Some _ -> ());
-  ( { path; vfs; retry; fd = Some fd; mu = Mutex.create (); frames = List.length payloads;
+  ( { vfs; retry; fd = Some fd; mu = Mutex.create (); frames = List.length payloads;
       retried = !count },
     payloads )
 
@@ -189,7 +188,6 @@ let close t =
           t.fd <- None;
           t.vfs.Vfs.close fd)
 
-let path t = t.path
 let frames t = Mutex.protect t.mu (fun () -> t.frames)
 let retried t = Mutex.protect t.mu (fun () -> t.retried)
 

@@ -41,7 +41,8 @@ val default_retry : retry
 (** 4 attempts, 2 ms initial backoff. *)
 
 val no_retry : retry
-(** One attempt, no backoff — for tests that want the raw error. *)
+(** One attempt, no backoff.  Test seam: for tests that want the raw
+    error. *)
 
 val open_ : ?vfs:Vfs.t -> ?retry:retry -> string -> t * string list
 (** [open_ path] creates or recovers the journal at [path] and returns it
@@ -57,8 +58,6 @@ val append : t -> string -> unit
 val close : t -> unit
 (** Close the descriptor.  Idempotent. *)
 
-val path : t -> string
-
 val frames : t -> int
 (** Frames known to this handle: replayed at {!open_} plus successfully
     appended since. *)
@@ -68,8 +67,8 @@ val retried : t -> int
     {!open_} (includes retries spent during [open_] itself). *)
 
 val magic : string
-(** The fixed file header.  Exposed so kill/resume tests can compute frame
-    offsets and craft torn tails byte-accurately. *)
+(** The fixed file header.  Test seam: kill/resume tests compute frame
+    offsets from it and craft torn tails byte-accurately. *)
 
 val size_of : frames:int -> payload_bytes:int -> int
 (** Size of a clean journal holding [frames] records whose payloads total

@@ -99,7 +99,6 @@ let peek dir =
   (manifest, entries)
 
 let close t = Journal.close t.journal
-let dir t = t.dir
 let manifest t = t.manifest
 let degraded t = Mutex.protect t.mu (fun () -> t.degraded)
 let orphans_swept t = t.orphans_swept
@@ -171,12 +170,6 @@ let entries_locked t =
     t.order
 
 let entries t = Mutex.protect t.mu (fun () -> entries_locked t)
-
-let counts t ~done_ ~poisoned =
-  List.iter
-    (fun (_, _, status) ->
-      match status with Done _ -> incr done_ | Poisoned _ -> incr poisoned)
-    (entries t)
 
 (* --- durability report --------------------------------------------------- *)
 

@@ -43,7 +43,6 @@ val open_ : ?vfs:Vfs.t -> ?retry:Journal.retry -> string -> t
     budget for every write this handle performs. *)
 
 val close : t -> unit
-val dir : t -> string
 
 val journal_file : string -> string
 (** The journal's path inside a state directory (for polling/tests). *)
@@ -75,8 +74,6 @@ val peek : string -> manifest option * (string * string * status) list
     so it is safe against a journal another process is appending to
     (status/progress inspection).  A missing directory reads as
     [(None, [])]. *)
-
-val counts : t -> done_:int ref -> poisoned:int ref -> unit
 
 (** {1 Durability report} *)
 
@@ -125,12 +122,9 @@ val checkpoint : t -> compaction
 val maybe_checkpoint : ?threshold_bytes:int -> t -> compaction option
 (** Size-bounded auto-compaction for shard boundaries (Soak/Population):
     checkpoints only when the journal exceeds [threshold_bytes]
-    (default {!auto_checkpoint_bytes}) {e and} at least a quarter of its
+    (default 1 MiB) {e and} at least a quarter of its
     frames are stale — so journals stop growing monotonically without
     long sweeps re-copying their history at every boundary. *)
-
-val auto_checkpoint_bytes : int
-(** Default [maybe_checkpoint] threshold (1 MiB). *)
 
 val compact : ?vfs:Vfs.t -> ?retry:Journal.retry -> string -> compaction
 (** Offline compaction of a state directory ([stobctl compact]): open,

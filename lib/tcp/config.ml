@@ -53,8 +53,6 @@ let wscale_shift t =
   let rec go s = if s >= 14 || t.rcv_wnd lsr s <= 0xFFFF then s else go (s + 1) in
   go 0
 
-let packet_overhead t = t.header_bytes
-
 let tso_autosize t ~pacing_rate_bps =
   let target_bytes =
     if pacing_rate_bps = infinity || pacing_rate_bps <= 0.0 then t.tso_max_bytes

@@ -44,9 +44,6 @@ type t = {
 
 val default : t
 
-val packet_overhead : t -> int
-(** Alias for [header_bytes]. *)
-
 val wscale_shift : t -> int
 (** Smallest shift count that makes [rcv_wnd] fit the 16-bit window field,
     clamped to 14 (RFC 7323). *)

@@ -1,7 +1,5 @@
 type t = { per_segment : float; per_packet : float; per_byte : float }
 
-let none = { per_segment = 0.0; per_packet = 0.0; per_byte = 0.0 }
-
 let default_server = { per_segment = 4.0e-6; per_packet = 80.0e-9; per_byte = 0.08e-9 }
 
 let segment_cost t ~packets ~bytes =

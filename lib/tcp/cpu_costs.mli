@@ -8,9 +8,6 @@
 
 type t = { per_segment : float; per_packet : float; per_byte : float }
 
-val none : t
-(** Free CPU (all-zero costs): the stack is never CPU-bound. *)
-
 val default_server : t
 (** Calibrated so a stock sender (MSS 1448, TSO 44 packets) sustains roughly
     40-50 Gb/s on one core, in line with single-connection iperf3 on the

@@ -190,13 +190,10 @@ let create ~engine ~config ~cc ~flow ~dir ?cpu ?(hooks = Hooks.default) ~tx () =
 let established t = t.state = Established_s
 let closed t = t.fin_acked && t.fin_rcvd
 let inflight t = t.snd_nxt - t.snd_una
-let in_stack t = t.in_stack
 let unsent t = t.app_queue
-let bytes_acked t = t.snd_una
 let retransmissions t = t.retransmissions
 let fast_recoveries t = t.fast_recoveries
 let rto_events t = t.rto_events
-let segments_sent t = t.segments_sent
 let packets_sent t = t.packets_sent
 let persist_probes t = t.persist_probes
 let zero_windows t = t.zero_windows
@@ -207,7 +204,6 @@ let set_on_receive t f = t.on_receive <- f
 let set_on_fin t f = t.on_fin <- f
 let set_hooks t h = t.hooks <- h
 let hooks t = t.hooks
-let cc t = t.cc
 let config t = t.config
 
 let now t = Engine.now t.engine

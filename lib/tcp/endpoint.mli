@@ -55,7 +55,10 @@ val send_dummy : t -> int -> unit
     receiver discards them.  Used by padding-style defenses.  Raises (like
     {!write}) once the connection is closing; while the peer advertises a
     zero window the dummy is suppressed and counted
-    ({!dummies_suppressed}) — padding may not bypass flow control. *)
+    ({!dummies_suppressed}) — padding may not bypass flow control.  No
+    program calls it yet: it is the padding action of a
+    [Stob_core.Machine]-driven defense placed in the stack (ROADMAP.md,
+    "One defense representation"). *)
 
 val read : t -> int -> int
 (** Consume up to [n] delivered-but-unread bytes from the receive buffer,
@@ -71,11 +74,12 @@ val set_auto_read : t -> bool -> unit
     slow-reader model that drives the window to zero. *)
 
 val rcv_buffered : t -> int
-(** Delivered-but-unread bytes held in the receive buffer. *)
+(** Delivered-but-unread bytes held in the receive buffer.  Test seam, as
+    are the other receive-side and sender-state observers below. *)
 
 val advertised_window : t -> int
 (** Receive window the peer currently holds: the advertised right edge
-    minus [rcv_nxt], after window-scale decoding. *)
+    minus [rcv_nxt], after window-scale decoding.  Test seam. *)
 
 val set_on_established : t -> (unit -> unit) -> unit
 val set_on_receive : t -> (int -> unit) -> unit
@@ -87,7 +91,6 @@ val set_on_fin : t -> (unit -> unit) -> unit
 
 val set_hooks : t -> Hooks.t -> unit
 val hooks : t -> Hooks.t
-val cc : t -> Cc.t
 
 (** {1 Path interface} *)
 
@@ -101,15 +104,11 @@ val notify_serialized : t -> Stob_net.Packet.t -> unit
 (** {1 Introspection (tests, experiments)} *)
 
 val inflight : t -> int
-(** Unacknowledged bytes in the network. *)
-
-val in_stack : t -> int
-(** Bytes submitted to CPU/NIC but not yet serialized (TSQ accounting). *)
+(** Unacknowledged bytes in the network.  Test seam. *)
 
 val unsent : t -> int
 (** Application bytes still queued in the socket buffer. *)
 
-val bytes_acked : t -> int
 val retransmissions : t -> int
 
 val fast_recoveries : t -> int
@@ -119,7 +118,6 @@ val fast_recoveries : t -> int
 val rto_events : t -> int
 (** Retransmission timeouts that actually fired recovery. *)
 
-val segments_sent : t -> int
 val packets_sent : t -> int
 
 val persist_probes : t -> int
@@ -130,9 +128,11 @@ val zero_windows : t -> int
 (** Times the peer's advertised window transitioned to zero. *)
 
 val dummies_suppressed : t -> int
-(** Padding packets dropped because the peer's window was closed. *)
+(** Padding packets dropped because the peer's window was closed.  Test
+    seam. *)
 
 val srtt : t -> float option
+(** Smoothed RTT, once sampled.  Test seam. *)
 
 val config : t -> Config.t
 (** The configuration the endpoint was created with. *)

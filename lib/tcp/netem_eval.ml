@@ -140,16 +140,6 @@ let converged ?max_rtx r =
   && r.pending_events = 0
   && r.server_rtx + r.client_rtx <= rtx_bound
 
-let pp_result fmt r =
-  Format.fprintf fmt
-    "%-5s loss=%.3f reorder=%-5b  ok=%-5b t=%7.3fs  rx(c/s)=%d/%d  rtx=%d+%d fast=%d rto=%d  \
-     lost=%d reord=%d dup=%d qdrop=%d cap_rtx=%d pend=%d"
-    r.cell.cca r.cell.loss r.cell.reorder
-    (r.client_closed && r.server_closed)
-    r.finish_time r.client_received r.server_received r.server_rtx r.client_rtx r.fast_recoveries
-    r.rto_events r.netem_lost r.netem_reordered r.netem_duplicated r.queue_drops r.captured_rtx
-    r.pending_events
-
 let print_matrix results =
   Printf.printf "%-5s %-6s %-7s  %-4s %-9s %-11s %-14s %-5s %-4s  %s\n" "cca" "loss" "reorder"
     "conv" "time" "bytes(c/s)" "rtx(srv+cli)" "fast" "rto" "netem lost/reord/dup qdrop";

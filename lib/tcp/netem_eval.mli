@@ -57,7 +57,9 @@ val run_cell :
   seed:int ->
   cell ->
   result
-(** One cell: client requests [request] bytes, the server answers with
+(** One cell (test seam: the matrix runs its cells through this, and the
+    overrides let a test pin one scenario): client requests [request] bytes,
+    the server answers with
     [response] bytes and closes; the client closes on the server's FIN.
     Both directions run an impairment stage seeded (distinctly) from
     [seed].  Defaults: 20 Mb/s, 15 ms one-way delay, 256 KiB queues,
@@ -93,5 +95,4 @@ val converged : ?max_rtx:int -> result -> bool
     [max_rtx] (default: a generous bound scaled by the impairment loss
     count — a spurious-retransmission storm fails it). *)
 
-val pp_result : Format.formatter -> result -> unit
 val print_matrix : result list -> unit

@@ -17,10 +17,6 @@ val commit : t -> departure:float -> rate_bps:float -> bytes:int -> unit
 (** Book a segment: the following segment may not depart before
     [departure + 8*bytes/rate].  An [infinity] rate books no spacing. *)
 
-val reset : t -> unit
-(** Forget accumulated budget (used after idle periods so a burst does not
-    get an artificial head start, mirroring fq's behaviour). *)
-
 val next_free : t -> float
 (** The booked departure horizon itself (introspection: the invariant
     monitor asserts it never moves backwards on the happy path). *)

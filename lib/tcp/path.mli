@@ -79,4 +79,5 @@ val netem_stats : t -> Stob_sim.Netem.stats
 
 val netem_lost : t -> int
 (** Packets deliberately lost by the impairment stages — next to {!drops},
-    which counts congestive queue-overflow losses. *)
+    which counts congestive queue-overflow losses.  Test seam: observes
+    the impairment stages. *)

@@ -3,16 +3,13 @@
     This is the second asynchronous stage Figure 1 highlights: a segment
     pushed by TCP may sit in the qdisc and be dequeued later — by fair
     queueing, after other flows' segments — so the application cannot know
-    when it reaches the wire.  Two disciplines are provided: plain FIFO and
-    byte-quantum deficit-round-robin fair queueing (the behaviour of fq).
+    when it reaches the wire.  The discipline is byte-quantum
+    deficit-round-robin fair queueing (the behaviour of fq).
 
     Items are whole TSO segments; fairness is in bytes via each item's
     size. *)
 
 type 'a t
-
-val fifo : limit_bytes:int -> size:('a -> int) -> 'a t
-(** Single drop-tail queue of at most [limit_bytes]. *)
 
 val fq : ?quantum:int -> limit_bytes:int -> size:('a -> int) -> unit -> 'a t
 (** Deficit-round-robin across flows; [quantum] (default 2 * 1514) bytes of
@@ -37,6 +34,7 @@ val set_limit_bytes : 'a t -> int -> unit
     [Invalid_argument] on a negative limit. *)
 
 val flow_backlog : 'a t -> flow:int -> int
-(** Queued bytes belonging to [flow] (the TCP-small-queues accounting). *)
+(** Queued bytes belonging to [flow].  Test seam: observes the per-flow
+    deficit-round-robin state. *)
 
 val drops : 'a t -> int

@@ -25,4 +25,4 @@ val reset_backoff : t -> unit
 (** Clear the backoff multiplier after a successful transmission. *)
 
 val min_rtt : t -> float option
-(** Smallest sample seen (the propagation-delay estimate BBR needs). *)
+(** Smallest sample seen.  Test seam: observes the estimator's state. *)

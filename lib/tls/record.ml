@@ -32,11 +32,5 @@ let records_for config ~padding n =
 
 let wire_bytes config ~padding n = List.fold_left ( + ) 0 (records_for config ~padding n)
 
-let padding_overhead config ~padding n =
-  let padded = wire_bytes config ~padding n in
-  let plain = wire_bytes config ~padding:No_padding n in
-  if plain = 0 then 0.0 else float_of_int (padded - plain) /. float_of_int plain
-
 let client_hello_bytes rng = Stob_util.Rng.int_in rng 300 600
-let server_hello_bytes rng = Stob_util.Rng.int_in rng 2500 5000
 let client_finished_bytes rng = Stob_util.Rng.int_in rng 60 80

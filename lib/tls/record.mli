@@ -7,7 +7,7 @@
     the RFC 8446 record-padding mechanism that padding-based defenses use.
 
     Only sizes matter here (the simulator carries no real bytes): framing a
-    write yields the list of ciphertext record sizes handed to TCP. *)
+    write yields the ciphertext byte count handed to TCP. *)
 
 type config = {
   max_plaintext : int;  (** Maximum plaintext fragment per record (16384). *)
@@ -28,19 +28,10 @@ type padding =
   | Pad_random of Stob_util.Rng.t * int
       (** Add uniform random [0, n] bytes of padding to each record. *)
 
-val fragment : config -> int -> int list
-(** [fragment cfg n] splits an [n]-byte write into plaintext fragment
-    sizes.  [n] must be positive. *)
-
-val records_for : config -> padding:padding -> int -> int list
-(** [records_for cfg ~padding n] is the list of {e ciphertext} record sizes
-    (padding and overhead included) produced by writing [n] bytes. *)
-
 val wire_bytes : config -> padding:padding -> int -> int
-(** Total ciphertext bytes for an [n]-byte write. *)
-
-val padding_overhead : config -> padding:padding -> int -> float
-(** Fraction of extra bytes relative to unpadded framing (0.0 = none). *)
+(** Total ciphertext bytes for an [n]-byte write: the write is split into
+    plaintext fragments of at most [max_plaintext] bytes, and each record
+    adds its padding and [overhead].  [n] must be positive. *)
 
 (** {1 Handshake}
 
@@ -50,10 +41,6 @@ val padding_overhead : config -> padding:padding -> int -> float
 
 val client_hello_bytes : Stob_util.Rng.t -> int
 (** ~300-600 B depending on extensions (ECH, key shares). *)
-
-val server_hello_bytes : Stob_util.Rng.t -> int
-(** ServerHello + EncryptedExtensions + Certificate (+ chain) + Finished:
-    ~2.5-5 KiB. *)
 
 val client_finished_bytes : Stob_util.Rng.t -> int
 (** ~60-80 B. *)

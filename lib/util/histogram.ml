@@ -7,7 +7,6 @@ let create ~lo ~hi ~bins =
 
 let bins t = Array.length t.counts
 let lo t = t.lo
-let hi t = t.hi
 let count t = t.total
 
 let width t = (t.hi -. t.lo) /. float_of_int (bins t)
@@ -30,11 +29,6 @@ let bin_count t i = t.counts.(i)
 let bin_edges t i =
   let w = width t in
   (t.lo +. (float_of_int i *. w), t.lo +. (float_of_int (i + 1) *. w))
-
-let density t =
-  let n = bins t in
-  if t.total = 0 then Array.make n 0.0
-  else Array.init n (fun i -> float_of_int t.counts.(i) /. float_of_int t.total)
 
 let sample t rng =
   if t.total = 0 then invalid_arg "Histogram.sample: empty histogram";
@@ -80,7 +74,3 @@ let merge a b =
   done;
   t.total <- a.total + b.total;
   t
-
-let pp fmt t =
-  Format.fprintf fmt "histogram [%g, %g) %d bins, %d samples:" t.lo t.hi (bins t) t.total;
-  Array.iteri (fun i c -> if c > 0 then Format.fprintf fmt " %d:%d" i c) t.counts

@@ -9,32 +9,20 @@
 
 type t
 
-val create : lo:float -> hi:float -> bins:int -> t
-(** Empty histogram over [\[lo, hi)] with [bins] equal-width bins.
-    Raises [Invalid_argument] if [bins <= 0] or [hi <= lo]. *)
-
 val of_samples : lo:float -> hi:float -> bins:int -> float array -> t
-(** Build and fill in one step. *)
-
-val add : t -> float -> unit
-(** Record one observation.  Values outside [\[lo, hi)] are clamped into the
-    first/last bin, so the histogram always accounts for every observation. *)
+(** Histogram over [\[lo, hi)] with [bins] equal-width bins, holding
+    [samples].  Values outside [\[lo, hi)] are clamped into the first/last
+    bin, so the histogram accounts for every observation.  Raises
+    [Invalid_argument] if [bins <= 0] or [hi <= lo]. *)
 
 val count : t -> int
 (** Total observations recorded. *)
 
 val bin_count : t -> int -> int
-(** Observations in bin [i]. *)
+(** Observations in bin [i].  Test seam: observes the binning that
+    {!sample} draws from. *)
 
-val bins : t -> int
 val lo : t -> float
-val hi : t -> float
-
-val bin_edges : t -> int -> float * float
-(** [(left, right)] edges of bin [i]. *)
-
-val density : t -> float array
-(** Normalized bin masses (sums to 1; all zeros when empty). *)
 
 val sample : t -> Rng.t -> float
 (** Draw from the empirical distribution: pick a bin proportionally to its
@@ -47,6 +35,3 @@ val quantile : t -> float -> float
 
 val merge : t -> t -> t
 (** Pointwise sum; both histograms must share geometry. *)
-
-val pp : Format.formatter -> t -> unit
-(** Compact textual rendering (for logs and the policy-table dump). *)

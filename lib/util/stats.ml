@@ -118,11 +118,6 @@ let sort_shaped b = function
   | Unsorted -> merge_sort b (Array.create_float (Array.length b)) 0 (Array.length b)
   | Special -> Array.sort compare b
 
-let sorted_copy a =
-  let b = Array.copy a in
-  sort_shaped b (shape a);
-  b
-
 (* [a] itself when it is already its own sorted copy: for read-only use. *)
 let sorted_view a =
   match shape a with
@@ -160,8 +155,6 @@ let iqr_bounds a =
   let q1 = percentile_sorted sorted 25.0 and q3 = percentile_sorted sorted 75.0 in
   let iqr = q3 -. q1 in
   (q1 -. (1.5 *. iqr), q3 +. (1.5 *. iqr))
-
-let mean_std a = (mean a, sample_std a)
 
 let skewness a =
   let n = Array.length a in

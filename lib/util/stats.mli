@@ -9,9 +9,6 @@ val sum : float array -> float
 val mean : float array -> float
 (** Mean; [0.] on empty input (the k-FP extractor relies on this neutral). *)
 
-val variance : float array -> float
-(** Population variance; [0.] for fewer than two elements. *)
-
 val std : float array -> float
 (** Population standard deviation. *)
 
@@ -23,11 +20,6 @@ val min_ : float array -> float
 
 val max_ : float array -> float
 (** Maximum; [0.] on empty input. *)
-
-val sorted_copy : float array -> float array
-(** A fresh ascending copy, bit-identical to [Array.sort compare] on a copy.
-    Input that is already non-decreasing is copied without sorting; other
-    input free of NaN and [-0.0] goes through a monomorphic float sort. *)
 
 val median : float array -> float
 (** Median (average of middle two for even length); [0.] on empty input. *)
@@ -42,9 +34,6 @@ val quantiles : float array -> float list -> float list
 val iqr_bounds : float array -> float * float
 (** [(lo, hi)] Tukey fences: [q1 - 1.5*iqr, q3 + 1.5*iqr].  Values outside
     are outliers.  Raises on empty input. *)
-
-val mean_std : float array -> float * float
-(** [(mean, sample std)] pair, the "x +/- s" used in experiment tables. *)
 
 val skewness : float array -> float
 (** Fisher skewness; [0.] when undefined (fewer than 3 points or zero std). *)

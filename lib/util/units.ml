@@ -1,11 +1,6 @@
-let usec x = x *. 1e-6
 let msec x = x *. 1e-3
-let nsec x = x *. 1e-9
-let kbps x = x *. 1e3
 let mbps x = x *. 1e6
 let gbps x = x *. 1e9
-let kib x = x * 1024
-let mib x = x * 1024 * 1024
 
 let tx_time ~rate_bps ~bytes =
   if rate_bps <= 0.0 then invalid_arg "Units.tx_time: rate must be positive";
@@ -15,21 +10,3 @@ let to_gbps ~bits_per_sec = bits_per_sec /. 1e9
 
 let throughput_bps ~bytes ~seconds =
   if seconds <= 0.0 then 0.0 else float_of_int (bytes * 8) /. seconds
-
-let pp_rate fmt bps =
-  if bps >= 1e9 then Format.fprintf fmt "%.1f Gb/s" (bps /. 1e9)
-  else if bps >= 1e6 then Format.fprintf fmt "%.1f Mb/s" (bps /. 1e6)
-  else if bps >= 1e3 then Format.fprintf fmt "%.1f Kb/s" (bps /. 1e3)
-  else Format.fprintf fmt "%.0f b/s" bps
-
-let pp_bytes fmt b =
-  let bf = float_of_int b in
-  if bf >= 1048576.0 then Format.fprintf fmt "%.1f MiB" (bf /. 1048576.0)
-  else if bf >= 1024.0 then Format.fprintf fmt "%.1f KiB" (bf /. 1024.0)
-  else Format.fprintf fmt "%d B" b
-
-let pp_time fmt s =
-  if s >= 1.0 then Format.fprintf fmt "%.2f s" s
-  else if s >= 1e-3 then Format.fprintf fmt "%.2f ms" (s *. 1e3)
-  else if s >= 1e-6 then Format.fprintf fmt "%.2f us" (s *. 1e6)
-  else Format.fprintf fmt "%.0f ns" (s *. 1e9)

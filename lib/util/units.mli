@@ -5,29 +5,14 @@
     the conversions in one place so constants like "100 Gb/s" or "50 us"
     read literally at use sites. *)
 
-val usec : float -> float
-(** Microseconds to seconds. *)
-
 val msec : float -> float
 (** Milliseconds to seconds. *)
-
-val nsec : float -> float
-(** Nanoseconds to seconds. *)
-
-val kbps : float -> float
-(** Kilobits/s to bits/s. *)
 
 val mbps : float -> float
 (** Megabits/s to bits/s. *)
 
 val gbps : float -> float
 (** Gigabits/s to bits/s. *)
-
-val kib : int -> int
-(** KiB to bytes. *)
-
-val mib : int -> int
-(** MiB to bytes. *)
 
 val tx_time : rate_bps:float -> bytes:int -> float
 (** Serialization delay of [bytes] on a link of [rate_bps].
@@ -38,12 +23,3 @@ val to_gbps : bits_per_sec:float -> float
 
 val throughput_bps : bytes:int -> seconds:float -> float
 (** Goodput of [bytes] transferred over [seconds], in bits/s. *)
-
-val pp_rate : Format.formatter -> float -> unit
-(** Human rendering of a bits/s value ("42.0 Gb/s", "3.1 Mb/s", ...). *)
-
-val pp_bytes : Format.formatter -> int -> unit
-(** Human rendering of a byte count ("64.0 KiB", ...). *)
-
-val pp_time : Format.formatter -> float -> unit
-(** Human rendering of a duration in seconds ("120 ns", "1.5 ms", ...). *)

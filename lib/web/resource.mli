@@ -7,8 +7,6 @@
 
 type kind = Html | Stylesheet | Script | Font | Image | Media | Api
 
-val kind_name : kind -> string
-
 type t = {
   kind : kind;
   size : int;  (** Response body bytes. *)
@@ -21,9 +19,3 @@ type page = {
   head_wave : t list;  (** Fetched as soon as the HTML arrives. *)
   body_wave : t list;  (** Fetched after the head wave completes. *)
 }
-
-val total_bytes : page -> int
-(** Sum of all response bodies (the "total download size" the paper's
-    sanitization filters on). *)
-
-val object_count : page -> int

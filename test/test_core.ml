@@ -205,21 +205,16 @@ let test_controller_determinism () =
 
 let test_policy_table_resolution () =
   let t = Policy_table.create () in
-  let global = Policy.make ~name:"global" () in
-  let dest = Policy.make ~name:"dest" () in
-  let flow = Policy.make ~name:"flow" () in
-  Alcotest.(check string) "empty -> unmodified" "unmodified" (Policy_table.lookup t 1).Policy.name;
-  Policy_table.set_global t global;
-  Alcotest.(check string) "global" "global" (Policy_table.lookup t 1).Policy.name;
-  Policy_table.set_for_destination t "example.com" dest;
-  Alcotest.(check string) "destination beats global" "dest"
-    (Policy_table.lookup t ~destination:"example.com" 1).Policy.name;
-  Policy_table.set_for_flow t 1 flow;
-  Alcotest.(check string) "flow beats destination" "flow"
-    (Policy_table.lookup t ~destination:"example.com" 1).Policy.name;
-  Policy_table.remove_flow t 1;
-  Alcotest.(check string) "removal restores" "dest"
-    (Policy_table.lookup t ~destination:"example.com" 1).Policy.name
+  let resolved ?destination () =
+    (Controller.policy (Policy_table.attach t ?destination 1)).Policy.name
+  in
+  Alcotest.(check string) "empty -> unmodified" "unmodified" (resolved ());
+  Policy_table.set_global t (Policy.make ~name:"global" ());
+  Alcotest.(check string) "global" "global" (resolved ());
+  Policy_table.set_for_destination t "example.com" (Policy.make ~name:"dest" ());
+  Alcotest.(check string) "destination beats global" "dest" (resolved ~destination:"example.com" ());
+  Alcotest.(check string) "other destinations fall back" "global"
+    (resolved ~destination:"example.org" ())
 
 let test_policy_table_attach () =
   let t = Policy_table.create () in
@@ -231,7 +226,7 @@ let test_policy_table_attach () =
 let test_policy_table_installed () =
   let t = Policy_table.create () in
   Policy_table.set_global t Policy.unmodified;
-  Policy_table.set_for_flow t 3 (Strategies.stack_delay ());
+  Policy_table.set_for_destination t "example.com" (Strategies.stack_delay ());
   Alcotest.(check int) "two entries" 2 (List.length (Policy_table.installed t))
 
 (* --- Safety --- *)

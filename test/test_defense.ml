@@ -40,8 +40,8 @@ let test_split_caps_sizes () =
 let test_split_only_incoming () =
   let t = Trace.of_events [| ev 0.0 out 1500; ev 0.1 inc 1500 |] in
   let s = Emulate.split t in
-  Alcotest.(check int) "one outgoing still" 1 (Trace.count ~dir:out s);
-  Alcotest.(check int) "incoming split in two" 2 (Trace.count ~dir:inc s);
+  Alcotest.(check int) "one outgoing still" 1 (Array.length (Trace.times ~dir:out s));
+  Alcotest.(check int) "incoming split in two" 2 (Array.length (Trace.times ~dir:inc s));
   (* The outgoing packet keeps its size: the defense is server-side. *)
   Array.iter
     (fun e -> if e.Trace.dir = out then Alcotest.(check int) "unsplit" 1500 e.Trace.size)
@@ -109,8 +109,8 @@ let test_front_adds_dummies_both_directions () =
   let t = web_like_trace () in
   let f = Front.apply ~rng:(Rng.create 6) t in
   Alcotest.(check bool) "more packets" true (Trace.length f > Trace.length t);
-  Alcotest.(check bool) "added out" true (Trace.count ~dir:out f > Trace.count ~dir:out t);
-  Alcotest.(check bool) "added in" true (Trace.count ~dir:inc f > Trace.count ~dir:inc t)
+  Alcotest.(check bool) "added out" true (Array.length (Trace.times ~dir:out f) > Array.length (Trace.times ~dir:out t));
+  Alcotest.(check bool) "added in" true (Array.length (Trace.times ~dir:inc f) > Array.length (Trace.times ~dir:inc t))
 
 let test_front_zero_latency () =
   let t = web_like_trace () in
@@ -131,7 +131,7 @@ let test_front_bandwidth_overhead_order () =
   let overheads =
     List.init 10 (fun _ ->
         let t = web_like_trace () in
-        Overhead.bandwidth_overhead ~original:t ~defended:(Front.apply ~rng t))
+        (Overhead.summarize ~original:t ~defended:(Front.apply ~rng t)).Overhead.bandwidth)
   in
   let mean = List.fold_left ( +. ) 0.0 overheads /. 10.0 in
   Alcotest.(check bool) (Printf.sprintf "mean overhead %.2f > 0.2" mean) true (mean > 0.2)
@@ -179,7 +179,7 @@ let test_regulator_carries_volume () =
   let t = web_like_trace () in
   let r = Regulator.apply t in
   Alcotest.(check bool) "at least as many downloads as real" true
-    (Trace.count ~dir:inc r >= Trace.count ~dir:inc t)
+    (Array.length (Trace.times ~dir:inc r) >= Array.length (Trace.times ~dir:inc t))
 
 let test_regulator_decaying_rate () =
   (* A single burst at t=0: output gaps grow (rate decays). *)
@@ -194,7 +194,7 @@ let test_regulator_decaying_rate () =
 let test_tamaraw_pads_to_multiple () =
   let t = web_like_trace () in
   let d = Tamaraw.apply t in
-  let n_out = Trace.count ~dir:out d and n_in = Trace.count ~dir:inc d in
+  let n_out = Array.length (Trace.times ~dir:out d) and n_in = Array.length (Trace.times ~dir:inc d) in
   Alcotest.(check int) "out count multiple of L" 0 (n_out mod 100);
   Alcotest.(check int) "in count multiple of L" 0 (n_in mod 100)
 
@@ -240,7 +240,7 @@ let test_wtfpad_zero_latency () =
   let t = web_like_trace () in
   let w = Wtfpad.apply ~rng:(Rng.create 10) t in
   Alcotest.(check (float 1e-9)) "no latency overhead" 0.0
-    (Overhead.latency_overhead ~original:t ~defended:w)
+    (Overhead.summarize ~original:t ~defended:w).Overhead.latency
 
 (* --- ALPaCA --- *)
 
@@ -256,7 +256,7 @@ let test_alpaca_pads_bursts_to_quantum () =
 let test_alpaca_outgoing_untouched () =
   let t = web_like_trace () in
   let d = Alpaca.apply t in
-  Alcotest.(check int) "outgoing count" (Trace.count ~dir:out t) (Trace.count ~dir:out d)
+  Alcotest.(check int) "outgoing count" (Array.length (Trace.times ~dir:out t)) (Array.length (Trace.times ~dir:out d))
 
 let test_alpaca_separate_bursts () =
   (* Two bursts separated by a long gap are padded independently. *)
@@ -351,7 +351,7 @@ let test_netshaper_pads_idle_windows () =
 let test_netshaper_outgoing_untouched () =
   let t = web_like_trace () in
   let d = Netshaper.apply ~rng:(Rng.create 15) t in
-  Alcotest.(check int) "outgoing count" (Trace.count ~dir:out t) (Trace.count ~dir:out d);
+  Alcotest.(check int) "outgoing count" (Array.length (Trace.times ~dir:out t)) (Array.length (Trace.times ~dir:out d));
   Alcotest.(check int) "outgoing bytes" (Trace.bytes ~dir:out t) (Trace.bytes ~dir:out d)
 
 (* --- Overhead --- *)
@@ -366,9 +366,9 @@ let test_overhead_zero_on_identity () =
 let test_overhead_values () =
   let original = Trace.of_events [| ev 0.0 inc 1000; ev 1.0 inc 1000 |] in
   let defended = Trace.of_events [| ev 0.0 inc 1000; ev 2.0 inc 2000 |] in
-  Alcotest.(check (float 1e-9)) "bw +50%" 0.5
-    (Overhead.bandwidth_overhead ~original ~defended);
-  Alcotest.(check (float 1e-9)) "lat +100%" 1.0 (Overhead.latency_overhead ~original ~defended)
+  let s = Overhead.summarize ~original ~defended in
+  Alcotest.(check (float 1e-9)) "bw +50%" 0.5 s.Overhead.bandwidth;
+  Alcotest.(check (float 1e-9)) "lat +100%" 1.0 s.Overhead.latency
 
 let test_overhead_mean_summary () =
   let s1 = { Overhead.bandwidth = 0.2; latency = 0.0; packets = 0.4 } in
@@ -402,15 +402,11 @@ let test_registry_implemented_apply () =
           let defended = f ~rng t in
           Alcotest.(check bool) (e.Registry.name ^ " yields a sorted trace") true
             (Trace.is_sorted defended))
-    Registry.implemented
+    (List.filter (fun e -> e.Registry.apply <> None) Registry.all)
 
 let test_registry_find () =
-  Alcotest.(check bool) "find FRONT" true ((Registry.find "FRONT").Registry.apply <> None);
-  Alcotest.(check bool) "unknown raises" true
-    (try
-       ignore (Registry.find "nope");
-       false
-     with Not_found -> true)
+  let front = List.find (fun e -> e.Registry.name = "FRONT") Registry.all in
+  Alcotest.(check bool) "FRONT is implemented" true (front.Registry.apply <> None)
 
 (* --- qcheck properties --- *)
 

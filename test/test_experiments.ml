@@ -3,6 +3,12 @@
 
 open Stob_experiments
 
+(* [sub] occurs in [s]. *)
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let test_table1_rows () =
   let rows = Table1.run () in
   Alcotest.(check bool) "all registry rows present" true
@@ -114,12 +120,12 @@ let test_arch_renderings () =
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("figure 1 mentions " ^ needle) true
-        (Re.execp (Re.compile (Re.str needle)) f1))
+        (contains ~sub:needle f1))
     [ "TLS over TCP"; "kTLS"; "QUIC"; "TSO"; "reno, cubic, bbr" ];
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("figure 2 mentions " ^ needle) true
-        (Re.execp (Re.compile (Re.str needle)) f2))
+        (contains ~sub:needle f2))
     [ "policy table"; "tso_bytes"; "packet_payload"; "earliest_departure"; "clamp" ]
 
 let test_cca_ablation_reduced () =
@@ -388,7 +394,7 @@ let test_population_flipped_byte_refused () =
       with
       | _ -> Alcotest.fail "run_population trained on a damaged shard journal"
       | exception Failure msg ->
-          let mentions sub = Re.execp (Re.compile (Re.str sub)) msg in
+          let mentions sub = contains ~sub msg in
           Alcotest.(check bool) ("failure names the shard file: " ^ msg) true (mentions file);
           Alcotest.(check bool) "failure says fewer traces" true (mentions "fewer traces"))
 

@@ -159,13 +159,13 @@ let test_open_world_rule () =
   let test_f, test_l = synthetic_dataset rng 30 in
   let attributed = ref 0 and correct = ref 0 in
   Array.iteri
-    (fun i f ->
-      match Attack.predict_open_world attack ~k:3 f with
+    (fun i answer ->
+      match answer with
       | Some l ->
           incr attributed;
           if l = test_l.(i) then incr correct
       | None -> ())
-    test_f;
+    (Attack.predict_open_world_all attack ~k:3 (Stob_ml.Matrix.of_rows test_f));
   Alcotest.(check bool) "attributes a majority" true (!attributed > Array.length test_f / 2);
   (* Precision of attributed samples is high: the point of the rule. *)
   Alcotest.(check bool)

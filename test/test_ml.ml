@@ -25,20 +25,33 @@ let grid_dataset rng n =
 
 (* --- Decision tree --- *)
 
+(* One tree on the whole sample, through the forest's training entry
+   point. *)
+let train_tree ?params ~rng ~n_classes ~features ~labels () =
+  let matrix = Matrix.of_rows features in
+  Decision_tree.train_presorted ?params ~rng ~n_classes ~matrix ~labels
+    ~sample:(Array.init (Array.length features) Fun.id)
+    ~orders:(Matrix.presorted matrix) ()
+
+(* Single-row inference through the batch entry points. *)
+let tree_predict tree x = Decision_tree.predict_m tree (Matrix.of_rows [| x |]) 0
+let tree_leaf_id tree x = Decision_tree.leaf_id_m tree (Matrix.of_rows [| x |]) 0
+let forest_predict forest x = (Random_forest.predict_all forest (Matrix.of_rows [| x |])).(0)
+
 let test_tree_fits_training_data () =
   let rng = Rng.create 1 in
   let features, labels = toy_dataset rng 200 in
-  let tree = Decision_tree.train ~rng ~n_classes:2 ~features ~labels () in
+  let tree = train_tree ~rng ~n_classes:2 ~features ~labels () in
   Array.iteri
-    (fun i f -> Alcotest.(check int) "training point" labels.(i) (Decision_tree.predict tree f))
+    (fun i f -> Alcotest.(check int) "training point" labels.(i) (tree_predict tree f))
     features
 
 let test_tree_generalizes () =
   let rng = Rng.create 2 in
   let features, labels = toy_dataset rng 400 in
-  let tree = Decision_tree.train ~rng ~n_classes:2 ~features ~labels () in
+  let tree = train_tree ~rng ~n_classes:2 ~features ~labels () in
   let test_f, test_l = toy_dataset rng 200 in
-  let predicted = Array.map (Decision_tree.predict tree) test_f in
+  let predicted = Array.map (tree_predict tree) test_f in
   let acc = Eval.accuracy ~predicted ~actual:test_l in
   Alcotest.(check bool) (Printf.sprintf "accuracy %.2f > 0.9" acc) true (acc > 0.9)
 
@@ -46,7 +59,7 @@ let test_tree_max_depth_respected () =
   let rng = Rng.create 3 in
   let features, labels = grid_dataset rng 300 in
   let params = { Decision_tree.default_params with max_depth = 1 } in
-  let tree = Decision_tree.train ~params ~rng ~n_classes:4 ~features ~labels () in
+  let tree = train_tree ~params ~rng ~n_classes:4 ~features ~labels () in
   Alcotest.(check bool) "depth <= 1" true (Decision_tree.depth tree <= 1);
   Alcotest.(check bool) "at most 2 leaves" true (Decision_tree.n_leaves tree <= 2)
 
@@ -54,28 +67,29 @@ let test_tree_pure_node_is_leaf () =
   let rng = Rng.create 4 in
   let features = Array.init 50 (fun i -> [| float_of_int i |]) in
   let labels = Array.make 50 1 in
-  let tree = Decision_tree.train ~rng ~n_classes:2 ~features ~labels () in
+  let tree = train_tree ~rng ~n_classes:2 ~features ~labels () in
   Alcotest.(check int) "single leaf" 1 (Decision_tree.n_leaves tree);
-  Alcotest.(check int) "predicts the constant class" 1 (Decision_tree.predict tree [| 3.0 |])
+  Alcotest.(check int) "predicts the constant class" 1 (tree_predict tree [| 3.0 |])
 
 let test_tree_predict_dist_sums_to_one () =
   let rng = Rng.create 5 in
   let features, labels = grid_dataset rng 200 in
-  let tree = Decision_tree.train ~rng ~n_classes:4 ~features ~labels () in
-  let dist = Decision_tree.predict_dist tree [| 0.5; 1.5 |] in
+  let tree = train_tree ~rng ~n_classes:4 ~features ~labels () in
+  let dist = Array.make 4 0.0 in
+  Decision_tree.add_dist tree [| 0.5; 1.5 |] ~into:dist;
   Alcotest.(check (float 1e-9)) "sums to 1" 1.0 (Array.fold_left ( +. ) 0.0 dist)
 
 let test_tree_leaf_ids_distinct () =
   let rng = Rng.create 6 in
   let features, labels = grid_dataset rng 400 in
-  let tree = Decision_tree.train ~rng ~n_classes:4 ~features ~labels () in
+  let tree = train_tree ~rng ~n_classes:4 ~features ~labels () in
   let ids =
     List.sort_uniq compare
       [
-        Decision_tree.leaf_id tree [| 0.5; 0.5 |];
-        Decision_tree.leaf_id tree [| 0.5; 1.5 |];
-        Decision_tree.leaf_id tree [| 1.5; 0.5 |];
-        Decision_tree.leaf_id tree [| 1.5; 1.5 |];
+        tree_leaf_id tree [| 0.5; 0.5 |];
+        tree_leaf_id tree [| 0.5; 1.5 |];
+        tree_leaf_id tree [| 1.5; 0.5 |];
+        tree_leaf_id tree [| 1.5; 1.5 |];
       ]
   in
   Alcotest.(check int) "four distinct leaves" 4 (List.length ids)
@@ -84,7 +98,7 @@ let test_tree_invalid_inputs () =
   let rng = Rng.create 7 in
   Alcotest.(check bool) "empty raises" true
     (try
-       ignore (Decision_tree.train ~rng ~n_classes:2 ~features:[||] ~labels:[||] ());
+       ignore (train_tree ~rng ~n_classes:2 ~features:[||] ~labels:[||] ());
        false
      with Invalid_argument _ -> true)
 
@@ -99,7 +113,7 @@ let test_forest_beats_chance_on_grid () =
       ~n_classes:4 ~features ~labels ()
   in
   let test_f, test_l = grid_dataset rng 200 in
-  let predicted = Array.map (Random_forest.predict forest) test_f in
+  let predicted = Random_forest.predict_all forest (Matrix.of_rows test_f) in
   let acc = Eval.accuracy ~predicted ~actual:test_l in
   Alcotest.(check bool) (Printf.sprintf "accuracy %.2f > 0.85" acc) true (acc > 0.85)
 
@@ -115,7 +129,7 @@ let test_forest_deterministic_given_seed () =
   let test_f, _ = grid_dataset rng 100 in
   Array.iter
     (fun f ->
-      Alcotest.(check int) "same predictions" (Random_forest.predict a f) (Random_forest.predict b f))
+      Alcotest.(check int) "same predictions" (forest_predict a f) (forest_predict b f))
     test_f
 
 let test_forest_proba_normalized () =
@@ -138,7 +152,7 @@ let test_forest_fingerprint_shape () =
       ~n_classes:4 ~features ~labels ()
   in
   Alcotest.(check int) "one leaf per tree" 7
-    (Array.length (Random_forest.leaf_fingerprint forest [| 1.0; 1.0 |]))
+    (Array.length (Random_forest.leaf_fingerprint_m forest (Matrix.of_rows [| [| 1.0; 1.0 |] |]) 0))
 
 let test_forest_feature_importance () =
   let rng = Rng.create 12 in
@@ -159,12 +173,17 @@ let test_forest_feature_importance () =
 
 (* --- Knn --- *)
 
+(* The Hamming distance, as [nearest] reports it. *)
 let test_knn_hamming () =
-  Alcotest.(check int) "distance" 2 (Knn.hamming [| 1; 2; 3; 4 |] [| 1; 9; 3; 9 |]);
-  Alcotest.(check int) "identical" 0 (Knn.hamming [| 1; 2 |] [| 1; 2 |]);
+  let distance a b =
+    let knn = Knn.create ~fingerprints:[| a |] ~labels:[| 0 |] ~n_classes:1 in
+    snd (List.hd (Knn.nearest knn ~k:1 b))
+  in
+  Alcotest.(check int) "distance" 2 (distance [| 1; 2; 3; 4 |] [| 1; 9; 3; 9 |]);
+  Alcotest.(check int) "identical" 0 (distance [| 1; 2 |] [| 1; 2 |]);
   Alcotest.(check bool) "mismatch raises" true
     (try
-       ignore (Knn.hamming [| 1 |] [| 1; 2 |]);
+       ignore (distance [| 1 |] [| 1; 2 |]);
        false
      with Invalid_argument _ -> true)
 
@@ -212,7 +231,7 @@ let test_matrix_of_rows () =
   Alcotest.(check int) "rows" 3 (Matrix.n_rows m);
   Alcotest.(check int) "cols" 2 (Matrix.n_cols m);
   Alcotest.(check (float 0.0)) "get" 4.0 (Matrix.get m 1 1);
-  Alcotest.(check bool) "row round-trips" true (Matrix.row m 2 = [| 5.0; 6.0 |]);
+  Alcotest.(check bool) "row round-trips" true (Matrix.get m 2 0 = 5.0 && Matrix.get m 2 1 = 6.0);
   Alcotest.(check bool) "ragged raises" true
     (try
        ignore (Matrix.of_rows [| [| 1.0 |]; [| 1.0; 2.0 |] |]);
@@ -254,7 +273,7 @@ let check_tree_parity ~msg ~params ~seed ~n_classes ~features ~labels =
     Reference.train_tree ~params ~rng:(Rng.create seed) ~n_classes ~features ~labels ()
   in
   let tree =
-    Decision_tree.train ~params ~rng:(Rng.create seed) ~n_classes ~features ~labels ()
+    train_tree ~params ~rng:(Rng.create seed) ~n_classes ~features ~labels ()
   in
   Alcotest.(check bool) (msg ^ ": structure") true
     (compare (shape_of_tree tree) oracle.Reference.root = 0);
@@ -331,12 +350,13 @@ let test_forest_matches_reference () =
   Alcotest.(check bool) "importance" true
     (compare (Random_forest.feature_importance forest) (Reference.forest_importance oracle) = 0);
   let test_f, _ = messy_dataset rng ~n:40 ~d:5 ~n_classes:3 in
-  Array.iter
-    (fun x ->
-      Alcotest.(check int) "prediction" (Reference.forest_predict oracle x)
-        (Random_forest.predict forest x);
+  let m = Matrix.of_rows test_f in
+  let predicted = Random_forest.predict_all forest m in
+  Array.iteri
+    (fun i x ->
+      Alcotest.(check int) "prediction" (Reference.forest_predict oracle x) predicted.(i);
       Alcotest.(check bool) "fingerprint" true
-        (Reference.forest_fingerprint oracle x = Random_forest.leaf_fingerprint forest x))
+        (Reference.forest_fingerprint oracle x = Random_forest.leaf_fingerprint_m forest m i))
     test_f;
   (* The Table 2 shape: 9 classes at the k-FP feature count, half the
      columns quantized — duplicate-heavy, like packet counts. *)
@@ -386,11 +406,12 @@ let test_batch_inference_matches_rowwise () =
   in
   let test_f, _ = messy_dataset rng ~n:30 ~d:4 ~n_classes:4 in
   let m = Matrix.of_rows test_f in
-  Alcotest.(check bool) "predict_all == predict" true
-    (Random_forest.predict_all forest m = Array.map (Random_forest.predict forest) test_f);
-  Alcotest.(check bool) "leaf_fingerprints == leaf_fingerprint" true
+  let one x = Matrix.of_rows [| x |] in
+  Alcotest.(check bool) "predict_all == one row at a time" true
+    (Random_forest.predict_all forest m = Array.map (forest_predict forest) test_f);
+  Alcotest.(check bool) "leaf_fingerprints == one row at a time" true
     (Random_forest.leaf_fingerprints forest m
-    = Array.map (Random_forest.leaf_fingerprint forest) test_f)
+    = Array.map (fun x -> Random_forest.leaf_fingerprint_m forest (one x) 0) test_f)
 
 (* The end-to-end determinism contract: a cross-validated attack through
    Evalcommon must give bit-identical accuracies at --jobs 1 and --jobs 3
@@ -449,7 +470,7 @@ let prop_forest_predicts_known_class =
           ~params:{ Random_forest.default_params with n_trees = 5 }
           ~n_classes ~features ~labels ()
       in
-      let p = Random_forest.predict forest [| 0.5 |] in
+      let p = forest_predict forest [| 0.5 |] in
       p >= 0 && p < n_classes)
 
 let suite =

@@ -150,6 +150,10 @@ let test_loss_decreases () =
 
 (* --- Tensor: GEMM vs a naive float64 oracle ---------------------------- *)
 
+(* A tensor's contents as row arrays, read back through [Tensor.get]. *)
+let row_of t i = Array.init (Tensor.cols t) (Tensor.get t i)
+let rows_of t = Array.init (Tensor.rows t) (row_of t)
+
 let fill_random rng t =
   for i = 0 to Tensor.rows t - 1 do
     for j = 0 to Tensor.cols t - 1 do
@@ -200,7 +204,7 @@ let test_gemm_randomized () =
         fill_random rng c;
         let alpha = List.nth [ 1.0; 0.5; -2.0 ] (trial mod 3) in
         let beta = List.nth [ 0.0; 1.0; 0.25 ] (trial mod 3) in
-        let c0 = Tensor.to_rows c in
+        let c0 = rows_of c in
         let oracle = naive_gemm ~ta ~tb ~alpha ~beta a b c0 in
         Tensor.gemm ~ta ~tb ~alpha ~beta ~a ~b c;
         check_gemm_matches
@@ -215,12 +219,12 @@ let test_gemm_on_views () =
   let rng = Rng.create 12 in
   let parent = Tensor.create 6 8 in
   fill_random rng parent;
-  let before = Tensor.to_rows parent in
+  let before = rows_of parent in
   let a = Tensor.sub_rows parent ~off:2 ~len:3 in
   let b = Tensor.create 8 4 in
   let c = Tensor.create 3 4 in
   fill_random rng b;
-  let oracle = naive_gemm ~ta:false ~tb:false ~alpha:1.0 ~beta:0.0 a b (Tensor.to_rows c) in
+  let oracle = naive_gemm ~ta:false ~tb:false ~alpha:1.0 ~beta:0.0 a b (rows_of c) in
   Tensor.gemm ~a ~b c;
   check_gemm_matches ~what:"view operand" c oracle;
   Array.iteri
@@ -242,7 +246,7 @@ let test_tensor_roundtrip () =
   Array.iteri
     (fun i r ->
       Array.iteri (fun j v -> Alcotest.(check (float 0.0)) "roundtrip" v (Tensor.get t i j)) r)
-    (Tensor.to_rows t)
+    rows
 
 (* --- batched engine: finite-difference parameter gradients ------------- *)
 
@@ -390,7 +394,7 @@ let logits_dev batched reference xs =
   let lg = Network.logits_m batched xs in
   let dev = ref 0.0 in
   for i = 0 to Tensor.rows xs - 1 do
-    let rl = RN.logits reference (Tensor.row xs i) in
+    let rl = RN.logits reference (row_of xs i) in
     Array.iteri (fun c v -> dev := Float.max !dev (Float.abs (v -. Tensor.get lg i c))) rl
   done;
   !dev
@@ -422,7 +426,7 @@ let test_parity_randomized_shapes () =
   Array.iteri
     (fun i p ->
       Alcotest.(check int) (Printf.sprintf "DF-lite prediction %d" i)
-        (RN.predict reference (Tensor.row xs i)) p)
+        (RN.predict reference (row_of xs i)) p)
     (Network.predict_m batched xs)
 
 let test_parity_after_training () =
@@ -492,15 +496,16 @@ let test_dfnet_encode () =
         { Stob_net.Trace.time = 0.1; dir = Stob_net.Packet.Incoming; size = 1500 };
       |]
   in
-  let x = Dfnet.encode trace in
-  Alcotest.(check int) "length" Dfnet.input_length (Array.length x);
-  Alcotest.(check (float 0.0)) "outgoing" 1.0 x.(0);
-  Alcotest.(check (float 0.0)) "incoming" (-1.0) x.(1);
-  Alcotest.(check (float 0.0)) "padding" 0.0 x.(2)
+  let x = Dfnet.encode_batch [| trace |] in
+  Alcotest.(check int) "length" Dfnet.input_length (Tensor.cols x);
+  Alcotest.(check (float 0.0)) "outgoing" 1.0 (Tensor.get x 0 0);
+  Alcotest.(check (float 0.0)) "incoming" (-1.0) (Tensor.get x 0 1);
+  Alcotest.(check (float 0.0)) "padding" 0.0 (Tensor.get x 0 2)
 
 let test_dfnet_encode_batch_packed_agree () =
-  (* encode, encode_batch and the zero-copy packed path must agree exactly
-     (directions are 0/±1, exact in float32). *)
+  (* encode_batch and the zero-copy packed path must agree exactly with a
+     row built event by event from [Trace.dir] (directions are 0/±1, exact
+     in float32). *)
   let rng = Rng.create 41 in
   let traces =
     Array.init 5 (fun _ ->
@@ -520,7 +525,12 @@ let test_dfnet_encode_batch_packed_agree () =
   let packed = Dfnet.encode_packed (Array.map Stob_net.Packed_trace.of_trace traces) in
   Array.iteri
     (fun i trace ->
-      let x = Dfnet.encode trace in
+      let x =
+        Array.init Dfnet.input_length (fun i ->
+            if i < Stob_net.Trace.length trace then
+              float_of_int (Stob_net.Packet.direction_sign (Stob_net.Trace.dir trace i))
+            else 0.0)
+      in
       Array.iteri
         (fun p v ->
           Alcotest.(check (float 0.0)) "batch" v (Tensor.get batch i p);

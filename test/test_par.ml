@@ -107,9 +107,10 @@ let test_forest_deterministic () =
       let seq = train None and par = train (Some pool) in
       Array.iter
         (fun x ->
+          let m = Stob_ml.Matrix.of_rows [| x |] in
           Alcotest.(check bool) "identical leaf fingerprints" true
-            (Stob_ml.Random_forest.leaf_fingerprint seq x
-            = Stob_ml.Random_forest.leaf_fingerprint par x);
+            (Stob_ml.Random_forest.leaf_fingerprint_m seq m 0
+            = Stob_ml.Random_forest.leaf_fingerprint_m par m 0);
           Alcotest.(check bool) "identical class distributions" true
             (Stob_ml.Random_forest.predict_proba seq x
             = Stob_ml.Random_forest.predict_proba par x))

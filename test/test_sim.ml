@@ -424,7 +424,7 @@ module Netem = Stob_sim.Netem
 let netem_run ?drop_filter cfg frames =
   let engine = Engine.create () in
   let out = ref [] in
-  let n = Netem.create ~engine ?drop_filter ~deliver:(fun x -> out := x :: !out) cfg in
+  let n = Netem.of_spec ~engine ~deliver:(fun x -> out := x :: !out) (Netem.spec ?drop_filter cfg) in
   List.iter (fun f -> Netem.feed n f) frames;
   Engine.run engine;
   (List.rev !out, Netem.stats n)
@@ -487,7 +487,7 @@ let test_netem_reorder_flush () =
   in
   let engine = Engine.create () in
   let out = ref [] in
-  let n = Netem.create ~engine ~deliver:(fun x -> out := x :: !out) cfg in
+  let n = Netem.of_spec ~engine ~deliver:(fun x -> out := x :: !out) (Netem.spec cfg) in
   Netem.feed n "fin";
   Alcotest.(check int) "held" 1 (Netem.held n);
   Engine.run engine;
@@ -518,7 +518,7 @@ let test_netem_jitter_delays () =
   let cfg = { Netem.default with Netem.jitter = 0.2; seed = 5 } in
   let engine = Engine.create () in
   let times = ref [] in
-  let n = Netem.create ~engine ~deliver:(fun _ -> times := Engine.now engine :: !times) cfg in
+  let n = Netem.of_spec ~engine ~deliver:(fun _ -> times := Engine.now engine :: !times) (Netem.spec cfg) in
   for i = 1 to 20 do
     Netem.feed n i
   done;
@@ -529,8 +529,8 @@ let test_netem_jitter_delays () =
 
 let test_netem_validate () =
   let raises cfg =
-    match Netem.validate cfg with
-    | () -> false
+    match Netem.spec cfg with
+    | _ -> false
     | exception Invalid_argument _ -> true
   in
   Alcotest.(check bool) "loss > 1 rejected" true (raises { Netem.default with Netem.loss = Netem.Iid 1.5 });
@@ -617,6 +617,31 @@ let test_engine_livelock_detected () =
       Alcotest.(check bool) "budget consumed" true (events >= 64));
   Alcotest.(check bool) "callbacks did run up to the budget" true (!ran >= 64)
 
+(* The event that trips the budget has left the queue, so it no longer
+   counts: after the raise nothing is pending and [step] finds nothing to
+   run.  Both a zero-delay line that pushes onto itself and a callback
+   that reschedules itself. *)
+let test_engine_livelock_pending impl () =
+  let expect_livelock what engine =
+    (match Engine.run engine with
+    | () -> Alcotest.failf "%s: livelock not detected" what
+    | exception Engine.Livelock _ -> ());
+    Alcotest.(check int) (what ^ ": nothing pending") 0 (Engine.pending engine);
+    Alcotest.(check bool) (what ^ ": step finds nothing") false (Engine.step engine)
+  in
+  let engine = Engine.create ~queue:impl () in
+  Engine.set_same_instant_budget engine 3;
+  let again = ref ignore in
+  let line = Engine.line engine ~delay:0.0 (fun () -> !again ()) in
+  (again := fun () -> Engine.push line ());
+  Engine.push line ();
+  expect_livelock "self-feeding line" engine;
+  let engine = Engine.create ~queue:impl () in
+  Engine.set_same_instant_budget engine 3;
+  let rec respawn () = ignore (Engine.schedule engine ~delay:0.0 respawn) in
+  ignore (Engine.schedule engine ~delay:0.0 respawn);
+  expect_livelock "self-rescheduling callback" engine
+
 (* The budget counts consecutive same-instant events only: any clock
    advance resets it, and bursts below the budget pass untouched. *)
 let test_engine_budget_resets_on_advance () =
@@ -687,9 +712,9 @@ let test_fault_plan_subset_stable () =
 
 let test_fault_plan_validate () =
   expect_invalid_arg "negative event count" (fun () ->
-      Fault.plan { Fault.default_config with Fault.events_per_kind = -1 });
+      Fault.plan (fault_cfg ~events:(-1) ~seed:0 []));
   expect_invalid_arg "non-positive horizon" (fun () ->
-      Fault.plan { Fault.default_config with Fault.horizon = 0.0 })
+      Fault.plan (fault_cfg ~horizon:0.0 ~seed:0 []))
 
 let test_fault_kind_names () =
   List.iter
@@ -1090,6 +1115,10 @@ let suite =
     ( "sim.engine_robustness",
       [
         Alcotest.test_case "livelock detected" `Quick test_engine_livelock_detected;
+        Alcotest.test_case "livelock leaves nothing pending (wheel)" `Quick
+          (test_engine_livelock_pending Event_queue.Wheel);
+        Alcotest.test_case "livelock leaves nothing pending (heap)" `Quick
+          (test_engine_livelock_pending Event_queue.Heap);
         Alcotest.test_case "budget resets on clock advance" `Quick
           test_engine_budget_resets_on_advance;
         Alcotest.test_case "budget validated" `Quick test_engine_budget_validate;

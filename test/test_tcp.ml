@@ -71,12 +71,6 @@ let test_pacer_infinite_rate () =
   Pacer.commit p ~departure:1.0 ~rate_bps:infinity ~bytes:100000;
   check_float 1e-12 "no spacing" 1.0 (Pacer.next_departure p ~now:1.0)
 
-let test_pacer_reset () =
-  let p = Pacer.create () in
-  Pacer.commit p ~departure:0.0 ~rate_bps:8.0 ~bytes:1000;
-  Pacer.reset p;
-  check_float 1e-12 "reset clears budget" 0.5 (Pacer.next_departure p ~now:0.5)
-
 (* --- Config --- *)
 
 let test_tso_autosize_unpaced () =
@@ -131,7 +125,8 @@ let prop_hooks_clamp_safe =
 (* --- Qdisc --- *)
 
 let test_qdisc_fifo_order () =
-  let q = Qdisc.fifo ~limit_bytes:10000 ~size:(fun x -> x) in
+  (* Items within one quantum leave in arrival order. *)
+  let q = Qdisc.fq ~limit_bytes:10000 ~size:(fun x -> x) () in
   Alcotest.(check bool) "enq a" true (Qdisc.enqueue q ~flow:1 100);
   Alcotest.(check bool) "enq b" true (Qdisc.enqueue q ~flow:2 200);
   Alcotest.(check (option (pair int int))) "fifo 1" (Some (1, 100)) (Qdisc.dequeue q);
@@ -139,7 +134,7 @@ let test_qdisc_fifo_order () =
   Alcotest.(check (option (pair int int))) "empty" None (Qdisc.dequeue q)
 
 let test_qdisc_fifo_limit () =
-  let q = Qdisc.fifo ~limit_bytes:250 ~size:(fun x -> x) in
+  let q = Qdisc.fq ~limit_bytes:250 ~size:(fun x -> x) () in
   Alcotest.(check bool) "fits" true (Qdisc.enqueue q ~flow:1 200);
   Alcotest.(check bool) "dropped" false (Qdisc.enqueue q ~flow:1 100);
   Alcotest.(check int) "drop counted" 1 (Qdisc.drops q);
@@ -326,8 +321,8 @@ let test_capture_sees_both_directions () =
   let w = make_world () in
   request_response w ~request:100 ~response:100_000;
   let trace = Capture.trace (Path.capture w.path) in
-  Alcotest.(check bool) "has outgoing" true (Trace.count ~dir:Packet.Outgoing trace > 0);
-  Alcotest.(check bool) "has incoming" true (Trace.count ~dir:Packet.Incoming trace > 0);
+  Alcotest.(check bool) "has outgoing" true (Array.length (Trace.times ~dir:Packet.Outgoing trace) > 0);
+  Alcotest.(check bool) "has incoming" true (Array.length (Trace.times ~dir:Packet.Incoming trace) > 0);
   Alcotest.(check bool) "sorted" true (Trace.is_sorted trace);
   (* Incoming wire bytes cover the response plus headers. *)
   Alcotest.(check bool) "incoming bytes >= response" true
@@ -357,7 +352,7 @@ let test_hook_shrinks_packets () =
   let hooked = make_world ~server_hooks:hook () in
   request_response hooked ~request:100 ~response:300_000;
   Alcotest.(check int) "hooked still delivers" 300_000 !(hooked.received);
-  let count w = Trace.count ~dir:Packet.Incoming (Capture.trace (Path.capture w.path)) in
+  let count w = Array.length (Trace.times ~dir:Packet.Incoming (Capture.trace (Path.capture w.path))) in
   Alcotest.(check bool) "more packets with smaller payloads" true (count hooked > count baseline);
   let max_in w =
     Array.fold_left
@@ -432,7 +427,7 @@ let test_cpu_bound_throughput () =
   (* Expensive CPU on a fast link: throughput should be CPU-bound. *)
   let engine_run costs =
     let engine = Engine.create () in
-    let path = Path.create ~engine ~rate_bps:(Units.gbps 100.0) ~delay:(Units.usec 25.0) () in
+    let path = Path.create ~engine ~rate_bps:(Units.gbps 100.0) ~delay:25e-6 () in
     let cpu = Cpu.create engine in
     let conn = Connection.create ~engine ~path ~flow:1 ~server_cpu:(cpu, costs) () in
     let received = ref 0 in
@@ -447,7 +442,7 @@ let test_cpu_bound_throughput () =
     Engine.run ~until:0.02 engine;
     Stob_util.Units.throughput_bps ~bytes:!received ~seconds:(Engine.now engine)
   in
-  let free = engine_run Cpu_costs.none in
+  let free = engine_run { Cpu_costs.per_segment = 0.0; per_packet = 0.0; per_byte = 0.0 } in
   let costly =
     engine_run { Cpu_costs.per_segment = 20e-6; per_packet = 500e-9; per_byte = 0.2e-9 }
   in
@@ -464,7 +459,7 @@ let test_no_capture_same_simulation () =
   let run capture =
     let engine = Engine.create () in
     let path =
-      Path.create ~engine ~rate_bps:(Units.gbps 100.0) ~delay:(Units.usec 25.0) ~capture ()
+      Path.create ~engine ~rate_bps:(Units.gbps 100.0) ~delay:25e-6 ~capture ()
     in
     let cpu = Cpu.create engine in
     let hooks =
@@ -514,7 +509,7 @@ let test_no_capture_same_simulation () =
    over netem.  Byte counts, event counts and captured traces agree. *)
 let queue_parity_fig3 queue =
   let engine = Engine.create ~queue () in
-  let path = Path.create ~engine ~rate_bps:(Units.gbps 100.0) ~delay:(Units.usec 25.0) () in
+  let path = Path.create ~engine ~rate_bps:(Units.gbps 100.0) ~delay:25e-6 () in
   let cpu = Cpu.create engine in
   let hooks =
     Stob_core.Controller.hooks
@@ -1364,7 +1359,8 @@ let test_netem_matrix_battery () =
   List.iter
     (fun r ->
       Alcotest.(check bool)
-        (Format.asprintf "cell converged: %a" Netem_eval.pp_result r)
+        (Printf.sprintf "cell converged: %s loss=%.3f reorder=%b" r.Netem_eval.cell.cca
+           r.cell.loss r.cell.reorder)
         true (Netem_eval.converged r))
     seq;
   (* Impairment was actually exercised somewhere in the matrix. *)
@@ -1382,7 +1378,8 @@ let test_netem_cell_alone () =
   List.iter2
     (fun c row ->
       Alcotest.(check bool)
-        (Format.asprintf "alone == matrix row: %a" Netem_eval.pp_result row)
+        (Printf.sprintf "alone == matrix row: %s loss=%.3f reorder=%b" c.Netem_eval.cca c.loss
+           c.reorder)
         true
         (Netem_eval.run_matrix ~seed:4242 [ c ] = [ row ]))
     cells full
@@ -1402,7 +1399,6 @@ let suite =
       [
         Alcotest.test_case "spacing" `Quick test_pacer_spacing;
         Alcotest.test_case "infinite rate" `Quick test_pacer_infinite_rate;
-        Alcotest.test_case "reset" `Quick test_pacer_reset;
       ] );
     ( "tcp.config",
       [

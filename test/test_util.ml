@@ -150,7 +150,7 @@ let test_stats_basics () =
   check_float "mean" 2.5 (Stats.mean a);
   check_float "min" 1.0 (Stats.min_ a);
   check_float "max" 4.0 (Stats.max_ a);
-  check_float "variance" 1.25 (Stats.variance a);
+  check_float "std" (sqrt 1.25) (Stats.std a);
   check_float "median" 2.5 (Stats.median a)
 
 let test_stats_empty () =
@@ -179,9 +179,8 @@ let test_stats_iqr_bounds () =
 
 let test_stats_mean_std () =
   let a = [| 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 |] in
-  let m, s = Stats.mean_std a in
-  check_float "mean" 5.0 m;
-  check_float_loose 1e-6 "sample std" 2.13809 s
+  check_float "mean" 5.0 (Stats.mean a);
+  check_float_loose 1e-6 "sample std" 2.13809 (Stats.sample_std a)
 
 let test_stats_cumulative () =
   let a = [| 1.0; 2.0; 3.0 |] in
@@ -198,20 +197,14 @@ let test_stats_mad () =
 (* --- Histogram --- *)
 
 let test_histogram_counts () =
-  let h = Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  Histogram.add h 0.5;
-  Histogram.add h 1.5;
-  Histogram.add h 1.7;
-  Histogram.add h 9.9;
+  let h = Histogram.of_samples ~lo:0.0 ~hi:10.0 ~bins:10 [| 0.5; 1.5; 1.7; 9.9 |] in
   Alcotest.(check int) "total" 4 (Histogram.count h);
   Alcotest.(check int) "bin0" 1 (Histogram.bin_count h 0);
   Alcotest.(check int) "bin1" 2 (Histogram.bin_count h 1);
   Alcotest.(check int) "bin9" 1 (Histogram.bin_count h 9)
 
 let test_histogram_clamping () =
-  let h = Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 in
-  Histogram.add h (-3.0);
-  Histogram.add h 100.0;
+  let h = Histogram.of_samples ~lo:0.0 ~hi:10.0 ~bins:5 [| -3.0; 100.0 |] in
   Alcotest.(check int) "bin0 catches low" 1 (Histogram.bin_count h 0);
   Alcotest.(check int) "last bin catches high" 1 (Histogram.bin_count h 4)
 
@@ -246,13 +239,13 @@ let test_histogram_merge () =
   Alcotest.(check int) "bin2 has both" 2 (Histogram.bin_count m 2)
 
 let test_histogram_geometry_mismatch () =
-  let a = Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  let b = Histogram.create ~lo:0.0 ~hi:20.0 ~bins:10 in
+  let a = Histogram.of_samples ~lo:0.0 ~hi:10.0 ~bins:10 [||] in
+  let b = Histogram.of_samples ~lo:0.0 ~hi:20.0 ~bins:10 [||] in
   Alcotest.check_raises "mismatch" (Invalid_argument "Histogram.merge: geometry mismatch")
     (fun () -> ignore (Histogram.merge a b))
 
 let test_histogram_empty_sample_raises () =
-  let h = Histogram.create ~lo:0.0 ~hi:1.0 ~bins:2 in
+  let h = Histogram.of_samples ~lo:0.0 ~hi:1.0 ~bins:2 [||] in
   let rng = Rng.create 1 in
   Alcotest.check_raises "empty" (Invalid_argument "Histogram.sample: empty histogram") (fun () ->
       ignore (Histogram.sample h rng))
@@ -260,9 +253,8 @@ let test_histogram_empty_sample_raises () =
 (* --- Units --- *)
 
 let test_units_conversions () =
-  check_float "usec" 5e-5 (Units.usec 50.0);
-  check_float "gbps" 1e11 (Units.gbps 100.0);
-  Alcotest.(check int) "kib" 2048 (Units.kib 2)
+  check_float "msec" 5e-2 (Units.msec 50.0);
+  check_float "gbps" 1e11 (Units.gbps 100.0)
 
 let test_units_tx_time () =
   (* 1500 bytes at 100 Gb/s = 120 ns *)
@@ -329,11 +321,8 @@ let prop_sort_paths_match_oracle =
   QCheck.Test.make ~name:"sorted_copy, percentile, quantiles match Array.sort compare bitwise"
     ~count:500 stats_input (fun a ->
       let before = bits a in
-      let s = Stats.sorted_copy a in
       let want = List.map (Seed.percentile a) percentiles in
-      bits s = bits (Seed.sorted_copy a)
-      && (Array.length a = 0 || s != a)
-      && bit_list (List.map (Stats.percentile a) percentiles) = bit_list want
+      bit_list (List.map (Stats.percentile a) percentiles) = bit_list want
       && bit_list (Stats.quantiles a percentiles) = bit_list want
       && bit_list [ Stats.median a ] = bit_list [ Seed.median a ]
       (* Read-only: the sorted fast path must not hand out or reorder [a]. *)
@@ -342,8 +331,8 @@ let prop_sort_paths_match_oracle =
 let prop_moments_match_seed =
   QCheck.Test.make ~name:"sum, mean, std, min, max match the seed folds bitwise" ~count:500
     stats_input (fun a ->
-      bit_list [ Stats.sum a; Stats.mean a; Stats.variance a; Stats.std a; Stats.min_ a; Stats.max_ a ]
-      = bit_list [ Seed.sum a; Seed.mean a; Seed.variance a; Seed.std a; Seed.min_ a; Seed.max_ a ])
+      bit_list [ Stats.sum a; Stats.mean a; Stats.std a; Stats.min_ a; Stats.max_ a ]
+      = bit_list [ Seed.sum a; Seed.mean a; Seed.std a; Seed.min_ a; Seed.max_ a ])
 
 let prop_histogram_total =
   QCheck.Test.make ~name:"histogram accounts for every sample" ~count:200
