@@ -1175,7 +1175,7 @@ let soak smoke transport users shards fault_period horizon soak_seed state_dir r
       config
   in
   Format.printf "%a@." Soak.pp_summary summary;
-  Printf.printf "wall: %.1f s (--jobs %d)\n%!" (Unix.gettimeofday () -. start) jobs;
+  Printf.eprintf "wall: %.1f s (--jobs %d)\n%!" (Unix.gettimeofday () -. start) jobs;
   let failed = ref false in
   let fail fmt =
     Printf.ksprintf
@@ -1401,14 +1401,14 @@ let population_soak jobs =
         Tmp.with_dir "stob-popsoak." (fun dir ->
             Population.generate ?pool ~on_shard config ~state_dir:dir))
   in
+  Printf.eprintf "wall: %.1f s\n%!" (Unix.gettimeofday () -. start);
   Printf.printf
-    "soak: %d flows (%d events, %.1f MiB packed) across %d shards in %.1f s\n\
+    "soak: %d flows (%d events, %.1f MiB packed) across %d shards\n\
      peak live-heap growth: %d MiB (bound %d MiB, corpus %d MiB)\n\
      %!"
     summary.Population.flows summary.Population.events
     (float_of_int summary.Population.bytes /. 1048576.0)
     config.Population.shards
-    (Unix.gettimeofday () -. start)
     (!worst_words * 8 / 1048576)
     (allowed_growth_bytes / 1048576)
     (summary.Population.bytes / 1048576);

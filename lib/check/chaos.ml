@@ -15,22 +15,12 @@ module Policy_table = Stob_core.Policy_table
 module Controller = Stob_core.Controller
 module Strategies = Stob_core.Strategies
 
-type workload = Oneshot | Sequential of int | Fanout of int
-
-let workload_name = function
-  | Oneshot -> "oneshot"
-  | Sequential n -> Printf.sprintf "seq%d" n
-  | Fanout n -> Printf.sprintf "fanout%d" n
-
-let workload_conns = function Oneshot -> 1 | Sequential n -> max 1 n | Fanout n -> max 1 n
-
-type scenario = { cca : string; fault : Fault.kind option; workload : workload; degrade : bool }
+type scenario = { cca : string; fault : Fault.kind option; fanout : int }
 
 let scenario_name s =
-  Printf.sprintf "%s/%s/%s/%s" s.cca
+  Printf.sprintf "%s/%s/fanout%d/degrade" s.cca
     (match s.fault with None -> "no-fault" | Some k -> Fault.kind_name k)
-    (workload_name s.workload)
-    (if s.degrade then "degrade" else "raw")
+    s.fanout
 
 type degradation_summary = {
   final_rung : string;
@@ -51,7 +41,7 @@ type report = {
   livelock : bool;
   total_violations : int;
   violation_counts : (string * int) list;
-  degradation : degradation_summary option;
+  degradation : degradation_summary;
   policy_fallbacks : int;  (** Policy-table lookups that failed and fell back. *)
   client_received : int;
   fault_events : int;
@@ -65,34 +55,42 @@ let rung_rank = function
   | Controller.Passthrough -> 2
 
 let summarize_degradation reports =
-  match reports with
-  | [] -> None
-  | _ ->
-      let worst =
-        List.fold_left
-          (fun acc (r : Controller.degradation_report) ->
-            if rung_rank r.Controller.rung > rung_rank acc then r.Controller.rung else acc)
-          Controller.Full_policy reports
-      in
-      let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
-      Some
-        {
-          final_rung = Controller.rung_name worst;
-          trips = sum (fun r -> List.length r.Controller.trips);
-          decisions = sum (fun r -> r.Controller.decisions);
-          fallbacks = sum (fun r -> r.Controller.fallbacks);
-          injected = sum (fun r -> r.Controller.injected_faults);
-          stalls = sum (fun r -> r.Controller.stalls);
-          hook_exceptions = sum (fun r -> r.Controller.hook_exceptions);
-          unsafe_proposals = sum (fun r -> r.Controller.unsafe_proposals);
-        }
+  let worst =
+    List.fold_left
+      (fun acc (r : Controller.degradation_report) ->
+        if rung_rank r.Controller.rung > rung_rank acc then r.Controller.rung else acc)
+      Controller.Full_policy reports
+  in
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
+  {
+    final_rung = Controller.rung_name worst;
+    trips = sum (fun r -> List.length r.Controller.trips);
+    decisions = sum (fun r -> r.Controller.decisions);
+    fallbacks = sum (fun r -> r.Controller.fallbacks);
+    injected = sum (fun r -> r.Controller.injected_faults);
+    stalls = sum (fun r -> r.Controller.stalls);
+    hook_exceptions = sum (fun r -> r.Controller.hook_exceptions);
+    unsafe_proposals = sum (fun r -> r.Controller.unsafe_proposals);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* One chaos cell.                                                      *)
 
-let run_cell ?(rate_bps = Units.mbps 20.0) ?(delay = 0.015) ?(horizon = 60.0)
-    ?(fault_horizon = 1.0) ?(events_per_kind = 2) ?(request = 2_000) ?(response = 400_000)
-    ?(stall_bound = 0.5) ?plan ~seed scenario =
+(* The cell's fixed conditions: a 20 Mb/s path with 15 ms one-way delay,
+   2 KB requests and 400 KB responses, faults drawn inside the first second
+   (the thick of the transfer) with 2 events per kind, and a 60 s run
+   horizon. *)
+let rate_bps = Units.mbps 20.0
+let delay = 0.015
+let horizon = 60.0
+let request = 2_000
+let response = 400_000
+
+let drawn_plan ~seed scenario =
+  Fault.plan
+    { Fault.kinds = Option.to_list scenario.fault; events_per_kind = 2; horizon = 1.0; seed }
+
+let run_cell ?plan ~seed scenario =
   let engine = Engine.create () in
   (* A chaos run must never hang the battery: zero-delay rescheduling bugs
      become a Livelock we translate into a violation below. *)
@@ -112,18 +110,7 @@ let run_cell ?(rate_bps = Units.mbps 20.0) ?(delay = 0.015) ?(horizon = 60.0)
   let qdisc_saved_limit = ref None in
   let servers = ref [] in
   let policy_fallbacks = ref 0 in
-  let fault_plan =
-    match plan with
-    | Some p -> p
-    | None ->
-        Fault.plan
-          {
-            Fault.kinds = Option.to_list scenario.fault;
-            events_per_kind;
-            horizon = fault_horizon;
-            seed;
-          }
-  in
+  let fault_plan = match plan with Some p -> p | None -> drawn_plan ~seed scenario in
   let apply (ev : Fault.event) =
     match ev.Fault.kind with
     | Fault.Hook_exception -> hook_fail := true
@@ -138,9 +125,6 @@ let run_cell ?(rate_bps = Units.mbps 20.0) ?(delay = 0.015) ?(horizon = 60.0)
         | Some q ->
             if !qdisc_saved_limit = None then qdisc_saved_limit := Some (Qdisc.limit_bytes q);
             Qdisc.set_limit_bytes q (int_of_float ev.Fault.magnitude))
-    (* QUIC wire faults are armed by the soak's QUIC flows, not by this
-       TCP-component harness. *)
-    | Fault.Datagram_blackhole | Fault.Ack_delay_inflation | Fault.Handshake_stall -> ()
   in
   let revert (ev : Fault.event) =
     match ev.Fault.kind with
@@ -153,7 +137,6 @@ let run_cell ?(rate_bps = Units.mbps 20.0) ?(delay = 0.015) ?(horizon = 60.0)
         match (Path.server_qdisc path, !qdisc_saved_limit) with
         | Some q, Some limit -> Qdisc.set_limit_bytes q limit
         | _ -> ())
-    | Fault.Datagram_blackhole | Fault.Ack_delay_inflation | Fault.Handshake_stall -> ()
   in
   Fault.arm ~engine ~apply ~revert fault_plan;
   (* --- monitored components --- *)
@@ -162,7 +145,7 @@ let run_cell ?(rate_bps = Units.mbps 20.0) ?(delay = 0.015) ?(horizon = 60.0)
   | None -> ());
   Monitor.watch_cpu monitor ~name:"server-core" cpu;
   (* --- workload --- *)
-  let expected = workload_conns scenario.workload in
+  let expected = max 1 scenario.fanout in
   let conns = ref [] in
   let created = ref 0 in
   let client_received = ref 0 in
@@ -195,34 +178,16 @@ let run_cell ?(rate_bps = Units.mbps 20.0) ?(delay = 0.015) ?(horizon = 60.0)
           Hooks.on_segment =
             (fun ~now ~flow ~phase d ->
               if !hook_fail then raise (Fault.Injected { kind = Fault.Hook_exception; at = now });
-              let r = base.Hooks.on_segment ~now ~flow ~phase d in
-              if (not scenario.degrade) && !hook_stall > 0.0 then
-                (* No guard to model the watchdog: a slow hook simply
-                   delays the release (the safe direction). *)
-                { r with Hooks.earliest_departure = r.Hooks.earliest_departure +. !hook_stall }
-              else r);
+              base.Hooks.on_segment ~now ~flow ~phase d);
         }
       in
-      let chain =
-        if scenario.degrade then begin
-          let guarded, report = Controller.guard ~latency:(fun ~now:_ -> !hook_stall) faulty in
-          guard_reports := !guard_reports @ [ report ];
-          guarded
-        end
-        else faulty
-      in
-      Endpoint.set_hooks server chain;
+      let guarded, report = Controller.guard ~latency:(fun ~now:_ -> !hook_stall) faulty in
+      guard_reports := !guard_reports @ [ report ];
+      Endpoint.set_hooks server guarded;
       Monitor.observe_endpoint monitor ~name:(Printf.sprintf "server-%d" flow) server;
-      let received = ref 0 in
       Endpoint.set_on_receive client (fun n ->
           touch ();
-          received := !received + n;
-          client_received := !client_received + n;
-          if !received >= response then
-            match scenario.workload with
-            | Sequential _ ->
-                ignore (Engine.schedule engine ~delay:0.05 (fun () -> start_conn (i + 1)))
-            | Oneshot | Fanout _ -> ());
+          client_received := !client_received + n);
       let responded = ref false in
       let server_received = ref 0 in
       Endpoint.set_on_receive server (fun n ->
@@ -239,14 +204,12 @@ let run_cell ?(rate_bps = Units.mbps 20.0) ?(delay = 0.015) ?(horizon = 60.0)
       Connection.on_established conn (fun () -> Endpoint.write client request);
       servers := server :: !servers;
       Connection.open_ conn;
-      match scenario.workload with
-      | Fanout _ -> ignore (Engine.schedule engine ~delay:0.3 (fun () -> start_conn (i + 1)))
-      | Oneshot | Sequential _ -> ()
+      ignore (Engine.schedule engine ~delay:0.3 (fun () -> start_conn (i + 1)))
     end
   in
   (* Progress watch over the whole workload: packets keep flowing (or
      connections keep opening) until everything is closed. *)
-  Monitor.watch_progress monitor ~stall:stall_bound ~name:"workload"
+  Monitor.watch_progress monitor ~name:"workload"
     ~pending:(fun () ->
       !created < expected
       || List.exists
@@ -259,8 +222,7 @@ let run_cell ?(rate_bps = Units.mbps 20.0) ?(delay = 0.015) ?(horizon = 60.0)
           acc
           + Endpoint.packets_sent (Connection.client c)
           + Endpoint.packets_sent (Connection.server c))
-        !created !conns)
-    ();
+        !created !conns);
   Monitor.attach_engine monitor;
   start_conn 0;
   let crashed = ref None in
@@ -309,25 +271,22 @@ let all_fault_options () = None :: List.map (fun k -> Some k) Fault.all_kinds
 let default_scenarios () =
   List.concat_map
     (fun cca ->
-      List.map (fun fault -> { cca; fault; workload = Fanout 3; degrade = true })
+      List.map (fun fault -> { cca; fault; fanout = 3 })
         (all_fault_options ()))
     [ "reno"; "cubic"; "bbr" ]
 
 let smoke_scenarios () =
-  List.map (fun fault -> { cca = "cubic"; fault; workload = Fanout 2; degrade = true })
+  List.map (fun fault -> { cca = "cubic"; fault; fanout = 2 })
     (all_fault_options ())
 
-let run_sweep ?(pool = Stob_par.Pool.sequential) ?rate_bps ?delay ?horizon ?fault_horizon
-    ?events_per_kind ?request ?response ?stall_bound ~seed scenarios =
+let run_sweep ?(pool = Stob_par.Pool.sequential) ~seed scenarios =
   (* Pre-split-RNG rule: one seed per scenario, drawn in scenario order
      before the tasks reach the pool. *)
   let master = Rng.create seed in
   let tasks = Array.of_list (List.map (fun s -> (s, Rng.int master max_int)) scenarios) in
   Array.to_list
     (Stob_par.Pool.map pool
-       (fun (s, cell_seed) ->
-         run_cell ?rate_bps ?delay ?horizon ?fault_horizon ?events_per_kind ?request ?response
-           ?stall_bound ~seed:cell_seed s)
+       (fun (s, cell_seed) -> run_cell ~seed:cell_seed s)
        tasks)
 
 let survived r =
@@ -338,21 +297,9 @@ let survived r =
 
 let clean r = survived r && r.total_violations = 0
 
-let shrink ?(failed = fun r -> not (survived r)) ?rate_bps ?delay ?horizon ?fault_horizon
-    ?events_per_kind ?request ?response ?stall_bound ~seed scenario =
-  let run plan =
-    run_cell ?rate_bps ?delay ?horizon ?fault_horizon ?events_per_kind ?request ?response
-      ?stall_bound ~plan ~seed scenario
-  in
-  let full_plan =
-    Fault.plan
-      {
-        Fault.kinds = Option.to_list scenario.fault;
-        events_per_kind = Option.value ~default:2 events_per_kind;
-        horizon = Option.value ~default:1.0 fault_horizon;
-        seed;
-      }
-  in
+let shrink ?(failed = fun r -> not (survived r)) ~seed scenario =
+  let run plan = run_cell ~plan ~seed scenario in
+  let full_plan = drawn_plan ~seed scenario in
   if not (failed (run full_plan)) then None
   else begin
     (* Smallest prefix of the time-sorted plan that still fails.  Linear
@@ -389,11 +336,9 @@ let pp_report ppf r =
         ^ String.concat ","
             (List.map (fun (name, n) -> Printf.sprintf "%s:%d" name n) counts)
         ^ "]")
-    (match r.degradation with
-    | None -> ""
-    | Some d ->
-        Printf.sprintf " rung=%s trips=%d fallbacks=%d%s" d.final_rung d.trips d.fallbacks
-          (if r.policy_fallbacks > 0 then Printf.sprintf " pfb=%d" r.policy_fallbacks else ""))
+    (let d = r.degradation in
+     Printf.sprintf " rung=%s trips=%d fallbacks=%d%s" d.final_rung d.trips d.fallbacks
+       (if r.policy_fallbacks > 0 then Printf.sprintf " pfb=%d" r.policy_fallbacks else ""))
     r.client_received r.finish_time r.fault_events
 
 let print_sweep results =

@@ -7,19 +7,15 @@ module Config = Stob_tcp.Config
 module Capture = Stob_net.Capture
 module Safety = Stob_core.Safety
 
-type mode = Raise | Collect
-
 (* A registered invariant: [check ~now] returns [Some detail] while the
    invariant is violated.  Checks are edge-triggered — a violation is
    recorded when the invariant transitions from holding to failing, not on
    every event while it keeps failing — so a single broken component does
    not flood the report. *)
-type watch = { w_name : string; w_flow : int option; check : now:float -> string option; mutable failing : bool }
+type watch = { w_name : string; check : now:float -> string option; mutable failing : bool }
 
 type t = {
   engine : Engine.t;
-  mode : mode;
-  max_stored : int;
   mutable stored : Violation.t list;  (* newest first *)
   mutable total : int;
   counts : (string, int) Hashtbl.t;
@@ -28,12 +24,12 @@ type t = {
   mutable attached : bool;
 }
 
-let create ?(mode = Collect) ?(max_stored = 200) engine =
-  if max_stored < 1 then invalid_arg "Monitor.create: max_stored must be >= 1";
+(* Violations kept for the report; [total] keeps counting past the cap. *)
+let max_stored = 200
+
+let create engine =
   {
     engine;
-    mode;
-    max_stored;
     stored = [];
     total = 0;
     counts = Hashtbl.create 16;
@@ -48,8 +44,7 @@ let record t v =
   t.total <- t.total + 1;
   Hashtbl.replace t.counts v.Violation.invariant
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.counts v.Violation.invariant));
-  if List.length t.stored < t.max_stored then t.stored <- v :: t.stored;
-  match t.mode with Raise -> raise (Violation.Violated v) | Collect -> ()
+  if List.length t.stored < max_stored then t.stored <- v :: t.stored
 
 let violations t = List.rev t.stored
 
@@ -57,8 +52,7 @@ let counts t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.counts []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let register t ~name ?flow check =
-  t.watches <- { w_name = name; w_flow = flow; check; failing = false } :: t.watches
+let register t ~name check = t.watches <- { w_name = name; check; failing = false } :: t.watches
 
 let run_watch t ~now w =
   match w.check ~now with
@@ -66,7 +60,7 @@ let run_watch t ~now w =
   | Some detail ->
       if not w.failing then begin
         w.failing <- true;
-        record t (Violation.make ~invariant:w.w_name ~time:now ?flow:w.w_flow detail)
+        record t (Violation.make ~invariant:w.w_name ~time:now detail)
       end
 
 let check_now t ~now = List.iter (run_watch t ~now) (List.rev t.watches)
@@ -102,8 +96,8 @@ let watch_qdisc t ~name q =
         Some (Printf.sprintf "%s: backlog %d B exceeds limit %d B" name backlog limit)
       else None)
 
-let watch_cpu t ?(backlog_bound = 0.5) ~name cpu =
-  if backlog_bound <= 0.0 then invalid_arg "Monitor.watch_cpu: backlog_bound must be positive";
+let watch_cpu t ~name cpu =
+  let backlog_bound = 0.5 in
   register t ~name:"cpu-backlog-bound" (fun ~now ->
       let lead = Cpu.busy_until cpu -. now in
       if lead > backlog_bound then
@@ -118,8 +112,8 @@ let watch_cpu t ?(backlog_bound = 0.5) ~name cpu =
    exceeds the bound *while work was pending*, and only then credit any
    new activity.  Otherwise the event that ends a stall would also hide
    it. *)
-let watch_progress t ?(stall = 1.0) ~name ~pending ~activity () =
-  if stall <= 0.0 then invalid_arg "Monitor.watch_progress: stall must be positive";
+let watch_progress t ~name ~pending ~activity =
+  let stall = 0.5 in
   let last_activity = ref (activity ()) in
   let last_change = ref (Engine.now t.engine) in
   let was_pending = ref (pending ()) in

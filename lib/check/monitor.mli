@@ -3,10 +3,8 @@
     The monitor hangs observe-only checks off the simulation's natural
     boundaries — the engine's per-event probe ({!Stob_sim.Engine.set_probe})
     and the endpoint's per-segment hook ({!Stob_tcp.Hooks}) — and turns
-    failures into structured {!Violation.t} values.  In [Raise] mode the
-    first violation aborts the run at its detection point (what the test
-    battery wants); in [Collect] mode violations accumulate for a post-run
-    report (what the chaos sweep wants).
+    failures into structured {!Violation.t} values, which accumulate for a
+    post-run report.
 
     The monitor never changes behaviour: checks read state, wrap hooks
     transparently, and draw no randomness, so a monitored run is
@@ -73,21 +71,15 @@
       {!Stob_sim.Engine.Livelock} fires; the engine cannot depend on this
       library, so it raises its own exception and the harness translates. *)
 
-type mode =
-  | Raise  (** Raise {!Violation.Violated} at the detection point. *)
-  | Collect  (** Accumulate; read {!violations} after the run. *)
-
 type t
 
-val create : ?mode:mode -> ?max_stored:int -> Stob_sim.Engine.t -> t
-(** Fresh monitor bound to an engine's clock.  [mode] defaults to
-    [Collect]; at most [max_stored] violations are kept (default 200) while
-    {!total} keeps counting past the cap.  Raises [Invalid_argument] when
-    [max_stored < 1]. *)
+val create : Stob_sim.Engine.t -> t
+(** Fresh monitor bound to an engine's clock.  At most 200 violations are
+    kept while {!total} keeps counting past the cap. *)
 
 val record : t -> Violation.t -> unit
-(** Count (and in [Raise] mode, raise) a violation detected externally —
-    the chaos harness feeds {!Stob_sim.Engine.Livelock} through this. *)
+(** Count a violation detected externally — the chaos harness feeds
+    {!Stob_sim.Engine.Livelock} through this. *)
 
 val violations : t -> Violation.t list
 (** Stored violations, oldest first. *)
@@ -101,7 +93,7 @@ val counts : t -> (string * int) list
 
 (** {1 Registration} *)
 
-val register : t -> name:string -> ?flow:int -> (now:float -> string option) -> unit
+val register : t -> name:string -> (now:float -> string option) -> unit
 (** Install a custom invariant: the callback returns [Some detail] while
     the invariant fails.  Checks are {e edge-triggered}: a violation is
     recorded when the check transitions from passing to failing, so a
@@ -122,14 +114,14 @@ val check_now : t -> now:float -> unit
 val watch_qdisc : t -> name:string -> 'a Stob_tcp.Qdisc.t -> unit
 (** Register [qdisc-backlog-bound] over the given qdisc. *)
 
-val watch_cpu : t -> ?backlog_bound:float -> name:string -> Stob_sim.Cpu.t -> unit
+val watch_cpu : t -> name:string -> Stob_sim.Cpu.t -> unit
 (** Register [cpu-backlog-bound]: the core may never be booked more than
-    [backlog_bound] seconds (default 0.5) beyond the current virtual time. *)
+    0.5 s beyond the current virtual time. *)
 
 val watch_progress :
-  t -> ?stall:float -> name:string -> pending:(unit -> bool) -> activity:(unit -> int) -> unit -> unit
+  t -> name:string -> pending:(unit -> bool) -> activity:(unit -> int) -> unit
 (** Register [progress-stall]: while [pending ()] holds, [activity ()] must
-    change at least once per [stall] seconds (default 1.0) of virtual time.
+    change at least once per 0.5 s of virtual time.
     This is how pacer-clock faults surface: at the hook boundary the
     stack's departure always equals [now] (the endpoint waits out its own
     pacing before consulting the hook), so a parked pacing clock manifests

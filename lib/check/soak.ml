@@ -299,7 +299,7 @@ let add_quic_flow ~engine ~monitor ~id ~start ~on_done spec =
          Quic.set_on_established client (fun () ->
              Quic.send_stream client ~stream:4 ~fin:true spec.request);
          Quic.listen server ~flight_bytes:spec.flight;
-         Quic.connect client ~flight_bytes:spec.flight ();
+         Quic.connect client;
          ignore
            (Engine.schedule engine ~delay:spec.horizon (fun () ->
                 (* Reap-time state sweep: the hook observer only fires on
@@ -347,7 +347,7 @@ let add_quic_flow ~engine ~monitor ~id ~start ~on_done spec =
 
 let run_flow spec =
   let engine = Engine.create () in
-  let monitor = Monitor.create ~mode:Monitor.Collect engine in
+  let monitor = Monitor.create engine in
   Monitor.attach_engine monitor;
   let out = ref None in
   let add = match spec.transport with Tcp -> add_flow | Quic -> add_quic_flow in
@@ -435,7 +435,7 @@ let fault_shard config shard =
    reports. *)
 let run_shard config shard =
   let engine = Engine.create () in
-  let monitor = Monitor.create ~mode:Monitor.Collect engine in
+  let monitor = Monitor.create engine in
   Monitor.attach_engine monitor;
   let visits = Population.plan_shard config.population ~shard in
   let faulted = fault_shard config shard in

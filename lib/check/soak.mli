@@ -61,8 +61,7 @@ type flow_spec = {
   flight : int;  (** QUIC: server handshake-flight bytes. *)
   blackhole : (float * float) option;
       (** QUIC fault: [(after, duration)] — every datagram in both
-          directions vanishes inside the window
-          ({!Stob_sim.Fault.Datagram_blackhole} at flow granularity). *)
+          directions vanishes inside the window. *)
   horizon : float;  (** Reap time relative to flow start, seconds. *)
 }
 

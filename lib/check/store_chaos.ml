@@ -332,8 +332,7 @@ let ckpt_crash_phase ctx ~seed ~n =
 
 (* --- battery -------------------------------------------------------------- *)
 
-let run ?(smoke = false) ?(seed = 42) ?real_sweep () =
-  let real_sweep = Option.value real_sweep ~default:(not smoke) in
+let run ?(smoke = false) ?(seed = 42) () =
   let n = if smoke then 6 else 18 in
   let short_runs = if smoke then 2 else 6 in
   let transient_runs = if smoke then 1 else 3 in
@@ -354,7 +353,7 @@ let run ?(smoke = false) ?(seed = 42) ?real_sweep () =
       in
       (* 1b. and over a real (quick Fig 3) sweep for the full battery *)
       let fig3_boundaries, fig3_passed =
-        if real_sweep then enumerate ctx ~name:"fig3" ~seed ~run_sweep:run_fig3 else (0, 0)
+        if not smoke then enumerate ctx ~name:"fig3" ~seed ~run_sweep:run_fig3 else (0, 0)
       in
       (* 2. short writes: seeded splits must leave journal bytes identical *)
       let ref_dir = fresh_dir ctx in

@@ -52,11 +52,11 @@ type report = {
   failures : string list;  (** Human-readable assertion failures; empty = pass. *)
 }
 
-val run : ?smoke:bool -> ?seed:int -> ?real_sweep:bool -> unit -> report
+val run : ?smoke:bool -> ?seed:int -> unit -> report
 (** Run the battery.  [smoke] (default false) shrinks the synthetic sweep
     for the [runtest] gate; the full battery uses more cells, more
-    short-write seeds, and — with [real_sweep] (default [not smoke]) —
-    additionally crash-enumerates a journaled quick Fig 3 sweep, so at
-    least one enumeration covers real experiment payloads. *)
+    short-write seeds, and additionally crash-enumerates a journaled quick
+    Fig 3 sweep, so at least one enumeration covers real experiment
+    payloads. *)
 
 val print_report : report -> unit

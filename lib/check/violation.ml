@@ -1,7 +1,5 @@
 type t = { invariant : string; time : float; flow : int option; detail : string }
 
-exception Violated of t
-
 let make ~invariant ~time ?flow detail = { invariant; time; flow; detail }
 
 let pp ppf v =
@@ -10,8 +8,3 @@ let pp ppf v =
     v.invariant v.detail
 
 let to_string v = Format.asprintf "%a" pp v
-
-let () =
-  Printexc.register_printer (function
-    | Violated v -> Some ("Stob_check.Violation.Violated " ^ to_string v)
-    | _ -> None)

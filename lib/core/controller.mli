@@ -85,4 +85,5 @@ val guard :
     harness's {!Stob_sim.Fault.Hook_stall} surface); omitted means free.
     Raises [Invalid_argument] on a non-positive [trip_failures] or [window]
     or a negative [stall_budget].  Install the wrapped hook; read the
-    report after the run. *)
+    report after the run.  Test seam: [breaker], for [chaos.guard]'s
+    tripping and validation cases. *)

@@ -30,9 +30,8 @@ type t = {
 let unmodified =
   { name = "unmodified"; size = Default_size; tso = Default_tso; timing = Default_timing; exempt_phases = [] }
 
-let make ~name ?(size = Default_size) ?(tso = Default_tso) ?(timing = Default_timing)
-    ?(exempt_phases = []) () =
-  { name; size; tso; timing; exempt_phases }
+let make ~name ?(size = Default_size) ?(tso = Default_tso) ?(timing = Default_timing) () =
+  { name; size; tso; timing; exempt_phases = [] }
 
 let validate t =
   let check cond msg = if cond then Ok () else Error msg in

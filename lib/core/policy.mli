@@ -67,9 +67,10 @@ val make :
   ?size:size_rule ->
   ?tso:tso_rule ->
   ?timing:timing_rule ->
-  ?exempt_phases:Stob_tcp.Cc.phase list ->
   unit ->
   t
+(** No exempt phases; {!Strategies.bbr_respecting} sets the field
+    directly. *)
 
 val validate : t -> (unit, string) result
 (** Static sanity check: positive steps, sane ranges, histogram domains. *)

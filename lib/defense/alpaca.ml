@@ -1,9 +1,13 @@
 module Trace = Stob_net.Trace
 module Packet = Stob_net.Packet
 
-type params = { lambda : int; burst_gap : float; dummy_size : int }
+type params = {
+  lambda : int;  (** Object-size quantum, bytes. *)
+  burst_gap : float;  (** Silence that separates two objects, seconds. *)
+  dummy_size : int;
+}
 
-let default_params = { lambda = 8 * 1024; burst_gap = 0.025; dummy_size = 1500 }
+let params = { lambda = 8 * 1024; burst_gap = 0.025; dummy_size = 1500 }
 
 (* Group the incoming packets into bursts separated by > burst_gap. *)
 let bursts params trace =
@@ -18,7 +22,7 @@ let bursts params trace =
   in
   go [] [] 0.0 incoming
 
-let apply ?(params = default_params) trace =
+let apply trace =
   let padding =
     List.concat_map
       (fun burst ->

@@ -8,11 +8,5 @@
     byte total up to the next multiple of lambda with MTU dummies appended
     at the burst tail. *)
 
-type params = {
-  lambda : int;  (** Object-size quantum, bytes. *)
-  burst_gap : float;  (** Silence that separates two objects, seconds. *)
-  dummy_size : int;
-}
-
-val apply : ?params:params -> Stob_net.Trace.t -> Stob_net.Trace.t
-(** [params] defaults to lambda = 8 KiB, 25 ms burst separation, MTU dummies. *)
+val apply : Stob_net.Trace.t -> Stob_net.Trace.t
+(** Parameters: lambda = 8 KiB, 25 ms burst separation, MTU dummies. *)

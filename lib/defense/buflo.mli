@@ -7,13 +7,7 @@
     only in length — strong protection at extreme bandwidth and latency
     cost, the inefficiency the paper's Section 2.3 criticizes. *)
 
-type params = {
-  packet_size : int;  (** Fixed wire size, both directions. *)
-  interval : float;  (** Seconds between packets in each direction. *)
-  tau : float;  (** Minimum defended duration, seconds. *)
-}
-
-val apply : ?params:params -> Stob_net.Trace.t -> Stob_net.Trace.t
+val apply : Stob_net.Trace.t -> Stob_net.Trace.t
 (** Deterministic (no RNG): the output depends only on each direction's
-    byte volume and the parameters.  [params] defaults to 1500 B every
+    byte volume and the parameters.  Parameters: 1500 B every
     4 ms (3 Mb/s per direction), tau = 10 s. *)

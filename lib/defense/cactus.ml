@@ -2,11 +2,14 @@ module Trace = Stob_net.Trace
 module Packet = Stob_net.Packet
 module Rng = Stob_util.Rng
 
-type params = { window : float; cell_size : int }
+type params = {
+  window : float;  (** Batching window, seconds. *)
+  cell_size : int;  (** Uniform re-packetization size, bytes. *)
+}
 
-let default_params = { window = 0.025; cell_size = 1200 }
+let params = { window = 0.025; cell_size = 1200 }
 
-let apply ?(params = default_params) ~rng trace =
+let apply ~rng trace =
   if Trace.length trace = 0 then Trace.empty
   else begin
     let t0 = Trace.time trace 0 in

@@ -6,10 +6,5 @@
     shuffled direction order, erasing fine-grained timing, size and
     ordering features while preserving per-window volume. *)
 
-type params = {
-  window : float;  (** Batching window, seconds. *)
-  cell_size : int;  (** Uniform re-packetization size, bytes. *)
-}
-
-val apply : ?params:params -> rng:Stob_util.Rng.t -> Stob_net.Trace.t -> Stob_net.Trace.t
-(** [params] defaults to 25 ms windows, 1200 B cells. *)
+val apply : rng:Stob_util.Rng.t -> Stob_net.Trace.t -> Stob_net.Trace.t
+(** Parameters: 25 ms windows, 1200 B cells. *)

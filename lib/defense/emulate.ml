@@ -57,5 +57,4 @@ let delay ?(lo = 0.1) ?(hi = 0.3) ?first_n ~rng trace =
   done;
   Trace.sort (Trace.of_lanes ~times:out ~meta)
 
-let combined ?threshold ?lo ?hi ?first_n ~rng trace =
-  delay ?lo ?hi ?first_n ~rng (split ?threshold ?first_n trace)
+let combined ?first_n ~rng trace = delay ?first_n ~rng (split ?first_n trace)

@@ -24,12 +24,6 @@ val delay :
   ?lo:float -> ?hi:float -> ?first_n:int -> rng:Stob_util.Rng.t -> Stob_net.Trace.t -> Stob_net.Trace.t
 (** Defaults [lo = 0.1], [hi = 0.3] (the paper's 10-30 %). *)
 
-val combined :
-  ?threshold:int ->
-  ?lo:float ->
-  ?hi:float ->
-  ?first_n:int ->
-  rng:Stob_util.Rng.t ->
-  Stob_net.Trace.t ->
-  Stob_net.Trace.t
-(** {!split} then {!delay}, both over the same prefix bound. *)
+val combined : ?first_n:int -> rng:Stob_util.Rng.t -> Stob_net.Trace.t -> Stob_net.Trace.t
+(** {!split} then {!delay} at their defaults, both over the same prefix
+    bound. *)

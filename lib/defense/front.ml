@@ -3,14 +3,14 @@ module Packet = Stob_net.Packet
 module Rng = Stob_util.Rng
 
 type params = {
-  n_client_max : int;
-  n_server_max : int;
-  w_min : float;
-  w_max : float;
-  dummy_size : int;
+  n_client_max : int;  (** Max dummies injected by the client side. *)
+  n_server_max : int;  (** Max dummies injected by the server side. *)
+  w_min : float;  (** Minimum Rayleigh window, seconds. *)
+  w_max : float;  (** Maximum Rayleigh window, seconds. *)
+  dummy_size : int;  (** Wire size of a dummy packet. *)
 }
 
-let default_params =
+let params =
   { n_client_max = 600; n_server_max = 1400; w_min = 1.0; w_max = 8.0; dummy_size = 1500 }
 
 let rayleigh rng ~sigma =
@@ -31,7 +31,7 @@ let inject params rng trace dir n_max =
          implementation stops padding once the page is loaded. *)
       { Trace.time = Float.min t horizon; dir; size = params.dummy_size })
 
-let apply ?(params = default_params) ~rng trace =
+let apply ~rng trace =
   let client = inject params rng trace Packet.Outgoing params.n_client_max in
   let server = inject params rng trace Packet.Incoming params.n_server_max in
   Trace.concat_sorted

@@ -7,15 +7,7 @@
     are never touched, so FRONT adds bandwidth overhead but no latency —
     this is the defense the paper cites at ~80 % bandwidth overhead. *)
 
-type params = {
-  n_client_max : int;  (** Max dummies injected by the client side. *)
-  n_server_max : int;  (** Max dummies injected by the server side. *)
-  w_min : float;  (** Minimum Rayleigh window, seconds. *)
-  w_max : float;  (** Maximum Rayleigh window, seconds. *)
-  dummy_size : int;  (** Wire size of a dummy packet. *)
-}
-
-val apply : ?params:params -> rng:Stob_util.Rng.t -> Stob_net.Trace.t -> Stob_net.Trace.t
-(** [params] defaults to the paper's FT-1-ish setting scaled to short
+val apply : rng:Stob_util.Rng.t -> Stob_net.Trace.t -> Stob_net.Trace.t
+(** Parameters: the paper's FT-1-ish setting scaled to short
     HTTPS traces: up to 600/1400 dummies, windows 1-8 s, MTU-sized
     dummies. *)

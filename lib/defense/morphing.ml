@@ -3,16 +3,18 @@ module Packet = Stob_net.Packet
 module Rng = Stob_util.Rng
 module Histogram = Stob_util.Histogram
 
-type params = { target : Stob_util.Histogram.t }
+type params = {
+  target : Stob_util.Histogram.t;  (** Target incoming packet-size distribution. *)
+}
 
-let default_params =
+let params =
   (* Bimodal small-packet target: lots of 100-400 B, some 600-900 B. *)
   let samples =
     Array.init 400 (fun i -> if i mod 4 = 0 then 600.0 +. float_of_int (i mod 300) else 100.0 +. float_of_int (i mod 300))
   in
   { target = Histogram.of_samples ~lo:80.0 ~hi:1000.0 ~bins:32 samples }
 
-let apply ?(params = default_params) ~rng trace =
+let apply ~rng trace =
   let out = ref [] in
   for i = 0 to Trace.length trace - 1 do
     let e = Trace.get trace i in

@@ -8,11 +8,7 @@
     drawn size is smaller than the real payload and padding when larger —
     preserving payload bytes while wearing the target's size histogram). *)
 
-type params = {
-  target : Stob_util.Histogram.t;  (** Target incoming packet-size distribution. *)
-}
-
-val apply : ?params:params -> rng:Stob_util.Rng.t -> Stob_net.Trace.t -> Stob_net.Trace.t
-(** [params] defaults to a small-packet-heavy target
+val apply : rng:Stob_util.Rng.t -> Stob_net.Trace.t -> Stob_net.Trace.t
+(** Parameters: a small-packet-heavy target
     (interactive-traffic-like), maximally unlike bulk web download
     sizes. *)

@@ -2,16 +2,21 @@ module Trace = Stob_net.Trace
 module Packet = Stob_net.Packet
 module Rng = Stob_util.Rng
 
-type params = { window : float; noise_scale : float; floor_bytes : int; packet_size : int }
+type params = {
+  window : float;  (** Shaping-decision interval, seconds. *)
+  noise_scale : float;  (** Laplace scale, bytes per window. *)
+  floor_bytes : int;  (** Minimum per-window budget (padding floor). *)
+  packet_size : int;
+}
 
-let default_params =
+let params =
   { window = 0.05; noise_scale = 20.0 *. 1024.0; floor_bytes = 8 * 1024; packet_size = 1500 }
 
 let laplace rng ~scale =
   let u = Rng.uniform rng (-0.5) 0.5 in
   -.scale *. Float.copy_sign (log (1.0 -. (2.0 *. Float.abs u))) u
 
-let apply ?(params = default_params) ~rng trace =
+let apply ~rng trace =
   let events = List.init (Trace.length trace) (Trace.get trace) in
   let incoming = List.filter (fun e -> e.Trace.dir = Packet.Incoming) events in
   let outgoing =

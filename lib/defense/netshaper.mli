@@ -12,15 +12,8 @@
     noisy budgets, padding, spill-over queueing) for overhead and accuracy
     comparisons. *)
 
-type params = {
-  window : float;  (** Shaping-decision interval, seconds. *)
-  noise_scale : float;  (** Laplace scale, bytes per window. *)
-  floor_bytes : int;  (** Minimum per-window budget (padding floor). *)
-  packet_size : int;
-}
-
-val apply : ?params:params -> rng:Stob_util.Rng.t -> Stob_net.Trace.t -> Stob_net.Trace.t
+val apply : rng:Stob_util.Rng.t -> Stob_net.Trace.t -> Stob_net.Trace.t
 (** Shapes the incoming (server-to-client) direction; outgoing packets pass
     through (the client-side shaper is symmetric in the real system).
-    [params] defaults to 50 ms windows, 20 KiB noise scale, 8 KiB floor,
+    Parameters: 50 ms windows, 20 KiB noise scale, 8 KiB floor,
     MTU packets. *)

@@ -2,17 +2,17 @@ module Trace = Stob_net.Trace
 module Packet = Stob_net.Packet
 
 type params = {
-  initial_rate : float;
-  decay : float;
-  surge_threshold : int;
-  upload_ratio : int;
+  initial_rate : float;  (** Packets per second at a surge start. *)
+  decay : float;  (** Per-second multiplicative rate decay (0 < d <= 1). *)
+  surge_threshold : int;  (** Queued packets that trigger a new surge. *)
+  upload_ratio : int;  (** One upload packet per this many downloads. *)
   packet_size : int;
 }
 
-let default_params =
+let params =
   { initial_rate = 300.0; decay = 0.9; surge_threshold = 60; upload_ratio = 4; packet_size = 1500 }
 
-let apply ?(params = default_params) trace =
+let apply trace =
   let arrivals =
     Array.to_list (Trace.times ~dir:Packet.Incoming trace)
   in

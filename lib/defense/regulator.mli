@@ -8,12 +8,7 @@
     download into the same decaying-rate envelope while adapting its length
     to the content. *)
 
-type params = {
-  initial_rate : float;  (** Packets per second at a surge start. *)
-  decay : float;  (** Per-second multiplicative rate decay (0 < d <= 1). *)
-  surge_threshold : int;  (** Queued packets that trigger a new surge. *)
-  upload_ratio : int;  (** One upload packet per this many downloads. *)
-  packet_size : int;
-}
-
-val apply : ?params:params -> Stob_net.Trace.t -> Stob_net.Trace.t
+val apply : Stob_net.Trace.t -> Stob_net.Trace.t
+(** Parameters: 300 packets/s at a surge start, decaying by 0.9 per second;
+    a new surge at 60 queued packets; one upload packet per 4 downloads;
+    MTU packets. *)

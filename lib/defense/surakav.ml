@@ -3,14 +3,14 @@ module Packet = Stob_net.Packet
 module Rng = Stob_util.Rng
 
 type params = {
-  burst_packets_mean : float;
-  burst_gap_mean : float;
-  packet_interval : float;
+  burst_packets_mean : float;  (** Mean packets per reference burst. *)
+  burst_gap_mean : float;  (** Mean silence between bursts, seconds. *)
+  packet_interval : float;  (** In-burst packet spacing, seconds. *)
   packet_size : int;
-  upload_every : int;
+  upload_every : int;  (** One upload packet per this many downloads. *)
 }
 
-let default_params =
+let params =
   {
     burst_packets_mean = 30.0;
     burst_gap_mean = 0.06;
@@ -19,7 +19,7 @@ let default_params =
     upload_every = 5;
   }
 
-let apply ?(params = default_params) ~rng trace =
+let apply ~rng trace =
   let real_bytes = Trace.bytes ~dir:Packet.Incoming trace in
   let out = ref [] in
   let sent = ref 0 in

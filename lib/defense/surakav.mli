@@ -8,12 +8,7 @@
     is smaller than the reference burst, extending with further reference
     bursts until all real bytes have been carried. *)
 
-type params = {
-  burst_packets_mean : float;  (** Mean packets per reference burst. *)
-  burst_gap_mean : float;  (** Mean silence between bursts, seconds. *)
-  packet_interval : float;  (** In-burst packet spacing, seconds. *)
-  packet_size : int;
-  upload_every : int;  (** One upload packet per this many downloads. *)
-}
-
-val apply : ?params:params -> rng:Stob_util.Rng.t -> Stob_net.Trace.t -> Stob_net.Trace.t
+val apply : rng:Stob_util.Rng.t -> Stob_net.Trace.t -> Stob_net.Trace.t
+(** Parameters: 30-packet reference bursts on average, 60 ms mean gaps,
+    1.5 ms in-burst spacing, MTU packets, one upload packet per 5
+    downloads. *)

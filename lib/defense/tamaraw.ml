@@ -3,12 +3,12 @@ module Packet = Stob_net.Packet
 
 type params = {
   packet_size : int;
-  interval_out : float;
-  interval_in : float;
-  pad_multiple : int;
+  interval_out : float;  (** Upload inter-packet interval, seconds. *)
+  interval_in : float;  (** Download inter-packet interval, seconds. *)
+  pad_multiple : int;  (** L: pad each direction's count to a multiple. *)
 }
 
-let default_params =
+let params =
   { packet_size = 1500; interval_out = 0.04; interval_in = 0.012; pad_multiple = 100 }
 
 let stream params dir ~interval bytes =
@@ -18,7 +18,7 @@ let stream params dir ~interval bytes =
   Trace.of_events
     (Array.init n (fun i -> { Trace.time = float_of_int i *. interval; dir; size = params.packet_size }))
 
-let apply ?(params = default_params) trace =
+let apply trace =
   let out =
     stream params Packet.Outgoing ~interval:params.interval_out
       (Trace.bytes ~dir:Packet.Outgoing trace)

@@ -3,11 +3,15 @@ module Packet = Stob_net.Packet
 module Rng = Stob_util.Rng
 module Histogram = Stob_util.Histogram
 
-type params = { gap_threshold : float; max_dummies_per_gap : int; dummy_size : int }
+type params = {
+  gap_threshold : float;  (** Gaps above this get padded, seconds. *)
+  max_dummies_per_gap : int;
+  dummy_size : int;
+}
 
-let default_params = { gap_threshold = 0.05; max_dummies_per_gap = 6; dummy_size = 1500 }
+let params = { gap_threshold = 0.05; max_dummies_per_gap = 6; dummy_size = 1500 }
 
-let apply ?(params = default_params) ~rng trace =
+let apply ~rng trace =
   (* Build the "typical gap" histogram from the trace's own sub-threshold
      inter-arrivals (the adaptive part of adaptive padding). *)
   let typical =

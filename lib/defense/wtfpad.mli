@@ -7,11 +7,5 @@
     untouched); moderate bandwidth overhead concentrated where the trace
     had tell-tale silence. *)
 
-type params = {
-  gap_threshold : float;  (** Gaps above this get padded, seconds. *)
-  max_dummies_per_gap : int;
-  dummy_size : int;
-}
-
-val apply : ?params:params -> rng:Stob_util.Rng.t -> Stob_net.Trace.t -> Stob_net.Trace.t
-(** [params] defaults to 50 ms threshold, at most 6 dummies per silence, MTU dummies. *)
+val apply : rng:Stob_util.Rng.t -> Stob_net.Trace.t -> Stob_net.Trace.t
+(** Parameters: 50 ms threshold, at most 6 dummies per silence, MTU dummies. *)

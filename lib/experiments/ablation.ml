@@ -19,9 +19,12 @@ type fidelity_result = {
 
 let cell (mean, std) = { mean; std }
 
-let run_fidelity ?(samples_per_site = 40) ?(folds = 5) ?(trees = 100) ?(seed = 42)
-    ?(quiet = false) () =
-  let say fmt = Printf.ksprintf (fun s -> if not quiet then Printf.eprintf "%s\n%!" s) fmt in
+(* Both accuracy ablations: 5 folds at seed 42. *)
+let folds = 5
+let seed = 42
+let say fmt = Printf.ksprintf (fun s -> Printf.eprintf "%s\n%!" s) fmt
+
+let run_fidelity ?(samples_per_site = 40) ?(trees = 100) () =
   say "ablation-stack: generating undefended corpus...";
   let base = Dataset.sanitize (Dataset.generate ~samples_per_site ~seed ()) in
   say "ablation-stack: generating Stob-defended corpus...";
@@ -54,9 +57,7 @@ let print_fidelity r =
 
 type transport_result = { tcp : fidelity_cell; quic : fidelity_cell; quic_stob : fidelity_cell }
 
-let run_transport ?(samples_per_site = 40) ?(folds = 5) ?(trees = 100) ?(seed = 42)
-    ?(quiet = false) () =
-  let say fmt = Printf.ksprintf (fun s -> if not quiet then Printf.eprintf "%s\n%!" s) fmt in
+let run_transport ?(samples_per_site = 40) ?(trees = 100) () =
   let corpus ?policy transport label =
     say "ablation-quic: generating %s corpus..." label;
     Dataset.sanitize (Dataset.generate ~samples_per_site ~seed ?policy ~transport ())

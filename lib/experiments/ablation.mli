@@ -20,8 +20,8 @@ type fidelity_result = {
   in_stack : fidelity_cell;  (** Stob-enforced split+delay (Section 4). *)
 }
 
-val run_fidelity :
-  ?samples_per_site:int -> ?folds:int -> ?trees:int -> ?seed:int -> ?quiet:bool -> unit -> fidelity_result
+val run_fidelity : ?samples_per_site:int -> ?trees:int -> unit -> fidelity_result
+(** Defaults: 40 visits/site, 100 trees; always 5 folds at seed 42. *)
 
 val print_fidelity : fidelity_result -> unit
 
@@ -38,8 +38,8 @@ type transport_result = {
   quic_stob : fidelity_cell;  (** QUIC with the Stob combined policy. *)
 }
 
-val run_transport :
-  ?samples_per_site:int -> ?folds:int -> ?trees:int -> ?seed:int -> ?quiet:bool -> unit -> transport_result
+val run_transport : ?samples_per_site:int -> ?trees:int -> unit -> transport_result
+(** Defaults: 40 visits/site, 100 trees; always 5 folds at seed 42. *)
 
 val print_transport : transport_result -> unit
 

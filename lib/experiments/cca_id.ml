@@ -147,7 +147,8 @@ let accuracy ~flows_per_cca ~trees ~seed ~policy =
     ~features:(Array.sub features n_train (n - n_train))
     ~labels:(Array.sub labels n_train (n - n_train))
 
-let run ?(flows_per_cca = 40) ?(trees = 100) ?(seed = 42) ?(quiet = false) () =
+let run ?(flows_per_cca = 40) ?(trees = 100) ?(quiet = false) () =
+  let seed = 42 in
   let say fmt = Printf.ksprintf (fun s -> if not quiet then Printf.eprintf "%s\n%!" s) fmt in
   say "cca-id: generating %d undefended flows..." (flows_per_cca * Array.length ccas);
   let undefended = accuracy ~flows_per_cca ~trees ~seed ~policy:None in

@@ -53,11 +53,11 @@ let eval_kfp ~trees ~seed ~n_classes p =
   in
   Attack.evaluate attack ~mode:Attack.Forest_vote ~features:p.kfp_test ~labels:p.test_labels
 
-let eval_df ~epochs ~seed ~quiet ~n_classes p =
+let eval_df ~epochs ~seed ~n_classes p =
   let net =
     Dfnet.train ~epochs ~seed ~n_classes ~xs:p.df_train ~labels:p.train_labels
       ~on_epoch:(fun (pr : Stob_nn.Network.progress) ->
-        if (not quiet) && pr.epoch mod 10 = 0 then
+        if pr.epoch mod 10 = 0 then
           Printf.eprintf "dl:   epoch %d, loss %.3f\n%!" pr.epoch pr.mean_loss)
       ()
   in
@@ -66,9 +66,9 @@ let eval_df ~epochs ~seed ~quiet ~n_classes p =
 (* The sweep decomposes into 4 cells ({k-FP, DF} x {original, defended}),
    each a pure function of (corpus fingerprint, attack params, seed) —
    the same checkpoint/cache/retry unit as the table2/fig3 sweeps. *)
-let run ?(samples_per_site = 60) ?(trees = 100) ?(epochs = 30) ?(seed = 42) ?(quiet = false) ?pool
-    ?retries ?inject ?store ?on_report () =
-  let say fmt = Printf.ksprintf (fun s -> if not quiet then Printf.eprintf "%s\n%!" s) fmt in
+let run ?(samples_per_site = 60) ?(trees = 100) ?(epochs = 30) ?(seed = 42) ?pool ?retries ?store
+    ?on_report () =
+  let say fmt = Printf.ksprintf (fun s -> Printf.eprintf "%s\n%!" s) fmt in
   say "dl: generating corpus...";
   let base = Dataset.sanitize (Dataset.generate ~samples_per_site ~seed ?pool ()) in
   let drng = Rng.create (seed + 13) in
@@ -114,12 +114,12 @@ let run ?(samples_per_site = 60) ?(trees = 100) ?(epochs = 30) ?(seed = 42) ?(qu
       cell ~attack:"kfp" ~variant:"defended" ~p:p_def ~body:(fun () ->
           eval_kfp ~trees ~seed ~n_classes p_def);
       cell ~attack:"dfnet" ~variant:"original" ~p:p_base ~body:(fun () ->
-          eval_df ~epochs ~seed ~quiet ~n_classes p_base);
+          eval_df ~epochs ~seed ~n_classes p_base);
       cell ~attack:"dfnet" ~variant:"defended" ~p:p_def ~body:(fun () ->
-          eval_df ~epochs ~seed ~quiet ~n_classes p_def);
+          eval_df ~epochs ~seed ~n_classes p_def);
     ]
   in
-  let results, report = Evalcommon.run_cells ?pool ?retries ?inject ?store ~experiment:"dl" cells in
+  let results, report = Evalcommon.run_cells ?pool ?retries ?store ~experiment:"dl" cells in
   Option.iter (fun f -> f report) on_report;
   let acc = function Ok a -> a | Error _ -> Float.nan in
   match List.map acc results with

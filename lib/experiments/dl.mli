@@ -26,10 +26,8 @@ val run :
   ?trees:int ->
   ?epochs:int ->
   ?seed:int ->
-  ?quiet:bool ->
   ?pool:Stob_par.Pool.t ->
   ?retries:int ->
-  ?inject:(label:string -> attempt:int -> unit) ->
   ?store:Stob_store.Store.t ->
   ?on_report:(Stob_store.Supervisor.report -> unit) ->
   unit ->

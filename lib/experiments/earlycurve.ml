@@ -7,9 +7,9 @@ type point = { n : int; original : float; defended : float }
 
 type result = { points : point list; crossover_packets : int option; threshold : float }
 
-let run ?(samples_per_site = 60) ?(trees = 100) ?(folds = 3) ?(seed = 42)
-    ?(ns = [ 10; 20; 30; 40; 50; 60; 70; 80 ]) ?(threshold = 0.8) ?(quiet = false) () =
-  let say fmt = Printf.ksprintf (fun s -> if not quiet then Printf.eprintf "%s\n%!" s) fmt in
+let run ?(samples_per_site = 60) ?(trees = 100) () =
+  let folds = 3 and seed = 42 and threshold = 0.8 in
+  let say fmt = Printf.ksprintf (fun s -> Printf.eprintf "%s\n%!" s) fmt in
   say "early-curve: generating corpus...";
   let base = Dataset.sanitize (Dataset.generate ~samples_per_site ~seed ()) in
   let accuracy_at ~defend n =
@@ -27,7 +27,7 @@ let run ?(samples_per_site = 60) ?(trees = 100) ?(folds = 3) ?(seed = 42)
       (fun n ->
         say "early-curve: N=%d..." n;
         { n; original = accuracy_at ~defend:false n; defended = accuracy_at ~defend:true n })
-      ns
+      [ 10; 20; 30; 40; 50; 60; 70; 80 ]
   in
   let crossover_packets =
     List.find_map

@@ -19,17 +19,8 @@ type result = {
   threshold : float;
 }
 
-val run :
-  ?samples_per_site:int ->
-  ?trees:int ->
-  ?folds:int ->
-  ?seed:int ->
-  ?ns:int list ->
-  ?threshold:float ->
-  ?quiet:bool ->
-  unit ->
-  result
-(** Defaults: 60 visits/site, 100 trees, 3 folds,
-    N in 10..80 by 10, threshold 0.8. *)
+val run : ?samples_per_site:int -> ?trees:int -> unit -> result
+(** Defaults: 60 visits/site, 100 trees.  Always 3 folds, seed 42, N in
+    10..80 by 10 and threshold 0.8. *)
 
 val print : result -> unit

@@ -49,7 +49,8 @@ val run :
     cells are journaled and a rerun resumes from the cache; a poisoned
     cell renders its one series as [nan] (["poisoned"] in {!print}) and
     leaves the alpha's other series intact.  See {!Stob_store.Supervisor}
-    for [?retries]/[?inject]/[?on_report]. *)
+    for [?retries]/[?inject]/[?on_report].  Test seam: [?inject], for
+    [store.supervisor]'s poisoned Fig 3 point. *)
 
 val print : point list -> unit
 (** Render the two (plus combined) series as aligned columns — the data

@@ -23,8 +23,8 @@ let mean_load_time ?client_config ~seed () =
   in
   Stob_util.Stats.mean (Array.of_list times)
 
-let run ?(samples_per_site = 30) ?(trees = 100) ?(rwnd = 8 * 1024) ?(seed = 42) ?(quiet = false)
-    () =
+let run ?(samples_per_site = 30) ?(trees = 100) ?(quiet = false) () =
+  let rwnd = 8 * 1024 and seed = 42 in
   let say fmt = Printf.ksprintf (fun s -> if not quiet then Printf.eprintf "%s\n%!" s) fmt in
   let httpos_config = { Stob_tcp.Config.default with Stob_tcp.Config.rcv_wnd = rwnd } in
   say "httpos: generating undefended corpus...";

@@ -21,8 +21,9 @@ type result = {
   rwnd : int;  (** The advertised window used, bytes. *)
 }
 
-val run :
-  ?samples_per_site:int -> ?trees:int -> ?rwnd:int -> ?seed:int -> ?quiet:bool -> unit -> result
-(** Defaults: 30 visits/site, 100 trees, 8 KiB advertised window. *)
+val run : ?samples_per_site:int -> ?trees:int -> ?quiet:bool -> unit -> result
+(** Defaults: 30 visits/site, 100 trees; an 8 KiB advertised window and
+    seed 42.  Test seam: [quiet], which silences progress for
+    [experiments] "httpos reduced". *)
 
 val print : result -> unit

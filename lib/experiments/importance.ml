@@ -25,8 +25,8 @@ let ranking_of dataset ~trees ~seed =
   Array.to_list (Array.mapi (fun i v -> (Features.names.(i), v)) importance)
   |> List.sort (fun (_, a) (_, b) -> compare b a)
 
-let run ?(samples_per_site = 30) ?(trees = 100) ?(seed = 42)
-    ?(policy = Stob_core.Strategies.stack_combined ()) ?(quiet = false) () =
+let run ?(samples_per_site = 30) ?(trees = 100) ?(quiet = false) () =
+  let seed = 42 and policy = Stob_core.Strategies.stack_combined () in
   let say fmt = Printf.ksprintf (fun s -> if not quiet then Printf.eprintf "%s\n%!" s) fmt in
   say "importance: generating corpora...";
   let base = Dataset.sanitize (Dataset.generate ~samples_per_site ~seed ()) in
@@ -38,7 +38,8 @@ let run ?(samples_per_site = 30) ?(trees = 100) ?(seed = 42)
     policy_name = policy.Stob_core.Policy.name;
   }
 
-let print ?(top = 12) r =
+let print r =
+  let top = 12 in
   Printf.printf "Feature importance (Gini), top %d — undefended vs %s\n" top r.policy_name;
   Printf.printf "  %-28s %-8s   %-28s %-8s\n" "undefended" "weight" "defended" "weight";
   let rec take n = function [] -> [] | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest in

@@ -13,15 +13,10 @@ type ranking = (string * float) list
 
 type result = { undefended : ranking; defended : ranking; policy_name : string }
 
-val run :
-  ?samples_per_site:int ->
-  ?trees:int ->
-  ?seed:int ->
-  ?policy:Stob_core.Policy.t ->
-  ?quiet:bool ->
-  unit ->
-  result
-(** Defaults: 30 visits/site, 100 trees, the combined split+delay policy. *)
+val run : ?samples_per_site:int -> ?trees:int -> ?quiet:bool -> unit -> result
+(** Defaults: 30 visits/site, 100 trees; seed 42 and the combined
+    split+delay policy.  Test seam: [quiet], which silences progress for
+    [experiments] "importance reduced". *)
 
-val print : ?top:int -> result -> unit
-(** Side-by-side top-[top] (default 12) features. *)
+val print : result -> unit
+(** Side-by-side top-12 features. *)

@@ -77,7 +77,7 @@ let evaluate ~samples_per_site ~background_train_sites ~background_test_sites ~k
    killed run resumes with whichever arm already finished served from the
    journal. *)
 let run ?(samples_per_site = 30) ?(background_train_sites = 30) ?(background_test_sites = 30)
-    ?(k = 3) ?(trees = 100) ?(seed = 42) ?(quiet = false) ?pool ?retries ?inject ?store
+    ?(k = 3) ?(trees = 100) ?(seed = 42) ?(quiet = false) ?pool ?retries ?store
     ?on_report () =
   let fields =
     [ ("samples_per_site", string_of_int samples_per_site);
@@ -111,7 +111,7 @@ let run ?(samples_per_site = 30) ?(background_train_sites = 30) ?(background_tes
       arm_cell "defended" (Some (Stob_core.Strategies.stack_combined ())) ]
   in
   let results, report =
-    Evalcommon.run_cells ?pool ?retries ?inject ?store ~experiment:"openworld" cells
+    Evalcommon.run_cells ?pool ?retries ?store ~experiment:"openworld" cells
   in
   Option.iter (fun f -> f report) on_report;
   let metrics_of = function

@@ -30,7 +30,6 @@ val run :
   ?quiet:bool ->
   ?pool:Stob_par.Pool.t ->
   ?retries:int ->
-  ?inject:(label:string -> attempt:int -> unit) ->
   ?store:Stob_store.Store.t ->
   ?on_report:(Stob_store.Supervisor.report -> unit) ->
   unit ->
@@ -43,6 +42,7 @@ val run :
     The two arms run as supervised checkpoint cells: [?pool] computes them
     concurrently, [?store] journals each arm for crash-safe resume, and a
     poisoned arm's metrics render as [nan].  See {!Stob_store.Supervisor}
-    for [?retries]/[?inject]/[?on_report]. *)
+    for [?retries]/[?on_report].  Test seam: [quiet], which silences
+    progress for [experiments] "openworld reduced". *)
 
 val print : result -> unit

@@ -30,9 +30,9 @@ let apply (threshold, delay) ~rng trace =
   let split = match threshold with Some th -> Emulate.split ~threshold:th trace | None -> trace in
   match delay with Some (lo, hi) -> Emulate.delay ~lo ~hi ~rng split | None -> split
 
-let run ?(samples_per_site = 30) ?(trees = 100) ?(folds = 3) ?(seed = 42) ?(quiet = false) ?pool
-    ?retries ?inject ?store ?on_report () =
-  let say fmt = Printf.ksprintf (fun s -> if not quiet then Printf.eprintf "%s\n%!" s) fmt in
+let run ?(samples_per_site = 30) ?(trees = 100) ?(folds = 3) ?(seed = 42) ?pool
+    ?retries ?store ?on_report () =
+  let say fmt = Printf.ksprintf (fun s -> Printf.eprintf "%s\n%!" s) fmt in
   say "pareto: generating corpus...";
   let base = Dataset.sanitize (Dataset.generate ~samples_per_site ~seed ()) in
   let fingerprint = Evalcommon.dataset_fingerprint base in
@@ -81,7 +81,7 @@ let run ?(samples_per_site = 30) ?(trees = 100) ?(folds = 3) ?(seed = 42) ?(quie
     }
   in
   let results, report =
-    Evalcommon.run_cells ?pool ?retries ?inject ?store ~experiment:"pareto"
+    Evalcommon.run_cells ?pool ?retries ?store ~experiment:"pareto"
       (List.map cell_of sweep)
   in
   Option.iter (fun f -> f report) on_report;

@@ -21,10 +21,8 @@ val run :
   ?trees:int ->
   ?folds:int ->
   ?seed:int ->
-  ?quiet:bool ->
   ?pool:Stob_par.Pool.t ->
   ?retries:int ->
-  ?inject:(label:string -> attempt:int -> unit) ->
   ?store:Stob_store.Store.t ->
   ?on_report:(Stob_store.Supervisor.report -> unit) ->
   unit ->
@@ -38,6 +36,6 @@ val run :
     concurrently, [?store] makes the sweep crash-safe/resumable).  A
     poisoned point carries [nan] measurements and is excluded from the
     Pareto frontier.  See {!Stob_store.Supervisor} for
-    [?retries]/[?inject]/[?on_report]. *)
+    [?retries]/[?on_report]. *)
 
 val print : point list -> unit

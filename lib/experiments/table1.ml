@@ -14,8 +14,9 @@ let default_corpus seed =
           (Stob_web.Browser.load ~rng profile).Stob_web.Browser.trace))
     profiles
 
-let run ?traces ?(seed = 7) () =
-  let corpus = match traces with Some t -> t | None -> default_corpus seed in
+let run () =
+  let seed = 7 in
+  let corpus = default_corpus seed in
   List.map
     (fun (entry : Registry.entry) ->
       let overhead =

@@ -14,7 +14,7 @@ type row = {
   overhead : Stob_defense.Overhead.summary option;  (** Measured, if implemented. *)
 }
 
-val run : ?traces:Stob_net.Trace.t list -> ?seed:int -> unit -> row list
-(** With no [traces], a small corpus is generated (3 sites x 8 visits). *)
+val run : unit -> row list
+(** Measures over a small generated corpus (3 sites x 8 visits, seed 7). *)
 
 val print : row list -> unit

@@ -146,7 +146,7 @@ let run_on ?(config = default_config) ?pool ?retries ?inject ?store ?on_report d
   in
   { rows; per_site = Dataset.per_site_counts clean }
 
-let run ?(config = default_config) ?pool ?retries ?inject ?store ?on_report () =
+let run ?(config = default_config) ?pool ?retries ?store ?on_report () =
   let progress =
     if config.quiet then None
     else
@@ -156,7 +156,7 @@ let run ?(config = default_config) ?pool ?retries ?inject ?store ?on_report () =
     Dataset.generate ~samples_per_site:config.samples_per_site ~seed:config.seed ?progress ?pool
       ()
   in
-  run_on ~config ?pool ?retries ?inject ?store ?on_report dataset
+  run_on ~config ?pool ?retries ?store ?on_report dataset
 
 let print result =
   let pp_cell c =

@@ -35,7 +35,6 @@ val run :
   ?config:config ->
   ?pool:Stob_par.Pool.t ->
   ?retries:int ->
-  ?inject:(label:string -> attempt:int -> unit) ->
   ?store:Stob_store.Store.t ->
   ?on_report:(Stob_store.Supervisor.report -> unit) ->
   unit ->
@@ -44,8 +43,7 @@ val run :
     cell); the table is identical for any domain count.  The sweep runs as
     16 supervised cells ({!Stob_store.Supervisor}): with a [?store] each
     finished cell is journaled durably and a rerun resumes from the cache;
-    [?retries]/[?inject] control the retry policy and the chaos fault hook;
-    [?on_report] receives the supervisor's cached/retried/poisoned tallies. *)
+    [?retries] sets the retry policy; [?on_report] receives the supervisor's cached/retried/poisoned tallies. *)
 
 val run_on :
   ?config:config ->
@@ -57,7 +55,9 @@ val run_on :
   Stob_web.Dataset.t ->
   result
 (** Same evaluation on a pre-generated (unsanitized) dataset.  Test seam:
-    the only way to run the sweep over a corpus of a few sites. *)
+    the only way to run the sweep over a corpus of a few sites.  Test seam:
+    [?inject], with which [store.resume] slows each cell of the sweep it
+    kills. *)
 
 val print : result -> unit
 (** Render the table in the paper's layout. *)

@@ -23,8 +23,6 @@ let predict_all_m t ~mode m =
       Array.init (Matrix.n_rows m) (fun row ->
           Knn.classify t.knn ~k (Rf.leaf_fingerprint_m t.forest m row))
 
-let predict_all t ~mode xs = predict_all_m t ~mode (Matrix.of_rows xs)
-
 let evaluate_m t ~mode ~matrix ~labels =
   Eval.accuracy ~predicted:(predict_all_m t ~mode matrix) ~actual:labels
 

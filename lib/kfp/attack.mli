@@ -13,7 +13,9 @@
     across forest training, fingerprinting and evaluation — it is
     immutable and domain-safe. *)
 
-type mode = Forest_vote | Leaf_knn of int
+type mode =
+  | Forest_vote
+  | Leaf_knn of int  (** Test seam: [kfp.attack]'s k-NN-on-leaves evaluation. *)
 
 type t
 
@@ -38,8 +40,6 @@ val train_m :
 (** [?pool] parallelizes forest training (deterministically — see
     {!Stob_ml.Random_forest.train_m}).  Training fingerprints are computed
     in one batch over the same matrix. *)
-
-val predict_all : t -> mode:mode -> float array array -> int array
 
 val evaluate : t -> mode:mode -> features:float array array -> labels:int array -> float
 (** Accuracy on a labelled test set. *)

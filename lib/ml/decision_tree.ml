@@ -388,18 +388,6 @@ let train_presorted ?(params = default_params) ~rng ~n_classes ~matrix ~labels ~
   let root = grow 0 n 0 in
   { root; n_leaves = !next_leaf; depth = !max_depth_seen; gains }
 
-let rec descend node x =
-  match node with
-  | Leaf l -> l
-  | Split { feature; threshold; left; right } ->
-      if x.(feature) <= threshold then descend left x else descend right x
-
-let add_dist t x ~into =
-  let dist = (descend t.root x).dist in
-  for c = 0 to Array.length dist - 1 do
-    into.(c) <- into.(c) +. dist.(c)
-  done
-
 let rec descend_m node m row =
   match node with
   | Leaf l -> l

@@ -45,11 +45,6 @@ val train_presorted :
     per-tree scratch is allocated.  Raises [Invalid_argument] on an empty
     sample or on labels, orders and matrix of different sizes. *)
 
-val add_dist : t -> float array -> into:float array -> unit
-(** Accumulate the reached leaf's distribution into [into] without
-    copying — the forest [predict_proba] hot path.  [into] must have at
-    least [n_classes] slots. *)
-
 val predict_m : t -> Matrix.t -> int -> int
 (** [predict_m t m row]: the label of the leaf row [row] of a column
     matrix lands in, read directly — batch inference without

@@ -56,15 +56,6 @@ let train ?params ?pool ~n_classes ~features ~labels () =
   if Array.length features = 0 then invalid_arg "Random_forest.train: no samples";
   train_m ?params ?pool ~n_classes ~matrix:(Matrix.of_rows features) ~labels ()
 
-let predict_proba t x =
-  let acc = Array.make t.n_classes 0.0 in
-  Array.iter (fun tree -> Decision_tree.add_dist tree x ~into:acc) t.trees;
-  let n = float_of_int (Array.length t.trees) in
-  for c = 0 to t.n_classes - 1 do
-    acc.(c) <- acc.(c) /. n
-  done;
-  acc
-
 let vote_argmax votes =
   let best = ref 0 in
   Array.iteri (fun c v -> if v > votes.(!best) then best := c) votes;

@@ -34,7 +34,8 @@ val train :
   unit ->
   t
 (** Row-major convenience wrapper over {!train_m} ([Matrix.of_rows] once,
-    then the shared-presort path). *)
+    then the shared-presort path).  Test seam: [pool], for the
+    [ml.parity] and [par] domain-invariance cases. *)
 
 val train_m :
   ?params:params ->
@@ -53,10 +54,6 @@ val predict_all : t -> Matrix.t -> int array
 (** Majority vote over the trees (ties break toward the lower label) for
     every row of a test matrix: one reusable vote buffer, no row
     materialization. *)
-
-val predict_proba : t -> float array -> float array
-(** Mean leaf class distribution over trees (accumulated in place — no
-    per-tree copies). *)
 
 val leaf_fingerprint_m : t -> Matrix.t -> int -> int array
 (** One leaf id per tree for one row of a column matrix. *)

@@ -11,7 +11,8 @@ type t
 
 val create : ?chunk_events:int -> unit -> t
 (** [chunk_events] defaults to 4096 events (48 KiB) per chunk.  Raises
-    [Invalid_argument] when [chunk_events < 1]. *)
+    [Invalid_argument] when [chunk_events < 1].  Test seam:
+    [chunk_events], small chunks for [net.packed] "arena build/reset". *)
 
 val length : t -> int
 (** Events added since the last [reset]. *)

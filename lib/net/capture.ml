@@ -41,9 +41,5 @@ let trace t =
   done;
   Trace.sort (Trace.of_lanes ~times ~meta)
 
-let clear t =
-  t.n <- 0;
-  t.rtx <- 0
-
 let count t = t.n
 let rtx_count t = t.rtx

@@ -16,8 +16,6 @@ val record : t -> time:float -> Packet.t -> unit
 val trace : t -> Trace.t
 (** Snapshot of everything recorded so far, time-ordered. *)
 
-val clear : t -> unit
-
 val count : t -> int
 (** Packets recorded so far.  Test seam. *)
 

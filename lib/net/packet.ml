@@ -1,7 +1,5 @@
 type direction = Outgoing | Incoming
 
-let direction_sign = function Outgoing -> 1 | Incoming -> -1
-
 type t = {
   flow : int;
   dir : direction;
@@ -47,8 +45,8 @@ let data ~flow ~dir ~seq ~ack ~payload ?(header = default_header_bytes) ?(fin = 
     sack_permitted = false;
   }
 
-let pure_ack ~flow ~dir ~seq ~ack ?(header = default_header_bytes) ?(sack = []) ~rwnd () =
-  let header = header + (8 * List.length sack) + if sack = [] then 0 else 4 in
+let pure_ack ~flow ~dir ~seq ~ack ?(sack = []) ~rwnd () =
+  let header = default_header_bytes + (8 * List.length sack) + if sack = [] then 0 else 4 in
   {
     flow;
     dir;

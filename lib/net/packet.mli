@@ -8,10 +8,6 @@
 type direction = Outgoing | Incoming
 (** From the client's point of view: [Outgoing] flows client -> server. *)
 
-val direction_sign : direction -> int
-(** [+1] for [Outgoing], [-1] for [Incoming] — the signed representation WF
-    literature uses. *)
-
 type t = {
   flow : int;  (** Connection identifier (demux key on a shared path). *)
   dir : direction;
@@ -66,7 +62,6 @@ val pure_ack :
   dir:direction ->
   seq:int ->
   ack:int ->
-  ?header:int ->
   ?sack:(int * int) list ->
   rwnd:int ->
   unit ->

@@ -149,11 +149,6 @@ let interarrivals ?dir t =
   let n = Array.length ts in
   if n < 2 then [||] else Array.init (n - 1) (fun i -> ts.(i + 1) -. ts.(i))
 
-let signed_sizes t =
-  Array.init (length t) (fun i ->
-      let m = Int32.to_int (BA1.unsafe_get t.meta i) in
-      float_of_int ((m lsr 1) * (if m land 1 = 1 then 1 else -1)))
-
 let shift_to_zero t =
   let n = length t in
   if n = 0 then t

@@ -84,12 +84,13 @@ val bytes : ?dir:Packet.direction -> t -> int
 
 val times : ?dir:Packet.direction -> t -> float array
 val sizes : ?dir:Packet.direction -> t -> float array
+(** Test seam: [dir] omitted, every event's size, for [net.packed]'s
+    observer parity. *)
 
 val interarrivals : ?dir:Packet.direction -> t -> float array
-(** Gaps between consecutive selected events; empty for fewer than 2. *)
-
-val signed_sizes : t -> float array
-(** Size with direction sign (+out / -in), the WF-literature encoding. *)
+(** Gaps between consecutive selected events; empty for fewer than 2.
+    Test seam: [dir], for one direction's gaps in the [defense] and
+    [tcp.connection] timing checks. *)
 
 val shift_to_zero : t -> t
 (** Rebase timestamps so the first event is at time 0. *)

@@ -40,7 +40,8 @@ val fit :
 (** Shuffled minibatch SGD over the rows of [xs].  Defaults: 30 epochs,
     batch 16, lr 0.01 (divided by the batch size internally so gradients
     average), sequential pool.  Shuffle order, update schedule and loss
-    semantics mirror {!Reference.Network.fit} draw-for-draw. *)
+    semantics mirror {!Reference.Network.fit} draw-for-draw.  Test seam:
+    [batch] and [lr], for [nn.parity]'s small oracle runs. *)
 
 val logits_m : ?pool:Stob_par.Pool.t -> t -> Tensor.t -> Tensor.t
 (** Batched forward pass; row [i] of the result is sample [i]'s logits.

@@ -54,7 +54,8 @@ val gemm : ?ta:bool -> ?tb:bool -> ?alpha:float -> ?beta:float -> a:t -> b:t -> 
     [c <- alpha * op(a) * op(b) + beta * c] where [op] transposes when the
     corresponding flag is set (both defaults [false]; [ta && tb] is not
     implemented).  [alpha] defaults to [1.0], [beta] to [0.0] (with
-    [beta = 0.0] the old contents of [c] are ignored, not read).
+    [beta = 0.0] the old contents of [c] are ignored, not read).  Test
+    seam: [alpha], for [nn.tensor] "gemm randomized vs oracle".
 
     The three transpose variants dispatch to vectorized C kernels
     (tensor_stubs.c, built -O3 -march=native): unit-stride saxpy/dot

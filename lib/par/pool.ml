@@ -167,5 +167,3 @@ let map ?on_done pool f input =
   end
 
 let map_list pool f l = Array.to_list (map pool f (Array.of_list l))
-
-let map_reduce pool ~f ~reduce ~init input = Array.fold_left reduce init (map pool f input)

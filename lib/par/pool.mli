@@ -66,10 +66,3 @@ val map : ?on_done:(int -> 'b -> unit) -> t -> ('a -> 'b) -> 'a array -> 'b arra
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map] for lists. *)
-
-val map_reduce : t -> f:('a -> 'b) -> reduce:('b -> 'b -> 'b) -> init:'b -> 'a array -> 'b
-(** [map_reduce pool ~f ~reduce ~init input] maps in parallel, then folds
-    [reduce] over the results {e left-to-right in index order} starting
-    from [init].  Deterministic for any [reduce], associative or not;
-    associativity is only needed if you want the result to also equal a
-    differently-bracketed sequential reduction. *)

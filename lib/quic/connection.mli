@@ -12,15 +12,14 @@ val create :
   engine:Stob_sim.Engine.t ->
   path:Stob_tcp.Path.t ->
   flow:int ->
-  ?config:Stob_tcp.Config.t ->
   ?cc:Stob_tcp.Cc.factory ->
-  ?server_cpu:Stob_sim.Cpu.t * Stob_tcp.Cpu_costs.t ->
   ?server_hooks:Stob_tcp.Hooks.t ->
   flight_bytes:int ->
   unit ->
   t
 (** [flight_bytes] is the server's handshake flight (certificate chain)
-    size.  Defaults: {!Endpoint.default_config} and CUBIC. *)
+    size.  Both endpoints run {!Endpoint.default_config}; [cc] defaults to
+    CUBIC. *)
 
 val client : t -> Endpoint.t
 val server : t -> Endpoint.t

@@ -1,12 +1,10 @@
 module Packet = Stob_net.Packet
 module Engine = Stob_sim.Engine
-module Cpu = Stob_sim.Cpu
 module Config = Stob_tcp.Config
 module Cc = Stob_tcp.Cc
 module Rtt = Stob_tcp.Rtt
 module Pacer = Stob_tcp.Pacer
 module Hooks = Stob_tcp.Hooks
-module Cpu_costs = Stob_tcp.Cpu_costs
 
 let default_config =
   {
@@ -78,7 +76,6 @@ type t = {
   flow : int;
   dir : Packet.direction;
   wire : wire;
-  cpu : (Cpu.t * Cpu_costs.t) option;
   mutable hooks : Hooks.t;
   tx : Packet.t array -> unit;
   mutable role : role;
@@ -142,7 +139,7 @@ type t = {
   mutable persistent_congestions : int;
 }
 
-let create ~engine ~config ~cc ~flow ~dir ~wire ?cpu ?(hooks = Hooks.default) ~tx () =
+let create ~engine ~config ~cc ~flow ~dir ~wire ?(hooks = Hooks.default) ~tx () =
   {
     engine;
     config;
@@ -152,7 +149,6 @@ let create ~engine ~config ~cc ~flow ~dir ~wire ?cpu ?(hooks = Hooks.default) ~t
     flow;
     dir;
     wire;
-    cpu;
     hooks;
     tx;
     role = Server;
@@ -325,14 +321,7 @@ let make_datagram t ?(rtx = false) frames =
 
 let transmit_burst t ~release packets =
   if Array.length packets > 0 then begin
-    let send () =
-      match t.cpu with
-      | None -> t.tx packets
-      | Some (cpu, costs) ->
-          let bytes = Array.fold_left (fun acc p -> acc + Packet.wire_size p) 0 packets in
-          let cost = Cpu_costs.segment_cost costs ~packets:(Array.length packets) ~bytes in
-          Cpu.submit cpu ~cost (fun () -> t.tx packets)
-    in
+    let send () = t.tx packets in
     if release <= now t then send ()
     else ignore (Engine.schedule_at t.engine ~time:release send)
   end
@@ -724,11 +713,12 @@ let send_padding_datagram t n =
     transmit_burst t ~release:(now t) [| pkt |]
   end
 
-let connect t ?(crypto_bytes = 350) ~flight_bytes:_ () =
+let connect t =
   t.role <- Client;
   t.last_activity <- now t;
   arm_idle t;
-  send_stream t ~stream:crypto_stream ~fin:true crypto_bytes
+  (* The ClientHello's CRYPTO bytes; the Initial is padded to 1200 B. *)
+  send_stream t ~stream:crypto_stream ~fin:true 350
 
 let listen t ~flight_bytes =
   t.role <- Server;

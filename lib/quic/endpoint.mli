@@ -55,7 +55,6 @@ val create :
   flow:int ->
   dir:Stob_net.Packet.direction ->
   wire:wire ->
-  ?cpu:Stob_sim.Cpu.t * Stob_tcp.Cpu_costs.t ->
   ?hooks:Stob_tcp.Hooks.t ->
   tx:(Stob_net.Packet.t array -> unit) ->
   unit ->
@@ -64,9 +63,9 @@ val create :
 
 (** {1 Lifecycle} *)
 
-val connect : t -> ?crypto_bytes:int -> flight_bytes:int -> unit -> unit
-(** Client active open: sends its Initial flight (padded to 1200 B) and
-    expects a [flight_bytes] handshake flight back. *)
+val connect : t -> unit
+(** Client active open: sends its Initial flight (350 CRYPTO bytes, padded
+    to 1200 B). *)
 
 val listen : t -> flight_bytes:int -> unit
 (** Server passive open with the size of its handshake flight (certificate

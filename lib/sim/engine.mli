@@ -22,7 +22,8 @@ exception Livelock of { time : float; events : int }
 val create : ?queue:Event_queue.impl -> unit -> t
 (** [queue] pins the event-queue implementation (the differential tests
     run identical scenarios on both); defaults to the timing wheel, unless
-    the [STOB_EVENT_QUEUE] environment variable says otherwise. *)
+    the [STOB_EVENT_QUEUE] environment variable says otherwise.  Test seam:
+    [queue], for the [sim.engine] wheel-vs-heap differentials. *)
 
 val now : t -> float
 (** Current virtual time in seconds. *)

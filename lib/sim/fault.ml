@@ -7,9 +7,6 @@ type kind =
   | Cpu_overload
   | Pacer_jump
   | Qdisc_collapse
-  | Datagram_blackhole
-  | Ack_delay_inflation
-  | Handshake_stall
 
 (* New kinds append at the END: the per-class RNG pre-split follows this
    order, so appending preserves every existing class's draw stream. *)
@@ -21,9 +18,6 @@ let all_kinds =
     Cpu_overload;
     Pacer_jump;
     Qdisc_collapse;
-    Datagram_blackhole;
-    Ack_delay_inflation;
-    Handshake_stall;
   ]
 
 let kind_name = function
@@ -33,14 +27,6 @@ let kind_name = function
   | Cpu_overload -> "cpu-overload"
   | Pacer_jump -> "pacer-jump"
   | Qdisc_collapse -> "qdisc-collapse"
-  | Datagram_blackhole -> "datagram-blackhole"
-  | Ack_delay_inflation -> "ack-delay-inflation"
-  | Handshake_stall -> "handshake-stall"
-
-let kind_of_name name =
-  match List.find_opt (fun k -> kind_name k = name) all_kinds with
-  | Some k -> k
-  | None -> invalid_arg ("Fault.kind_of_name: unknown fault kind " ^ name)
 
 exception Injected of { kind : kind; at : float }
 
@@ -84,22 +70,6 @@ let draw_event rng ~kind ~horizon =
   | Qdisc_collapse ->
       (* Magnitude: collapsed capacity in bytes. *)
       { kind; at; duration = window 0.1 0.4; magnitude = float_of_int (Rng.int_in rng 1514 4542) }
-  | Datagram_blackhole ->
-      (* Every datagram in the window vanishes, both directions.  The
-         window is bounded well below QUIC's 30 s idle timeout so a flow
-         that survives the blackhole can still finish inside its horizon;
-         recovery must come from PTO probes, not from the idle close. *)
-      { kind; at; duration = window 0.02 0.12; magnitude = 1.0 }
-  | Ack_delay_inflation ->
-      (* Magnitude: extra one-way delay applied to ACK-carrying datagrams,
-         seconds.  Inflates RTT samples and stresses the 9/8 time
-         threshold's reordering tolerance. *)
-      { kind; at; duration = window 0.1 0.3; magnitude = Rng.uniform rng 0.05 0.3 }
-  | Handshake_stall ->
-      (* Server handshake flight suppressed inside the window: the client
-         sits in its Initial, probing.  Duration bounded so the handshake
-         can still complete before the idle timeout. *)
-      { kind; at; duration = window 0.05 0.25; magnitude = 1.0 }
 
 let plan cfg =
   validate cfg;

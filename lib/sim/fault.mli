@@ -23,17 +23,6 @@ type kind =
           drawn from an absolute 0.75-2.5 s range so it dominates stall
           bounds at any horizon). *)
   | Qdisc_collapse  (** Qdisc capacity collapses to [magnitude] bytes. *)
-  | Datagram_blackhole
-      (** Every datagram in the window vanishes, both directions.  Windows
-          are short (2-12 % of the horizon) so recovery is exercised via
-          PTO probes rather than the idle timeout. *)
-  | Ack_delay_inflation
-      (** ACK-carrying datagrams gain [magnitude] seconds of extra one-way
-          delay inside the window (stresses RTT estimation and the 9/8
-          time-threshold loss detector). *)
-  | Handshake_stall
-      (** The server's handshake flight is suppressed inside the window;
-          the client must keep probing its Initial. *)
 
 val all_kinds : kind list
 (** Fixed order; the per-kind RNG pre-split follows it.  New kinds append
@@ -41,8 +30,6 @@ val all_kinds : kind list
     versions. *)
 
 val kind_name : kind -> string
-val kind_of_name : string -> kind
-(** Raises [Invalid_argument] on an unknown name. *)
 
 exception Injected of { kind : kind; at : float }
 (** The exception injected faults raise.  Distinct from [Invalid_argument]

@@ -26,7 +26,9 @@ type loss_model =
       p_bg : float;  (** P(bad -> good) per frame. *)
       loss_good : float;  (** Loss probability in the good state. *)
       loss_bad : float;  (** Loss probability in the bad state. *)
-    }  (** Two-state Markov burst-loss channel (starts in the good state). *)
+    }
+      (** Two-state Markov burst-loss channel (starts in the good state).
+          Test seam: the burst paths of [sim.netem] and [quic.golden]. *)
 
 type config = {
   loss : loss_model;
@@ -69,7 +71,8 @@ val spec : ?drop_filter:('a -> bool) -> config -> 'a spec
 (** [drop_filter] selects which frames count toward [drop_list] ordinals;
     default accepts every frame.  Raises [Invalid_argument] on
     out-of-range probabilities, negative depth/hold/jitter, or non-positive
-    drop-list ordinals. *)
+    drop-list ordinals.  Test seam: [drop_filter], with which [sim.netem],
+    [tcp.impairment] and [quic.robustness] drop the n-th data packet. *)
 
 val of_spec : engine:Engine.t -> deliver:('a -> unit) -> 'a spec -> 'a t
 (** Build an impairment stage feeding [deliver]. *)

@@ -9,4 +9,5 @@
 
 val write : ?vfs:Vfs.t -> string -> string -> unit
 (** [write path contents] atomically replaces [path] with [contents].
-    On any error the temporary file is removed and [path] is untouched. *)
+    On any error the temporary file is removed and [path] is untouched.
+    Test seam: [vfs], a failing write for [store.atomic]. *)

@@ -17,7 +17,6 @@ let quiet =
 
 type t = {
   plan : plan;
-  base : Vfs.t;
   short_rng : Rng.t;
   crash_rng : Rng.t;
   mutable ops : int;
@@ -29,14 +28,14 @@ type t = {
   mutable injected : int;
 }
 
-let arm ?(base = Vfs.unix) plan =
+let arm plan =
   (* Pre-split per concern, Stob_sim.Fault-style: the crash prefix draw
      does not move if the short-write stream consumes more or fewer
      values. *)
   let root = Rng.create plan.seed in
   let short_rng = Rng.split root in
   let crash_rng = Rng.split root in
-  { plan; base; short_rng; crash_rng; ops = 0; wf_seq = 0; burst_left = 0; renames_failed = 0;
+  { plan; short_rng; crash_rng; ops = 0; wf_seq = 0; burst_left = 0; renames_failed = 0;
     dead = false; crash_op = 0; injected = 0 }
 
 let ops t = t.ops
@@ -86,7 +85,7 @@ let plain t f =
   f ()
 
 let vfs t =
-  let b = t.base in
+  let b = Vfs.unix in
   {
     Vfs.open_append = (fun path -> plain t (fun () -> b.Vfs.open_append path));
     open_trunc = (fun path -> plain t (fun () -> b.Vfs.open_trunc path));

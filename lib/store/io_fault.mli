@@ -50,8 +50,8 @@ val quiet : plan
 
 type t
 
-val arm : ?base:Vfs.t -> plan -> t
-(** Build a fault plane over [base] (default {!Vfs.unix}). *)
+val arm : plan -> t
+(** Build a fault plane over {!Vfs.unix}. *)
 
 val vfs : t -> Vfs.t
 (** The perturbed shim to hand to [Store.open_ ~vfs]. *)

@@ -283,6 +283,6 @@ let maybe_checkpoint ?(threshold_bytes = auto_checkpoint_bytes) t =
         Some (checkpoint_locked t)
       else None)
 
-let compact ?vfs ?retry dir =
-  let t = open_ ?vfs ?retry dir in
+let compact dir =
+  let t = open_ dir in
   Fun.protect ~finally:(fun () -> close t) (fun () -> checkpoint t)

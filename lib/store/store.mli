@@ -126,7 +126,7 @@ val maybe_checkpoint : ?threshold_bytes:int -> t -> compaction option
     frames are stale — so journals stop growing monotonically without
     long sweeps re-copying their history at every boundary. *)
 
-val compact : ?vfs:Vfs.t -> ?retry:Journal.retry -> string -> compaction
+val compact : string -> compaction
 (** Offline compaction of a state directory ([stobctl compact]): open,
     checkpoint, close. *)
 

@@ -39,10 +39,8 @@ let default_cells () =
         [ 0.0; 0.005; 0.02 ])
     [ "reno"; "cubic"; "bbr" ]
 
-let run_cell ?(rate_bps = Units.mbps 20.0) ?(delay = 0.015) ?(queue_capacity = 256 * 1024)
-    ?(request = 2_000) ?(response = 150_000) ?(duplicate = 0.0) ?(jitter = 0.0)
-    ?(reorder_prob = 0.05) ?(reorder_depth = 3) ?(horizon = 120.0) ?client_config ?server_config
-    ~seed cell =
+let run_cell ?(rate_bps = Units.mbps 20.0) ?(delay = 0.015) ?(response = 150_000)
+    ?(duplicate = 0.0) ?(jitter = 0.0) ?client_config ?server_config ~seed cell =
   let engine = Engine.create () in
   (* Distinct per-direction netem seeds derived from the cell seed. *)
   let seeder = Rng.create seed in
@@ -50,8 +48,8 @@ let run_cell ?(rate_bps = Units.mbps 20.0) ?(delay = 0.015) ?(queue_capacity = 2
     {
       Netem.default with
       Netem.loss = (if cell.loss > 0.0 then Netem.Iid cell.loss else Netem.No_loss);
-      reorder_prob = (if cell.reorder then reorder_prob else 0.0);
-      reorder_depth;
+      reorder_prob = (if cell.reorder then 0.05 else 0.0);
+      reorder_depth = 3;
       reorder_hold = (2.0 *. delay) +. 0.01;
       duplicate_prob = duplicate;
       jitter;
@@ -61,7 +59,7 @@ let run_cell ?(rate_bps = Units.mbps 20.0) ?(delay = 0.015) ?(queue_capacity = 2
   let client_netem = Netem.spec (netem_config ()) in
   let server_netem = Netem.spec (netem_config ()) in
   let path =
-    Path.create ~engine ~rate_bps ~delay ~queue_capacity ~client_netem ~server_netem ()
+    Path.create ~engine ~rate_bps ~delay ~queue_capacity:(256 * 1024) ~client_netem ~server_netem ()
   in
   let conn =
     Connection.create ~engine ~path ~flow:1 ?client_config ?server_config
@@ -74,7 +72,7 @@ let run_cell ?(rate_bps = Units.mbps 20.0) ?(delay = 0.015) ?(queue_capacity = 2
   Endpoint.set_on_receive server (fun n ->
       touch ();
       server_received := !server_received + n;
-      if (not !responded) && !server_received >= request then begin
+      if (not !responded) && !server_received >= 2_000 then begin
         responded := true;
         Endpoint.write server response;
         Endpoint.close server
@@ -85,9 +83,9 @@ let run_cell ?(rate_bps = Units.mbps 20.0) ?(delay = 0.015) ?(queue_capacity = 2
   Endpoint.set_on_fin client (fun () ->
       touch ();
       Endpoint.close client);
-  Connection.on_established conn (fun () -> Endpoint.write client request);
+  Connection.on_established conn (fun () -> Endpoint.write client 2_000);
   Connection.open_ conn;
-  Engine.run ~until:horizon engine;
+  Engine.run ~until:120.0 engine;
   let netem = Path.netem_stats path in
   {
     cell;
@@ -108,8 +106,8 @@ let run_cell ?(rate_bps = Units.mbps 20.0) ?(delay = 0.015) ?(queue_capacity = 2
     pending_events = Engine.pending engine;
   }
 
-let run_matrix ?(pool = Stob_par.Pool.sequential) ?rate_bps ?delay ?request ?response ?duplicate
-    ?jitter ?client_config ?server_config ~seed cells =
+let run_matrix ?(pool = Stob_par.Pool.sequential) ?rate_bps ?delay ?response ?duplicate ?jitter
+    ~seed cells =
   (* Pre-split-RNG rule, keyed by the acceptance grid: a grid cell takes
      the seed of its index in [default_cells ()], so any subset re-runs
      its rows of the full matrix; off-grid cells draw after the grid, in
@@ -125,17 +123,11 @@ let run_matrix ?(pool = Stob_par.Pool.sequential) ?rate_bps ?delay ?request ?res
   let tasks = Array.of_list (List.map (fun c -> (c, seed_of c)) cells) in
   Array.to_list
     (Stob_par.Pool.map pool
-       (fun (c, s) ->
-         run_cell ?rate_bps ?delay ?request ?response ?duplicate ?jitter ?client_config
-           ?server_config ~seed:s c)
+       (fun (c, s) -> run_cell ?rate_bps ?delay ?response ?duplicate ?jitter ~seed:s c)
        tasks)
 
-let converged ?max_rtx r =
-  let rtx_bound =
-    match max_rtx with
-    | Some m -> m
-    | None -> 30 + (10 * (r.netem_lost + r.queue_drops + r.netem_reordered))
-  in
+let converged r =
+  let rtx_bound = 30 + (10 * (r.netem_lost + r.queue_drops + r.netem_reordered)) in
   r.client_received > 0 && r.server_received > 0 && r.client_closed && r.server_closed
   && r.pending_events = 0
   && r.server_rtx + r.client_rtx <= rtx_bound

@@ -44,41 +44,32 @@ val default_cells : unit -> cell list
 val run_cell :
   ?rate_bps:float ->
   ?delay:float ->
-  ?queue_capacity:int ->
-  ?request:int ->
   ?response:int ->
   ?duplicate:float ->
   ?jitter:float ->
-  ?reorder_prob:float ->
-  ?reorder_depth:int ->
-  ?horizon:float ->
   ?client_config:Config.t ->
   ?server_config:Config.t ->
   seed:int ->
   cell ->
   result
 (** One cell (test seam: the matrix runs its cells through this, and the
-    overrides let a test pin one scenario): client requests [request] bytes,
-    the server answers with
-    [response] bytes and closes; the client closes on the server's FIN.
-    Both directions run an impairment stage seeded (distinctly) from
-    [seed].  Defaults: 20 Mb/s, 15 ms one-way delay, 256 KiB queues,
-    2 KB request, 150 KB response, reordering holds 5% of packets for 3
-    later packets when [cell.reorder], 120 s horizon.
-    [client_config]/[server_config] override the endpoint configurations —
-    the hook for asymmetric-negotiation cells (peer refuses SACK or
-    wscale, mismatched MSS, tiny receive buffers). *)
+    overrides let a test pin one scenario): the client requests 2 KB, the
+    server answers with [response] bytes and closes; the client closes on
+    the server's FIN.  Both directions run an impairment stage seeded
+    (distinctly) from [seed].  Defaults: 20 Mb/s, 15 ms one-way delay,
+    150 KB response; always 256 KiB queues, reordering that holds 5% of
+    packets for 3 later packets when [cell.reorder], and a 120 s horizon.
+    Test seam: [client_config]/[server_config] override the endpoint
+    configurations for [tcp.negotiation]'s asymmetric cells (peer refuses
+    SACK or wscale, tiny receive buffers). *)
 
 val run_matrix :
   ?pool:Stob_par.Pool.t ->
   ?rate_bps:float ->
   ?delay:float ->
-  ?request:int ->
   ?response:int ->
   ?duplicate:float ->
   ?jitter:float ->
-  ?client_config:Config.t ->
-  ?server_config:Config.t ->
   seed:int ->
   cell list ->
   result list
@@ -89,10 +80,10 @@ val run_matrix :
     grid, in list order.  Result order follows the input order and is
     independent of the pool. *)
 
-val converged : ?max_rtx:int -> result -> bool
+val converged : result -> bool
 (** All bytes delivered exactly once in both directions, both endpoints
-    closed, the event queue drained, and retransmissions within
-    [max_rtx] (default: a generous bound scaled by the impairment loss
-    count — a spurious-retransmission storm fails it). *)
+    closed, the event queue drained, and retransmissions within a
+    generous bound scaled by the impairment loss count (a
+    spurious-retransmission storm fails it). *)
 
 val print_matrix : result list -> unit

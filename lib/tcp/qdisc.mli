@@ -13,7 +13,8 @@ type 'a t
 
 val fq : ?quantum:int -> limit_bytes:int -> size:('a -> int) -> unit -> 'a t
 (** Deficit-round-robin across flows; [quantum] (default 2 * 1514) bytes of
-    service per flow per round; [limit_bytes] bounds the total backlog. *)
+    service per flow per round; [limit_bytes] bounds the total backlog.
+    Test seam: [quantum], for [tcp.qdisc] "fq fairness". *)
 
 val enqueue : 'a t -> flow:int -> 'a -> bool
 (** [false] when the item was dropped for lack of space. *)

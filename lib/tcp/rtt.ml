@@ -3,16 +3,12 @@ type t = {
   mutable srtt : float option;
   mutable rttvar : float option;
   mutable backoff : float;
-  mutable min_rtt : float option;
 }
 
-let create config = { config; srtt = None; rttvar = None; backoff = 1.0; min_rtt = None }
+let create config = { config; srtt = None; rttvar = None; backoff = 1.0 }
 
 let observe t sample =
   if sample < 0.0 then invalid_arg "Rtt.observe: negative sample";
-  (match t.min_rtt with
-  | None -> t.min_rtt <- Some sample
-  | Some m -> if sample < m then t.min_rtt <- Some sample);
   match t.srtt with
   | None ->
       t.srtt <- Some sample;
@@ -38,4 +34,3 @@ let rto t =
 
 let backoff t = t.backoff <- Float.min (t.backoff *. 2.0) 64.0
 let reset_backoff t = t.backoff <- 1.0
-let min_rtt t = t.min_rtt

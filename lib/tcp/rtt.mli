@@ -23,6 +23,3 @@ val backoff : t -> unit
 
 val reset_backoff : t -> unit
 (** Clear the backoff multiplier after a successful transmission. *)
-
-val min_rtt : t -> float option
-(** Smallest sample seen.  Test seam: observes the estimator's state. *)

@@ -40,37 +40,3 @@ let sample t rng =
   let i = find 0 0 in
   let left, right = bin_edges t i in
   Rng.uniform rng left right
-
-let quantile t q =
-  if t.total = 0 then invalid_arg "Histogram.quantile: empty histogram";
-  let q = if q < 0.0 then 0.0 else if q > 1.0 then 1.0 else q in
-  let target = q *. float_of_int t.total in
-  let rec find i acc =
-    if i >= bins t - 1 then i
-    else
-      let acc' = acc +. float_of_int t.counts.(i) in
-      if target <= acc' then i else find (i + 1) acc'
-  in
-  let i = find 0 0.0 in
-  let before =
-    let acc = ref 0.0 in
-    for j = 0 to i - 1 do
-      acc := !acc +. float_of_int t.counts.(j)
-    done;
-    !acc
-  in
-  let in_bin = float_of_int t.counts.(i) in
-  let frac = if in_bin = 0.0 then 0.5 else (target -. before) /. in_bin in
-  let frac = if frac < 0.0 then 0.0 else if frac > 1.0 then 1.0 else frac in
-  let left, right = bin_edges t i in
-  left +. (frac *. (right -. left))
-
-let merge a b =
-  if bins a <> bins b || a.lo <> b.lo || a.hi <> b.hi then
-    invalid_arg "Histogram.merge: geometry mismatch";
-  let t = create ~lo:a.lo ~hi:a.hi ~bins:(bins a) in
-  for i = 0 to bins a - 1 do
-    t.counts.(i) <- a.counts.(i) + b.counts.(i)
-  done;
-  t.total <- a.total + b.total;
-  t

@@ -28,10 +28,3 @@ val sample : t -> Rng.t -> float
 (** Draw from the empirical distribution: pick a bin proportionally to its
     mass, then uniformly within the bin.  Raises [Invalid_argument] when the
     histogram is empty. *)
-
-val quantile : t -> float -> float
-(** [quantile t q] for [q] in [\[0, 1\]]: approximate inverse CDF using bin
-    interpolation.  Raises when empty. *)
-
-val merge : t -> t -> t
-(** Pointwise sum; both histograms must share geometry. *)

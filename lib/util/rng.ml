@@ -41,8 +41,6 @@ let split t =
   let s3 = splitmix64_next state in
   { s0; s1; s2; s3 }
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection sampling on the top 62 bits (OCaml's int width) to avoid
@@ -85,14 +83,6 @@ let exponential t ~rate =
   in
   -.log (nonzero ()) /. rate
 
-let pareto t ~shape ~scale =
-  if shape <= 0.0 || scale <= 0.0 then invalid_arg "Rng.pareto: parameters must be positive";
-  let rec nonzero () =
-    let u = float t 1.0 in
-    if u > 0.0 then u else nonzero ()
-  in
-  scale /. (nonzero () ** (1.0 /. shape))
-
 let geometric t ~p =
   if p <= 0.0 || p > 1.0 then invalid_arg "Rng.geometric: p must be in (0,1]";
   let rec count acc = if bernoulli t p then acc else count (acc + 1) in
@@ -113,19 +103,6 @@ let poisson t ~lambda =
 let choice t a =
   if Array.length a = 0 then invalid_arg "Rng.choice: empty array";
   a.(int t (Array.length a))
-
-let weighted_choice t items =
-  let total = Array.fold_left (fun acc (_, w) -> acc +. w) 0.0 items in
-  if total <= 0.0 then invalid_arg "Rng.weighted_choice: total weight must be positive";
-  let target = float t total in
-  let n = Array.length items in
-  let rec pick i acc =
-    if i = n - 1 then fst items.(i)
-    else
-      let acc = acc +. snd items.(i) in
-      if target < acc then fst items.(i) else pick (i + 1) acc
-  in
-  pick 0 0.0
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

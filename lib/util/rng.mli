@@ -21,9 +21,6 @@ val split : t -> t
 (** [split t] derives a new generator from [t]'s stream.  The child's stream
     is statistically independent of further draws from [t]. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state; the copy replays [t]'s future. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -54,9 +51,6 @@ val lognormal : t -> mu:float -> sigma:float -> float
 val exponential : t -> rate:float -> float
 (** Exponential draw with the given rate (mean [1. /. rate]). *)
 
-val pareto : t -> shape:float -> scale:float -> float
-(** Pareto draw with minimum [scale] and tail index [shape]. *)
-
 val geometric : t -> p:float -> int
 (** Number of Bernoulli([p]) failures before the first success; [>= 0]. *)
 
@@ -65,10 +59,6 @@ val poisson : t -> lambda:float -> int
 
 val choice : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
-
-val weighted_choice : t -> ('a * float) array -> 'a
-(** [weighted_choice t items] picks an element with probability proportional
-    to its non-negative weight.  Total weight must be positive. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

@@ -175,19 +175,3 @@ let kurtosis a =
     else
       let acc = Array.fold_left (fun acc x -> acc +. (((x -. m) /. s) ** 4.0)) 0.0 a in
       (acc /. float_of_int n) -. 3.0
-
-let mad a =
-  if Array.length a = 0 then 0.0
-  else
-    let m = median a in
-    median (Array.map (fun x -> Float.abs (x -. m)) a)
-
-let cumulative a =
-  let n = Array.length a in
-  let out = Array.make n 0.0 in
-  let acc = ref 0.0 in
-  for i = 0 to n - 1 do
-    acc := !acc +. a.(i);
-    out.(i) <- !acc
-  done;
-  out

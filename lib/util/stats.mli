@@ -40,9 +40,3 @@ val skewness : float array -> float
 
 val kurtosis : float array -> float
 (** Excess kurtosis; [0.] when undefined. *)
-
-val mad : float array -> float
-(** Median absolute deviation; [0.] on empty input. *)
-
-val cumulative : float array -> float array
-(** Prefix sums: [cumulative a].(i) = sum of [a.(0..i)]. *)

@@ -14,10 +14,6 @@ val mbps : float -> float
 val gbps : float -> float
 (** Gigabits/s to bits/s. *)
 
-val tx_time : rate_bps:float -> bytes:int -> float
-(** Serialization delay of [bytes] on a link of [rate_bps].
-    Raises [Invalid_argument] on a non-positive rate. *)
-
 val to_gbps : bits_per_sec:float -> float
 (** Bits/s to Gb/s (for reporting). *)
 

@@ -31,13 +31,13 @@ let tls = Record.default
 (* Frame [n] plaintext bytes into total ciphertext wire bytes. *)
 let ciphertext_bytes n = Record.wire_bytes tls ~padding:Record.No_padding n
 
-let load ?policy ?cc ?client_config ?client_netem ?server_netem ?(max_time = 60.0) ~rng profile =
+let load ?policy ?client_config ~rng profile =
   let engine = Engine.create () in
   let rate_bps, delay = Profile.sample_network profile rng in
   (* Bottleneck queue: a shallow-ish access-link buffer (about 50 ms at the
      link rate) so overload shows up as queueing and occasional loss. *)
   let queue_capacity = max 65536 (int_of_float (rate_bps *. 0.05 /. 8.0)) in
-  let path = Path.create ~engine ~rate_bps ~delay ~queue_capacity ?client_netem ?server_netem () in
+  let path = Path.create ~engine ~rate_bps ~delay ~queue_capacity () in
   let page = Profile.generate_page profile rng in
   let n_conns = max 1 profile.Profile.parallel_connections in
 
@@ -81,7 +81,7 @@ let load ?policy ?cc ?client_config ?client_netem ?server_netem ?(max_time = 60.
               Stob_core.Controller.hooks (Stob_core.Controller.create ~seed:(Rng.int rng 1_000_000) p))
             policy
         in
-        let c = Connection.create ~engine ~path ~flow ?cc ?client_config ?server_hooks () in
+        let c = Connection.create ~engine ~path ~flow ?client_config ?server_hooks () in
         {
           c;
           ready = false;
@@ -225,7 +225,7 @@ let load ?policy ?cc ?client_config ?client_netem ?server_netem ?(max_time = 60.
             (Engine.schedule engine ~delay:0.001 (fun () -> open_secondary ()))));
   Connection.open_ primary.c;
 
-  Engine.run ~until:max_time engine;
+  Engine.run ~until:60.0 engine;
   let completed = !remaining = 0 in
   {
     trace = Trace.shift_to_zero (Capture.trace (Path.capture path));

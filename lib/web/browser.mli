@@ -18,17 +18,13 @@ type result = {
   bytes_downloaded : int;  (** Application bytes received (plaintext). *)
   page : Resource.page;  (** The composition that was fetched. *)
   netem_stats : Stob_sim.Netem.stats;
-      (** Impairment counters over both directions (all zero when the visit
-          ran without netem). *)
+      (** Impairment counters over both directions (all zero for a TCP
+          visit, which runs without netem). *)
 }
 
 val load :
   ?policy:Stob_core.Policy.t ->
-  ?cc:Stob_tcp.Cc.factory ->
   ?client_config:Stob_tcp.Config.t ->
-  ?client_netem:Stob_net.Packet.t Stob_sim.Netem.spec ->
-  ?server_netem:Stob_net.Packet.t Stob_sim.Netem.spec ->
-  ?max_time:float ->
   rng:Stob_util.Rng.t ->
   Profile.t ->
   result
@@ -36,9 +32,5 @@ val load :
     connection of the visit (one controller per flow, per Section 4.1's
     per-destination sharing).  [client_config] overrides the client
     endpoints' TCP configuration — e.g. an HTTPOS-style small advertised
-    window.  [client_netem] impairs packets the client receives (the
-    download direction) and [server_netem] those the server receives, as
-    in {!Stob_tcp.Path.create}; the capture taps upstream of both, so the
-    returned trace is the pre-impairment tcpdump view.  [max_time] caps
-    simulated duration (default 60 s); a load still incomplete then
-    reports [completed = false]. *)
+    window.  Simulated time is capped at 60 s; a load still incomplete
+    then reports [completed = false]. *)

@@ -9,7 +9,7 @@ module Qendpoint = Stob_quic.Endpoint
 (* HTTP/3 frame overhead per message (HEADERS/DATA frame headers, QPACK). *)
 let h3_overhead = 24
 
-let load ?policy ?cc ?client_netem ?server_netem ?(max_time = 60.0) ?(on_connection = ignore) ~rng
+let load ?policy ?cc ?client_netem ?server_netem ?(on_connection = ignore) ~rng
     profile =
   let engine = Engine.create () in
   let rate_bps, delay = Profile.sample_network profile rng in
@@ -106,7 +106,7 @@ let load ?policy ?cc ?client_netem ?server_netem ?(max_time = 60.0) ?(on_connect
       Hashtbl.replace jobs stream (html.Resource.size + h3_overhead, html.Resource.think);
       Qendpoint.send_stream client ~stream ~fin:true (html.Resource.request_bytes + h3_overhead));
   Qconn.open_ conn;
-  Engine.run ~until:max_time engine;
+  Engine.run ~until:60.0 engine;
   {
     Browser.trace = Trace.shift_to_zero (Capture.trace (Path.capture path));
     completed = !remaining = 0;

@@ -17,7 +17,6 @@ val load :
   ?cc:Stob_tcp.Cc.factory ->
   ?client_netem:Stob_net.Packet.t Stob_sim.Netem.spec ->
   ?server_netem:Stob_net.Packet.t Stob_sim.Netem.spec ->
-  ?max_time:float ->
   ?on_connection:(Stob_quic.Connection.t -> unit) ->
   rng:Stob_util.Rng.t ->
   Profile.t ->
@@ -25,9 +24,14 @@ val load :
 (** [policy] installs a server-side Stob policy on the connection's
     datagram path.  The handshake flight size is drawn from the profile's
     [tls_flight] (certificate chain), as in the TCP driver.
-    [client_netem]/[server_netem] impair the respective receive directions
-    exactly as in {!Browser.load}; the result's [netem_stats] reports what
-    the stages did, and the hardened endpoint's loss detection and PTO
-    machinery recover the visit.  [on_connection] receives the visit's
-    connection before it opens, to read its endpoints' counters once the
-    load returns. *)
+    [client_netem] impairs packets the client receives (the download
+    direction) and [server_netem] those the server receives, as in
+    {!Stob_tcp.Path.create}; the capture taps upstream of both, the
+    result's [netem_stats] reports what the stages did, and the hardened
+    endpoint's loss detection and PTO machinery recover the visit.
+    [on_connection] receives the visit's connection before it opens, to
+    read its endpoints' counters once the load returns.  Simulated time is
+    capped at 60 s; [cc] defaults to CUBIC.  Test seam: [cc] and
+    [client_netem]/[server_netem], for [quic.golden]'s CCAs and impaired
+    paths, and [on_connection], for [web.golden]'s loss-detection work
+    count. *)

@@ -13,7 +13,7 @@ type sample = {
 
 type t = { samples : sample array; site_names : string array }
 
-let generate ?(samples_per_site = 100) ?(seed = 1) ?policy ?cc ?client_config ?(profiles = Sites.all)
+let generate ?(samples_per_site = 100) ?(seed = 1) ?policy ?client_config ?(profiles = Sites.all)
     ?(failure_rate = 0.02) ?(transport = `Tcp) ?progress ?(pool = Stob_par.Pool.sequential) () =
   let master = Rng.create seed in
   let site_names = Array.of_list (List.map (fun p -> p.Profile.name) profiles) in
@@ -32,8 +32,8 @@ let generate ?(samples_per_site = 100) ?(seed = 1) ?policy ?cc ?client_config ?(
   let visit (label, profile, rng) =
     let result =
       match transport with
-      | `Tcp -> Browser.load ?policy ?cc ?client_config ~rng profile
-      | `Quic -> Browser_quic.load ?policy ?cc ~rng profile
+      | `Tcp -> Browser.load ?policy ?client_config ~rng profile
+      | `Quic -> Browser_quic.load ?policy ~rng profile
     in
     let d = Atomic.fetch_and_add done_ 1 + 1 in
     (match progress with Some f -> f ~done_:d ~total | None -> ());

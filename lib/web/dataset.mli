@@ -20,7 +20,6 @@ val generate :
   ?samples_per_site:int ->
   ?seed:int ->
   ?policy:Stob_core.Policy.t ->
-  ?cc:Stob_tcp.Cc.factory ->
   ?client_config:Stob_tcp.Config.t ->
   ?profiles:Profile.t list ->
   ?failure_rate:float ->

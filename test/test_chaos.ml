@@ -165,7 +165,7 @@ let test_guard_validate () =
    is provably vulnerable, must either trip its invariant or walk the
    breaker — and the page load must complete regardless. *)
 
-let cell ?plan fault = Chaos.run_cell ?plan ~seed:4242 { Chaos.cca = "cubic"; fault; workload = Chaos.Fanout 2; degrade = true }
+let cell ?plan fault = Chaos.run_cell ?plan ~seed:4242 { Chaos.cca = "cubic"; fault; fanout = 2 }
 
 let violated name (r : Chaos.report) = List.mem_assoc name r.Chaos.violation_counts
 
@@ -177,16 +177,11 @@ let check_survived (r : Chaos.report) =
        r.Chaos.livelock r.Chaos.completed)
     true (Chaos.survived r)
 
-let degradation (r : Chaos.report) =
-  match r.Chaos.degradation with
-  | Some d -> d
-  | None -> Alcotest.fail "expected a degradation summary"
-
 let test_chaos_no_fault_clean () =
   let r = cell None in
   check_survived r;
   Alcotest.(check bool) "zero violations" true (Chaos.clean r);
-  let d = degradation r in
+  let d = r.Chaos.degradation in
   Alcotest.(check string) "stays on full policy" "full-policy" d.Chaos.final_rung;
   Alcotest.(check int) "no fallbacks" 0 d.Chaos.fallbacks
 
@@ -194,7 +189,7 @@ let test_chaos_hook_exception () =
   let plan = [ { Fault.kind = Fault.Hook_exception; at = 0.05; duration = 0.6; magnitude = 1.0 } ] in
   let r = cell ~plan (Some Fault.Hook_exception) in
   check_survived r;
-  let d = degradation r in
+  let d = r.Chaos.degradation in
   Alcotest.(check bool) "breaker tripped off full-policy" true (d.Chaos.final_rung <> "full-policy");
   Alcotest.(check bool) "injected faults recorded" true (d.Chaos.injected > 0);
   Alcotest.(check int) "no injected fault counted as an API bug" 0 d.Chaos.hook_exceptions
@@ -203,7 +198,7 @@ let test_chaos_hook_stall () =
   let plan = [ { Fault.kind = Fault.Hook_stall; at = 0.05; duration = 0.6; magnitude = 0.15 } ] in
   let r = cell ~plan (Some Fault.Hook_stall) in
   check_survived r;
-  let d = degradation r in
+  let d = r.Chaos.degradation in
   Alcotest.(check bool) "stalled consultations killed" true (d.Chaos.stalls > 0);
   Alcotest.(check bool) "stalls tripped the breaker" true (d.Chaos.trips > 0)
 
@@ -246,10 +241,8 @@ let test_chaos_sweep_jobs_invariant () =
   Alcotest.(check bool) "every smoke cell survives" true (List.for_all Chaos.survived seq)
 
 let test_chaos_shrink_deterministic () =
-  let scenario = { Chaos.cca = "cubic"; fault = Some Fault.Hook_exception; workload = Chaos.Fanout 2; degrade = true } in
-  let failed (r : Chaos.report) =
-    match r.Chaos.degradation with Some d -> d.Chaos.trips > 0 | None -> false
-  in
+  let scenario = { Chaos.cca = "cubic"; fault = Some Fault.Hook_exception; fanout = 2 } in
+  let failed (r : Chaos.report) = r.Chaos.degradation.Chaos.trips > 0 in
   let s1 = Chaos.shrink ~failed ~seed:4242 scenario in
   let s2 = Chaos.shrink ~failed ~seed:4242 scenario in
   match (s1, s2) with

@@ -38,6 +38,14 @@ let tree_predict tree x = Decision_tree.predict_m tree (Matrix.of_rows [| x |]) 
 let tree_leaf_id tree x = Decision_tree.leaf_id_m tree (Matrix.of_rows [| x |]) 0
 let forest_predict forest x = (Random_forest.predict_all forest (Matrix.of_rows [| x |])).(0)
 
+(* The class distribution of the leaf [x] lands in, read through [fold]. *)
+let tree_leaf_dist tree x =
+  let reached = tree_leaf_id tree x in
+  Option.get
+    (Decision_tree.fold tree
+       ~leaf:(fun ~id ~label:_ ~dist -> if id = reached then Some dist else None)
+       ~split:(fun ~feature:_ ~threshold:_ left right -> if Option.is_some left then left else right))
+
 let test_tree_fits_training_data () =
   let rng = Rng.create 1 in
   let features, labels = toy_dataset rng 200 in
@@ -75,8 +83,7 @@ let test_tree_predict_dist_sums_to_one () =
   let rng = Rng.create 5 in
   let features, labels = grid_dataset rng 200 in
   let tree = train_tree ~rng ~n_classes:4 ~features ~labels () in
-  let dist = Array.make 4 0.0 in
-  Decision_tree.add_dist tree [| 0.5; 1.5 |] ~into:dist;
+  let dist = tree_leaf_dist tree [| 0.5; 1.5 |] in
   Alcotest.(check (float 1e-9)) "sums to 1" 1.0 (Array.fold_left ( +. ) 0.0 dist)
 
 let test_tree_leaf_ids_distinct () =
@@ -131,17 +138,6 @@ let test_forest_deterministic_given_seed () =
     (fun f ->
       Alcotest.(check int) "same predictions" (forest_predict a f) (forest_predict b f))
     test_f
-
-let test_forest_proba_normalized () =
-  let rng = Rng.create 10 in
-  let features, labels = grid_dataset rng 200 in
-  let forest =
-    Random_forest.train
-      ~params:{ Random_forest.default_params with n_trees = 10 }
-      ~n_classes:4 ~features ~labels ()
-  in
-  let proba = Random_forest.predict_proba forest [| 0.5; 0.5 |] in
-  Alcotest.(check (float 1e-9)) "sums to 1" 1.0 (Array.fold_left ( +. ) 0.0 proba)
 
 let test_forest_fingerprint_shape () =
   let rng = Rng.create 11 in
@@ -439,18 +435,6 @@ let test_eval_accuracy () =
   Alcotest.(check (float 1e-9)) "3/4" 0.75
     (Eval.accuracy ~predicted:[| 1; 0; 1; 1 |] ~actual:[| 1; 0; 0; 1 |])
 
-let test_eval_confusion () =
-  let m = Eval.confusion ~n_classes:2 ~predicted:[| 0; 1; 1; 0 |] ~actual:[| 0; 1; 0; 0 |] in
-  Alcotest.(check int) "true 0 predicted 0" 2 m.(0).(0);
-  Alcotest.(check int) "true 0 predicted 1" 1 m.(0).(1);
-  Alcotest.(check int) "true 1 predicted 1" 1 m.(1).(1)
-
-let test_eval_per_class_recall () =
-  let m = [| [| 8; 2 |]; [| 1; 9 |] |] in
-  let r = Eval.per_class_recall m in
-  Alcotest.(check (float 1e-9)) "class 0" 0.8 r.(0);
-  Alcotest.(check (float 1e-9)) "class 1" 0.9 r.(1)
-
 let test_eval_mean_std () =
   let m, s = Eval.mean_std [ 0.8; 0.9; 1.0 ] in
   Alcotest.(check (float 1e-9)) "mean" 0.9 m;
@@ -490,7 +474,6 @@ let suite =
       [
         Alcotest.test_case "beats chance on grid" `Quick test_forest_beats_chance_on_grid;
         Alcotest.test_case "deterministic given seed" `Quick test_forest_deterministic_given_seed;
-        Alcotest.test_case "proba normalized" `Quick test_forest_proba_normalized;
         Alcotest.test_case "fingerprint shape" `Quick test_forest_fingerprint_shape;
         Alcotest.test_case "feature importance" `Quick test_forest_feature_importance;
         q prop_forest_predicts_known_class;
@@ -522,8 +505,6 @@ let suite =
     ( "ml.eval",
       [
         Alcotest.test_case "accuracy" `Quick test_eval_accuracy;
-        Alcotest.test_case "confusion" `Quick test_eval_confusion;
-        Alcotest.test_case "per-class recall" `Quick test_eval_per_class_recall;
         Alcotest.test_case "mean/std" `Quick test_eval_mean_std;
       ] );
   ]

@@ -44,10 +44,6 @@ let test_packet_syn_flags () =
   Alcotest.(check bool) "syn|ack has ack" true sa.Packet.is_ack;
   Alcotest.(check int) "ack number" 1 sa.Packet.ack
 
-let test_direction_sign () =
-  Alcotest.(check int) "out" 1 (Packet.direction_sign out);
-  Alcotest.(check int) "in" (-1) (Packet.direction_sign inc)
-
 (* --- Trace --- *)
 
 let test_trace_counts () =
@@ -89,10 +85,6 @@ let test_trace_shift_to_zero () =
   let t = Trace.shift_to_zero (Trace.of_events [| ev 5.0 out 1; ev 6.0 inc 2 |]) in
   Alcotest.(check (float 1e-9)) "starts at 0" 0.0 (Trace.time t 0);
   Alcotest.(check (float 1e-9)) "gap preserved" 1.0 (Trace.time t 1)
-
-let test_trace_signed_sizes () =
-  let t = Trace.of_events [| ev 0.0 out 100; ev 0.1 inc 200 |] in
-  Alcotest.(check (array (float 0.0))) "signed" [| 100.0; -200.0 |] (Trace.signed_sizes t)
 
 (* The CSV text format through its entry points, [Trace.save] and
    [Trace.load], on a temporary file. *)
@@ -146,12 +138,6 @@ let test_capture_records () =
   Alcotest.(check bool) "sorted output" true (Trace.is_sorted t);
   Alcotest.(check int) "first is earliest" (200 + Packet.default_header_bytes) (Trace.size t 0)
 
-let test_capture_clear () =
-  let c = Capture.create () in
-  Capture.record c ~time:0.0 (Packet.pure_ack ~flow:1 ~dir:out ~seq:0 ~ack:0 ~rwnd:1 ());
-  Capture.clear c;
-  Alcotest.(check int) "cleared" 0 (Capture.count c)
-
 (* Capture as it was built before its columns: a list of boxed events,
    newest first, reversed and stably sorted on [trace].  The reference for
    the column store. *)
@@ -167,17 +153,12 @@ module List_capture = struct
 
   let record t ~time (p : Packet.t) = observe t ~dir:p.dir ~time p
   let trace t = Ref.sort (Array.of_list (List.rev t.events))
-
-  let clear t =
-    t.events <- [];
-    t.n <- 0;
-    t.rtx <- 0
 end
 
-type capture_op = Record of float * Packet.t | Clear
+type capture_op = Record of float * Packet.t | Snapshot
 
 (* Times step forward, repeat or step back; sizes include zero-payload
-   packets; both directions, rtx marks, and clears followed by reuse. *)
+   packets; both directions, rtx marks, and snapshots taken mid-script. *)
 let arbitrary_capture_script =
   let open QCheck.Gen in
   let dir = oneofl [ out; inc ] in
@@ -192,7 +173,7 @@ let arbitrary_capture_script =
     frequency
       [
         (9, map2 (fun dt p -> `Record (dt, p)) step packet);
-        (1, return `Clear);
+        (1, return `Snapshot);
       ]
   in
   let concretize script =
@@ -202,7 +183,7 @@ let arbitrary_capture_script =
         | `Record (dt, p) ->
             now := !now +. dt;
             Record (!now, p)
-        | `Clear -> Clear)
+        | `Snapshot -> Snapshot)
       script
   in
   QCheck.make
@@ -211,7 +192,7 @@ let arbitrary_capture_script =
         (List.map
            (function
              | Record (t, p) -> Printf.sprintf "record(%h,%d%s)" t (Packet.wire_size p) (if p.rtx then ",rtx" else "")
-             | Clear -> "clear")
+             | Snapshot -> "snapshot")
            ops))
     (map concretize (list_size (int_range 0 600) op))
 
@@ -230,11 +211,7 @@ let prop_capture_matches_list =
               Capture.record c ~time p;
               List_capture.record r ~time p;
               true
-          | Clear ->
-              let ok = same () in
-              Capture.clear c;
-              List_capture.clear r;
-              ok && same ())
+          | Snapshot -> same ())
         ops
       && same ())
 
@@ -323,7 +300,6 @@ let prop_packed_observers_agree =
       let dirs = [ None; Some out; Some inc ] in
       Trace.is_sorted p = Ref.is_sorted t
       && Trace.duration p = Ref.duration t
-      && Trace.signed_sizes p = Ref.signed_sizes t
       && same (Trace.shift_to_zero p) (Ref.shift_to_zero t)
       && same (Trace.prefix p k) (Ref.prefix t k)
       && List.for_all
@@ -581,7 +557,6 @@ let suite =
         Alcotest.test_case "seq end" `Quick test_packet_seq_end;
         Alcotest.test_case "dummy sequence space" `Quick test_packet_dummy_seq;
         Alcotest.test_case "syn flags" `Quick test_packet_syn_flags;
-        Alcotest.test_case "direction sign" `Quick test_direction_sign;
       ] );
     ( "net.trace",
       [
@@ -592,7 +567,6 @@ let suite =
         Alcotest.test_case "interarrivals" `Quick test_trace_interarrivals;
         Alcotest.test_case "stable sort" `Quick test_trace_sort_stable;
         Alcotest.test_case "shift to zero" `Quick test_trace_shift_to_zero;
-        Alcotest.test_case "signed sizes" `Quick test_trace_signed_sizes;
         Alcotest.test_case "csv roundtrip" `Quick test_trace_csv_roundtrip;
         Alcotest.test_case "csv malformed" `Quick test_trace_csv_malformed;
         Alcotest.test_case "concat sorted" `Quick test_trace_concat_sorted;
@@ -603,7 +577,6 @@ let suite =
     ( "net.capture",
       [
         Alcotest.test_case "records" `Quick test_capture_records;
-        Alcotest.test_case "clear" `Quick test_capture_clear;
         q prop_capture_matches_list;
       ] );
     ( "net.packed",

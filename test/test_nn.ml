@@ -528,7 +528,7 @@ let test_dfnet_encode_batch_packed_agree () =
       let x =
         Array.init Dfnet.input_length (fun i ->
             if i < Stob_net.Trace.length trace then
-              float_of_int (Stob_net.Packet.direction_sign (Stob_net.Trace.dir trace i))
+              float_of_int (Trace_reference.direction_sign (Stob_net.Trace.dir trace i))
             else 0.0)
       in
       Array.iteri

@@ -47,19 +47,6 @@ let test_pool_reuse_after_failure () =
       Alcotest.check_raises "and still reports failures" (Boom 3) (fun () ->
           ignore (failing_map pool)))
 
-let test_map_reduce () =
-  Pool.with_pool ~domains:4 (fun pool ->
-      let input = Array.init 50 (fun i -> i + 1) in
-      Alcotest.(check int)
-        "associative reduce matches sequential fold" 1275
-        (Pool.map_reduce pool ~f:Fun.id ~reduce:( + ) ~init:0 input);
-      (* String concatenation is associative but not commutative: any
-         scheduling-order leak would scramble it. *)
-      Alcotest.(check string)
-        "reduction is applied in index order" "1234567891011121314151617181920"
-        (Pool.map_reduce pool ~f:string_of_int ~reduce:( ^ ) ~init:""
-           (Array.init 20 (fun i -> i + 1))))
-
 let test_sequential_fallback () =
   let pool = Pool.create ~domains:1 () in
   Alcotest.(check int) "one domain" 1 (Pool.domains pool);
@@ -97,6 +84,17 @@ let test_dataset_deterministic () =
       let seq = tiny_dataset () and par = tiny_dataset ~pool () in
       Alcotest.(check bool) "corpora byte-identical" true (seq = par))
 
+(* Per tree, the class distribution of the leaf [x] lands in. *)
+let leaf_dists forest x =
+  let m = Stob_ml.Matrix.of_rows [| x |] in
+  Array.map
+    (fun tree ->
+      let reached = Stob_ml.Decision_tree.leaf_id_m tree m 0 in
+      Stob_ml.Decision_tree.fold tree
+        ~leaf:(fun ~id ~label:_ ~dist -> if id = reached then Some dist else None)
+        ~split:(fun ~feature:_ ~threshold:_ left right -> if Option.is_some left then left else right))
+    (Stob_ml.Random_forest.trees forest)
+
 let test_forest_deterministic () =
   let rng = Rng.create 11 in
   let features = Array.init 40 (fun _ -> Array.init 8 (fun _ -> Rng.float rng 1.0)) in
@@ -112,8 +110,7 @@ let test_forest_deterministic () =
             (Stob_ml.Random_forest.leaf_fingerprint_m seq m 0
             = Stob_ml.Random_forest.leaf_fingerprint_m par m 0);
           Alcotest.(check bool) "identical class distributions" true
-            (Stob_ml.Random_forest.predict_proba seq x
-            = Stob_ml.Random_forest.predict_proba par x))
+            (leaf_dists seq x = leaf_dists par x))
         features)
 
 let test_accuracy_cv_deterministic () =
@@ -150,7 +147,6 @@ let suite =
         Alcotest.test_case "map on empty input" `Quick test_map_empty;
         Alcotest.test_case "map re-raises first task error" `Quick test_map_exception;
         Alcotest.test_case "pool reusable after failed batch" `Quick test_pool_reuse_after_failure;
-        Alcotest.test_case "map_reduce folds in index order" `Quick test_map_reduce;
         Alcotest.test_case "sequential fallback and shutdown" `Quick test_sequential_fallback;
         QCheck_alcotest.to_alcotest qcheck_map_matches_list_map;
         Alcotest.test_case "dataset generation deterministic" `Slow test_dataset_deterministic;

@@ -388,7 +388,7 @@ let test_rtx_oracle_agreement () =
   Alcotest.(check int) "no queue drops" 0 (Path.drops w.path);
   Alcotest.(check bool) "capture saw retransmissions" true
     (Capture.rtx_count (Path.capture w.path) > 0);
-  let monitor = Monitor.create ~mode:Monitor.Collect w.engine in
+  let monitor = Monitor.create w.engine in
   Monitor.check_quic_rtx_oracle monitor
     ~capture:(Path.capture w.path)
     ~endpoints:[ Connection.client w.conn; Connection.server w.conn ]
@@ -426,7 +426,7 @@ let test_wire_table_drains () =
   Endpoint.set_on_stream_fin server (fun ~stream:_ ->
       Endpoint.send_stream server ~stream:4 ~fin:true 2_000_000);
   Endpoint.listen server ~flight_bytes:3_000;
-  Endpoint.connect client ~flight_bytes:3_000 ();
+  Endpoint.connect client;
   Engine.run ~until:10.0 engine;
   Alcotest.(check int) "response delivered" 2_000_000 !received;
   Alcotest.(check bool) "both ends still open" false
@@ -624,7 +624,7 @@ let test_sender_index_monitored () =
     make_world ~queue_capacity:10_000_000 ~client_netem:(impair 21) ~server_netem:(impair 22) ()
   in
   let client = Connection.client w.conn and server = Connection.server w.conn in
-  let monitor = Monitor.create ~mode:Monitor.Collect w.engine in
+  let monitor = Monitor.create w.engine in
   let endpoints = [ ("client", client); ("server", server) ] in
   List.iter (fun (name, ep) -> Monitor.observe_quic monitor ~name ep) endpoints;
   let rec sweep () =

@@ -716,13 +716,6 @@ let test_fault_plan_validate () =
   expect_invalid_arg "non-positive horizon" (fun () ->
       Fault.plan (fault_cfg ~horizon:0.0 ~seed:0 []))
 
-let test_fault_kind_names () =
-  List.iter
-    (fun k ->
-      Alcotest.(check bool) (Fault.kind_name k) true (Fault.kind_of_name (Fault.kind_name k) = k))
-    Fault.all_kinds;
-  expect_invalid_arg "unknown kind name" (fun () -> Fault.kind_of_name "meteor-strike")
-
 let test_fault_arm_schedules () =
   let engine = Engine.create () in
   let log = ref [] in
@@ -1133,7 +1126,6 @@ let suite =
         Alcotest.test_case "plan deterministic" `Quick test_fault_plan_deterministic;
         Alcotest.test_case "plan subset-stable" `Quick test_fault_plan_subset_stable;
         Alcotest.test_case "plan validated" `Quick test_fault_plan_validate;
-        Alcotest.test_case "kind names round-trip" `Quick test_fault_kind_names;
         Alcotest.test_case "arm schedules apply/revert" `Quick test_fault_arm_schedules;
       ] );
   ]

@@ -49,13 +49,6 @@ let test_rtt_backoff () =
   Rtt.reset_backoff r;
   check_float 1e-9 "reset" base (Rtt.rto r)
 
-let test_rtt_min_rtt () =
-  let r = Rtt.create Config.default in
-  Rtt.observe r 0.3;
-  Rtt.observe r 0.1;
-  Rtt.observe r 0.2;
-  Alcotest.(check (option (float 1e-9))) "min" (Some 0.1) (Rtt.min_rtt r)
-
 (* --- Pacer --- *)
 
 let test_pacer_spacing () =
@@ -579,7 +572,7 @@ let test_pacing_spreads_departures () =
   request_response w ~request:100 ~response:2_000_000;
   let trace = Capture.trace (Path.capture w.path) in
   let gaps = Trace.interarrivals ~dir:Packet.Incoming trace in
-  let line_rate_gap = Units.tx_time ~rate_bps:(Units.gbps 10.0) ~bytes:1500 in
+  let line_rate_gap = 1500.0 *. 8.0 /. Units.gbps 10.0 in
   let spread = Array.exists (fun g -> g > 3.0 *. line_rate_gap) gaps in
   Alcotest.(check bool) "pacing creates gaps" true spread
 
@@ -1393,7 +1386,6 @@ let suite =
         Alcotest.test_case "smoothing" `Quick test_rtt_smoothing;
         Alcotest.test_case "rto floor" `Quick test_rtt_min_floor;
         Alcotest.test_case "backoff" `Quick test_rtt_backoff;
-        Alcotest.test_case "min rtt" `Quick test_rtt_min_rtt;
       ] );
     ( "tcp.pacer",
       [

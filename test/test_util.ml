@@ -35,14 +35,6 @@ let test_rng_split_independence () =
   done;
   Alcotest.(check bool) "streams diverge" true (!same < 3)
 
-let test_rng_copy_replays () =
-  let a = Rng.create 9 in
-  ignore (Rng.bits64 a);
-  let b = Rng.copy a in
-  for _ = 1 to 50 do
-    Alcotest.(check int64) "copy replays" (Rng.bits64 a) (Rng.bits64 b)
-  done
-
 let test_rng_int_bounds () =
   let rng = Rng.create 3 in
   for _ = 1 to 1000 do
@@ -83,12 +75,6 @@ let test_rng_lognormal_positive () =
     Alcotest.(check bool) "lognormal > 0" true (Rng.lognormal rng ~mu:0.0 ~sigma:1.5 > 0.0)
   done
 
-let test_rng_pareto_floor () =
-  let rng = Rng.create 11 in
-  for _ = 1 to 1000 do
-    Alcotest.(check bool) "pareto >= scale" true (Rng.pareto rng ~shape:1.5 ~scale:3.0 >= 3.0)
-  done
-
 let test_rng_bernoulli_rate () =
   let rng = Rng.create 12 in
   let hits = ref 0 in
@@ -103,18 +89,6 @@ let test_rng_geometric_mean () =
   let xs = Array.init 20000 (fun _ -> float_of_int (Rng.geometric rng ~p:0.5)) in
   (* mean failures before success = (1-p)/p = 1 *)
   check_float_loose 0.05 "geometric mean" 1.0 (Stats.mean xs)
-
-let test_rng_weighted_choice () =
-  let rng = Rng.create 14 in
-  let counts = Hashtbl.create 3 in
-  let items = [| ("a", 1.0); ("b", 3.0); ("c", 0.0) |] in
-  for _ = 1 to 10000 do
-    let k = Rng.weighted_choice rng items in
-    Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k))
-  done;
-  let get k = Option.value ~default:0 (Hashtbl.find_opt counts k) in
-  Alcotest.(check int) "zero weight never picked" 0 (get "c");
-  Alcotest.(check bool) "b ~3x a" true (get "b" > 2 * get "a")
 
 let test_rng_shuffle_permutation () =
   let rng = Rng.create 15 in
@@ -182,17 +156,9 @@ let test_stats_mean_std () =
   check_float "mean" 5.0 (Stats.mean a);
   check_float_loose 1e-6 "sample std" 2.13809 (Stats.sample_std a)
 
-let test_stats_cumulative () =
-  let a = [| 1.0; 2.0; 3.0 |] in
-  Alcotest.(check (array (float 1e-9))) "cumsum" [| 1.0; 3.0; 6.0 |] (Stats.cumulative a)
-
 let test_stats_skew_symmetric () =
   let a = [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
   check_float_loose 1e-9 "skew of symmetric" 0.0 (Stats.skewness a)
-
-let test_stats_mad () =
-  let a = [| 1.0; 1.0; 2.0; 2.0; 4.0; 6.0; 9.0 |] in
-  check_float "mad" 1.0 (Stats.mad a)
 
 (* --- Histogram --- *)
 
@@ -225,25 +191,6 @@ let test_histogram_sample_distribution () =
     Alcotest.(check bool) "in the populated bin" true (x >= 5.0 && x < 6.0)
   done
 
-let test_histogram_quantile () =
-  let samples = Array.init 1000 (fun i -> float_of_int i /. 10.0) in
-  let h = Histogram.of_samples ~lo:0.0 ~hi:100.0 ~bins:100 samples in
-  check_float_loose 2.0 "median" 50.0 (Histogram.quantile h 0.5);
-  check_float_loose 2.0 "p90" 90.0 (Histogram.quantile h 0.9)
-
-let test_histogram_merge () =
-  let a = Histogram.of_samples ~lo:0.0 ~hi:10.0 ~bins:10 [| 1.0; 2.0 |] in
-  let b = Histogram.of_samples ~lo:0.0 ~hi:10.0 ~bins:10 [| 2.5; 7.0 |] in
-  let m = Histogram.merge a b in
-  Alcotest.(check int) "merged total" 4 (Histogram.count m);
-  Alcotest.(check int) "bin2 has both" 2 (Histogram.bin_count m 2)
-
-let test_histogram_geometry_mismatch () =
-  let a = Histogram.of_samples ~lo:0.0 ~hi:10.0 ~bins:10 [||] in
-  let b = Histogram.of_samples ~lo:0.0 ~hi:20.0 ~bins:10 [||] in
-  Alcotest.check_raises "mismatch" (Invalid_argument "Histogram.merge: geometry mismatch")
-    (fun () -> ignore (Histogram.merge a b))
-
 let test_histogram_empty_sample_raises () =
   let h = Histogram.of_samples ~lo:0.0 ~hi:1.0 ~bins:2 [||] in
   let rng = Rng.create 1 in
@@ -255,10 +202,6 @@ let test_histogram_empty_sample_raises () =
 let test_units_conversions () =
   check_float "msec" 5e-2 (Units.msec 50.0);
   check_float "gbps" 1e11 (Units.gbps 100.0)
-
-let test_units_tx_time () =
-  (* 1500 bytes at 100 Gb/s = 120 ns *)
-  check_float_loose 1e-12 "tx time" 120e-9 (Units.tx_time ~rate_bps:(Units.gbps 100.0) ~bytes:1500)
 
 let test_units_throughput () =
   check_float "throughput" 8e6 (Units.throughput_bps ~bytes:1_000_000 ~seconds:1.0)
@@ -357,17 +300,14 @@ let suite =
         Alcotest.test_case "determinism" `Quick test_rng_determinism;
         Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
         Alcotest.test_case "split independence" `Quick test_rng_split_independence;
-        Alcotest.test_case "copy replays" `Quick test_rng_copy_replays;
         Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
         Alcotest.test_case "int_in inclusive" `Quick test_rng_int_in;
         Alcotest.test_case "uniform mean" `Quick test_rng_uniform_mean;
         Alcotest.test_case "normal moments" `Quick test_rng_normal_moments;
         Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
         Alcotest.test_case "lognormal positive" `Quick test_rng_lognormal_positive;
-        Alcotest.test_case "pareto floor" `Quick test_rng_pareto_floor;
         Alcotest.test_case "bernoulli rate" `Quick test_rng_bernoulli_rate;
         Alcotest.test_case "geometric mean" `Quick test_rng_geometric_mean;
-        Alcotest.test_case "weighted choice" `Quick test_rng_weighted_choice;
         Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
         Alcotest.test_case "sample without replacement" `Quick test_rng_sample_without_replacement;
         Alcotest.test_case "invalid args" `Quick test_rng_invalid_args;
@@ -381,9 +321,7 @@ let suite =
         Alcotest.test_case "percentile unsorted" `Quick test_stats_percentile_unsorted;
         Alcotest.test_case "iqr bounds" `Quick test_stats_iqr_bounds;
         Alcotest.test_case "mean/std" `Quick test_stats_mean_std;
-        Alcotest.test_case "cumulative" `Quick test_stats_cumulative;
         Alcotest.test_case "skew symmetric" `Quick test_stats_skew_symmetric;
-        Alcotest.test_case "mad" `Quick test_stats_mad;
         q prop_percentile_monotone;
         q prop_mean_between_min_max;
         q prop_sort_paths_match_oracle;
@@ -395,16 +333,12 @@ let suite =
         Alcotest.test_case "clamping" `Quick test_histogram_clamping;
         Alcotest.test_case "sample within range" `Quick test_histogram_sample_within;
         Alcotest.test_case "sample follows mass" `Quick test_histogram_sample_distribution;
-        Alcotest.test_case "quantile" `Quick test_histogram_quantile;
-        Alcotest.test_case "merge" `Quick test_histogram_merge;
-        Alcotest.test_case "geometry mismatch" `Quick test_histogram_geometry_mismatch;
         Alcotest.test_case "empty sample raises" `Quick test_histogram_empty_sample_raises;
         q prop_histogram_total;
       ] );
     ( "util.units",
       [
         Alcotest.test_case "conversions" `Quick test_units_conversions;
-        Alcotest.test_case "tx time" `Quick test_units_tx_time;
         Alcotest.test_case "throughput" `Quick test_units_throughput;
       ] );
   ]

@@ -13,6 +13,10 @@ module Packet = Stob_net.Packet
 
 type event = Stob_net.Trace.event = { time : float; dir : Packet.direction; size : int }
 
+(* [+1] for [Outgoing], [-1] for [Incoming]: the signed encoding of the WF
+   literature. *)
+let direction_sign = function Packet.Outgoing -> 1 | Packet.Incoming -> -1
+
 type t = event array
 
 let empty = [||]
@@ -64,7 +68,7 @@ let interarrivals ?dir t =
   if n < 2 then [||] else Array.init (n - 1) (fun i -> ts.(i + 1) -. ts.(i))
 
 let signed_sizes t =
-  Array.map (fun e -> float_of_int (e.size * Packet.direction_sign e.dir)) t
+  Array.map (fun e -> float_of_int (e.size * direction_sign e.dir)) t
 
 let shift_to_zero t =
   if Array.length t = 0 then [||]
@@ -77,7 +81,7 @@ let concat_sorted traces = sort (Array.concat traces)
 let to_csv t =
   let buf = Buffer.create (Array.length t * 24) in
   Array.iter
-    (fun e -> Buffer.add_string buf (Printf.sprintf "%.9f,%d,%d\n" e.time (Packet.direction_sign e.dir) e.size))
+    (fun e -> Buffer.add_string buf (Printf.sprintf "%.9f,%d,%d\n" e.time (direction_sign e.dir) e.size))
     t;
   Buffer.contents buf
 
