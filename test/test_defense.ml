@@ -495,7 +495,7 @@ let golden_expected =
     ("WTF-PAD on bing.com", ("648633a7d2979513d2519687dc1815d8", "c1911a826a81ca29"));
     ("FRONT on bing.com", ("a171c8d70e5fb0002e027b8365adb3fb", "4ba264c90c4ed610"));
     ("Morphing on bing.com", ("22bb5b8fc5e5219dd6a0b46ec41d8b2f", "b385d143221c8be2"));
-    ("Cactus on bing.com", ("9134260a09685f96f6d7f00f2de0fd5b", "80d929df62f3795b"));
+    ("Cactus on bing.com", ("479731fe28af2798b852c2a8de608ce7", "80d929df62f3795b"));
     ("NetShaper on bing.com", ("9be48d355a2694a7095d71584a10b86c", "d7dedbbd07a6295b"));
     ("Stob-split on bing.com", ("692bfbfa40e248ae8330c625a38537b8", "01357c056c3669e9"));
     ("Stob-delay on bing.com", ("842de0833c1f059db5ddbc9f329c8bc9", "730b9ccbf62a68aa"));
@@ -514,7 +514,7 @@ let golden_expected =
     ("WTF-PAD on youtube.com", ("30b45f431b4633c06d6ea0abd6405729", "b00f99bad70b3497"));
     ("FRONT on youtube.com", ("eabf2ff901560f46b6d4045d8b5400c0", "08a7fda768b6a713"));
     ("Morphing on youtube.com", ("796e6b3203e3f3fb96d583f39b12416c", "db6a6e35dd42c7c3"));
-    ("Cactus on youtube.com", ("af5b2d4f9fd1fb43da2acdcc5e096370", "3cf52d3668aec4c0"));
+    ("Cactus on youtube.com", ("c3c6ccb94fbd43d25ba3ffd4b7802ce2", "3cf52d3668aec4c0"));
     ("NetShaper on youtube.com", ("3f78cfd18c484da34c48c7c3b1e45c43", "86837f83180b331d"));
     ("Stob-split on youtube.com", ("0e6a15b9c968c0eecec772cf03b80185", "957c75d2fdf36952"));
     ("Stob-delay on youtube.com", ("f42c64bfa8285748d851846de6fac1e6", "1943c1c3fa62de5b"));
@@ -533,7 +533,7 @@ let golden_expected =
     ("WTF-PAD on wikipedia.org", ("16db1223c8beefd8bf29f8021aba1f02", "a23768e004c88153"));
     ("FRONT on wikipedia.org", ("3b3504efc08db5a2b1e5258c5ef6cdfe", "fb4e86a5415cfaab"));
     ("Morphing on wikipedia.org", ("a50ed35d1384a2756c4c87c5902a1096", "09cd6a351dde1f3d"));
-    ("Cactus on wikipedia.org", ("f8bc7a0e7e22cec442a96bd36c5e84bc", "7d1191771bb66323"));
+    ("Cactus on wikipedia.org", ("b37368b9572bdada2b7b6e506dfbb7a0", "7d1191771bb66323"));
     ("NetShaper on wikipedia.org", ("4fa69f08235b5f7a05bd31cdc35a79d1", "3c4c535100d3baa4"));
     ("Stob-split on wikipedia.org", ("ba03f575e3feaeba4c6271fc89b0a44c", "3eaa96ff243a3138"));
     ("Stob-delay on wikipedia.org", ("2c3cfcc9d723cbba53cd7d4cc25189d4", "5a0aa136736afab9"));
