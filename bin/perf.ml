@@ -412,7 +412,7 @@ let simperf_parity ~steps =
     (fun wheel ->
       let pops, leaked = run wheel in
       pops = heap && not leaked)
-    [ Eq.create_impl Eq.Wheel; Eq.create_wheel ~granularity:0.1 () ]
+    [ Eq.create_impl Eq.Wheel; Eq.create_wheel ~granularity:0.1 ]
 
 let simperf ~smoke =
   let queue_size, ops = if smoke then (5_000, 200_000) else (200_000, 2_000_000) in

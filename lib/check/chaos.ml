@@ -297,7 +297,7 @@ let survived r =
 
 let clean r = survived r && r.total_violations = 0
 
-let shrink ?(failed = fun r -> not (survived r)) ~seed scenario =
+let shrink ~failed ~seed scenario =
   let run plan = run_cell ~plan ~seed scenario in
   let full_plan = drawn_plan ~seed scenario in
   if not (failed (run full_plan)) then None

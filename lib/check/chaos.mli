@@ -89,12 +89,12 @@ val clean : report -> bool
 (** {!survived} with zero violations (the no-fault bar). *)
 
 val shrink :
-  ?failed:(report -> bool) ->
+  failed:(report -> bool) ->
   seed:int ->
   scenario ->
   (int * Stob_sim.Fault.event list * report) option
 (** Minimise a failing cell to the shortest prefix of its time-sorted
-    fault plan that still fails [failed] (default: [not (survived r)]).
+    fault plan that still fails [failed].
     Returns [None] when the full plan does not fail; otherwise the prefix
     length, the prefix itself, and the report of the minimal replay.
     Deterministic: the same seed always shrinks to the same prefix. *)

@@ -10,7 +10,7 @@
     per-flow generator: slow readers with tiny receive buffers (the
     zero-window / persist-probe path), peers refusing SACK or window
     scaling, reduced-MSS peers, delayed-ACK receivers, and all three CCAs.
-    Every endpoint is observed by {!Monitor} ([Collect] mode), so the
+    Every endpoint is observed by {!Monitor}, so the
     window-sanity invariants ([tcp-adv-window], [tcp-peer-window],
     [tcp-window-respect]) and the rest of the catalogue are armed on every
     segment of every flow.

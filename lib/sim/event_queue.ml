@@ -25,7 +25,7 @@ let default_impl () = match env_impl with Ok impl -> impl | Error msg -> invalid
 
 let create_impl = function Heap -> H (Heap_queue.create ()) | Wheel -> W (Timing_wheel.create ())
 let create () = create_impl (default_impl ())
-let create_wheel ?granularity () = W (Timing_wheel.create ?granularity ())
+let create_wheel ~granularity = W (Timing_wheel.create ~granularity ())
 
 let impl = function H _ -> Heap | W _ -> Wheel
 

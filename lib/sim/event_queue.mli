@@ -24,7 +24,7 @@ val create : unit -> 'a t
 val create_impl : impl -> 'a t
 (** Explicit implementation choice (the differential tests drive both). *)
 
-val create_wheel : ?granularity:float -> unit -> 'a t
+val create_wheel : granularity:float -> 'a t
 (** A wheel with a specific tick granularity (see {!Timing_wheel.create}). *)
 
 val impl : 'a t -> impl

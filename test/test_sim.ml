@@ -811,7 +811,7 @@ let wheel_matches_heap ?granularity ops =
   let wheel =
     match granularity with
     | None -> Event_queue.create_impl Event_queue.Wheel
-    | Some g -> Event_queue.create_wheel ~granularity:g ()
+    | Some g -> Event_queue.create_wheel ~granularity:g
   in
   let heap_pops, _ = run_script ops (Event_queue.create_impl Event_queue.Heap) in
   let wheel_pops, ok = run_script ops wheel in
