@@ -65,7 +65,7 @@ let draw_event rng ~kind ~horizon =
   | Pacer_jump ->
       (* Point event; magnitude: forward jump of the pacing clock, seconds.
          Absolute, not horizon-scaled: it must dominate the monitor's
-         progress-stall bound (0.5 s default) at any scenario size. *)
+         progress-stall bound (0.5 s) at any scenario size. *)
       { kind; at; duration = 0.0; magnitude = Rng.uniform rng 0.75 2.5 }
   | Qdisc_collapse ->
       (* Magnitude: collapsed capacity in bytes. *)

@@ -8,6 +8,8 @@ module Hooks = Stob_tcp.Hooks
 module Controller = Stob_core.Controller
 module Chaos = Stob_check.Chaos
 module Pool = Stob_par.Pool
+module Monitor = Stob_check.Monitor
+module Engine = Stob_sim.Engine
 
 let check_float = Alcotest.(check (float 1e-12))
 
@@ -231,6 +233,60 @@ let test_chaos_qdisc_collapse () =
   check_survived r;
   Alcotest.(check bool) "stranded backlog detected" true (violated "qdisc-backlog-bound" r)
 
+(* Every kind the battery sweeps must reach the stack: no fault row of the
+   smoke sweep repeats the control row.  The control cell draws no faults,
+   so its outcome does not depend on its seed; a kind that nothing arms
+   would print that row again with only [fault_events] changed. *)
+let test_chaos_every_kind_armed () =
+  let outcome (r : Chaos.report) =
+    { r with Chaos.scenario = { r.Chaos.scenario with fault = None }; seed = 0; fault_events = 0 }
+  in
+  match Chaos.run_sweep ~seed:1337 (Chaos.smoke_scenarios ()) with
+  | control :: faulted ->
+      Alcotest.(check int) "control draws no faults" 0 control.Chaos.fault_events;
+      List.iter
+        (fun r ->
+          let name = Chaos.scenario_name r.Chaos.scenario in
+          Alcotest.(check bool) (name ^ " drew events") true (r.Chaos.fault_events > 0);
+          Alcotest.(check bool) (name ^ " differs from the control row") true
+            (outcome r <> outcome control))
+        faulted
+  | [] -> Alcotest.fail "empty smoke sweep"
+
+(* --- Scenario lists ------------------------------------------------------ *)
+
+let fault_options = None :: List.map Option.some Fault.all_kinds
+
+let test_smoke_scenarios () =
+  let smoke = Chaos.smoke_scenarios () in
+  Alcotest.(check int) "7 cells" 7 (List.length smoke);
+  Alcotest.(check bool) "cubic, fanout 2: the control, then every kind" true
+    (smoke = List.map (fun fault -> { Chaos.cca = "cubic"; fault; fanout = 2 }) fault_options)
+
+let test_default_scenarios () =
+  let full = Chaos.default_scenarios () in
+  Alcotest.(check int) "21 cells" 21 (List.length full);
+  Alcotest.(check bool) "reno, cubic, bbr x the control and every kind, fanout 3" true
+    (full
+    = List.concat_map
+        (fun cca -> List.map (fun fault -> { Chaos.cca; fault; fanout = 3 }) fault_options)
+        [ "reno"; "cubic"; "bbr" ])
+
+(* The names open every row of [stobctl chaos]; the suffix stays although
+   every cell degrades. *)
+let test_scenario_names () =
+  Alcotest.(check (list string)) "smoke names"
+    [
+      "cubic/no-fault/fanout2/degrade";
+      "cubic/hook-exception/fanout2/degrade";
+      "cubic/hook-stall/fanout2/degrade";
+      "cubic/policy-failure/fanout2/degrade";
+      "cubic/cpu-overload/fanout2/degrade";
+      "cubic/pacer-jump/fanout2/degrade";
+      "cubic/qdisc-collapse/fanout2/degrade";
+    ]
+    (List.map Chaos.scenario_name (Chaos.smoke_scenarios ()))
+
 (* --- Sweep and shrink determinism --------------------------------------- *)
 
 let test_chaos_sweep_jobs_invariant () =
@@ -254,6 +310,49 @@ let test_chaos_shrink_deterministic () =
       Alcotest.(check int) "prefix length matches" k1 (List.length p1)
   | None, None -> Alcotest.fail "expected the full hook-exception plan to trip the breaker"
   | _ -> Alcotest.fail "shrink not deterministic: one run minimised, the other did not"
+
+(* --- Monitor bounds -------------------------------------------------------- *)
+
+let test_monitor_storage_cap () =
+  let m = Monitor.create (Engine.create ()) in
+  for i = 1 to 250 do
+    Monitor.record m (Stob_check.Violation.make ~invariant:"x" ~time:(float_of_int i) "d")
+  done;
+  Alcotest.(check int) "total counts past the cap" 250 (Monitor.total m);
+  Alcotest.(check (list (pair string int))) "per-invariant count too" [ ("x", 250) ]
+    (Monitor.counts m);
+  let kept = Monitor.violations m in
+  Alcotest.(check int) "200 kept" 200 (List.length kept);
+  check_float "oldest first" 1.0 (List.hd kept).Stob_check.Violation.time
+
+let test_monitor_cpu_bound () =
+  let engine = Engine.create () in
+  let cpu = Stob_sim.Cpu.create engine in
+  let m = Monitor.create engine in
+  Monitor.watch_cpu m ~name:"core" cpu;
+  Stob_sim.Cpu.submit cpu ~cost:0.4 ignore;
+  Monitor.check_now m ~now:0.0;
+  Alcotest.(check int) "0.4 s ahead is within the bound" 0 (Monitor.total m);
+  Stob_sim.Cpu.submit cpu ~cost:0.2 ignore;
+  Monitor.check_now m ~now:0.0;
+  Alcotest.(check (list (pair string int))) "0.6 s ahead trips it" [ ("cpu-backlog-bound", 1) ]
+    (Monitor.counts m)
+
+let test_monitor_progress_bound () =
+  let engine = Engine.create () in
+  let m = Monitor.create engine in
+  let activity = ref 0 in
+  Monitor.watch_progress m ~name:"flow" ~pending:(fun () -> true) ~activity:(fun () -> !activity);
+  Monitor.attach_engine m;
+  (* Gaps of 0.45 s pass; the 0.6 s gap that follows is one stall. *)
+  List.iter
+    (fun time -> ignore (Engine.schedule_at engine ~time (fun () -> incr activity)))
+    [ 0.45; 0.9; 1.5 ];
+  Engine.run engine;
+  Alcotest.(check (list (pair string int))) "one stall" [ ("progress-stall", 1) ]
+    (Monitor.counts m);
+  check_float "detected when the silence ends" 1.5
+    (List.hd (Monitor.violations m)).Stob_check.Violation.time
 
 (* --- Store canary -------------------------------------------------------- *)
 
@@ -316,11 +415,24 @@ let suite =
         Alcotest.test_case "pacer-jump trips progress-stall" `Quick test_chaos_pacer_jump;
         Alcotest.test_case "qdisc-collapse trips qdisc-backlog-bound" `Quick
           test_chaos_qdisc_collapse;
+        Alcotest.test_case "every kind reaches the stack" `Quick test_chaos_every_kind_armed;
+      ] );
+    ( "chaos.scenarios",
+      [
+        Alcotest.test_case "smoke: cubic x every kind" `Quick test_smoke_scenarios;
+        Alcotest.test_case "full: three ccas x every kind" `Quick test_default_scenarios;
+        Alcotest.test_case "names" `Quick test_scenario_names;
       ] );
     ( "chaos.determinism",
       [
         Alcotest.test_case "sweep jobs-invariant" `Quick test_chaos_sweep_jobs_invariant;
         Alcotest.test_case "shrink deterministic" `Quick test_chaos_shrink_deterministic;
+      ] );
+    ( "chaos.monitor",
+      [
+        Alcotest.test_case "stores 200, counts all" `Quick test_monitor_storage_cap;
+        Alcotest.test_case "cpu backlog bound 0.5 s" `Quick test_monitor_cpu_bound;
+        Alcotest.test_case "progress stall bound 0.5 s" `Quick test_monitor_progress_bound;
       ] );
     ( "chaos.canary",
       [

@@ -130,6 +130,25 @@ let test_attack_separates_synthetic_classes () =
   let acc_knn = Attack.evaluate attack ~mode:(Attack.Leaf_knn 3) ~features:test_f ~labels:test_l in
   Alcotest.(check bool) (Printf.sprintf "leaf-knn accuracy %.2f > 0.9" acc_knn) true (acc_knn > 0.9)
 
+(* Both modes read the same forest, so they mostly agree.  Accuracy
+   against the forest's own votes is the agreement rate. *)
+let test_attack_modes_agree_mostly () =
+  let rng = Rng.create 34 in
+  let train_f, train_l = synthetic_dataset rng 30 in
+  let attack =
+    Attack.train
+      ~forest:{ Stob_ml.Random_forest.default_params with n_trees = 20 }
+      ~n_classes:2 ~features:train_f ~labels:train_l ()
+  in
+  let test_f, _ = synthetic_dataset rng 20 in
+  let vote =
+    Stob_ml.Random_forest.predict_all (Attack.forest attack) (Stob_ml.Matrix.of_rows test_f)
+  in
+  Alcotest.(check (float 0.0)) "forest-vote mode is the forest's vote" 1.0
+    (Attack.evaluate attack ~mode:Attack.Forest_vote ~features:test_f ~labels:vote);
+  Alcotest.(check bool) "modes mostly agree" true
+    (Attack.evaluate attack ~mode:(Attack.Leaf_knn 3) ~features:test_f ~labels:vote > 0.8)
+
 let test_open_world_rule () =
   let rng = Rng.create 35 in
   let train_f, train_l = synthetic_dataset rng 40 in
@@ -277,6 +296,7 @@ let suite =
       [
         Alcotest.test_case "separates synthetic classes" `Quick
           test_attack_separates_synthetic_classes;
+        Alcotest.test_case "modes mostly agree" `Quick test_attack_modes_agree_mostly;
         Alcotest.test_case "open-world rule" `Quick test_open_world_rule;
       ] );
   ]

@@ -716,6 +716,33 @@ let test_fault_plan_validate () =
   expect_invalid_arg "non-positive horizon" (fun () ->
       Fault.plan (fault_cfg ~horizon:0.0 ~seed:0 []))
 
+(* The names key the chaos battery's rows, so they are pinned, in
+   [all_kinds] order. *)
+let test_fault_kind_names_stable () =
+  Alcotest.(check (list string)) "names in all_kinds order"
+    [
+      "hook-exception"; "hook-stall"; "policy-failure"; "cpu-overload"; "pacer-jump"; "qdisc-collapse";
+    ]
+    (List.map Fault.kind_name Fault.all_kinds)
+
+(* Every drawn event starts inside the first 60% of the horizon; pacer
+   jumps are point events of 0.75-2.5 s, beyond the monitor's 0.5 s
+   progress-stall bound; every other kind is a window. *)
+let test_fault_event_shapes () =
+  let horizon = 5.0 in
+  List.iter
+    (fun e ->
+      let name = Format.asprintf "%a" Fault.pp_event e in
+      Alcotest.(check bool) (name ^ " starts early") true
+        (e.Fault.at >= 0.005 && e.Fault.at <= 0.6 *. horizon);
+      match e.Fault.kind with
+      | Fault.Pacer_jump ->
+          Alcotest.(check (float 0.0)) (name ^ " is a point event") 0.0 e.Fault.duration;
+          Alcotest.(check bool) (name ^ " jumps 0.75-2.5 s") true
+            (e.Fault.magnitude >= 0.75 && e.Fault.magnitude <= 2.5)
+      | _ -> Alcotest.(check bool) (name ^ " is a window") true (e.Fault.duration > 0.0))
+    (Fault.plan (fault_cfg ~events:20 ~horizon ~seed:3 Fault.all_kinds))
+
 let test_fault_arm_schedules () =
   let engine = Engine.create () in
   let log = ref [] in
@@ -1126,6 +1153,8 @@ let suite =
         Alcotest.test_case "plan deterministic" `Quick test_fault_plan_deterministic;
         Alcotest.test_case "plan subset-stable" `Quick test_fault_plan_subset_stable;
         Alcotest.test_case "plan validated" `Quick test_fault_plan_validate;
+        Alcotest.test_case "kind names stable" `Quick test_fault_kind_names_stable;
+        Alcotest.test_case "event shapes" `Quick test_fault_event_shapes;
         Alcotest.test_case "arm schedules apply/revert" `Quick test_fault_arm_schedules;
       ] );
   ]
