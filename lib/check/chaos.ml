@@ -1,7 +1,6 @@
 module Engine = Stob_sim.Engine
 module Cpu = Stob_sim.Cpu
 module Fault = Stob_sim.Fault
-module Rng = Stob_util.Rng
 module Units = Stob_util.Units
 module Endpoint = Stob_tcp.Endpoint
 module Connection = Stob_tcp.Connection
@@ -17,10 +16,8 @@ module Strategies = Stob_core.Strategies
 
 type scenario = { cca : string; fault : Fault.kind option; fanout : int }
 
-let scenario_name s =
-  Printf.sprintf "%s/%s/fanout%d/degrade" s.cca
-    (match s.fault with None -> "no-fault" | Some k -> Fault.kind_name k)
-    s.fanout
+let fault_name s = match s.fault with None -> "no-fault" | Some k -> Fault.kind_name k
+let scenario_name s = Printf.sprintf "%s/%s/fanout%d/degrade" s.cca (fault_name s) s.fanout
 
 type degradation_summary = {
   final_rung : string;
@@ -279,15 +276,19 @@ let smoke_scenarios () =
   List.map (fun fault -> { cca = "cubic"; fault; fanout = 2 })
     (all_fault_options ())
 
+(* A cell's seed is keyed by what the cell runs, not by its place in the
+   list: 62 bits of the MD5 of the sweep seed, the CCA and the fault kind.
+   So a subset, a reordering or a longer list keeps every cell's row, and
+   no draw is shared between tasks. *)
+let cell_seed ~seed s =
+  let d = Digest.string (Printf.sprintf "%d/%s/%s" seed s.cca (fault_name s)) in
+  Int64.to_int (String.get_int64_le d 0) land max_int
+
 let run_sweep ?(pool = Stob_par.Pool.sequential) ~seed scenarios =
-  (* Pre-split-RNG rule: one seed per scenario, drawn in scenario order
-     before the tasks reach the pool. *)
-  let master = Rng.create seed in
-  let tasks = Array.of_list (List.map (fun s -> (s, Rng.int master max_int)) scenarios) in
   Array.to_list
     (Stob_par.Pool.map pool
-       (fun (s, cell_seed) -> run_cell ~seed:cell_seed s)
-       tasks)
+       (fun s -> run_cell ~seed:(cell_seed ~seed s) s)
+       (Array.of_list scenarios))
 
 let survived r =
   (* The gate a degradation-enabled cell must pass: the page load finishes

@@ -4,10 +4,12 @@
     fanout) with the full robustness stack engaged: the {!Monitor}
     watching every invariant, a {!Stob_sim.Fault} plan armed against the
     stack's components, and each flow's hook wrapped in
-    {!Stob_core.Controller.guard}'s fallback ladder.  A cell is a pure function of its parameters and [seed]:
-    {!run_sweep} pre-splits one seed per scenario in scenario order (the
-    [lib/par] rule), so reports are identical at every [--jobs] level and
-    a failing seed replays exactly.
+    {!Stob_core.Controller.guard}'s fallback ladder.  A cell is a pure
+    function of its parameters and [seed]: {!run_sweep} derives each
+    cell's seed from the sweep seed and the scenario's CCA and fault
+    kind, so reports are identical at every [--jobs] level, a cell keeps
+    its row in any list that contains it, and a failing seed replays
+    exactly.
 
     What counts as failure is deliberately split in two:
     - {!survived}: the page load completed and nothing escaped — the gate
@@ -78,9 +80,11 @@ val smoke_scenarios : unit -> scenario list
     [dune runtest] / [@chaos] smoke. *)
 
 val run_sweep : ?pool:Stob_par.Pool.t -> seed:int -> scenario list -> report list
-(** Run every scenario (in parallel over [pool] when given) with per-cell
-    seeds pre-split from [seed].  Report order follows the input order and
-    the reports are bit-identical for every pool size. *)
+(** Run every scenario (in parallel over [pool] when given).  A cell's
+    seed is a hash of [seed], its CCA and its fault kind's name, not of
+    its position: a one-cell sweep reproduces that cell's row of any
+    longer sweep.  Report order follows the input order and the reports
+    are bit-identical for every pool size. *)
 
 val survived : report -> bool
 (** Completed, no crash, no livelock. *)

@@ -296,6 +296,22 @@ let test_chaos_sweep_jobs_invariant () =
   Alcotest.(check bool) "sweep bit-identical under a 2-domain pool" true (seq = par);
   Alcotest.(check bool) "every smoke cell survives" true (List.for_all Chaos.survived seq)
 
+(* A cell's seed is keyed by its scenario, not by its place in the list:
+   each one-cell sweep, and the reversed list, reproduce the smoke rows. *)
+let test_chaos_cell_seed_keyed_by_scenario () =
+  let scenarios = Chaos.smoke_scenarios () in
+  let rows = Chaos.run_sweep ~seed:1337 scenarios in
+  List.iter2
+    (fun s row ->
+      match Chaos.run_sweep ~seed:1337 [ s ] with
+      | [ alone ] ->
+          Alcotest.(check bool) (Chaos.scenario_name s ^ " alone reproduces its row") true
+            (alone = row)
+      | _ -> Alcotest.fail "a one-cell sweep returned other than one report")
+    scenarios rows;
+  Alcotest.(check bool) "reversed list, reversed rows" true
+    (Chaos.run_sweep ~seed:1337 (List.rev scenarios) = List.rev rows)
+
 let test_chaos_shrink_deterministic () =
   let scenario = { Chaos.cca = "cubic"; fault = Some Fault.Hook_exception; fanout = 2 } in
   let failed (r : Chaos.report) = r.Chaos.degradation.Chaos.trips > 0 in
@@ -426,6 +442,8 @@ let suite =
     ( "chaos.determinism",
       [
         Alcotest.test_case "sweep jobs-invariant" `Quick test_chaos_sweep_jobs_invariant;
+        Alcotest.test_case "cell seed keyed by scenario" `Quick
+          test_chaos_cell_seed_keyed_by_scenario;
         Alcotest.test_case "shrink deterministic" `Quick test_chaos_shrink_deterministic;
       ] );
     ( "chaos.monitor",
