@@ -58,11 +58,11 @@ let dynamics_features trace =
     else begin
       let t0 = times.(0) in
       let duration = times.(n - 1) -. t0 in
-      let buckets = max 1 (1 + int_of_float (duration /. bucket)) in
+      let buckets = Int.max 1 (1 + int_of_float (duration /. bucket)) in
       let acc = Array.make buckets 0.0 in
       Array.iteri
         (fun i time ->
-          let b = min (buckets - 1) (int_of_float ((time -. t0) /. bucket)) in
+          let b = Int.min (buckets - 1) (int_of_float ((time -. t0) /. bucket)) in
           acc.(b) <- acc.(b) +. sizes.(i))
         times;
       acc
@@ -104,7 +104,7 @@ let dynamics_features trace =
   let shape =
     Array.init 16 (fun i ->
         let n = Array.length norm in
-        if n = 0 then 0.0 else norm.(min (n - 1) (i * n / 16)))
+        if n = 0 then 0.0 else norm.(Int.min (n - 1) (i * n / 16)))
   in
   Array.concat
     [

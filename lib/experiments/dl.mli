@@ -16,8 +16,8 @@
     per-corpus encodings computed up front — crash-safe journal/resume,
     [stobctl status] visibility and retry/poison semantics like the other
     sweeps.  {!run_population} additionally evaluates both families on the
-    packed population-scale corpus of {!Population}, zero-copy from the
-    shard journals. *)
+    packed population-scale corpus of {!Population}, decoding only the
+    sampled traces from the shard journals. *)
 
 type row = { attack : string; original : float; defended : float }
 
@@ -65,15 +65,25 @@ val run_population :
   unit ->
   population_result
 (** Generate (or resume — {!Population.generate} is crash-safe) a
-    population corpus under [state_dir], recover site labels by re-running
-    the pure visit planner against the shard journals, and evaluate k-FP
-    (zero-copy packed featurization) vs DF-lite (zero-copy
+    population corpus under [state_dir] and evaluate k-FP (zero-copy
+    packed featurization) vs DF-lite (zero-copy
     {!Stob_kfp.Dfnet.encode_batch}) on the monitored-site visits, capped
-    at [max_per_site] samples per site (70/30 split).  Defaults: 80 users,
-    100 trees, 15 epochs, 60 samples/site cap.  [?pool] parallelizes
-    generation, forest training and the DF minibatch shards; results are
-    identical at any domain count.  Raises [Failure], naming the shard
-    file, when a shard journal replays more or fewer traces than its plan
-    (damage in place, which generation cannot see). *)
+    at [max_per_site] samples per site (70/30 split).
+
+    The sample is picked from the plans alone: the pure visit planner
+    names each journal frame's site, and each class's shuffled cap runs
+    over (shard, position) pairs before any journal is read.  The shard
+    journals are then walked one {!Stob_par.Pool.map} task per shard:
+    every frame is CRC-checked and counted against its plan, and only the
+    picked frames are decoded.  So the read-back holds O(sites x cap)
+    traces, not O(corpus).
+
+    Defaults: 80 users, 100 trees, 15 epochs, 60 samples/site cap.
+    [?pool] parallelizes generation, the shard walk, forest training and
+    the DF minibatch shards; results are identical at any domain count.
+    Raises [Failure], naming the shard file, when a shard journal replays
+    more or fewer traces than its plan (damage in place, which generation
+    cannot see); with several damaged shards, the lowest-numbered one is
+    named. *)
 
 val print_population : population_result -> unit

@@ -132,7 +132,8 @@ let run ?(config = default_config) ?pool ?retries ?inject ?store ?on_report () =
   List.map
     (fun alpha ->
       let packet_gbps, tso_gbps, combined_gbps =
-        Option.value (List.assoc_opt alpha by_alpha)
+        Option.value
+          (List.find_map (fun (a, v) -> if Int.equal a alpha then Some v else None) by_alpha)
           ~default:(baseline_gbps, baseline_gbps, baseline_gbps)
       in
       { alpha; baseline_gbps; packet_gbps; tso_gbps; combined_gbps })

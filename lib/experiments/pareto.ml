@@ -99,7 +99,7 @@ let run ?(samples_per_site = 30) ?(trees = 100) ?(folds = 3) ?(seed = 42) ?pool
      cannot dominate anything. *)
   let cost (_, lat, pkt) = lat +. pkt in
   let dominated p q =
-    let (acc_p, _, _) = p and (acc_q, _, _) = q in
+    let ((acc_p : float), _, _) = p and ((acc_q : float), _, _) = q in
     acc_q <= acc_p && cost q <= cost p && (acc_q < acc_p || cost q < cost p)
   in
   List.map

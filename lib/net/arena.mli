@@ -23,8 +23,9 @@ val add : t -> time:float -> dir:Packet.direction -> size:int -> unit
     allocates a constant few). *)
 
 val reset : t -> unit
-(** Forget the contents, keeping the allocated chunks for reuse.  Test
-    seam: the allocation gate measures {!add} on warm chunks. *)
+(** Forget the contents, keeping the allocated chunks for reuse.
+    Population synthesis resets one arena per shard before each trace;
+    the allocation gate also measures {!add} on warm chunks. *)
 
 (** {1 Consumption (used by {!Trace})} *)
 

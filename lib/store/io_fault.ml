@@ -103,7 +103,7 @@ let vfs t =
           if t.plan.short_writes && len > 1 then begin
             let cut = 1 + Rng.int t.short_rng len in
             if cut < len then t.injected <- t.injected + 1;
-            min cut len
+            Int.min cut len
           end
           else len
         in

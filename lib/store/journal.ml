@@ -58,11 +58,11 @@ let write_bytes vfs retry count fd b =
 (* One buffer, one copy: the header, then one blit of the payload.  The
    frame still leaves in a single [write], so the syscall boundaries a
    fault plane counts are the same as ever. *)
-let frame payload =
+let frame ~crc payload =
   let len = String.length payload in
   let b = Bytes.create (8 + len) in
   Bytes.set_int32_be b 0 (Int32.of_int len);
-  Bytes.set_int32_be b 4 (Crc32.string payload);
+  Bytes.set_int32_be b 4 crc;
   Bytes.blit_string payload 0 b 8 len;
   b
 
@@ -167,7 +167,8 @@ let open_ ?(vfs = Vfs.unix) ?(retry = default_retry) path =
       retried = !count },
     payloads )
 
-let append t payload =
+let append_crc t payload =
+  let crc = Crc32.string payload in
   Mutex.protect t.mu (fun () ->
       match t.fd with
       | None -> invalid_arg "Journal.append: closed journal"
@@ -176,9 +177,12 @@ let append t payload =
           Fun.protect
             ~finally:(fun () -> t.retried <- t.retried + !count)
             (fun () ->
-              write_bytes t.vfs t.retry count fd (frame payload);
+              write_bytes t.vfs t.retry count fd (frame ~crc payload);
               with_retry t.retry count (fun () -> t.vfs.Vfs.flush fd);
-              t.frames <- t.frames + 1))
+              t.frames <- t.frames + 1));
+  crc
+
+let append t payload = ignore (append_crc t payload : int32)
 
 let close t =
   Mutex.protect t.mu (fun () ->
@@ -201,7 +205,7 @@ let rewrite ?(vfs = Vfs.unix) ?(retry = default_retry) path payloads =
   let fd = with_retry retry count (fun () -> vfs.Vfs.open_trunc tmp) in
   (try
      write_bytes vfs retry count fd (Bytes.of_string magic);
-     List.iter (fun p -> write_bytes vfs retry count fd (frame p)) payloads;
+     List.iter (fun p -> write_bytes vfs retry count fd (frame ~crc:(Crc32.string p) p)) payloads;
      with_retry retry count (fun () -> vfs.Vfs.flush fd);
      vfs.Vfs.close fd
    with e ->
@@ -211,7 +215,7 @@ let rewrite ?(vfs = Vfs.unix) ?(retry = default_retry) path payloads =
   (* Byte-level half of the replay-digest-agreement invariant: a rewrite
      that cannot replay exactly what it was asked to persist must not
      replace the journal. *)
-  if read tmp <> payloads then begin
+  if not (List.equal String.equal (read tmp) payloads) then begin
     (try vfs.Vfs.remove tmp with Unix.Unix_error _ | Sys_error _ -> ());
     raise (Corrupt (tmp ^ ": rewrite verify failed — fresh journal does not replay its input"))
   end;

@@ -55,6 +55,10 @@ val append : t -> string -> unit
     [Unix_error] and may leave a torn (partial) frame at the tail, which
     the next {!open_} truncates away. *)
 
+val append_crc : t -> string -> int32
+(** [append], returning the CRC-32 of the payload that its frame carries,
+    so a caller that digests its payloads hashes each one once. *)
+
 val close : t -> unit
 (** Close the descriptor.  Idempotent. *)
 

@@ -122,23 +122,35 @@ let journal_append_locked t ~what payload =
                what (Unix.error_message e) fn);
         t.dropped <- t.dropped + 1)
 
+(* Typed stand-ins for the polymorphic [compare], [=] and [List.assoc_opt]
+   on manifest fields, with the same results. *)
+let compare_field (k, v) (k', v') =
+  match String.compare k k' with 0 -> String.compare v v' | c -> c
+
+let field_is fields k v =
+  match List.find_opt (fun (k', _) -> String.equal k k') fields with
+  | Some (_, v') -> String.equal v v'
+  | None -> false
+
+let manifest_equal a b =
+  String.equal a.experiment b.experiment
+  && Int.equal a.total b.total
+  && List.equal (fun f f' -> compare_field f f' = 0) a.fields b.fields
+
 let set_manifest t ~experiment ~fields ~total =
-  let m = { experiment; fields = List.sort compare fields; total } in
+  let m = { experiment; fields = List.sort compare_field fields; total } in
   Mutex.protect t.mu (fun () ->
       match t.manifest with
-      | Some m' when m' = m -> ()
+      | Some m' when manifest_equal m' m -> ()
       | Some m' ->
           let differ =
             List.concat
               [
                 (if m'.experiment <> experiment then [ "experiment" ] else []);
                 (if m'.total <> total then [ "total" ] else []);
-                List.sort_uniq compare
+                List.sort_uniq String.compare
                   (List.filter_map
-                     (fun (k, v) ->
-                       if List.assoc_opt k m.fields = Some v && List.assoc_opt k m'.fields = Some v
-                       then None
-                       else Some k)
+                     (fun (k, v) -> if field_is m.fields k v && field_is m'.fields k v then None else Some k)
                      (m.fields @ m'.fields));
               ]
           in
@@ -185,7 +197,7 @@ type report = {
 
 let stale_locked t =
   let live = Hashtbl.length t.cells + match t.manifest with Some _ -> 1 | None -> 0 in
-  max 0 (Journal.frames t.journal - live)
+  Int.max 0 (Journal.frames t.journal - live)
 
 let report t =
   Mutex.protect t.mu (fun () ->
@@ -279,7 +291,7 @@ let maybe_checkpoint ?(threshold_bytes = auto_checkpoint_bytes) t =
          the I/O only once the journal is both big and at least a quarter
          garbage — otherwise a long sweep would re-copy its whole history
          at every shard boundary. *)
-      if t.degraded = None && bytes > threshold_bytes && stale_locked t * 4 > frames then
+      if Option.is_none t.degraded && bytes > threshold_bytes && stale_locked t * 4 > frames then
         Some (checkpoint_locked t)
       else None)
 
