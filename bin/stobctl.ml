@@ -1026,8 +1026,9 @@ let smoke_flag ~doc = Arg.(value & flag & info [ "smoke" ] ~doc)
 let chaos_seed =
   Arg.(value & opt int 1337
        & info [ "chaos-seed" ] ~docv:"SEED"
-           ~doc:"Master seed for the battery; per-cell seeds are pre-split from it, so reports \
-                 are identical at every $(b,--jobs) level.")
+           ~doc:"Master seed for the battery; each cell's seed is derived from it and the cell's \
+                 CCA and fault kind, so reports are identical at every $(b,--jobs) level and a \
+                 cell keeps its row in any scenario list.")
 
 let chaos_cmd =
   let smoke = smoke_flag ~doc:"Run the bounded smoke sweep instead of the full battery." in

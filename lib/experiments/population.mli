@@ -122,4 +122,11 @@ val iter_shard_traces : state_dir:string -> shard:int -> (Stob_net.Trace.t -> un
     O(largest trace) memory beyond what [f] keeps.  A missing shard file
     iterates nothing, and a damaged one stops at the damage. *)
 
+val iter_shard_frames :
+  state_dir:string -> shard:int -> ((unit -> Stob_net.Trace.t) -> unit) -> unit
+(** {!iter_shard_traces} without the decode: [f decode] runs once per
+    CRC-valid frame, oldest first, and [decode ()] decodes that frame.
+    [decode] is valid only during its call of [f].  A reader that needs
+    some of the traces counts every frame and decodes only those. *)
+
 val pp_summary : Format.formatter -> summary -> unit
