@@ -73,7 +73,7 @@ let with_pool ?domains f =
 
 let map ?on_done pool f input =
   let n = Array.length input in
-  let helpers = match pool.workers with [] -> 0 | ws -> min (List.length ws) (n - 1) in
+  let helpers = match pool.workers with [] -> 0 | ws -> Int.min (List.length ws) (n - 1) in
   if n = 0 then [||]
   else if helpers = 0 then begin
     match on_done with

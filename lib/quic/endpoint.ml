@@ -32,24 +32,42 @@ let persistent_congestion_threshold = 3.0
 type role = Client | Server
 
 module Int_set = Set.Make (Int)
+module Streams = Stob_util.Int_table
 
 (* An ack-eliciting datagram still in flight. *)
 type sent_packet = Sent.packet = { pn : int; payload : int; frames : Frame.t list; sent_at : float }
 
-(* The frame table both endpoints of a connection share, keyed by
-   [pn lsl 1 lor direction]. *)
-module Wire = Hashtbl.Make (struct
-  type t = int
+(* The frame table both endpoints of a connection share: one lane per
+   direction, indexed by packet number.  A slot holds its datagram's
+   frames, or [[]] once they are dropped (a datagram always carries at
+   least one frame). *)
+type wire = { lanes : Frame.t list array array; mutable live : int }
 
-  let equal = Int.equal
-  let hash key = key
-end)
+let create_wire size = { lanes = [| Array.make size []; Array.make size [] |]; live = 0 }
+let wire_length w = w.live
+let lane_index = function Packet.Outgoing -> 0 | Packet.Incoming -> 1
 
-type wire = Frame.t list Wire.t
+let wire_frames w dir pn =
+  let lane = w.lanes.(lane_index dir) in
+  if pn < Array.length lane then lane.(pn) else []
 
-let create_wire size = Wire.create size
-let wire_length = Wire.length
-let wire_key dir pn = (pn lsl 1) lor (match dir with Packet.Outgoing -> 0 | Packet.Incoming -> 1)
+let wire_add w dir pn frames =
+  let i = lane_index dir in
+  let lane = w.lanes.(i) in
+  if pn >= Array.length lane then begin
+    let wider = Array.make (Int.max (pn + 1) (2 * Array.length lane)) [] in
+    Array.blit lane 0 wider 0 (Array.length lane);
+    w.lanes.(i) <- wider
+  end;
+  w.lanes.(i).(pn) <- frames;
+  w.live <- w.live + 1
+
+let wire_remove w dir pn =
+  match wire_frames w dir pn with
+  | [] -> ()
+  | _ :: _ ->
+      w.lanes.(lane_index dir).(pn) <- [];
+      w.live <- w.live - 1
 
 type stream_out = {
   id : int;
@@ -58,13 +76,6 @@ type stream_out = {
   mutable fin_pending : bool;
   mutable fin_sent : bool;
   mutable rtx : Frame.stream_chunk list;
-}
-
-type stream_in = {
-  mutable intervals : (int * int) list;  (* sorted disjoint [lo, hi) *)
-  mutable delivered : int;
-  mutable fin_offset : int option;
-  mutable fin_delivered : bool;
 }
 
 type t = {
@@ -89,10 +100,11 @@ type t = {
   sent : Sent.t;  (* exactly the outstanding ack-eliciting packets *)
   mutable largest_acked : int;
   mutable inflight : int;
-  streams_out : (int, stream_out) Hashtbl.t;
+  streams_out : stream_out Streams.t;
   mutable active : Int_set.t;  (* exactly the ids of streams with [pending] data *)
   mutable send_timer : Engine.event_id option;
   mutable pto_timer : Engine.event_id option;
+  fire_pto : unit -> unit;  (* [handle_pto] on this endpoint *)
   mutable loss_timer : Engine.event_id option;  (* time-threshold reordering timer *)
   mutable pto_backoff : float;  (* doubles per PTO, resets on forward progress *)
   mutable latest_rtt : float;
@@ -120,7 +132,7 @@ type t = {
   mutable bytes_sent : int;  (* wire bytes sent *)
   mutable amp_blocked : bool;  (* sending stalled on amplification credit *)
   (* --- receiver --- *)
-  streams_in : (int, stream_in) Hashtbl.t;
+  streams_in : Reassembly.t Streams.t;
   mutable received : (int * int) list;  (* pn ranges [lo, hi] inclusive *)
   mutable ack_pending : bool;
   mutable pkts_since_ack : int;
@@ -138,61 +150,6 @@ type t = {
   mutable time_loss_detections : int;
   mutable persistent_congestions : int;
 }
-
-let create ~engine ~config ~cc ~flow ~dir ~wire ?(hooks = Hooks.default) ~tx () =
-  {
-    engine;
-    config;
-    cc;
-    rtt = Rtt.create config;
-    pacer = Pacer.create ();
-    flow;
-    dir;
-    wire;
-    hooks;
-    tx;
-    role = Server;
-    established = false;
-    closed = false;
-    close_reason = None;
-    flight_bytes = 0;
-    flight_sent = false;
-    pn_next = 0;
-    sent = Sent.create ();
-    largest_acked = -1;
-    inflight = 0;
-    streams_out = Hashtbl.create 16;
-    active = Int_set.empty;
-    send_timer = None;
-    pto_timer = None;
-    loss_timer = None;
-    pto_backoff = 1.0;
-    latest_rtt = 0.0;
-    rate_limited_mark = -1;
-    pc_oldest = infinity;
-    pc_newest = neg_infinity;
-    last_activity = Engine.now engine;
-    ae_sent_since_rx = false;
-    idle_timer = None;
-    bytes_received = 0;
-    bytes_sent = 0;
-    amp_blocked = false;
-    streams_in = Hashtbl.create 16;
-    received = [];
-    ack_pending = false;
-    pkts_since_ack = 0;
-    ack_timer = None;
-    on_established = (fun () -> ());
-    on_stream = (fun ~stream:_ _ -> ());
-    on_stream_fin = (fun ~stream:_ -> ());
-    packets_sent = 0;
-    datagrams_sent = 0;
-    rtx_chunks = 0;
-    rtx_datagrams = 0;
-    pto_count = 0;
-    time_loss_detections = 0;
-    persistent_congestions = 0;
-  }
 
 let established t = t.established
 let closed t = t.closed
@@ -220,11 +177,11 @@ let amp_credit t =
   else max_int
 
 let stream_out t id =
-  match Hashtbl.find_opt t.streams_out id with
+  match Streams.find_opt t.streams_out id with
   | Some s -> s
   | None ->
       let s = { id; next_offset = 0; queued = 0; fin_pending = false; fin_sent = false; rtx = [] } in
-      Hashtbl.add t.streams_out id s;
+      Streams.add t.streams_out id s;
       s
 
 (* Something to send: retransmission chunks, queued bytes or an unsent
@@ -237,11 +194,11 @@ let has_data t = not (Int_set.is_empty t.active)
 let lowest_outstanding t = Sent.lowest t.sent ~pn_next:t.pn_next
 
 let stream_in t id =
-  match Hashtbl.find_opt t.streams_in id with
+  match Streams.find_opt t.streams_in id with
   | Some s -> s
   | None ->
-      let s = { intervals = []; delivered = 0; fin_offset = None; fin_delivered = false } in
-      Hashtbl.add t.streams_in id s;
+      let s = Reassembly.create () in
+      Streams.add t.streams_in id s;
       s
 
 (* ------------------------------------------------------------------ *)
@@ -303,7 +260,7 @@ let make_datagram t ?(rtx = false) frames =
   t.pn_next <- pn + 1;
   let payload = frames_payload frames in
   let ack_eliciting = List.exists Frame.is_ack_eliciting frames in
-  Wire.replace t.wire (wire_key t.dir pn) frames;
+  wire_add t.wire t.dir pn frames;
   if ack_eliciting then begin
     Sent.add t.sent { pn; payload; frames; sent_at = now t };
     t.inflight <- t.inflight + payload;
@@ -327,14 +284,22 @@ let transmit_burst t ~release packets =
   end
 
 let ack_frame t =
-  (* Up to 8 most recent ranges, highest first. *)
-  let rec take n = function [] -> [] | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest in
+  (* Up to 8 most recent ranges, highest first: [received] itself when it
+     has no more. *)
+  let rec take n = function
+    | [] -> []
+    | x :: rest as all ->
+        if n = 0 then []
+        else
+          let kept = take (n - 1) rest in
+          if kept == rest then all else x :: kept
+  in
   Frame.Ack { ranges = take 8 t.received }
 
 let send_ack_now t =
   if t.received <> [] && not t.closed then begin
-    let wire = Frame.wire_bytes (ack_frame t) + t.config.Config.header_bytes in
-    if amp_credit t < wire then
+    let ack = ack_frame t in
+    if amp_credit t < Frame.wire_bytes ack + t.config.Config.header_bytes then
       (* Not even an ACK fits under the amplification limit: leave the ACK
          pending; the unblock-on-receive path flushes it. *)
       t.amp_blocked <- true
@@ -342,7 +307,7 @@ let send_ack_now t =
       t.ack_pending <- false;
       t.pkts_since_ack <- 0;
       t.ack_timer <- cancel_timer t t.ack_timer;
-      let pkt = make_datagram t [ ack_frame t ] in
+      let pkt = make_datagram t [ ack ] in
       transmit_burst t ~release:(now t) [| pkt |]
     end
   end
@@ -355,7 +320,7 @@ let next_chunk t ~space =
   if space <= 8 || Int_set.is_empty t.active then None
   else begin
     let id = Int_set.min_elt t.active in
-    let s = Hashtbl.find t.streams_out id in
+    let s = Streams.find t.streams_out id in
     let next =
       match s.rtx with
       | chunk :: more ->
@@ -460,7 +425,7 @@ let send_probe t =
 let rec arm_pto t =
   if not t.closed then begin
     t.pto_timer <- cancel_timer t t.pto_timer;
-    t.pto_timer <- Some (Engine.schedule t.engine ~delay:(pto_interval t) (fun () -> handle_pto t))
+    t.pto_timer <- Some (Engine.schedule t.engine ~delay:(pto_interval t) t.fire_pto)
   end
 
 and handle_pto t =
@@ -741,15 +706,6 @@ let insert_range ranges pn =
   in
   go [] ranges
 
-let insert_interval intervals (lo : int) hi =
-  let rec go acc lo hi = function
-    | [] -> List.rev ((lo, hi) :: acc)
-    | (l, h) :: rest when h < lo -> go ((l, h) :: acc) lo hi rest
-    | (l, h) :: rest when l > hi -> List.rev_append acc ((lo, hi) :: (l, h) :: rest)
-    | (l, h) :: rest -> go acc (Int.min l lo) (Int.max h hi) rest
-  in
-  go [] lo hi intervals
-
 let handshake_progress t ~stream =
   match (t.role, stream) with
   | Server, s when s = crypto_stream ->
@@ -778,55 +734,39 @@ let handshake_progress t ~stream =
       end
   | _ -> ()
 
-let deliver_stream t id =
+let process_stream_chunk t { Frame.stream = id; offset; length; fin } =
   let s = stream_in t id in
-  let rec drain () =
-    match s.intervals with
-    | (lo, hi) :: rest when lo <= s.delivered ->
-        let fresh = Int.max 0 (hi - s.delivered) in
-        s.intervals <- rest;
-        s.delivered <- Int.max s.delivered hi;
-        if fresh > 0 && id > finished_stream then t.on_stream ~stream:id fresh;
-        drain ()
-    | _ -> ()
-  in
-  drain ();
-  match s.fin_offset with
-  | Some fin_at when s.delivered >= fin_at && not s.fin_delivered ->
-      s.fin_delivered <- true;
-      if id > finished_stream then t.on_stream_fin ~stream:id;
-      handshake_progress t ~stream:id
-  | _ -> ()
+  let fresh = Reassembly.add s ~offset ~length ~fin in
+  if fresh > 0 && id > finished_stream then t.on_stream ~stream:id fresh;
+  if Reassembly.take_fin s then begin
+    if id > finished_stream then t.on_stream_fin ~stream:id;
+    handshake_progress t ~stream:id
+  end
 
-let process_stream_chunk t (chunk : Frame.stream_chunk) =
-  let s = stream_in t chunk.Frame.stream in
-  if chunk.Frame.length > 0 then
-    s.intervals <-
-      insert_interval s.intervals chunk.Frame.offset (chunk.Frame.offset + chunk.Frame.length);
-  if chunk.Frame.fin then s.fin_offset <- Some (chunk.Frame.offset + chunk.Frame.length);
-  deliver_stream t chunk.Frame.stream
+(* Drop the packets that ACK ranges newly acknowledge, adding up their
+   payload and keeping the one numbered highest ([None] while there is
+   none).  Every outstanding packet is in [sent] at or above the low-water
+   mark, so each range is walked over [low, top] only: the lowest
+   outstanding number to the last one sent. *)
+let rec ack_ranges t ~low ~top total largest = function
+  | [] -> (total, largest)
+  | (lo, hi) :: rest -> ack_walk t ~low ~top (Int.max lo low) (Int.min hi top) total largest rest
 
-(* Every outstanding packet is in [sent] at or above the low-water mark, so
-   each range is walked over [lowest outstanding, pn_next) only. *)
+and ack_walk t ~low ~top pn hi total largest rest =
+  if pn > hi then ack_ranges t ~low ~top total largest rest
+  else
+    match Sent.find_opt t.sent pn with
+    | None -> ack_walk t ~low ~top (pn + 1) hi total largest rest
+    | Some p as acked ->
+        Sent.remove t.sent pn;
+        wire_remove t.wire t.dir pn;
+        let largest = match largest with Some q when q.pn > pn -> largest | _ -> acked in
+        ack_walk t ~low ~top (pn + 1) hi (total + p.payload) largest rest
+
 let process_ack t ranges =
-  let low = lowest_outstanding t and top = t.pn_next - 1 in
-  let rec walk pn hi acc =
-    if pn > hi then acc
-    else
-      match Sent.find_opt t.sent pn with
-      | Some p ->
-          Sent.remove t.sent pn;
-          Wire.remove t.wire (wire_key t.dir pn);
-          walk (pn + 1) hi (p :: acc)
-      | None -> walk (pn + 1) hi acc
-  in
-  match
-    List.fold_left (fun acc (lo, hi) -> walk (Int.max lo low) (Int.min hi top) acc) [] ranges
-  with
-  | [] -> ()
-  | first :: _ as newly ->
-      let largest = List.fold_left (fun acc p -> if p.pn > acc.pn then p else acc) first newly in
-      let total = List.fold_left (fun acc p -> acc + p.payload) 0 newly in
+  match ack_ranges t ~low:(lowest_outstanding t) ~top:(t.pn_next - 1) 0 None ranges with
+  | _, None -> ()
+  | total, Some largest ->
       t.inflight <- Int.max 0 (t.inflight - total);
       t.largest_acked <- Int.max t.largest_acked largest.pn;
       (* Forward progress: reset the PTO backoff and the persistent-congestion
@@ -847,6 +787,15 @@ let process_ack t ranges =
       else t.pto_timer <- cancel_timer t t.pto_timer;
       try_send t
 
+let rec process_frames t = function
+  | [] -> ()
+  | frame :: rest ->
+      (match frame with
+      | Frame.Stream chunk -> process_stream_chunk t chunk
+      | Frame.Ack { ranges } -> process_ack t ranges
+      | Frame.Padding _ | Frame.Ping -> ());
+      process_frames t rest
+
 let receive t (p : Packet.t) =
   if not t.closed then begin
     (* Idle clock and amplification credit count every datagram that
@@ -857,22 +806,15 @@ let receive t (p : Packet.t) =
     t.bytes_received <- t.bytes_received + Packet.wire_size p;
     let was_blocked = t.amp_blocked in
     if was_blocked then t.amp_blocked <- false;
-    let key = wire_key p.Packet.dir p.Packet.seq in
-    (match Wire.find_opt t.wire key with
-    | None -> ()  (* metadata already collected (duplicate) or padding-only cleanup *)
-    | Some frames ->
+    (match wire_frames t.wire p.Packet.dir p.Packet.seq with
+    | [] -> ()  (* metadata already collected (duplicate) or padding-only cleanup *)
+    | frames ->
         t.received <- insert_range t.received p.Packet.seq;
         let ack_eliciting = List.exists Frame.is_ack_eliciting frames in
-        List.iter
-          (fun frame ->
-            match frame with
-            | Frame.Stream chunk -> process_stream_chunk t chunk
-            | Frame.Ack { ranges } -> process_ack t ranges
-            | Frame.Padding _ | Frame.Ping -> ())
-          frames;
+        process_frames t frames;
         (* Nobody acknowledges an ACK-only datagram, so nothing else would
            drop its entry; a duplicate finds none and is ignored. *)
-        if not ack_eliciting then Wire.remove t.wire key;
+        if not ack_eliciting then wire_remove t.wire p.Packet.dir p.Packet.seq;
         if ack_eliciting && not t.closed then begin
           t.pkts_since_ack <- t.pkts_since_ack + 1;
           if t.pkts_since_ack >= t.config.Config.ack_every then
@@ -903,6 +845,67 @@ let receive t (p : Packet.t) =
       if (t.inflight > 0 || has_data t) && t.pto_timer = None then arm_pto t
     end
   end
+
+(* Defined after the transmit and receive paths so that the PTO callback
+   can be built once, here. *)
+let create ~engine ~config ~cc ~flow ~dir ~wire ?(hooks = Hooks.default) ~tx () =
+  let rec t =
+    {
+      engine;
+      config;
+      cc;
+      rtt = Rtt.create config;
+      pacer = Pacer.create ();
+      flow;
+      dir;
+      wire;
+      hooks;
+      tx;
+      role = Server;
+      established = false;
+      closed = false;
+      close_reason = None;
+      flight_bytes = 0;
+      flight_sent = false;
+      pn_next = 0;
+      sent = Sent.create ();
+      largest_acked = -1;
+      inflight = 0;
+      streams_out = Streams.create 16;
+      active = Int_set.empty;
+      send_timer = None;
+      pto_timer = None;
+      fire_pto = (fun () -> handle_pto t);
+      loss_timer = None;
+      pto_backoff = 1.0;
+      latest_rtt = 0.0;
+      rate_limited_mark = -1;
+      pc_oldest = infinity;
+      pc_newest = neg_infinity;
+      last_activity = Engine.now engine;
+      ae_sent_since_rx = false;
+      idle_timer = None;
+      bytes_received = 0;
+      bytes_sent = 0;
+      amp_blocked = false;
+      streams_in = Streams.create 16;
+      received = [];
+      ack_pending = false;
+      pkts_since_ack = 0;
+      ack_timer = None;
+      on_established = (fun () -> ());
+      on_stream = (fun ~stream:_ _ -> ());
+      on_stream_fin = (fun ~stream:_ -> ());
+      packets_sent = 0;
+      datagrams_sent = 0;
+      rtx_chunks = 0;
+      rtx_datagrams = 0;
+      pto_count = 0;
+      time_loss_detections = 0;
+      persistent_congestions = 0;
+    }
+  in
+  t
 
 (* ------------------------------------------------------------------ *)
 (* Invariant-monitor surface.  Defined last: the [inspection] field names
@@ -944,7 +947,7 @@ let inspect (t : t) : inspection =
       t.sent (0, 0, t.pn_next)
   in
   let pending_streams =
-    Hashtbl.fold (fun id s acc -> if pending s then id :: acc else acc) t.streams_out []
+    Streams.fold (fun id s acc -> if pending s then id :: acc else acc) t.streams_out []
   in
   {
     pn_next = t.pn_next;

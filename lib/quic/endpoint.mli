@@ -32,14 +32,15 @@ type t
 
 type wire
 (** The frame table both endpoints of a connection share: the frames of
-    each datagram on the wire, keyed by direction and packet number (the
+    each datagram on the wire, indexed by direction and packet number (the
     simulator's stand-in for packet contents — see {!Connection}).  An
     entry leaves when the peer's ACK acknowledges its datagram, or, for an
     ACK-only datagram, when the peer reads it; a datagram declared lost
     keeps its entry, which late and duplicated copies read. *)
 
 val create_wire : int -> wire
-(** An empty table sized for about that many entries. *)
+(** An empty table with that many slots per direction; a direction's
+    slots double whenever a packet number outgrows them. *)
 
 val wire_length : wire -> int
 (** Entries held: datagrams whose frames may still be read.  Test seam. *)

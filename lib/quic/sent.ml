@@ -1,9 +1,16 @@
 type packet = { pn : int; payload : int; frames : Frame.t list; sent_at : float }
 
+(* What a slot holds when no outstanding packet maps to it. *)
+let vacant = { pn = -1; payload = 0; frames = []; sent_at = 0.0 }
+
 type t = {
-  table : (int, packet) Hashtbl.t;  (* exactly the outstanding packets *)
-  mutable buckets : int;  (* [table]'s bucket count, the key of the declaration order *)
-  mutable low_water : int;  (* lower bound on every packet number in [table] *)
+  (* Packet [pn] sits at [pn land (Array.length ring - 1)] while it is
+     outstanding; every other slot is [vacant].  No two outstanding
+     packets share a slot: [add] grows the ring until they do not. *)
+  mutable ring : packet array;
+  mutable live : int;  (* outstanding packets *)
+  mutable buckets : int;  (* the modelled bucket count, the key of the declaration order *)
+  mutable low_water : int;  (* lower bound on every outstanding packet number *)
   (* The hole index, ascending: every outstanding packet number below
      [edge], plus acked or lost ones not yet pruned. *)
   mutable holes : int list;
@@ -11,11 +18,13 @@ type t = {
   mutable visits : int;
 }
 
+let initial_capacity = 64
 let initial_buckets = 256
 
 let create () =
   {
-    table = Hashtbl.create initial_buckets;
+    ring = Array.make initial_capacity vacant;
+    live = 0;
     buckets = initial_buckets;
     low_water = 0;
     holes = [];
@@ -23,17 +32,43 @@ let create () =
     visits = 0;
   }
 
-(* The stdlib table grows when an insertion leaves more than two entries
-   per bucket. *)
-let add t p =
-  Hashtbl.replace t.table p.pn p;
-  if Hashtbl.length t.table > 2 * t.buckets then t.buckets <- 2 * t.buckets
+let slot ring pn = pn land (Array.length ring - 1)
 
-let find_opt t pn = Hashtbl.find_opt t.table pn
-let remove t pn = Hashtbl.remove t.table pn
+(* The outstanding packet numbered [pn], or [vacant]. *)
+let lookup t pn =
+  let p = t.ring.(slot t.ring pn) in
+  if p.pn = pn then p else vacant
+
+let mem t pn = lookup t pn != vacant
+
+(* Double the ring until [pn]'s slot is free.  Packets in distinct slots
+   stay in distinct slots when the mask widens. *)
+let rec grow t pn =
+  let ring = Array.make (2 * Array.length t.ring) vacant in
+  Array.iter (fun p -> if p != vacant then ring.(slot ring p.pn) <- p) t.ring;
+  t.ring <- ring;
+  if ring.(slot ring pn) != vacant then grow t pn
+
+(* The modelled bucket count doubles when an insertion leaves more than two
+   packets per bucket, as the stdlib table that recorded the order did. *)
+let add t p =
+  if t.ring.(slot t.ring p.pn) != vacant then grow t p.pn;
+  t.ring.(slot t.ring p.pn) <- p;
+  t.live <- t.live + 1;
+  if t.live > 2 * t.buckets then t.buckets <- 2 * t.buckets
+
+let find_opt t pn =
+  let p = lookup t pn in
+  if p == vacant then None else Some p
+
+let remove t pn =
+  if mem t pn then begin
+    t.ring.(slot t.ring pn) <- vacant;
+    t.live <- t.live - 1
+  end
 
 let lowest t ~pn_next =
-  while t.low_water < pn_next && not (Hashtbl.mem t.table t.low_water) do
+  while t.low_water < pn_next && not (mem t t.low_water) do
     t.low_water <- t.low_water + 1
   done;
   t.low_water
@@ -46,7 +81,7 @@ let extend t ~largest_acked =
   let from = Int.max t.edge t.low_water in
   let fresh = ref [] in
   for pn = largest_acked - 1 downto from do
-    if Hashtbl.mem t.table pn then fresh := pn :: !fresh
+    if mem t pn then fresh := pn :: !fresh
   done;
   t.visits <- t.visits + Int.max 0 (largest_acked - from);
   t.holes <- t.holes @ !fresh;
@@ -62,7 +97,7 @@ let detect_losses t ~largest_acked ~packet_threshold ~time_threshold ~now =
   let lost = ref [] and next_fire = ref infinity and time_losses = ref 0 in
   let still_a_hole pn =
     t.visits <- t.visits + 1;
-    match Hashtbl.find_opt t.table pn with
+    match find_opt t pn with
     | None -> false  (* acked or declared lost since it was indexed *)
     | Some p -> (
         if p.pn <= largest_acked - packet_threshold then begin
@@ -90,12 +125,12 @@ let detect_losses t ~largest_acked ~packet_threshold ~time_threshold ~now =
   t.holes <- List.filter still_a_hole t.holes;
   (List.sort (declaration_order t) !lost, !next_fire, !time_losses)
 
-let fold f t init = Hashtbl.fold (fun _ p acc -> f p acc) t.table init
+let fold f t init = Array.fold_left (fun acc p -> if p == vacant then acc else f p acc) init t.ring
 let low_water t = t.low_water
 let loss_visits t = t.visits
 
 let unindexed t =
   List.sort Int.compare
-    (Hashtbl.fold
-       (fun pn _ acc -> if pn < t.edge && not (List.memq pn t.holes) then pn :: acc else acc)
-       t.table [])
+    (fold
+       (fun p acc -> if p.pn < t.edge && not (List.memq p.pn t.holes) then p.pn :: acc else acc)
+       t [])

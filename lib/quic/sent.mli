@@ -1,6 +1,10 @@
 (** The sender's outstanding ack-eliciting packets, and the index of their
     holes that loss detection walks.
 
+    The packets sit in a ring indexed by packet number, which doubles
+    whenever a new packet's slot is still taken, so finding, adding and
+    removing one costs an array access and hashes nothing.
+
     A {e hole} is an outstanding packet whose number is below the largest
     acknowledged one.  The index holds them in ascending packet-number
     order.  It grows when the largest acknowledgement advances, walking
@@ -46,11 +50,12 @@ val detect_losses :
 
     {b Declaration order.}  The packets come in {e descending} bucket
     [Hashtbl.hash pn land (buckets - 1)], and in {e ascending} [pn]
-    within a bucket.  [buckets] starts at 256 and doubles whenever an
-    {!add} leaves more than [2 * buckets] packets outstanding; it never
-    shrinks.  This is the order in which the earlier scan, a
-    [Hashtbl.iter] over a [Hashtbl.create 256] of the outstanding
-    packets, declared them under OCaml 5.1's stdlib, which inserts at a
+    within a bucket.  [buckets] is a modelled count, not a property of
+    how the packets are stored: it starts at 256 and doubles whenever an
+    {!add} leaves more than [2 * buckets] packets outstanding, and it
+    never shrinks.  The rule reproduces the order of the earliest loss
+    check, a [Hashtbl.iter] over a [Hashtbl.create 256] of the
+    outstanding packets under OCaml 5.1's stdlib, which inserts at a
     bucket's head and keeps bucket order on resize.  The sender pushes
     each lost chunk onto its stream's retransmission queue in this order,
     so it decides which bytes each retransmission carries. *)

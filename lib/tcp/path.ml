@@ -5,12 +5,7 @@ module Netem = Stob_sim.Netem
 
 (* Per-flow callback tables, one per direction: the flow id alone is the
    key, so a lookup hashes an int instead of a (flow, dir) tuple. *)
-module Flows = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash flow = flow
-end)
+module Flows = Stob_util.Int_table
 
 type callbacks = { incoming : (Packet.t -> unit) Flows.t; outgoing : (Packet.t -> unit) Flows.t }
 

@@ -1,7 +1,9 @@
+module Flows = Stob_util.Int_table
+
 type 'a flow_state = { queue : 'a Queue.t; mutable deficit : int; mutable backlog : int }
 
 type 'a t = {
-  flows : (int, 'a flow_state) Hashtbl.t;
+  flows : 'a flow_state Flows.t;
   active : int Queue.t;  (* the round-robin ring of backlogged flows *)
   quantum : int;
   mutable limit_bytes : int;
@@ -14,7 +16,7 @@ let fq ?(quantum = 2 * 1514) ~limit_bytes ~size () =
   (* A zero quantum would starve the round-robin loop. *)
   let quantum = Int.max 1 quantum in
   {
-    flows = Hashtbl.create 16;
+    flows = Flows.create 16;
     active = Queue.create ();
     quantum;
     limit_bytes;
@@ -32,11 +34,11 @@ let enqueue t ~flow item =
   else begin
     t.total_backlog <- t.total_backlog + bytes;
     let state =
-      match Hashtbl.find_opt t.flows flow with
+      match Flows.find_opt t.flows flow with
       | Some s -> s
       | None ->
           let s = { queue = Queue.create (); deficit = 0; backlog = 0 } in
-          Hashtbl.add t.flows flow s;
+          Flows.add t.flows flow s;
           s
     in
     if Queue.is_empty state.queue then begin
@@ -53,7 +55,7 @@ let rec fq_dequeue t =
   match Queue.take_opt t.active with
   | None -> None
   | Some flow -> (
-      let state = Hashtbl.find t.flows flow in
+      let state = Flows.find t.flows flow in
       match Queue.peek_opt state.queue with
       | None -> fq_dequeue t
       | Some item ->
@@ -93,6 +95,6 @@ let set_limit_bytes t limit =
   t.limit_bytes <- limit
 
 let flow_backlog t ~flow =
-  match Hashtbl.find_opt t.flows flow with Some s -> s.backlog | None -> 0
+  match Flows.find_opt t.flows flow with Some s -> s.backlog | None -> 0
 
 let drops t = t.drops

@@ -13,7 +13,7 @@ let fragment config n =
   let rec go acc remaining =
     if remaining <= 0 then List.rev acc
     else
-      let take = min config.max_plaintext remaining in
+      let take = Int.min config.max_plaintext remaining in
       go (take :: acc) (remaining - take)
   in
   go [] n
@@ -23,7 +23,7 @@ let padded_plaintext padding size =
   | No_padding -> size
   | Pad_to_multiple n when n > 0 -> (size + n - 1) / n * n
   | Pad_to_multiple _ -> size
-  | Pad_to_fixed n -> max size n
+  | Pad_to_fixed n -> Int.max size n
   | Pad_random (rng, n) when n > 0 -> size + Stob_util.Rng.int rng (n + 1)
   | Pad_random _ -> size
 

@@ -36,10 +36,10 @@ let load ?policy ?client_config ~rng profile =
   let rate_bps, delay = Profile.sample_network profile rng in
   (* Bottleneck queue: a shallow-ish access-link buffer (about 50 ms at the
      link rate) so overload shows up as queueing and occasional loss. *)
-  let queue_capacity = max 65536 (int_of_float (rate_bps *. 0.05 /. 8.0)) in
+  let queue_capacity = Int.max 65536 (int_of_float (rate_bps *. 0.05 /. 8.0)) in
   let path = Path.create ~engine ~rate_bps ~delay ~queue_capacity () in
   let page = Profile.generate_page profile rng in
-  let n_conns = max 1 profile.Profile.parallel_connections in
+  let n_conns = Int.max 1 profile.Profile.parallel_connections in
 
   (* --- server application ------------------------------------------- *)
   (* Per flow: a FIFO of pending (response_ciphertext, think) jobs plus the

@@ -13,7 +13,7 @@ let load ?policy ?cc ?client_netem ?server_netem ?(on_connection = ignore) ~rng
     profile =
   let engine = Engine.create () in
   let rate_bps, delay = Profile.sample_network profile rng in
-  let queue_capacity = max 65536 (int_of_float (rate_bps *. 0.05 /. 8.0)) in
+  let queue_capacity = Int.max 65536 (int_of_float (rate_bps *. 0.05 /. 8.0)) in
   let path = Path.create ~engine ~rate_bps ~delay ~queue_capacity ?client_netem ?server_netem () in
   let page = Profile.generate_page profile rng in
   let flight = Profile.sample_size profile.Profile.tls_flight rng in
@@ -49,7 +49,7 @@ let load ?policy ?cc ?client_netem ?server_netem ?(on_connection = ignore) ~rng
   let bytes_downloaded = ref 0 in
   let last_complete = ref 0.0 in
   (* H3 browsers multiplex aggressively on the one connection. *)
-  let max_concurrent = 2 * max 1 profile.Profile.parallel_connections in
+  let max_concurrent = 2 * Int.max 1 profile.Profile.parallel_connections in
   let in_flight = ref 0 in
   let next_stream = ref 4 in
   let stream_of : (int, Resource.t * [ `Html | `Head | `Body ]) Hashtbl.t = Hashtbl.create 32 in

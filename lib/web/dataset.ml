@@ -43,7 +43,7 @@ let generate ?(samples_per_site = 100) ?(seed = 1) ?policy ?client_config ?(prof
     let trace =
       if failed then
         Trace.prefix result.Browser.trace
-          (1 + Rng.int rng (max 1 (Trace.length result.Browser.trace)))
+          (1 + Rng.int rng (Int.max 1 (Trace.length result.Browser.trace)))
       else result.Browser.trace
     in
     {
@@ -82,7 +82,7 @@ let sanitize t =
                  mine)
   in
   let min_count =
-    List.fold_left (fun acc l -> min acc (List.length l)) max_int surviving
+    List.fold_left (fun acc l -> Int.min acc (List.length l)) max_int surviving
   in
   let min_count = if min_count = max_int then 0 else min_count in
   let balanced = List.concat_map (fun l -> List.filteri (fun i _ -> i < min_count) l) surviving in

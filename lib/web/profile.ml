@@ -21,7 +21,7 @@ type t = {
 }
 
 let sample_size dist rng =
-  max 1 (int_of_float (Rng.lognormal rng ~mu:(log dist.median) ~sigma:dist.sigma))
+  Int.max 1 (int_of_float (Rng.lognormal rng ~mu:(log dist.median) ~sigma:dist.sigma))
 
 let sample_think dist rng = Rng.lognormal rng ~mu:(log dist.median) ~sigma:dist.sigma
 

@@ -505,6 +505,9 @@ let prop_quic_delivery_under_netem =
 type loss_op =
   | Send of int * int  (* count; every [k]th is not ack-eliciting (0: all are) *)
   | Ack of (int * int) list  (* ranges: (depth below the newest number, length) *)
+  | Slide of int * int * int
+      (* count, lag, k: each send acks the packet [lag] below it unless its
+         number is a multiple of [k], which stays behind as a hole *)
   | Advance of float
   | Detect of float option  (* time threshold; [None] before an RTT sample *)
 
@@ -512,12 +515,17 @@ let pp_loss_op = function
   | Send (n, k) -> Printf.sprintf "send %d/%d" n k
   | Ack ranges ->
       "ack " ^ String.concat "," (List.map (fun (d, l) -> Printf.sprintf "%d+%d" d l) ranges)
+  | Slide (n, lag, k) -> Printf.sprintf "slide %d-%d/%d" n lag k
   | Advance dt -> Printf.sprintf "advance %h" dt
   | Detect None -> "detect"
   | Detect (Some th) -> Printf.sprintf "detect %h" th
 
 (* A schedule opens with 0, 600 or 1,200 packets outstanding, so the
-   bucket count of the declaration order doubles once or twice. *)
+   bucket count of the declaration order doubles once or twice.  [Sent]'s
+   ring starts at 64 slots: a slide keeps a window of up to 200 packets
+   moving across thousands of numbers, so slots are reused many times
+   over, and the holes it leaves behind stretch the outstanding span
+   until the ring must grow to hold them. *)
 let arb_loss_schedule =
   let op =
     QCheck.Gen.(
@@ -527,7 +535,11 @@ let arb_loss_schedule =
           ( 4,
             map
               (fun ranges -> Ack ranges)
-              (list_size (int_range 1 3) (pair (int_range 0 600) (int_range 0 40))) );
+              (list_size (int_range 1 3) (pair (int_range 0 2_000) (int_range 0 40))) );
+          ( 2,
+            map3
+              (fun n lag k -> Slide (n, lag, k))
+              (int_range 100 1_500) (int_range 1 200) (int_range 2 60) );
           (2, map (fun dt -> Advance dt) (float_range 0.0 0.2));
           (4, map (fun th -> Detect th) (opt (float_range 0.001 0.3)));
         ])
@@ -541,9 +553,12 @@ let arb_loss_schedule =
    the endpoint does: the check runs only when something outstanding lies
    below the largest acknowledgement, and the declared packets then leave
    both tables.  The reference table is unseeded, like [Sent]'s rule, so
-   [OCAMLRUNPARAM=R] does not reorder its scan.  Every check must declare the same packets in the
-   same order, with the same timer deadline bits and the same count of
-   time-threshold losses, and leave no hole unindexed. *)
+   [OCAMLRUNPARAM=R] does not reorder its scan.  Every check must declare
+   the same packets in the same order, with the same timer deadline bits
+   and the same count of time-threshold losses.  After every step,
+   [Sent] must hold exactly the reference's packets ([find_opt] on each
+   acked number, [fold] over all), [lowest] must be the lowest of them,
+   and no hole may be unindexed. *)
 let loss_schedule_agrees (prefill, ops) =
   let sent = Sent.create () and reference = Hashtbl.create ~random:false 256 in
   let pn_next = ref 0 and largest_acked = ref (-1) and clock = ref 0.0 and agrees = ref true in
@@ -553,6 +568,15 @@ let loss_schedule_agrees (prefill, ops) =
     if ack_eliciting then begin
       Sent.add sent p;
       Hashtbl.replace reference p.Sent.pn p
+    end
+  in
+  let ack pn =
+    let held = Sent.find_opt sent pn in
+    if Option.is_some held <> Hashtbl.mem reference pn then agrees := false;
+    if Option.is_some held then begin
+      Sent.remove sent pn;
+      Hashtbl.remove reference pn;
+      largest_acked := max !largest_acked pn
     end
   in
   for _ = 1 to prefill do
@@ -565,14 +589,14 @@ let loss_schedule_agrees (prefill, ops) =
         List.iter
           (fun (depth, length) ->
             let hi = !pn_next - 1 - depth in
-            for pn = max 0 (hi - length) to hi do
-              if Sent.find_opt sent pn <> None then begin
-                Sent.remove sent pn;
-                Hashtbl.remove reference pn;
-                largest_acked := max !largest_acked pn
-              end
-            done)
+            for pn = max 0 (hi - length) to hi do ack pn done)
           ranges
+    | Slide (n, lag, k) ->
+        for _ = 1 to n do
+          send ~ack_eliciting:true;
+          let pn = !pn_next - 1 - lag in
+          if pn >= 0 && pn mod k <> 0 then ack pn
+        done
     | Advance dt -> clock := !clock +. dt
     | Detect threshold ->
         let ((lost, _, _) as expected) =
@@ -593,9 +617,20 @@ let loss_schedule_agrees (prefill, ops) =
             Sent.remove sent p.Sent.pn;
             Hashtbl.remove reference p.Sent.pn)
           lost;
-        if key got <> key expected || Sent.unindexed sent <> [] then agrees := false
+        if key got <> key expected then agrees := false
   in
-  List.iter step ops;
+  let holds_the_reference () =
+    let outstanding = List.sort Int.compare (Hashtbl.fold (fun pn _ acc -> pn :: acc) reference []) in
+    let held = List.sort Int.compare (Sent.fold (fun p acc -> p.Sent.pn :: acc) sent []) in
+    held = outstanding
+    && Sent.lowest sent ~pn_next:!pn_next = (match outstanding with [] -> !pn_next | pn :: _ -> pn)
+    && Sent.unindexed sent = []
+  in
+  List.iter
+    (fun op ->
+      step op;
+      if not (holds_the_reference ()) then agrees := false)
+    ops;
   !agrees
 
 let prop_hole_index_matches_scan =
@@ -650,6 +685,74 @@ let test_sender_index_monitored () =
   Alcotest.(check (list string))
     "no violation" []
     (List.map Stob_check.Violation.to_string (Monitor.violations monitor))
+
+(* --- Reassembly: highest first against the ascending walk --- *)
+
+(* A stream of [n] bytes cut into pieces, the last carrying the FIN,
+   shuffled together with duplicates of some pieces, chunks overlapping
+   anywhere in the stream, zero-length chunks and bare FINs. *)
+let arb_chunk_schedule =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 0 4_000 in
+      let* cuts = list_size (int_range 0 40) (int_range 0 n) in
+      let chunk offset length fin = { Frame.stream = 4; offset; length; fin } in
+      let rec cut = function
+        | lo :: (hi :: _ as rest) -> chunk lo (hi - lo) (hi = n) :: cut rest
+        | _ -> []
+      in
+      let pieces =
+        match cut (List.sort_uniq Int.compare (0 :: n :: cuts)) with
+        | [] -> [ chunk n 0 true ]
+        | pieces -> pieces
+      in
+      let* dups = list_size (int_range 0 10) (oneofl pieces) in
+      let overlap =
+        let* offset = int_range 0 n in
+        let* length = int_range 0 (n - offset) in
+        map (fun fin -> chunk offset length (fin && offset + length = n)) bool
+      in
+      let* extras =
+        list_size (int_range 0 12)
+          (frequency
+             [
+               (3, overlap);
+               (1, map (fun offset -> chunk offset 0 false) (int_range 0 n));
+               (1, return (chunk n 0 true));
+             ])
+      in
+      shuffle_l (pieces @ dups @ extras))
+  in
+  QCheck.make
+    ~print:(fun chunks ->
+      String.concat "; "
+        (List.map
+           (fun (c : Frame.stream_chunk) ->
+             Printf.sprintf "%d+%d%s" c.offset c.length (if c.fin then " fin" else ""))
+           chunks))
+    gen
+
+type delivery = Bytes of int | Fin
+
+(* [Reassembly] is driven as [Endpoint.process_stream_chunk] drives it: the
+   bytes a chunk makes deliverable, then the FIN. *)
+let reassembly_agrees chunks =
+  let reference = Quic_reference.stream_in () and stream = Reassembly.create () in
+  let expected = ref [] and got = ref [] in
+  List.iter
+    (fun (c : Frame.stream_chunk) ->
+      Quic_reference.process_stream_chunk reference c
+        ~on_stream:(fun n -> expected := Bytes n :: !expected)
+        ~on_stream_fin:(fun () -> expected := Fin :: !expected);
+      let fresh = Reassembly.add stream ~offset:c.offset ~length:c.length ~fin:c.fin in
+      if fresh > 0 then got := Bytes fresh :: !got;
+      if Reassembly.take_fin stream then got := Fin :: !got)
+    chunks;
+  !got = !expected
+
+let prop_reassembly_matches_reference =
+  QCheck.Test.make ~name:"highest-first reassembly delivers what the ascending walk did"
+    ~count:500 arb_chunk_schedule reassembly_agrees
 
 (* --- Golden trace pins --- *)
 
@@ -796,6 +899,49 @@ let test_golden_traces () =
   Alcotest.(check (list (pair string (pair string bool))))
     "trace digests" golden_expected (golden_pins ())
 
+(* --- Allocation gate --- *)
+
+(* Heap words a whole QUIC page load allocates per datagram sent, counted
+   at one domain as trace.alloc counts them: minor words plus direct major
+   allocations, over every site at one seed, unmodified and under Stob.
+   The count takes in everything the load does (engine, path, capture,
+   browser, policy), divided by both endpoints' datagrams.  These loads
+   measure 136.6 (unmodified) and 135.6 (Stob) words per datagram; with
+   generic hash tables and an ascending reassembly walk they measured
+   198.6 and 253.1, above the bound. *)
+let alloc_words_per_datagram = 190.0
+
+let test_alloc_per_datagram () =
+  List.iter
+    (fun (policy, make_policy) ->
+      let conns = ref [] in
+      let words =
+        Test_net.words_allocated (fun () ->
+            List.iter
+              (fun profile ->
+                ignore
+                  (Stob_web.Browser_quic.load ?policy:(make_policy ())
+                     ~on_connection:(fun c -> conns := c :: !conns)
+                     ~rng:(Rng.create 1) profile))
+              Stob_web.Sites.all)
+      in
+      let datagrams =
+        List.fold_left
+          (fun acc c ->
+            acc
+            + Endpoint.datagrams_sent (Connection.client c)
+            + Endpoint.datagrams_sent (Connection.server c))
+          0 !conns
+      in
+      let per_datagram = words /. float_of_int datagrams in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f words per datagram (%d datagrams) <= %.0f" policy per_datagram
+           datagrams alloc_words_per_datagram)
+        true
+        (List.length !conns = List.length Stob_web.Sites.all
+        && per_datagram <= alloc_words_per_datagram))
+    golden_policies
+
 let suite =
   [
     ( "quic.frame",
@@ -838,5 +984,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_hole_index_matches_scan;
         Alcotest.test_case "sender index monitored" `Quick test_sender_index_monitored;
       ] );
+    ("quic.reassembly", [ QCheck_alcotest.to_alcotest prop_reassembly_matches_reference ]);
     ("quic.golden", [ Alcotest.test_case "trace pins" `Quick test_golden_traces ]);
+    ("quic.alloc", [ Alcotest.test_case "words per datagram" `Quick test_alloc_per_datagram ]);
   ]
