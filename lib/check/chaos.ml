@@ -142,7 +142,7 @@ let run_cell ?plan ~seed scenario =
   | None -> ());
   Monitor.watch_cpu monitor ~name:"server-core" cpu;
   (* --- workload --- *)
-  let expected = max 1 scenario.fanout in
+  let expected = Int.max 1 scenario.fanout in
   let conns = ref [] in
   let created = ref 0 in
   let client_received = ref 0 in
@@ -315,7 +315,7 @@ let shrink ~failed ~seed scenario =
       end
     in
     let k = find 0 in
-    let prefix = Array.to_list (Array.sub arr 0 (min k (Array.length arr))) in
+    let prefix = Array.to_list (Array.sub arr 0 (Int.min k (Array.length arr))) in
     Some (k, prefix, run prefix)
   end
 

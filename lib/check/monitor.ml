@@ -118,7 +118,7 @@ let watch_progress t ~name ~pending ~activity =
   let last_change = ref (Engine.now t.engine) in
   let was_pending = ref (pending ()) in
   register t ~name:"progress-stall" (fun ~now ->
-      let a = activity () in
+      let a : int = activity () in
       let stalled = !was_pending && now -. !last_change > stall in
       let detail =
         if stalled then
@@ -156,12 +156,12 @@ let check_inspection ~config (i : Endpoint.inspection) =
         Printf.sprintf "snd_una %d > snd_nxt %d (inflight %d)" i.snd_una i.snd_nxt i.inflight )
   else if i.cwnd < 1 then Some ("tcp-cwnd-bounds", Printf.sprintf "cwnd %d < 1" i.cwnd)
   else if
-    i.cwnd > max config.Config.snd_buf config.Config.rcv_wnd
+    i.cwnd > Int.max Config.snd_buf config.Config.rcv_wnd
   then
     Some
       ( "tcp-cwnd-bounds",
         Printf.sprintf "cwnd %d exceeds buffer bound %d" i.cwnd
-          (max config.Config.snd_buf config.Config.rcv_wnd) )
+          (Int.max Config.snd_buf config.Config.rcv_wnd) )
   else if i.in_stack < 0 then Some ("tcp-tsq-accounting", Printf.sprintf "in_stack %d < 0" i.in_stack)
   else if i.app_queue < 0 then
     Some ("tcp-app-queue", Printf.sprintf "app_queue %d < 0" i.app_queue)
@@ -222,7 +222,7 @@ let observe_endpoint t ~name ep =
        snd_una + min(cwnd, peer window).  (Persist probes and
        retransmissions bypass the hook, so they cannot false-positive
        here.) *)
-    let usable = max 0 (min i.Endpoint.cwnd i.Endpoint.peer_rwnd - i.Endpoint.inflight) in
+    let usable = Int.max 0 (Int.min i.Endpoint.cwnd i.Endpoint.peer_rwnd - i.Endpoint.inflight) in
     if d.Hooks.tso_bytes > usable then
       record t
         (Violation.make ~invariant:"tcp-window-respect" ~time:now ~flow
@@ -277,7 +277,7 @@ let check_quic_inspection (i : Quic.inspection) =
       ( "quic-inflight-accounting",
         Printf.sprintf "inflight ledger %d B != %d B across %d unacked packets" i.inflight
           i.unacked_bytes i.unacked_packets )
-  else if i.active_streams <> i.pending_streams then
+  else if not (List.equal Int.equal i.active_streams i.pending_streams) then
     let ids l = String.concat "," (List.map string_of_int l) in
     Some
       ( "quic-sender-index",
@@ -320,7 +320,7 @@ let observe_quic t ~name ep =
         (Violation.make ~invariant:"quic-pn-monotonic" ~time:now ~flow
            (Printf.sprintf "%s: packet number sequence moved backwards: %d -> %d" name !last_pn
               i.Quic.pn_next));
-    last_pn := max !last_pn i.Quic.pn_next;
+    last_pn := Int.max !last_pn i.Quic.pn_next;
     let result = inner.Hooks.on_segment ~now ~flow ~phase d in
     if not (Safety.is_safe ~stack:d result) then
       record t

@@ -20,7 +20,8 @@
       at least once per stall bound (trips under
       {!Stob_sim.Fault.Pacer_jump}).
     - [tcp-seq-order] — [snd_una <= snd_nxt].
-    - [tcp-cwnd-bounds] — cwnd within [[1, max snd_buf rcv_wnd]].
+    - [tcp-cwnd-bounds] — cwnd within
+      [[1, max Stob_tcp.Config.snd_buf rcv_wnd]].
     - [tcp-sack-sanity] — SACK scoreboard sorted, disjoint, non-empty, and
       inside [(snd_una, snd_nxt]].
     - [tcp-recovery-window] — recovery bookkeeping within the outstanding
@@ -50,7 +51,7 @@
       endpoint has not sent ([largest_acked < pn_next]).
     - [quic-amplification] — the server's pre-handshake anti-amplification
       credit never goes negative (RFC 9000 §8.1: it never sends more than
-      [amp_factor] times what it received).
+      three times what it received).
     - [quic-inflight-accounting] — the endpoint's incremental inflight
       ledger equals the sum over its unacked sent packets, and is never
       negative.

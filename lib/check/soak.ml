@@ -273,11 +273,11 @@ let add_quic_flow ~engine ~monitor ~id ~start ~on_done spec =
          let factory = Netem_eval.cc_of_name spec.cca in
          let qconfig = Quic.default_config in
          let client =
-           Quic.create ~engine ~config:qconfig ~cc:(factory qconfig) ~flow:id
+           Quic.create ~engine ~cc:(factory qconfig) ~flow:id
              ~dir:Packet.Outgoing ~wire ~tx:(tx server_ref) ()
          in
          let server =
-           Quic.create ~engine ~config:qconfig ~cc:(factory qconfig) ~flow:id
+           Quic.create ~engine ~cc:(factory qconfig) ~flow:id
              ~dir:Packet.Incoming ~wire ~tx:(tx client_ref) ()
          in
          client_ref := Some client;
@@ -315,7 +315,7 @@ let add_quic_flow ~engine ~monitor ~id ~start ~on_done spec =
                     | None -> ())
                   [ ("client", client); ("server", server) ];
                 let idle_closed ep =
-                  if Quic.close_reason ep = Some "idle-timeout" then 1 else 0
+                  match Quic.close_reason ep with Some "idle-timeout" -> 1 | _ -> 0
                 in
                 let r =
                   {
@@ -545,10 +545,12 @@ type summary = {
 let merge_counts a b =
   List.fold_left
     (fun acc (k, n) ->
-      let prev = try List.assoc k acc with Not_found -> 0 in
-      (k, prev + n) :: List.remove_assoc k acc)
+      let mine (k', _) = String.equal k k' in
+      let prev = match List.find_opt mine acc with Some (_, v) -> v | None -> 0 in
+      (k, prev + n) :: List.filter (fun e -> not (mine e)) acc)
     a b
-  |> List.sort compare
+  |> List.sort (fun (k, n) (k', n') ->
+         match String.compare k k' with 0 -> Int.compare n n' | c -> c)
 
 let shard_key i = Printf.sprintf "soak/shard=%03d" i
 
@@ -611,7 +613,7 @@ let run ?(pool = Pool.sequential) ?state_dir ?(retries = 0) ?on_shard config =
         | Some _, Some _ -> incr cached_shards
         | None, _ -> ());
         Gc.full_major ();
-        peak_growth := max !peak_growth ((Gc.stat ()).Gc.live_words - baseline);
+        peak_growth := Int.max !peak_growth ((Gc.stat ()).Gc.live_words - baseline);
         Option.iter (fun f -> f r) on_shard)
   in
   let reports = Array.to_list reports in

@@ -59,7 +59,8 @@ let scrub ctx path =
       if List.length read <> s.Journal.scrub_frames then
         fail ctx "%s: read replays %d frames, verify counts %d" path (List.length read)
           s.Journal.scrub_frames
-      else if List.rev !lent <> read then fail ctx "%s: iter lends other payloads than read" path
+      else if not (List.equal String.equal (List.rev !lent) read) then
+        fail ctx "%s: iter lends other payloads than read" path
   | exception Journal.Corrupt msg -> fail ctx "scrub refused a journal we wrote: %s" msg
 
 (* --- the synthetic sweep ------------------------------------------------- *)
@@ -114,7 +115,7 @@ let run_fig3 ~vfs ~dir =
    and final journal bytes bit-identical to the uninterrupted run. *)
 let enumerate ctx ~name ~seed ~run_sweep =
   let ref_dir = fresh_dir ctx in
-  let res_ref, _ = run_sweep ~vfs:Vfs.unix ~dir:ref_dir in
+  let (res_ref : string), _ = run_sweep ~vfs:Vfs.unix ~dir:ref_dir in
   let bytes_ref = read_file (Store.journal_file ref_dir) in
   scrub ctx (Store.journal_file ref_dir);
   let counter = Io_fault.arm Io_fault.quiet in
@@ -185,7 +186,9 @@ let enospc_phase ctx ~seed ~n =
               Monitor.check_now monitor ~now:0.0;
               Monitor.check_now monitor ~now:1.0;
               edge :=
-                Monitor.counts monitor = [ ("store-durability-degraded", 1) ];
+                (match Monitor.counts monitor with
+                | [ ("store-durability-degraded", 1) ] -> true
+                | _ -> false);
               if not !edge then
                 fail ctx "enospc: expected exactly one store-durability-degraded edge, got %s"
                   (String.concat ","

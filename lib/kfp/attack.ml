@@ -31,7 +31,8 @@ let evaluate t ~mode ~features ~labels =
 
 let open_world_of_nearest = function
   | [] -> None
-  | (first, _) :: rest -> if List.for_all (fun (l, _) -> l = first) rest then Some first else None
+  | ((first : int), _) :: rest ->
+      if List.for_all (fun (l, _) -> l = first) rest then Some first else None
 
 let predict_open_world_all t ~k m =
   Array.init (Matrix.n_rows m) (fun row ->

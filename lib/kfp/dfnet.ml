@@ -12,7 +12,7 @@ let input_length = 600
    record materialized. *)
 let encode_into (t : Tensor.t) row trace =
   let meta = Trace.raw_meta trace in
-  for p = 0 to min (Trace.length trace) input_length - 1 do
+  for p = 0 to Int.min (Trace.length trace) input_length - 1 do
     let dir_bit = Int32.to_int (Bigarray.Array1.unsafe_get meta p) land 1 in
     Tensor.set t row p (if dir_bit = 1 then 1.0 else -1.0)
   done

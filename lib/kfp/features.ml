@@ -98,12 +98,12 @@ let extract trace =
   let rel = Array.create_float n in
   let rel_in = Array.create_float n_in and rel_out = Array.create_float n_out in
   let pos_in = Array.create_float n_in and pos_out = Array.create_float n_out in
-  let gaps = Array.create_float (max 0 (n - 1)) in
-  let gaps_in = Array.create_float (max 0 (n_in - 1)) in
-  let gaps_out = Array.create_float (max 0 (n_out - 1)) in
+  let gaps = Array.create_float (Int.max 0 (n - 1)) in
+  let gaps_in = Array.create_float (Int.max 0 (n_in - 1)) in
+  let gaps_out = Array.create_float (Int.max 0 (n_out - 1)) in
   let conc = Array.make ((n + chunk_size - 1) / chunk_size) 0.0 in
   let pps =
-    if n = 0 then [||] else Array.make (max 1 (1 + int_of_float (duration /. pps_bucket))) 0.0
+    if n = 0 then [||] else Array.make (Int.max 1 (1 + int_of_float (duration /. pps_bucket))) 0.0
   in
   let buckets = Array.length pps in
   let band_in = Array.make n_bands 0.0 and band_out = Array.make n_bands 0.0 in
@@ -127,7 +127,7 @@ let extract trace =
     if i > 0 then gaps.(i - 1) <- t -. BA1.unsafe_get times (i - 1);
     (* Bounds-checked on purpose: on an unsorted trace a timestamp more than
        a bucket before the first raises, exactly as the seed featurizer. *)
-    let b = min (buckets - 1) (int_of_float (r /. pps_bucket)) in
+    let b = Int.min (buckets - 1) (int_of_float (r /. pps_bucket)) in
     pps.(b) <- pps.(b) +. 1.0;
     if i > 0 && m land 1 <> Int32.to_int (BA1.unsafe_get meta (i - 1)) land 1 then begin
       close_run (if m land 1 = 1 then b_in else b_out) !run;
@@ -193,7 +193,7 @@ let extract trace =
   let sampled a =
     let len = Array.length a in
     for i = 0 to samples - 1 do
-      put (if len = 0 then 0.0 else a.(min (i * len / samples) (len - 1)))
+      put (if len = 0 then 0.0 else a.(Int.min (i * len / samples) (len - 1)))
     done
   in
   let burst b n_dir =

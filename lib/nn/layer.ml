@@ -14,7 +14,7 @@ let make_param value = { value; vel = Array.make (Tensor.rows value * Tensor.col
    row-major order, so a batched net built from the same seed holds the
    float32 rounding of the oracle's exact weights. *)
 let he_tensor rng ~rows ~cols ~fan_in =
-  let scale = sqrt (2.0 /. float_of_int (max 1 fan_in)) in
+  let scale = sqrt (2.0 /. float_of_int (Int.max 1 fan_in)) in
   let t = Tensor.create rows cols in
   for i = 0 to rows - 1 do
     for j = 0 to cols - 1 do

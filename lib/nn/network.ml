@@ -98,7 +98,9 @@ let fit t ~rng ~xs ~labels ?(epochs = 30) ?(batch = 16) ?(lr = 0.01) ?(pool = Po
   if features <> Layer.input_size t.layers.(0) then
     invalid_arg "Network.fit: feature width does not match the first layer";
   let max_shards = (batch + shard_rows - 1) / shard_rows in
-  let states = Array.init max_shards (fun _ -> make_shard_state t ~rows:(min shard_rows batch)) in
+  let states =
+    Array.init max_shards (fun _ -> make_shard_state t ~rows:(Int.min shard_rows batch))
+  in
   let totals = Array.map Layer.make_grads t.layers in
   let bx = Tensor.create batch features in
   let blabels = Array.make batch 0 in
@@ -109,7 +111,7 @@ let fit t ~rng ~xs ~labels ?(epochs = 30) ?(batch = 16) ?(lr = 0.01) ?(pool = Po
     let total_loss = ref 0.0 in
     let pos = ref 0 in
     while !pos < n do
-      let bn = min batch (n - !pos) in
+      let bn = Int.min batch (n - !pos) in
       for r = 0 to bn - 1 do
         A1.blit
           (A1.sub xd (order.(!pos + r) * features) features)
@@ -121,7 +123,7 @@ let fit t ~rng ~xs ~labels ?(epochs = 30) ?(batch = 16) ?(lr = 0.01) ?(pool = Po
         Pool.map pool
           (fun s ->
             let off = s * shard_rows in
-            let rows = min shard_rows (bn - off) in
+            let rows = Int.min shard_rows (bn - off) in
             run_shard t states.(s) ~rows
               ~x:(Tensor.sub_rows bx ~off ~len:rows)
               ~labels:blabels ~label_off:off)
@@ -156,7 +158,7 @@ let logits_m ?(pool = Pool.sequential) t xs =
       (Pool.map pool
          (fun c ->
            let off = c * inference_chunk in
-           let rows = min inference_chunk (n - off) in
+           let rows = Int.min inference_chunk (n - off) in
            (* Each chunk task allocates its own ctxs and writes a disjoint
               row range of [out]. *)
            let ctxs = Array.map (fun l -> Layer.make_ctx l ~rows) t.layers in
@@ -182,7 +184,7 @@ let accuracy_m ?pool t ~xs ~labels =
   let preds = predict_m ?pool t xs in
   let hits = ref 0 in
   Array.iteri (fun i p -> if p = labels.(i) then incr hits) preds;
-  float_of_int !hits /. float_of_int (max 1 (Array.length preds))
+  float_of_int !hits /. float_of_int (Int.max 1 (Array.length preds))
 
 (* ------------------------------------------------------------------ *)
 (* Test hooks: sequential whole-batch loss/gradients for the

@@ -29,7 +29,7 @@ module Layer = struct
     done
 
   let he_init rng n fan_in =
-    let scale = sqrt (2.0 /. float_of_int (max 1 fan_in)) in
+    let scale = sqrt (2.0 /. float_of_int (Int.max 1 fan_in)) in
     Array.init n (fun _ -> Rng.normal rng ~mu:0.0 ~sigma:scale)
 
   let dense ~rng ~inputs ~outputs =
@@ -227,5 +227,5 @@ module Network = struct
   let accuracy t ~xs ~labels =
     let hits = ref 0 in
     Array.iteri (fun i x -> if predict t x = labels.(i) then incr hits) xs;
-    float_of_int !hits /. float_of_int (max 1 (Array.length xs))
+    float_of_int !hits /. float_of_int (Int.max 1 (Array.length xs))
 end

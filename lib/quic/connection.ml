@@ -7,12 +7,10 @@ let create ~engine ~path ~flow ?(cc = Stob_tcp.Cubic.make) ?server_hooks ~flight
   let config = Endpoint.default_config in
   let wire = Endpoint.create_wire 1024 in
   let tx packets = Path.send path packets in
-  let client =
-    Endpoint.create ~engine ~config ~cc:(cc config) ~flow ~dir:Packet.Outgoing ~wire ~tx ()
-  in
+  let client = Endpoint.create ~engine ~cc:(cc config) ~flow ~dir:Packet.Outgoing ~wire ~tx () in
   let server =
-    Endpoint.create ~engine ~config ~cc:(cc config) ~flow ~dir:Packet.Incoming ~wire
-      ?hooks:server_hooks ~tx ()
+    Endpoint.create ~engine ~cc:(cc config) ~flow ~dir:Packet.Incoming ~wire ?hooks:server_hooks
+      ~tx ()
   in
   Endpoint.listen server ~flight_bytes;
   Path.register path ~flow

@@ -6,14 +6,9 @@ module Rtt = Stob_tcp.Rtt
 module Pacer = Stob_tcp.Pacer
 module Hooks = Stob_tcp.Hooks
 
-let default_config =
-  {
-    Config.default with
-    Config.mss = 1350;  (* datagram payload budget *)
-    header_bytes = 43;  (* IP + UDP + QUIC short header *)
-    tso_max_bytes = 65535;  (* UDP GSO burst *)
-    tso_min_bytes = 2 * 1350;
-  }
+let mss = 1350 (* datagram payload budget *)
+let header_bytes = 43 (* IP + UDP + QUIC short header *)
+let default_config = { Config.default with Config.mss; header_bytes; tso_min_bytes = 2 * mss }
 
 let crypto_stream = 0
 let finished_stream = 2
@@ -28,6 +23,20 @@ let granularity = 0.001
 
 (* RFC 9002 §7.6.1: kPersistentCongestionThreshold. *)
 let persistent_congestion_threshold = 3.0
+
+(* Upper bound on the backed-off probe timeout, seconds.  The backoff
+   multiplier doubles per PTO and resets on forward progress (RFC 9002
+   §6.2); this caps the resulting interval. *)
+let pto_max = 10.0
+
+(* Close the connection after this many seconds with no activity (RFC
+   9000 §10.1), quiescing every timer. *)
+let idle_timeout = 30.0
+
+(* Pre-handshake-confirmation anti-amplification limit: a server may send
+   at most [amp_factor] times the bytes it has received from the
+   unvalidated client address (RFC 9000 §8.1). *)
+let amp_factor = 3
 
 type role = Client | Server
 
@@ -80,7 +89,6 @@ type stream_out = {
 
 type t = {
   engine : Engine.t;
-  config : Config.t;
   cc : Cc.t;
   rtt : Rtt.t;
   pacer : Pacer.t;
@@ -172,8 +180,7 @@ let now t = Engine.now t.engine
    (unvalidated) client address.  [max_int] once the limit no longer
    applies. *)
 let amp_credit t =
-  if t.role = Server && (not t.established) && t.config.Config.amp_factor > 0 then
-    (t.config.Config.amp_factor * t.bytes_received) - t.bytes_sent
+  if t.role = Server && not t.established then (amp_factor * t.bytes_received) - t.bytes_sent
   else max_int
 
 let stream_out t id =
@@ -235,14 +242,14 @@ let close t = close_internal t ~reason:"application"
    [last_activity + idle_timeout]; activity between firings just moves the
    deadline, so the timer re-arms instead of being cancelled per packet. *)
 let rec arm_idle t =
-  if t.config.Config.idle_timeout > 0.0 && not t.closed then begin
+  if not t.closed then begin
     t.idle_timer <- cancel_timer t t.idle_timer;
-    let deadline = t.last_activity +. t.config.Config.idle_timeout in
+    let deadline = t.last_activity +. idle_timeout in
     t.idle_timer <-
       Some
         (Engine.schedule_at t.engine ~time:deadline (fun () ->
              t.idle_timer <- None;
-             if now t -. t.last_activity >= t.config.Config.idle_timeout -. 1e-9 then
+             if now t -. t.last_activity >= idle_timeout -. 1e-9 then
                close_internal t ~reason:"idle-timeout"
              else arm_idle t))
   end
@@ -269,12 +276,12 @@ let make_datagram t ?(rtx = false) frames =
       t.last_activity <- now t
     end
   end;
-  t.bytes_sent <- t.bytes_sent + payload + t.config.Config.header_bytes;
+  t.bytes_sent <- t.bytes_sent + payload + header_bytes;
   t.datagrams_sent <- t.datagrams_sent + 1;
   t.packets_sent <- t.packets_sent + 1;
   if rtx then t.rtx_datagrams <- t.rtx_datagrams + 1;
-  Packet.data ~flow:t.flow ~dir:t.dir ~seq:pn ~ack:0 ~payload ~header:t.config.Config.header_bytes
-    ~rtx ~rwnd:t.config.Config.rcv_wnd ()
+  Packet.data ~flow:t.flow ~dir:t.dir ~seq:pn ~ack:0 ~payload ~header:header_bytes
+    ~rtx ~rwnd:default_config.Config.rcv_wnd ()
 
 let transmit_burst t ~release packets =
   if Array.length packets > 0 then begin
@@ -299,7 +306,7 @@ let ack_frame t =
 let send_ack_now t =
   if t.received <> [] && not t.closed then begin
     let ack = ack_frame t in
-    if amp_credit t < Frame.wire_bytes ack + t.config.Config.header_bytes then
+    if amp_credit t < Frame.wire_bytes ack + header_bytes then
       (* Not even an ACK fits under the amplification limit: leave the ACK
          pending; the unblock-on-receive path flushes it. *)
       t.amp_blocked <- true
@@ -361,16 +368,16 @@ let next_chunk t ~space =
   end
 
 (* RFC 9002 §6.2: PTO = srtt + max(4*rttvar, granularity) + max_ack_delay,
-   scaled by the backoff multiplier and capped by [Config.pto_max]. *)
+   scaled by the backoff multiplier and capped by [pto_max]. *)
 let pto_interval t =
   let base =
     match Rtt.srtt t.rtt with
-    | None -> t.config.Config.rto_init
+    | None -> Rtt.rto_init
     | Some srtt ->
         let rttvar = Option.value ~default:(srtt /. 2.0) (Rtt.rttvar t.rtt) in
         srtt +. Float.max (4.0 *. rttvar) granularity +. max_ack_delay
   in
-  Float.min t.config.Config.pto_max (base *. t.pto_backoff)
+  Float.min pto_max (base *. t.pto_backoff)
 
 (* Persistent congestion (RFC 9002 §7.6): when the sent times of
    ack-eliciting packets declared lost since the last forward progress
@@ -401,8 +408,8 @@ let check_persistent_congestion t =
    timeout wins, wedging the connection.  One MSS of retransmission data
    (or a bare PING) per PTO, still amplification-gated. *)
 let send_probe t =
-  if (not t.closed) && amp_credit t > t.config.Config.header_bytes + 9 then begin
-    let space = t.config.Config.mss in
+  if (not t.closed) && amp_credit t > header_bytes + 9 then begin
+    let space = mss in
     let frames = ref [] in
     let any_rtx = ref false in
     let space_left () = space - frames_payload !frames in
@@ -547,7 +554,7 @@ and try_send t =
     t.rate_limited_mark <- Int.max t.rate_limited_mark (t.pn_next - 1);
   if (not t.closed) && has_data t && window > 0 then begin
     let credit = amp_credit t in
-    if credit <= t.config.Config.header_bytes + 9 then begin
+    if credit <= header_bytes + 9 then begin
       t.amp_blocked <- true;
       (* Credit-starved: acks arriving across the stall are not a rate. *)
       t.rate_limited_mark <- Int.max t.rate_limited_mark (t.pn_next - 1)
@@ -564,12 +571,12 @@ and try_send t =
       end
       else begin
         let pacing_rate = t.cc.Cc.pacing_rate () in
-        let stack_gso = Config.tso_autosize t.config ~pacing_rate_bps:pacing_rate in
+        let stack_gso = Config.tso_autosize default_config ~pacing_rate_bps:pacing_rate in
         let budget = Int.min stack_gso window in
         let stack_decision =
           {
             Hooks.tso_bytes = Int.max 1 budget;
-            packet_payload = t.config.Config.mss;
+            packet_payload = mss;
             earliest_departure = departure;
           }
         in
@@ -588,9 +595,9 @@ and try_send t =
             Int.min decision.Hooks.packet_payload (decision.Hooks.tso_bytes - !burst_payload)
           in
           (* Amplification credit counts wire bytes, headers included. *)
-          let space = Int.min space (credit - !burst_wire - t.config.Config.header_bytes) in
+          let space = Int.min space (credit - !burst_wire - header_bytes) in
           if space <= 8 then begin
-            if !packets = [] && credit - !burst_wire <= t.config.Config.header_bytes + 9 then begin
+            if !packets = [] && credit - !burst_wire <= header_bytes + 9 then begin
               t.amp_blocked <- true;
               t.rate_limited_mark <- Int.max t.rate_limited_mark (t.pn_next - 1)
             end;
@@ -674,7 +681,7 @@ let send_stream t ~stream ?(fin = false) n =
 let send_padding_datagram t n =
   if n <= 0 then invalid_arg "Quic.Endpoint.send_padding_datagram: byte count must be positive";
   if not t.closed then begin
-    let pkt = make_datagram t [ Frame.Padding (Int.min n t.config.Config.mss) ] in
+    let pkt = make_datagram t [ Frame.Padding (Int.min n mss) ] in
     transmit_burst t ~release:(now t) [| pkt |]
   end
 
@@ -817,7 +824,7 @@ let receive t (p : Packet.t) =
         if not ack_eliciting then wire_remove t.wire p.Packet.dir p.Packet.seq;
         if ack_eliciting && not t.closed then begin
           t.pkts_since_ack <- t.pkts_since_ack + 1;
-          if t.pkts_since_ack >= t.config.Config.ack_every then
+          if t.pkts_since_ack >= default_config.Config.ack_every then
             if has_data t then begin
               (* Piggyback the ACK on outgoing data. *)
               t.ack_pending <- true;
@@ -848,13 +855,12 @@ let receive t (p : Packet.t) =
 
 (* Defined after the transmit and receive paths so that the PTO callback
    can be built once, here. *)
-let create ~engine ~config ~cc ~flow ~dir ~wire ?(hooks = Hooks.default) ~tx () =
+let create ~engine ~cc ~flow ~dir ~wire ?(hooks = Hooks.default) ~tx () =
   let rec t =
     {
       engine;
-      config;
       cc;
-      rtt = Rtt.create config;
+      rtt = Rtt.create ();
       pacer = Pacer.create ();
       flow;
       dir;

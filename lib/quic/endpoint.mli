@@ -47,11 +47,11 @@ val wire_length : wire -> int
 
 val default_config : Stob_tcp.Config.t
 (** TCP's config record reused with QUIC framing: 1350-byte datagram
-    payloads, 43 bytes of IP+UDP+QUIC header, 64 KiB GSO bursts. *)
+    payloads and 43 bytes of IP+UDP+QUIC header.  Every endpoint runs it;
+    GSO bursts reach 64 KiB ({!Stob_tcp.Config.tso_autosize}). *)
 
 val create :
   engine:Stob_sim.Engine.t ->
-  config:Stob_tcp.Config.t ->
   cc:Stob_tcp.Cc.t ->
   flow:int ->
   dir:Stob_net.Packet.direction ->
@@ -87,9 +87,9 @@ val closed : t -> bool
 
 val close_reason : t -> string option
 (** ["application"], ["idle-timeout"], or [None] while open.  The idle
-    timeout ({!Stob_tcp.Config.t}[.idle_timeout], RFC 9000 §10.1) closes
-    the connection after that many seconds without receiving a packet or
-    sending a first ack-eliciting packet since the last receive. *)
+    timeout (RFC 9000 §10.1) closes the connection after 30 s without
+    receiving a packet or sending a first ack-eliciting packet since the
+    last receive. *)
 
 (** {1 Streams} *)
 

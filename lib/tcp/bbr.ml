@@ -4,7 +4,6 @@ let probe_gains = [| 1.25; 0.75; 1.0; 1.0; 1.0; 1.0; 1.0; 1.0 |]
 let bw_window_rounds = 10
 
 type state = {
-  config : Config.t;
   mutable phase : Cc.phase;
   mutable min_rtt : float;
   mutable bw_samples : (int * float) list;  (* (round, bits/s), newest first *)
@@ -23,7 +22,6 @@ type state = {
 let make (config : Config.t) : Cc.t =
   let s =
     {
-      config;
       phase = Cc.Startup;
       min_rtt = infinity;
       bw_samples = [];
@@ -34,14 +32,14 @@ let make (config : Config.t) : Cc.t =
       full_bw_rounds = 0;
       cycle_index = 0;
       cycle_start = 0.0;
-      cwnd = config.initial_cwnd_pkts * config.mss;
+      cwnd = Config.initial_cwnd_pkts * config.mss;
       rate_epoch_time = -1.0;
       rate_epoch_delivered = 0;
     }
   in
   let btl_bw () = List.fold_left (fun acc (_, bw) -> Float.max acc bw) 0.0 s.bw_samples in
   let bdp_bytes () =
-    if s.min_rtt = infinity then s.config.initial_cwnd_pkts * s.config.mss
+    if s.min_rtt = infinity then Config.initial_cwnd_pkts * config.mss
     else int_of_float (btl_bw () *. s.min_rtt /. 8.0)
   in
   let pacing_gain () =
@@ -120,11 +118,11 @@ let make (config : Config.t) : Cc.t =
     | _ -> ());
     let gain = match s.phase with Cc.Startup -> startup_gain | _ -> 2.0 in
     s.cwnd <-
-      Int.max (4 * s.config.mss)
-        (Int.min s.config.snd_buf (int_of_float (gain *. float_of_int (bdp_bytes ()))))
+      Int.max (4 * config.mss)
+        (Int.min Config.snd_buf (int_of_float (gain *. float_of_int (bdp_bytes ()))))
   in
   let on_loss ~now:_ = () in
-  let on_rto ~now:_ = s.cwnd <- s.config.mss in
+  let on_rto ~now:_ = s.cwnd <- config.mss in
   {
     Cc.name = "bbr";
     on_ack;

@@ -20,8 +20,7 @@ type t = {
 
 type factory = Config.t -> t
 
-let generic_pacing_rate ~config ~cwnd ~srtt ~phase =
-  ignore config;
+let generic_pacing_rate ~cwnd ~srtt ~phase =
   match srtt with
   | None -> infinity
   | Some srtt when srtt > 0.0 ->

@@ -38,7 +38,7 @@ type t = {
 type factory = Config.t -> t
 (** Controllers are created per-connection from the shared config. *)
 
-val generic_pacing_rate : config:Config.t -> cwnd:int -> srtt:float option -> phase:phase -> float
+val generic_pacing_rate : cwnd:int -> srtt:float option -> phase:phase -> float
 (** The Linux rule for loss-based CCAs under fq: rate = factor * cwnd/srtt,
     factor 2 in slow start and 1.2 afterwards; [infinity] before the first
     RTT sample. *)

@@ -2,7 +2,6 @@ let beta = 0.7
 let c = 0.4
 
 type state = {
-  config : Config.t;
   mutable cwnd : int;
   mutable ssthresh : int;
   mutable phase : Cc.phase;
@@ -17,9 +16,8 @@ type state = {
 let make (config : Config.t) : Cc.t =
   let s =
     {
-      config;
-      cwnd = config.initial_cwnd_pkts * config.mss;
-      ssthresh = config.initial_ssthresh;
+      cwnd = Config.initial_cwnd_pkts * config.mss;
+      ssthresh = Config.initial_ssthresh;
       phase = Cc.Slow_start;
       srtt = None;
       w_max = 0.0;
@@ -52,7 +50,7 @@ let make (config : Config.t) : Cc.t =
     if target > cwnd_segs then begin
       (* Approach the target over one RTT's worth of ACKs. *)
       let incr = (target -. cwnd_segs) /. cwnd_segs *. segs acked in
-      s.cwnd <- Int.min s.config.snd_buf (s.cwnd + bytes incr)
+      s.cwnd <- Int.min Config.snd_buf (s.cwnd + bytes incr)
     end
   in
   let on_ack ~now ~acked ~rtt ~inflight:_ ~limited:_ =
@@ -65,7 +63,7 @@ let make (config : Config.t) : Cc.t =
     | _ -> ());
     match s.phase with
     | Cc.Slow_start ->
-        s.cwnd <- Int.min s.config.snd_buf (s.cwnd + acked);
+        s.cwnd <- Int.min Config.snd_buf (s.cwnd + acked);
         if s.cwnd >= s.ssthresh then begin
           s.cwnd <- s.ssthresh;
           s.phase <- Cc.Congestion_avoidance
@@ -97,9 +95,6 @@ let make (config : Config.t) : Cc.t =
     on_loss;
     on_rto;
     cwnd = (fun () -> s.cwnd);
-    pacing_rate =
-      (fun () ->
-        if not config.pacing then infinity
-        else Cc.generic_pacing_rate ~config ~cwnd:s.cwnd ~srtt:s.srtt ~phase:s.phase);
+    pacing_rate = (fun () -> Cc.generic_pacing_rate ~cwnd:s.cwnd ~srtt:s.srtt ~phase:s.phase);
     phase = (fun () -> s.phase);
   }

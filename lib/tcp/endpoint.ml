@@ -4,6 +4,12 @@ module Cpu = Stob_sim.Cpu
 
 type conn_state = Closed | Syn_sent | Syn_rcvd | Established_s
 
+(* TCP small queues: max unsent bytes in the stack. *)
+let tsq_limit_bytes = 256 * 1024
+
+(* Upper bound on the zero-window persist-probe backoff, seconds. *)
+let persist_max = 60.0
+
 (* Sent-segment log used for RTT sampling (Karn's rule applied via
    [karn_floor]): a FIFO ring of (end_seq, sent_at) records in send order,
    [len] of them from [head].  End sequence numbers strictly increase in
@@ -161,11 +167,11 @@ let create ~engine ~config ~cc ~flow ~dir ?cpu ?(hooks = Hooks.default) ~tx () =
     rto_timer = None;
     send_timer = None;
     persist_timer = None;
-    persist_backoff = config.Config.rto_init;
+    persist_backoff = Rtt.rto_init;
     rate_limited_mark = 0;
     in_stack = 0;
     pacer = Pacer.create ();
-    rtt = Rtt.create config;
+    rtt = Rtt.create ();
     rcv_nxt = 0;
     ooo = [];
     fin_seq = None;
@@ -477,7 +483,7 @@ let rec arm_persist t =
     t.persist_timer <-
       Some
         (Engine.schedule t.engine
-           ~delay:(Float.min t.config.Config.persist_max t.persist_backoff)
+           ~delay:(Float.min persist_max t.persist_backoff)
            (fun () ->
              t.persist_timer <- None;
              persist_fire t))
@@ -489,7 +495,7 @@ and persist_fire t =
     && (t.app_queue > 0 || want_fin || inflight t > 0)
   then begin
     t.persist_probes <- t.persist_probes + 1;
-    t.persist_backoff <- Float.min t.config.Config.persist_max (t.persist_backoff *. 2.0);
+    t.persist_backoff <- Float.min persist_max (t.persist_backoff *. 2.0);
     (* The probe itself is sent under starvation: its eventual ack must be
        flagged rwnd-limited, so taint everything up to and including it. *)
     t.rate_limited_mark <- Int.max t.rate_limited_mark (t.snd_nxt + 1);
@@ -572,7 +578,7 @@ let rec try_send t =
     else if
       (t.app_queue > 0 || want_fin)
       && available_window > 0
-      && t.in_stack < t.config.Config.tsq_limit_bytes
+      && t.in_stack < tsq_limit_bytes
     then begin
       let pacing_rate = t.cc.Cc.pacing_rate () in
       let stack_tso = Config.tso_autosize t.config ~pacing_rate_bps:pacing_rate in

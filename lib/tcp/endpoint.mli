@@ -122,7 +122,7 @@ val packets_sent : t -> int
 
 val persist_probes : t -> int
 (** Zero-window persist probes sent (exponentially backed off, capped at
-    {!Config.t.persist_max}). *)
+    60 s). *)
 
 val zero_windows : t -> int
 (** Times the peer's advertised window transitioned to zero. *)

@@ -1,5 +1,4 @@
 type state = {
-  config : Config.t;
   mutable cwnd : int;
   mutable ssthresh : int;
   mutable phase : Cc.phase;
@@ -10,9 +9,8 @@ type state = {
 let make (config : Config.t) : Cc.t =
   let s =
     {
-      config;
-      cwnd = config.initial_cwnd_pkts * config.mss;
-      ssthresh = config.initial_ssthresh;
+      cwnd = Config.initial_cwnd_pkts * config.mss;
+      ssthresh = Config.initial_ssthresh;
       phase = Cc.Slow_start;
       srtt = None;
       recovery_acks = 0;
@@ -39,22 +37,22 @@ let make (config : Config.t) : Cc.t =
         end
     | Cc.Congestion_avoidance ->
         (* cwnd += mss * (acked bytes / cwnd): one MSS per window per RTT. *)
-        let incr = s.config.mss * acked / Int.max 1 s.cwnd in
+        let incr = config.mss * acked / Int.max 1 s.cwnd in
         s.cwnd <- s.cwnd + Int.max 0 incr
     | Cc.Recovery | Cc.Startup | Cc.Drain | Cc.Probe_bw -> ());
-    s.cwnd <- Int.min s.cwnd s.config.snd_buf
+    s.cwnd <- Int.min s.cwnd Config.snd_buf
   in
   let on_loss ~now:_ =
     if s.phase <> Cc.Recovery then begin
-      s.ssthresh <- Int.max (2 * s.config.mss) (s.cwnd / 2);
+      s.ssthresh <- Int.max (2 * config.mss) (s.cwnd / 2);
       s.cwnd <- s.ssthresh;
       s.recovery_acks <- 0;
       s.phase <- Cc.Recovery
     end
   in
   let on_rto ~now:_ =
-    s.ssthresh <- Int.max (2 * s.config.mss) (s.cwnd / 2);
-    s.cwnd <- s.config.mss;
+    s.ssthresh <- Int.max (2 * config.mss) (s.cwnd / 2);
+    s.cwnd <- config.mss;
     s.phase <- Cc.Slow_start
   in
   {
@@ -63,9 +61,6 @@ let make (config : Config.t) : Cc.t =
     on_loss;
     on_rto;
     cwnd = (fun () -> s.cwnd);
-    pacing_rate =
-      (fun () ->
-        if not config.pacing then infinity
-        else Cc.generic_pacing_rate ~config ~cwnd:s.cwnd ~srtt:s.srtt ~phase:s.phase);
+    pacing_rate = (fun () -> Cc.generic_pacing_rate ~cwnd:s.cwnd ~srtt:s.srtt ~phase:s.phase);
     phase = (fun () -> s.phase);
   }

@@ -1,11 +1,15 @@
 type t = {
-  config : Config.t;
   mutable srtt : float option;
   mutable rttvar : float option;
   mutable backoff : float;
 }
 
-let create config = { config; srtt = None; rttvar = None; backoff = 1.0 }
+let rto_init = 1.0
+
+(* Lower bound on the retransmission timeout, seconds. *)
+let rto_min = 0.2
+
+let create () = { srtt = None; rttvar = None; backoff = 1.0 }
 
 let observe t sample =
   if sample < 0.0 then invalid_arg "Rtt.observe: negative sample";
@@ -27,9 +31,9 @@ let rto t =
   let base =
     match (t.srtt, t.rttvar) with
     | Some srtt, Some rttvar -> srtt +. (4.0 *. rttvar)
-    | _ -> t.config.Config.rto_init
+    | _ -> rto_init
   in
-  let rto = Float.max t.config.Config.rto_min base *. t.backoff in
+  let rto = Float.max rto_min base *. t.backoff in
   Float.min rto 60.0
 
 let backoff t = t.backoff <- Float.min (t.backoff *. 2.0) 64.0

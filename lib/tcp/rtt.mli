@@ -6,7 +6,11 @@
 
 type t
 
-val create : Config.t -> t
+val rto_init : float
+(** RTO before the first RTT sample, seconds (1 s, RFC 6298 §2.1); QUIC's
+    first probe timeout too. *)
+
+val create : unit -> t
 
 val observe : t -> float -> unit
 (** Feed one RTT sample (seconds). *)
@@ -16,7 +20,7 @@ val srtt : t -> float option
 
 val rttvar : t -> float option
 val rto : t -> float
-(** Current retransmission timeout, never below [rto_min]. *)
+(** Current retransmission timeout, never below 200 ms. *)
 
 val backoff : t -> unit
 (** Exponential backoff after a timeout (doubles RTO, capped at 60 s). *)

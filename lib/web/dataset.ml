@@ -106,20 +106,22 @@ let split t ~rng ~train_fraction =
 
 let folds t ~rng ~k =
   if k < 2 then invalid_arg "Dataset.folds: k must be >= 2";
-  (* Assign each sample a fold within its class, then build k train/test
-     pairs. *)
-  let assignments = Hashtbl.create (Array.length t.samples) in
-  List.iter
-    (fun class_samples ->
-      let arr = Array.of_list class_samples in
+  (* Assign each sample position a fold within its class, then build k
+     train/test pairs.  Positions, not sample values: equal samples of a
+     class (BuFLO and Tamaraw make them on purpose) spread over the folds
+     like any others. *)
+  let positions = List.init (Array.length t.samples) Fun.id in
+  let fold_of = Array.make (Array.length t.samples) 0 in
+  Array.iteri
+    (fun label _ ->
+      let arr = Array.of_list (List.filter (fun i -> t.samples.(i).label = label) positions) in
       Rng.shuffle rng arr;
-      Array.iteri (fun i s -> Hashtbl.replace assignments s (i mod k)) arr)
-    (by_label t);
+      Array.iteri (fun i pos -> fold_of.(pos) <- i mod k) arr)
+    t.site_names;
   List.init k (fun fold ->
       let train = ref [] and test = ref [] in
-      Array.iter
-        (fun s ->
-          if Hashtbl.find assignments s = fold then test := s :: !test else train := s :: !train)
+      Array.iteri
+        (fun pos s -> if fold_of.(pos) = fold then test := s :: !test else train := s :: !train)
         t.samples;
       ( { samples = Array.of_list (List.rev !train); site_names = t.site_names },
         { samples = Array.of_list (List.rev !test); site_names = t.site_names } ))

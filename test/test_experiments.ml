@@ -49,6 +49,80 @@ let test_fig3_shape () =
   Alcotest.(check bool) "floor stays high (paper: >= ~20 Gb/s)" true
     (p40.Fig3.combined_gbps > 15.0)
 
+(* [test_fig3_shape]'s points against the closed form (Fig3_closed_form).
+   The tolerance is 0.1 %, from the model: a 50 ms window holds 37 to 74
+   whole 99-segment cycles here, and over every alignment of the window on
+   the cycle, counting the segment at its edge or not, the closed form
+   itself moves by at most 0.045 % (alpha = 40, combined).  The margin
+   covers the link's serialization offset between a segment's CPU
+   completion and the byte counter.  The warm-up (20 ms) is hundreds of
+   RTTs, so slow start is over before the window opens.  At alpha = 0
+   [Fig3.run] copies the baseline into the three series, so those are not
+   compared. *)
+let test_fig3_closed_form () =
+  let config =
+    { Fig3.default_config with Fig3.alphas = [ 0; 20; 40 ]; warmup = 0.02; measure = 0.05 }
+  in
+  let points = Fig3.run ~config () in
+  let near what expected got =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.4f Gb/s within 0.1 %% of %.4f" what got expected)
+      true
+      (Float.abs (got -. expected) <= 1e-3 *. expected)
+  in
+  near "baseline" Fig3_closed_form.baseline_gbps (List.hd points).Fig3.baseline_gbps;
+  List.iter
+    (fun (p : Fig3.point) ->
+      if p.Fig3.alpha > 0 then
+        List.iter
+          (fun (name, series, got) ->
+            near
+              (Printf.sprintf "alpha=%d %s" p.Fig3.alpha name)
+              (Fig3_closed_form.gbps ~alpha:p.Fig3.alpha ~series)
+              got)
+          [ ("packet", Fig3_closed_form.Packet, p.Fig3.packet_gbps);
+            ("tso", Fig3_closed_form.Tso, p.Fig3.tso_gbps);
+            ("combined", Fig3_closed_form.Combined, p.Fig3.combined_gbps) ])
+    points
+
+(* Thirty equal traces, ten per class.  Folds are assigned by sample
+   position, so each of five folds tests two samples of every class, and
+   the attack, which cannot tell the classes apart, scores exactly chance.
+   Keyed by sample value, every sample of a class took one fold, no fold
+   had both a train and a test side, and the CV raised "empty dataset". *)
+let test_folds_over_equal_traces () =
+  let module Dataset = Stob_web.Dataset in
+  let module Trace = Stob_net.Trace in
+  let trace =
+    Trace.of_events
+      (Array.init 20 (fun i ->
+           let dir = if i mod 4 = 0 then Stob_net.Packet.Outgoing else Stob_net.Packet.Incoming in
+           { Trace.time = 0.01 *. float_of_int i; dir; size = 100 + (50 * i) }))
+  in
+  let site_names = [| "a"; "b"; "c" |] in
+  let samples =
+    Array.init 30 (fun i ->
+        {
+          Dataset.site = site_names.(i / 10);
+          label = i / 10;
+          trace;
+          completed = true;
+          total_in_bytes = Trace.bytes ~dir:Stob_net.Packet.Incoming trace;
+        })
+  in
+  let d = { Dataset.samples; site_names } in
+  List.iter
+    (fun (_, (test : Dataset.t)) ->
+      let per_class label =
+        Array.fold_left (fun n s -> if s.Dataset.label = label then n + 1 else n) 0 test.samples
+      in
+      Alcotest.(check (list int)) "two test samples per class" [ 2; 2; 2 ]
+        (List.map per_class [ 0; 1; 2 ]))
+    (Dataset.folds d ~rng:(Stob_util.Rng.create 1) ~k:5);
+  let mean, std = Evalcommon.accuracy_cv ~folds:5 ~trees:10 d in
+  Alcotest.(check (float 1e-12)) "chance accuracy" (1.0 /. 3.0) mean;
+  Alcotest.(check (float 1e-12)) "on every fold" 0.0 std
+
 (* [test_table2_reduced]'s cells as [Int64.bits_of_float] of (mean, std),
    and its per-site counts after sanitization. *)
 let table2_reduced_cells =
@@ -471,7 +545,10 @@ let suite =
       [
         Alcotest.test_case "table1 rows and overheads" `Slow test_table1_rows;
         Alcotest.test_case "fig3 shape" `Slow test_fig3_shape;
+        Alcotest.test_case "fig3 matches the closed form" `Slow test_fig3_closed_form;
         Alcotest.test_case "table2 reduced" `Slow test_table2_reduced;
+        Alcotest.test_case "folds over equal traces score chance" `Quick
+          test_folds_over_equal_traces;
         Alcotest.test_case "architecture renderings" `Quick test_arch_renderings;
         Alcotest.test_case "cca ablation" `Slow test_cca_ablation_reduced;
         Alcotest.test_case "openworld reduced" `Slow test_openworld_reduced;

@@ -410,10 +410,9 @@ let test_wire_table_drains () =
                Option.iter (fun e -> Endpoint.receive e p) !dst)))
       pkts
   in
-  let config = Endpoint.default_config in
   let client_ref = ref None and server_ref = ref None in
   let make dir dst =
-    Endpoint.create ~engine ~config ~cc:(Stob_tcp.Cubic.make config) ~flow:1 ~dir ~wire
+    Endpoint.create ~engine ~cc:(Stob_tcp.Cubic.make Endpoint.default_config) ~flow:1 ~dir ~wire
       ~tx:(tx dst) ()
   in
   let client = make Packet.Outgoing server_ref and server = make Packet.Incoming client_ref in
@@ -432,6 +431,87 @@ let test_wire_table_drains () =
   Alcotest.(check bool) "both ends still open" false
     (Endpoint.closed client || Endpoint.closed server);
   Alcotest.(check int) "no frame entry left behind" 0 (Endpoint.wire_length wire)
+
+(* A client-server pair wired by hand, 10 ms each way, that loses every
+   datagram sent at or after [cut].  The client asks for [response] bytes
+   once the handshake completes.  [last_rx] is the time of the latest
+   delivery; [server_ptos] lists the times of the server's PTO firings,
+   newest first. *)
+type hand_pair = {
+  hp_engine : Engine.t;
+  hp_client : Endpoint.t;
+  hp_server : Endpoint.t;
+  last_rx : float ref;
+  server_ptos : float list ref;
+}
+
+let hand_pair ?(cut = infinity) ~response () =
+  let engine = Engine.create () in
+  let wire = Endpoint.create_wire 64 in
+  let last_rx = ref 0.0 and server_ptos = ref [] and counted = ref 0 in
+  let client_ref = ref None and server_ref = ref None in
+  let tx ~server dst pkts =
+    (match !server_ref with
+    | Some s when server && Endpoint.pto_events s > !counted ->
+        counted := Endpoint.pto_events s;
+        server_ptos := Engine.now engine :: !server_ptos
+    | _ -> ());
+    if Engine.now engine < cut then
+      Array.iter
+        (fun p ->
+          ignore
+            (Engine.schedule engine ~delay:0.01 (fun () ->
+                 last_rx := Engine.now engine;
+                 Option.iter (fun e -> Endpoint.receive e p) !dst)))
+        pkts
+  in
+  let make dir ~server dst =
+    Endpoint.create ~engine ~cc:(Stob_tcp.Cubic.make Endpoint.default_config) ~flow:1 ~dir ~wire
+      ~tx:(tx ~server dst) ()
+  in
+  let client = make Packet.Outgoing ~server:false server_ref in
+  let server = make Packet.Incoming ~server:true client_ref in
+  client_ref := Some client;
+  server_ref := Some server;
+  Endpoint.set_on_established client (fun () ->
+      Endpoint.send_stream client ~stream:4 ~fin:true 400);
+  Endpoint.set_on_stream_fin server (fun ~stream:_ ->
+      Endpoint.send_stream server ~stream:4 ~fin:true response);
+  Endpoint.listen server ~flight_bytes:3_000;
+  Endpoint.connect client;
+  { hp_engine = engine; hp_client = client; hp_server = server; last_rx; server_ptos }
+
+(* RFC 9002 §6.2: the PTO backoff doubles per firing and is capped at 10 s.
+   The path goes dark mid-response, so nothing resets the backoff: the
+   gaps between the server's probes grow, then reach exactly 10 s before
+   the idle timeout closes the connection. *)
+let test_pto_backoff_cap () =
+  let p = hand_pair ~cut:0.12 ~response:2_000_000 () in
+  Engine.run ~until:60.0 p.hp_engine;
+  let rec gaps = function a :: (b :: _ as rest) -> (a -. b) :: gaps rest | _ -> [] in
+  let gaps = List.rev (gaps !(p.server_ptos)) in
+  let rec grows = function a :: (b :: _ as rest) -> a <= b +. 1e-6 && grows rest | _ -> true in
+  Alcotest.(check bool) "several probes" true (List.length gaps >= 5);
+  Alcotest.(check bool) "gaps never shrink" true (grows gaps);
+  Alcotest.(check (float 1e-6)) "the longest gap is the cap" 10.0
+    (List.fold_left Float.max 0.0 gaps)
+
+(* RFC 9000 §10.1: once the transfer is done nobody sends, and each end
+   closes 30 s after its last activity.  The last delivery is the latest
+   activity of either end, so one end is open just before that instant
+   plus 30 s and both are closed just after it. *)
+let test_idle_close_after_30s () =
+  let p = hand_pair ~response:200_000 () in
+  Engine.run ~until:10.0 p.hp_engine;
+  let last = !(p.last_rx) in
+  let both_closed () = Endpoint.closed p.hp_client && Endpoint.closed p.hp_server in
+  Engine.run ~until:(last +. 30.0 -. 1e-6) p.hp_engine;
+  Alcotest.(check bool) "an end is open just before the deadline" false (both_closed ());
+  Engine.run ~until:(last +. 30.0 +. 1e-6) p.hp_engine;
+  Alcotest.(check bool) "both closed just after it" true (both_closed ());
+  Alcotest.(check (float 0.0)) "nothing delivered after the transfer" last !(p.last_rx);
+  Alcotest.(check (option string)) "closed by the idle timeout" (Some "idle-timeout")
+    (Endpoint.close_reason p.hp_server)
 
 (* The mixed TCP+QUIC smoke battery is jobs-invariant, shard for shard. *)
 let test_mixed_soak_jobs_parity () =
@@ -967,6 +1047,9 @@ let suite =
       [
         Alcotest.test_case "idle timeout closes and quiesces" `Quick
           test_idle_timeout_close_quiesce;
+        Alcotest.test_case "idle close 30 s after the last activity" `Quick
+          test_idle_close_after_30s;
+        Alcotest.test_case "pto backoff stops at 10 s" `Quick test_pto_backoff_cap;
         Alcotest.test_case "amplification cap" `Quick test_amplification_cap;
         Alcotest.test_case "amplification unblock (no deadlock)" `Quick
           test_amplification_unblock_no_deadlock;

@@ -20,7 +20,7 @@ let check_float margin = Alcotest.(check (float margin))
 (* --- Rtt --- *)
 
 let test_rtt_first_sample () =
-  let r = Rtt.create Config.default in
+  let r = Rtt.create () in
   Alcotest.(check (option (float 0.0))) "no srtt yet" None (Rtt.srtt r);
   check_float 1e-9 "initial rto" 1.0 (Rtt.rto r);
   Rtt.observe r 0.1;
@@ -29,19 +29,19 @@ let test_rtt_first_sample () =
   check_float 1e-9 "rto" 0.3 (Rtt.rto r)
 
 let test_rtt_smoothing () =
-  let r = Rtt.create Config.default in
+  let r = Rtt.create () in
   Rtt.observe r 0.1;
   Rtt.observe r 0.2;
   (* srtt = 0.875*0.1 + 0.125*0.2 = 0.1125 *)
   check_float 1e-9 "smoothed" 0.1125 (Option.get (Rtt.srtt r))
 
 let test_rtt_min_floor () =
-  let r = Rtt.create Config.default in
+  let r = Rtt.create () in
   Rtt.observe r 0.001;
   check_float 1e-9 "floored at rto_min" 0.2 (Rtt.rto r)
 
 let test_rtt_backoff () =
-  let r = Rtt.create Config.default in
+  let r = Rtt.create () in
   Rtt.observe r 0.1;
   let base = Rtt.rto r in
   Rtt.backoff r;
@@ -82,6 +82,19 @@ let test_tso_autosize_mid_rate () =
   (* 100 Mb/s * 1 ms = 12500 B -> 8 segments of 1448. *)
   let bytes = Config.tso_autosize c ~pacing_rate_bps:1e8 in
   Alcotest.(check int) "eight segments" (8 * c.Config.mss) bytes
+
+(* Every CCA caps its window at the 16 MiB send buffer.  Acks are fed to
+   [on_ack] directly, far faster than any path would deliver them. *)
+let test_cwnd_stops_at_send_buffer () =
+  List.iter
+    (fun (name, make) ->
+      let cc = make Config.default in
+      for i = 1 to 200 do
+        cc.Cc.on_ack ~now:(0.1 *. float_of_int i) ~acked:10_000_000 ~rtt:0.1 ~inflight:0
+          ~limited:false
+      done;
+      Alcotest.(check int) (name ^ " cwnd") (16 * 1024 * 1024) (cc.Cc.cwnd ()))
+    [ ("reno", Reno.make); ("cubic", Cubic.make); ("bbr", Bbr.make) ]
 
 (* --- Hooks --- *)
 
@@ -909,6 +922,38 @@ let test_zero_window_persist_probe () =
   Alcotest.(check bool) "post-reopen data on the wire" true
     (List.exists (fun p -> p.Packet.payload > 0 && p.Packet.seq >= 2002 && not p.Packet.rtx) !sent)
 
+(* The persist backoff doubles per probe and stops at 60 s (BSD's
+   TCPTV_PERSMAX).  The peer never answers, so the window stays shut: the
+   gaps between probes grow, then hold at exactly 60 s. *)
+let test_persist_backoff_cap () =
+  let engine = Engine.create () in
+  let probes = ref (fun () -> 0) and counted = ref 0 and probe_times = ref [] in
+  let tx _ =
+    let n = !probes () in
+    if n > !counted then begin
+      counted := n;
+      probe_times := Engine.now engine :: !probe_times
+    end
+  in
+  let ep =
+    Endpoint.create ~engine ~config:Config.default ~cc:(Reno.make Config.default) ~flow:1
+      ~dir:Packet.Outgoing ~tx ()
+  in
+  (probes := fun () -> Endpoint.persist_probes ep);
+  establish_client ep;
+  Endpoint.write ep 2_000;
+  Engine.run ~until:0.1 engine;
+  Endpoint.receive ep (incoming_ack ~ack:2001 ~rwnd:0 ());
+  Endpoint.write ep 3_000;
+  Engine.run ~until:600.0 engine;
+  let rec gaps = function a :: (b :: _ as rest) -> (a -. b) :: gaps rest | _ -> [] in
+  let gaps = List.rev (gaps !probe_times) in
+  let rec grows = function a :: (b :: _ as rest) -> a <= b +. 1e-6 && grows rest | _ -> true in
+  Alcotest.(check bool) "gaps never shrink" true (grows gaps);
+  let capped = List.filter (fun g -> Float.abs (g -. 60.0) < 1e-6) gaps in
+  Alcotest.(check bool) "several gaps at the cap" true (List.length capped >= 3);
+  Alcotest.(check bool) "no gap above 60 s" true (List.for_all (fun g -> g <= 60.0 +. 1e-6) gaps)
+
 (* Regression (send_dummy vs flow control): defense padding used to bypass
    the peer window entirely — a closed window meant dummies were transmitted
    into sequence space the receiver could not hold.  Dummies must be
@@ -1397,6 +1442,7 @@ let suite =
         Alcotest.test_case "tso unpaced" `Quick test_tso_autosize_unpaced;
         Alcotest.test_case "tso slow rate" `Quick test_tso_autosize_slow_rate;
         Alcotest.test_case "tso mid rate" `Quick test_tso_autosize_mid_rate;
+        Alcotest.test_case "cwnd stops at the send buffer" `Quick test_cwnd_stops_at_send_buffer;
       ] );
     ( "tcp.hooks",
       [
@@ -1462,6 +1508,7 @@ let suite =
       [
         Alcotest.test_case "window update is not a dupack" `Quick test_window_update_not_dupack;
         Alcotest.test_case "zero window -> persist probing" `Quick test_zero_window_persist_probe;
+        Alcotest.test_case "persist backoff stops at 60 s" `Quick test_persist_backoff_cap;
         Alcotest.test_case "send_dummy respects the window" `Quick test_send_dummy_zero_window;
         Alcotest.test_case "advertised window tracks buffer" `Quick
           test_advertised_window_tracks_buffer;
