@@ -201,7 +201,7 @@ let run_cell ?plan ~seed scenario =
       Connection.on_established conn (fun () -> Endpoint.write client request);
       servers := server :: !servers;
       Connection.open_ conn;
-      ignore (Engine.schedule engine ~delay:0.3 (fun () -> start_conn (i + 1)))
+      Engine.schedule engine ~delay:0.3 (fun () -> start_conn (i + 1))
     end
   in
   (* Progress watch over the whole workload: packets keep flowing (or

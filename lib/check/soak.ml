@@ -146,98 +146,94 @@ let spec_of_rng ?(horizon = 120.0) ?(transport = `Tcp) ~fault rng =
    O(flows).  Late packets and timers of a reaped flow hit dead refs and
    are no-ops. *)
 let add_flow ~engine ~monitor ~id ~start ~on_done spec =
-  ignore
-    (Engine.schedule_at engine ~time:start (fun () ->
-         let rng = Rng.create spec.seed in
-         let client_ref = ref None and server_ref = ref None in
-         let live = ref true in
-         let tx src dst pkts =
-           Array.iter
-             (fun p ->
-               let lost = spec.loss > 0.0 && Rng.bernoulli rng spec.loss in
-               (match !src with Some e -> Endpoint.notify_serialized e p | None -> ());
-               if not lost then
-                 ignore
-                   (Engine.schedule engine ~delay:spec.delay (fun () ->
-                        match !dst with Some e -> Endpoint.receive e p | None -> ())))
-             pkts
-         in
-         let factory = Netem_eval.cc_of_name spec.cca in
-         let client =
-           Endpoint.create ~engine ~config:spec.client ~cc:(factory spec.client) ~flow:id
-             ~dir:Packet.Outgoing ~tx:(tx client_ref server_ref) ()
-         in
-         let server =
-           Endpoint.create ~engine ~config:spec.server ~cc:(factory spec.server) ~flow:id
-             ~dir:Packet.Incoming ~tx:(tx server_ref client_ref) ()
-         in
-         client_ref := Some client;
-         server_ref := Some server;
-         Monitor.observe_endpoint monitor ~name:(Printf.sprintf "flow-%d/client" id) client;
-         Monitor.observe_endpoint monitor ~name:(Printf.sprintf "flow-%d/server" id) server;
-         let client_received = ref 0 and server_received = ref 0 and responded = ref false in
-         Endpoint.set_on_receive server (fun n ->
-             server_received := !server_received + n;
-             if (not !responded) && !server_received >= spec.request then begin
-               responded := true;
-               Endpoint.write server spec.response;
-               Endpoint.close server
-             end);
-         Endpoint.set_on_receive client (fun n -> client_received := !client_received + n);
-         Endpoint.set_on_fin client (fun () -> Endpoint.close client);
-         if spec.slow_reader then begin
-           Endpoint.set_auto_read client false;
-           let rec pump () =
-             if !live then begin
-               ignore (Endpoint.read client spec.read_chunk);
-               ignore (Engine.schedule engine ~delay:spec.read_interval pump)
-             end
-           in
-           let first = if spec.read_stall > 0.0 then spec.read_stall else spec.read_interval in
-           ignore (Engine.schedule engine ~delay:first pump)
-         end;
-         (match spec.pacer_jump with
-         | Some (after, jump) ->
-             ignore
-               (Engine.schedule engine ~delay:after (fun () ->
-                    match !server_ref with
-                    | Some e when !live -> Endpoint.inject_pacer_jump e jump
-                    | _ -> ()))
-         | None -> ());
-         Endpoint.set_on_established client (fun () -> Endpoint.write client spec.request);
-         Endpoint.connect client;
-         ignore
-           (Engine.schedule engine ~delay:spec.horizon (fun () ->
-                live := false;
-                let ci = Endpoint.inspect client and si = Endpoint.inspect server in
-                let r =
-                  {
-                    completed =
-                      !client_received = spec.response
-                      && !server_received = spec.request
-                      && Endpoint.closed client && Endpoint.closed server;
-                    client_received = !client_received;
-                    server_received = !server_received;
-                    client_closed = Endpoint.closed client;
-                    server_closed = Endpoint.closed server;
-                    retransmissions =
-                      Endpoint.retransmissions client + Endpoint.retransmissions server;
-                    persist_probes =
-                      Endpoint.persist_probes client + Endpoint.persist_probes server;
-                    zero_windows = Endpoint.zero_windows client + Endpoint.zero_windows server;
-                    sack_negotiated = si.Endpoint.sack_ok;
-                    wscale_negotiated =
-                      ci.Endpoint.rcv_wscale > 0 || si.Endpoint.rcv_wscale > 0;
-                    snd_mss = si.Endpoint.snd_mss;
-                    pto_events = 0;
-                    time_loss_detections = 0;
-                    persistent_congestions = 0;
-                    idle_closed = 0;
-                  }
-                in
-                client_ref := None;
-                server_ref := None;
-                on_done r))))
+  Engine.schedule_at engine ~time:start (fun () ->
+      let rng = Rng.create spec.seed in
+      let client_ref = ref None and server_ref = ref None in
+      let live = ref true in
+      let tx src dst pkts =
+        Array.iter
+          (fun p ->
+            let lost = spec.loss > 0.0 && Rng.bernoulli rng spec.loss in
+            (match !src with Some e -> Endpoint.notify_serialized e p | None -> ());
+            if not lost then
+              Engine.schedule engine ~delay:spec.delay (fun () ->
+                  match !dst with Some e -> Endpoint.receive e p | None -> ()))
+          pkts
+      in
+      let factory = Netem_eval.cc_of_name spec.cca in
+      let client =
+        Endpoint.create ~engine ~config:spec.client ~cc:(factory spec.client) ~flow:id
+          ~dir:Packet.Outgoing ~tx:(tx client_ref server_ref) ()
+      in
+      let server =
+        Endpoint.create ~engine ~config:spec.server ~cc:(factory spec.server) ~flow:id
+          ~dir:Packet.Incoming ~tx:(tx server_ref client_ref) ()
+      in
+      client_ref := Some client;
+      server_ref := Some server;
+      Monitor.observe_endpoint monitor ~name:(Printf.sprintf "flow-%d/client" id) client;
+      Monitor.observe_endpoint monitor ~name:(Printf.sprintf "flow-%d/server" id) server;
+      let client_received = ref 0 and server_received = ref 0 and responded = ref false in
+      Endpoint.set_on_receive server (fun n ->
+          server_received := !server_received + n;
+          if (not !responded) && !server_received >= spec.request then begin
+            responded := true;
+            Endpoint.write server spec.response;
+            Endpoint.close server
+          end);
+      Endpoint.set_on_receive client (fun n -> client_received := !client_received + n);
+      Endpoint.set_on_fin client (fun () -> Endpoint.close client);
+      if spec.slow_reader then begin
+        Endpoint.set_auto_read client false;
+        let rec pump () =
+          if !live then begin
+            ignore (Endpoint.read client spec.read_chunk);
+            Engine.schedule engine ~delay:spec.read_interval pump
+          end
+        in
+        let first = if spec.read_stall > 0.0 then spec.read_stall else spec.read_interval in
+        Engine.schedule engine ~delay:first pump
+      end;
+      (match spec.pacer_jump with
+      | Some (after, jump) ->
+          Engine.schedule engine ~delay:after (fun () ->
+              match !server_ref with
+              | Some e when !live -> Endpoint.inject_pacer_jump e jump
+              | _ -> ())
+      | None -> ());
+      Endpoint.set_on_established client (fun () -> Endpoint.write client spec.request);
+      Endpoint.connect client;
+      Engine.schedule engine ~delay:spec.horizon (fun () ->
+          live := false;
+          let ci = Endpoint.inspect client and si = Endpoint.inspect server in
+          let r =
+            {
+              completed =
+                !client_received = spec.response
+                && !server_received = spec.request
+                && Endpoint.closed client && Endpoint.closed server;
+              client_received = !client_received;
+              server_received = !server_received;
+              client_closed = Endpoint.closed client;
+              server_closed = Endpoint.closed server;
+              retransmissions =
+                Endpoint.retransmissions client + Endpoint.retransmissions server;
+              persist_probes =
+                Endpoint.persist_probes client + Endpoint.persist_probes server;
+              zero_windows = Endpoint.zero_windows client + Endpoint.zero_windows server;
+              sack_negotiated = si.Endpoint.sack_ok;
+              wscale_negotiated =
+                ci.Endpoint.rcv_wscale > 0 || si.Endpoint.rcv_wscale > 0;
+              snd_mss = si.Endpoint.snd_mss;
+              pto_events = 0;
+              time_loss_detections = 0;
+              persistent_congestions = 0;
+              idle_closed = 0;
+            }
+          in
+          client_ref := None;
+          server_ref := None;
+          on_done r))
 
 (* One QUIC request/response flow over the same kind of direct link: fixed
    one-way delay, i.i.d. loss, and optionally a datagram-blackhole window
@@ -248,102 +244,98 @@ let add_flow ~engine ~monitor ~id ~start ~on_done spec =
    client closes shortly after the response FIN (a grace delay lets its
    final delayed ACK out before close quiesces the ACK timer). *)
 let add_quic_flow ~engine ~monitor ~id ~start ~on_done spec =
-  ignore
-    (Engine.schedule_at engine ~time:start (fun () ->
-         let rng = Rng.create spec.seed in
-         let client_ref = ref None and server_ref = ref None in
-         let wire = Quic.create_wire 64 in
-         let bh =
-           Option.map (fun (after, dur) -> (start +. after, start +. after +. dur)) spec.blackhole
-         in
-         let tx dst pkts =
-           Array.iter
-             (fun p ->
-               let nw = Engine.now engine in
-               let blackholed =
-                 match bh with Some (a, b) -> nw >= a && nw < b | None -> false
-               in
-               let lost = spec.loss > 0.0 && Rng.bernoulli rng spec.loss in
-               if not (blackholed || lost) then
-                 ignore
-                   (Engine.schedule engine ~delay:spec.delay (fun () ->
-                        match !dst with Some e -> Quic.receive e p | None -> ())))
-             pkts
-         in
-         let factory = Netem_eval.cc_of_name spec.cca in
-         let qconfig = Quic.default_config in
-         let client =
-           Quic.create ~engine ~cc:(factory qconfig) ~flow:id
-             ~dir:Packet.Outgoing ~wire ~tx:(tx server_ref) ()
-         in
-         let server =
-           Quic.create ~engine ~cc:(factory qconfig) ~flow:id
-             ~dir:Packet.Incoming ~wire ~tx:(tx client_ref) ()
-         in
-         client_ref := Some client;
-         server_ref := Some server;
-         Monitor.observe_quic monitor ~name:(Printf.sprintf "flow-%d/client" id) client;
-         Monitor.observe_quic monitor ~name:(Printf.sprintf "flow-%d/server" id) server;
-         let client_received = ref 0 and server_received = ref 0 and responded = ref false in
-         Quic.set_on_stream server (fun ~stream:_ n -> server_received := !server_received + n);
-         Quic.set_on_stream_fin server (fun ~stream:_ ->
-             if not !responded then begin
-               responded := true;
-               Quic.send_stream server ~stream:4 ~fin:true spec.response
-             end);
-         Quic.set_on_stream client (fun ~stream:_ n -> client_received := !client_received + n);
-         Quic.set_on_stream_fin client (fun ~stream:_ ->
-             ignore
-               (Engine.schedule engine ~delay:0.06 (fun () ->
-                    match !client_ref with Some c -> Quic.close c | None -> ())));
-         Quic.set_on_established client (fun () ->
-             Quic.send_stream client ~stream:4 ~fin:true spec.request);
-         Quic.listen server ~flight_bytes:spec.flight;
-         Quic.connect client;
-         ignore
-           (Engine.schedule engine ~delay:spec.horizon (fun () ->
-                (* Reap-time state sweep: the hook observer only fires on
-                   sends, so a flow that wedged silently is still checked
-                   here. *)
-                List.iter
-                  (fun (name, ep) ->
-                    match Monitor.check_quic_inspection (Quic.inspect ep) with
-                    | Some (invariant, detail) ->
-                        Monitor.record monitor
-                          (Violation.make ~invariant ~time:(Engine.now engine) ~flow:id
-                             (Printf.sprintf "flow-%d/%s: %s" id name detail))
-                    | None -> ())
-                  [ ("client", client); ("server", server) ];
-                let idle_closed ep =
-                  match Quic.close_reason ep with Some "idle-timeout" -> 1 | _ -> 0
-                in
-                let r =
-                  {
-                    completed =
-                      !client_received = spec.response
-                      && !server_received = spec.request
-                      && Quic.closed client && Quic.closed server;
-                    client_received = !client_received;
-                    server_received = !server_received;
-                    client_closed = Quic.closed client;
-                    server_closed = Quic.closed server;
-                    retransmissions = Quic.rtx_datagrams client + Quic.rtx_datagrams server;
-                    persist_probes = 0;
-                    zero_windows = 0;
-                    sack_negotiated = false;
-                    wscale_negotiated = false;
-                    snd_mss = qconfig.Config.mss;
-                    pto_events = Quic.pto_events client + Quic.pto_events server;
-                    time_loss_detections =
-                      Quic.time_loss_detections client + Quic.time_loss_detections server;
-                    persistent_congestions =
-                      Quic.persistent_congestions client + Quic.persistent_congestions server;
-                    idle_closed = idle_closed client + idle_closed server;
-                  }
-                in
-                client_ref := None;
-                server_ref := None;
-                on_done r))))
+  Engine.schedule_at engine ~time:start (fun () ->
+      let rng = Rng.create spec.seed in
+      let client_ref = ref None and server_ref = ref None in
+      let wire = Quic.create_wire 64 in
+      let bh =
+        Option.map (fun (after, dur) -> (start +. after, start +. after +. dur)) spec.blackhole
+      in
+      let tx dst pkts =
+        Array.iter
+          (fun p ->
+            let nw = Engine.now engine in
+            let blackholed =
+              match bh with Some (a, b) -> nw >= a && nw < b | None -> false
+            in
+            let lost = spec.loss > 0.0 && Rng.bernoulli rng spec.loss in
+            if not (blackholed || lost) then
+              Engine.schedule engine ~delay:spec.delay (fun () ->
+                  match !dst with Some e -> Quic.receive e p | None -> ()))
+          pkts
+      in
+      let factory = Netem_eval.cc_of_name spec.cca in
+      let qconfig = Quic.default_config in
+      let client =
+        Quic.create ~engine ~cc:(factory qconfig) ~flow:id
+          ~dir:Packet.Outgoing ~wire ~tx:(tx server_ref) ()
+      in
+      let server =
+        Quic.create ~engine ~cc:(factory qconfig) ~flow:id
+          ~dir:Packet.Incoming ~wire ~tx:(tx client_ref) ()
+      in
+      client_ref := Some client;
+      server_ref := Some server;
+      Monitor.observe_quic monitor ~name:(Printf.sprintf "flow-%d/client" id) client;
+      Monitor.observe_quic monitor ~name:(Printf.sprintf "flow-%d/server" id) server;
+      let client_received = ref 0 and server_received = ref 0 and responded = ref false in
+      Quic.set_on_stream server (fun ~stream:_ n -> server_received := !server_received + n);
+      Quic.set_on_stream_fin server (fun ~stream:_ ->
+          if not !responded then begin
+            responded := true;
+            Quic.send_stream server ~stream:4 ~fin:true spec.response
+          end);
+      Quic.set_on_stream client (fun ~stream:_ n -> client_received := !client_received + n);
+      Quic.set_on_stream_fin client (fun ~stream:_ ->
+          Engine.schedule engine ~delay:0.06 (fun () ->
+              match !client_ref with Some c -> Quic.close c | None -> ()));
+      Quic.set_on_established client (fun () ->
+          Quic.send_stream client ~stream:4 ~fin:true spec.request);
+      Quic.listen server ~flight_bytes:spec.flight;
+      Quic.connect client;
+      Engine.schedule engine ~delay:spec.horizon (fun () ->
+          (* Reap-time state sweep: the hook observer only fires on
+             sends, so a flow that wedged silently is still checked
+             here. *)
+          List.iter
+            (fun (name, ep) ->
+              match Monitor.check_quic_inspection (Quic.inspect ep) with
+              | Some (invariant, detail) ->
+                  Monitor.record monitor
+                    (Violation.make ~invariant ~time:(Engine.now engine) ~flow:id
+                       (Printf.sprintf "flow-%d/%s: %s" id name detail))
+              | None -> ())
+            [ ("client", client); ("server", server) ];
+          let idle_closed ep =
+            match Quic.close_reason ep with Some "idle-timeout" -> 1 | _ -> 0
+          in
+          let r =
+            {
+              completed =
+                !client_received = spec.response
+                && !server_received = spec.request
+                && Quic.closed client && Quic.closed server;
+              client_received = !client_received;
+              server_received = !server_received;
+              client_closed = Quic.closed client;
+              server_closed = Quic.closed server;
+              retransmissions = Quic.rtx_datagrams client + Quic.rtx_datagrams server;
+              persist_probes = 0;
+              zero_windows = 0;
+              sack_negotiated = false;
+              wscale_negotiated = false;
+              snd_mss = qconfig.Config.mss;
+              pto_events = Quic.pto_events client + Quic.pto_events server;
+              time_loss_detections =
+                Quic.time_loss_detections client + Quic.time_loss_detections server;
+              persistent_congestions =
+                Quic.persistent_congestions client + Quic.persistent_congestions server;
+              idle_closed = idle_closed client + idle_closed server;
+            }
+          in
+          client_ref := None;
+          server_ref := None;
+          on_done r))
 
 let run_flow spec =
   let engine = Engine.create () in

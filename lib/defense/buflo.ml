@@ -14,7 +14,7 @@ let stream params dir bytes =
      than tau. *)
   let needed = (bytes + params.packet_size - 1) / params.packet_size in
   let minimum = int_of_float (params.tau /. params.interval) in
-  let n = max needed minimum in
+  let n = Int.max needed minimum in
   Trace.of_events
     (Array.init n (fun i ->
          { Trace.time = float_of_int i *. params.interval; dir; size = params.packet_size }))

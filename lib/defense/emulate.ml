@@ -8,7 +8,7 @@ module BA1 = Bigarray.Array1
 
 let split ?(threshold = 1200) ?first_n trace =
   let n = Trace.length trace in
-  let bound = min n (Option.value ~default:n first_n) in
+  let bound = Int.min n (Option.value ~default:n first_n) in
   let times = Trace.raw_times trace and meta = Trace.raw_meta trace in
   (* An incoming packet (direction bit 0) larger than the threshold. *)
   let splits m = m land 1 = 0 && m lsr 1 > threshold in

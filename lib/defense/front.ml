@@ -21,7 +21,7 @@ let rayleigh rng ~sigma =
   sigma *. sqrt (-2.0 *. log (nonzero ()))
 
 let inject params rng trace dir n_max =
-  let n = 1 + Rng.int rng (max 1 n_max) in
+  let n = 1 + Rng.int rng (Int.max 1 n_max) in
   let w = Rng.uniform rng params.w_min params.w_max in
   let t0 = if Trace.length trace = 0 then 0.0 else Trace.time trace 0 in
   let horizon = t0 +. Trace.duration trace in

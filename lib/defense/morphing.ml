@@ -25,7 +25,7 @@ let apply ~rng trace =
       let remaining = ref e.Trace.size in
       let k = ref 0 in
       while !remaining > 0 do
-        let size = max 80 (int_of_float (Histogram.sample params.target rng)) in
+        let size = Int.max 80 (int_of_float (Histogram.sample params.target rng)) in
         out :=
           { e with Trace.size; time = e.Trace.time +. (float_of_int !k *. 5e-5) } :: !out;
         remaining := !remaining - size;

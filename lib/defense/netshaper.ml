@@ -49,12 +49,12 @@ let apply ~rng trace =
         (* Noisy budget: demand estimate (current queue) + Laplace noise,
            floored. *)
         let budget =
-          max params.floor_bytes
+          Int.max params.floor_bytes
             (!queue + int_of_float (laplace rng ~scale:params.noise_scale))
         in
         (* Emit the budget as evenly spaced fixed-size packets: real bytes
            first, padding for the remainder. *)
-        let n_packets = max 1 (budget / params.packet_size) in
+        let n_packets = Int.max 1 (budget / params.packet_size) in
         let spacing = params.window /. float_of_int n_packets in
         for i = 0 to n_packets - 1 do
           out :=
@@ -63,7 +63,7 @@ let apply ~rng trace =
               size = params.packet_size }
             :: !out
         done;
-        queue := max 0 (!queue - (n_packets * params.packet_size));
+        queue := Int.max 0 (!queue - (n_packets * params.packet_size));
         incr w;
         if !pending = [] && !queue = 0 && w_start > last then continue := false
       done;

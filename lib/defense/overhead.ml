@@ -23,7 +23,7 @@ let summarize ~original ~defended =
   }
 
 let mean_summary summaries =
-  let n = float_of_int (max 1 (List.length summaries)) in
+  let n = float_of_int (Int.max 1 (List.length summaries)) in
   let sum f = List.fold_left (fun acc s -> acc +. f s) 0.0 summaries in
   {
     bandwidth = sum (fun s -> s.bandwidth) /. n;

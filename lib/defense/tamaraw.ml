@@ -13,8 +13,8 @@ let params =
 
 let stream params dir ~interval bytes =
   let needed = (bytes + params.packet_size - 1) / params.packet_size in
-  let l = max 1 params.pad_multiple in
-  let n = max l ((needed + l - 1) / l * l) in
+  let l = Int.max 1 params.pad_multiple in
+  let n = Int.max l ((needed + l - 1) / l * l) in
   Trace.of_events
     (Array.init n (fun i -> { Trace.time = float_of_int i *. interval; dir; size = params.packet_size }))
 

@@ -107,14 +107,14 @@ let audited_throughput ~cc ~policy =
   let rec refill () =
     if Endpoint.established server && Endpoint.unsent server < 16_000_000 then
       Endpoint.write server 64_000_000;
-    ignore (Engine.schedule engine ~delay:0.01 refill)
+    Engine.schedule engine ~delay:0.01 refill
   in
-  ignore (Engine.schedule engine ~delay:0.0 refill);
+  Engine.schedule engine ~delay:0.0 refill;
   Connection.on_established conn (fun () -> Endpoint.write (Connection.client conn) 64);
   Connection.open_ conn;
   let warmup = 1.0 and measure = 2.0 in
   let mark = ref 0 in
-  ignore (Engine.schedule engine ~delay:warmup (fun () -> mark := Path.server_link_bytes path));
+  Engine.schedule engine ~delay:warmup (fun () -> mark := Path.server_link_bytes path);
   Engine.run ~until:(warmup +. measure) engine;
   let bytes = Path.server_link_bytes path - !mark in
   ( Units.to_gbps ~bits_per_sec:(Units.throughput_bps ~bytes ~seconds:measure),

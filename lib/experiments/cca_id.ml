@@ -34,9 +34,9 @@ let bulk_trace ~cc ~policy rng =
   let rec refill () =
     if Endpoint.established server && Endpoint.unsent server < 2_000_000 then
       Endpoint.write server 4_000_000;
-    ignore (Engine.schedule engine ~delay:0.05 refill)
+    Engine.schedule engine ~delay:0.05 refill
   in
-  ignore (Engine.schedule engine ~delay:0.0 refill);
+  Engine.schedule engine ~delay:0.0 refill;
   Connection.on_established conn (fun () -> Endpoint.write (Connection.client conn) 64);
   Connection.open_ conn;
   Engine.run ~until:4.0 engine;

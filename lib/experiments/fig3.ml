@@ -52,13 +52,13 @@ let throughput_with_policy ~config ~policy =
   let rec refill () =
     if Endpoint.established server && Endpoint.unsent server < 16_000_000 then
       Endpoint.write server 64_000_000;
-    ignore (Engine.schedule engine ~delay:0.002 refill)
+    Engine.schedule engine ~delay:0.002 refill
   in
-  ignore (Engine.schedule engine ~delay:0.0 refill);
+  Engine.schedule engine ~delay:0.0 refill;
   Connection.on_established conn (fun () -> Endpoint.write (Connection.client conn) 64);
   Connection.open_ conn;
   let mark = ref 0 in
-  ignore (Engine.schedule engine ~delay:config.warmup (fun () -> mark := Path.server_link_bytes path));
+  Engine.schedule engine ~delay:config.warmup (fun () -> mark := Path.server_link_bytes path);
   Engine.run ~until:(config.warmup +. config.measure) engine;
   let bytes = Path.server_link_bytes path - !mark in
   Units.throughput_bps ~bytes ~seconds:config.measure

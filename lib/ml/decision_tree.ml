@@ -25,7 +25,7 @@ let gini_counts counts n_classes total =
     1.0 -. !acc
   end
 
-let majority counts =
+let majority (counts : int array) =
   let best = ref 0 in
   Array.iteri (fun i c -> if c > counts.(!best) then best := i) counts;
   !best
@@ -95,7 +95,7 @@ let train_presorted ?(params = default_params) ~rng ~n_classes ~matrix ~labels ~
   let value col p = Float.Array.unsafe_get col (Array.unsafe_get sample p) in
   (* Column-major per-tree state: segment f of [order] holds the tree's
      positions sorted by feature f. *)
-  let order = Array.make (max 1 (d * n)) 0 in
+  let order = Array.make (Int.max 1 (d * n)) 0 in
   for f = 0 to d - 1 do
     let ord_f = orders.(f) in
     let j = ref (f * n) in
@@ -211,7 +211,7 @@ let train_presorted ?(params = default_params) ~rng ~n_classes ~matrix ~labels ~
     Leaf { id; label; dist }
   in
   let leaf_dist counts total =
-    Array.map (fun c -> float_of_int c /. float_of_int (max 1 total)) counts
+    Array.map (fun c -> float_of_int c /. float_of_int (Int.max 1 total)) counts
   in
   let make_leaf counts total depth =
     fresh_leaf ~label:(majority counts) ~dist:(leaf_dist counts total) depth
@@ -219,7 +219,7 @@ let train_presorted ?(params = default_params) ~rng ~n_classes ~matrix ~labels ~
   let feature_candidates () =
     match params.features_per_split with
     | None -> Array.init d (fun i -> i)
-    | Some k -> Rng.sample_without_replacement rng (min k d) d
+    | Some k -> Rng.sample_without_replacement rng (Int.min k d) d
   in
   (* A child whose class counts are already known is a leaf — without
      scanning — iff it is too small to split, depth-capped, or pure. *)

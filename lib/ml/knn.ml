@@ -1,4 +1,4 @@
-let hamming a b =
+let hamming (a : int array) b =
   if Array.length a <> Array.length b then invalid_arg "Knn.hamming: length mismatch";
   let d = ref 0 in
   for i = 0 to Array.length a - 1 do
@@ -23,7 +23,7 @@ let create ~fingerprints ~labels ~n_classes =
    full-array sort, no tuple allocation. *)
 let nearest t ~k x =
   let n = Array.length t.fingerprints in
-  let k = min k n in
+  let k = Int.min k n in
   if k <= 0 then []
   else begin
     let bd = Array.make k 0 and bi = Array.make k 0 in

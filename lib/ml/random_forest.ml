@@ -23,8 +23,8 @@ let train_m ?(params = default_params) ?(pool = Pool.sequential) ~n_classes ~mat
   let per_split =
     match params.features_per_split with
     | `All -> None
-    | `Sqrt -> Some (max 1 (int_of_float (sqrt (float_of_int n_features))))
-    | `N k -> Some (max 1 k)
+    | `Sqrt -> Some (Int.max 1 (int_of_float (sqrt (float_of_int n_features))))
+    | `N k -> Some (Int.max 1 k)
   in
   let tree_params =
     {
@@ -56,7 +56,7 @@ let train ?params ?pool ~n_classes ~features ~labels () =
   if Array.length features = 0 then invalid_arg "Random_forest.train: no samples";
   train_m ?params ?pool ~n_classes ~matrix:(Matrix.of_rows features) ~labels ()
 
-let vote_argmax votes =
+let vote_argmax (votes : int array) =
   let best = ref 0 in
   Array.iteri (fun c v -> if v > votes.(!best) then best := c) votes;
   !best

@@ -26,7 +26,7 @@ let gini_of_counts counts total =
            acc +. (p *. p))
          0.0 counts
 
-let majority counts =
+let majority (counts : int array) =
   let best = ref 0 in
   Array.iteri (fun i c -> if c > counts.(!best) then best := i) counts;
   !best
@@ -72,13 +72,13 @@ let train_tree ?(params = Decision_tree.default_params) ~rng ~n_classes ~feature
     if depth > !max_depth_seen then max_depth_seen := depth;
     let id = !next_leaf in
     incr next_leaf;
-    let dist = Array.map (fun c -> float_of_int c /. float_of_int (max 1 total)) counts in
+    let dist = Array.map (fun c -> float_of_int c /. float_of_int (Int.max 1 total)) counts in
     Leaf { id; label = majority counts; dist }
   in
   let feature_candidates () =
     match params.Decision_tree.features_per_split with
     | None -> Array.init n_features (fun i -> i)
-    | Some k -> Rng.sample_without_replacement rng (min k n_features) n_features
+    | Some k -> Rng.sample_without_replacement rng (Int.min k n_features) n_features
   in
   let rec grow indices depth =
     let total = Array.length indices in
@@ -149,8 +149,8 @@ let train_forest ?(params = Random_forest.default_params) ~n_classes ~features ~
   let per_split =
     match params.Random_forest.features_per_split with
     | `All -> None
-    | `Sqrt -> Some (max 1 (int_of_float (sqrt (float_of_int n_features))))
-    | `N k -> Some (max 1 k)
+    | `Sqrt -> Some (Int.max 1 (int_of_float (sqrt (float_of_int n_features))))
+    | `N k -> Some (Int.max 1 k)
   in
   let tree_params =
     {

@@ -110,10 +110,9 @@ type t = {
   mutable inflight : int;
   streams_out : stream_out Streams.t;
   mutable active : Int_set.t;  (* exactly the ids of streams with [pending] data *)
-  mutable send_timer : Engine.event_id option;
-  mutable pto_timer : Engine.event_id option;
-  fire_pto : unit -> unit;  (* [handle_pto] on this endpoint *)
-  mutable loss_timer : Engine.event_id option;  (* time-threshold reordering timer *)
+  send_timer : Engine.timer;  (* wakes the sender at its pacing departure *)
+  pto : Engine.timer;
+  loss_timer : Engine.timer;  (* time-threshold reordering timer *)
   mutable pto_backoff : float;  (* doubles per PTO, resets on forward progress *)
   mutable latest_rtt : float;
   mutable rate_limited_mark : int;
@@ -134,7 +133,7 @@ type t = {
       (* An ack-eliciting packet went out since the last receive: further
          sends (PTO probes included) must NOT refresh the idle clock, or a
          dead peer keeps the connection alive forever (RFC 9000 §10.1). *)
-  mutable idle_timer : Engine.event_id option;
+  idle : Engine.timer;
   (* --- anti-amplification (server, before handshake confirmation) --- *)
   mutable bytes_received : int;  (* wire bytes from the peer *)
   mutable bytes_sent : int;  (* wire bytes sent *)
@@ -144,7 +143,7 @@ type t = {
   mutable received : (int * int) list;  (* pn ranges [lo, hi] inclusive *)
   mutable ack_pending : bool;
   mutable pkts_since_ack : int;
-  mutable ack_timer : Engine.event_id option;
+  ack_timer : Engine.timer;  (* the delayed ACK *)
   (* --- callbacks --- *)
   mutable on_established : unit -> unit;
   mutable on_stream : stream:int -> int -> unit;
@@ -211,23 +210,11 @@ let stream_in t id =
 (* ------------------------------------------------------------------ *)
 (* Timers and lifecycle                                                 *)
 
-let cancel_timer t field =
-  match field with
-  | Some ev ->
-      Engine.cancel t.engine ev;
-      None
-  | None -> None
-
-(* Cancel every pending timer.  Mirrors the TCP close-time quiesce fix: a
-   PTO, delayed-ACK, loss-detection, pacer or idle timer left armed on a
-   closed connection fires into dead state and keeps the engine
-   artificially busy — at soak scale, forever. *)
-let quiesce t =
-  t.send_timer <- cancel_timer t t.send_timer;
-  t.pto_timer <- cancel_timer t t.pto_timer;
-  t.loss_timer <- cancel_timer t t.loss_timer;
-  t.ack_timer <- cancel_timer t t.ack_timer;
-  t.idle_timer <- cancel_timer t t.idle_timer
+(* Disarm every timer.  Mirrors the TCP close-time quiesce fix: a PTO,
+   delayed-ACK, loss-detection, pacer or idle timer left armed on a closed
+   connection fires into dead state and keeps the engine artificially
+   busy — at soak scale, forever. *)
+let quiesce t = List.iter Engine.disarm [ t.send_timer; t.pto; t.loss_timer; t.ack_timer; t.idle ]
 
 let close_internal t ~reason =
   if not t.closed then begin
@@ -240,19 +227,12 @@ let close t = close_internal t ~reason:"application"
 
 (* Idle timeout (RFC 9000 §10.1).  One timer armed at
    [last_activity + idle_timeout]; activity between firings just moves the
-   deadline, so the timer re-arms instead of being cancelled per packet. *)
-let rec arm_idle t =
-  if not t.closed then begin
-    t.idle_timer <- cancel_timer t t.idle_timer;
-    let deadline = t.last_activity +. idle_timeout in
-    t.idle_timer <-
-      Some
-        (Engine.schedule_at t.engine ~time:deadline (fun () ->
-             t.idle_timer <- None;
-             if now t -. t.last_activity >= idle_timeout -. 1e-9 then
-               close_internal t ~reason:"idle-timeout"
-             else arm_idle t))
-  end
+   deadline, so the timer re-arms instead of being disarmed per packet. *)
+let arm_idle t = if not t.closed then Engine.arm_at t.idle ~time:(t.last_activity +. idle_timeout)
+
+let idle_fire t =
+  if now t -. t.last_activity >= idle_timeout -. 1e-9 then close_internal t ~reason:"idle-timeout"
+  else arm_idle t
 
 (* ------------------------------------------------------------------ *)
 (* Transmission                                                         *)
@@ -287,7 +267,7 @@ let transmit_burst t ~release packets =
   if Array.length packets > 0 then begin
     let send () = t.tx packets in
     if release <= now t then send ()
-    else ignore (Engine.schedule_at t.engine ~time:release send)
+    else Engine.schedule_at t.engine ~time:release send
   end
 
 let ack_frame t =
@@ -313,7 +293,7 @@ let send_ack_now t =
     else begin
       t.ack_pending <- false;
       t.pkts_since_ack <- 0;
-      t.ack_timer <- cancel_timer t t.ack_timer;
+      Engine.disarm t.ack_timer;
       let pkt = make_datagram t [ ack ] in
       transmit_burst t ~release:(now t) [| pkt |]
     end
@@ -429,14 +409,9 @@ let send_probe t =
     t.rate_limited_mark <- Int.max t.rate_limited_mark (t.pn_next - 1)
   end
 
-let rec arm_pto t =
-  if not t.closed then begin
-    t.pto_timer <- cancel_timer t t.pto_timer;
-    t.pto_timer <- Some (Engine.schedule t.engine ~delay:(pto_interval t) t.fire_pto)
-  end
+let arm_pto t = if not t.closed then Engine.arm t.pto ~delay:(pto_interval t)
 
-and handle_pto t =
-  t.pto_timer <- None;
+let rec handle_pto t =
   if not t.closed then begin
     t.pto_count <- t.pto_count + 1;
     t.pto_backoff <- t.pto_backoff *. 2.0;
@@ -511,7 +486,7 @@ and mark_lost t p =
    {!Sent.detect_losses} documents: that order decides how lost chunks
    enter each stream's retransmission queue. *)
 and detect_losses t =
-  t.loss_timer <- cancel_timer t t.loss_timer;
+  Engine.disarm t.loss_timer;
   if t.largest_acked >= 0 && (not t.closed) && lowest_outstanding t < t.largest_acked then begin
     let time_threshold =
       match Rtt.srtt t.rtt with
@@ -532,13 +507,7 @@ and detect_losses t =
       check_persistent_congestion t;
       t.cc.Cc.on_loss ~now:now_
     end;
-    if next_fire < infinity then
-      t.loss_timer <-
-        Some
-          (Engine.schedule_at t.engine ~time:next_fire (fun () ->
-               t.loss_timer <- None;
-               detect_losses t;
-               try_send t))
+    if next_fire < infinity then Engine.arm_at t.loss_timer ~time:next_fire
   end
 
 (* The QUIC transmit loop: GSO-burst construction with the Stob hook at the
@@ -562,12 +531,7 @@ and try_send t =
     else begin
       let departure = Pacer.next_departure t.pacer ~now:(now t) in
       if departure > now t then begin
-        if t.send_timer = None then
-          t.send_timer <-
-            Some
-              (Engine.schedule_at t.engine ~time:departure (fun () ->
-                   t.send_timer <- None;
-                   try_send t))
+        if not (Engine.armed t.send_timer) then Engine.arm_at t.send_timer ~time:departure
       end
       else begin
         let pacing_rate = t.cc.Cc.pacing_rate () in
@@ -610,7 +574,7 @@ and try_send t =
               frames := [ ack_frame t ];
               t.ack_pending <- false;
               t.pkts_since_ack <- 0;
-              t.ack_timer <- cancel_timer t t.ack_timer
+              Engine.disarm t.ack_timer
             end;
             let space_left () = space - frames_payload !frames in
             let rec fill () =
@@ -657,7 +621,7 @@ and try_send t =
           let release = decision.Hooks.earliest_departure in
           Pacer.commit t.pacer ~departure:release ~rate_bps:pacing_rate ~bytes:!burst_payload;
           transmit_burst t ~release packets;
-          if t.pto_timer = None then arm_pto t;
+          if not (Engine.armed t.pto) then arm_pto t;
           try_send t
         end
       end
@@ -791,7 +755,7 @@ let process_ack t ranges =
       (* Keep the PTO armed on a pre-confirmation client even with nothing in
          flight (the §6.2.2.1 anti-deadlock probe above needs a timer). *)
       if t.inflight > 0 || (t.role = Client && not t.established) then arm_pto t
-      else t.pto_timer <- cancel_timer t t.pto_timer;
+      else Engine.disarm t.pto;
       try_send t
 
 let rec process_frames t = function
@@ -834,12 +798,7 @@ let receive t (p : Packet.t) =
             else send_ack_now t
           else begin
             t.ack_pending <- true;
-            if t.ack_timer = None then
-              t.ack_timer <-
-                Some
-                  (Engine.schedule t.engine ~delay:max_ack_delay (fun () ->
-                       t.ack_timer <- None;
-                       if t.ack_pending && not t.closed then send_ack_now t))
+            if not (Engine.armed t.ack_timer) then Engine.arm t.ack_timer ~delay:max_ack_delay
           end
         end);
     (* Unblock-on-receive: fresh amplification credit may release parked
@@ -849,14 +808,23 @@ let receive t (p : Packet.t) =
     if was_blocked && not t.closed then begin
       try_send t;
       if t.ack_pending then send_ack_now t;
-      if (t.inflight > 0 || has_data t) && t.pto_timer = None then arm_pto t
+      if (t.inflight > 0 || has_data t) && not (Engine.armed t.pto) then arm_pto t
     end
   end
 
-(* Defined after the transmit and receive paths so that the PTO callback
-   can be built once, here. *)
+let loss_fire t =
+  detect_losses t;
+  try_send t
+
+let ack_fire t = if t.ack_pending && not t.closed then send_ack_now t
+
+(* Defined after the transmit and receive paths so that each timer's
+   callback is built once, here.  The callbacks need the endpoint, which
+   holds the timers: [self] ties the knot. *)
 let create ~engine ~cc ~flow ~dir ~wire ?(hooks = Hooks.default) ~tx () =
-  let rec t =
+  let self = ref None in
+  let on f () = Option.iter f !self in
+  let t =
     {
       engine;
       cc;
@@ -879,10 +847,9 @@ let create ~engine ~cc ~flow ~dir ~wire ?(hooks = Hooks.default) ~tx () =
       inflight = 0;
       streams_out = Streams.create 16;
       active = Int_set.empty;
-      send_timer = None;
-      pto_timer = None;
-      fire_pto = (fun () -> handle_pto t);
-      loss_timer = None;
+      send_timer = Engine.timer engine (on try_send);
+      pto = Engine.timer engine (on handle_pto);
+      loss_timer = Engine.timer engine (on loss_fire);
       pto_backoff = 1.0;
       latest_rtt = 0.0;
       rate_limited_mark = -1;
@@ -890,7 +857,7 @@ let create ~engine ~cc ~flow ~dir ~wire ?(hooks = Hooks.default) ~tx () =
       pc_newest = neg_infinity;
       last_activity = Engine.now engine;
       ae_sent_since_rx = false;
-      idle_timer = None;
+      idle = Engine.timer engine (on idle_fire);
       bytes_received = 0;
       bytes_sent = 0;
       amp_blocked = false;
@@ -898,7 +865,7 @@ let create ~engine ~cc ~flow ~dir ~wire ?(hooks = Hooks.default) ~tx () =
       received = [];
       ack_pending = false;
       pkts_since_ack = 0;
-      ack_timer = None;
+      ack_timer = Engine.timer engine (on ack_fire);
       on_established = (fun () -> ());
       on_stream = (fun ~stream:_ _ -> ());
       on_stream_fin = (fun ~stream:_ -> ());
@@ -911,6 +878,7 @@ let create ~engine ~cc ~flow ~dir ~wire ?(hooks = Hooks.default) ~tx () =
       persistent_congestions = 0;
     }
   in
+  self := Some t;
   t
 
 (* ------------------------------------------------------------------ *)
@@ -976,7 +944,7 @@ let inspect (t : t) : inspection =
     established = t.established;
     closed = t.closed;
     close_reason = t.close_reason;
-    idle_armed = t.idle_timer <> None;
+    idle_armed = Engine.armed t.idle;
     rtx_datagrams = t.rtx_datagrams;
     rtx_chunks = t.rtx_chunks;
     time_loss_detections = t.time_loss_detections;

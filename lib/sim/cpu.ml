@@ -20,10 +20,9 @@ let submit t ~cost f =
   t.busy_until <- finish;
   t.busy_time <- t.busy_time +. cost;
   t.depth <- t.depth + 1;
-  ignore
-    (Engine.schedule_at t.engine ~time:finish (fun () ->
-         t.depth <- t.depth - 1;
-         f ()))
+  Engine.schedule_at t.engine ~time:finish (fun () ->
+      t.depth <- t.depth - 1;
+      f ())
 
 let busy_until t = t.busy_until
 let busy_time t = t.busy_time

@@ -1,12 +1,45 @@
-(* [node] is the event's queue handle while it waits, [inert] once it has
-   fired or been cancelled.  A fired event's node may already hold another
-   event, so an inert event never reaches [Event_queue.remove].  [time] is
-   kept boxed here so that firing sets the clock without allocating. *)
-type event = { callback : unit -> unit; time : float; mutable node : int }
+(* Besides [Nothing], the queue holds three kinds of entry.  An [Event]
+   is one [schedule] or one line head; its [time] is kept boxed so that
+   firing sets the clock without allocating.  On the timing wheel a timer
+   owns at most one entry, its [Timer], built once with the timer.  The
+   heap oracle cannot remove or queue under a reserved number, so there
+   every arm queues an [Arm] carrying the arm's count, and an entry whose
+   count is no longer the timer's is skipped when it pops. *)
+type t = {
+  queue : entry Event_queue.t;
+  on_wheel : bool;
+  mutable clock : float;
+  mutable live : int;
+  mutable processed : int;
+  mutable same_instant : int;  (* consecutive events executed at [clock] *)
+  mutable same_instant_budget : int;
+  mutable probe : (now:float -> unit) option;
+}
 
-let inert = -1
+and entry =
+  | Nothing  (* what [Event_queue.take_due] returns when nothing is due *)
+  | Event of { time : float; callback : unit -> unit }
+  | Timer of timer
+  | Arm of { timer : timer; count : int }
 
-type event_id = event
+(* [due] and [key] share an all-float record, which stores them unboxed:
+   re-arming a timer writes two floats and allocates nothing. *)
+and timer = {
+  engine : t;
+  callback : unit -> unit;
+  self : entry;  (* [Timer] of this timer *)
+  times : times;
+  mutable armed : bool;
+  mutable seq : int;
+      (* The wheel: the sequence number the latest arm reserved.  The
+         heap: how many times the timer has been armed. *)
+  mutable node : int;  (* the wheel node of its entry, or [none] *)
+  mutable key_seq : int;  (* the sequence number its entry is queued under *)
+}
+
+and times = { mutable due : float; mutable key : float (* its entry's time *) }
+
+let none = -1
 
 exception Livelock of { time : float; events : int }
 
@@ -20,22 +53,15 @@ let () =
              time events)
     | _ -> None)
 
-type t = {
-  queue : event Event_queue.t;
-  mutable clock : float;
-  mutable live : int;
-  mutable processed : int;
-  mutable same_instant : int;  (* consecutive events executed at [clock] *)
-  mutable same_instant_budget : int;
-  mutable probe : (now:float -> unit) option;
-}
-
 let default_same_instant_budget = 1_000_000
 
 let create ?queue () =
+  let queue =
+    match queue with None -> Event_queue.create () | Some impl -> Event_queue.create_impl impl
+  in
   {
-    queue =
-      (match queue with None -> Event_queue.create () | Some impl -> Event_queue.create_impl impl);
+    queue;
+    on_wheel = Event_queue.impl queue = Event_queue.Wheel;
     clock = 0.0;
     live = 0;
     processed = 0;
@@ -60,30 +86,20 @@ let clear_probe t = t.probe <- None
 let schedule_at t ~time f =
   if Float.is_nan time then invalid_arg "Engine.schedule_at: time is NaN";
   let time = if time < t.clock then t.clock else time in
-  let ev = { callback = f; time; node = inert } in
-  ev.node <- Event_queue.add t.queue ~time ev;
-  t.live <- t.live + 1;
-  ev
+  Event_queue.push t.queue ~time (Event { time; callback = f });
+  t.live <- t.live + 1
 
 let schedule t ~delay f =
   if Float.is_nan delay then invalid_arg "Engine.schedule: delay is NaN";
   let delay = if delay < 0.0 then 0.0 else delay in
   schedule_at t ~time:(t.clock +. delay) f
 
-let cancel t ev =
-  if ev.node <> inert then begin
-    Event_queue.remove t.queue ev.node;
-    ev.node <- inert;
-    t.live <- t.live - 1
-  end
-
-(* Run [ev], just taken off the queue as its earliest live event. *)
-let fire t ev =
-  ev.node <- inert;
+(* Run the callback of an event just taken off the queue as its earliest
+   live entry. *)
+let fire t time callback =
   (* Uncounted before the budget check: a [Livelock] leaves [pending]
      agreeing with the queue it leaves behind. *)
   t.live <- t.live - 1;
-  let time = ev.time in
   (* Same-instant budget: a callback that keeps rescheduling itself with
      zero delay would otherwise spin the engine forever without ever
      advancing the clock. *)
@@ -95,8 +111,84 @@ let fire t ev =
   else t.same_instant <- 0;
   t.clock <- time;
   t.processed <- t.processed + 1;
-  ev.callback ();
+  callback ();
   match t.probe with None -> () | Some f -> f ~now:time
+
+(* --- timers ---
+
+   An arm takes the sequence number [schedule] would have taken at that
+   moment, so the callback runs exactly where a cancel plus a schedule
+   would run it.  On the wheel the timer's one entry stays keyed at or
+   before that (time, seq): a re-arm to a later key leaves it where it is,
+   and when it comes due early it is queued again under the logical key
+   with [add_reserved] (a surfacing, which is not an event).  A re-arm to
+   an earlier key moves it.  Each arm reserves a fresh number, so the
+   entry is at the logical key exactly when their numbers agree. *)
+
+let timer t callback =
+  let rec tm =
+    {
+      engine = t;
+      callback;
+      self = Timer tm;
+      times = { due = 0.0; key = 0.0 };
+      armed = false;
+      seq = 0;
+      node = none;
+      key_seq = 0;
+    }
+  in
+  tm
+
+let armed tm = tm.armed
+
+let enqueue t tm =
+  tm.node <- Event_queue.add_reserved t.queue ~time:tm.times.due ~seq:tm.seq tm.self;
+  tm.times.key <- tm.times.due;
+  tm.key_seq <- tm.seq
+
+(* Arm [tm] at the due time just written to [tm.times.due], which is not
+   before the clock. *)
+let rearm tm =
+  let t = tm.engine in
+  if not tm.armed then begin
+    tm.armed <- true;
+    t.live <- t.live + 1
+  end;
+  if t.on_wheel then begin
+    tm.seq <- Event_queue.reserve t.queue;
+    if tm.node = none then enqueue t tm
+    else if tm.times.due < tm.times.key then begin
+      Event_queue.remove t.queue tm.node;
+      enqueue t tm
+    end
+  end
+  else begin
+    tm.seq <- tm.seq + 1;
+    Event_queue.push t.queue ~time:tm.times.due (Arm { timer = tm; count = tm.seq })
+  end
+
+let arm_at tm ~time =
+  if Float.is_nan time then invalid_arg "Engine.arm_at: time is NaN";
+  let clock = tm.engine.clock in
+  tm.times.due <- (if time < clock then clock else time);
+  rearm tm
+
+let arm tm ~delay =
+  if Float.is_nan delay then invalid_arg "Engine.arm: delay is NaN";
+  let clock = tm.engine.clock in
+  tm.times.due <- (if delay > 0.0 then clock +. delay else clock);
+  rearm tm
+
+let disarm tm =
+  if tm.armed then begin
+    tm.armed <- false;
+    tm.engine.live <- tm.engine.live - 1
+  end
+
+let fire_timer t tm =
+  tm.armed <- false;
+  fire t tm.times.due tm.callback
 
 (* --- constant-delay lines ---
 
@@ -110,12 +202,11 @@ let fire t ev =
    [schedule]. *)
 
 type 'a line = {
-  engine : t;
+  line_engine : t;
   delay : float;
   deliver : 'a -> unit;
-  on_wheel : bool; (* else a push is an ordinary [schedule] *)
   mutable values : 'a array; (* ring, [count] values from [head] *)
-  mutable times : float array;
+  mutable due_times : float array;
   mutable seqs : int array;
   mutable head : int;
   mutable count : int;
@@ -126,9 +217,14 @@ type 'a line = {
    immediate, so [values] is never a flat float array. *)
 let vacant () : 'a = Obj.magic 0
 
-let arm l =
-  let ev = { callback = l.fire_head; time = l.times.(l.head); node = inert } in
-  ev.node <- Event_queue.add_reserved l.engine.queue ~time:ev.time ~seq:l.seqs.(l.head) ev
+(* The head's entry boxes its due time once and the queue is handed that
+   box: binding the float read from [due_times] and using it twice would
+   box it twice. *)
+let queue_head l =
+  match Event { time = l.due_times.(l.head); callback = l.fire_head } with
+  | Event { time; _ } as head ->
+      ignore (Event_queue.add_reserved l.line_engine.queue ~time ~seq:l.seqs.(l.head) head)
+  | Nothing | Timer _ | Arm _ -> assert false
 
 let fire_head l () =
   let i = l.head in
@@ -136,19 +232,18 @@ let fire_head l () =
   l.values.(i) <- vacant ();
   l.head <- (i + 1) land (Array.length l.values - 1);
   l.count <- l.count - 1;
-  if l.count > 0 then arm l;
+  if l.count > 0 then queue_head l;
   l.deliver value
 
 let line t ~delay deliver =
   if not (delay >= 0.0) then invalid_arg "Engine.line: delay must be non-negative and not NaN";
   let l =
     {
-      engine = t;
+      line_engine = t;
       delay;
       deliver;
-      on_wheel = Event_queue.impl t.queue = Event_queue.Wheel;
       values = [||];
-      times = [||];
+      due_times = [||];
       seqs = [||];
       head = 0;
       count = 0;
@@ -163,59 +258,70 @@ let grow l =
   let cap = Array.length l.values in
   let cap' = if cap = 0 then 16 else 2 * cap in
   let values = Array.make cap' (vacant ()) in
-  let times = Array.make cap' 0.0 and seqs = Array.make cap' 0 in
+  let due_times = Array.make cap' 0.0 and seqs = Array.make cap' 0 in
   for k = 0 to l.count - 1 do
     let j = (l.head + k) land (cap - 1) in
     values.(k) <- l.values.(j);
-    times.(k) <- l.times.(j);
+    due_times.(k) <- l.due_times.(j);
     seqs.(k) <- l.seqs.(j)
   done;
   l.values <- values;
-  l.times <- times;
+  l.due_times <- due_times;
   l.seqs <- seqs;
   l.head <- 0
 
 let push l value =
-  let t = l.engine in
-  if l.on_wheel then begin
+  let t = l.line_engine in
+  if t.on_wheel then begin
     if l.count = Array.length l.values then grow l;
     let i = (l.head + l.count) land (Array.length l.values - 1) in
     l.values.(i) <- value;
-    l.times.(i) <- t.clock +. l.delay;
+    l.due_times.(i) <- t.clock +. l.delay;
     l.seqs.(i) <- Event_queue.reserve t.queue;
     l.count <- l.count + 1;
     t.live <- t.live + 1;
-    if l.count = 1 then arm l
+    if l.count = 1 then queue_head l
   end
-  else ignore (schedule t ~delay:l.delay (fun () -> l.deliver value))
+  else schedule t ~delay:l.delay (fun () -> l.deliver value)
 
-let rec step t =
-  if Event_queue.is_empty t.queue then false
-  else begin
-    let ev = Event_queue.take t.queue in
-    (* Only the heap oracle still holds cancelled events; skip through them
-       so that [step] reports whether real work happened. *)
-    if ev.node = inert then step t
-    else begin
-      fire t ev;
+(* --- the event loop --- *)
+
+(* Take entries due by [limit] until one is an event, and run it; [false]
+   when nothing is due.  One queue operation per entry.  A surfacing (a
+   timer's entry come due early, or a disarmed timer's entry dropped) and
+   a stale heap [Arm] are not events: neither counts, moves the clock,
+   runs the probe nor spends the same-instant budget. *)
+let rec next t ~limit =
+  match Event_queue.take_due t.queue ~limit Nothing with
+  | Nothing -> false
+  | Event { time; callback } ->
+      fire t time callback;
       true
-    end
-  end
+  | Timer tm ->
+      tm.node <- none;
+      if not tm.armed then next t ~limit
+      else if tm.seq = tm.key_seq then begin
+        fire_timer t tm;
+        true
+      end
+      else begin
+        enqueue t tm;
+        next t ~limit
+      end
+  | Arm { timer = tm; count } ->
+      if tm.armed && count = tm.seq then begin
+        fire_timer t tm;
+        true
+      end
+      else next t ~limit
+
+let step t = next t ~limit:infinity
 
 let run ?until t =
   match until with
-  | None -> while step t do () done
+  | None -> while next t ~limit:infinity do () done
   | Some limit ->
-      let continue = ref true in
-      while !continue do
-        if Event_queue.is_empty t.queue then continue := false
-        else begin
-          let ev = Event_queue.top t.queue in
-          if ev.node = inert then ignore (Event_queue.take t.queue)
-          else if ev.time > limit then continue := false
-          else fire t (Event_queue.take t.queue)
-        end
-      done;
+      while next t ~limit do () done;
       if t.clock < limit then t.clock <- limit
 
 let pending t = t.live

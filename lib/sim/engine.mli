@@ -8,10 +8,6 @@
 
 type t
 
-type event_id
-(** Handle for cancellation (e.g., a retransmission timer that an ACK
-    disarms). *)
-
 exception Livelock of { time : float; events : int }
 (** Raised by {!step}/{!run} when more than the same-instant budget of
     consecutive events execute without the clock advancing — the signature
@@ -28,14 +24,62 @@ val create : ?queue:Event_queue.impl -> unit -> t
 val now : t -> float
 (** Current virtual time in seconds. *)
 
-val schedule : t -> delay:float -> (unit -> unit) -> event_id
+val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs [f] at [now t +. delay].  A negative delay is
     clamped to zero (fires "immediately", after already-queued events for the
-    current instant).  Raises [Invalid_argument] on a NaN delay. *)
+    current instant).  Raises [Invalid_argument] on a NaN delay.  An event
+    cannot be cancelled: anything that may be stopped or moved before it
+    fires is a {!timer}. *)
 
-val schedule_at : t -> time:float -> (unit -> unit) -> event_id
+val schedule_at : t -> time:float -> (unit -> unit) -> unit
 (** Absolute-time variant.  Times before [now] are clamped to [now].
     Raises [Invalid_argument] on a NaN time. *)
+
+(** {1 Re-armable timers} *)
+
+type timer
+(** One callback that is armed, re-armed and disarmed many times: a
+    retransmission timeout that every ACK pushes back, or a delayed ACK
+    that the next packet makes moot.  A new timer is disarmed. *)
+
+val timer : t -> (unit -> unit) -> timer
+(** [timer t f] makes a disarmed timer that runs [f] when it fires.  It
+    fires at most once per arm and is disarmed by then, so [f] may arm it
+    again. *)
+
+val arm : timer -> delay:float -> unit
+(** [arm tm ~delay] (re-)arms [tm] to fire at [now +. delay], exactly
+    where a cancel of its last arm followed by [schedule ~delay] would
+    run it: the arm takes the sequence number that schedule would have
+    taken at this moment, so same-instant ties break as they would for
+    that event.  A negative delay is clamped to zero.  Raises
+    [Invalid_argument] on a NaN delay.
+
+    On the timing wheel an arm costs the queue nothing when the timer's
+    entry is already queued no later than the new key.  The timer owns at
+    most one queue entry, keyed at or before its logical (time, sequence):
+    a re-arm to a later key leaves the entry where it is, and a re-arm to
+    an earlier key moves it.  An entry that comes due before its timer's
+    key, or whose timer is disarmed, {e surfaces}: it is queued again under
+    the logical key, or dropped.  A surfacing is not an event: it does not
+    count in {!events_processed}, run the probe, move the clock or spend
+    the same-instant budget.  On the heap oracle, which can neither remove
+    nor queue under a reserved number, every arm is that cancel plus that
+    schedule, so [STOB_EVENT_QUEUE=heap] checks timers independently. *)
+
+val arm_at : timer -> time:float -> unit
+(** Absolute-time {!arm}.  Times before [now] are clamped to [now].
+    Raises [Invalid_argument] on a NaN time. *)
+
+val disarm : timer -> unit
+(** Stop [tm] from firing until it is armed again.  Disarming a disarmed
+    or fired timer is a no-op.  On the timing wheel its entry stays queued
+    until it comes due and is dropped, so the callback stays reachable
+    until the time of the entry. *)
+
+val armed : timer -> bool
+(** Whether [tm] is armed: true from an arm until it fires or is
+    disarmed. *)
 
 (** {1 Constant-delay lines} *)
 
@@ -62,22 +106,18 @@ val push : 'a line -> 'a -> unit
     reserved number, a push {e is} that {!schedule}, so
     [STOB_EVENT_QUEUE=heap] checks the line independently. *)
 
-val cancel : t -> event_id -> unit
-(** Disarm an event: it leaves the queue at once (on the heap oracle it
-    is skipped when it pops).  An event that has fired or been cancelled
-    is inert: cancelling it again is a no-op. *)
-
 val run : ?until:float -> t -> unit
 (** Drain the event queue.  With [~until], stops once the next event lies
     strictly beyond [until] and sets the clock to [until]. *)
 
 val step : t -> bool
-(** Run exactly one event; [false] when the queue was empty.  Test seam:
-    lets a test observe the engine between events. *)
+(** Run exactly one event; [false] when none was left.  Test seam: lets a
+    test observe the engine between events. *)
 
 val pending : t -> int
-(** Number of scheduled events that have neither fired nor been
-    cancelled, plus the values waiting in lines. *)
+(** Number of scheduled events that have not fired, plus the values
+    waiting in lines, plus the armed timers (one each, however often they
+    were re-armed). *)
 
 val events_processed : t -> int
 (** Total callbacks executed so far (for engine-level sanity checks). *)
@@ -101,6 +141,6 @@ val set_probe : t -> (now:float -> unit) -> unit
 (** [set_probe t f] installs an observe-only probe called after every
     executed event with the event's timestamp.  One probe at a time; the
     invariant monitor ({!Stob_check}) chains its checks through this.  The
-    probe must not schedule or cancel events. *)
+    probe must not schedule events or arm or disarm timers. *)
 
 val clear_probe : t -> unit

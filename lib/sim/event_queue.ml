@@ -50,16 +50,14 @@ let add_reserved t ~time ~seq value =
 
 let remove t handle = match t with H _ -> () | W q -> Timing_wheel.remove q handle
 
-let empty name = invalid_arg ("Event_queue." ^ name ^ ": empty queue")
-
-let top = function
-  | H q -> ( match Heap_queue.peek q with Some (_, v) -> v | None -> empty "top")
-  | W q -> Timing_wheel.top q
-
-let take = function
-  | H q -> ( match Heap_queue.pop q with Some (_, v) -> v | None -> empty "take")
-  | W q -> Timing_wheel.take q
+let take_due t ~limit default =
+  match t with
+  | H q -> (
+      match Heap_queue.peek q with
+      | Some (time, _) when not (time > limit) -> (
+          match Heap_queue.pop q with Some (_, v) -> v | None -> default)
+      | Some _ | None -> default)
+  | W q -> Timing_wheel.take_due q ~limit default
 
 let pop = function H q -> Heap_queue.pop q | W q -> Timing_wheel.pop q
 let size = function H q -> Heap_queue.size q | W q -> Timing_wheel.size q
-let is_empty = function H q -> Heap_queue.is_empty q | W q -> Timing_wheel.is_empty q

@@ -48,22 +48,18 @@ val add_reserved : 'a t -> time:float -> seq:int -> 'a -> int
 val remove : 'a t -> int -> unit
 (** Take a queued element out of the wheel ({!Timing_wheel.remove}).  The
     heap oracle cannot remove, so on it this is a no-op and the element
-    still pops: a caller that removes marks the element itself and skips
-    it on pop, as {!Engine} does.  {!size} counts such elements until they
-    pop. *)
+    still pops: a caller that removes must recognise the element and skip
+    it on pop, as {!Engine}'s timers do.  {!size} counts such elements
+    until they pop. *)
 
-val top : 'a t -> 'a
-(** Earliest element without removing it; allocation-free on the wheel.
-    Raises [Invalid_argument] when empty. *)
-
-val take : 'a t -> 'a
-(** Remove and return the earliest element; allocation-free on the
-    wheel.  Raises [Invalid_argument] when empty. *)
+val take_due : 'a t -> limit:float -> 'a -> 'a
+(** [take_due t ~limit default] removes and returns the earliest element
+    when its time is not beyond [limit], and returns [default] otherwise
+    (an empty queue included): the engine takes each event with this one
+    call.  Allocation-free on the wheel. *)
 
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the earliest element, or [None] when empty. *)
 
 val size : 'a t -> int
 (** Test seam: the number of queued elements. *)
-
-val is_empty : 'a t -> bool

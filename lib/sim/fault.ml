@@ -92,11 +92,10 @@ let plan cfg =
 let arm ~engine ~apply ~revert events =
   List.iter
     (fun ev ->
-      ignore
-        (Engine.schedule_at engine ~time:ev.at (fun () ->
-             apply ev;
-             if ev.duration > 0.0 then
-               ignore (Engine.schedule engine ~delay:ev.duration (fun () -> revert ev)))))
+      Engine.schedule_at engine ~time:ev.at (fun () ->
+          apply ev;
+          if ev.duration > 0.0 then
+            Engine.schedule engine ~delay:ev.duration (fun () -> revert ev)))
     events
 
 let pp_event fmt ev =

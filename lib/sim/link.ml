@@ -29,7 +29,7 @@ let transmit t frame =
   | None -> ()
   | Some tap -> tap ~time:(Engine.now t.engine) frame);
   let serialization = float_of_int (bytes * 8) /. t.rate_bps in
-  ignore (Engine.schedule t.engine ~delay:serialization t.serialized)
+  Engine.schedule t.engine ~delay:serialization t.serialized
 
 (* The push comes before the next frame's [transmit]: that runs the tap,
    which may schedule events (TSQ), and the delivery must keep the

@@ -75,7 +75,7 @@ type 'a held_frame = {
   frame : 'a;
   mutable remaining : int;
   mutable released : bool;
-  mutable flush_ev : Engine.event_id option;
+  flush : Engine.timer;  (* releases the frame [reorder_hold] after it was held *)
 }
 
 type 'a t = {
@@ -135,30 +135,26 @@ let held t = List.length t.held_frames
 let dispatch t frame =
   t.delivered <- t.delivered + 1;
   if t.cfg.jitter > 0.0 then
-    ignore (Engine.schedule t.engine ~delay:(Rng.float t.rng t.cfg.jitter) (fun () -> t.deliver frame))
+    Engine.schedule t.engine ~delay:(Rng.float t.rng t.cfg.jitter) (fun () -> t.deliver frame)
   else t.deliver frame
 
 let release t h =
   if not h.released then begin
     h.released <- true;
-    (match h.flush_ev with
-    | Some ev ->
-        Engine.cancel t.engine ev;
-        h.flush_ev <- None
-    | None -> ());
+    Engine.disarm h.flush;
     t.held_frames <- List.filter (fun x -> x != h) t.held_frames;
     t.reordered <- t.reordered + 1;
     dispatch t h.frame
   end
 
 let hold t frame =
-  let h = { frame; remaining = Int.max 1 t.cfg.reorder_depth; released = false; flush_ev = None } in
+  (* The flush callback needs the frame record, which holds the timer. *)
+  let self = ref None in
+  let flush = Engine.timer t.engine (fun () -> Option.iter (release t) !self) in
+  let h = { frame; remaining = Int.max 1 t.cfg.reorder_depth; released = false; flush } in
+  self := Some h;
   t.held_frames <- t.held_frames @ [ h ];
-  h.flush_ev <-
-    Some
-      (Engine.schedule t.engine ~delay:t.cfg.reorder_hold (fun () ->
-           h.flush_ev <- None;
-           release t h))
+  Engine.arm flush ~delay:t.cfg.reorder_hold
 
 (* Deliver a passing frame, then age the reorder buffer: held frames ripe
    after this passage are released behind it. *)

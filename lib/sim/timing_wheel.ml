@@ -121,7 +121,6 @@ let create ?(granularity = default_granularity) () =
   }
 
 let size t = t.len
-let is_empty t = t.len = 0
 
 (* Ticks clamp before [int_of_float] leaves defined territory; clamped
    events simply ride the overflow path. *)
@@ -426,20 +425,17 @@ let rec refill t =
     end
   end
 
-let top t =
-  refill t;
-  if t.ready_len = 0 then invalid_arg "Timing_wheel.top: empty queue";
-  t.values.(t.heap.(0))
-
 let take t =
-  refill t;
-  if t.ready_len = 0 then invalid_arg "Timing_wheel.take: empty queue";
   let n = t.heap.(0) in
   let value = t.values.(n) in
   ready_remove t 0;
   t.len <- t.len - 1;
   release t n;
   value
+
+let take_due t ~limit default =
+  refill t;
+  if t.ready_len = 0 || t.heap_times.(0) > limit then default else take t
 
 let pop t =
   refill t;

@@ -17,8 +17,8 @@
     granularity) wait in an overflow list and are re-placed
     when the wheel drains past them.
 
-    Elements live in a recycled node pool: {!add}, {!remove}, {!top} and
-    {!take} allocate nothing once the pool has grown to the queue's peak
+    Elements live in a recycled node pool: {!add}, {!remove} and
+    {!take_due} allocate nothing once the pool has grown to the queue's peak
     size, and a popped or removed element is no longer reachable from the
     queue. *)
 
@@ -56,18 +56,14 @@ val remove : 'a t -> int -> unit
     exactly as if the removed one had been skipped.  Raises
     [Invalid_argument] if the node is free. *)
 
-val top : 'a t -> 'a
-(** Earliest element without removing it.  Raises [Invalid_argument] when
-    empty. *)
-
-val take : 'a t -> 'a
-(** Remove and return the earliest element.  Raises [Invalid_argument]
-    when empty. *)
+val take_due : 'a t -> limit:float -> 'a -> 'a
+(** [take_due t ~limit default] removes and returns the earliest element
+    if its time is not beyond [limit], and returns [default] otherwise
+    (an empty queue included).  One refill and one removal, allocating
+    nothing. *)
 
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the earliest element, or [None] when empty. *)
 
 val size : 'a t -> int
 (** Queued elements; removed ones are not counted. *)
-
-val is_empty : 'a t -> bool

@@ -95,9 +95,9 @@ type t = {
   mutable recover_point : int;  (* snd_nxt when recovery began *)
   mutable rtx_next : int;  (* next hole position to retransmit *)
   sent_log : sent_log;
-  mutable rto_timer : Engine.event_id option;
-  mutable send_timer : Engine.event_id option;
-  mutable persist_timer : Engine.event_id option;
+  rto : Engine.timer;
+  send_timer : Engine.timer;  (* wakes the sender at its pacing departure *)
+  persist : Engine.timer;
   mutable persist_backoff : float;  (* current persist-probe delay *)
   mutable rate_limited_mark : int;
       (* Sequence point up to which delivery-rate samples are tainted: set
@@ -112,7 +112,7 @@ type t = {
   mutable ooo : (int * int) list;  (* disjoint sorted [lo, hi) intervals *)
   mutable fin_seq : int option;  (* sequence number the peer's FIN occupies *)
   mutable unacked_pkts : int;
-  mutable delack_timer : Engine.event_id option;
+  delack : Engine.timer;
   mutable auto_read : bool;  (* application consumes delivery immediately *)
   mutable rcv_buffered : int;  (* delivered but unread bytes ([auto_read] off) *)
   mutable rcv_adv_edge : int;  (* highest rcv_nxt + window ever advertised *)
@@ -130,68 +130,6 @@ type t = {
   mutable zero_windows : int;
   mutable dummies_suppressed : int;
 }
-
-let create ~engine ~config ~cc ~flow ~dir ?cpu ?(hooks = Hooks.default) ~tx () =
-  {
-    engine;
-    config;
-    cc;
-    flow;
-    dir;
-    cpu;
-    hooks;
-    tx;
-    state = Closed;
-    fin_rcvd = false;
-    fin_acked = false;
-    snd_mss = config.Config.mss;
-    sack_ok = false;
-    wscale_on = false;
-    snd_wscale = 0;
-    rcv_wscale = 0;
-    snd_una = 0;
-    snd_nxt = 0;
-    app_queue = 0;
-    fin_pending = false;
-    fin_sent = false;
-    (* Nothing is known about the peer's window until its SYN arrives. *)
-    peer_rwnd = 0;
-    dupacks = 0;
-    karn_floor = 0;
-    sacked = [];
-    in_recovery = false;
-    rto_recovery = false;
-    recover_point = 0;
-    rtx_next = 0;
-    sent_log = log_create ();
-    rto_timer = None;
-    send_timer = None;
-    persist_timer = None;
-    persist_backoff = Rtt.rto_init;
-    rate_limited_mark = 0;
-    in_stack = 0;
-    pacer = Pacer.create ();
-    rtt = Rtt.create ();
-    rcv_nxt = 0;
-    ooo = [];
-    fin_seq = None;
-    unacked_pkts = 0;
-    delack_timer = None;
-    auto_read = true;
-    rcv_buffered = 0;
-    rcv_adv_edge = 0;
-    on_established = (fun () -> ());
-    on_receive = (fun _ -> ());
-    on_fin = (fun () -> ());
-    retransmissions = 0;
-    fast_recoveries = 0;
-    rto_events = 0;
-    segments_sent = 0;
-    packets_sent = 0;
-    persist_probes = 0;
-    zero_windows = 0;
-    dummies_suppressed = 0;
-  }
 
 let established t = t.state = Established_s
 let closed t = t.fin_acked && t.fin_rcvd
@@ -277,19 +215,12 @@ let commit_segment t ~departure packets =
   let wire = Array.fold_left (fun acc p -> acc + Packet.wire_size p) 0 packets in
   t.in_stack <- t.in_stack + wire;
   if departure <= now t then transmit_segment t packets
-  else ignore (Engine.schedule_at t.engine ~time:departure (fun () -> transmit_segment t packets))
+  else Engine.schedule_at t.engine ~time:departure (fun () -> transmit_segment t packets)
 
 let send_control t packet = transmit_burst t [| packet |]
 
-let cancel_delack t =
-  match t.delack_timer with
-  | Some ev ->
-      Engine.cancel t.engine ev;
-      t.delack_timer <- None
-  | None -> ()
-
 let send_pure_ack t =
-  cancel_delack t;
+  Engine.disarm t.delack;
   t.unacked_pkts <- 0;
   let rec take n = function [] -> [] | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest in
   let sack = if t.sack_ok then take 3 t.ooo else [] in
@@ -388,20 +319,6 @@ let retransmit_holes ?(presume_lost = false) t ~limit =
 (* ------------------------------------------------------------------ *)
 (* RTO timer                                                            *)
 
-let cancel_rto t =
-  match t.rto_timer with
-  | Some ev ->
-      Engine.cancel t.engine ev;
-      t.rto_timer <- None
-  | None -> ()
-
-let cancel_persist t =
-  match t.persist_timer with
-  | Some ev ->
-      Engine.cancel t.engine ev;
-      t.persist_timer <- None
-  | None -> ()
-
 (* The SYN carries our options offer; the SYN|ACK echoes only what was
    mutually agreed, so a retransmitted copy must repeat the same offer. *)
 let send_syn t ~rtx =
@@ -416,13 +333,9 @@ let send_synack t ~rtx =
        ?wscale:(if t.wscale_on then Some (Config.wscale_shift t.config) else None)
        ~sack_permitted:t.sack_ok ~rwnd:(syn_window t) ())
 
-let rec arm_rto t =
-  cancel_rto t;
-  let delay = Rtt.rto t.rtt in
-  t.rto_timer <- Some (Engine.schedule t.engine ~delay (fun () -> handle_rto t))
+let arm_rto t = Engine.arm t.rto ~delay:(Rtt.rto t.rtt)
 
-and handle_rto t =
-  t.rto_timer <- None;
+let rec handle_rto t =
   if inflight t > 0 || (t.state = Syn_sent || t.state = Syn_rcvd) then begin
     t.rto_events <- t.rto_events + 1;
     Rtt.backoff t.rtt;
@@ -478,17 +391,11 @@ and retransmit_head t =
    [persist_max].  Probes are stack-internal recovery traffic like
    retransmissions — they bypass the Stob hooks — but still pass through
    the TSQ/CPU path so their cost is accounted. *)
-let rec arm_persist t =
-  if t.persist_timer = None then
-    t.persist_timer <-
-      Some
-        (Engine.schedule t.engine
-           ~delay:(Float.min persist_max t.persist_backoff)
-           (fun () ->
-             t.persist_timer <- None;
-             persist_fire t))
+let arm_persist t =
+  if not (Engine.armed t.persist) then
+    Engine.arm t.persist ~delay:(Float.min persist_max t.persist_backoff)
 
-and persist_fire t =
+let persist_fire t =
   let want_fin = t.fin_pending && not t.fin_sent in
   if
     t.state = Established_s && t.peer_rwnd = 0 && (not t.fin_acked)
@@ -533,25 +440,17 @@ and persist_fire t =
 (* ------------------------------------------------------------------ *)
 (* Sender                                                               *)
 
-(* Build the packets of one TSO segment.  [payload] > 0, or a bare FIN. *)
+(* Build the packets of one TSO segment, in sequence order: [payload]
+   bytes in [packet_payload]-byte packets, the FIN (if any) on the last.
+   [payload] > 0, or a bare FIN. *)
 let build_segment t ~payload ~packet_payload ~fin =
-  let rec chunks acc seq remaining =
-    if remaining <= 0 then List.rev acc
-    else
-      let take = Int.min packet_payload remaining in
-      let last = remaining - take <= 0 in
-      let pkt =
-        Packet.data ~flow:t.flow ~dir:t.dir ~seq ~ack:t.rcv_nxt ~payload:take
-          ~fin:(fin && last) ~rwnd:(advertise_window t) ()
-      in
-      chunks (pkt :: acc) (seq + take) (remaining - take)
-  in
-  if payload = 0 && fin then
-    [|
-      Packet.data ~flow:t.flow ~dir:t.dir ~seq:t.snd_nxt ~ack:t.rcv_nxt ~payload:0 ~fin:true
-        ~rwnd:(advertise_window t) ();
-    |]
-  else Array.of_list (chunks [] t.snd_nxt payload)
+  let n = if payload = 0 then 1 else (payload + packet_payload - 1) / packet_payload in
+  let seq = t.snd_nxt in
+  Array.init n (fun i ->
+      let offset = i * packet_payload in
+      Packet.data ~flow:t.flow ~dir:t.dir ~seq:(seq + offset) ~ack:t.rcv_nxt
+        ~payload:(Int.min packet_payload (payload - offset))
+        ~fin:(fin && i = n - 1) ~rwnd:(advertise_window t) ())
 
 let rec try_send t =
   if t.state = Established_s then begin
@@ -570,7 +469,7 @@ let rec try_send t =
     if (t.app_queue > 0 || want_fin) && t.peer_rwnd = 0 && inflight_now = 0 then begin
       (* Zero window and nothing in flight: no ACK will ever clock another
          send.  Start persist probing from the current RTO estimate. *)
-      if t.persist_timer = None then begin
+      if not (Engine.armed t.persist) then begin
         t.persist_backoff <- Rtt.rto t.rtt;
         arm_persist t
       end
@@ -596,12 +495,7 @@ let rec try_send t =
             (* The stack's own pacing says wait: wake up at the fq departure
                time and decide then.  The hook is only consulted for
                decisions the stack is about to commit. *)
-            if t.send_timer = None then
-              t.send_timer <-
-                Some
-                  (Engine.schedule_at t.engine ~time:departure (fun () ->
-                       t.send_timer <- None;
-                       try_send t))
+            if not (Engine.armed t.send_timer) then Engine.arm_at t.send_timer ~time:departure
           end
           else begin
             let stack_decision =
@@ -627,7 +521,7 @@ let rec try_send t =
             if fin_here then t.fin_sent <- true;
             Pacer.commit t.pacer ~departure:release ~rate_bps:pacing_rate ~bytes:payload;
             log_push t.sent_log ~end_seq:t.snd_nxt ~sent_at:release;
-            if t.rto_timer = None then arm_rto t;
+            if not (Engine.armed t.rto) then arm_rto t;
             commit_segment t ~departure:release packets;
             try_send t
           end
@@ -689,12 +583,8 @@ let notify_serialized t (p : Packet.t) =
 let schedule_ack t =
   t.unacked_pkts <- t.unacked_pkts + 1;
   if t.unacked_pkts >= t.config.Config.ack_every then send_pure_ack t
-  else if t.delack_timer = None then
-    t.delack_timer <-
-      Some
-        (Engine.schedule t.engine ~delay:(Float.max t.config.Config.delayed_ack 1e-4) (fun () ->
-             t.delack_timer <- None;
-             if t.unacked_pkts > 0 then send_pure_ack t))
+  else if not (Engine.armed t.delack) then
+    Engine.arm t.delack ~delay:(Float.max t.config.Config.delayed_ack 1e-4)
 
 (* Advance rcv_nxt to [seq_end], deliver [payload_delivered] real payload
    bytes, then pull now-contiguous out-of-order data.  The peer's FIN
@@ -757,9 +647,9 @@ let process_ack t (p : Packet.t) =
     let rwnd = if p.Packet.syn then p.Packet.rwnd else p.Packet.rwnd lsl t.snd_wscale in
     t.peer_rwnd <- rwnd;
     if rwnd = 0 && old_rwnd > 0 then t.zero_windows <- t.zero_windows + 1;
-    if rwnd > 0 && t.persist_timer <> None then begin
+    if rwnd > 0 && Engine.armed t.persist then begin
       (* The window re-opened: stop probing and restart the backoff. *)
-      cancel_persist t;
+      Engine.disarm t.persist;
       t.persist_backoff <- Rtt.rto t.rtt
     end;
     if p.Packet.ack > t.snd_una then begin
@@ -793,7 +683,7 @@ let process_ack t (p : Packet.t) =
       in
       t.cc.Cc.on_ack ~now:(now t) ~acked ~rtt:rtt_for_cc ~inflight:(inflight t)
         ~limited:(t.snd_una <= t.rate_limited_mark);
-      if inflight t > 0 then arm_rto t else cancel_rto t;
+      if inflight t > 0 then arm_rto t else Engine.disarm t.rto;
       try_send t
     end
     else if
@@ -862,15 +752,7 @@ let apply_syn_options t (p : Packet.t) =
 (* Once both directions are done ([closed]) no timer has work left; a
    pending delayed-ACK, persist probe, or parked pacer wakeup would fire
    into a dead connection and keep the engine artificially busy. *)
-let quiesce t =
-  cancel_rto t;
-  cancel_persist t;
-  cancel_delack t;
-  match t.send_timer with
-  | Some ev ->
-      Engine.cancel t.engine ev;
-      t.send_timer <- None
-  | None -> ()
+let quiesce t = List.iter Engine.disarm [ t.rto; t.persist; t.delack; t.send_timer ]
 
 (* The handshake's RTT sample, from the SYN (or SYN|ACK) record, which the
    handshake then retires. *)
@@ -906,7 +788,7 @@ let rec receive t (p : Packet.t) =
         handshake_sample t;
         apply_syn_options t p;
         t.peer_rwnd <- p.Packet.rwnd;
-        cancel_rto t;
+        Engine.disarm t.rto;
         t.state <- Established_s;
         send_pure_ack t;
         t.on_established ();
@@ -918,7 +800,7 @@ let rec receive t (p : Packet.t) =
         t.snd_nxt <- Int.max t.snd_nxt 1;
         handshake_sample t;
         t.peer_rwnd <- p.Packet.rwnd lsl t.snd_wscale;
-        cancel_rto t;
+        Engine.disarm t.rto;
         t.state <- Established_s;
         t.on_established ();
         process_data t p;
@@ -974,6 +856,79 @@ and process_data t (p : Packet.t) =
       send_pure_ack t
     end
   end
+
+let delack_fire t = if t.unacked_pkts > 0 then send_pure_ack t
+
+(* Defined after the sender and receiver so that each timer's callback is
+   built once, here.  The callbacks need the endpoint, which holds the
+   timers: [self] ties the knot. *)
+let create ~engine ~config ~cc ~flow ~dir ?cpu ?(hooks = Hooks.default) ~tx () =
+  let self = ref None in
+  let on f () = Option.iter f !self in
+  let t =
+    {
+      engine;
+      config;
+      cc;
+      flow;
+      dir;
+      cpu;
+      hooks;
+      tx;
+      state = Closed;
+      fin_rcvd = false;
+      fin_acked = false;
+      snd_mss = config.Config.mss;
+      sack_ok = false;
+      wscale_on = false;
+      snd_wscale = 0;
+      rcv_wscale = 0;
+      snd_una = 0;
+      snd_nxt = 0;
+      app_queue = 0;
+      fin_pending = false;
+      fin_sent = false;
+      (* Nothing is known about the peer's window until its SYN arrives. *)
+      peer_rwnd = 0;
+      dupacks = 0;
+      karn_floor = 0;
+      sacked = [];
+      in_recovery = false;
+      rto_recovery = false;
+      recover_point = 0;
+      rtx_next = 0;
+      sent_log = log_create ();
+      rto = Engine.timer engine (on handle_rto);
+      send_timer = Engine.timer engine (on try_send);
+      persist = Engine.timer engine (on persist_fire);
+      persist_backoff = Rtt.rto_init;
+      rate_limited_mark = 0;
+      in_stack = 0;
+      pacer = Pacer.create ();
+      rtt = Rtt.create ();
+      rcv_nxt = 0;
+      ooo = [];
+      fin_seq = None;
+      unacked_pkts = 0;
+      delack = Engine.timer engine (on delack_fire);
+      auto_read = true;
+      rcv_buffered = 0;
+      rcv_adv_edge = 0;
+      on_established = (fun () -> ());
+      on_receive = (fun _ -> ());
+      on_fin = (fun () -> ());
+      retransmissions = 0;
+      fast_recoveries = 0;
+      rto_events = 0;
+      segments_sent = 0;
+      packets_sent = 0;
+      persist_probes = 0;
+      zero_windows = 0;
+      dummies_suppressed = 0;
+    }
+  in
+  self := Some t;
+  t
 
 (* ------------------------------------------------------------------ *)
 (* Invariant-monitor surface.  Defined last: the [inspection] field names
@@ -1035,8 +990,8 @@ let inspect (t : t) : inspection =
     sack_ok = t.sack_ok;
     snd_wscale = t.snd_wscale;
     rcv_wscale = t.rcv_wscale;
-    persist_armed = t.persist_timer <> None;
-    delack_armed = t.delack_timer <> None;
+    persist_armed = Engine.armed t.persist;
+    delack_armed = Engine.armed t.delack;
     persist_probes = t.persist_probes;
     zero_windows = t.zero_windows;
   }

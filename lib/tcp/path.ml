@@ -4,19 +4,43 @@ module Link = Stob_sim.Link
 module Netem = Stob_sim.Netem
 
 (* Per-flow callback tables, one per direction: the flow id alone is the
-   key, so a lookup hashes an int instead of a (flow, dir) tuple. *)
+   key, so a lookup hashes an int instead of a (flow, dir) tuple.  Each
+   table remembers the flow it found last, so consecutive frames of one
+   flow reach their callback without hashing or allocating.  [set] keeps
+   that entry true, and nothing removes a flow. *)
 module Flows = Stob_util.Int_table
 
-type callbacks = { incoming : (Packet.t -> unit) Flows.t; outgoing : (Packet.t -> unit) Flows.t }
+type demux = {
+  flows : (Packet.t -> unit) Flows.t;
+  mutable last_flow : int;
+  mutable last : Packet.t -> unit;  (* [last_flow]'s callback *)
+}
 
-let callbacks () = { incoming = Flows.create 16; outgoing = Flows.create 16 }
+(* An unregistered flow's packets silently sink. *)
+let sink (_ : Packet.t) = ()
+
+let demux () = { flows = Flows.create 16; last_flow = min_int; last = sink }
+
+let set d ~flow f =
+  Flows.replace d.flows flow f;
+  d.last_flow <- flow;
+  d.last <- f
+
+let notify d (p : Packet.t) =
+  let flow = p.Packet.flow in
+  if flow <> d.last_flow then begin
+    d.last_flow <- flow;
+    d.last <- (match Flows.find_opt d.flows flow with Some f -> f | None -> sink)
+  end;
+  d.last p
+
+type callbacks = { incoming : demux; outgoing : demux }
+
+let callbacks () = { incoming = demux (); outgoing = demux () }
 
 let for_dir tables = function
   | Packet.Incoming -> tables.incoming
   | Packet.Outgoing -> tables.outgoing
-
-let notify tables dir (p : Packet.t) =
-  match Flows.find_opt (for_dir tables dir) p.Packet.flow with Some f -> f p | None -> ()
 
 type t = {
   to_server : Packet.t Link.t;  (* carries Outgoing packets *)
@@ -35,8 +59,7 @@ let create ~engine ~rate_bps ~delay ?queue_capacity ?(server_fq = false) ?(captu
     ?client_netem ?server_netem () =
   let rx = callbacks () in
   let serialized = callbacks () in
-  (* An unregistered flow's packets silently sink. *)
-  let deliver = notify rx in
+  let deliver dir = notify (for_dir rx dir) in
   (* The impairment stage sits between a link's receive end and the
      endpoint demux: packets experience serialization and propagation
      first, then loss/reordering/duplication/jitter. *)
@@ -65,8 +88,8 @@ let create ~engine ~rate_bps ~delay ?queue_capacity ?(server_fq = false) ?(captu
     | Some c ->
         fun ~time p ->
           Capture.record c ~time p;
-          notify serialized p.Packet.dir p
-    | None -> fun ~time:_ p -> notify serialized p.Packet.dir p
+          notify (for_dir serialized p.Packet.dir) p
+    | None -> fun ~time:_ p -> notify (for_dir serialized p.Packet.dir) p
   in
   Link.set_tap to_server tap;
   Link.set_tap to_client tap;
@@ -89,10 +112,10 @@ let create ~engine ~rate_bps ~delay ?queue_capacity ?(server_fq = false) ?(captu
   t
 
 let register t ~flow ~client ~server =
-  Flows.replace t.rx.incoming flow client;
-  Flows.replace t.rx.outgoing flow server
+  set t.rx.incoming ~flow client;
+  set t.rx.outgoing ~flow server
 
-let set_serialized_callback t ~flow ~dir f = Flows.replace (for_dir t.serialized dir) flow f
+let set_serialized_callback t ~flow ~dir f = set (for_dir t.serialized dir) ~flow f
 
 let send t packets =
   if Array.length packets > 0 then begin

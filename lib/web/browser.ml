@@ -63,10 +63,9 @@ let load ?policy ?client_config ~rng profile =
         ignore (Queue.pop q);
         rx := !rx - req_bytes;
         if resp_bytes > 0 then
-          ignore
-            (Engine.schedule engine ~delay:think (fun () ->
-                 Endpoint.write server resp_bytes;
-                 server_progress flow server))
+          Engine.schedule engine ~delay:think (fun () ->
+              Endpoint.write server resp_bytes;
+              server_progress flow server)
         else server_progress flow server
     | _ -> ()
   in
@@ -221,8 +220,7 @@ let load ?policy ?client_config ~rng profile =
               last_complete := Engine.now engine;
               decr remaining;
               dispatch primary);
-          ignore
-            (Engine.schedule engine ~delay:0.001 (fun () -> open_secondary ()))));
+          Engine.schedule engine ~delay:0.001 (fun () -> open_secondary ())));
   Connection.open_ primary.c;
 
   Engine.run ~until:60.0 engine;

@@ -33,9 +33,8 @@ let load ?policy ?cc ?client_netem ?server_netem ?(on_connection = ignore) ~rng
       match Hashtbl.find_opt jobs stream with
       | None -> ()
       | Some (resp_bytes, think) ->
-          ignore
-            (Engine.schedule engine ~delay:think (fun () ->
-                 Qendpoint.send_stream server ~stream ~fin:true resp_bytes)));
+          Engine.schedule engine ~delay:think (fun () ->
+              Qendpoint.send_stream server ~stream ~fin:true resp_bytes));
 
   (* --- client: wave scheduler over streams --------------------------- *)
   let head_queue = Queue.create () and body_queue = Queue.create () in

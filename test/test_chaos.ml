@@ -362,7 +362,7 @@ let test_monitor_progress_bound () =
   Monitor.attach_engine m;
   (* Gaps of 0.45 s pass; the 0.6 s gap that follows is one stall. *)
   List.iter
-    (fun time -> ignore (Engine.schedule_at engine ~time (fun () -> incr activity)))
+    (fun time -> Engine.schedule_at engine ~time (fun () -> incr activity))
     [ 0.45; 0.9; 1.5 ];
   Engine.run engine;
   Alcotest.(check (list (pair string int))) "one stall" [ ("progress-stall", 1) ]

@@ -268,6 +268,119 @@ let prop_extract_matches_reference =
 let test_names_match_reference () =
   Alcotest.(check (array string)) "names" Kfp_reference.names Features.names
 
+(* --- Chance oracles ---
+
+   An accuracy means something only if the pipeline scores chance when
+   there is no signal.  The corpus is 30 page loads of each of the nine
+   sites at seed 7, sanitized to 28 per site: 252 samples.  Its labels are
+   shuffled, which keeps every class at 28 samples and leaves no relation
+   between a trace and its label.  Each attack is scored over five
+   stratified folds, so every sample is predicted once.
+
+   The bands were stated before the first run.  With 252 predictions,
+   each right with probability p = 1/9, the count right is binomial, and
+   the accuracy has standard deviation sqrt (p (1 - p) / 252) = .0198.
+   Each attack must land within three standard deviations of 1/9:
+   [.052, .171].  A miss is a finding about the pipeline; the band does
+   not move. *)
+module Dataset = Stob_web.Dataset
+module Matrix = Stob_ml.Matrix
+module Dfnet = Stob_kfp.Dfnet
+
+let chance_corpus =
+  lazy
+    (let d = Dataset.sanitize (Dataset.generate ~samples_per_site:30 ~seed:7 ()) in
+     let labels = Array.map (fun s -> s.Dataset.label) d.samples in
+     Rng.shuffle (Rng.create 11) labels;
+     {
+       d with
+       Dataset.samples =
+         Array.mapi
+           (fun i s -> { s with Dataset.label = labels.(i); site = d.site_names.(labels.(i)) })
+           d.samples;
+     })
+
+let chance = 1.0 /. 9.0
+
+let check_chance name ~right ~predictions =
+  let sd = sqrt (chance *. (1.0 -. chance) /. float_of_int predictions) in
+  let acc = float_of_int right /. float_of_int predictions in
+  Alcotest.(check int) "every sample predicted once" 252 predictions;
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %d/%d = %.3f within 1/9 +- 3 sd (%.3f)" name right predictions acc sd)
+    true
+    (Float.abs (acc -. chance) <= 3.0 *. sd)
+
+let labels_of (d : Dataset.t) = Array.map (fun s -> s.Dataset.label) d.samples
+let traces_of (d : Dataset.t) = Array.map (fun s -> s.Dataset.trace) d.samples
+let features_of d = Matrix.of_rows (Array.map Features.extract (traces_of d))
+
+let chance_folds =
+  lazy (Dataset.folds (Lazy.force chance_corpus) ~rng:(Rng.create 3) ~k:5)
+
+(* Per fold, a k-FP attack trained on the other four, with the fold's
+   features and labels; both k-FP oracles score these. *)
+let kfp_folds =
+  lazy
+    (List.map
+       (fun ((train : Dataset.t), test) ->
+         ( Attack.train_m
+             ~forest:{ Stob_ml.Random_forest.default_params with n_trees = 30 }
+             ~n_classes:9 ~matrix:(features_of train) ~labels:(labels_of train) (),
+           features_of test,
+           labels_of test ))
+       (Lazy.force chance_folds))
+
+(* Test samples predicted right and test samples, over the folds. *)
+let over_folds right folds =
+  List.fold_left
+    (fun (r, n) ((_, _, labels) as fold) -> (r + right fold, n + Array.length labels))
+    (0, 0) folds
+
+let count_right predicted actual =
+  let n = ref 0 in
+  Array.iteri (fun i l -> if l = actual.(i) then incr n) predicted;
+  !n
+
+let test_chance_forest_vote () =
+  let right, predictions =
+    over_folds
+      (fun (attack, matrix, labels) ->
+        count_right (Stob_ml.Random_forest.predict_all (Attack.forest attack) matrix) labels)
+      (Lazy.force kfp_folds)
+  in
+  check_chance "forest vote" ~right ~predictions
+
+(* At k = 1 the open-world rule always names a site: its one nearest
+   training fingerprint's. *)
+let test_chance_open_world () =
+  let right, predictions =
+    over_folds
+      (fun (attack, matrix, labels) ->
+        let n = ref 0 in
+        Array.iteri
+          (fun i answer -> if Option.equal Int.equal answer (Some labels.(i)) then incr n)
+          (Attack.predict_open_world_all attack ~k:1 matrix);
+        !n)
+      (Lazy.force kfp_folds)
+  in
+  check_chance "open-world rule, k = 1" ~right ~predictions
+
+let test_chance_dfnet () =
+  let right, predictions =
+    over_folds
+      (fun ((train : Dataset.t), (test : Dataset.t), labels) ->
+        let net =
+          Dfnet.train ~epochs:5 ~seed:7 ~n_classes:9
+            ~xs:(Dfnet.encode_batch (traces_of train))
+            ~labels:(labels_of train) ()
+        in
+        let acc = Dfnet.accuracy_m net ~xs:(Dfnet.encode_batch (traces_of test)) ~labels in
+        Float.to_int (Float.round (acc *. float_of_int (Array.length labels))))
+      (List.map (fun (train, test) -> (train, test, labels_of test)) (Lazy.force chance_folds))
+  in
+  check_chance "DF-net" ~right ~predictions
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -298,5 +411,11 @@ let suite =
           test_attack_separates_synthetic_classes;
         Alcotest.test_case "modes mostly agree" `Quick test_attack_modes_agree_mostly;
         Alcotest.test_case "open-world rule" `Quick test_open_world_rule;
+      ] );
+    ( "kfp.chance",
+      [
+        Alcotest.test_case "shuffled labels: forest vote" `Quick test_chance_forest_vote;
+        Alcotest.test_case "shuffled labels: open-world rule" `Quick test_chance_open_world;
+        Alcotest.test_case "shuffled labels: DF-net" `Quick test_chance_dfnet;
       ] );
   ]

@@ -405,9 +405,8 @@ let test_wire_table_drains () =
   let tx dst pkts =
     Array.iter
       (fun p ->
-        ignore
-          (Engine.schedule engine ~delay:0.01 (fun () ->
-               Option.iter (fun e -> Endpoint.receive e p) !dst)))
+        Engine.schedule engine ~delay:0.01 (fun () ->
+            Option.iter (fun e -> Endpoint.receive e p) !dst))
       pkts
   in
   let client_ref = ref None and server_ref = ref None in
@@ -459,10 +458,9 @@ let hand_pair ?(cut = infinity) ~response () =
     if Engine.now engine < cut then
       Array.iter
         (fun p ->
-          ignore
-            (Engine.schedule engine ~delay:0.01 (fun () ->
-                 last_rx := Engine.now engine;
-                 Option.iter (fun e -> Endpoint.receive e p) !dst)))
+          Engine.schedule engine ~delay:0.01 (fun () ->
+              last_rx := Engine.now engine;
+              Option.iter (fun e -> Endpoint.receive e p) !dst))
         pkts
   in
   let make dir ~server dst =
@@ -751,7 +749,7 @@ let test_sender_index_monitored () =
               (Stob_check.Violation.make ~invariant ~time:(Engine.now w.engine) (name ^ ": " ^ detail))
         | None -> ())
       endpoints;
-    if got w.client_rx 4 < 600_000 then ignore (Engine.schedule w.engine ~delay:0.001 sweep)
+    if got w.client_rx 4 < 600_000 then Engine.schedule w.engine ~delay:0.001 sweep
   in
   sweep ();
   Connection.on_established w.conn (fun () -> Endpoint.send_stream client ~stream:4 ~fin:true 600);

@@ -30,7 +30,7 @@ let test_eq_fifo_ties () =
 
 let test_eq_size () =
   let q = Event_queue.create () in
-  Alcotest.(check bool) "empty" true (Event_queue.is_empty q);
+  Alcotest.(check int) "empty" 0 (Event_queue.size q);
   for i = 1 to 100 do
     Event_queue.push q ~time:(float_of_int (100 - i)) i
   done;
@@ -56,9 +56,9 @@ let prop_eq_sorted_output =
 let test_engine_runs_in_order () =
   let engine = Engine.create () in
   let log = ref [] in
-  ignore (Engine.schedule engine ~delay:2.0 (fun () -> log := "b" :: !log));
-  ignore (Engine.schedule engine ~delay:1.0 (fun () -> log := "a" :: !log));
-  ignore (Engine.schedule engine ~delay:3.0 (fun () -> log := "c" :: !log));
+  Engine.schedule engine ~delay:2.0 (fun () -> log := "b" :: !log);
+  Engine.schedule engine ~delay:1.0 (fun () -> log := "a" :: !log);
+  Engine.schedule engine ~delay:3.0 (fun () -> log := "c" :: !log);
   Engine.run engine;
   Alcotest.(check (list string)) "order" [ "a"; "b"; "c" ] (List.rev !log);
   check_float "clock at last event" 3.0 (Engine.now engine)
@@ -66,55 +66,106 @@ let test_engine_runs_in_order () =
 let test_engine_nested_scheduling () =
   let engine = Engine.create () in
   let fired = ref 0.0 in
-  ignore
-    (Engine.schedule engine ~delay:1.0 (fun () ->
-         ignore (Engine.schedule engine ~delay:0.5 (fun () -> fired := Engine.now engine))));
+  Engine.schedule engine ~delay:1.0 (fun () ->
+      Engine.schedule engine ~delay:0.5 (fun () -> fired := Engine.now engine));
   Engine.run engine;
   check_float "nested time" 1.5 !fired
 
-let test_engine_cancel () =
-  let engine = Engine.create () in
+let test_engine_disarm queue () =
+  let engine = Engine.create ~queue () in
   let fired = ref false in
-  let ev = Engine.schedule engine ~delay:1.0 (fun () -> fired := true) in
-  Engine.cancel engine ev;
+  let tm = Engine.timer engine (fun () -> fired := true) in
+  Alcotest.(check bool) "a new timer is disarmed" false (Engine.armed tm);
+  Engine.arm tm ~delay:1.0;
+  Alcotest.(check int) "an armed timer is pending" 1 (Engine.pending engine);
+  Engine.disarm tm;
+  Alcotest.(check bool) "disarmed" false (Engine.armed tm);
+  Alcotest.(check int) "no pending" 0 (Engine.pending engine);
+  Engine.disarm tm;
+  Alcotest.(check int) "disarming a disarmed timer is a no-op" 0 (Engine.pending engine);
   Engine.run engine;
-  Alcotest.(check bool) "cancelled event did not fire" false !fired;
-  Alcotest.(check int) "no pending" 0 (Engine.pending engine)
+  Alcotest.(check bool) "disarmed timer did not fire" false !fired;
+  Alcotest.(check int) "dropping its entry is no event" 0 (Engine.events_processed engine);
+  Alcotest.(check (float 0.0)) "nor does it move the clock" 0.0 (Engine.now engine)
 
-(* Cancelling an event that already ran is a no-op: [pending] must keep
+(* Disarming a timer that already fired is a no-op: [pending] must keep
    counting the event still queued. *)
-let test_engine_cancel_fired queue () =
+let test_engine_disarm_fired queue () =
   let engine = Engine.create ~queue () in
   let fired = ref 0 in
-  let first = Engine.schedule_at engine ~time:1.0 (fun () -> incr fired) in
-  ignore (Engine.schedule_at engine ~time:5.0 (fun () -> incr fired));
+  let first = Engine.timer engine (fun () -> incr fired) in
+  Engine.arm_at first ~time:1.0;
+  Engine.schedule_at engine ~time:5.0 (fun () -> incr fired);
   Engine.run ~until:2.0 engine;
-  Alcotest.(check int) "one pending after the first fired" 1 (Engine.pending engine);
-  Engine.cancel engine first;
-  Alcotest.(check int) "cancelling a fired event is a no-op" 1 (Engine.pending engine);
+  Alcotest.(check bool) "a fired timer is disarmed" false (Engine.armed first);
+  Alcotest.(check int) "one pending after the timer fired" 1 (Engine.pending engine);
+  Engine.disarm first;
+  Alcotest.(check int) "disarming a fired timer is a no-op" 1 (Engine.pending engine);
   Engine.run engine;
   Alcotest.(check int) "both fired" 2 !fired;
   Alcotest.(check int) "drained" 0 (Engine.pending engine)
 
-(* A fired event's queue node goes back to the pool and the next schedule
-   takes it; the stale handle must not disarm the new event. *)
-let test_engine_stale_handle queue () =
+(* A fired timer's queue node goes back to the pool and the next schedule
+   takes it; the timer must not disarm the new event, and re-armed it
+   fires again in order. *)
+let test_engine_no_stale_handle queue () =
   let engine = Engine.create ~queue () in
   let log = ref [] in
-  let first = Engine.schedule_at engine ~time:1.0 (fun () -> log := "first" :: !log) in
+  let first = Engine.timer engine (fun () -> log := "first" :: !log) in
+  Engine.arm_at first ~time:1.0;
   Engine.run ~until:2.0 engine;
-  ignore (Engine.schedule_at engine ~time:3.0 (fun () -> log := "second" :: !log));
-  Engine.cancel engine first;
-  Engine.cancel engine first;
+  Engine.schedule_at engine ~time:3.0 (fun () -> log := "second" :: !log);
+  Engine.disarm first;
+  Engine.disarm first;
   Alcotest.(check int) "still pending" 1 (Engine.pending engine);
+  Engine.arm_at first ~time:3.0;
+  Alcotest.(check int) "the re-armed timer is pending too" 2 (Engine.pending engine);
   Engine.run engine;
-  Alcotest.(check (list string)) "the new event fired" [ "first"; "second" ] (List.rev !log)
+  Alcotest.(check (list string)) "the new event fired, then the re-armed timer"
+    [ "first"; "second"; "first" ] (List.rev !log)
+
+(* Re-armed 1,000 times, 999 of them to a later key, a timer fires once:
+   one event, whatever the surfacings cost the queue. *)
+let test_engine_rearm_fires_once queue () =
+  let engine = Engine.create ~queue () in
+  let fired = ref [] in
+  let tm = Engine.timer engine (fun () -> fired := Engine.now engine :: !fired) in
+  let ticks = ref 0 in
+  let rec tick () =
+    incr ticks;
+    Engine.arm tm ~delay:1.0;
+    if !ticks < 1_000 then Engine.schedule engine ~delay:0.25 tick
+  in
+  Engine.schedule engine ~delay:0.0 tick;
+  Engine.run engine;
+  Alcotest.(check (list (float 0.0))) "fired once, a second after the last arm"
+    [ (999.0 *. 0.25) +. 1.0 ] !fired;
+  Alcotest.(check int) "1,000 ticks and one firing" 1_001 (Engine.events_processed engine);
+  Alcotest.(check int) "drained" 0 (Engine.pending engine)
+
+(* A timer re-armed to a later key fires where its arm put it among
+   same-instant events, not where its early entry surfaced: armed for
+   t = 1, re-armed at t = 0.5 for t = 2, then an event is scheduled for
+   t = 2.  The timer's arm came first, so it fires first. *)
+let test_engine_surfaced_timer_keeps_its_place queue () =
+  let engine = Engine.create ~queue () in
+  let log = ref [] in
+  let note tag () = log := Printf.sprintf "%s@%g" tag (Engine.now engine) :: !log in
+  let tm = Engine.timer engine (note "timer") in
+  Engine.arm_at tm ~time:1.0;
+  Engine.schedule_at engine ~time:0.5 (fun () ->
+      Engine.arm_at tm ~time:2.0;
+      Engine.schedule_at engine ~time:2.0 (note "event"));
+  Engine.run engine;
+  Alcotest.(check (list string)) "the arm's order" [ "timer@2"; "event@2" ] (List.rev !log);
+  Alcotest.(check int) "the re-arm, the timer and the event fired" 3
+    (Engine.events_processed engine)
 
 let test_engine_run_until () =
   let engine = Engine.create () in
   let count = ref 0 in
   for i = 1 to 10 do
-    ignore (Engine.schedule engine ~delay:(float_of_int i) (fun () -> incr count))
+    Engine.schedule engine ~delay:(float_of_int i) (fun () -> incr count)
   done;
   Engine.run ~until:5.5 engine;
   Alcotest.(check int) "five fired" 5 !count;
@@ -125,17 +176,16 @@ let test_engine_run_until () =
 let test_engine_negative_delay_clamped () =
   let engine = Engine.create () in
   let at = ref (-1.0) in
-  ignore
-    (Engine.schedule engine ~delay:1.0 (fun () ->
-         ignore (Engine.schedule engine ~delay:(-5.0) (fun () -> at := Engine.now engine))));
+  Engine.schedule engine ~delay:1.0 (fun () ->
+      Engine.schedule engine ~delay:(-5.0) (fun () -> at := Engine.now engine));
   Engine.run engine;
   check_float "clamped to now" 1.0 !at
 
 let test_engine_same_time_fifo () =
   let engine = Engine.create () in
   let log = ref [] in
-  ignore (Engine.schedule engine ~delay:1.0 (fun () -> log := 1 :: !log));
-  ignore (Engine.schedule engine ~delay:1.0 (fun () -> log := 2 :: !log));
+  Engine.schedule engine ~delay:1.0 (fun () -> log := 1 :: !log);
+  Engine.schedule engine ~delay:1.0 (fun () -> log := 2 :: !log);
   Engine.run engine;
   Alcotest.(check (list int)) "fifo" [ 1; 2 ] (List.rev !log)
 
@@ -147,7 +197,7 @@ let test_line_pending queue () =
   let line = Engine.line engine ~delay:1.0 (fun v -> log := v :: !log) in
   Engine.push line "a";
   Engine.push line "b";
-  ignore (Engine.schedule engine ~delay:1.0 (fun () -> log := "timer" :: !log));
+  Engine.schedule engine ~delay:1.0 (fun () -> log := "timer" :: !log);
   Engine.push line "c";
   Alcotest.(check int) "three values and one event pending" 4 (Engine.pending engine);
   let pending = List.init 4 (fun _ -> ignore (Engine.step engine); Engine.pending engine) in
@@ -157,34 +207,48 @@ let test_line_pending queue () =
   Alcotest.(check int) "one event per delivery" 4 (Engine.events_processed engine);
   Alcotest.(check bool) "drained" false (Engine.step engine)
 
-(* Random programs of ordinary schedules (some cancelled, some made from
-   inside callbacks) and pushes onto three lines, with dyadic delays so
-   that due times tie exactly.  A line push must fire exactly where the
-   heap engine's ordinary schedule fires it. *)
+(* Random programs of ordinary schedules, pushes onto three lines and
+   timer operations, some made from inside callbacks, with dyadic delays
+   and times so that due times tie exactly.  A timer is armed later than,
+   at and earlier than its current key, disarmed, and armed from inside
+   callbacks, its own included; each of its first three firings runs its
+   children.  A line push must fire exactly where the heap engine's
+   ordinary schedule fires it, and a timer exactly where the heap's
+   cancel plus schedule fires it. *)
 type line_op =
   | Schedule of float * line_op list
-  | Cancel of int
   | Push of int * line_op list
+  | New_timer of line_op list
+  | Arm of int * float
+  | Arm_at of int * float
+  | Disarm of int
 
 let line_delays = [| 0.0; 0.25; 0.5; 1.0 |]
 
 let gen_line_program =
   let open QCheck.Gen in
   let delay = map (fun i -> line_delays.(i)) (int_bound 3) in
+  let time = map (fun i -> float_of_int i *. 0.25) (int_bound 8) in
   let op =
     fix (fun self depth ->
         let children = if depth = 0 then return [] else list_size (int_bound 3) (self (depth - 1)) in
         frequency
           [ (4, map2 (fun d c -> Schedule (d, c)) delay children);
-            (2, map (fun k -> Cancel k) nat);
-            (5, map2 (fun l c -> Push (l, c)) (int_bound 2) children) ])
+            (5, map2 (fun l c -> Push (l, c)) (int_bound 2) children);
+            (2, map (fun c -> New_timer c) children);
+            (3, map2 (fun k d -> Arm (k, d)) nat delay);
+            (2, map2 (fun k t -> Arm_at (k, t)) nat time);
+            (2, map (fun k -> Disarm k) nat) ])
   in
   pair (array_size (return 3) delay) (list_size (int_range 0 25) (op 2))
 
 let rec print_line_op = function
   | Schedule (d, c) -> Printf.sprintf "sched(%g)[%s]" d (print_line_ops c)
-  | Cancel k -> Printf.sprintf "cancel(%d)" k
   | Push (l, c) -> Printf.sprintf "push(%d)[%s]" l (print_line_ops c)
+  | New_timer c -> Printf.sprintf "timer[%s]" (print_line_ops c)
+  | Arm (k, d) -> Printf.sprintf "arm(%d,%g)" k d
+  | Arm_at (k, t) -> Printf.sprintf "arm_at(%d,%g)" k t
+  | Disarm k -> Printf.sprintf "disarm(%d)" k
 
 and print_line_ops ops = String.concat " " (List.map print_line_op ops)
 
@@ -194,8 +258,12 @@ let run_line_program queue (delays, ops) =
   let engine = Engine.create ~queue () in
   let log = Buffer.create 1024 in
   let labels = ref 0 in
-  let handles = ref [] and n_handles = ref 0 in
+  let timers = ref [||] in
   let lines = ref [||] in
+  let with_timer k f =
+    let n = Array.length !timers in
+    if n > 0 then f !timers.(k mod n)
+  in
   let rec exec ops =
     List.iter
       (fun op ->
@@ -206,18 +274,25 @@ let run_line_program queue (delays, ops) =
         in
         match op with
         | Schedule (delay, children) ->
-            handles :=
-              Engine.schedule engine ~delay (fun () ->
-                  fire ();
-                  exec children)
-              :: !handles;
-            incr n_handles
-        | Cancel k ->
-            if !n_handles > 0 then Engine.cancel engine (List.nth !handles (k mod !n_handles))
+            Engine.schedule engine ~delay (fun () ->
+                fire ();
+                exec children)
         | Push (l, children) ->
             Engine.push !lines.(l) (fun () ->
                 fire ();
-                exec children))
+                exec children)
+        | New_timer children ->
+            let firings = ref 0 in
+            let tm =
+              Engine.timer engine (fun () ->
+                  fire ();
+                  incr firings;
+                  if !firings <= 3 then exec children)
+            in
+            timers := Array.append !timers [| tm |]
+        | Arm (k, delay) -> with_timer k (fun tm -> Engine.arm tm ~delay)
+        | Arm_at (k, time) -> with_timer k (fun tm -> Engine.arm_at tm ~time)
+        | Disarm k -> with_timer k Engine.disarm)
       ops
   in
   lines := Array.map (fun delay -> Engine.line engine ~delay (fun deliver -> deliver ())) delays;
@@ -229,7 +304,8 @@ let run_line_program queue (delays, ops) =
   Buffer.contents log
 
 let prop_line_order =
-  QCheck.Test.make ~name:"line pushes fire in schedule order (wheel == heap)" ~count:300
+  QCheck.Test.make ~name:"line pushes and timers fire in schedule order (wheel == heap)"
+    ~count:300
     (QCheck.make
        ~print:(fun (delays, ops) ->
          Printf.sprintf "delays %s: %s"
@@ -258,9 +334,8 @@ let test_cpu_idle_gap () =
   let t2 = ref 0.0 in
   Cpu.submit cpu ~cost:0.5 (fun () -> ());
   (* Submit the second item at t=10, after the core idled. *)
-  ignore
-    (Engine.schedule engine ~delay:10.0 (fun () ->
-         Cpu.submit cpu ~cost:0.5 (fun () -> t2 := Engine.now engine)));
+  Engine.schedule engine ~delay:10.0 (fun () ->
+      Cpu.submit cpu ~cost:0.5 (fun () -> t2 := Engine.now engine));
   Engine.run engine;
   check_float "starts when submitted" 10.5 !t2;
   check_float "busy time counts only work" 1.0 (Cpu.busy_time cpu)
@@ -269,7 +344,7 @@ let test_cpu_utilization () =
   let engine = Engine.create () in
   let cpu = Cpu.create engine in
   Cpu.submit cpu ~cost:2.0 (fun () -> ());
-  ignore (Engine.schedule engine ~delay:4.0 (fun () -> ()));
+  Engine.schedule engine ~delay:4.0 (fun () -> ());
   Engine.run engine;
   check_float "utilization" 0.5 (Cpu.utilization cpu)
 
@@ -373,7 +448,7 @@ let test_link_delivery_before_tap_timer queue () =
       ()
   in
   Link.set_tap link (fun ~time:_ frame ->
-      if frame = 2 then ignore (Engine.schedule engine ~delay:1.0 (fun () -> note "timer")));
+      if frame = 2 then Engine.schedule engine ~delay:1.0 (fun () -> note "timer"));
   ignore (Link.send link 1);
   ignore (Link.send link 2);
   Engine.run engine;
@@ -580,9 +655,8 @@ let test_engine_rejects_nan queue () =
   let engine = Engine.create ~queue () in
   let log = ref [] in
   let at name delay =
-    ignore
-      (Engine.schedule engine ~delay (fun () ->
-           log := Printf.sprintf "%s@%g" name (Engine.now engine) :: !log))
+    Engine.schedule engine ~delay (fun () ->
+        log := Printf.sprintf "%s@%g" name (Engine.now engine) :: !log)
   in
   at "a" 0.3;
   expect_invalid_arg "NaN delay" (fun () -> at "nan" Float.nan);
@@ -607,9 +681,9 @@ let test_engine_livelock_detected () =
   let ran = ref 0 in
   let rec respawn () =
     incr ran;
-    ignore (Engine.schedule engine ~delay:0.0 respawn)
+    Engine.schedule engine ~delay:0.0 respawn
   in
-  ignore (Engine.schedule engine ~delay:1.0 respawn);
+  Engine.schedule engine ~delay:1.0 respawn;
   (match Engine.run engine with
   | () -> Alcotest.fail "livelock not detected"
   | exception Engine.Livelock { time; events } ->
@@ -638,8 +712,8 @@ let test_engine_livelock_pending impl () =
   expect_livelock "self-feeding line" engine;
   let engine = Engine.create ~queue:impl () in
   Engine.set_same_instant_budget engine 3;
-  let rec respawn () = ignore (Engine.schedule engine ~delay:0.0 respawn) in
-  ignore (Engine.schedule engine ~delay:0.0 respawn);
+  let rec respawn () = Engine.schedule engine ~delay:0.0 respawn in
+  Engine.schedule engine ~delay:0.0 respawn;
   expect_livelock "self-rescheduling callback" engine
 
 (* The budget counts consecutive same-instant events only: any clock
@@ -650,11 +724,11 @@ let test_engine_budget_resets_on_advance () =
   let count = ref 0 in
   let rec tick i () =
     incr count;
-    if i < 100 then ignore (Engine.schedule engine ~delay:1e-6 (tick (i + 1)))
+    if i < 100 then Engine.schedule engine ~delay:1e-6 (tick (i + 1))
   in
-  ignore (Engine.schedule engine ~delay:0.0 (tick 1));
+  Engine.schedule engine ~delay:0.0 (tick 1);
   for _ = 1 to 5 do
-    ignore (Engine.schedule engine ~delay:2.0 (fun () -> incr count))
+    Engine.schedule engine ~delay:2.0 (fun () -> incr count)
   done;
   Engine.run engine;
   Alcotest.(check int) "all events ran without a false livelock" 105 !count
@@ -670,13 +744,13 @@ let test_engine_probe () =
   let engine = Engine.create () in
   let seen = ref [] in
   Engine.set_probe engine (fun ~now -> seen := now :: !seen);
-  ignore (Engine.schedule engine ~delay:1.0 (fun () -> ()));
-  ignore (Engine.schedule engine ~delay:2.0 (fun () -> ()));
+  Engine.schedule engine ~delay:1.0 (fun () -> ());
+  Engine.schedule engine ~delay:2.0 (fun () -> ());
   Engine.run engine;
   Alcotest.(check (list (float 1e-12))) "probe fires after every event" [ 1.0; 2.0 ]
     (List.rev !seen);
   Engine.clear_probe engine;
-  ignore (Engine.schedule engine ~delay:3.0 (fun () -> ()));
+  Engine.schedule engine ~delay:3.0 (fun () -> ());
   Engine.run engine;
   Alcotest.(check int) "cleared probe is silent" 2 (List.length !seen)
 
@@ -1007,46 +1081,49 @@ let test_wheel_releases_values () =
     [ false; false; true; false; true; false ] reachable;
   Alcotest.(check int) "two queued" 2 (Event_queue.size q)
 
-(* Cancel/re-arm differential at the engine level: the exact scenario —
-   timers disarmed by earlier events, re-armed, re-cancelled, zero-delay
-   chains, same-instant triples — must execute identically on both queue
-   implementations. *)
+(* Disarm/re-arm differential at the engine level: the exact scenario —
+   timers re-armed earlier and later by earlier events, disarmed,
+   re-disarmed, zero-delay chains, same-instant triples — must execute
+   identically on both queue implementations. *)
 let engine_cancel_rearm_scenario ~queue =
   let log = Buffer.create 256 in
   let e = Engine.create ~queue () in
   let note tag = Buffer.add_string log (Printf.sprintf "%s@%.9f;" tag (Engine.now e)) in
-  let timer = ref None in
-  let arm label delay = timer := Some (Engine.schedule e ~delay (fun () -> note ("fire-" ^ label))) in
+  let label = ref "t0" in
+  let timer = Engine.timer e (fun () -> note ("fire-" ^ !label)) in
+  let arm l delay =
+    label := l;
+    Engine.arm timer ~delay
+  in
   arm "t0" 5.0;
-  ignore
-    (Engine.schedule e ~delay:1.0 (fun () ->
-         note "cancel+rearm";
-         (match !timer with Some ev -> Engine.cancel e ev | None -> ());
-         arm "t1" 0.5));
-  ignore (Engine.schedule e ~delay:1.0 (fun () -> note "same-instant-1"));
-  ignore (Engine.schedule e ~delay:1.0 (fun () -> note "same-instant-2"));
-  ignore
-    (Engine.schedule e ~delay:2.0 (fun () ->
-         note "chain-a";
-         ignore (Engine.schedule e ~delay:0.0 (fun () -> note "chain-b"))));
-  let far = Engine.schedule e ~delay:10_000.0 (fun () -> note "far") in
-  ignore
-    (Engine.schedule e ~delay:3.0 (fun () ->
-         Engine.cancel e far;
-         let r = Engine.schedule e ~delay:9_000.0 (fun () -> note "re-far") in
-         ignore (Engine.schedule e ~delay:0.25 (fun () -> Engine.cancel e r));
-         arm "t2" 0.125));
+  Engine.schedule e ~delay:1.0 (fun () ->
+      note "rearm-earlier";
+      arm "t1" 0.5);
+  Engine.schedule e ~delay:1.0 (fun () -> note "same-instant-1");
+  Engine.schedule e ~delay:1.0 (fun () -> note "same-instant-2");
+  Engine.schedule e ~delay:2.0 (fun () ->
+      note "chain-a";
+      Engine.schedule e ~delay:0.0 (fun () -> note "chain-b"));
+  let far = Engine.timer e (fun () -> note "far") in
+  Engine.arm far ~delay:10_000.0;
+  Engine.schedule e ~delay:3.0 (fun () ->
+      Engine.disarm far;
+      Engine.arm far ~delay:9_000.0;
+      Engine.schedule e ~delay:0.25 (fun () ->
+          Engine.disarm far;
+          Engine.disarm far);
+      arm "t2" 0.125);
   Engine.run e;
   Buffer.contents log
 
 let test_wheel_engine_cancel_rearm () =
   let heap_log = engine_cancel_rearm_scenario ~queue:Event_queue.Heap in
   let wheel_log = engine_cancel_rearm_scenario ~queue:Event_queue.Wheel in
-  Alcotest.(check string) "cancel/re-arm log identical across queues" heap_log wheel_log;
-  (* Sanity pin: the scenario exercised what it claims to — the t0 timer
-     was disarmed, its replacement fired, the far timers never did. *)
+  Alcotest.(check string) "disarm/re-arm log identical across queues" heap_log wheel_log;
+  (* Sanity pin: the scenario exercised what it claims to — the t0 arm
+     was moved earlier, the t1 arm fired, the far timer never did. *)
   Alcotest.(check string) "scenario executes as designed"
-    "cancel+rearm@1.000000000;same-instant-1@1.000000000;same-instant-2@1.000000000;fire-t1@1.500000000;chain-a@2.000000000;chain-b@2.000000000;fire-t2@3.125000000;"
+    "rearm-earlier@1.000000000;same-instant-1@1.000000000;same-instant-2@1.000000000;fire-t1@1.500000000;chain-a@2.000000000;chain-b@2.000000000;fire-t2@3.125000000;"
     heap_log
 
 let suite =
@@ -1065,7 +1142,7 @@ let suite =
         Alcotest.test_case "default implementation" `Quick test_wheel_default_impl;
         Alcotest.test_case "push-during-pop differential" `Quick test_wheel_push_during_pop;
         Alcotest.test_case "far-future / overflow differential" `Quick test_wheel_far_future;
-        Alcotest.test_case "engine cancel/re-arm differential" `Quick
+        Alcotest.test_case "engine disarm/re-arm differential" `Quick
           test_wheel_engine_cancel_rearm;
         q prop_wheel_differential;
         q prop_wheel_differential_coarse;
@@ -1081,15 +1158,24 @@ let suite =
       [
         Alcotest.test_case "runs in order" `Quick test_engine_runs_in_order;
         Alcotest.test_case "nested scheduling" `Quick test_engine_nested_scheduling;
-        Alcotest.test_case "cancel" `Quick test_engine_cancel;
-        Alcotest.test_case "cancel after fire (wheel)" `Quick
-          (test_engine_cancel_fired Event_queue.Wheel);
-        Alcotest.test_case "cancel after fire (heap)" `Quick
-          (test_engine_cancel_fired Event_queue.Heap);
-        Alcotest.test_case "stale handle after fire (wheel)" `Quick
-          (test_engine_stale_handle Event_queue.Wheel);
-        Alcotest.test_case "stale handle after fire (heap)" `Quick
-          (test_engine_stale_handle Event_queue.Heap);
+        Alcotest.test_case "disarm (wheel)" `Quick (test_engine_disarm Event_queue.Wheel);
+        Alcotest.test_case "disarm (heap)" `Quick (test_engine_disarm Event_queue.Heap);
+        Alcotest.test_case "disarm after fire (wheel)" `Quick
+          (test_engine_disarm_fired Event_queue.Wheel);
+        Alcotest.test_case "disarm after fire (heap)" `Quick
+          (test_engine_disarm_fired Event_queue.Heap);
+        Alcotest.test_case "no stale handle after fire (wheel)" `Quick
+          (test_engine_no_stale_handle Event_queue.Wheel);
+        Alcotest.test_case "no stale handle after fire (heap)" `Quick
+          (test_engine_no_stale_handle Event_queue.Heap);
+        Alcotest.test_case "re-armed 1,000 times, fires once (wheel)" `Quick
+          (test_engine_rearm_fires_once Event_queue.Wheel);
+        Alcotest.test_case "re-armed 1,000 times, fires once (heap)" `Quick
+          (test_engine_rearm_fires_once Event_queue.Heap);
+        Alcotest.test_case "a surfaced timer keeps its place (wheel)" `Quick
+          (test_engine_surfaced_timer_keeps_its_place Event_queue.Wheel);
+        Alcotest.test_case "a surfaced timer keeps its place (heap)" `Quick
+          (test_engine_surfaced_timer_keeps_its_place Event_queue.Heap);
         Alcotest.test_case "run until" `Quick test_engine_run_until;
         Alcotest.test_case "negative delay clamped" `Quick test_engine_negative_delay_clamped;
         Alcotest.test_case "same-time fifo" `Quick test_engine_same_time_fifo;

@@ -480,14 +480,14 @@ let test_no_capture_same_simulation () =
     let rec refill () =
       if Endpoint.established server && Endpoint.unsent server < 16_000_000 then
         Endpoint.write server 64_000_000;
-      ignore (Engine.schedule engine ~delay:0.002 refill)
+      Engine.schedule engine ~delay:0.002 refill
     in
-    ignore (Engine.schedule engine ~delay:0.0 refill);
+    Engine.schedule engine ~delay:0.0 refill;
     Connection.on_established conn (fun () -> Endpoint.write (Connection.client conn) 64);
     Connection.open_ conn;
     let warmup = 0.005 and measure = 0.01 in
     let mark = ref 0 in
-    ignore (Engine.schedule engine ~delay:warmup (fun () -> mark := Path.server_link_bytes path));
+    Engine.schedule engine ~delay:warmup (fun () -> mark := Path.server_link_bytes path);
     Engine.run ~until:(warmup +. measure) engine;
     let bps =
       Units.throughput_bps ~bytes:(Path.server_link_bytes path - !mark) ~seconds:measure
@@ -529,9 +529,9 @@ let queue_parity_fig3 queue =
   let rec refill () =
     if Endpoint.established server && Endpoint.unsent server < 16_000_000 then
       Endpoint.write server 64_000_000;
-    ignore (Engine.schedule engine ~delay:0.002 refill)
+    Engine.schedule engine ~delay:0.002 refill
   in
-  ignore (Engine.schedule engine ~delay:0.0 refill);
+  Engine.schedule engine ~delay:0.0 refill;
   Connection.on_established conn (fun () -> Endpoint.write (Connection.client conn) 64);
   Connection.open_ conn;
   Engine.run ~until:0.008 engine;
@@ -621,7 +621,7 @@ let test_fq_fairness_between_flows () =
   in
   Connection.open_ conns.(0);
   (* Second flow starts half a second later. *)
-  ignore (Engine.schedule engine ~delay:0.5 (fun () -> Connection.open_ conns.(1)));
+  Engine.schedule engine ~delay:0.5 (fun () -> Connection.open_ conns.(1));
   Engine.run ~until:4.0 engine;
   (* Compare throughput over the contended window: flow 1's share should
      not starve flow 2 (DRR gives each a fair quantum). *)
@@ -1422,6 +1422,52 @@ let test_netem_cell_alone () =
         (Netem_eval.run_matrix ~seed:4242 [ c ] = [ row ]))
     cells full
 
+(* --- Allocation gate --- *)
+
+(* Heap words allocated per server packet over a Fig 3-shaped bulk
+   transfer: 100 Gb/s, 50 us RTT, the server CPU model, the Stob hook
+   with the unmodified policy, no capture, on the wheel.  Counted at one
+   domain as trace.alloc counts them, over 20 ms of simulated time after
+   a 10 ms warm-up in which the queue's node pool and the lines' rings
+   grow.  The bound was written before measuring: the Fig 3 baseline cell
+   allocated 97.0 words per server packet while every ACK cancelled and
+   re-scheduled the RTO and every other data packet armed a delayed ACK
+   that was then cancelled. *)
+let alloc_words_per_packet = 88.0
+
+let test_alloc_per_server_packet () =
+  let engine = Engine.create ~queue:Stob_sim.Event_queue.Wheel () in
+  let path =
+    Path.create ~engine ~rate_bps:(Units.gbps 100.0) ~delay:25e-6 ~capture:false ()
+  in
+  let cpu = Cpu.create engine in
+  let hooks =
+    Stob_core.Controller.hooks (Stob_core.Controller.create Stob_core.Policy.unmodified)
+  in
+  let conn =
+    Connection.create ~engine ~path ~flow:1 ~cc:Cubic.make
+      ~server_cpu:(cpu, Cpu_costs.default_server) ~server_hooks:hooks ()
+  in
+  let server = Connection.server conn in
+  let rec refill () =
+    if Endpoint.established server && Endpoint.unsent server < 16_000_000 then
+      Endpoint.write server 64_000_000;
+    Engine.schedule engine ~delay:0.002 refill
+  in
+  Engine.schedule engine ~delay:0.0 refill;
+  Connection.on_established conn (fun () -> Endpoint.write (Connection.client conn) 64);
+  Connection.open_ conn;
+  Engine.run ~until:0.01 engine;
+  let before = Endpoint.packets_sent server in
+  let words = Test_net.words_allocated (fun () -> Engine.run ~until:0.03 engine) in
+  let packets = Endpoint.packets_sent server - before in
+  let per_packet = words /. float_of_int packets in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per server packet (%d packets) <= %.0f" per_packet packets
+       alloc_words_per_packet)
+    true
+    (packets > 10_000 && per_packet <= alloc_words_per_packet)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -1546,4 +1592,6 @@ let suite =
         Alcotest.test_case "loss x reorder x cca matrix" `Slow test_netem_matrix_battery;
         Alcotest.test_case "matrix cell re-run alone == its row" `Quick test_netem_cell_alone;
       ] );
+    ( "tcp.alloc",
+      [ Alcotest.test_case "words per server packet" `Quick test_alloc_per_server_packet ] );
   ]
