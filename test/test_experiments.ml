@@ -202,8 +202,25 @@ let test_arch_renderings () =
         (contains ~sub:needle f2))
     [ "policy table"; "tso_bytes"; "packet_payload"; "earliest_departure"; "clamp" ]
 
+(* E7 bit for bit: per CCA, the bits of the baseline, delayed and exempt
+   Gb/s, and the delaying policy's audited violations. *)
+let cca_ablation_pin =
+  [ ("reno", ("4000000218def417", "3ffffffde7210be9", "3ffffffde7210be9"), 0);
+    ("cubic", ("4000000218def417", "3ffffffde7210be9", "3ffffffde7210be9"), 0);
+    ("bbr", ("3fff3c9cd3e0bd45", "3ffaa1b3aeee9574", "3ffaa9c99285a922"), 0) ]
+
+let hex_bits v = Printf.sprintf "%016Lx" (Int64.bits_of_float v)
+
 let test_cca_ablation_reduced () =
   let rows = Ablation.run_cca ~quiet:true () in
+  Alcotest.(check (list (triple string (triple string string string) int)))
+    "E7 pinned" cca_ablation_pin
+    (List.map
+       (fun r ->
+         ( r.Ablation.cca,
+           (hex_bits r.Ablation.baseline_gbps, hex_bits r.delayed_gbps, hex_bits r.exempt_gbps),
+           r.violations ))
+       rows);
   Alcotest.(check int) "three CCAs" 3 (List.length rows);
   List.iter
     (fun r ->
@@ -269,6 +286,11 @@ let test_cca_id_reduced () =
   (* 5 flows/CCA leaves only 15 test samples and sits exactly on the 0.4
      threshold — one reclassified flow flips it; 8 gives a robust margin. *)
   let r = Cca_id.run ~flows_per_cca:8 ~trees:15 ~quiet:true () in
+  (* The three accuracies bit for bit: 7, 4 and 3 of the 8 test flows. *)
+  Alcotest.(check (triple string string string))
+    "accuracies pinned"
+    ("3fec000000000000", "3fe0000000000000", "3fd8000000000000")
+    (hex_bits r.Cca_id.undefended, hex_bits r.defended, hex_bits r.shaped);
   Alcotest.(check bool) "attack beats chance" true (r.Cca_id.undefended > 0.4);
   Alcotest.(check bool) "rate floor reduces identifiability" true
     (r.Cca_id.shaped <= r.Cca_id.undefended)
