@@ -48,42 +48,41 @@ let dataset_fingerprint (d : Dataset.t) =
     d.Dataset.samples;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let accuracy_cv ?(folds = 5) ?(trees = 100) ?(seed = 42) ?(pool = Stob_par.Pool.sequential)
-    dataset =
-  let cache = Hashtbl.create (Array.length dataset.Dataset.samples) in
-  Array.iter
-    (fun s -> Hashtbl.replace cache s (Features.extract s.Dataset.trace))
-    dataset.Dataset.samples;
+let cross_validate ~pool ~rng ~folds ~forest ~features dataset =
   let n_classes = Array.length dataset.Dataset.site_names in
-  let forest = { Stob_ml.Random_forest.default_params with n_trees = trees; seed } in
-  (* Folds are drawn up front from their own seed, and each fold's forest
-     reseeds from [forest.seed], so the per-fold tasks are independent and
-     the parallel map is deterministic (the shared feature cache is only
-     read). *)
+  let labels = Array.map (fun (s : Dataset.sample) -> s.Dataset.label) dataset.Dataset.samples in
+  (* Folds are drawn up front, and each fold's forest reseeds from
+     [forest.seed], so the per-fold tasks are independent and the parallel
+     map is deterministic ([features] is only read). *)
   let eval_fold (train, test) =
     (* Tiny corpora can leave a fold with no test (or train) samples;
        skip those folds rather than failing. *)
-    if Array.length test.Dataset.samples = 0 || Array.length train.Dataset.samples = 0 then
-      None
+    if Array.length test = 0 || Array.length train = 0 then None
     else begin
       (* One column matrix per fold side, shared read-only by every tree
          (and domain) the fold trains. *)
-      let feats d = Matrix.of_rows (Array.map (fun s -> Hashtbl.find cache s) d.Dataset.samples) in
-      let labels d =
-        Array.map (fun (s : Dataset.sample) -> s.Dataset.label) d.Dataset.samples
-      in
+      let matrix side = Matrix.of_rows (Array.map (fun pos -> features.(pos)) side) in
+      let labels side = Array.map (fun pos -> labels.(pos)) side in
       let attack =
-        Attack.train_m ~forest ~n_classes ~matrix:(feats train) ~labels:(labels train) ()
+        Attack.train_m ~forest ~n_classes ~matrix:(matrix train) ~labels:(labels train) ()
       in
       Some
-        (Attack.evaluate_m attack ~mode:Attack.Forest_vote ~matrix:(feats test)
+        (Attack.evaluate_m attack ~mode:Attack.Forest_vote ~matrix:(matrix test)
            ~labels:(labels test))
     end
   in
   let accuracies =
     List.filter_map Fun.id
-      (Stob_par.Pool.map_list pool eval_fold
-         (Dataset.folds dataset ~rng:(Rng.create (seed + 5)) ~k:folds))
+      (Stob_par.Pool.map_list pool eval_fold (Dataset.fold_positions dataset ~rng ~k:folds))
   in
-  if accuracies = [] then invalid_arg "Evalcommon.accuracy_cv: empty dataset";
+  if accuracies = [] then invalid_arg "Evalcommon.cross_validate: no fold has both sides";
   Stob_ml.Eval.mean_std accuracies
+
+let accuracy_cv ?(folds = 5) ?(trees = 100) ?(seed = 42) ?(pool = Stob_par.Pool.sequential)
+    dataset =
+  let features =
+    Array.map (fun (s : Dataset.sample) -> Features.extract s.Dataset.trace) dataset.Dataset.samples
+  in
+  cross_validate ~pool ~rng:(Rng.create (seed + 5)) ~folds
+    ~forest:{ Stob_ml.Random_forest.default_params with n_trees = trees; seed }
+    ~features dataset

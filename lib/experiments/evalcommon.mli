@@ -20,9 +20,26 @@ val dataset_fingerprint : Stob_web.Dataset.t -> string
     completion flag, [total_in_bytes] and {!Stob_net.Trace.to_bytes} of
     its trace (strings and numbers length-prefixed). *)
 
+val cross_validate :
+  pool:Stob_par.Pool.t ->
+  rng:Stob_util.Rng.t ->
+  folds:int ->
+  forest:Stob_ml.Random_forest.params ->
+  features:float array array ->
+  Stob_web.Dataset.t ->
+  float * float
+(** Stratified k-fold CV accuracy (mean, sample std) of the forest-vote
+    attack, the one loop {!accuracy_cv} and Table 2 share.  [features.(i)]
+    is the feature row of the corpus's [i]th sample; the folds are
+    {!Stob_web.Dataset.fold_positions} drawn from [rng], and each fold
+    trains a forest of [forest] on its train side and scores its test
+    side.  A fold with an empty side is skipped; raises
+    [Invalid_argument] when every fold is.  [pool] parallelizes over
+    folds; results are identical for any domain count. *)
+
 val accuracy_cv :
   ?folds:int -> ?trees:int -> ?seed:int -> ?pool:Stob_par.Pool.t -> Stob_web.Dataset.t ->
   float * float
-(** Stratified CV accuracy (mean, sample std) of the forest-vote attack on
-    full traces.  Defaults: 5 folds, 100 trees, seed 42.  [?pool]
-    parallelizes over folds; results are identical for any domain count. *)
+(** {!cross_validate} on full traces, with folds drawn from [seed + 5]
+    and forests seeded by [seed].  Defaults: 5 folds, 100 trees, seed
+    42. *)

@@ -2,7 +2,6 @@ module Rng = Stob_util.Rng
 module Trace = Stob_net.Trace
 module Dataset = Stob_web.Dataset
 module Features = Stob_kfp.Features
-module Attack = Stob_kfp.Attack
 module Emulate = Stob_defense.Emulate
 
 type config = { samples_per_site : int; folds : int; forest_trees : int; seed : int; quiet : bool }
@@ -41,41 +40,15 @@ let evaluate_variant ?(pool = Stob_par.Pool.sequential) ~config ~dataset ~varian
   let view (s : Dataset.sample) =
     match first_n with None -> s.Dataset.trace | Some n -> Trace.prefix s.Dataset.trace n
   in
-  let feature_cache = Hashtbl.create (Array.length defended.Dataset.samples) in
-  Array.iteri
-    (fun i s -> Hashtbl.add feature_cache i (Features.extract (view s)))
-    defended.Dataset.samples;
-  (* Stratified k-fold CV; index samples so the cache survives fold
-     reshuffling. *)
-  let index = Hashtbl.create (Array.length defended.Dataset.samples) in
-  Array.iteri (fun i s -> Hashtbl.replace index s i) defended.Dataset.samples;
-  let fold_rng = Rng.create (config.seed + 23) in
-  let folds = Dataset.folds defended ~rng:fold_rng ~k:config.folds in
-  let n_classes = Array.length defended.Dataset.site_names in
-  let forest_params =
-    { Stob_ml.Random_forest.default_params with n_trees = config.forest_trees; seed = config.seed }
+  let mean, std =
+    Evalcommon.cross_validate ~pool ~rng:(Rng.create (config.seed + 23)) ~folds:config.folds
+      ~forest:
+        { Stob_ml.Random_forest.default_params with
+          n_trees = config.forest_trees;
+          seed = config.seed }
+      ~features:(Array.map (fun s -> Features.extract (view s)) defended.Dataset.samples)
+      defended
   in
-  (* Per-fold evaluation only reads the shared caches and reseeds its own
-     forest, so the parallel map over folds is deterministic. *)
-  let accuracies =
-    Stob_par.Pool.map_list pool
-      (fun (train, test) ->
-        (* One column matrix per fold side; all of this fold's trees share
-           it read-only instead of re-copying row pointers per tree. *)
-        let feats d =
-          Stob_ml.Matrix.of_rows
-            (Array.map (fun s -> Hashtbl.find feature_cache (Hashtbl.find index s)) d.Dataset.samples)
-        in
-        let labels d = Array.map (fun s -> s.Dataset.label) d.Dataset.samples in
-        let attack =
-          Attack.train_m ~forest:forest_params ~n_classes ~matrix:(feats train)
-            ~labels:(labels train) ()
-        in
-        Attack.evaluate_m attack ~mode:Attack.Forest_vote ~matrix:(feats test)
-          ~labels:(labels test))
-      folds
-  in
-  let mean, std = Stob_ml.Eval.mean_std accuracies in
   { mean; std }
 
 let prefixes = [ ("15", Some 15); ("30", Some 30); ("45", Some 45); ("All", None) ]

@@ -104,7 +104,7 @@ let split t ~rng ~train_fraction =
   ( { samples = Array.of_list (List.rev !train); site_names = t.site_names },
     { samples = Array.of_list (List.rev !test); site_names = t.site_names } )
 
-let folds t ~rng ~k =
+let fold_positions t ~rng ~k =
   if k < 2 then invalid_arg "Dataset.folds: k must be >= 2";
   (* Assign each sample position a fold within its class, then build k
      train/test pairs.  Positions, not sample values: equal samples of a
@@ -119,12 +119,14 @@ let folds t ~rng ~k =
       Array.iteri (fun i pos -> fold_of.(pos) <- i mod k) arr)
     t.site_names;
   List.init k (fun fold ->
-      let train = ref [] and test = ref [] in
-      Array.iteri
-        (fun pos s -> if fold_of.(pos) = fold then test := s :: !test else train := s :: !train)
-        t.samples;
-      ( { samples = Array.of_list (List.rev !train); site_names = t.site_names },
-        { samples = Array.of_list (List.rev !test); site_names = t.site_names } ))
+      let test, train = List.partition (fun pos -> fold_of.(pos) = fold) positions in
+      (Array.of_list train, Array.of_list test))
+
+let folds t ~rng ~k =
+  let pick positions =
+    { samples = Array.map (fun pos -> t.samples.(pos)) positions; site_names = t.site_names }
+  in
+  List.map (fun (train, test) -> (pick train, pick test)) (fold_positions t ~rng ~k)
 
 let map_traces t f =
   {

@@ -50,8 +50,15 @@ val split :
   t -> rng:Stob_util.Rng.t -> train_fraction:float -> t * t
 (** Stratified train/test split: the fraction applies within each class. *)
 
+val fold_positions : t -> rng:Stob_util.Rng.t -> k:int -> (int array * int array) list
+(** [k] stratified cross-validation folds as (train, test) pairs of
+    sample positions, each ascending.  Within each class, in label order,
+    the positions are shuffled with [rng] and the [i]th goes to fold
+    [i mod k].  Raises [Invalid_argument] when [k < 2]. *)
+
 val folds : t -> rng:Stob_util.Rng.t -> k:int -> (t * t) list
-(** [k] stratified cross-validation folds as (train, test) pairs. *)
+(** {!fold_positions} as (train, test) corpora, samples in position
+    order. *)
 
 val map_traces : t -> (sample -> Stob_net.Trace.t) -> t
 (** Apply a trace transformation (a defense) to every sample, recomputing
