@@ -649,7 +649,7 @@ let resume state_dir jobs retries strict =
                     rtt = floats "rtt";
                     warmup = floats "warmup";
                     measure = floats "measure";
-                    cc = Stob_tcp.Netem_eval.cc_of_name cc_name;
+                    cc = Stob_tcp.Connection.cc_of_name cc_name;
                     cc_name;
                   }
                 in
@@ -891,14 +891,17 @@ let netem loss reorder dup jitter netem_seed ccas rate delay bytes jobs =
       exit 1
 
 (* "all" or one validated CCA name, resolved to the list of CCAs to run. *)
+let cca_names = List.map fst Stob_tcp.Connection.ccas
+let cca_choices = String.concat ", " cca_names ^ " or all"
+
 let cca_conv =
   let parse = function
-    | "all" -> Ok [ "reno"; "cubic"; "bbr" ]
+    | "all" -> Ok cca_names
     | c -> (
-        match Stob_tcp.Netem_eval.cc_of_name c with
+        match Stob_tcp.Connection.cc_of_name c with
         | (_ : Stob_tcp.Cc.factory) -> Ok [ c ]
         | exception Invalid_argument _ ->
-            Error (`Msg (Printf.sprintf "unknown CCA %s (expected reno, cubic, bbr or all)" c)))
+            Error (`Msg (Printf.sprintf "unknown CCA %s (expected %s)" c cca_choices)))
   in
   let print fmt = function
     | [ c ] -> Format.pp_print_string fmt c
@@ -929,8 +932,8 @@ let netem_cmd =
          & info [ "netem-seed" ] ~docv:"SEED" ~doc:"Master seed for the impairment draws.")
   in
   let cca =
-    Arg.(value & opt cca_conv [ "reno"; "cubic"; "bbr" ]
-         & info [ "cca" ] ~docv:"CCA" ~doc:"Congestion control: reno, cubic, bbr or all.")
+    Arg.(value & opt cca_conv cca_names
+         & info [ "cca" ] ~docv:"CCA" ~doc:("Congestion control: " ^ cca_choices ^ "."))
   in
   let rate =
     opt_flag (pos_float_conv ~docv:"BPS") [ "rate" ] ~docv:"BPS" ~doc:"Bottleneck rate, bits/s."

@@ -8,7 +8,6 @@ module Path = Stob_tcp.Path
 module Qdisc = Stob_tcp.Qdisc
 module Hooks = Stob_tcp.Hooks
 module Cpu_costs = Stob_tcp.Cpu_costs
-module Netem_eval = Stob_tcp.Netem_eval
 module Policy = Stob_core.Policy
 module Policy_table = Stob_core.Policy_table
 module Controller = Stob_core.Controller
@@ -96,7 +95,7 @@ let run_cell ?plan ~seed scenario =
   let path = Path.create ~engine ~rate_bps ~delay ~queue_capacity:(256 * 1024) ~server_fq:true () in
   let cpu = Cpu.create engine in
   let costs = Cpu_costs.default_server in
-  let cc = Netem_eval.cc_of_name scenario.cca in
+  let cc = Connection.cc_of_name scenario.cca in
   (* The defended policy under test: split + delay, the paper's "Combined". *)
   let table = Policy_table.create () in
   Policy_table.set_global table (Strategies.stack_combined ());
@@ -144,11 +143,9 @@ let run_cell ?plan ~seed scenario =
   (* --- workload --- *)
   let expected = Int.max 1 scenario.fanout in
   let conns = ref [] in
+  let exchanges = ref [] in
   let created = ref 0 in
-  let client_received = ref 0 in
-  let last_event = ref 0.0 in
   let guard_reports = ref [] in
-  let touch () = last_event := Engine.now engine in
   let attach_controller flow =
     (* The Policy_failure fault surfaces here: a failed lookup raises
        [Fault.Injected]; the harness degrades that flow to an unmodified
@@ -182,23 +179,8 @@ let run_cell ?plan ~seed scenario =
       guard_reports := !guard_reports @ [ report ];
       Endpoint.set_hooks server guarded;
       Monitor.observe_endpoint monitor ~name:(Printf.sprintf "server-%d" flow) server;
-      Endpoint.set_on_receive client (fun n ->
-          touch ();
-          client_received := !client_received + n);
-      let responded = ref false in
-      let server_received = ref 0 in
-      Endpoint.set_on_receive server (fun n ->
-          touch ();
-          server_received := !server_received + n;
-          if (not !responded) && !server_received >= request then begin
-            responded := true;
-            Endpoint.write server response;
-            Endpoint.close server
-          end);
-      Endpoint.set_on_fin client (fun () ->
-          touch ();
-          Endpoint.close client);
-      Connection.on_established conn (fun () -> Endpoint.write client request);
+      exchanges :=
+        Connection.request_response ~engine ~client ~server ~request ~response :: !exchanges;
       servers := server :: !servers;
       Connection.open_ conn;
       Engine.schedule engine ~delay:0.3 (fun () -> start_conn (i + 1))
@@ -234,8 +216,13 @@ let run_cell ?plan ~seed scenario =
   Monitor.check_now monitor ~now:(Engine.now engine);
   let drained = Engine.pending engine = 0 && !crashed = None && not !livelock in
   Monitor.check_rtx_oracle monitor ~capture:(Path.capture path)
-    ~endpoints:
-      (List.concat_map (fun c -> [ Connection.client c; Connection.server c ]) !conns)
+    ~retransmissions:
+      (List.fold_left
+         (fun acc c ->
+           acc
+           + Endpoint.retransmissions (Connection.client c)
+           + Endpoint.retransmissions (Connection.server c))
+         0 !conns)
     ~drops:(Path.drops path) ~drained;
   Monitor.detach_engine monitor;
   let completed =
@@ -254,9 +241,11 @@ let run_cell ?plan ~seed scenario =
     violation_counts = Monitor.counts monitor;
     degradation = summarize_degradation (List.map (fun r -> r ()) !guard_reports);
     policy_fallbacks = !policy_fallbacks;
-    client_received = !client_received;
+    client_received =
+      List.fold_left (fun acc x -> acc + x.Connection.client_received) 0 !exchanges;
     fault_events = List.length fault_plan;
-    finish_time = !last_event;
+    finish_time =
+      List.fold_left (fun acc x -> Float.max acc x.Connection.last_activity) 0.0 !exchanges;
     pending_events = Engine.pending engine;
   }
 
@@ -267,10 +256,10 @@ let all_fault_options () = None :: List.map (fun k -> Some k) Fault.all_kinds
 
 let default_scenarios () =
   List.concat_map
-    (fun cca ->
+    (fun (cca, _) ->
       List.map (fun fault -> { cca; fault; fanout = 3 })
         (all_fault_options ()))
-    [ "reno"; "cubic"; "bbr" ]
+    Connection.ccas
 
 let smoke_scenarios () =
   List.map (fun fault -> { cca = "cubic"; fault; fanout = 2 })

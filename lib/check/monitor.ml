@@ -201,6 +201,21 @@ let check_inspection ~config (i : Endpoint.inspection) =
         else None
   end
 
+(* The observers' last step: the installed chain's answer, checked against
+   the Section 4.2 safety predicate. *)
+let safe_answer t ~name (inner : Hooks.t) ~now ~flow ~phase (d : Hooks.decision) =
+  let result = inner.Hooks.on_segment ~now ~flow ~phase d in
+  if not (Safety.is_safe ~stack:d result) then
+    record t
+      (Violation.make ~invariant:"defense-safety" ~time:now ~flow
+         (Printf.sprintf
+            "%s: hook answer (tso %d, payload %d, dep %.9f) more aggressive than stack (tso %d, \
+             payload %d, dep %.9f)"
+            name result.Hooks.tso_bytes result.Hooks.packet_payload
+            result.Hooks.earliest_departure d.Hooks.tso_bytes d.Hooks.packet_payload
+            d.Hooks.earliest_departure));
+  result
+
 (* Wrap an endpoint's installed hook chain with observe-only checks:
    endpoint-state invariants before the decision, pacing-horizon
    monotonicity across decisions, and the Section 4.2 safety predicate on
@@ -241,17 +256,7 @@ let observe_endpoint t ~name ep =
         (Violation.make ~invariant:"tcp-stack-departure" ~time:now ~flow
            (Printf.sprintf "%s: stack proposed departure %.9f in the past (now %.9f)" name
               d.Hooks.earliest_departure now));
-    let result = inner.Hooks.on_segment ~now ~flow ~phase d in
-    if not (Safety.is_safe ~stack:d result) then
-      record t
-        (Violation.make ~invariant:"defense-safety" ~time:now ~flow
-           (Printf.sprintf
-              "%s: hook answer (tso %d, payload %d, dep %.9f) more aggressive than stack (tso %d, \
-               payload %d, dep %.9f)"
-              name result.Hooks.tso_bytes result.Hooks.packet_payload
-              result.Hooks.earliest_departure d.Hooks.tso_bytes d.Hooks.packet_payload
-              d.Hooks.earliest_departure));
-    result
+    safe_answer t ~name inner ~now ~flow ~phase d
   in
   Endpoint.set_hooks ep { Hooks.on_segment }
 
@@ -321,49 +326,26 @@ let observe_quic t ~name ep =
            (Printf.sprintf "%s: packet number sequence moved backwards: %d -> %d" name !last_pn
               i.Quic.pn_next));
     last_pn := Int.max !last_pn i.Quic.pn_next;
-    let result = inner.Hooks.on_segment ~now ~flow ~phase d in
-    if not (Safety.is_safe ~stack:d result) then
-      record t
-        (Violation.make ~invariant:"defense-safety" ~time:now ~flow
-           (Printf.sprintf
-              "%s: hook answer (tso %d, payload %d, dep %.9f) more aggressive than stack (tso %d, \
-               payload %d, dep %.9f)"
-              name result.Hooks.tso_bytes result.Hooks.packet_payload
-              result.Hooks.earliest_departure d.Hooks.tso_bytes d.Hooks.packet_payload
-              d.Hooks.earliest_departure));
-    result
+    safe_answer t ~name inner ~now ~flow ~phase d
   in
   Quic.set_hooks ep { Hooks.on_segment }
 
 (* ------------------------------------------------------------------ *)
 (* End-of-run oracle checks.                                            *)
 
-let check_rtx_oracle t ~capture ~endpoints ~drops ~drained =
+(* Both transports mark retransmitted packets [rtx] on the wire (TCP
+   segments, QUIC datagrams carrying a retransmitted chunk), so the
+   capture's count must equal the endpoints' summed counters.  The capture
+   taps the link after the bottleneck queue and before netem impairment:
+   netem loss keeps the counts comparable, queue [drops] do not. *)
+let check_rtx_oracle t ~capture ~retransmissions ~drops ~drained =
   if drops = 0 && drained then begin
-    let counted = List.fold_left (fun acc ep -> acc + Endpoint.retransmissions ep) 0 endpoints in
     let captured = Capture.rtx_count capture in
-    if counted <> captured then
+    if retransmissions <> captured then
       record t
         (Violation.make ~invariant:"rtx-oracle-agreement" ~time:(Engine.now t.engine)
            (Printf.sprintf "endpoints count %d retransmissions, capture saw %d marked packets"
-              counted captured))
-  end
-
-(* QUIC variant: datagrams carrying a retransmitted stream chunk are marked
-   [rtx] on the wire, so the capture's count must equal the endpoints'
-   [rtx_datagrams].  The capture taps the link before netem impairment, so
-   the check also holds under netem loss — only bottleneck-queue [drops]
-   (which happen before the tap) disqualify the comparison. *)
-let check_quic_rtx_oracle t ~capture ~endpoints ~drops ~drained =
-  if drops = 0 && drained then begin
-    let counted = List.fold_left (fun acc ep -> acc + Quic.rtx_datagrams ep) 0 endpoints in
-    let captured = Capture.rtx_count capture in
-    if counted <> captured then
-      record t
-        (Violation.make ~invariant:"rtx-oracle-agreement" ~time:(Engine.now t.engine)
-           (Printf.sprintf
-              "QUIC endpoints count %d rtx datagrams, capture saw %d marked packets" counted
-              captured))
+              retransmissions captured))
   end
 
 (* Cache-poisoning canary: a sampled subset of a finished sweep's journal

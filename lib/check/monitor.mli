@@ -158,30 +158,15 @@ val check_quic_inspection :
 (** {1 End-of-run checks} *)
 
 val check_rtx_oracle :
-  t ->
-  capture:Stob_net.Capture.t ->
-  endpoints:Stob_tcp.Endpoint.t list ->
-  drops:int ->
-  drained:bool ->
-  unit
-(** Record [rtx-oracle-agreement] if the endpoints' retransmission counters
-    disagree with the capture's oracle-marked packet count.  Only checked
-    when [drops = 0] and [drained] — the capture taps the link at
-    transmit start, after bottleneck-queue drops, so the counts are only
-    comparable on loss-free, fully drained runs. *)
-
-val check_quic_rtx_oracle :
-  t ->
-  capture:Stob_net.Capture.t ->
-  endpoints:Stob_quic.Endpoint.t list ->
-  drops:int ->
-  drained:bool ->
-  unit
-(** QUIC variant of {!check_rtx_oracle}: compares the endpoints'
-    {!Stob_quic.Endpoint.rtx_datagrams} against the capture's marked-packet
-    count.  The capture taps before netem impairment, so netem loss does
-    not disqualify the check — only bottleneck-queue [drops] do.  Test
-    seam: no battery captures QUIC flows yet. *)
+  t -> capture:Stob_net.Capture.t -> retransmissions:int -> drops:int -> drained:bool -> unit
+(** Record [rtx-oracle-agreement] if [retransmissions], the caller's sum
+    of its endpoints' counters (TCP's
+    {!Stob_tcp.Endpoint.retransmissions}, QUIC's
+    {!Stob_quic.Endpoint.rtx_datagrams}), disagrees with the capture's
+    oracle-marked packet count.  Only checked when [drops = 0] and
+    [drained]: the capture taps the link at transmit start, after
+    bottleneck-queue drops and before netem impairment, so netem loss
+    keeps the counts comparable and queue drops do not. *)
 
 val check_store_canary :
   t ->

@@ -4,7 +4,7 @@ module Packet = Stob_net.Packet
 module Endpoint = Stob_tcp.Endpoint
 module Quic = Stob_quic.Endpoint
 module Config = Stob_tcp.Config
-module Netem_eval = Stob_tcp.Netem_eval
+module Connection = Stob_tcp.Connection
 module Population = Stob_experiments.Population
 module Pool = Stob_par.Pool
 module Store = Stob_store.Store
@@ -74,7 +74,7 @@ let spec_of_rng ?(horizon = 120.0) ?(transport = `Tcp) ~fault rng =
   let small_mss = Rng.int rng 6 = 0 in
   let lossy = Rng.int rng 4 = 0 in
   let delack = Rng.bool rng in
-  let cca = Rng.choice rng [| "reno"; "cubic"; "bbr" |] in
+  let cca, _ = Rng.choice rng (Array.of_list Connection.ccas) in
   let request = 120 + Rng.int rng 1800 in
   let response = 2_000 + Rng.int rng 30_000 in
   let delay = 0.004 +. Rng.float rng 0.04 in
@@ -160,7 +160,7 @@ let add_flow ~engine ~monitor ~id ~start ~on_done spec =
                   match !dst with Some e -> Endpoint.receive e p | None -> ()))
           pkts
       in
-      let factory = Netem_eval.cc_of_name spec.cca in
+      let factory = Connection.cc_of_name spec.cca in
       let client =
         Endpoint.create ~engine ~config:spec.client ~cc:(factory spec.client) ~flow:id
           ~dir:Packet.Outgoing ~tx:(tx client_ref server_ref) ()
@@ -173,16 +173,10 @@ let add_flow ~engine ~monitor ~id ~start ~on_done spec =
       server_ref := Some server;
       Monitor.observe_endpoint monitor ~name:(Printf.sprintf "flow-%d/client" id) client;
       Monitor.observe_endpoint monitor ~name:(Printf.sprintf "flow-%d/server" id) server;
-      let client_received = ref 0 and server_received = ref 0 and responded = ref false in
-      Endpoint.set_on_receive server (fun n ->
-          server_received := !server_received + n;
-          if (not !responded) && !server_received >= spec.request then begin
-            responded := true;
-            Endpoint.write server spec.response;
-            Endpoint.close server
-          end);
-      Endpoint.set_on_receive client (fun n -> client_received := !client_received + n);
-      Endpoint.set_on_fin client (fun () -> Endpoint.close client);
+      let x =
+        Connection.request_response ~engine ~client ~server ~request:spec.request
+          ~response:spec.response
+      in
       if spec.slow_reader then begin
         Endpoint.set_auto_read client false;
         let rec pump () =
@@ -201,7 +195,6 @@ let add_flow ~engine ~monitor ~id ~start ~on_done spec =
               | Some e when !live -> Endpoint.inject_pacer_jump e jump
               | _ -> ())
       | None -> ());
-      Endpoint.set_on_established client (fun () -> Endpoint.write client spec.request);
       Endpoint.connect client;
       Engine.schedule engine ~delay:spec.horizon (fun () ->
           live := false;
@@ -209,11 +202,11 @@ let add_flow ~engine ~monitor ~id ~start ~on_done spec =
           let r =
             {
               completed =
-                !client_received = spec.response
-                && !server_received = spec.request
+                x.client_received = spec.response
+                && x.server_received = spec.request
                 && Endpoint.closed client && Endpoint.closed server;
-              client_received = !client_received;
-              server_received = !server_received;
+              client_received = x.client_received;
+              server_received = x.server_received;
               client_closed = Endpoint.closed client;
               server_closed = Endpoint.closed server;
               retransmissions =
@@ -264,7 +257,7 @@ let add_quic_flow ~engine ~monitor ~id ~start ~on_done spec =
                   match !dst with Some e -> Quic.receive e p | None -> ()))
           pkts
       in
-      let factory = Netem_eval.cc_of_name spec.cca in
+      let factory = Connection.cc_of_name spec.cca in
       let qconfig = Quic.default_config in
       let client =
         Quic.create ~engine ~cc:(factory qconfig) ~flow:id

@@ -2,7 +2,6 @@ module Rng = Stob_util.Rng
 module Engine = Stob_sim.Engine
 module Units = Stob_util.Units
 module Dataset = Stob_web.Dataset
-module Endpoint = Stob_tcp.Endpoint
 module Connection = Stob_tcp.Connection
 module Path = Stob_tcp.Path
 
@@ -103,27 +102,11 @@ let audited_throughput ~cc ~policy =
   let hooks = Stob_core.Controller.hooks (Stob_core.Controller.create policy) in
   let hooks, report = Stob_core.Safety.audit hooks in
   let conn = Connection.create ~engine ~path ~flow:1 ~cc ~server_hooks:hooks () in
-  let server = Connection.server conn in
-  let rec refill () =
-    if Endpoint.established server && Endpoint.unsent server < 16_000_000 then
-      Endpoint.write server 64_000_000;
-    Engine.schedule engine ~delay:0.01 refill
-  in
-  Engine.schedule engine ~delay:0.0 refill;
-  Connection.on_established conn (fun () -> Endpoint.write (Connection.client conn) 64);
-  Connection.open_ conn;
-  let warmup = 1.0 and measure = 2.0 in
-  let mark = ref 0 in
-  Engine.schedule engine ~delay:warmup (fun () -> mark := Path.server_link_bytes path);
-  Engine.run ~until:(warmup +. measure) engine;
-  let bytes = Path.server_link_bytes path - !mark in
-  ( Units.to_gbps ~bits_per_sec:(Units.throughput_bps ~bytes ~seconds:measure),
-    (report ()).Stob_core.Safety.violations )
+  Connection.bulk ~engine ~period:0.01 ~low_water:16_000_000 ~chunk:64_000_000 conn;
+  let bps = Connection.throughput ~engine ~path ~warmup:1.0 ~measure:2.0 in
+  (Units.to_gbps ~bits_per_sec:bps, (report ()).Stob_core.Safety.violations)
 
 let run_cca ?(quiet = false) () =
-  let ccas =
-    [ ("reno", Stob_tcp.Reno.make); ("cubic", Stob_tcp.Cubic.make); ("bbr", Stob_tcp.Bbr.make) ]
-  in
   List.map
     (fun (name, cc) ->
       if not quiet then Printf.eprintf "ablation-cca: %s...\n%!" name;
@@ -134,7 +117,7 @@ let run_cca ?(quiet = false) () =
         audited_throughput ~cc ~policy:(Stob_core.Strategies.bbr_respecting delayed)
       in
       { cca = name; baseline_gbps; delayed_gbps; exempt_gbps; violations })
-    ccas
+    Connection.ccas
 
 let print_cca rows =
   Printf.printf "Ablation E7: Stob delay policy vs. congestion controller\n";

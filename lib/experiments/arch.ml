@@ -1,11 +1,6 @@
 (* The stage lists are assembled from live values where possible so the
-   rendering tracks the implementation: CCA names come from instantiated
-   controllers, hook fields from the Hooks decision record. *)
-
-let cca_names =
-  List.map
-    (fun (factory : Stob_tcp.Cc.factory) -> (factory Stob_tcp.Config.default).Stob_tcp.Cc.name)
-    [ Stob_tcp.Reno.make; Stob_tcp.Cubic.make; Stob_tcp.Bbr.make ]
+   rendering tracks the implementation: CCA names come from the stack's
+   controller table, hook fields from the Hooks decision record. *)
 
 let hook_decision_fields = [ "tso_bytes"; "packet_payload"; "earliest_departure" ]
 
@@ -52,7 +47,7 @@ let figure1 () =
   List.iter (fun l -> Buffer.add_string buf (l ^ "\n")) quic_udp;
   Buffer.add_string buf
     (Printf.sprintf "\n  congestion controllers available in this stack: %s\n"
-       (String.concat ", " cca_names));
+       (String.concat ", " (List.map fst Stob_tcp.Connection.ccas)));
   Buffer.contents buf
 
 let figure2 () =

@@ -3,13 +3,13 @@ module Engine = Stob_sim.Engine
 module Units = Stob_util.Units
 module Trace = Stob_net.Trace
 module Capture = Stob_net.Capture
-module Endpoint = Stob_tcp.Endpoint
 module Connection = Stob_tcp.Connection
 module Path = Stob_tcp.Path
 module Features = Stob_kfp.Features
 module Attack = Stob_kfp.Attack
 
-let ccas = [| ("reno", Stob_tcp.Reno.make); ("cubic", Stob_tcp.Cubic.make); ("bbr", Stob_tcp.Bbr.make) |]
+(* One class per controller, labelled by its place in the table. *)
+let n_classes = List.length Connection.ccas
 
 (* One bulk download through a lossy bottleneck; the client-side capture is
    what a passive observer sees. *)
@@ -28,17 +28,9 @@ let bulk_trace ~cc ~policy rng =
       policy
   in
   let conn = Connection.create ~engine ~path ~flow:1 ~cc ?server_hooks () in
-  let server = Connection.server conn in
   (* Continuous download for the whole observation window, so the observer
      sees several congestion epochs. *)
-  let rec refill () =
-    if Endpoint.established server && Endpoint.unsent server < 2_000_000 then
-      Endpoint.write server 4_000_000;
-    Engine.schedule engine ~delay:0.05 refill
-  in
-  Engine.schedule engine ~delay:0.0 refill;
-  Connection.on_established conn (fun () -> Endpoint.write (Connection.client conn) 64);
-  Connection.open_ conn;
+  Connection.bulk ~engine ~period:0.05 ~low_water:2_000_000 ~chunk:4_000_000 conn;
   Engine.run ~until:4.0 engine;
   Trace.shift_to_zero (Capture.trace (Path.capture path))
 
@@ -121,11 +113,12 @@ let dataset ~flows_per_cca ~policy ~seed =
   let master = Rng.create seed in
   let samples =
     List.concat
-      (List.init (Array.length ccas) (fun label ->
-           let _, cc = ccas.(label) in
+      (List.mapi
+         (fun label (_, cc) ->
            List.init flows_per_cca (fun _ ->
                let rng = Rng.split master in
-               (featurize (bulk_trace ~cc ~policy rng), label))))
+               (featurize (bulk_trace ~cc ~policy rng), label)))
+         Connection.ccas)
   in
   let arr = Array.of_list samples in
   Rng.shuffle master arr;
@@ -140,7 +133,7 @@ let accuracy ~flows_per_cca ~trees ~seed ~policy =
   let attack =
     Attack.train
       ~forest:{ Stob_ml.Random_forest.default_params with n_trees = trees; seed }
-      ~n_classes:(Array.length ccas)
+      ~n_classes
       ~features:(Array.sub features 0 n_train) ~labels:(Array.sub labels 0 n_train) ()
   in
   Attack.evaluate attack ~mode:Attack.Forest_vote
@@ -150,7 +143,7 @@ let accuracy ~flows_per_cca ~trees ~seed ~policy =
 let run ?(flows_per_cca = 40) ?(trees = 100) ?(quiet = false) () =
   let seed = 42 in
   let say fmt = Printf.ksprintf (fun s -> if not quiet then Printf.eprintf "%s\n%!" s) fmt in
-  say "cca-id: generating %d undefended flows..." (flows_per_cca * Array.length ccas);
+  say "cca-id: generating %d undefended flows..." (flows_per_cca * n_classes);
   let undefended = accuracy ~flows_per_cca ~trees ~seed ~policy:None in
   say "cca-id: generating defended flows...";
   let defended =
@@ -167,7 +160,7 @@ let run ?(flows_per_cca = 40) ?(trees = 100) ?(quiet = false) () =
     accuracy ~flows_per_cca ~trees ~seed
       ~policy:(Some (Stob_core.Strategies.rate_floor ~rate_bps:25e6))
   in
-  { undefended; defended; shaped; n_classes = Array.length ccas }
+  { undefended; defended; shaped; n_classes }
 
 let print r =
   Printf.printf "CCA identification from passive traces (Section 5.2; chance = %.3f)\n"

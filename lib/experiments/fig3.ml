@@ -1,7 +1,6 @@
 module Engine = Stob_sim.Engine
 module Cpu = Stob_sim.Cpu
 module Units = Stob_util.Units
-module Endpoint = Stob_tcp.Endpoint
 module Connection = Stob_tcp.Connection
 module Path = Stob_tcp.Path
 
@@ -46,22 +45,10 @@ let throughput_with_policy ~config ~policy =
     Connection.create ~engine ~path ~flow:1 ~cc:config.cc
       ~server_cpu:(cpu, Stob_tcp.Cpu_costs.default_server) ~server_hooks:hooks ()
   in
-  let server = Connection.server conn in
-  (* iperf3-style bulk source: keep the send queue topped up for the whole
-     run via a periodic refill. *)
-  let rec refill () =
-    if Endpoint.established server && Endpoint.unsent server < 16_000_000 then
-      Endpoint.write server 64_000_000;
-    Engine.schedule engine ~delay:0.002 refill
-  in
-  Engine.schedule engine ~delay:0.0 refill;
-  Connection.on_established conn (fun () -> Endpoint.write (Connection.client conn) 64);
-  Connection.open_ conn;
-  let mark = ref 0 in
-  Engine.schedule engine ~delay:config.warmup (fun () -> mark := Path.server_link_bytes path);
-  Engine.run ~until:(config.warmup +. config.measure) engine;
-  let bytes = Path.server_link_bytes path - !mark in
-  Units.throughput_bps ~bytes ~seconds:config.measure
+  (* iperf3-style bulk source: the send queue stays topped up for the
+     whole run. *)
+  Connection.bulk ~engine ~period:0.002 ~low_water:16_000_000 ~chunk:64_000_000 conn;
+  Connection.throughput ~engine ~path ~warmup:config.warmup ~measure:config.measure
 
 let run ?(config = default_config) ?pool ?retries ?inject ?store ?on_report () =
   (* One cell per simulation: the baseline, then each distinct nonzero

@@ -24,7 +24,7 @@ type config = {
   measure : float;
   cc : Stob_tcp.Cc.factory;
   cc_name : string;
-      (** Canonical name of [cc] ({!Stob_tcp.Netem_eval.cc_of_name}); keyed
+      (** Canonical name of [cc] ({!Stob_tcp.Connection.cc_of_name}); keyed
           into the checkpoint digests, since the factory itself cannot be. *)
 }
 

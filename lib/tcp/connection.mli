@@ -1,9 +1,14 @@
-(** A full client-server TCP connection wired over a {!Path}.
+(** A full client-server TCP connection wired over a {!Path}, and the
+    workloads the hand-assembled TCP harnesses run over it.
 
     Convenience assembly: creates both endpoints with their congestion
     controllers, registers them on the path's demux and TSQ notifications,
     and runs the three-way handshake.  The web workload and the experiment
-    harnesses build on this. *)
+    harnesses build on this.  The harnesses take their application from
+    here, each piece written once: a bulk download ({!bulk}, measured by
+    {!throughput}: Fig 3, E7, CCA identification), a request/response
+    exchange ({!request_response}: the netem, chaos and soak batteries)
+    and the controller table ({!ccas}). *)
 
 type t
 
@@ -31,3 +36,50 @@ val open_ : t -> unit
 
 val on_established : t -> (unit -> unit) -> unit
 (** Fires when the client side completes the handshake. *)
+
+(** {1 Workloads} *)
+
+val ccas : (string * Cc.factory) list
+(** The congestion controllers by name: reno, cubic, bbr, in that order.
+    The order fixes the soak's CCA draw, the CCA-id labels and the netem
+    grid's seeds. *)
+
+val cc_of_name : string -> Cc.factory
+(** The factory {!ccas} names; raises [Invalid_argument] on any other
+    name. *)
+
+val bulk :
+  engine:Stob_sim.Engine.t -> period:float -> low_water:int -> chunk:int -> t -> unit
+(** An iperf-style bulk download.  Once established, the client sends 64
+    bytes.  From now on, every [period] s, the server writes [chunk] bytes
+    while it is established and fewer than [low_water] bytes are unsent.
+    Schedules the first refill at delay 0, then opens the connection. *)
+
+val throughput :
+  engine:Stob_sim.Engine.t -> path:Path.t -> warmup:float -> measure:float -> float
+(** On an engine at time 0: schedule a mark of {!Path.server_link_bytes}
+    at [warmup], run the engine until [warmup +. measure], and return the
+    server link's throughput since the mark, in bits/s. *)
+
+type exchange = private {
+  mutable client_received : int;  (** Response bytes the client app saw. *)
+  mutable server_received : int;  (** Request bytes the server app saw. *)
+  mutable last_activity : float;
+      (** Virtual time of the last delivery or FIN on either side; 0 before
+          any. *)
+}
+
+val request_response :
+  engine:Stob_sim.Engine.t ->
+  client:Endpoint.t ->
+  server:Endpoint.t ->
+  request:int ->
+  response:int ->
+  exchange
+(** One request/response/close exchange over an endpoint pair: once
+    established, the client writes [request] bytes; the server answers
+    once, with [response] bytes, when [request] bytes have arrived, and
+    closes; the client closes on the server's FIN.  Installs the receive,
+    FIN and established callbacks (replacing any), schedules nothing, and
+    returns the exchange's live counters.  The caller opens the
+    connection. *)

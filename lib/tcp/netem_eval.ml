@@ -25,19 +25,13 @@ type result = {
   pending_events : int;
 }
 
-let cc_of_name = function
-  | "reno" -> Reno.make
-  | "cubic" -> Cubic.make
-  | "bbr" -> Bbr.make
-  | name -> invalid_arg ("Netem_eval.cc_of_name: unknown CCA " ^ name)
-
 let default_cells () =
   List.concat_map
-    (fun cca ->
+    (fun (cca, _) ->
       List.concat_map
         (fun loss -> List.map (fun reorder -> { cca; loss; reorder }) [ false; true ])
         [ 0.0; 0.005; 0.02 ])
-    [ "reno"; "cubic"; "bbr" ]
+    Connection.ccas
 
 let run_cell ?(rate_bps = Units.mbps 20.0) ?(delay = 0.015) ?(response = 150_000)
     ?(duplicate = 0.0) ?(jitter = 0.0) ?client_config ?server_config ~seed cell =
@@ -63,34 +57,17 @@ let run_cell ?(rate_bps = Units.mbps 20.0) ?(delay = 0.015) ?(response = 150_000
   in
   let conn =
     Connection.create ~engine ~path ~flow:1 ?client_config ?server_config
-      ~cc:(cc_of_name cell.cca) ()
+      ~cc:(Connection.cc_of_name cell.cca) ()
   in
   let client = Connection.client conn and server = Connection.server conn in
-  let client_received = ref 0 and server_received = ref 0 in
-  let responded = ref false and last_event = ref 0.0 in
-  let touch () = last_event := Engine.now engine in
-  Endpoint.set_on_receive server (fun n ->
-      touch ();
-      server_received := !server_received + n;
-      if (not !responded) && !server_received >= 2_000 then begin
-        responded := true;
-        Endpoint.write server response;
-        Endpoint.close server
-      end);
-  Endpoint.set_on_receive client (fun n ->
-      touch ();
-      client_received := !client_received + n);
-  Endpoint.set_on_fin client (fun () ->
-      touch ();
-      Endpoint.close client);
-  Connection.on_established conn (fun () -> Endpoint.write client 2_000);
+  let x = Connection.request_response ~engine ~client ~server ~request:2_000 ~response in
   Connection.open_ conn;
   Engine.run ~until:120.0 engine;
   let netem = Path.netem_stats path in
   {
     cell;
-    client_received = !client_received;
-    server_received = !server_received;
+    client_received = x.client_received;
+    server_received = x.server_received;
     client_closed = Endpoint.closed client;
     server_closed = Endpoint.closed server;
     server_rtx = Endpoint.retransmissions server;
@@ -102,7 +79,7 @@ let run_cell ?(rate_bps = Units.mbps 20.0) ?(delay = 0.015) ?(response = 150_000
     netem_duplicated = netem.Netem.duplicated;
     queue_drops = Path.drops path;
     captured_rtx = Capture.rtx_count (Path.capture path);
-    finish_time = !last_event;
+    finish_time = x.last_activity;
     pending_events = Engine.pending engine;
   }
 

@@ -34,12 +34,9 @@ type result = {
   pending_events : int;  (** Engine events left at the horizon; 0 = drained. *)
 }
 
-val cc_of_name : string -> Cc.factory
-(** Raises [Invalid_argument] on unknown names. *)
-
 val default_cells : unit -> cell list
-(** The acceptance matrix: \{reno, cubic, bbr\} x loss \{0, 0.5%, 2%\} x
-    reorder \{off, on\}. *)
+(** The acceptance matrix: {!Connection.ccas} x loss \{0, 0.5%, 2%\} x
+    reorder \{off, on\}, in that nesting order. *)
 
 val run_cell :
   ?rate_bps:float ->
@@ -53,9 +50,9 @@ val run_cell :
   cell ->
   result
 (** One cell (test seam: the matrix runs its cells through this, and the
-    overrides let a test pin one scenario): the client requests 2 KB, the
-    server answers with [response] bytes and closes; the client closes on
-    the server's FIN.  Both directions run an impairment stage seeded
+    overrides let a test pin one scenario): a
+    {!Connection.request_response} exchange of a 2 KB request and a
+    [response]-byte answer.  Both directions run an impairment stage seeded
     (distinctly) from [seed].  Defaults: 20 Mb/s, 15 ms one-way delay,
     150 KB response; always 256 KiB queues, reordering that holds 5% of
     packets for 3 later packets when [cell.reorder], and a 120 s horizon.

@@ -389,9 +389,10 @@ let test_rtx_oracle_agreement () =
   Alcotest.(check bool) "capture saw retransmissions" true
     (Capture.rtx_count (Path.capture w.path) > 0);
   let monitor = Monitor.create w.engine in
-  Monitor.check_quic_rtx_oracle monitor
-    ~capture:(Path.capture w.path)
-    ~endpoints:[ Connection.client w.conn; Connection.server w.conn ]
+  Monitor.check_rtx_oracle monitor ~capture:(Path.capture w.path)
+    ~retransmissions:
+      (Endpoint.rtx_datagrams (Connection.client w.conn)
+      + Endpoint.rtx_datagrams (Connection.server w.conn))
     ~drops:(Path.drops w.path) ~drained:true;
   Alcotest.(check int) "oracle agrees" 0 (List.length (Monitor.violations monitor))
 

@@ -96,6 +96,22 @@ let test_cwnd_stops_at_send_buffer () =
       Alcotest.(check int) (name ^ " cwnd") (16 * 1024 * 1024) (cc.Cc.cwnd ()))
     [ ("reno", Reno.make); ("cubic", Cubic.make); ("bbr", Bbr.make) ]
 
+(* stobctl's --cca parser and the batteries resolve names through
+   [Connection.ccas]: each name builds the controller of that name, in the
+   order that fixes the soak draw and the netem grid seeds, and any other
+   name is refused. *)
+let test_cca_table () =
+  Alcotest.(check (list string)) "names, in order" [ "reno"; "cubic"; "bbr" ]
+    (List.map fst Connection.ccas);
+  List.iter
+    (fun (name, _) ->
+      Alcotest.(check string) (name ^ " controller") name
+        (Connection.cc_of_name name Config.default).Cc.name)
+    Connection.ccas;
+  match Connection.cc_of_name "vegas" with
+  | exception Invalid_argument _ -> ()
+  | (_ : Cc.factory) -> Alcotest.fail "an unknown CCA name must raise Invalid_argument"
+
 (* --- Hooks --- *)
 
 let test_hooks_clamp () =
@@ -477,21 +493,8 @@ let test_no_capture_same_simulation () =
         ~server_cpu:(cpu, Cpu_costs.default_server) ~server_hooks:hooks ()
     in
     let server = Connection.server conn in
-    let rec refill () =
-      if Endpoint.established server && Endpoint.unsent server < 16_000_000 then
-        Endpoint.write server 64_000_000;
-      Engine.schedule engine ~delay:0.002 refill
-    in
-    Engine.schedule engine ~delay:0.0 refill;
-    Connection.on_established conn (fun () -> Endpoint.write (Connection.client conn) 64);
-    Connection.open_ conn;
-    let warmup = 0.005 and measure = 0.01 in
-    let mark = ref 0 in
-    Engine.schedule engine ~delay:warmup (fun () -> mark := Path.server_link_bytes path);
-    Engine.run ~until:(warmup +. measure) engine;
-    let bps =
-      Units.throughput_bps ~bytes:(Path.server_link_bytes path - !mark) ~seconds:measure
-    in
+    Connection.bulk ~engine ~period:0.002 ~low_water:16_000_000 ~chunk:64_000_000 conn;
+    let bps = Connection.throughput ~engine ~path ~warmup:0.005 ~measure:0.01 in
     ( path,
       Int64.bits_of_float bps,
       [ ("server_link_bytes", Path.server_link_bytes path);
@@ -526,14 +529,7 @@ let queue_parity_fig3 queue =
       ~server_cpu:(cpu, Cpu_costs.default_server) ~server_hooks:hooks ()
   in
   let server = Connection.server conn in
-  let rec refill () =
-    if Endpoint.established server && Endpoint.unsent server < 16_000_000 then
-      Endpoint.write server 64_000_000;
-    Engine.schedule engine ~delay:0.002 refill
-  in
-  Engine.schedule engine ~delay:0.0 refill;
-  Connection.on_established conn (fun () -> Endpoint.write (Connection.client conn) 64);
-  Connection.open_ conn;
+  Connection.bulk ~engine ~period:0.002 ~low_water:16_000_000 ~chunk:64_000_000 conn;
   Engine.run ~until:0.008 engine;
   ( [ ("server_link_bytes", Path.server_link_bytes path);
       ("events processed", Engine.events_processed engine);
@@ -1277,23 +1273,17 @@ let test_soak_battery_jobs_parity () =
 
 (* --- Netem integration: deterministic single-drop regressions ---------- *)
 
-(* Like [request_response], but the server closes after writing its response
-   and the client closes on the server's FIN — the full lifecycle the
-   impairment battery exercises. *)
+(* The full lifecycle the impairment battery exercises
+   ({!Connection.request_response}: the server closes after writing its
+   response, the client closes on the server's FIN), run for 60 s. *)
 let request_response_close w ~request ~response =
-  let server = Connection.server w.conn and client = Connection.client w.conn in
-  let responded = ref false in
-  Endpoint.set_on_receive server (fun n ->
-      w.server_received := !(w.server_received) + n;
-      if (not !responded) && !(w.server_received) >= request then begin
-        responded := true;
-        Endpoint.write server response;
-        Endpoint.close server
-      end);
-  Endpoint.set_on_fin client (fun () -> Endpoint.close client);
-  Connection.on_established w.conn (fun () -> Endpoint.write client request);
+  let x =
+    Connection.request_response ~engine:w.engine ~client:(Connection.client w.conn)
+      ~server:(Connection.server w.conn) ~request ~response
+  in
   Connection.open_ w.conn;
-  Engine.run ~until:60.0 w.engine
+  Engine.run ~until:60.0 w.engine;
+  x
 
 (* First transmissions of data packets, in order — the netem drop-list
    counts only frames matching this, so "drop the nth data packet" is exact
@@ -1305,9 +1295,9 @@ let test_drop_nth_data_fast_retransmit () =
      be repaired by fast retransmit — dupacks, not a timeout. *)
   let spec = Netem.spec ~drop_filter:first_tx_data { Netem.default with Netem.drop_list = [ 8 ] } in
   let w = make_world ~rate_bps:(Units.mbps 50.0) ~delay:0.02 ~client_netem:spec () in
-  request_response_close w ~request:1000 ~response:100_000;
+  let x = request_response_close w ~request:1000 ~response:100_000 in
   let server = Connection.server w.conn and client = Connection.client w.conn in
-  Alcotest.(check int) "all response bytes delivered once" 100_000 !(w.received);
+  Alcotest.(check int) "all response bytes delivered once" 100_000 x.Connection.client_received;
   Alcotest.(check bool) "both closed" true (Endpoint.closed server && Endpoint.closed client);
   Alcotest.(check int) "exactly one fast-retransmit episode" 1 (Endpoint.fast_recoveries server);
   Alcotest.(check int) "no RTO" 0 (Endpoint.rto_events server);
@@ -1320,9 +1310,9 @@ let test_drop_two_holes_partial_ack () =
     Netem.spec ~drop_filter:first_tx_data { Netem.default with Netem.drop_list = [ 8; 12 ] }
   in
   let w = make_world ~rate_bps:(Units.mbps 50.0) ~delay:0.02 ~client_netem:spec () in
-  request_response_close w ~request:1000 ~response:100_000;
+  let x = request_response_close w ~request:1000 ~response:100_000 in
   let server = Connection.server w.conn in
-  Alcotest.(check int) "all response bytes delivered once" 100_000 !(w.received);
+  Alcotest.(check int) "all response bytes delivered once" 100_000 x.Connection.client_received;
   Alcotest.(check int) "one recovery episode covers both holes" 1
     (Endpoint.fast_recoveries server);
   Alcotest.(check bool) "both holes retransmitted" true (Endpoint.retransmissions server >= 2);
@@ -1335,9 +1325,9 @@ let test_drop_fin_rto () =
     Netem.spec ~drop_filter:(fun p -> p.Packet.fin) { Netem.default with Netem.drop_list = [ 1 ] }
   in
   let w = make_world ~client_netem:spec () in
-  request_response_close w ~request:1000 ~response:20_000;
+  let x = request_response_close w ~request:1000 ~response:20_000 in
   let server = Connection.server w.conn and client = Connection.client w.conn in
-  Alcotest.(check int) "all response bytes delivered" 20_000 !(w.received);
+  Alcotest.(check int) "all response bytes delivered" 20_000 x.Connection.client_received;
   Alcotest.(check bool) "RTO repaired the lost FIN" true (Endpoint.rto_events server >= 1);
   Alcotest.(check bool) "both closed" true (Endpoint.closed server && Endpoint.closed client)
 
@@ -1361,9 +1351,9 @@ let test_drop_pure_ack_harmless () =
       { Netem.default with Netem.drop_list = [ 2 ] }
   in
   let w = make_world ~server_netem:spec () in
-  request_response_close w ~request:1000 ~response:50_000;
+  let x = request_response_close w ~request:1000 ~response:50_000 in
   let server = Connection.server w.conn and client = Connection.client w.conn in
-  Alcotest.(check int) "exact delivery" 50_000 !(w.received);
+  Alcotest.(check int) "exact delivery" 50_000 x.Connection.client_received;
   Alcotest.(check int) "no retransmissions" 0 (Endpoint.retransmissions server);
   Alcotest.(check int) "one ack absorbed" 1 (Path.netem_lost w.path);
   Alcotest.(check bool) "both closed" true (Endpoint.closed server && Endpoint.closed client)
@@ -1374,11 +1364,11 @@ let test_capture_counts_retransmissions () =
      retransmission, and a clean path shows none. *)
   let spec = Netem.spec ~drop_filter:first_tx_data { Netem.default with Netem.drop_list = [ 8 ] } in
   let w = make_world ~rate_bps:(Units.mbps 50.0) ~delay:0.02 ~client_netem:spec () in
-  request_response_close w ~request:1000 ~response:100_000;
+  let _ : Connection.exchange = request_response_close w ~request:1000 ~response:100_000 in
   Alcotest.(check bool) "capture saw retransmitted packets" true
     (Capture.rtx_count (Path.capture w.path) >= 1);
   let clean = make_world () in
-  request_response_close clean ~request:1000 ~response:100_000;
+  let _ : Connection.exchange = request_response_close clean ~request:1000 ~response:100_000 in
   Alcotest.(check int) "clean path captures no rtx" 0
     (Capture.rtx_count (Path.capture clean.path))
 
@@ -1449,14 +1439,7 @@ let test_alloc_per_server_packet () =
       ~server_cpu:(cpu, Cpu_costs.default_server) ~server_hooks:hooks ()
   in
   let server = Connection.server conn in
-  let rec refill () =
-    if Endpoint.established server && Endpoint.unsent server < 16_000_000 then
-      Endpoint.write server 64_000_000;
-    Engine.schedule engine ~delay:0.002 refill
-  in
-  Engine.schedule engine ~delay:0.0 refill;
-  Connection.on_established conn (fun () -> Endpoint.write (Connection.client conn) 64);
-  Connection.open_ conn;
+  Connection.bulk ~engine ~period:0.002 ~low_water:16_000_000 ~chunk:64_000_000 conn;
   Engine.run ~until:0.01 engine;
   let before = Endpoint.packets_sent server in
   let words = Test_net.words_allocated (fun () -> Engine.run ~until:0.03 engine) in
@@ -1489,6 +1472,7 @@ let suite =
         Alcotest.test_case "tso slow rate" `Quick test_tso_autosize_slow_rate;
         Alcotest.test_case "tso mid rate" `Quick test_tso_autosize_mid_rate;
         Alcotest.test_case "cwnd stops at the send buffer" `Quick test_cwnd_stops_at_send_buffer;
+        Alcotest.test_case "cca table names its controllers" `Quick test_cca_table;
       ] );
     ( "tcp.hooks",
       [
