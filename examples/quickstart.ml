@@ -47,4 +47,4 @@ let () =
     "\nNote: on full traces a mild defense can even help the attacker — the\n\
      paper's Table 2 'All' row observes the same counterintuitive effect;\n\
      the defense's value shows on connection prefixes (see\n\
-     examples/censorship_eval.ml)."
+     `stobctl early-curve`)."

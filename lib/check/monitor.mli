@@ -159,14 +159,11 @@ val check_quic_inspection :
 
 val check_rtx_oracle :
   t -> capture:Stob_net.Capture.t -> retransmissions:int -> drops:int -> drained:bool -> unit
-(** Record [rtx-oracle-agreement] if [retransmissions], the caller's sum
-    of its endpoints' counters (TCP's
-    {!Stob_tcp.Endpoint.retransmissions}, QUIC's
-    {!Stob_quic.Endpoint.rtx_datagrams}), disagrees with the capture's
-    oracle-marked packet count.  Only checked when [drops = 0] and
-    [drained]: the capture taps the link at transmit start, after
-    bottleneck-queue drops and before netem impairment, so netem loss
-    keeps the counts comparable and queue drops do not. *)
+(** Record [rtx-oracle-agreement] if [retransmissions], the sum of the
+    endpoints' counters (TCP's [retransmissions], QUIC's [rtx_datagrams]),
+    disagrees with the capture's marked-packet count.  Checked only when
+    [drops = 0] and [drained]: the capture taps after the bottleneck
+    queue and before netem, so netem loss keeps the counts comparable. *)
 
 val check_store_canary :
   t ->

@@ -28,14 +28,11 @@ val cross_validate :
   features:float array array ->
   Stob_web.Dataset.t ->
   float * float
-(** Stratified k-fold CV accuracy (mean, sample std) of the forest-vote
-    attack, the one loop {!accuracy_cv} and Table 2 share.  [features.(i)]
-    is the feature row of the corpus's [i]th sample; the folds are
-    {!Stob_web.Dataset.fold_positions} drawn from [rng], and each fold
-    trains a forest of [forest] on its train side and scores its test
-    side.  A fold with an empty side is skipped; raises
-    [Invalid_argument] when every fold is.  [pool] parallelizes over
-    folds; results are identical for any domain count. *)
+(** Stratified CV accuracy (mean, sample std) of the forest-vote attack
+    over {!Stob_web.Dataset.fold_positions} drawn from [rng], the sample
+    at position [i] having features [features.(i)].  Skips a fold with an
+    empty side, and raises [Invalid_argument] when all are.  Results are
+    identical for any [pool]. *)
 
 val accuracy_cv :
   ?folds:int -> ?trees:int -> ?seed:int -> ?pool:Stob_par.Pool.t -> Stob_web.Dataset.t ->

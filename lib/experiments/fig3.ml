@@ -45,8 +45,6 @@ let throughput_with_policy ~config ~policy =
     Connection.create ~engine ~path ~flow:1 ~cc:config.cc
       ~server_cpu:(cpu, Stob_tcp.Cpu_costs.default_server) ~server_hooks:hooks ()
   in
-  (* iperf3-style bulk source: the send queue stays topped up for the
-     whole run. *)
   Connection.bulk ~engine ~period:0.002 ~low_water:16_000_000 ~chunk:64_000_000 conn;
   Connection.throughput ~engine ~path ~warmup:config.warmup ~measure:config.measure
 

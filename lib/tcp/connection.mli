@@ -1,14 +1,10 @@
-(** A full client-server TCP connection wired over a {!Path}, and the
-    workloads the hand-assembled TCP harnesses run over it.
+(** A full client-server TCP connection wired over a {!Path}.
 
     Convenience assembly: creates both endpoints with their congestion
     controllers, registers them on the path's demux and TSQ notifications,
     and runs the three-way handshake.  The web workload and the experiment
-    harnesses build on this.  The harnesses take their application from
-    here, each piece written once: a bulk download ({!bulk}, measured by
-    {!throughput}: Fig 3, E7, CCA identification), a request/response
-    exchange ({!request_response}: the netem, chaos and soak batteries)
-    and the controller table ({!ccas}). *)
+    harnesses build on this, and the TCP harnesses take their workloads
+    and CCA from its last section. *)
 
 type t
 
@@ -40,33 +36,28 @@ val on_established : t -> (unit -> unit) -> unit
 (** {1 Workloads} *)
 
 val ccas : (string * Cc.factory) list
-(** The congestion controllers by name: reno, cubic, bbr, in that order.
-    The order fixes the soak's CCA draw, the CCA-id labels and the netem
-    grid's seeds. *)
+(** Reno, CUBIC and BBR by name, in the order that fixes the soak's CCA
+    draw, the CCA-id labels and the netem grid's seeds. *)
 
 val cc_of_name : string -> Cc.factory
-(** The factory {!ccas} names; raises [Invalid_argument] on any other
-    name. *)
+(** Raises [Invalid_argument] on a name not in {!ccas}. *)
 
 val bulk :
   engine:Stob_sim.Engine.t -> period:float -> low_water:int -> chunk:int -> t -> unit
-(** An iperf-style bulk download.  Once established, the client sends 64
-    bytes.  From now on, every [period] s, the server writes [chunk] bytes
-    while it is established and fewer than [low_water] bytes are unsent.
-    Schedules the first refill at delay 0, then opens the connection. *)
+(** An iperf-style bulk download: once established, the client sends 64
+    bytes; every [period] s from now on, the server writes [chunk] bytes
+    while fewer than [low_water] are unsent.  Schedules the first refill
+    at delay 0, then opens the connection. *)
 
 val throughput :
   engine:Stob_sim.Engine.t -> path:Path.t -> warmup:float -> measure:float -> float
-(** On an engine at time 0: schedule a mark of {!Path.server_link_bytes}
-    at [warmup], run the engine until [warmup +. measure], and return the
-    server link's throughput since the mark, in bits/s. *)
+(** Mark {!Path.server_link_bytes} at [warmup], run a fresh engine until
+    [warmup +. measure], and return the bits/s sent since the mark. *)
 
 type exchange = private {
-  mutable client_received : int;  (** Response bytes the client app saw. *)
-  mutable server_received : int;  (** Request bytes the server app saw. *)
-  mutable last_activity : float;
-      (** Virtual time of the last delivery or FIN on either side; 0 before
-          any. *)
+  mutable client_received : int;
+  mutable server_received : int;
+  mutable last_activity : float;  (** The last delivery or FIN; 0 before any. *)
 }
 
 val request_response :
@@ -76,10 +67,7 @@ val request_response :
   request:int ->
   response:int ->
   exchange
-(** One request/response/close exchange over an endpoint pair: once
-    established, the client writes [request] bytes; the server answers
-    once, with [response] bytes, when [request] bytes have arrived, and
-    closes; the client closes on the server's FIN.  Installs the receive,
-    FIN and established callbacks (replacing any), schedules nothing, and
-    returns the exchange's live counters.  The caller opens the
-    connection. *)
+(** Once established, the client writes [request] bytes; the server
+    answers once, with [response] bytes, and closes; the client closes on
+    the server's FIN.  Sets the pair's callbacks, schedules nothing, and
+    returns live counters; the caller opens the connection. *)

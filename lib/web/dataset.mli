@@ -52,13 +52,11 @@ val split :
 
 val fold_positions : t -> rng:Stob_util.Rng.t -> k:int -> (int array * int array) list
 (** [k] stratified cross-validation folds as (train, test) pairs of
-    sample positions, each ascending.  Within each class, in label order,
-    the positions are shuffled with [rng] and the [i]th goes to fold
-    [i mod k].  Raises [Invalid_argument] when [k < 2]. *)
+    ascending sample positions: each class's positions, shuffled with
+    [rng], go to fold [i mod k].  Raises [Invalid_argument] if [k < 2]. *)
 
 val folds : t -> rng:Stob_util.Rng.t -> k:int -> (t * t) list
-(** {!fold_positions} as (train, test) corpora, samples in position
-    order. *)
+(** {!fold_positions} as (train, test) corpora. *)
 
 val map_traces : t -> (sample -> Stob_net.Trace.t) -> t
 (** Apply a trace transformation (a defense) to every sample, recomputing
