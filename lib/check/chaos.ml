@@ -104,7 +104,7 @@ let run_cell ?plan ~seed scenario =
   let hook_stall = ref 0.0 in
   let policy_fail = ref false in
   let qdisc_saved_limit = ref None in
-  let servers = ref [] in
+  let conns = ref [] in
   let policy_fallbacks = ref 0 in
   let fault_plan = match plan with Some p -> p | None -> drawn_plan ~seed scenario in
   let apply (ev : Fault.event) =
@@ -114,7 +114,9 @@ let run_cell ?plan ~seed scenario =
     | Fault.Policy_failure -> policy_fail := true
     | Fault.Cpu_overload -> Cpu.set_overload cpu ev.Fault.magnitude
     | Fault.Pacer_jump ->
-        List.iter (fun ep -> Endpoint.inject_pacer_jump ep ev.Fault.magnitude) !servers
+        List.iter
+          (fun c -> Endpoint.inject_pacer_jump (Connection.server c) ev.Fault.magnitude)
+          !conns
     | Fault.Qdisc_collapse -> (
         match Path.server_qdisc path with
         | None -> ()
@@ -142,7 +144,6 @@ let run_cell ?plan ~seed scenario =
   Monitor.watch_cpu monitor ~name:"server-core" cpu;
   (* --- workload --- *)
   let expected = Int.max 1 scenario.fanout in
-  let conns = ref [] in
   let exchanges = ref [] in
   let created = ref 0 in
   let guard_reports = ref [] in
@@ -181,7 +182,6 @@ let run_cell ?plan ~seed scenario =
       Monitor.observe_endpoint monitor ~name:(Printf.sprintf "server-%d" flow) server;
       exchanges :=
         Connection.request_response ~engine ~client ~server ~request ~response :: !exchanges;
-      servers := server :: !servers;
       Connection.open_ conn;
       Engine.schedule engine ~delay:0.3 (fun () -> start_conn (i + 1))
     end
