@@ -271,13 +271,11 @@ let add_quic_flow ~engine ~monitor ~id ~start ~on_done spec =
       server_ref := Some server;
       Monitor.observe_quic monitor ~name:(Printf.sprintf "flow-%d/client" id) client;
       Monitor.observe_quic monitor ~name:(Printf.sprintf "flow-%d/server" id) server;
-      let client_received = ref 0 and server_received = ref 0 and responded = ref false in
+      let client_received = ref 0 and server_received = ref 0 in
       Quic.set_on_stream server (fun ~stream:_ n -> server_received := !server_received + n);
+      (* A stream's FIN is reported once, and the client sends one request. *)
       Quic.set_on_stream_fin server (fun ~stream:_ ->
-          if not !responded then begin
-            responded := true;
-            Quic.send_stream server ~stream:4 ~fin:true spec.response
-          end);
+          Quic.send_stream server ~stream:4 ~fin:true spec.response);
       Quic.set_on_stream client (fun ~stream:_ n -> client_received := !client_received + n);
       Quic.set_on_stream_fin client (fun ~stream:_ ->
           Engine.schedule engine ~delay:0.06 (fun () ->
