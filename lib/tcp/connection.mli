@@ -67,7 +67,8 @@ val request_response :
   request:int ->
   response:int ->
   exchange
-(** Once established, the client writes [request] bytes; the server
-    answers once, with [response] bytes, and closes; the client closes on
-    the server's FIN.  Sets the pair's callbacks, schedules nothing, and
-    returns live counters; the caller opens the connection. *)
+(** Once established, the client writes [request] bytes; once they have
+    arrived, the server answers with [response] bytes and closes; the
+    client closes on the server's FIN.  Sets the pair's callbacks,
+    schedules nothing, and returns live counters; the caller opens the
+    connection. *)
